@@ -38,6 +38,7 @@ CONFIG_SCHEMA = {
                                      "minItems": 2, "maxItems": 2}},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "operator": {
             "type": "object",
@@ -50,6 +51,7 @@ CONFIG_SCHEMA = {
                 "Lam": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "measure": {
             "type": "object",
@@ -65,8 +67,10 @@ CONFIG_SCHEMA = {
                         "center": {"type": "array", "items": {"type": "number"}},
                     },
                     "required": ["kind"],
+                    "additionalProperties": False,
                 },
             },
+            "additionalProperties": False,
         },
         "grid": {
             "type": "object",
@@ -76,6 +80,7 @@ CONFIG_SCHEMA = {
                            "items": {"type": "number", "exclusiveMinimum": 0}},
                 "node_cap": {"type": "integer", "minimum": 1},
             },
+            "additionalProperties": False,
         },
         "rho": {
             "type": "object",
@@ -84,6 +89,7 @@ CONFIG_SCHEMA = {
                 "value": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "eta": {
             "type": "object",
@@ -95,6 +101,7 @@ CONFIG_SCHEMA = {
                 "r_zero": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "levels": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
         "family": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
@@ -111,10 +118,12 @@ CONFIG_SCHEMA = {
                 "reduite": {"type": "number", "exclusiveMinimum": 0},
                 "quad_rel": {"type": "number", "exclusiveMinimum": 0},
             },
+            "additionalProperties": False,
         },
         "output": {
             "type": "object",
             "properties": {"prefix": {"type": "string"}},
+            "additionalProperties": False,
         },
     },
     "required": ["domain", "operator"],

@@ -53,9 +53,6 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_interior
 
-    def matvec(self, flat: np.ndarray) -> np.ndarray:
-        return self.A @ flat
-
     def transition_matrix(self) -> sp.csr_matrix:
         """P = I - D^{-1} A (off-diagonal part of A, sign-flipped and scaled)."""
         Dinv = sp.diags(1.0 / self.diag)

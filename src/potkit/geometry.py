@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridSizeError
+from .errors import DimensionMismatchError, GridSizeError, SupportError
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -67,6 +67,16 @@ class Domain:
         if dim < 1 or dim > 3:
             raise ValueError("rectangle dimension must be 1..3")
         return Domain(kind="rectangle", dim=dim, bounds=bounds, mask=mask)
+
+    def as_ball(self) -> "Domain":
+        """The domain as a ball: itself for a ball, the 1d ball with the same
+        midpoint and half-length for an interval."""
+        if self.kind == "interval":
+            return Domain.ball(center=[(self.a + self.b) / 2.0],
+                               radius=(self.b - self.a) / 2.0, dim=1)
+        if self.kind != "ball":
+            raise SupportError(f"a {self.kind} is not a ball or an interval")
+        return self
 
     # -- geometry queries ---------------------------------------------------
 

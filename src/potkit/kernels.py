@@ -156,11 +156,6 @@ def _as_points(x, d: int) -> np.ndarray:
     return pts
 
 
-def _interval_as_ball(dom: Domain) -> Domain:
-    return Domain.ball(center=[(dom.a + dom.b) / 2.0],
-                       radius=(dom.b - dom.a) / 2.0, dim=1)
-
-
 def _green_laplace_interval(dom: Domain, x, y):
     a, b = dom.a, dom.b
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -254,15 +249,14 @@ def green(op: OperatorSpec, dom: Domain, x, y):
         if dom.kind == "interval":
             val = _green_laplace_interval(dom, x, y)
         else:
-            if dom.dim == 1:
-                b = _interval_as_ball(dom)  # consistency: 1d ball == interval
+            if dom.dim == 1:   # consistency: 1d ball == interval
                 val = _green_laplace_interval(
-                    Domain.interval(b.center[0] - b.radius, b.center[0] + b.radius), x, y)
+                    Domain.interval(dom.center[0] - dom.radius,
+                                    dom.center[0] + dom.radius), x, y)
             else:
                 val = _green_laplace_ball(dom, x, y)
     else:
-        ball = _interval_as_ball(dom) if dom.kind == "interval" else dom
-        val = _green_frac_ball(op, ball, x, y)
+        val = _green_frac_ball(op, dom.as_ball(), x, y)
     return float(val[0]) if scalar and np.size(val) == 1 else val
 
 
@@ -279,12 +273,9 @@ def poisson_kernel(op: OperatorSpec, dom: Domain, x, z):
     the laplacian kernel degenerates to point masses at the two endpoints
     and the returned value is the hitting probability of z.
     """
-    if dom.kind == "interval":
-        dom_ball = _interval_as_ball(dom)
-    elif dom.kind == "ball":
-        dom_ball = dom
-    else:
+    if dom.kind == "rectangle":
         raise UnsupportedKernelError("poisson_kernel requires a ball or interval domain")
+    dom_ball = dom.as_ball()
     d = dom_ball.dim
     c = np.asarray(dom_ball.center)
     R = dom_ball.radius

@@ -15,14 +15,14 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import SupportError
+from .errors import DimensionMismatchError, SupportError
 from .geometry import Domain, Grid
 from .kernels import OperatorSpec, points_polar
 
 
 @dataclass(frozen=True)
 class Density:
-    """Scalar density on the domain: a named preset or node values on a grid.
+    """Scalar density on the domain, given by a named preset.
 
     Presets: ``constant`` (level ``value``) and ``gaussian``
     (value * exp(-|x - center|^2 / (2 sigma^2))).
@@ -32,8 +32,6 @@ class Density:
     value: float = 0.0
     sigma: float = 0.25
     center: tuple = ()
-    grid_values: Optional[np.ndarray] = None
-    grid: Optional[Grid] = None
 
     @staticmethod
     def constant(value: float) -> "Density":
@@ -44,25 +42,13 @@ class Density:
         return Density(kind="gaussian", value=float(value), sigma=float(sigma),
                        center=tuple(float(c) for c in np.atleast_1d(center)))
 
-    @staticmethod
-    def on_grid(grid: Grid, values: np.ndarray) -> "Density":
-        return Density(kind="grid", grid=grid, grid_values=np.asarray(values, float))
-
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "constant":
             return np.full(pts.shape[0], self.value)
-        if self.kind == "gaussian":
-            c = np.asarray(self.center) if self.center else np.zeros(pts.shape[1])
-            r2 = np.sum((pts - c) ** 2, axis=1)
-            return self.value * np.exp(-r2 / (2.0 * self.sigma**2))
-        # grid values: multilinear interpolation would be overkill here; the
-        # discrete paths evaluate at the grid's own nodes
-        g = self.grid
-        idx = np.stack([np.clip(np.rint((pts[:, k] - g.domain.anchor[k]) / g.h
-                                        - g.offset[k]).astype(int), 0, g.shape[k] - 1)
-                        for k in range(g.dim)], axis=0)
-        return self.grid_values[tuple(idx)]
+        c = np.asarray(self.center) if self.center else np.zeros(pts.shape[1])
+        r2 = np.sum((pts - c) ** 2, axis=1)
+        return self.value * np.exp(-r2 / (2.0 * self.sigma**2))
 
     def is_radial_about(self, center) -> bool:
         if self.kind == "constant":
@@ -75,8 +61,6 @@ class Density:
         """Integral of |density| over the domain (total-variation part)."""
         if self.kind == "constant":
             return abs(self.value) * dom.volume()
-        if self.kind == "grid":
-            return float(np.sum(np.abs(self.grid_values))) * self.grid.cell_volume()
         # gaussian: radial quadrature about its center when centered in a ball,
         # generic quadrature otherwise
         if dom.kind == "ball" and self.is_radial_about(dom.center):
@@ -104,19 +88,13 @@ class MeasureData:
         norm_atoms = []
         for p, w in atoms:
             pt = tuple(float(c) for c in np.atleast_1d(p))
+            if dom is not None and len(pt) != dom.dim:
+                raise DimensionMismatchError(
+                    f"atom at {pt} has dimension {len(pt)}, expected {dom.dim}")
             if dom is not None and not dom.contains(np.asarray(pt)):
                 raise SupportError(f"atom at {pt} lies outside the open domain")
             norm_atoms.append((pt, float(w)))
         return MeasureData(atoms=tuple(norm_atoms), density=density)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and (self.density is None
-                                   or (self.density.kind != "grid"
-                                       and self.density.value == 0.0))
-
-    def atom_points(self) -> np.ndarray:
-        return np.array([p for p, _ in self.atoms], dtype=float)
 
     def atom_weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)
@@ -212,14 +190,10 @@ def jordan_parts(mu: MeasureData) -> tuple:
     pos_atoms = tuple((p, w) for p, w in mu.atoms if w > 0)
     neg_atoms = tuple((p, -w) for p, w in mu.atoms if w < 0)
     pos_dens = neg_dens = None
-    if mu.density is not None and mu.density.kind != "grid":
+    if mu.density is not None:
         if mu.density.value >= 0:
             pos_dens = mu.density
         else:
             neg_dens = replace(mu.density, value=-mu.density.value)
-    elif mu.density is not None:
-        vals = mu.density.grid_values
-        pos_dens = replace(mu.density, grid_values=np.maximum(vals, 0.0))
-        neg_dens = replace(mu.density, grid_values=np.maximum(-vals, 0.0))
     return (MeasureData(atoms=pos_atoms, density=pos_dens),
             MeasureData(atoms=neg_atoms, density=neg_dens))

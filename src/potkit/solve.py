@@ -133,12 +133,8 @@ def _constant_density_potential(op: OperatorSpec, dom: Domain, value: float):
         alpha = op.alpha
         d = dom.dim
         C = frac_torsion_constant(alpha, d)
-        if dom.kind == "interval":
-            ctr = np.array([(dom.a + dom.b) / 2.0])
-            R = (dom.b - dom.a) / 2.0
-        else:
-            ctr = np.asarray(dom.center)
-            R = dom.radius
+        ball = dom.as_ball()
+        ctr, R = np.asarray(ball.center), ball.radius
 
         def pot(pts):
             r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
@@ -151,14 +147,9 @@ def closed_form_supported(op: OperatorSpec, dom: Domain,
                           mu: MeasureData) -> bool:
     if op.kind == "divergence" or dom.kind == "rectangle":
         return False
-    if mu.density is None or mu.density.kind == "grid":
-        dens_ok = mu.density is None
-    elif mu.density.kind == "constant":
-        dens_ok = True
-    else:
-        ctr = dom.center if dom.kind == "ball" else ((dom.a + dom.b) / 2.0,)
-        dens_ok = op.kind == "laplacian" and mu.density.is_radial_about(ctr)
-    return dens_ok
+    if mu.density is None or mu.density.kind == "constant":
+        return True
+    return op.kind == "laplacian" and mu.density.is_radial_about(dom.as_ball().center)
 
 
 @dataclass
@@ -308,7 +299,7 @@ def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData,
     use_closed = prefer != "grid" and closed_form_supported(op, dom, mu)
     if use_closed:
         dens_pot = None
-        if mu.density is not None and mu.density.kind != "grid":
+        if mu.density is not None:
             if mu.density.kind == "constant":
                 if mu.density.value != 0.0:
                     dens_pot = _constant_density_potential(op, dom, mu.density.value)

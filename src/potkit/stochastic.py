@@ -26,12 +26,37 @@ from .solve import Solution
 
 _EPS_REL_INNER = 1e-3     # relative shell for hitting tiny level circles
 _EPS_ABS_FACTOR = 1e-6    # outer-boundary shell: 1e-6 * diameter
+_WOS_MAX_ITERS = 100_000  # walk-on-spheres iteration budget
 
 
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None) -> None:
+    """Advance the walkers ``cur`` (n, d) in place until each one stops.
+
+    Every iteration evaluates ``stop`` on the live walkers' positions, drops
+    the stopped ones from the live index array, and moves the rest by
+    ``step(positions)``; ``on_step(live, new_positions)`` then sees them.
+    Live walkers stay in index order, so a step's random draws keep the
+    same order and size as a full-width mask would give.
+    """
+    live = np.arange(cur.shape[0])
+    for _ in range(max_iters):
+        pos = cur[live]
+        moving = ~stop(pos)
+        live, pos = live[moving], pos[moving]
+        if live.size == 0:
+            return
+        pos = pos + step(pos)
+        cur[live] = pos
+        if on_step is not None:
+            on_step(live, pos)
+    raise ConvergenceError(f"walk exceeded its budget of {max_iters} iterations "
+                           f"with {live.size} walkers still moving")
 
 
 # ---------------------------------------------------------------------------
@@ -117,44 +142,29 @@ def wos_exit(dom: Domain, x, rng=None, seed: int = 0,
         pts = np.repeat(pts, n_samples, axis=0)
 
     if dom.kind in ("ball", "interval"):
-        if dom.kind == "interval":
-            center = np.array([(dom.a + dom.b) / 2.0])
-            radius = (dom.b - dom.a) / 2.0
-        else:
-            center, radius = np.asarray(dom.center), dom.radius
-        return ball_exit_points(center, radius, pts, rng)
+        ball = dom.as_ball()
+        return ball_exit_points(ball.center, ball.radius, pts, rng)
 
     eps = _EPS_ABS_FACTOR * dom.diameter
     cur = pts.copy()
-    active = np.ones(cur.shape[0], dtype=bool)
-    for _ in range(10_000):
-        if not active.any():
-            break
-        dist = dom.distance_to_boundary(cur[active])
-        done = dist <= eps
-        idx = np.where(active)[0]
-        if done.any():
-            active[idx[done]] = False
-        still = idx[~done]
-        if still.size == 0:
-            continue
-        r = dom.distance_to_boundary(cur[still])
-        cur[still] += r[:, None] * _unit_directions(rng, still.size, dom.dim)
+    _walk(cur, lambda p: dom.distance_to_boundary(p) <= eps,
+          lambda p: dom.distance_to_boundary(p)[:, None]
+          * _unit_directions(rng, p.shape[0], dom.dim),
+          _WOS_MAX_ITERS)
     return _project_to_boundary(dom, cur)
 
 
 def _project_to_boundary(dom: Domain, pts: np.ndarray) -> np.ndarray:
+    """Snap each point of a rectangle onto its nearest face; gaps are ordered
+    axis 0 lo, axis 0 hi, axis 1 lo, ..., and ties go to the first."""
     if dom.kind != "rectangle":
         return pts
+    lo, hi = np.asarray(dom.bounds).T
+    gaps = np.stack([pts - lo, hi - pts], axis=2).reshape(pts.shape[0], -1)
+    face = np.argmin(gaps, axis=1)
+    axis = face // 2
     out = pts.copy()
-    # snap the closest face per point
-    for i, p in enumerate(out):
-        dists = []
-        for k, (lo, hi) in enumerate(dom.bounds):
-            dists.append((p[k] - lo, k, lo))
-            dists.append((hi - p[k], k, hi))
-        _, k, val = min(dists, key=lambda t: t[0])
-        out[i, k] = val
+    out[np.arange(pts.shape[0]), axis] = np.where(face % 2 == 0, lo[axis], hi[axis])
     return out
 
 
@@ -203,39 +213,32 @@ def _level_radius(profile, R: float, k: float) -> float:
     return float(math.exp(t))
 
 
-def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray,
-                  rng, max_steps: int = 100_000):
+def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
     """Walk-on-spheres in the annulus {r_inner < |x - c| < R}; returns
     (stopped points, hit_inner mask).  Maximal-ball steps with exact exit
     draws; the inner shell uses a relative tolerance so that level circles
     far below the outer scale (r_inner ~ e^{-2 pi k}) stay unbiased."""
     center = np.asarray(center, dtype=float)
     cur = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    n, d = cur.shape
-    hit_inner = np.zeros(n, dtype=bool)
-    stopped = np.zeros(n, dtype=bool)
+    d = cur.shape[1]
     eps_out = _EPS_ABS_FACTOR * 2.0 * R
     eps_in = max(_EPS_REL_INNER * r_inner, 1e-300)
-    for _ in range(max_steps):
-        act = ~stopped
-        if not act.any():
-            break
-        rel = cur[act] - center
-        r = np.linalg.norm(rel, axis=1)
-        inner = (r - r_inner) <= eps_in
-        outer = (R - r) <= eps_out
-        idx = np.where(act)[0]
-        hit_inner[idx[inner]] = True
-        stopped[idx[inner | outer]] = True
-        go = idx[~(inner | outer)]
-        if go.size == 0:
-            continue
-        rel_go = cur[go] - center
-        r_go = np.linalg.norm(rel_go, axis=1)
-        rho = np.minimum(R - r_go, r_go - r_inner)
-        cur[go] = cur[go] + rho[:, None] * _unit_directions(rng, go.size, d)
-    if not stopped.all():
-        raise ConvergenceError("annulus walk exceeded the step budget")
+
+    def shells(p):
+        r = np.linalg.norm(p - center, axis=1)
+        return (r - r_inner) <= eps_in, (R - r) <= eps_out
+
+    def stop(p):
+        inner, outer = shells(p)
+        return inner | outer
+
+    def step(p):
+        r = np.linalg.norm(p - center, axis=1)
+        rho = np.minimum(R - r, r - r_inner)
+        return rho[:, None] * _unit_directions(rng, p.shape[0], d)
+
+    _walk(cur, stop, step, _WOS_MAX_ITERS)
+    hit_inner = shells(cur)[0]
     # project onto the exact circles
     rel = cur - center
     r = np.linalg.norm(rel, axis=1, keepdims=True)
@@ -339,30 +342,21 @@ def stable_exit(dom: Domain, x, alpha: float, dt: float, rng=None, seed: int = 0
 
     Sums standard symmetric stable increments scaled by dt^(1/alpha); the
     returned overshoot positions lie outside the closed domain with
-    probability one (no boundary creeping for alpha < 2).
+    probability one (no boundary creeping for alpha < 2).  ``max_steps``
+    caps the steps of the longest walk; ConvergenceError past it.
     """
     rng = _rng(rng if rng is not None else seed)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if n_samples is not None and pts.shape[0] == 1:
         pts = np.repeat(pts, n_samples, axis=0)
     cur = pts.copy()
-    n, d = cur.shape
-    inside = dom.contains(cur)
-    if not np.all(inside):
+    if not np.all(dom.contains(cur)):
         raise SupportError("stable walk starts must be interior")
+    d = cur.shape[1]
     scale = dt ** (1.0 / alpha)
-    active = np.ones(n, dtype=bool)
-    total_steps = 0
-    while active.any():
-        m = int(active.sum())
-        total_steps += m
-        if total_steps > max_steps * max(n, 1):
-            raise ConvergenceError("stable walk exceeded the step budget")
-        step = isotropic_stable_increments(alpha, m, d, rng) * scale
-        cur[active] = cur[active] + step
-        still_inside = dom.contains(cur[active])
-        idx = np.where(active)[0]
-        active[idx[~still_inside]] = False
+    _walk(cur, lambda p: ~dom.contains(p),
+          lambda p: isotropic_stable_increments(alpha, p.shape[0], d, rng) * scale,
+          max_steps)
     return cur
 
 
@@ -509,34 +503,21 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     running = np.abs(np.asarray(solution.evaluate(pts), dtype=float))
     running[~np.isfinite(running)] = 0.0
 
-    if dom.kind in ("ball", "interval"):
-        if dom.kind == "interval":
-            center = np.array([(dom.a + dom.b) / 2.0])
-            R = (dom.b - dom.a) / 2.0
-        else:
-            center, R = np.asarray(dom.center), dom.radius
-        cur = pts.copy()
-        active = np.ones(n_samples, dtype=bool)
-        eps = _EPS_ABS_FACTOR * 2.0 * R
-        for _ in range(100_000):
-            if not active.any():
-                break
-            rel = cur[active] - center
-            r = np.linalg.norm(rel, axis=1)
-            done = (R - r) <= eps
-            idx = np.where(active)[0]
-            active[idx[done]] = False
-            go = idx[~done]
-            if go.size == 0:
-                continue
-            rho_step = R - np.linalg.norm(cur[go] - center, axis=1)
-            cur[go] = cur[go] + rho_step[:, None] * _unit_directions(
-                rng, go.size, dom.dim)
-            v = np.abs(np.asarray(solution.evaluate(cur[go]), dtype=float))
-            v[~np.isfinite(v)] = 0.0
-            running[go] = np.maximum(running[go], v)
-    else:
-        raise SupportError("maximal-inequality walks support balls and intervals")
+    ball = dom.as_ball()
+    center, R = np.asarray(ball.center), ball.radius
+    eps = _EPS_ABS_FACTOR * 2.0 * R
+
+    def to_shell(p):
+        return R - np.linalg.norm(p - center, axis=1)
+
+    def track(live, p):
+        v = np.abs(np.asarray(solution.evaluate(p), dtype=float))
+        v[~np.isfinite(v)] = 0.0
+        running[live] = np.maximum(running[live], v)
+
+    _walk(pts, lambda p: to_shell(p) <= eps,
+          lambda p: to_shell(p)[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
+          _WOS_MAX_ITERS, on_step=track)
 
     payoff = running**exponent
     est = float(np.mean(payoff))

@@ -6,6 +6,8 @@ import pytest
 import yaml
 
 from potkit.cli import main
+from potkit.config import validate_config
+from potkit.presets import PRESETS, get_preset
 
 
 def read(path):
@@ -148,6 +150,25 @@ def test_missing_required_field(tmp_path, capsys):
     rc = main(["tail", "--config", str(path), "--out", str(tmp_path), "--quiet"])
     assert rc == 1
     assert "operator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,field", [("domain", "radiuss"), ("operator", "alhpa"),
+                                           ("grid", "hh"), ("tolerances", "reduit")])
+def test_misspelled_nested_field_rejected(tmp_path, capsys, tiny_dirac_cfg, section, field):
+    with open(tiny_dirac_cfg, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg.setdefault(section, {})[field] = 1.0
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["tail", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config field '{section}'" in err and repr(field) in err
+
+
+def test_presets_validate():
+    for name in PRESETS:
+        validate_config(get_preset(name))
 
 
 def test_unknown_preset(capsys):

@@ -17,6 +17,11 @@ def test_interval_green_value():
     assert green(LAP, dom, 0.25, 0.5) == pytest.approx(0.125, abs=1e-15)
 
 
+def test_ball_1d_green_equals_interval():
+    ball = Domain.ball([0.5], 0.5, 1)
+    assert green(LAP, ball, 0.25, 0.5) == green(LAP, Domain.interval(0.0, 1.0), 0.25, 0.5)
+
+
 def test_interval_green_fd_oracle():
     # independent three-point solve assembled by hand
     dom = Domain.interval(0.0, 1.0)

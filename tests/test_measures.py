@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potkit import Domain, OperatorSpec, decompose, green, total_variation
-from potkit.errors import SupportError
+from potkit.errors import DimensionMismatchError, SupportError
 from potkit.geometry import build_grid
 from potkit.measures import Density, MeasureData, deposit, jordan_parts
 
@@ -68,6 +68,13 @@ def test_atom_outside_domain_rejected():
     dom = Domain.interval(0.0, 1.0)
     with pytest.raises(SupportError):
         MeasureData.make(atoms=[([1.5], 1.0)], dom=dom)
+
+
+def test_atom_dimension_checked():
+    with pytest.raises(DimensionMismatchError):
+        MeasureData.make(atoms=[([0.5, 0.9], 1.0)], dom=Domain.interval(0.0, 1.0))
+    with pytest.raises(DimensionMismatchError):
+        MeasureData.make(atoms=[([0.1], 1.0)], dom=Domain.ball([0.0, 0.0], 1.0, 2))
 
 
 def test_deposit_on_node_mass():

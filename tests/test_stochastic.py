@@ -5,13 +5,14 @@ import pytest
 from scipy import integrate, stats
 
 from potkit import (Domain, OperatorSpec, poisson_kernel, stable_exit, wos_exit)
-from potkit.errors import SupportError
+from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit.solve import integral_solution
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                one_sided_stable, reducing_expectation,
                                sample_start_points, stopped_values,
-                               symmetric_stable_increments, _rng)
+                               symmetric_stable_increments, _project_to_boundary,
+                               _rng, _walk)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -250,3 +251,81 @@ def test_stable_walk_start_outside_rejected():
     dom = Domain.interval(-1.0, 1.0)
     with pytest.raises(SupportError):
         stable_exit(dom, [2.0], alpha=0.5, dt=1e-3, seed=1, n_samples=10)
+
+
+def _mask_walk(cur, stop, step, max_iters, on_step=None):
+    """Reference walker loop: re-masks all n walkers on every iteration."""
+    active = np.ones(cur.shape[0], dtype=bool)
+    for _ in range(max_iters):
+        active[active] = ~stop(cur[active])
+        if not active.any():
+            return
+        new = cur[active] + step(cur[active])
+        cur[active] = new
+        if on_step is not None:
+            on_step(np.flatnonzero(active), new)
+    raise ConvergenceError("reference walk exceeded its budget")
+
+
+def _walk_outputs(disk_dirac_solution):
+    """Every sampler that walks to an exit, on small seeded inputs."""
+    uniform_disk = lambda p: np.full(len(p), 1 / math.pi)
+    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    unit = Domain.interval(0.0, 1.0)
+    atom = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
+    rect = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
+    red = reducing_expectation(disk_dirac_solution, k=4.0, n=1.0, start=[0.5, 0.0],
+                               n_samples=2_000, seed=4)
+    diag = class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0],
+                              levels=[0.25, 0.5], rho=uniform_disk,
+                              n_samples=2_000, seed=4)
+    max_disk = maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
+                                        n_samples=1_000, seed=4)
+    max_int = maximal_inequality_check(atom, d1_value=0.125,
+                                       rho=lambda p: np.ones(len(p)),
+                                       n_samples=1_000, seed=4)
+    return [wos_exit(rect, [0.4, 1.0], seed=4, n_samples=500),
+            np.array([red.value, red.stderr, red.extra["frac_stopped_before_exit"]]),
+            diag.table, diag.stderrs,
+            np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
+            stable_exit(Domain.interval(-1.0, 1.0), [0.0], alpha=0.5, dt=1e-2,
+                        seed=4, n_samples=500)]
+
+
+def test_walk_matches_full_mask_reference(disk_dirac_solution, monkeypatch):
+    # compacting the live set must keep every draw's order and size
+    fast = _walk_outputs(disk_dirac_solution)
+    monkeypatch.setattr("potkit.stochastic._walk", _mask_walk)
+    ref = _walk_outputs(disk_dirac_solution)
+    for a, b in zip(fast, ref):
+        assert np.array_equal(a, b)
+
+
+def test_walk_budget_raises():
+    cur = np.zeros((3, 2))
+    with pytest.raises(ConvergenceError):
+        _walk(cur, lambda p: np.zeros(len(p), dtype=bool), np.ones_like, max_iters=5)
+    assert np.array_equal(cur, np.full((3, 2), 5.0))
+
+
+def _project_loop(dom, pts):
+    out = pts.copy()
+    for i, p in enumerate(out):
+        faces = []
+        for k, (lo, hi) in enumerate(dom.bounds):
+            faces.append((p[k] - lo, k, lo))
+            faces.append((hi - p[k], k, hi))
+        _, k, val = min(faces, key=lambda t: t[0])
+        out[i, k] = val
+    return out
+
+
+@pytest.mark.parametrize("bounds", [[(0.0, 1.0), (0.0, 2.0)],
+                                    [(0.0, 1.0), (-1.0, 1.0), (0.0, 0.5)]])
+def test_project_to_boundary_matches_loop(bounds):
+    dom = Domain.rectangle(bounds)
+    rng = _rng(6)
+    lo, hi = np.asarray(bounds).T
+    # a coarse lattice makes ties between faces common
+    pts = lo + (hi - lo) * rng.integers(0, 9, size=(2_000, len(bounds))) / 8.0
+    assert np.array_equal(_project_to_boundary(dom, pts), _project_loop(dom, pts))
