@@ -12,14 +12,13 @@ sub-stochastic exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, ConvergenceError, SupportError
-from .geometry import Grid, GridField
+from .geometry import Grid, GridField, lattice_shifts
 from .kernels import OperatorSpec, frac_constant, killing_density
 
 _DIRECT_SOLVE_MAX = 160_000
@@ -28,7 +27,7 @@ _FRACTIONAL_DENSE_MAX = 6_000
 
 @dataclass
 class DiscreteOperator:
-    """Sparse approximation A of -L on interior nodes plus stencil metadata.
+    """Sparse approximation A of -L on interior nodes, with its diagonal.
 
     ``A`` is symmetric positive definite; the associated one-step transition
     kernel is P = I - D^{-1} A with D = diag(A).  Row sums of P are <= 1,
@@ -40,10 +39,7 @@ class DiscreteOperator:
     op: OperatorSpec
     A: sp.csr_matrix
     diag: np.ndarray                      # flat interior diagonal of A
-    w_plus: Optional[list] = None         # per-axis lattice edge weights (local ops)
-    w_minus: Optional[list] = None
     _factor: object = field(default=None, repr=False)
-    _colors: object = field(default=None, repr=False)
 
     @property
     def is_local(self) -> bool:
@@ -68,43 +64,6 @@ class DiscreteOperator:
     def p_apply(self, flat: np.ndarray) -> np.ndarray:
         return flat - (self.A @ flat) / self.diag
 
-    # -- lattice helpers ------------------------------------------------------
-
-    def inv_diag_lat(self) -> np.ndarray:
-        arr = self.grid.new_field()
-        arr[self.grid.interior_mask] = 1.0 / self.diag
-        return arr
-
-    def color_masks(self):
-        """Red/black interior masks (checkerboard parity of lattice indices)."""
-        if self._colors is None:
-            g = self.grid
-            parity = np.zeros(g.shape, dtype=np.int8)
-            for k in range(g.dim):
-                shape = [1] * g.dim
-                shape[k] = g.shape[k]
-                parity = parity + np.arange(g.shape[k]).reshape(shape)
-            even = (parity % 2 == 0) & g.interior_mask
-            odd = (parity % 2 == 1) & g.interior_mask
-            self._colors = (even, odd)
-        return self._colors
-
-    def neighbor_weighted_sum(self, v: np.ndarray) -> np.ndarray:
-        """sum_j w_ij v_j over stencil neighbors, on the full lattice.
-
-        Requires v == 0 off the interior (homogeneous Dirichlet)."""
-        out = np.zeros_like(v)
-        dim = self.grid.dim
-        for k in range(dim):
-            lead = [slice(None)] * dim
-            trail = [slice(None)] * dim
-            lead[k] = slice(1, None)
-            trail[k] = slice(None, -1)
-            lead, trail = tuple(lead), tuple(trail)
-            out[trail] += self.w_plus[k][trail] * v[lead]
-            out[lead] += self.w_minus[k][lead] * v[trail]
-        return out
-
     def solve(self, rhs_flat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Deterministic linear solve A x = rhs (direct below the size cap,
         diagonally preconditioned CG above it for local operators)."""
@@ -114,17 +73,10 @@ class DiscreteOperator:
                 self._factor = spla.factorized(self.A.tocsc())
             return self._factor(rhs_flat)
         M = sp.diags(1.0 / self.diag)
-        x, info = _cg_compat(self.A, rhs_flat, rtol=tol, maxiter=200_000, M=M)
+        x, info = spla.cg(self.A, rhs_flat, rtol=tol, atol=0.0, maxiter=200_000, M=M)
         if info != 0:
             raise ConvergenceError(f"CG did not converge (info={info})")
         return x
-
-
-def _cg_compat(A, b, rtol, maxiter, M=None):
-    try:
-        return spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
-    except TypeError:  # older scipy uses tol=
-        return spla.cg(A, b, tol=rtol, atol=0.0, maxiter=maxiter, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +122,11 @@ def _assemble_local(op: OperatorSpec, grid: Grid, coeff) -> DiscreteOperator:
             raise AssemblyError(
                 f"coefficient outside [{op.lam}, {op.Lam}] near node {bad}")
 
-    w_plus = []
-    w_minus = []
     diag_lat = np.zeros(shape)
     rows, cols, vals = [], [], []
     node_pts = grid.node_points()
 
-    for k in range(dim):
-        lead = [slice(None)] * dim
-        trail = [slice(None)] * dim
-        lead[k] = slice(1, None)
-        trail[k] = slice(None, -1)
-        lead, trail = tuple(lead), tuple(trail)
-
+    for k, lead, trail in lattice_shifts(dim):
         if coeff is None:
             edge = np.full(tuple(s - (1 if i == k else 0) for i, s in enumerate(shape)),
                            inv_h2)
@@ -192,13 +136,6 @@ def _assemble_local(op: OperatorSpec, grid: Grid, coeff) -> DiscreteOperator:
             a_lo = _coeff_at(coeff, p_lo, k, dim)
             a_hi = _coeff_at(coeff, p_hi, k, dim)
             edge = (0.5 * (a_lo + a_hi) * inv_h2).reshape(node_pts[trail].shape[:-1])
-
-        wp = np.zeros(shape)
-        wm = np.zeros(shape)
-        wp[trail] = edge
-        wm[lead] = edge
-        w_plus.append(wp)
-        w_minus.append(wm)
 
         # edges with at least one interior endpoint enter the diagonal;
         # interior-interior edges also produce the off-diagonal entries
@@ -223,8 +160,7 @@ def _assemble_local(op: OperatorSpec, grid: Grid, coeff) -> DiscreteOperator:
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag_flat,
-                            w_plus=w_plus, w_minus=w_minus)
+    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag_flat)
 
 
 def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
@@ -288,84 +224,3 @@ def discrete_green(dop: DiscreteOperator, y) -> GridField:
     rhs[flat] = grid.cell_volume() ** -1
     sol = dop.solve(rhs)
     return GridField.from_interior(grid, sol)
-
-
-# ---------------------------------------------------------------------------
-# red-black (P)SOR engine
-# ---------------------------------------------------------------------------
-
-def omega_optimal(grid: Grid) -> float:
-    """Near-optimal SOR relaxation for the 5-point stencil on this grid."""
-    extent = min(hi - lo for lo, hi in grid.domain.bounding_box)
-    s = np.sin(np.pi * grid.h / max(extent, grid.h * 2))
-    return float(2.0 / (1.0 + s))
-
-
-def sor_iterate(dop: DiscreteOperator, rhs_lat: np.ndarray,
-                obstacle_lat: Optional[np.ndarray] = None,
-                w0: Optional[np.ndarray] = None,
-                omega: float = 1.5, tol: float = 1e-10,
-                max_sweeps: int = 10**6, check_every: int = 8):
-    """Projected red-black SOR on the lattice.
-
-    Solves A w = rhs (obstacle_lat None) or the complementarity system
-    w >= g, A w >= rhs, (w - g)(A w - rhs) = 0 (obstacle_lat = g), keeping
-    w = 0 off the interior.  Returns (w, sweeps, last_update).
-    """
-    if not dop.is_local:
-        return _value_iterate(dop, rhs_lat, obstacle_lat, w0, tol, max_sweeps)
-    grid = dop.grid
-    inv_diag = dop.inv_diag_lat()
-    colors = dop.color_masks()
-    if w0 is None:
-        w = grid.new_field() if obstacle_lat is None else np.maximum(obstacle_lat, 0.0)
-        if obstacle_lat is not None:
-            w = np.where(grid.interior_mask, w, 0.0)
-    else:
-        w = w0.copy()
-
-    last_update = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        update = 0.0
-        track = sweep % check_every == 0
-        for mask in colors:
-            nb = dop.neighbor_weighted_sum(w)
-            cand = (nb + rhs_lat) * inv_diag
-            if omega != 1.0:
-                cand = (1.0 - omega) * w + omega * cand
-            if obstacle_lat is not None:
-                np.maximum(cand, obstacle_lat, out=cand)
-            if track:
-                update = max(update, float(np.max(np.abs(cand[mask] - w[mask]))))
-            w[mask] = cand[mask]
-        if track:
-            last_update = update
-            if update < tol:
-                return w, sweep, last_update
-    raise ConvergenceError(
-        f"SOR did not reach tol={tol} within {max_sweeps} sweeps "
-        f"(last update {last_update:.3e})")
-
-
-def _value_iterate(dop: DiscreteOperator, rhs_lat, obstacle_lat, w0, tol, max_iters):
-    """Monotone value iteration w <- max(g, P w + D^{-1} rhs) for non-local
-    operators (matvec-based; omega fixed at 1, convergence is geometric)."""
-    grid = dop.grid
-    mask = grid.interior_mask
-    rhs_flat = rhs_lat[mask]
-    g_flat = obstacle_lat[mask] if obstacle_lat is not None else None
-    if w0 is not None:
-        w = w0[mask].copy()
-    else:
-        w = np.maximum(g_flat, 0.0) if g_flat is not None else np.zeros(dop.n)
-    src = rhs_flat / dop.diag
-    for it in range(1, max_iters + 1):
-        cand = w - (dop.A @ w) / dop.diag + src
-        if g_flat is not None:
-            np.maximum(cand, g_flat, out=cand)
-        upd = float(np.max(np.abs(cand - w))) if w.size else 0.0
-        w = cand
-        if upd < tol:
-            return GridField.from_interior(grid, w).values, it, upd
-    raise ConvergenceError(
-        f"value iteration did not reach tol={tol} within {max_iters} iterations")

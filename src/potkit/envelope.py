@@ -28,13 +28,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .discrete import DiscreteOperator, discrete_green, omega_optimal, sor_iterate
-from .errors import SupportError
-from .geometry import GridField
+from .discrete import DiscreteOperator, discrete_green
+from .errors import ConvergenceError, SupportError
+from .geometry import Grid, GridField, lattice_shifts
 from .measures import Density
 from .solve import Solution
 
 _ACTIVE_TOL_FACTOR = 100.0
+_MAX_SWEEPS = 10**6
 
 
 @dataclass
@@ -72,30 +73,78 @@ def _cap_infinite(g: np.ndarray, grid) -> np.ndarray:
         return g
     g = g.copy()
     bad = ~np.isfinite(g) & grid.interior_mask
-    dim = grid.dim
     nb_max = np.full(grid.shape, -np.inf)
     finite = np.where(np.isfinite(g), g, -np.inf)
-    for k in range(dim):
-        lead = [slice(None)] * dim
-        trail = [slice(None)] * dim
-        lead[k] = slice(1, None)
-        trail[k] = slice(None, -1)
-        lead, trail = tuple(lead), tuple(trail)
+    for _, lead, trail in lattice_shifts(grid.dim):
         nb_max[trail] = np.maximum(nb_max[trail], finite[lead])
         nb_max[lead] = np.maximum(nb_max[lead], finite[trail])
     g[bad] = np.where(np.isfinite(nb_max[bad]), nb_max[bad], 0.0)
     return g
 
 
+def omega_optimal(grid: Grid) -> float:
+    """Near-optimal SOR relaxation for the 5-point stencil on this grid."""
+    extent = min(hi - lo for lo, hi in grid.domain.bounding_box)
+    s = np.sin(np.pi * grid.h / max(extent, grid.h * 2))
+    return float(2.0 / (1.0 + s))
+
+
+def _colour_rows(grid: Grid) -> tuple:
+    """Flat interior indices of the red and black nodes (lattice parity)."""
+    parity = 0
+    for k, n in enumerate(grid.shape):
+        shape = [1] * grid.dim
+        shape[k] = n
+        parity = parity + np.arange(n).reshape(shape)
+    odd = (parity % 2 == 1)[grid.interior_mask]
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
+           omega: float, tol: float) -> int:
+    """Projected relaxation w <- max(g, w - omega D^{-1} A w) on flat
+    interior vectors, one block of rows at a time, in place.
+
+    Local operators sweep the red and black nodes in turn (projected SOR
+    with the given omega) and test the update every 8 sweeps; the dense
+    fractional operator updates all rows at once (Jacobi value iteration,
+    omega = 1) and tests every iteration.  Returns the sweep count.
+    """
+    if dop.is_local:
+        blocks = [(rows, dop.A[rows], dop.diag[rows]) for rows in _colour_rows(dop.grid)]
+        check = 8
+    else:
+        blocks = [(slice(None), dop.A, dop.diag)]
+        omega, check = 1.0, 1
+    update = np.inf
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        track = sweep % check == 0
+        if track:
+            update = 0.0
+        for rows, A_rows, d_rows in blocks:
+            cand = w[rows] - omega * (A_rows @ w) / d_rows
+            np.maximum(cand, g[rows], out=cand)
+            if track:
+                update = max(update, float(np.max(np.abs(cand - w[rows]), initial=0.0)))
+            w[rows] = cand
+        if track and update < tol:
+            return sweep
+    raise ConvergenceError(
+        f"projected relaxation did not reach tol={tol} within {_MAX_SWEEPS} "
+        f"sweeps (last update {update:.3e})")
+
+
 def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
-            omega: float = 1.5, max_sweeps: int = 10**6,
+            omega: float = 1.5,
             w0: Optional[np.ndarray] = None) -> ReduiteResult:
     """Smallest excessive majorant of the obstacle g >= 0.
 
     Runs projected red-black SOR (value iteration for non-local operators)
     from w0 = g toward the smallest fixed point of w = max(g, P w); any
-    supplied warm start must sit below the envelope.  Non-finite obstacle
-    values are capped at the obstacle's value one cell away.
+    supplied warm start must sit below the envelope.  ``omega="auto"``
+    picks the near-optimal SOR relaxation; non-local operators always use
+    omega = 1.  Non-finite obstacle values are capped at the obstacle's
+    value one cell away.
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
@@ -108,11 +157,9 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     if omega == "auto":
         omega = omega_optimal(grid)
 
-    rhs = grid.new_field()
-    w, sweeps, _ = sor_iterate(dop, rhs, obstacle_lat=g_lat, w0=w0,
-                               omega=omega, tol=tol, max_sweeps=max_sweeps)
-    w_flat = w[grid.interior_mask]
     g_flat = g_lat[grid.interior_mask]
+    w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
+    sweeps = _relax(dop, g_flat, w_flat, omega, tol)
     defect = (dop.A @ w_flat) / dop.diag
     ncp = np.minimum(w_flat - g_flat, defect)
     residual = float(np.max(np.abs(ncp))) if ncp.size else 0.0
@@ -120,7 +167,8 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= active_tol * max(scale, 1.0)
-    return ReduiteResult(envelope=GridField(grid, w), continuation=continuation,
+    return ReduiteResult(envelope=GridField.from_interior(grid, w_flat),
+                         continuation=continuation,
                          iterations=sweeps, residual=residual)
 
 
@@ -261,8 +309,6 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     values = np.empty(levels.shape)
     resolvable = np.ones(levels.shape, dtype=bool)
     prev_w = None
-    if omega == "auto":
-        omega = omega_optimal(grid) if dop.is_local else 1.0
     for i in range(len(levels) - 1, -1, -1):
         n = levels[i]
         g = np.maximum(u_abs - n, 0.0)
@@ -333,8 +379,6 @@ def fvp_diagnostic(dop: DiscreteOperator, u, rho, phi: Callable,
         caps = u_max * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     caps = np.asarray(sorted(float(k) for k in caps))
     rho_vals = _rho_values(rho, grid)
-    if omega == "auto":
-        omega = omega_optimal(grid) if dop.is_local else 1.0
 
     values = np.empty(caps.shape)
     for i, k in enumerate(caps):

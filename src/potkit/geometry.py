@@ -104,8 +104,7 @@ class Domain:
                 inside &= (pts[:, k] > lo) & (pts[:, k] < hi)
             if self.mask is not None:
                 inside &= np.asarray(self.mask(pts), dtype=bool)
-        if np.isscalar(x) or (isinstance(x, (list, tuple, np.ndarray))
-                              and np.asarray(x).ndim <= 1):
+        if np.ndim(x) <= 1 and inside.shape[0] == 1:
             return bool(inside[0])
         return inside
 
@@ -250,6 +249,18 @@ class GridField:
         return GridField(grid, arr)
 
 
+def lattice_shifts(dim: int, step: int = 1):
+    """Yield (k, lead, trail) for each axis k: index tuples such that
+    ``a[lead]`` and ``a[trail]`` pair every lattice node with the node
+    ``step`` cells further along axis k."""
+    for k in range(dim):
+        lead = [slice(None)] * dim
+        trail = [slice(None)] * dim
+        lead[k] = slice(step, None)
+        trail[k] = slice(None, -step)
+        yield k, tuple(lead), tuple(trail)
+
+
 def build_grid(domain: Domain, h: float, node_cap: int = DEFAULT_NODE_CAP) -> Grid:
     """Build the uniform grid of mesh width h over the domain.
 
@@ -282,13 +293,9 @@ def build_grid(domain: Domain, h: float, node_cap: int = DEFAULT_NODE_CAP) -> Gr
 
     # boundary = non-interior nodes with at least one interior face-neighbor
     boundary = np.zeros(shape, dtype=bool)
-    for k in range(domain.dim):
-        lead = [slice(None)] * domain.dim
-        trail = [slice(None)] * domain.dim
-        lead[k] = slice(1, None)
-        trail[k] = slice(None, -1)
-        boundary[tuple(lead)] |= interior[tuple(trail)]
-        boundary[tuple(trail)] |= interior[tuple(lead)]
+    for _, lead, trail in lattice_shifts(domain.dim):
+        boundary[lead] |= interior[trail]
+        boundary[trail] |= interior[lead]
     boundary &= ~interior
 
     if not interior.any():

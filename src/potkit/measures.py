@@ -9,7 +9,7 @@ for d >= 2, fractional atoms for alpha <= d.  Densities are always diffuse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -183,17 +183,3 @@ def deposit(mu: MeasureData, grid: Grid) -> np.ndarray:
     if mu.density is not None:
         rhs += mu.density(grid.interior_points())
     return rhs
-
-
-def jordan_parts(mu: MeasureData) -> tuple:
-    """(mu_plus, mu_minus) with atoms keyed by point and densities by sign."""
-    pos_atoms = tuple((p, w) for p, w in mu.atoms if w > 0)
-    neg_atoms = tuple((p, -w) for p, w in mu.atoms if w < 0)
-    pos_dens = neg_dens = None
-    if mu.density is not None:
-        if mu.density.value >= 0:
-            pos_dens = mu.density
-        else:
-            neg_dens = replace(mu.density, value=-mu.density.value)
-    return (MeasureData(atoms=pos_atoms, density=pos_dens),
-            MeasureData(atoms=neg_atoms, density=neg_dens))

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import ConvergenceError, SupportError
-from .geometry import Domain
+from .geometry import Domain, lattice_shifts
 from .kernels import frac_constant, killing_density
 from .solve import Solution
 
@@ -237,15 +237,10 @@ def _local_energy_grid(solution, eta, n, a_coeff):
     if not inside.any():
         return 0.0
     grads = []
-    for k in range(d):
-        lead = [slice(None)] * d
-        trail = [slice(None)] * d
-        lead[k] = slice(2, None)
-        trail[k] = slice(None, -2)
-        centre = [slice(None)] * d
-        centre[k] = slice(1, -1)
+    for k, lead, trail in lattice_shifts(d, step=2):
+        centre = lead[:k] + (slice(1, -1),) + lead[k + 1:]
         gk = np.zeros_like(v)
-        gk[tuple(centre)] = (v[tuple(lead)] - v[tuple(trail)]) / (2.0 * h)
+        gk[centre] = (v[lead] - v[trail]) / (2.0 * h)
         grads.append(gk)
     pts = grid.node_points()[inside]
     g2 = sum(g[inside] ** 2 for g in grads)

@@ -293,7 +293,6 @@ def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng) -> np.ndar
     R = dom.radius
     r_k = _level_radius(profile, R, k)
     if r_k <= 0.0:
-        pts = wos_exit(dom, x0, rng=rng)
         return np.zeros(np.atleast_2d(x0).shape[0])
     pts, hit = _walk_annulus(center, R, r_k, x0, rng)
     vals = np.zeros(pts.shape[0])

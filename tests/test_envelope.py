@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import potkit.envelope as envelope_mod
 from potkit import (Domain, OperatorSpec, assemble, build_grid, d1_norm,
                     discrete_green, fvp_diagnostic, harmonic_extension,
                     reduite, tail_curve)
 from potkit.envelope import FVP_FAMILY, envelope_field
-from potkit.errors import SupportError
+from potkit.config import _coeff_presets
+from potkit.errors import ConvergenceError, SupportError
 from potkit.geometry import GridField
 from potkit.measures import Density, MeasureData
 from potkit.solve import integral_solution
@@ -25,6 +28,81 @@ def brute_force_envelope(dop, g_flat, iters=400_000, tol=1e-14):
             return w_new
         w = w_new
     return w
+
+
+def reference_psor(dop, g_flat, omega, tol, check_every=8):
+    """Red-black projected SOR in the loop shape of the former lattice
+    engine: full-vector colour masks and cand = (1 - omega) w + omega N w / D
+    with N = D - A.  Returns (w, sweeps)."""
+    grid = dop.grid
+    parity = np.indices(grid.shape).sum(axis=0)[grid.interior_mask] % 2
+    masks = (parity == 0, parity == 1)
+    D = dop.diag
+    N = sp.diags(D) - dop.A
+    w = g_flat.copy()
+    for sweep in range(1, 10**6):
+        update = 0.0
+        track = sweep % check_every == 0
+        for mask in masks:
+            cand = (1.0 - omega) * w + omega * (N @ w) / D
+            np.maximum(cand, g_flat, out=cand)
+            if track:
+                update = max(update, float(np.max(np.abs(cand[mask] - w[mask]))))
+            w[mask] = cand[mask]
+        if track and update < tol:
+            return w, sweep
+    raise AssertionError("reference PSOR did not converge")
+
+
+def _bump_obstacle(grid):
+    pts = grid.interior_points()
+    return np.maximum(0.3 - np.sum(pts**2, axis=1), 0.0) + 0.2 * (np.abs(pts[:, 0]) < 0.2)
+
+
+@pytest.mark.parametrize("case", ["laplacian-disk", "smooth-disk", "laplacian-ball3d"])
+def test_relaxation_matches_lattice_reference(case):
+    if case == "laplacian-ball3d":
+        grid = build_grid(Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 2.0**-3)
+    else:
+        grid = build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5)
+    if case == "smooth-disk":
+        coeff, lam, Lam = _coeff_presets()["smooth"]
+        op = OperatorSpec.divergence(coeff, lam, Lam)
+    else:
+        op = LAP
+    dop = assemble(op, grid)
+    g_flat = _bump_obstacle(grid)
+    omega = envelope_mod.omega_optimal(grid)
+    res = reduite(dop, GridField.from_interior(grid, g_flat), tol=1e-10, omega="auto")
+    w_ref, sweeps_ref = reference_psor(dop, g_flat, omega, 1e-10)
+    assert res.iterations == sweeps_ref
+    got = res.envelope.interior_values()
+    assert np.max(np.abs(got - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+def test_fractional_relaxation_is_value_iteration():
+    grid = build_grid(Domain.interval(0.0, 1.0), 2.0**-6)
+    dop = assemble(OperatorSpec.fractional(0.8), grid)
+    g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
+    tol = 1e-11
+    w = g_flat.copy()
+    for it in range(1, 10**6):
+        cand = np.maximum(g_flat, w - (dop.A @ w) / dop.diag)
+        done = np.max(np.abs(cand - w)) < tol
+        w = cand
+        if done:
+            break
+    res = reduite(dop, GridField.from_interior(grid, g_flat), tol=tol, omega="auto")
+    assert res.iterations == it
+    assert np.array_equal(res.envelope.interior_values(), w)
+
+
+def test_sweep_budget_raises(monkeypatch, disk_dop_small):
+    monkeypatch.setattr(envelope_mod, "_MAX_SWEEPS", 8)
+    g = _bump_obstacle(disk_dop_small.grid)
+    with pytest.raises(ConvergenceError):
+        reduite(disk_dop_small, GridField.from_interior(disk_dop_small.grid, g),
+                tol=1e-12, omega="auto")
 
 
 def test_zero_obstacle(interval_dop):

@@ -10,6 +10,8 @@ def test_contains_interval_interior():
     assert dom.contains(0.5)
     assert not dom.contains(2.0)
     assert not dom.contains(0.0)          # open set: endpoints excluded
+    # a flat list on a 1-d domain is one point per entry
+    assert dom.contains([0.5, 1.5]).tolist() == [True, False]
 
 
 def test_contains_ball_boundary_excluded():

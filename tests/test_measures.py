@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from potkit import Domain, OperatorSpec, decompose, green, total_variation
 from potkit.errors import DimensionMismatchError, SupportError
 from potkit.geometry import build_grid
-from potkit.measures import Density, MeasureData, deposit, jordan_parts
+from potkit.measures import Density, MeasureData, deposit
 
 LAP = OperatorSpec.laplacian()
 
@@ -102,19 +102,6 @@ def test_deposit_near_boundary_conserves_mass():
     mu = MeasureData.make(atoms=[([0.93, 0.2], 1.0)], dom=dom)
     rhs = deposit(mu, grid)
     assert rhs.sum() * grid.cell_volume() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_jordan_parts_singular():
-    dom = Domain.interval(0.0, 1.0)
-    mu = MeasureData.make(atoms=[([0.25], 1.0), ([0.75], -0.5)],
-                          density=Density.constant(-2.0), dom=dom)
-    plus, minus = jordan_parts(mu)
-    assert plus.atoms == ((tuple([0.25]), 1.0),)
-    assert minus.atoms == ((tuple([0.75]), 0.5),)
-    assert plus.density is None
-    assert minus.density.value == pytest.approx(2.0)
-    pts = {p for p, _ in plus.atoms} & {p for p, _ in minus.atoms}
-    assert not pts
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

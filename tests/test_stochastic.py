@@ -177,6 +177,17 @@ def test_stopped_values_determinism(disk_dirac_solution):
     assert a.stderr == b.stderr
 
 
+def test_stopped_values_unreached_level_draws_nothing():
+    # the (1 - r^2)/4 potential never reaches k = 0.3: every walker stops at
+    # once with value 0, and the generator is left untouched
+    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    vals = stopped_values(sol, 0.3, np.array([[0.1, 0.2], [-0.4, 0.0]]), rng)
+    assert np.all(vals == 0.0)
+    assert rng.bit_generator.state == before
+
+
 def test_stderr_scaling(disk_dirac_solution):
     # stderr ~ N^{-1/2} within a factor 1.5 across decades
     errs = []
