@@ -286,7 +286,9 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
                     per_decade: int = 6, gauss: int = 10,
                     return_trace: bool = False):
     """Fractional-window energy (see module docstring), refined until the
-    relative change between successive panel gradings is below rel_tol.
+    relative change between successive panel gradings is below rel_tol;
+    ConvergenceError if ``max_refine`` gradings do not get there.  With
+    ``return_trace`` the value comes with the list of every grading's value.
 
     Supported for 1d domains (the double integral is a full tensor
     quadrature; higher dimensions would need 2d-pair quadrature and are out
@@ -302,7 +304,6 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     anchors = [p[0] for p, w in solution.measure.atoms]
 
     trace = []
-    prev = None
     for level in range(max_refine):
         pd = per_decade * 2**level
         x, w = _graded_panels_1d(dom, anchors, pd, r_min=1e-9, gauss=gauss)
@@ -318,11 +319,8 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
         kill_term = float(np.sum(ex * theta_n(u, 0.0, n) * kap))
         val = (jump_term + kill_term) / (2.0 * n)
         trace.append(val)
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+        if len(trace) > 1 and abs(val - trace[-2]) <= rel_tol * max(abs(val), 1e-300):
             return (val, trace) if return_trace else val
-        prev = val
-    if return_trace:
-        return prev, trace
     raise ConvergenceError(
         f"nonlocal quadrature did not stabilize below {rel_tol:.1%}: trace={trace}")
 
@@ -340,6 +338,7 @@ class ReconstructionReport:
     fitted_prefactor: float
     prefactor_flagged: bool        # |prefactor - 1| > 10%
     kind: str                      # "local" | "nonlocal"
+    traces: list                   # per level: the value of each quadrature refinement
 
 
 def reconstruct_mu_c(solution: Solution, eta: Callable,
@@ -353,11 +352,15 @@ def reconstruct_mu_c(solution: Solution, eta: Callable,
     levels = np.asarray(sorted(float(n) for n in levels))
     kind = "local" if solution.op.is_local else "nonlocal"
     vals = np.empty(levels.shape)
+    traces = []
     for i, n in enumerate(levels):
         if kind == "local":
             vals[i] = local_energy(solution, eta, n, **quad_opts)
+            traces.append([vals[i]])
         else:
-            vals[i] = nonlocal_energy(solution, eta, n, **quad_opts)
+            vals[i], trace = nonlocal_energy(solution, eta, n, return_trace=True,
+                                             **quad_opts)
+            traces.append(trace)
 
     target = 0.0
     for p, w in solution.decomposition.concentrated.atoms:
@@ -375,4 +378,4 @@ def reconstruct_mu_c(solution: Solution, eta: Callable,
     flagged = bool(target > 0 and abs(fitted - 1.0) > 0.10)
     return ReconstructionReport(levels=levels, values=vals, target=target,
                                 rel_errors=rel, fitted_prefactor=fitted,
-                                prefactor_flagged=flagged, kind=kind)
+                                prefactor_flagged=flagged, kind=kind, traces=traces)

@@ -38,20 +38,23 @@ def _rng(seed) -> np.random.Generator:
 def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None) -> None:
     """Advance the walkers ``cur`` (n, d) in place until each one stops.
 
-    Every iteration evaluates ``stop`` on the live walkers' positions, drops
-    the stopped ones from the live index array, and moves the rest by
-    ``step(positions)``; ``on_step(live, new_positions)`` then sees them.
-    Live walkers stay in index order, so a step's random draws keep the
-    same order and size as a full-width mask would give.
+    Every iteration evaluates ``stop`` on the live walkers' positions, which
+    returns the stopped mask and a per-walker quantity (or None), drops the
+    stopped walkers from the live index array, and moves the rest by
+    ``step(positions, quantity)`` with the quantity sliced to them, so a
+    distance is computed once per iteration; ``on_step(live, new_positions)``
+    then sees them.  Live walkers stay in index order, so a step's random
+    draws keep the same order and size as a full-width mask would give.
     """
     live = np.arange(cur.shape[0])
     for _ in range(max_iters):
         pos = cur[live]
-        moving = ~stop(pos)
+        stopped, quantity = stop(pos)
+        moving = ~stopped
         live, pos = live[moving], pos[moving]
         if live.size == 0:
             return
-        pos = pos + step(pos)
+        pos = pos + step(pos, None if quantity is None else quantity[moving])
         cur[live] = pos
         if on_step is not None:
             on_step(live, pos)
@@ -146,10 +149,14 @@ def wos_exit(dom: Domain, x, rng=None, seed: int = 0,
         return ball_exit_points(ball.center, ball.radius, pts, rng)
 
     eps = _EPS_ABS_FACTOR * dom.diameter
+
+    def stop(p):
+        dist = dom.distance_to_boundary(p)
+        return dist <= eps, dist
+
     cur = pts.copy()
-    _walk(cur, lambda p: dom.distance_to_boundary(p) <= eps,
-          lambda p: dom.distance_to_boundary(p)[:, None]
-          * _unit_directions(rng, p.shape[0], dom.dim),
+    _walk(cur, stop,
+          lambda p, dist: dist[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
           _WOS_MAX_ITERS)
     return _project_to_boundary(dom, cur)
 
@@ -224,24 +231,19 @@ def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
     eps_out = _EPS_ABS_FACTOR * 2.0 * R
     eps_in = max(_EPS_REL_INNER * r_inner, 1e-300)
 
-    def shells(p):
-        r = np.linalg.norm(p - center, axis=1)
-        return (r - r_inner) <= eps_in, (R - r) <= eps_out
-
     def stop(p):
-        inner, outer = shells(p)
-        return inner | outer
-
-    def step(p):
         r = np.linalg.norm(p - center, axis=1)
+        return ((r - r_inner) <= eps_in) | ((R - r) <= eps_out), r
+
+    def step(p, r):
         rho = np.minimum(R - r, r - r_inner)
         return rho[:, None] * _unit_directions(rng, p.shape[0], d)
 
     _walk(cur, stop, step, _WOS_MAX_ITERS)
-    hit_inner = shells(cur)[0]
     # project onto the exact circles
     rel = cur - center
     r = np.linalg.norm(rel, axis=1, keepdims=True)
+    hit_inner = (r[:, 0] - r_inner) <= eps_in
     tgt = np.where(hit_inner[:, None], r_inner, R)
     cur = center + rel * (tgt / np.maximum(r, 1e-300))
     return cur, hit_inner
@@ -353,8 +355,8 @@ def stable_exit(dom: Domain, x, alpha: float, dt: float, rng=None, seed: int = 0
         raise SupportError("stable walk starts must be interior")
     d = cur.shape[1]
     scale = dt ** (1.0 / alpha)
-    _walk(cur, lambda p: ~dom.contains(p),
-          lambda p: isotropic_stable_increments(alpha, p.shape[0], d, rng) * scale,
+    _walk(cur, lambda p: (~dom.contains(p), None),
+          lambda p, _: isotropic_stable_increments(alpha, p.shape[0], d, rng) * scale,
           max_steps)
     return cur
 
@@ -506,16 +508,17 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     center, R = np.asarray(ball.center), ball.radius
     eps = _EPS_ABS_FACTOR * 2.0 * R
 
-    def to_shell(p):
-        return R - np.linalg.norm(p - center, axis=1)
+    def stop(p):
+        gap = R - np.linalg.norm(p - center, axis=1)
+        return gap <= eps, gap
 
     def track(live, p):
         v = np.abs(np.asarray(solution.evaluate(p), dtype=float))
         v[~np.isfinite(v)] = 0.0
         running[live] = np.maximum(running[live], v)
 
-    _walk(pts, lambda p: to_shell(p) <= eps,
-          lambda p: to_shell(p)[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
+    _walk(pts, stop,
+          lambda p, gap: gap[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
           _WOS_MAX_ITERS, on_step=track)
 
     payoff = running**exponent

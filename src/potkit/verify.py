@@ -24,8 +24,8 @@ from .geometry import build_grid
 from .kernels import green
 
 from .presets import STOCHASTIC_PRESETS, get_preset
-from .reconstruct import (kink_integral, local_energy, nonlocal_energy,
-                          reconstruct_mu_c, sigma, theta_n)
+from .reconstruct import (kink_integral, local_energy, reconstruct_mu_c, sigma,
+                          theta_n)
 from .solve import integral_solution
 from .stochastic import (class_d_diagnostic, maximal_inequality_check,
                          reducing_expectation)
@@ -169,9 +169,7 @@ def criterion_06() -> CriterionResult:
     eta = build_eta(cfg, dom)
     rep = reconstruct_mu_c(sol, eta, cfg["levels"],
                            rel_tol=cfg["tolerances"]["quad_rel"])
-    val, trace = nonlocal_energy(sol, eta, cfg["levels"][-1],
-                                 rel_tol=cfg["tolerances"]["quad_rel"],
-                                 return_trace=True)
+    val, trace = rep.values[-1], rep.traces[-1]      # the top level
     dt = time.time() - t0
     trace_ok = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= 0.01 * abs(trace[-1])
     close = abs(val - 1.0) <= 0.15

@@ -1,8 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from potkit import Domain, OperatorSpec, assemble, build_grid, discrete_green, green
-from potkit.errors import AssemblyError, SupportError
+from potkit import discrete
+from potkit.errors import AssemblyError, ConvergenceError, SupportError
 
 LAP = OperatorSpec.laplacian()
 
@@ -138,3 +142,78 @@ def test_discrete_green_needs_interior():
     dop = assemble(op, grid)
     with pytest.raises(SupportError):
         discrete_green(dop, np.array([0.0]))
+
+
+# -- CG with the V-cycle preconditioner (above the direct-solve cap) ---------
+
+def _smooth_coeff(pts):
+    return 1.0 + 0.5 * np.sin(np.pi * np.atleast_2d(pts)[:, 0])
+
+
+def _l_shape(pts):
+    return ~((pts[:, 0] > 0.5) & (pts[:, 1] > 0.5))
+
+
+CG_CASES = {
+    "disk": (LAP, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
+    "ball3d": (LAP, Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 0.1),
+    "divergence-disk": (OperatorSpec.divergence(_smooth_coeff, lam=0.5, Lam=1.5),
+                        Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
+    "l-shape": (LAP, Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=_l_shape), 2.0**-7),
+    "interval": (LAP, Domain.interval(0.0, 1.0), 2.0**-10),   # bottom solve only
+}
+
+
+@pytest.fixture
+def cg_iterations(monkeypatch):
+    """Force the CG branch and record the iterations of every CG call."""
+    monkeypatch.setattr(discrete, "_DIRECT_SOLVE_MAX", 0)
+    counts = []
+    cg = discrete.spla.cg
+
+    def counting_cg(*args, **kwargs):
+        counts.append(0)
+
+        def tick(xk):
+            counts[-1] += 1
+        return cg(*args, callback=tick, **kwargs)
+    monkeypatch.setattr(discrete.spla, "cg", counting_cg)
+    return counts
+
+
+@pytest.mark.parametrize("case", CG_CASES)
+def test_cg_matches_direct_solve(case, cg_iterations):
+    op, dom, h = CG_CASES[case]
+    dop = assemble(op, build_grid(dom, h))
+    rhs = np.random.default_rng(3).standard_normal(dop.n)
+    x = dop.solve(rhs)
+    ref = spla.spsolve(dop.A.tocsc(), rhs)
+    assert cg_iterations, "the CG branch was not taken"
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_cg_iterations_do_not_grow_with_h(cg_iterations):
+    dom = Domain.ball([0.0, 0.0], 1.0, 2)
+    for h in (2.0**-6, 2.0**-7):
+        discrete_green(assemble(LAP, build_grid(dom, h)), np.array([0.25, 0.0]))
+    assert len(cg_iterations) == 2
+    assert max(cg_iterations) <= 25
+
+
+def test_cg_solve_leaves_no_reference_cycles(cg_iterations):
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    rhs = np.ones(dop.n)
+    gc.collect()
+    gc.disable()
+    try:
+        dop.solve(rhs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cg_budget_raises(monkeypatch, cg_iterations):
+    monkeypatch.setattr(discrete, "_CG_MAX_ITERS", 1)
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    with pytest.raises(ConvergenceError, match="within 1 iterations"):
+        dop.solve(np.ones(dop.n))

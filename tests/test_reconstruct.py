@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potkit import Domain, OperatorSpec
-from potkit.errors import SupportError
+from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit.reconstruct import (CutoffEta, constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
@@ -145,6 +145,19 @@ def test_nonlocal_energy_benchmark_level_one():
     # frozen from an independent fine-quadrature run of the same functional
     assert val == pytest.approx(0.9728, abs=5e-3)
     assert val >= 0.0
+
+
+def test_reconstruct_report_keeps_refinement_traces():
+    dom = Domain.interval(-1.0, 1.0)
+    sol = integral_solution(OperatorSpec.fractional(0.5), dom,
+                            MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
+    eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
+    rep = reconstruct_mu_c(sol, eta, [2.0, 1.0])
+    for n, val, trace in zip(rep.levels, rep.values, rep.traces):
+        assert nonlocal_energy(sol, eta, n, return_trace=True) == (val, trace)
+    # an unconverged trace raises instead of passing for a value
+    with pytest.raises(ConvergenceError):
+        nonlocal_energy(sol, eta, 1.0, max_refine=1, return_trace=True)
 
 
 def test_nonlocal_energy_bounded_u_zero():

@@ -268,10 +268,12 @@ def _mask_walk(cur, stop, step, max_iters, on_step=None):
     """Reference walker loop: re-masks all n walkers on every iteration."""
     active = np.ones(cur.shape[0], dtype=bool)
     for _ in range(max_iters):
-        active[active] = ~stop(cur[active])
+        stopped, quantity = stop(cur[active])
+        active[active] = ~stopped
         if not active.any():
             return
-        new = cur[active] + step(cur[active])
+        new = cur[active] + step(cur[active],
+                                 None if quantity is None else quantity[~stopped])
         cur[active] = new
         if on_step is not None:
             on_step(np.flatnonzero(active), new)
@@ -315,7 +317,8 @@ def test_walk_matches_full_mask_reference(disk_dirac_solution, monkeypatch):
 def test_walk_budget_raises():
     cur = np.zeros((3, 2))
     with pytest.raises(ConvergenceError):
-        _walk(cur, lambda p: np.zeros(len(p), dtype=bool), np.ones_like, max_iters=5)
+        _walk(cur, lambda p: (np.zeros(len(p), dtype=bool), None),
+              lambda p, _: np.ones_like(p), max_iters=5)
     assert np.array_equal(cur, np.full((3, 2), 5.0))
 
 
