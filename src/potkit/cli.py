@@ -121,15 +121,13 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     dom, op, mu = _build_all(cfg)
-    needs_grid = grid_widths(cfg) and not closed_form_supported(op, dom, mu)
-    sol = integral_solution(op, dom, mu,
-                            grid=(build_grid(dom, grid_widths(cfg)[-1])
-                                  if needs_grid else None))
+    hs = grid_widths(cfg)
+    grid = build_grid(dom, hs[-1] if hs else dom.diameter / 64.0)
+    needs_grid = hs and not closed_form_supported(op, dom, mu)
+    sol = integral_solution(op, dom, mu, grid=grid if needs_grid else None)
     if cfg.get("eval_points"):
         pts = np.asarray(cfg["eval_points"], dtype=float)
     else:
-        hs = grid_widths(cfg)
-        grid = build_grid(dom, hs[-1] if hs else dom.diameter / 64.0)
         pts = grid.interior_points()
     vals = np.atleast_1d(sol.evaluate(pts))
     rows = [tuple(p) + (v,) for p, v in zip(np.atleast_2d(pts), vals)]
@@ -139,10 +137,8 @@ def cmd_solve(args) -> int:
               comments=["integral solution u(x); u = 0 off the domain",
                         "evaluation at a concentrated atom reports inf"])
     rho = build_rho(cfg, dom)
-    hs = grid_widths(cfg)
-    qgrid = build_grid(dom, hs[-1] if hs else dom.diameter / 64.0)
     summary = {
-        "l1_rho_norm": l1_rho_norm(sol, rho(qgrid.interior_points()), qgrid),
+        "l1_rho_norm": l1_rho_norm(sol, rho(grid.interior_points()), grid),
         "total_variation": total_variation(mu, dom),
         "concentrated_atoms": len(sol.decomposition.concentrated.atoms),
         "closed_form": sol.closed,
@@ -314,8 +310,7 @@ def cmd_mc(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_criteria
-    out = args.out or os.environ.get("POTKIT_OUT") or "potkit_out"
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args)
     ids = None
     if args.criteria:
         ids = [int(t) for t in args.criteria.split(",")]

@@ -8,6 +8,7 @@ the offending field.  Builders turn the validated dict into toolkit objects.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -164,31 +165,39 @@ def _coeff_presets():
 
 def build_domain(cfg: dict) -> Domain:
     d = cfg["domain"]
-    if d["kind"] == "interval":
-        if "a" not in d or "b" not in d:
-            raise ConfigError("config field 'domain': interval needs 'a' and 'b'")
-        return Domain.interval(d["a"], d["b"])
-    if d["kind"] == "ball":
-        for key in ("center", "radius", "dim"):
-            if key not in d:
-                raise ConfigError(f"config field 'domain.{key}': required for balls")
-        return Domain.ball(d["center"], d["radius"], d["dim"])
-    if "bounds" not in d:
-        raise ConfigError("config field 'domain.bounds': required for rectangles")
-    return Domain.rectangle(d["bounds"])
+    required = {"interval": ("a", "b"), "ball": ("center", "radius", "dim"),
+                "rectangle": ("bounds",)}[d["kind"]]
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"config field 'domain.{key}': required for {d['kind']}s")
+    with _rejected_field("domain"):
+        if d["kind"] == "interval":
+            return Domain.interval(d["a"], d["b"])
+        if d["kind"] == "ball":
+            return Domain.ball(d["center"], d["radius"], d["dim"])
+        return Domain.rectangle(d["bounds"])
 
 
 def build_operator(cfg: dict) -> OperatorSpec:
     o = cfg["operator"]
     if o["kind"] == "laplacian":
         return OperatorSpec.laplacian()
-    if o["kind"] == "fractional":
-        if "alpha" not in o:
-            raise ConfigError("config field 'operator.alpha': required for fractional")
-        return OperatorSpec.fractional(o["alpha"])
-    preset = o.get("coeff_preset", "identity")
-    fn, lam, Lam = _coeff_presets()[preset]
-    return OperatorSpec.divergence(fn, o.get("lam", lam), o.get("Lam", Lam))
+    if o["kind"] == "fractional" and "alpha" not in o:
+        raise ConfigError("config field 'operator.alpha': required for fractional")
+    with _rejected_field("operator"):
+        if o["kind"] == "fractional":
+            return OperatorSpec.fractional(o["alpha"])
+        fn, lam, Lam = _coeff_presets()[o.get("coeff_preset", "identity")]
+        return OperatorSpec.divergence(fn, o.get("lam", lam), o.get("Lam", Lam))
+
+
+@contextmanager
+def _rejected_field(section: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming the field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config field '{section}': {exc}") from exc
 
 
 def build_measure(cfg: dict, dom: Domain) -> MeasureData:

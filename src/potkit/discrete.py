@@ -12,7 +12,7 @@ sub-stochastic exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
 from .geometry import Grid, GridField, build_grid, lattice_shifts
 from .kernels import OperatorSpec, frac_constant, killing_density
 
-_DIRECT_SOLVE_MAX = 160_000
+_CG_RTOL = 1e-12
 _CG_MAX_ITERS = 1_000
 _COARSE_MAX = 4_000        # V-cycle levels stop at this many unknowns
 _JACOBI_OMEGA = 0.8
@@ -45,7 +45,6 @@ class DiscreteOperator:
     op: OperatorSpec
     A: sp.csr_matrix
     diag: np.ndarray                      # flat interior diagonal of A
-    _factor: object = field(default=None, repr=False)
 
     @property
     def is_local(self) -> bool:
@@ -70,34 +69,32 @@ class DiscreteOperator:
     def p_apply(self, flat: np.ndarray) -> np.ndarray:
         return flat - (self.A @ flat) / self.diag
 
-    def solve(self, rhs_flat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Deterministic linear solve A x = rhs.
+    def solve(self, rhs_flat: np.ndarray) -> np.ndarray:
+        """Deterministic linear solve A x = rhs, local and fractional alike.
 
-        Up to ``_DIRECT_SOLVE_MAX`` unknowns, and for the dense fractional
-        operator, a sparse LU factorization (kept for later solves).  Above
-        the cap, local operators use CG to relative residual ``tol``,
-        preconditioned by one symmetric geometric V-cycle on the grids of
-        mesh width 2h, 4h, ... (built per solve and freed on return).
+        CG to relative residual ``_CG_RTOL``, preconditioned by one symmetric
+        geometric V-cycle on the grids of mesh width 2h, 4h, ... with a sparse
+        LU factorization at the bottom (built per solve and freed on return).
+        A grid of at most ``_COARSE_MAX`` unknowns has no coarser level, so
+        its solve is that LU alone.
         """
-        n = self.n
-        if n <= _DIRECT_SOLVE_MAX or not self.is_local:
-            if self._factor is None:
-                self._factor = spla.factorized(self.A.tocsc())
-            return self._factor(rhs_flat)
         levels, bottom = _hierarchy(self.grid, self.A)
+        if not levels:
+            return bottom(rhs_flat)
+        n = self.n
         M = spla.LinearOperator((n, n), matvec=partial(_vcycle, levels, bottom),
                                 dtype=float)
-        x, info = spla.cg(self.A, rhs_flat, rtol=tol, atol=0.0,
+        x, info = spla.cg(self.A, rhs_flat, rtol=_CG_RTOL, atol=0.0,
                           maxiter=_CG_MAX_ITERS, M=M)
         if info != 0:
             raise ConvergenceError(
-                f"CG did not reach relative residual {tol:g} within "
+                f"CG did not reach relative residual {_CG_RTOL:g} within "
                 f"{_CG_MAX_ITERS} iterations (info={info})")
         return x
 
 
 # ---------------------------------------------------------------------------
-# geometric multigrid (CG preconditioner)
+# geometric multigrid (CG preconditioner, LU at the bottom)
 # ---------------------------------------------------------------------------
 
 def _prolongation(fine: Grid, coarse: Grid) -> sp.csr_matrix:
@@ -286,11 +283,7 @@ def discrete_green(dop: DiscreteOperator, y) -> GridField:
     (x, y) because A is symmetric.
     """
     grid = dop.grid
-    if isinstance(y, tuple) and all(isinstance(i, (int, np.integer)) for i in y):
-        lattice_idx = y
-    else:
-        lattice_idx = grid.nearest_node(y)
-    flat = grid.flat_of_lattice(lattice_idx)
+    flat = grid.flat_of_lattice(grid.nearest_node(y))
     if flat < 0:
         raise SupportError("y must be an interior node")
     rhs = np.zeros(dop.n)

@@ -156,8 +156,7 @@ def _as_points(x, d: int) -> np.ndarray:
     return pts
 
 
-def _green_laplace_interval(dom: Domain, x, y):
-    a, b = dom.a, dom.b
+def _green_laplace_interval(a: float, b: float, x, y):
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     lo = np.minimum(x, y)
@@ -246,15 +245,10 @@ def green(op: OperatorSpec, dom: Domain, x, y):
         raise UnsupportedKernelError(
             "no closed-form Green function on rectangles; use discrete_green")
     if op.kind == "laplacian":
-        if dom.kind == "interval":
-            val = _green_laplace_interval(dom, x, y)
+        if dom.dim == 1:   # an interval, or the 1d ball with the same endpoints
+            val = _green_laplace_interval(*dom.bounding_box[0], x, y)
         else:
-            if dom.dim == 1:   # consistency: 1d ball == interval
-                val = _green_laplace_interval(
-                    Domain.interval(dom.center[0] - dom.radius,
-                                    dom.center[0] + dom.radius), x, y)
-            else:
-                val = _green_laplace_ball(dom, x, y)
+            val = _green_laplace_ball(dom, x, y)
     else:
         val = _green_frac_ball(op, dom.as_ball(), x, y)
     return float(val[0]) if scalar and np.size(val) == 1 else val
@@ -344,21 +338,17 @@ def killing_density(alpha: float, dom: Domain, x):
     """
     if alpha is None:
         return 0.0
+    if dom.kind == "rectangle":
+        raise UnsupportedKernelError("killing_density needs an interval or ball domain")
     d = dom.dim
     c = frac_constant(alpha, d)
-    if dom.kind == "interval" or (dom.kind == "ball" and d == 1):
-        if dom.kind == "interval":
-            a, b = dom.a, dom.b
-        else:
-            a = dom.center[0] - dom.radius
-            b = dom.center[0] + dom.radius
+    if d == 1:
+        a, b = dom.bounding_box[0]
         xv = np.asarray(x, dtype=float).reshape(-1)
         if np.any((xv <= a) | (xv >= b)):
             raise SupportError("x must be interior")
         val = (c / alpha) * ((xv - a) ** (-alpha) + (b - xv) ** (-alpha))
         return float(val[0]) if np.size(val) == 1 else val
-    if dom.kind != "ball":
-        raise UnsupportedKernelError("killing_density needs an interval or ball domain")
 
     R = dom.radius
     ctr = np.asarray(dom.center)

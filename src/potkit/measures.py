@@ -17,7 +17,7 @@ from scipy import integrate
 
 from .errors import DimensionMismatchError, SupportError
 from .geometry import Domain, Grid
-from .kernels import OperatorSpec, points_polar
+from .kernels import OperatorSpec, points_polar, sphere_area
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ class Density:
         # generic quadrature otherwise
         if dom.kind == "ball" and self.is_radial_about(dom.center):
             d, R = dom.dim, dom.radius
-            area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+            area = sphere_area(d)
             f = lambda r: abs(self.value) * math.exp(-r * r / (2 * self.sigma**2)) \
                 * area * r ** (d - 1)
             return integrate.quad(f, 0.0, R)[0]
-        if dom.kind == "interval" or dom.dim == 1:
+        if dom.dim == 1:
             a, b = dom.bounding_box[0]
             return integrate.quad(lambda x: abs(float(self(np.array([[x]])))), a, b)[0]
         raise SupportError("gaussian TV needs a centered ball or 1d domain")

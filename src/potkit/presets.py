@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 _DISK = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2}
 _UNIT_INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
 _SYM_INTERVAL = {"kind": "interval", "a": -1.0, "b": 1.0}
@@ -194,5 +196,5 @@ STOCHASTIC_PRESETS = [
 def get_preset(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {name!r}; available: {known}")
+        raise ConfigError(f"unknown preset {name!r}; available: {known}")
     return copy.deepcopy(PRESETS[name])

@@ -23,7 +23,7 @@ import numpy as np
 from .discrete import DiscreteOperator, assemble
 from .errors import SupportError, UnsupportedKernelError
 from .geometry import Domain, Grid, GridField
-from .kernels import OperatorSpec, frac_torsion_constant, green
+from .kernels import OperatorSpec, frac_torsion_constant, green, sphere_area
 from .measures import Decomposition, Density, MeasureData, decompose, deposit
 
 _RADIAL_NODES = 4097
@@ -35,13 +35,13 @@ class RadialPotential:
 
     def __init__(self, op: OperatorSpec, dom: Domain, density: Density):
         self.op, self.dom, self.density = op, dom, density
-        if dom.kind == "interval":
+        if dom.dim == 1:
             self._build_interval()
         else:
             self._build_ball()
 
     def _build_interval(self):
-        a, b = self.dom.a, self.dom.b
+        a, b = self.dom.bounding_box[0]
         x = np.linspace(a, b, _RADIAL_NODES)
         f = self.density(x.reshape(-1, 1))
         # u(x) = (b-x)/(b-a) Int_a^x (y-a) f dy + (x-a)/(b-a) Int_x^b (b-y) f dy
@@ -54,7 +54,7 @@ class RadialPotential:
 
     def _build_ball(self):
         d, R = self.dom.dim, self.dom.radius
-        area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+        area = sphere_area(d)
         r = np.linspace(0.0, R, _RADIAL_NODES)
         ctr = np.asarray(self.dom.center)
         pts = ctr + np.outer(r, np.eye(d)[0])
@@ -71,7 +71,7 @@ class RadialPotential:
             with np.errstate(divide="ignore"):
                 u = (np.log(R / np.maximum(r, 1e-300)) * M1 + M2) / (2.0 * math.pi)
             u[0] = M2[0] / (2.0 * math.pi)
-        elif d == 3:
+        else:  # d == 3
             M1 = cumulative_trapezoid(w, r, initial=0.0)
             M2_full = cumulative_trapezoid(w / np.maximum(r, 1e-300), r, initial=0.0)
             M2_full[0] = 0.0
@@ -80,17 +80,11 @@ class RadialPotential:
                 u = ((1.0 / np.maximum(r, 1e-300)) * M1 + M2
                      - M1[-1] / R) / (4.0 * math.pi)
             u[0] = (M2[0] - M1[-1] / R) / (4.0 * math.pi)
-        else:  # d == 1 ball: delegate to the interval construction
-            a, b = self.dom.bounding_box[0]
-            dom1 = Domain.interval(a, b)
-            self.dom = dom1
-            self._build_interval()
-            return
         self._x, self._u = r, u
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dom.kind == "interval":
+        if self.dom.dim == 1:
             q = pts[:, 0]
         else:
             q = np.linalg.norm(pts - np.asarray(self.dom.center), axis=1)
@@ -100,7 +94,7 @@ class RadialPotential:
         """Finite-difference gradient of the radial profile (central, fine grid)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         eps = (self._x[1] - self._x[0])
-        if self.dom.kind == "interval":
+        if self.dom.dim == 1:
             q = pts[:, 0]
             du = (np.interp(q + eps, self._x, self._u, right=0.0)
                   - np.interp(q - eps, self._x, self._u, right=0.0)) / (2 * eps)
@@ -239,7 +233,7 @@ class Solution:
 def _green_gradient(op: OperatorSpec, dom: Domain, x: np.ndarray, a: np.ndarray):
     """grad_x G(x, a) for the closed-form kernels (laplacian and fractional)."""
     if op.kind == "laplacian":
-        if dom.kind == "interval" or dom.dim == 1:
+        if dom.dim == 1:
             lo, hi = dom.bounding_box[0]
             xv = x[:, 0]
             av = float(np.atleast_1d(a)[0])

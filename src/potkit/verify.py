@@ -15,13 +15,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .config import (build_domain, build_eta, build_measure, build_operator,
                      build_rho, grid_widths, validate_config)
 from .discrete import assemble, discrete_green
-from .envelope import harmonic_extension, reduite, tail_curve
-from .geometry import build_grid
-from .kernels import green
+from .envelope import (d1_norm, envelope_field, harmonic_extension, reduite,
+                       tail_curve)
+from .geometry import Domain, GridField, build_grid
+from .kernels import OperatorSpec, green
 
 from .presets import STOCHASTIC_PRESETS, get_preset
 from .reconstruct import (kink_integral, local_energy, reconstruct_mu_c, sigma,
@@ -48,16 +50,13 @@ class CriterionResult:
         return f"[{tag}] criterion {self.cid:2d} ({self.name}): {self.details}"
 
 
-def _solution_from_preset(name: str, h: float = None):
+def _solution_from_preset(name: str):
     cfg = validate_config(get_preset(name))
     dom = build_domain(cfg)
     op = build_operator(cfg)
     mu = build_measure(cfg, dom)
     sol = integral_solution(op, dom, mu)
-    dop = None
-    if h is not None:
-        dop = assemble(op, build_grid(dom, h))
-    return cfg, dom, op, mu, sol, dop
+    return cfg, dom, op, mu, sol
 
 
 def criterion_01() -> CriterionResult:
@@ -98,7 +97,7 @@ def criterion_02() -> CriterionResult:
     ok_parts = []
     details = []
     for preset in ("tail-disk-density", "tail-interval-dirac"):
-        cfg, dom, op, mu, sol, _ = _solution_from_preset(preset)
+        cfg, dom, op, mu, sol = _solution_from_preset(preset)
         h = grid_widths(cfg)[0]
         dop = assemble(op, build_grid(dom, h))
         rho = build_rho(cfg, dom)
@@ -114,7 +113,7 @@ def criterion_02() -> CriterionResult:
 def criterion_03() -> CriterionResult:
     """Concentrated tail: disk Dirac within 10% at the finest grid, improving."""
     t0 = time.time()
-    cfg, dom, op, mu, sol, _ = _solution_from_preset("tail-disk-dirac")
+    cfg, dom, op, mu, sol = _solution_from_preset("tail-disk-dirac")
     rho = build_rho(cfg, dom)
     target = QUARTER_PI_INV
     max_err = []
@@ -134,7 +133,7 @@ def criterion_03() -> CriterionResult:
 def criterion_04() -> CriterionResult:
     """Mixed measure: tails nonincreasing, gap to the atom mass halves."""
     t0 = time.time()
-    cfg, dom, op, mu, sol, _ = _solution_from_preset("tail-disk-mixed")
+    cfg, dom, op, mu, sol = _solution_from_preset("tail-disk-mixed")
     h = grid_widths(cfg)[0]
     dop = assemble(op, build_grid(dom, h))
     rho = build_rho(cfg, dom)
@@ -153,7 +152,7 @@ def criterion_04() -> CriterionResult:
 def criterion_05() -> CriterionResult:
     """Local window energy of the disk Dirac equals 1 within 1%."""
     t0 = time.time()
-    cfg, dom, op, mu, sol, _ = _solution_from_preset("reconstruct-local-disk-dirac")
+    cfg, dom, op, mu, sol = _solution_from_preset("reconstruct-local-disk-dirac")
     eta = build_eta(cfg, dom)
     val = local_energy(sol, eta, 0.25)
     dt = time.time() - t0
@@ -165,7 +164,7 @@ def criterion_05() -> CriterionResult:
 def criterion_06() -> CriterionResult:
     """Nonlocal window energy converges to the atom mass within 0.15."""
     t0 = time.time()
-    cfg, dom, op, mu, sol, _ = _solution_from_preset("reconstruct-nonlocal-interval")
+    cfg, dom, op, mu, sol = _solution_from_preset("reconstruct-nonlocal-interval")
     eta = build_eta(cfg, dom)
     rep = reconstruct_mu_c(sol, eta, cfg["levels"],
                            rel_tol=cfg["tolerances"]["quad_rel"])
@@ -251,7 +250,6 @@ def criterion_09() -> CriterionResult:
             V = W & (np.linalg.norm(pts - cw, axis=1) < 0.8 * rw)
         # nesting: extending from W then from V changes nothing
         gfun = np.cos(3.0 * pts[:, 0]) + pts[:, 1] ** 2
-        from .geometry import GridField
         g = GridField.from_interior(grid, gfun)
         hW = harmonic_extension(dop, W, g)
         hVW = harmonic_extension(dop, V, hW)
@@ -263,7 +261,6 @@ def criterion_09() -> CriterionResult:
         rhs[inside[rng.integers(len(inside), size=3)]] = 1.0 / grid.cell_volume()
         uW = np.zeros(dop.n)
         idxW = np.where(W)[0]
-        import scipy.sparse.linalg as spla
         uW[idxW] = spla.spsolve(dop.A[idxW][:, idxW].tocsc(), rhs[idxW])
         uV = np.zeros(dop.n)
         idxV = np.where(V)[0]
@@ -278,8 +275,6 @@ def criterion_09() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Envelope oracle: hitting-probability formula on 1d path graphs."""
-    from .geometry import Domain
-    from .kernels import OperatorSpec
     t0 = time.time()
     worst_val = 0.0
     worst_res = 0.0
@@ -304,7 +299,7 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Stopped expectation along the reducing family, disk Dirac benchmark."""
     t0 = time.time()
-    cfg, dom, op, mu, sol, _ = _solution_from_preset("mc-reducing-disk")
+    cfg, dom, op, mu, sol = _solution_from_preset("mc-reducing-disk")
     est = reducing_expectation(sol, k=cfg["k"], n=cfg["n"], start=cfg["start"],
                                n_samples=cfg["samples"], seed=cfg["seed"])
     dt = time.time() - t0
@@ -320,7 +315,7 @@ def criterion_12() -> CriterionResult:
     """Class-(D) verdicts for the bounded and Dirac presets."""
     t0 = time.time()
     details = []
-    cfgb, domb, opb, mub, solb, _ = _solution_from_preset("mc-classd-bounded")
+    cfgb, domb, opb, mub, solb = _solution_from_preset("mc-classd-bounded")
     diagb = class_d_diagnostic(solb, cfgb["family"], cfgb["levels"],
                                rho=build_rho(cfgb, domb),
                                n_samples=cfgb["samples"], seed=cfgb["seed"])
@@ -330,7 +325,7 @@ def criterion_12() -> CriterionResult:
     ok_b = diagb.verdict == "class-D" and zeros
     details.append(f"bounded: verdict={diagb.verdict}, exact zeros above sup={zeros}")
 
-    cfgd, domd, opd, mud, sold, _ = _solution_from_preset("mc-classd-dirac")
+    cfgd, domd, opd, mud, sold = _solution_from_preset("mc-classd-dirac")
     diagd = class_d_diagnostic(sold, cfgd["family"], cfgd["levels"],
                                rho=build_rho(cfgd, domd),
                                n_samples=cfgd["samples"], seed=cfgd["seed"],
@@ -351,10 +346,9 @@ def criterion_13() -> CriterionResult:
     details = []
     ok = True
     for preset in ("mc-maximal-bounded", "mc-maximal-interval-dirac"):
-        cfg, dom, op, mu, sol, _ = _solution_from_preset(preset)
+        cfg, dom, op, mu, sol = _solution_from_preset(preset)
         h = grid_widths(cfg)[0]
         dop = assemble(op, build_grid(dom, h))
-        from .envelope import d1_norm, envelope_field
         u_abs, _, _ = envelope_field(sol, dop)
         rho = build_rho(cfg, dom)
         d1 = d1_norm(dop, u_abs, rho(dop.grid.interior_points()))

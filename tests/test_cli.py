@@ -172,8 +172,30 @@ def test_presets_validate():
 
 
 def test_unknown_preset(capsys):
-    with pytest.raises(KeyError):
-        main(["tail", "--preset", "nope", "--quiet"])
+    rc = main(["tail", "--preset", "nope", "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown preset 'nope'; available: ")
+    assert "tail-disk-dirac" in err
+
+
+@pytest.mark.parametrize("section,value,message", [
+    ("domain", {"kind": "interval", "a": 1.0, "b": 0.0}, "interval requires a < b"),
+    ("operator", {"kind": "divergence", "lam": 2.0, "Lam": 1.0}, "need 0 < lam <= Lam"),
+])
+def test_invalid_constructor_values_exit_1(tmp_path, capsys, section, value, message):
+    cfg = {"domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+           "operator": {"kind": "laplacian"},
+           "measure": {"atoms": [[[0.5], 1.0]]},
+           "grid": {"h": 0.125}}
+    cfg[section] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{section}': ")
+    assert message in err
 
 
 def test_constants_output(capsys):

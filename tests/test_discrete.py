@@ -144,7 +144,7 @@ def test_discrete_green_needs_interior():
         discrete_green(dop, np.array([0.0]))
 
 
-# -- CG with the V-cycle preconditioner (above the direct-solve cap) ---------
+# -- CG with the V-cycle preconditioner (LU only at the bottom level) --------
 
 def _smooth_coeff(pts):
     return 1.0 + 0.5 * np.sin(np.pi * np.atleast_2d(pts)[:, 0])
@@ -160,14 +160,15 @@ CG_CASES = {
     "divergence-disk": (OperatorSpec.divergence(_smooth_coeff, lam=0.5, Lam=1.5),
                         Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
     "l-shape": (LAP, Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=_l_shape), 2.0**-7),
-    "interval": (LAP, Domain.interval(0.0, 1.0), 2.0**-10),   # bottom solve only
+    "interval": (LAP, Domain.interval(0.0, 1.0), 2.0**-10),
+    "fractional-interval": (OperatorSpec.fractional(0.5), Domain.interval(-1.0, 1.0),
+                            2.0**-8),
 }
 
 
 @pytest.fixture
-def cg_iterations(monkeypatch):
-    """Force the CG branch and record the iterations of every CG call."""
-    monkeypatch.setattr(discrete, "_DIRECT_SOLVE_MAX", 0)
+def cg_calls(monkeypatch):
+    """Record the iterations of every CG call."""
     counts = []
     cg = discrete.spla.cg
 
@@ -179,6 +180,14 @@ def cg_iterations(monkeypatch):
         return cg(*args, callback=tick, **kwargs)
     monkeypatch.setattr(discrete.spla, "cg", counting_cg)
     return counts
+
+
+@pytest.fixture
+def cg_iterations(monkeypatch, cg_calls):
+    """Lower the coarsest level so every small grid gets a V-cycle, and
+    record the iterations of every CG call."""
+    monkeypatch.setattr(discrete, "_COARSE_MAX", 200)
+    return cg_calls
 
 
 @pytest.mark.parametrize("case", CG_CASES)
@@ -217,3 +226,14 @@ def test_cg_budget_raises(monkeypatch, cg_iterations):
     dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
     with pytest.raises(ConvergenceError, match="within 1 iterations"):
         dop.solve(np.ones(dop.n))
+
+
+def test_default_disk_solve_runs_cg(cg_calls):
+    """The one solve path: a 12,849-unknown disk grid is above the coarsest
+    level, so its solve is V-cycle-preconditioned CG, not a direct LU."""
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    assert dop.n == 12_849
+    rhs = np.ones(dop.n)
+    x = dop.solve(rhs)
+    assert len(cg_calls) == 1
+    assert np.linalg.norm(dop.A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from potkit import Domain, OperatorSpec, build_grid, green, integral_solution, potential
+from potkit import (Domain, OperatorSpec, build_grid, green, integral_solution,
+                    killing_density, potential)
 from potkit.kernels import frac_torsion_constant
 from potkit.measures import Density, MeasureData
 from potkit.solve import l1_rho_norm
@@ -148,3 +149,16 @@ def test_l1_rho_norm_matches_quadrature(disk_dirac_solution):
     rho = np.full(grid.n_interior, 1.0 / math.pi)
     val = l1_rho_norm(disk_dirac_solution, rho, grid)
     assert val == pytest.approx(1.0 / (4.0 * math.pi), rel=0.05)
+
+
+def test_ball_1d_matches_interval():
+    """The 1d ball and the interval with the same endpoints are one domain:
+    the killing density and a radial-density potential agree exactly."""
+    ball, interval = Domain.ball([0.0], 1.0, 1), Domain.interval(-1.0, 1.0)
+    x = np.linspace(-0.95, 0.95, 39)
+    assert np.array_equal(killing_density(0.5, ball, x), killing_density(0.5, interval, x))
+    mu = MeasureData.make(density=Density.gaussian(2.0, 0.3, [0.0]))
+    pts = x.reshape(-1, 1)
+    u_ball = integral_solution(LAP, ball, mu).evaluate(pts)
+    assert np.array_equal(u_ball, integral_solution(LAP, interval, mu).evaluate(pts))
+    assert np.all(u_ball > 0.0)
