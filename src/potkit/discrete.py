@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
 from .geometry import Grid, GridField, build_grid, lattice_shifts
@@ -33,9 +34,11 @@ _FRACTIONAL_DENSE_MAX = 6_000
 
 @dataclass
 class DiscreteOperator:
-    """Sparse approximation A of -L on interior nodes, with its diagonal.
+    """Approximation A of -L on interior nodes, with its diagonal.
 
-    ``A`` is symmetric positive definite; the associated one-step transition
+    ``A`` is a CSR matrix for every operator: a sparse stencil for local
+    operators, and every entry stored for the dense fractional operator.  It
+    is symmetric positive definite; the associated one-step transition
     kernel is P = I - D^{-1} A with D = diag(A).  Row sums of P are <= 1,
     strictly so wherever mass leaks to boundary nodes (local operators) or
     through jumps/killing (fractional).
@@ -73,12 +76,13 @@ class DiscreteOperator:
         """Deterministic linear solve A x = rhs, local and fractional alike.
 
         CG to relative residual ``_CG_RTOL``, preconditioned by one symmetric
-        geometric V-cycle on the grids of mesh width 2h, 4h, ... with a sparse
-        LU factorization at the bottom (built per solve and freed on return).
-        A grid of at most ``_COARSE_MAX`` unknowns has no coarser level, so
-        its solve is that LU alone.
+        geometric V-cycle on the grids of mesh width 2h, 4h, ... with a direct
+        factorization at the bottom (built per solve and freed on return):
+        sparse LU for local operators, dense Cholesky for the fully dense
+        non-local ones.  A grid of at most ``_COARSE_MAX`` unknowns has no
+        coarser level, so its solve is that factorization alone.
         """
-        levels, bottom = _hierarchy(self.grid, self.A)
+        levels, bottom = _hierarchy(self.grid, self.A, self.is_local)
         if not levels:
             return bottom(rhs_flat)
         n = self.n
@@ -94,7 +98,7 @@ class DiscreteOperator:
 
 
 # ---------------------------------------------------------------------------
-# geometric multigrid (CG preconditioner, LU at the bottom)
+# geometric multigrid (CG preconditioner, direct solve at the bottom)
 # ---------------------------------------------------------------------------
 
 def _prolongation(fine: Grid, coarse: Grid) -> sp.csr_matrix:
@@ -117,9 +121,11 @@ def _prolongation(fine: Grid, coarse: Grid) -> sp.csr_matrix:
         shape=(fine.n_interior, coarse.n_interior))
 
 
-def _hierarchy(grid: Grid, A: sp.csr_matrix):
+def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
     """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
-    Galerkin coarse operators P^T A P, and the factorized bottom operator."""
+    Galerkin coarse operators P^T A P, and the factorized bottom operator:
+    SuperLU for a local stencil, Cholesky of the dense array for a non-local
+    operator, whose every entry is stored."""
     levels = []
     while A.shape[0] > _COARSE_MAX:
         try:
@@ -130,7 +136,9 @@ def _hierarchy(grid: Grid, A: sp.csr_matrix):
         levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
         A = (P.T @ A @ P).tocsr()
         grid = coarse
-    return levels, spla.factorized(A.tocsc())
+    if is_local:
+        return levels, spla.factorized(A.tocsc())
+    return levels, partial(cho_solve, cho_factor(A.toarray(), overwrite_a=True))
 
 
 def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:
@@ -245,16 +253,17 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     c = frac_constant(alpha, dim)
 
     if dim == 1:
-        x = pts[:, 0]
-        order = np.argsort(x)
+        # the 1-d interior is one run of consecutive lattice nodes in flat
+        # order, so nodes i and j sit |i - j| cells apart and W is Toeplitz;
         # exact cell integrals of the kernel: w_k = (c/alpha)[((k-1/2)h)^-a - ((k+1/2)h)^-a]
-        offs = np.abs(x[:, None] - x[None, :]) / h
-        k = np.maximum(np.rint(offs), 1.0)   # diagonal zeroed below
-        W = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
-        np.fill_diagonal(W, 0.0)
+        x = pts[:, 0]
+        k = np.arange(1.0, n)
+        w = np.zeros(n)
+        w[1:] = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
+        W = toeplitz(w)
         # killing: everything outside the interior cell union, exactly
-        x_lo = x[order[0]] - 0.5 * h
-        x_hi = x[order[-1]] + 0.5 * h
+        x_lo = x[0] - 0.5 * h
+        x_hi = x[-1] + 0.5 * h
         kill = (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
     else:
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -265,9 +274,11 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         kill = np.atleast_1d(kill)
 
     diag = W.sum(axis=1) + kill
-    A_dense = -W
+    A_dense = np.negative(W, out=W)
     np.fill_diagonal(A_dense, diag)
-    A = sp.csr_matrix(A_dense)
+    # every entry is stored: fill the CSR arrays from the dense block directly
+    A = sp.csr_matrix((A_dense.ravel(), np.tile(np.arange(n, dtype=np.int32), n),
+                       np.arange(0, n * n + 1, n, dtype=np.int32)), shape=(n, n))
     return DiscreteOperator(grid=grid, op=op, A=A, diag=diag)
 
 

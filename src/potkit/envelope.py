@@ -108,13 +108,15 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     Local operators sweep the red and black nodes in turn (projected SOR
     with the given omega) and test the update every 8 sweeps; the dense
     fractional operator updates all rows at once (Jacobi value iteration,
-    omega = 1) and tests every iteration.  Returns the sweep count.
+    omega = 1) with a dense copy of ``A``, made once per call, so that each
+    iteration is one BLAS matrix-vector product, and tests every iteration.
+    Returns the sweep count.
     """
     if dop.is_local:
         blocks = [(rows, dop.A[rows], dop.diag[rows]) for rows in _colour_rows(dop.grid)]
         check = 8
     else:
-        blocks = [(slice(None), dop.A, dop.diag)]
+        blocks = [(slice(None), dop.A.toarray(), dop.diag)]
         omega, check = 1.0, 1
     update = np.inf
     for sweep in range(1, _MAX_SWEEPS + 1):

@@ -31,6 +31,8 @@ from .geometry import Domain, lattice_shifts
 from .kernels import frac_constant, killing_density
 from .solve import Solution
 
+_JUMP_BLOCK_ROWS = 512     # rows of the jump measure held at a time
+
 
 # ---------------------------------------------------------------------------
 # window primitives
@@ -290,39 +292,115 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     ConvergenceError if ``max_refine`` gradings do not get there.  With
     ``return_trace`` the value comes with the list of every grading's value.
 
-    Supported for 1d domains (the double integral is a full tensor
-    quadrature; higher dimensions would need 2d-pair quadrature and are out
-    of scope for the closed-form path).
+    The one-level case of the quadrature that ``reconstruct_mu_c`` runs for
+    all its levels at once, with the same value and trace.  Supported for 1d
+    domains (the double integral is a full tensor quadrature; higher
+    dimensions would need 2d-pair quadrature and are out of scope for the
+    closed-form path).
+    """
+    (val, trace), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol,
+                                       max_refine=max_refine, per_decade=per_decade,
+                                       gauss=gauss)
+    return (val, trace) if return_trace else val
+
+
+def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],
+                       rel_tol: float = 0.01, max_refine: int = 5,
+                       per_decade: int = 6, gauss: int = 10) -> list:
+    """``(value, trace)`` of the fractional-window energy for each level.
+
+    Each panel grading is built once for all the levels that have not yet
+    converged; a level stops refining once its relative change is below
+    rel_tol, and ConvergenceError names the first level that never does.
+    A level's value depends only on its own gradings, not on which other
+    levels share them.
     """
     op, dom = solution.op, solution.dom
     if op.kind != "fractional":
         raise SupportError("nonlocal_energy applies to the fractional operator")
     if dom.dim != 1:
         raise SupportError("nonlocal_energy quadrature supports 1d domains")
+    levels = [float(n) for n in levels]
+    if any(n <= 0 for n in levels):
+        raise SupportError("window level n must be positive")
     alpha = op.alpha
-    c = frac_constant(alpha, 1)
     anchors = [p[0] for p, w in solution.measure.atoms]
 
-    trace = []
-    for level in range(max_refine):
-        pd = per_decade * 2**level
-        x, w = _graded_panels_1d(dom, anchors, pd, r_min=1e-9, gauss=gauss)
+    traces = [[] for _ in levels]
+    open_levels = list(range(len(levels)))
+    for refine in range(max_refine):
+        if not open_levels:
+            break
+        x, w = _graded_panels_1d(dom, anchors, per_decade * 2**refine, r_min=1e-9,
+                                 gauss=gauss)
         u = solution.evaluate(x.reshape(-1, 1))
-        TH = theta_n(u[:, None], u[None, :], n)
-        dist = np.abs(x[:, None] - x[None, :])
-        with np.errstate(divide="ignore"):
-            Jm = 0.5 * c * dist ** (-1.0 - alpha)   # symmetric jump measure
-        np.fill_diagonal(Jm, 0.0)
         ex = eta(x.reshape(-1, 1)) * w
-        jump_term = float(np.einsum("i,ij,j->", ex, TH * Jm, w))
         kap = killing_density(alpha, dom, x)
-        kill_term = float(np.sum(ex * theta_n(u, 0.0, n) * kap))
-        val = (jump_term + kill_term) / (2.0 * n)
-        trace.append(val)
-        if len(trace) > 1 and abs(val - trace[-2]) <= rel_tol * max(abs(val), 1e-300):
-            return (val, trace) if return_trace else val
-    raise ConvergenceError(
-        f"nonlocal quadrature did not stabilize below {rel_tol:.1%}: trace={trace}")
+        jumps = _jump_terms(x, w, u, ex, alpha, [levels[i] for i in open_levels])
+        for i, jump_term in zip(list(open_levels), jumps):
+            n = levels[i]
+            kill_term = float(np.sum(ex * theta_n(u, 0.0, n) * kap))
+            val = (jump_term + kill_term) / (2.0 * n)
+            trace = traces[i]
+            trace.append(val)
+            if len(trace) > 1 and abs(val - trace[-2]) <= rel_tol * max(abs(val), 1e-300):
+                open_levels.remove(i)
+    if open_levels:
+        raise ConvergenceError(
+            f"nonlocal quadrature did not stabilize below {rel_tol:.1%}: "
+            f"trace={traces[open_levels[0]]}")
+    return [(trace[-1], trace) for trace in traces]
+
+
+def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
+                alpha: float, levels: Sequence[float]) -> list:
+    """Sum_ij ex_i theta_n(u_i, u_j) J_ij w_j for each level n, with the jump
+    measure J_ij = (c/2) |x_i - x_j|^(-1-alpha) (zero diagonal) built in
+    blocks of ``_JUMP_BLOCK_ROWS`` rows and never stored whole.
+
+    With L = {u <= n}, M = {n < u < 2n} and H = {u >= 2n}, theta_n vanishes
+    on L x L and H x H and equals 2n(3n - 2u_i) on L x H and 2n(2u_i - 3n) on
+    H x L, so those pairs reduce to the products J (w 1_H) and J (w 1_L),
+    taken for every level in one matrix product per block (a column of a
+    product depends on that column alone); only pairs with an end in M need
+    theta_n explicitly.
+    """
+    half_c = 0.5 * frac_constant(alpha, 1)
+    weights, masses, mids = [], [], []
+    for n in levels:
+        low, high = u <= n, u >= 2.0 * n
+        weights += [np.where(low, ex * 2.0 * n * (3.0 * n - 2.0 * u), 0.0),
+                    np.where(high, ex * 2.0 * n * (2.0 * u - 3.0 * n), 0.0)]
+        masses += [np.where(high, w, 0.0), np.where(low, w, 0.0)]
+        mid = ~(low | high)
+        mids.append((mid, np.flatnonzero(mid)))
+    weights, masses = np.stack(weights, axis=1), np.stack(masses, axis=1)
+    totals = [0.0] * len(levels)
+    # one block buffer for every block: fresh pages would be faulted in anew
+    block = np.empty((min(_JUMP_BLOCK_ROWS, x.size), x.size))
+    for r0 in range(0, x.size, _JUMP_BLOCK_ROWS):
+        rows = slice(r0, r0 + _JUMP_BLOCK_ROWS)
+        J = block[:x[rows].size]
+        np.subtract(x[rows, None], x[None, :], out=J)
+        np.abs(J, out=J)
+        with np.errstate(divide="ignore"):
+            np.power(J, -1.0 - alpha, out=J)
+        J *= half_c
+        np.fill_diagonal(J[:, r0:], 0.0)
+        low_high = J @ masses
+        for k, (n, (mid, cols)) in enumerate(zip(levels, mids)):
+            pair = slice(2 * k, 2 * k + 2)
+            part = float(np.vdot(weights[rows, pair], low_high[:, pair]))
+            if cols.size:
+                # rows in M against every column, the other rows against M
+                in_rows = mid[rows]
+                m_rows = np.flatnonzero(in_rows)
+                th = theta_n(u[rows][m_rows, None], u[None, :], n)
+                part += float(ex[rows][m_rows] @ (th * J[m_rows]) @ w)
+                th = theta_n(u[rows, None], u[None, cols], n)
+                part += float(np.where(in_rows, 0.0, ex[rows]) @ (th * J[:, cols]) @ w[cols])
+            totals[k] += part
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +429,13 @@ def reconstruct_mu_c(solution: Solution, eta: Callable,
     """
     levels = np.asarray(sorted(float(n) for n in levels))
     kind = "local" if solution.op.is_local else "nonlocal"
-    vals = np.empty(levels.shape)
-    traces = []
-    for i, n in enumerate(levels):
-        if kind == "local":
-            vals[i] = local_energy(solution, eta, n, **quad_opts)
-            traces.append([vals[i]])
-        else:
-            vals[i], trace = nonlocal_energy(solution, eta, n, return_trace=True,
-                                             **quad_opts)
-            traces.append(trace)
+    if kind == "local":
+        vals = np.array([local_energy(solution, eta, n, **quad_opts) for n in levels])
+        traces = [[v] for v in vals]
+    else:
+        results = _nonlocal_energies(solution, eta, levels, **quad_opts)
+        vals = np.array([val for val, _ in results])
+        traces = [trace for _, trace in results]
 
     target = 0.0
     for p, w in solution.decomposition.concentrated.atoms:

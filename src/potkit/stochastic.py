@@ -296,10 +296,15 @@ def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng) -> np.ndar
     r_k = _level_radius(profile, R, k)
     if r_k <= 0.0:
         return np.zeros(np.atleast_2d(x0).shape[0])
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     pts, hit = _walk_annulus(center, R, r_k, x0, rng)
     vals = np.zeros(pts.shape[0])
     # the stopped position lies on the level circle {u = k} exactly
     vals[hit] = k
+    # a start inside {u > k} stops at once (tau_k = 0, no draws): u(x0)
+    inside = np.linalg.norm(x0 - center, axis=1) < r_k
+    if inside.any():
+        vals[inside] = solution.evaluate(x0[inside])
     return vals
 
 

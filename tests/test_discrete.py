@@ -2,11 +2,13 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from potkit import Domain, OperatorSpec, assemble, build_grid, discrete_green, green
 from potkit import discrete
 from potkit.errors import AssemblyError, ConvergenceError, SupportError
+from potkit.kernels import frac_constant
 
 LAP = OperatorSpec.laplacian()
 
@@ -113,6 +115,46 @@ def test_fractional_assembly_1d():
     rs = dop.p_row_sums()
     assert np.all(rs < 1.0)          # jumps leak everywhere
     assert np.all(rs > 0.0)
+
+
+@pytest.mark.parametrize("alpha, dom, h", [
+    (0.5, Domain.interval(-1.0, 1.0), 2.0**-6),
+    (1.3, Domain.interval(-0.3, 2.1), 0.013),
+    (0.8, Domain.interval(0.0, 1.0), 2.0**-9),
+])
+def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
+    """The Toeplitz assembly equals the cell-integral formula evaluated on
+    every pair of nodes, entry for entry."""
+    grid = build_grid(dom, h)
+    dop = assemble(OperatorSpec.fractional(alpha), grid)
+    x = grid.interior_points()[:, 0]
+    c = frac_constant(alpha, 1)
+    k = np.maximum(np.rint(np.abs(x[:, None] - x[None, :]) / h), 1.0)
+    W = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
+    np.fill_diagonal(W, 0.0)
+    x_lo, x_hi = x.min() - 0.5 * h, x.max() + 0.5 * h
+    diag = W.sum(axis=1) + (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
+    A = -W
+    np.fill_diagonal(A, diag)
+    assert np.array_equal(dop.diag, diag)
+    assert np.array_equal(dop.A.toarray(), A)
+    assert dop.A.nnz == dop.n**2
+
+
+def test_fractional_solve_cholesky_bottom(monkeypatch):
+    factored = []
+    cho_factor = discrete.cho_factor
+
+    def counting_cho_factor(a, **kwargs):
+        factored.append(a.shape)
+        return cho_factor(a, **kwargs)
+    monkeypatch.setattr(discrete, "cho_factor", counting_cho_factor)
+    dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
+    rhs = np.random.default_rng(5).standard_normal(dop.n)
+    x = dop.solve(rhs)
+    assert factored == [(dop.n, dop.n)]
+    ref = spla.spsolve(dop.A.tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_fractional_green_consistency():
@@ -237,3 +279,14 @@ def test_default_disk_solve_runs_cg(cg_calls):
     x = dop.solve(rhs)
     assert len(cg_calls) == 1
     assert np.linalg.norm(dop.A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("op", [LAP, OperatorSpec.divergence(_smooth_coeff, lam=0.5, Lam=1.5),
+                                OperatorSpec.fractional(0.5)],
+                         ids=["laplacian", "divergence", "fractional"])
+def test_operator_matrix_is_csr(op):
+    """Every operator keeps A as CSR, the dense fractional one included:
+    the benchmark's matrix-vector probe reads A.data, A.indices and A.indptr."""
+    dop = assemble(op, build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
+    assert sp.issparse(dop.A)
+    assert dop.A.format == "csr"

@@ -85,9 +85,10 @@ def test_fractional_relaxation_is_value_iteration():
     dop = assemble(OperatorSpec.fractional(0.8), grid)
     g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
     tol = 1e-11
+    A = dop.A.toarray()
     w = g_flat.copy()
     for it in range(1, 10**6):
-        cand = np.maximum(g_flat, w - (dop.A @ w) / dop.diag)
+        cand = np.maximum(g_flat, w - (A @ w) / dop.diag)
         done = np.max(np.abs(cand - w)) < tol
         w = cand
         if done:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from potkit import Domain, OperatorSpec
 from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
-from potkit.reconstruct import (CutoffEta, constant_eta, kink_integral,
+from potkit.kernels import frac_constant, killing_density
+from potkit.reconstruct import (CutoffEta, _graded_panels_1d, _jump_terms,
+                                _nonlocal_energies, constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
                                 reconstruct_mu_c, s_n, sigma, theta_n)
 from potkit.solve import integral_solution
@@ -158,6 +160,62 @@ def test_reconstruct_report_keeps_refinement_traces():
     # an unconverged trace raises instead of passing for a value
     with pytest.raises(ConvergenceError):
         nonlocal_energy(sol, eta, 1.0, max_refine=1, return_trace=True)
+
+
+def _full_matrix_jump(x, w, u, ex, alpha, n):
+    """The unblocked formula: theta_n and the jump measure as N x N arrays."""
+    TH = theta_n(u[:, None], u[None, :], n)
+    dist = np.abs(x[:, None] - x[None, :])
+    with np.errstate(divide="ignore"):
+        Jm = 0.5 * frac_constant(alpha, 1) * dist ** (-1.0 - alpha)
+    np.fill_diagonal(Jm, 0.0)
+    return float(np.einsum("i,ij,j->", ex, TH * Jm, w))
+
+
+def _full_matrix_energy(sol, eta, n, x, w):
+    alpha = sol.op.alpha
+    u = sol.evaluate(x.reshape(-1, 1))
+    ex = eta(x.reshape(-1, 1)) * w
+    kill = float(np.sum(ex * theta_n(u, 0.0, n) * killing_density(alpha, sol.dom, x)))
+    return (_full_matrix_jump(x, w, u, ex, alpha, n) + kill) / (2.0 * n)
+
+
+@pytest.mark.parametrize("case", ["atom", "bounded"])
+def test_nonlocal_energies_match_full_matrix_formula(case):
+    # gradings of 770 and 1,510 nodes: two and three row blocks of the kernel;
+    # the bounded potential (sup u ~ 1.128) has an empty window at n = 2
+    dom = Domain.interval(-1.0, 1.0)
+    if case == "atom":
+        measure = MeasureData.make(atoms=[([0.0], 1.0)], dom=dom)
+        eta, levels = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75), [0.05, 1.0, 7.0]
+    else:
+        measure = MeasureData(density=Density.constant(1.0))
+        eta, levels = constant_eta(1.0), [0.3, 2.0]
+    sol = integral_solution(OperatorSpec.fractional(0.5), dom, measure)
+    anchors = [p[0] for p, _ in sol.measure.atoms]
+    results = _nonlocal_energies(sol, eta, levels, rel_tol=1.0, max_refine=2,
+                                 per_decade=2)
+    for n, (val, trace) in zip(levels, results):
+        assert len(trace) == 2 and val == trace[-1]
+        for i, got in enumerate(trace):
+            x, w = _graded_panels_1d(dom, anchors, 2 * 2**i, r_min=1e-9, gauss=10)
+            ref = _full_matrix_energy(sol, eta, n, x, w)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    if case == "bounded":
+        assert results[-1][0] == 0.0
+
+
+def test_jump_terms_with_no_node_in_the_window():
+    # u steps over the window (1, 2): M is empty and only the L x H and H x L
+    # products contribute; at n = 10 every node is below the window
+    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
+    u = np.where(np.abs(x) < 0.3, 5.0, 0.2)
+    ex = w * (1.0 + x**2)
+    got = _jump_terms(x, w, u, ex, 0.5, [1.0, 10.0])
+    ref = _full_matrix_jump(x, w, u, ex, 0.5, 1.0)
+    assert ref > 0.0
+    assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert got[1] == 0.0
 
 
 def test_nonlocal_energy_bounded_u_zero():

@@ -188,6 +188,22 @@ def test_stopped_values_unreached_level_draws_nothing():
     assert rng.bit_generator.state == before
 
 
+def test_stopped_values_start_inside_level_set():
+    # (1 - r^2)/4 exceeds k = 0.2 on r < r_k = sqrt(0.2): a start there has
+    # tau_k = 0, keeps u(x0) and draws nothing, so the walker that does
+    # move gets the same draws as it would alone
+    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    r_k = math.sqrt(0.2)
+    starts = np.array([[0.5 * r_k, 0.0], [0.0, -0.3], [0.8, 0.0]])
+    vals = stopped_values(sol, 0.2, starts, np.random.default_rng(3))
+    assert vals[:2] == pytest.approx((1.0 - np.sum(starts[:2] ** 2, axis=1)) / 4.0,
+                                     rel=1e-12)
+    assert vals[0] == pytest.approx(0.2375, rel=1e-12)
+    alone = stopped_values(sol, 0.2, starts[2:], np.random.default_rng(3))
+    assert vals[2] == alone[0]
+    assert alone[0] in (0.0, 0.2)
+
+
 def test_stderr_scaling(disk_dirac_solution):
     # stderr ~ N^{-1/2} within a factor 1.5 across decades
     errs = []
