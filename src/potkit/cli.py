@@ -171,11 +171,12 @@ def cmd_reduite(args) -> int:
               [f"x{k}" for k in range(dom.dim)] + ["envelope"], rows,
               comments=[f"smallest excessive majorant of (|u| - {fmt(n)})^+"])
     write_json(os.path.join(out, f"{prefix}_envelope.json"), run_report(
-        cfg, {"iterations": res.iterations, "residual": res.residual,
+        cfg, {"iterations": res.iterations, "policy_steps": res.policy_steps,
+              "residual": res.residual,
               "continuation_nodes": int(res.continuation.sum())}, {}))
     if not args.quiet:
         print(f"envelope solved in {res.iterations} sweeps, "
-              f"residual {res.residual:.2e}")
+              f"{res.policy_steps} policy steps, residual {res.residual:.2e}")
     return 0
 
 

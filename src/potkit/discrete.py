@@ -57,6 +57,15 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_interior
 
+    def dense_view(self) -> np.ndarray:
+        """``A`` as an (n, n) array that shares the CSR data, for an
+        operator that stores every entry row by row in column order (the
+        dense fractional one); raises for any other storage."""
+        n = self.n
+        if self.A.nnz != n * n or not self.A.has_sorted_indices:
+            raise AssemblyError("operator does not store every entry of A")
+        return self.A.data.reshape(n, n)
+
     def transition_matrix(self) -> sp.csr_matrix:
         """P = I - D^{-1} A (off-diagonal part of A, sign-flipped and scaled)."""
         Dinv = sp.diags(1.0 / self.diag)

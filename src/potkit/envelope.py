@@ -1,4 +1,5 @@
-"""Smallest excessive majorants (reduite) by projected relaxation, the
+"""Smallest excessive majorants (reduite) by projected relaxation (local
+operators) or exact policy iteration (the dense fractional operator), the
 weighted norm built on them, tail functionals over truncation levels, and a
 uniform-integrability diagnostic driven by convex test functions.
 
@@ -27,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 
 from .discrete import DiscreteOperator, discrete_green
 from .errors import ConvergenceError, SupportError
@@ -36,12 +38,16 @@ from .solve import Solution
 
 _ACTIVE_TOL_FACTOR = 100.0
 _MAX_SWEEPS = 10**6
+_MAX_POLICY_STEPS = 500
 
 
 @dataclass
 class ReduiteResult:
-    """Envelope field, continuation set, iteration count and the max
-    complementarity violation min(w - g, A w / diag).
+    """Envelope field, continuation set, PSOR sweep count (local operators;
+    0 for the fractional one), policy-iteration step count (the fractional
+    operator; 0 for local ones) and the max complementarity violation
+    min(w - g, A w / diag).  ``tol`` and ``omega`` of ``reduite`` govern
+    only the local PSOR: the fractional envelope is exact.
 
     The continuation set is where the envelope is P-harmonic within
     tolerance (the optimal-continuation region); its complement inside the
@@ -53,6 +59,7 @@ class ReduiteResult:
     envelope: GridField
     continuation: np.ndarray      # bool lattice mask
     iterations: int
+    policy_steps: int
     residual: float
 
 
@@ -102,25 +109,15 @@ def _colour_rows(grid: Grid) -> tuple:
 
 def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
            omega: float, tol: float) -> int:
-    """Projected relaxation w <- max(g, w - omega D^{-1} A w) on flat
-    interior vectors, one block of rows at a time, in place.
-
-    Local operators sweep the red and black nodes in turn (projected SOR
-    with the given omega) and test the update every 8 sweeps; the dense
-    fractional operator updates all rows at once (Jacobi value iteration,
-    omega = 1) with a dense copy of ``A``, made once per call, so that each
-    iteration is one BLAS matrix-vector product, and tests every iteration.
-    Returns the sweep count.
+    """Projected red-black SOR w <- max(g, w - omega D^{-1} A w) on flat
+    interior vectors of a local operator, in place: the red and black rows
+    in turn, with the update tested every 8 sweeps.  Returns the sweep
+    count.
     """
-    if dop.is_local:
-        blocks = [(rows, dop.A[rows], dop.diag[rows]) for rows in _colour_rows(dop.grid)]
-        check = 8
-    else:
-        blocks = [(slice(None), dop.A.toarray(), dop.diag)]
-        omega, check = 1.0, 1
+    blocks = [(rows, dop.A[rows], dop.diag[rows]) for rows in _colour_rows(dop.grid)]
     update = np.inf
     for sweep in range(1, _MAX_SWEEPS + 1):
-        track = sweep % check == 0
+        track = sweep % 8 == 0
         if track:
             update = 0.0
         for rows, A_rows, d_rows in blocks:
@@ -136,17 +133,67 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
         f"sweeps (last update {update:.3e})")
 
 
+def _continuation_solve(A: np.ndarray, c: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Values on the index set c of the A-harmonic extension of ``data``
+    from the complement of c: the solution of A[c, c] x = -A[c, ~c] data
+    by one dense Cholesky.  ``A`` is the dense symmetric operator and
+    ``data`` vanishes on c."""
+    rhs = -(A @ data)[c]
+    # A[c, c] is symmetric, so its transpose is the same matrix in the
+    # Fortran order that LAPACK factors in place
+    factor = cho_factor(A[np.ix_(c, c)].T, overwrite_a=True)
+    return cho_solve(factor, rhs, overwrite_b=True)
+
+
+def _policy_iteration(dop: DiscreteOperator, g: np.ndarray,
+                      w: np.ndarray) -> tuple:
+    """Exact envelope of a dense non-local operator by Howard's algorithm
+    (the primal-dual active-set method): take the stopping set
+    S = {w - g <= A w / diag}, set w = g on S and solve A w = 0 on the
+    complement, until S no longer changes.  For an M-matrix the iterates
+    increase to the envelope from the first solve on and the loop ends
+    within n + 1 steps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
+    47, 2009).  Returns (w, policy steps), with w >= g bit for bit.
+
+    Nodes where the two policy values agree to rounding (e.g. everywhere
+    off the source, for an excessive obstacle) may change sides from one
+    step to the next without moving w, so a complementarity residual
+    within the rounding error of a length-n row product ends the loop too.
+    """
+    A, d = dop.dense_view(), dop.diag
+    tie = dop.n * np.finfo(float).eps * float(np.max(g, initial=0.0))
+    stop = (w - g) <= (A @ w) / d
+    for step in range(1, _MAX_POLICY_STEPS + 1):
+        w = np.where(stop, g, 0.0)
+        c = np.flatnonzero(~stop)
+        if c.size:
+            w[c] = _continuation_solve(A, c, w)
+        defect = (A @ w) / d
+        new_stop = (w - g) <= defect
+        if (np.array_equal(new_stop, stop)
+                or np.max(np.abs(np.minimum(w - g, defect)), initial=0.0) <= tie):
+            np.maximum(w, g, out=w)
+            return w, step
+        stop = new_stop
+    raise ConvergenceError(
+        f"policy iteration did not fix its stopping set within "
+        f"{_MAX_POLICY_STEPS} steps")
+
+
 def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
             omega: float = 1.5,
             w0: Optional[np.ndarray] = None) -> ReduiteResult:
     """Smallest excessive majorant of the obstacle g >= 0.
 
-    Runs projected red-black SOR (value iteration for non-local operators)
-    from w0 = g toward the smallest fixed point of w = max(g, P w); any
-    supplied warm start must sit below the envelope.  ``omega="auto"``
-    picks the near-optimal SOR relaxation; non-local operators always use
-    omega = 1.  Non-finite obstacle values are capped at the obstacle's
-    value one cell away.
+    Local operators run projected red-black SOR from w0 = g toward the
+    smallest fixed point of w = max(g, P w); any supplied warm start must
+    sit below the envelope.  ``tol`` (the stopping update and, times
+    ``_ACTIVE_TOL_FACTOR``, the continuation threshold) and ``omega``
+    (``"auto"`` picks the near-optimal SOR relaxation) govern only this
+    local PSOR.  The dense fractional operator is solved exactly by policy
+    iteration, started from the stopping set of w0 (any w0 will do).
+    Non-finite obstacle values are capped at the obstacle's value one cell
+    away.
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
@@ -161,17 +208,21 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
 
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
-    sweeps = _relax(dop, g_flat, w_flat, omega, tol)
+    if dop.is_local:
+        sweeps, steps = _relax(dop, g_flat, w_flat, omega, tol), 0
+        active_tol = max(_ACTIVE_TOL_FACTOR * tol, 1e-14)
+    else:
+        w_flat, steps = _policy_iteration(dop, g_flat, w_flat)
+        sweeps, active_tol = 0, 1e-14
     defect = (dop.A @ w_flat) / dop.diag
     ncp = np.minimum(w_flat - g_flat, defect)
     residual = float(np.max(np.abs(ncp))) if ncp.size else 0.0
-    active_tol = max(_ACTIVE_TOL_FACTOR * tol, 1e-14)
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= active_tol * max(scale, 1.0)
     return ReduiteResult(envelope=GridField.from_interior(grid, w_flat),
-                         continuation=continuation,
-                         iterations=sweeps, residual=residual)
+                         continuation=continuation, iterations=sweeps,
+                         policy_steps=steps, residual=residual)
 
 
 def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
@@ -179,7 +230,8 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
 
     Returns the field that is P-invariant on V and equal to g on the
     interior complement (zero on boundary/exterior).  V may be a boolean
-    lattice mask or a flat interior mask.
+    lattice mask or a flat interior mask.  Local operators solve on V with
+    sparse LU; the dense fractional operator with one Cholesky of A[V, V].
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
@@ -192,10 +244,14 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
     out = g_flat.copy()
     if V_flat.any():
         idx = np.where(V_flat)[0]
-        comp = np.where(~V_flat)[0]
-        A_VV = dop.A[idx][:, idx].tocsc()
-        rhs = -dop.A[idx][:, comp] @ g_flat[comp]
-        out[idx] = spla.spsolve(A_VV, rhs)
+        if dop.is_local:
+            comp = np.where(~V_flat)[0]
+            A_VV = dop.A[idx][:, idx].tocsc()
+            rhs = -dop.A[idx][:, comp] @ g_flat[comp]
+            out[idx] = spla.spsolve(A_VV, rhs)
+        else:
+            out[idx] = _continuation_solve(dop.dense_view(), idx,
+                                           np.where(V_flat, 0.0, g_flat))
     return GridField.from_interior(grid, out)
 
 

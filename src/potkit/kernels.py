@@ -357,19 +357,28 @@ def killing_density(alpha: float, dom: Domain, x):
     if np.any(rr >= R):
         raise SupportError("x must be interior")
 
-    out = np.empty(rr.shape)
-    for i, r in enumerate(rr):
-        out[i] = c * _complement_integral(alpha, d, R, r)
+    # nodes at one radius share the complement integral: one quadrature per
+    # distinct radius, all with the same angular rule
+    radii, inverse = np.unique(rr, return_inverse=True)
+    rule = _half_circle_rule() if d == 2 else None
+    vals = np.array([c * _complement_integral(alpha, d, R, r, rule) for r in radii])
+    out = vals[inverse]
     scalar = np.asarray(x, dtype=float).ndim <= 1
     return float(out[0]) if scalar and np.size(out) == 1 else out
 
 
-def _complement_integral(alpha: float, d: int, R: float, r: float) -> float:
-    """Int_{|y| > R} |x - y|^(-d-alpha) dy for |x| = r < R, radial quadrature."""
+def _half_circle_rule() -> tuple:
+    """96-point Gauss-Legendre nodes and weights on the angle range [0, pi]."""
+    theta, wt = np.polynomial.legendre.leggauss(96)
+    return 0.5 * (theta + 1.0) * math.pi, wt * 0.5 * math.pi
+
+
+def _complement_integral(alpha: float, d: int, R: float, r: float, rule) -> float:
+    """Int_{|y| > R} |x - y|^(-d-alpha) dy for |x| = r < R, radial quadrature;
+    d = 2 integrates the angle with ``rule`` (``_half_circle_rule``), the
+    symmetric half of the circle."""
     if d == 2:
-        theta, wt = np.polynomial.legendre.leggauss(96)
-        theta = 0.5 * (theta + 1.0) * math.pi     # [0, pi], symmetric half
-        wt = wt * 0.5 * math.pi
+        theta, wt = rule
 
         def shell(s):
             q = (r**2 + s**2 - 2.0 * r * s * np.cos(theta)) ** (-(d + alpha) / 2.0)

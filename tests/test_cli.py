@@ -77,6 +77,24 @@ def test_reduite_subcommand(tmp_path, tiny_dirac_cfg):
     assert rep["results"]["residual"] < 1e-9
 
 
+def test_reduite_subcommand_fractional(tmp_path, capsys):
+    # the fractional envelope is solved by policy iteration, not by sweeps
+    cfg = get_preset("reconstruct-nonlocal-interval")
+    cfg["grid"] = {"h": 2.0**-6}
+    path = tmp_path / "frac.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "out")
+    rc = main(["reduite", "--config", str(path), "--out", out])
+    assert rc == 0
+    rep = json.loads(read(os.path.join(out, "reconstruct_nonlocal_interval_envelope.json")))
+    res = rep["results"]
+    assert res["iterations"] == 0
+    assert res["policy_steps"] >= 1
+    assert res["residual"] <= 1e-13
+    assert (f"envelope solved in 0 sweeps, {res['policy_steps']} policy steps, "
+            "residual") in capsys.readouterr().out
+
+
 def test_reconstruct_local_cli(tmp_path):
     out = str(tmp_path / "out")
     rc = main(["reconstruct", "local", "--preset", "reconstruct-local-disk-dirac",

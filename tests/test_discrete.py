@@ -290,3 +290,14 @@ def test_operator_matrix_is_csr(op):
     dop = assemble(op, build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
     assert sp.issparse(dop.A)
     assert dop.A.format == "csr"
+
+
+def test_dense_view_shares_the_csr_data(interval_dop):
+    """The dense fractional operator's CSR arrays hold A row by row, so the
+    (n, n) view is A itself without a copy; sparse storage is refused."""
+    dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
+    A = dop.dense_view()
+    assert np.shares_memory(A, dop.A.data)
+    assert np.array_equal(A, dop.A.toarray())
+    with pytest.raises(AssemblyError):
+        interval_dop.dense_view()

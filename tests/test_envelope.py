@@ -80,22 +80,68 @@ def test_relaxation_matches_lattice_reference(case):
     assert np.max(np.abs(got - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
 
 
-def test_fractional_relaxation_is_value_iteration():
-    grid = build_grid(Domain.interval(0.0, 1.0), 2.0**-6)
-    dop = assemble(OperatorSpec.fractional(0.8), grid)
+FRAC = OperatorSpec.fractional(0.8)
+
+
+@pytest.fixture(scope="module")
+def frac_dop():
+    return assemble(FRAC, build_grid(Domain.interval(0.0, 1.0), 2.0**-6))
+
+
+def test_fractional_reduite_is_exact(frac_dop):
+    grid = frac_dop.grid
     g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
-    tol = 1e-11
-    A = dop.A.toarray()
-    w = g_flat.copy()
-    for it in range(1, 10**6):
-        cand = np.maximum(g_flat, w - (A @ w) / dop.diag)
-        done = np.max(np.abs(cand - w)) < tol
-        w = cand
-        if done:
-            break
-    res = reduite(dop, GridField.from_interior(grid, g_flat), tol=tol, omega="auto")
-    assert res.iterations == it
-    assert np.array_equal(res.envelope.interior_values(), w)
+    g_flat[grid.n_interior // 4] = 0.35          # an isolated peak off the bump
+    res = reduite(frac_dop, GridField.from_interior(grid, g_flat))
+    w = res.envelope.interior_values()
+    oracle = brute_force_envelope(frac_dop, g_flat, tol=1e-14)
+    assert np.max(np.abs(w - oracle)) <= 1e-12
+    assert res.residual <= 1e-13
+    assert np.all(w >= g_flat)
+    assert res.iterations == 0
+    assert res.policy_steps >= 1
+
+
+def test_fractional_zero_obstacle(frac_dop):
+    res = reduite(frac_dop, frac_dop.grid.new_field())
+    assert np.all(res.envelope.values == 0.0)
+    assert res.residual == 0.0
+    assert res.policy_steps == 1
+
+
+def test_fractional_excessive_obstacle_fixed(frac_dop):
+    # a Green column of the fractional operator is its own envelope, with
+    # every interior node but the source in the continuation set
+    g = discrete_green(frac_dop, np.array([0.3]))
+    res = reduite(frac_dop, g.values)
+    inside = frac_dop.grid.interior_mask
+    assert np.max(np.abs(res.envelope.values - g.values)) <= 1e-12 * np.max(g.values)
+    assert np.all(res.envelope.values[inside] >= g.values[inside])
+    assert res.residual <= 1e-13 * np.max(g.values)
+    src = frac_dop.grid.nearest_node(0.3)
+    assert not res.continuation[src]
+    assert res.continuation.sum() == frac_dop.n - 1
+
+
+def test_policy_budget_raises(monkeypatch, frac_dop):
+    monkeypatch.setattr(envelope_mod, "_MAX_POLICY_STEPS", 0)
+    with pytest.raises(ConvergenceError, match="policy iteration"):
+        reduite(frac_dop, frac_dop.grid.new_field())
+
+
+def test_fractional_harmonic_extension_matches_spsolve(frac_dop):
+    import scipy.sparse.linalg as spla
+    grid = frac_dop.grid
+    x = grid.interior_points()[:, 0]
+    g = GridField.from_interior(grid, np.cos(3.0 * x) + x)
+    V = (x > 0.2) & (x < 0.7)
+    got = harmonic_extension(frac_dop, V, g).interior_values()
+    idx, comp = np.flatnonzero(V), np.flatnonzero(~V)
+    expect = g.interior_values().copy()
+    expect[idx] = spla.spsolve(frac_dop.A[idx][:, idx].tocsc(),
+                               -frac_dop.A[idx][:, comp] @ expect[comp])
+    assert np.max(np.abs(got - expect)) <= 1e-12
+    assert np.array_equal(got[comp], g.interior_values()[comp])
 
 
 def test_sweep_budget_raises(monkeypatch, disk_dop_small):

@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from potkit import Domain, OperatorSpec, green, jump_kernel, killing_density, poisson_kernel
 from potkit.errors import SupportError, UnsupportedKernelError
+from potkit import build_grid
 from potkit.kernels import (ball_green_constant, frac_constant,
                             frac_torsion_constant, riesz_constant, sphere_area)
 
@@ -271,3 +272,37 @@ def test_ball_green_constant_consistency():
         lhs = ball_green_constant(alpha, d) * special.beta(
             alpha / 2.0, (d - alpha) / 2.0)
         assert lhs == pytest.approx(riesz_constant(alpha, d), rel=1e-12)
+
+
+def _complement_integral_per_point(alpha, d, R, r):
+    """The per-point radial quadrature that ``killing_density`` evaluates
+    once per distinct radius, with its own angular rule on every call."""
+    if d == 2:
+        theta, wt = np.polynomial.legendre.leggauss(96)
+        theta = 0.5 * (theta + 1.0) * math.pi
+        wt = wt * 0.5 * math.pi
+
+        def shell(s):
+            q = (r**2 + s**2 - 2.0 * r * s * np.cos(theta)) ** (-(d + alpha) / 2.0)
+            return 2.0 * s * float(np.dot(wt, q))
+    else:
+        def shell(s):
+            p = 1.0 + alpha
+            return (2.0 * math.pi / (r * s * p)) * ((s - r) ** (-p) - (s + r) ** (-p)) * s**2 \
+                if r > 0 else 4.0 * math.pi * s**2 * s ** (-(d + alpha))
+    val, _ = integrate.quad(shell, R, np.inf, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("dim, h", [(2, 2.0**-3), (3, 2.0**-2)])
+def test_killing_ball_one_quadrature_per_radius(dim, h):
+    alpha = 0.6
+    dom = Domain.ball([0.0] * dim, 1.0, dim)
+    pts = build_grid(dom, h).interior_points()
+    rr = np.linalg.norm(pts, axis=1)
+    assert np.unique(rr).size < rr.size           # radii repeat across nodes
+    c = frac_constant(alpha, dim)
+    expect = np.empty(rr.shape)
+    for i, r in enumerate(rr):
+        expect[i] = c * _complement_integral_per_point(alpha, dim, 1.0, r)
+    assert np.array_equal(killing_density(alpha, dom, pts), expect)
