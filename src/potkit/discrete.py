@@ -147,7 +147,9 @@ def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
         grid = coarse
     if is_local:
         return levels, spla.factorized(A.tocsc())
-    return levels, partial(cho_solve, cho_factor(A.toarray(), overwrite_a=True))
+    # A is symmetric, so its transpose is the same matrix in the Fortran
+    # order that LAPACK factors in place
+    return levels, partial(cho_solve, cho_factor(A.toarray().T, overwrite_a=True))
 
 
 def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:

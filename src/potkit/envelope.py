@@ -33,6 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .discrete import DiscreteOperator, discrete_green
 from .errors import ConvergenceError, SupportError
 from .geometry import Grid, GridField, lattice_shifts
+from .kernels import green
 from .measures import Density
 from .solve import Solution
 
@@ -69,7 +70,7 @@ class TailCurve:
     values: np.ndarray
     resolvable: np.ndarray        # bool per level
     limit_estimate: float
-    target: float                 # independently computed <R^D rho, |mu_c|>
+    target: float                 # <R^D rho, |mu_c|> from the atoms' Green columns
     verdict: str                  # "diffuse-like" | "concentrated-like"
 
 
@@ -283,11 +284,11 @@ def envelope_field(solution: Solution, dop: DiscreteOperator) -> tuple:
     when the solution has one, otherwise the discrete field); each
     concentrated atom's own node carries the discrete Green diagonal for its
     self-contribution, which is the lattice-consistent height of the peak.
-    Returns (lattice |u| array, atom lattice indices, per-atom single-node
-    harmonic extensions).  The extensions e_k(x) = |u|(node_k) * q_k(x) with
-    q_k the hitting probability of node_k are exact lower bounds for the
-    envelope of any obstacle that dominates |u|(node_k) at the node, so
-    callers may warm-start projected iterations from their maximum.
+    Returns (lattice |u| array, atom lattice indices, the atoms' discrete
+    Green columns).  Each column scaled to |u|(node_k) at its node is the
+    single-node harmonic extension e_k(x) = |u|(node_k) * q_k(x), q_k the
+    hitting probability of node_k: an exact lower bound for the envelope of
+    any obstacle that dominates |u|(node_k) at the node.
     """
     grid = dop.grid
     conc = solution.decomposition.concentrated
@@ -300,24 +301,19 @@ def envelope_field(solution: Solution, dop: DiscreteOperator) -> tuple:
     else:
         vals = solution.grid_field.values.copy()
 
-    extensions = []
+    columns = []
     for (p, w), node in zip(conc.atoms, atom_nodes):
         col = discrete_green(dop, np.asarray(p))
         self_val = w * col.values[node]
         other = 0.0
         for (q, wq) in solution.measure.atoms:
             if tuple(q) != tuple(p):
-                other += wq * float(solution_green(solution, np.asarray(p), np.asarray(q)))
+                other += wq * green(solution.op, solution.dom, p, q)
         if solution.closed and solution.density_potential is not None:
             other += float(solution.density_potential(np.asarray(p).reshape(1, -1))[0])
         vals[node] = self_val + other
-        extensions.append(np.abs(vals[node]) * col.values / col.values[node])
-    return np.abs(vals), atom_nodes, extensions
-
-
-def solution_green(solution: Solution, x, a) -> float:
-    from .kernels import green
-    return float(np.asarray(green(solution.op, solution.dom, x, a)).reshape(-1)[0])
+        columns.append(col)
+    return np.abs(vals), atom_nodes, columns
 
 
 def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
@@ -329,8 +325,8 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     waived; see module docstring).  Levels are solved from the top down so
     each solve warm-starts from the previous envelope, which is a valid
     from-below start by monotonicity of the reduite in the obstacle.
-    The verdict compares the extrapolated limit against both zero and the
-    independently computed <R^D rho, |mu_c|>.
+    The verdict compares the extrapolated limit against both zero and
+    <R^D rho, |mu_c|>, read off the atoms' Green columns, not the envelopes.
     """
     grid = dop.grid
     levels = np.asarray(sorted(float(n) for n in levels))
@@ -338,16 +334,14 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
         raise SupportError("levels must be positive")
     rho_vals = _rho_values(rho, grid)
 
-    u_abs, atom_nodes, extensions = envelope_field(solution, dop)
+    u_abs, atom_nodes, columns = envelope_field(solution, dop)
+    extensions = [u_abs[node] * col.values / col.values[node]
+                  for node, col in zip(atom_nodes, columns)]
 
-    # independent target: sum over concentrated atoms of |weight| R^D rho(atom)
+    # A is symmetric, so R^D rho at an atom's node is rho against its Green column
     conc = solution.decomposition.concentrated
-    target = 0.0
-    if conc.atoms:
-        pot_rho = dop.solve(rho_vals)
-        for (p, w), node in zip(conc.atoms, atom_nodes):
-            flat = grid.flat_of_lattice(node)
-            target += abs(w) * pot_rho[flat]
+    target = sum(abs(w) * col.weighted_sum(rho_vals)
+                 for (_, w), col in zip(conc.atoms, columns))
 
     # resolvability: level must sit below the obstacle one cell off the atom
     if atom_nodes:

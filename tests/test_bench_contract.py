@@ -1,6 +1,7 @@
 """The benchmark's checks, run in the tier-1 suite: ``bench/workloads.py``
 (imported, never modified) must pass every check of its dense fractional
-workload, and two passes must hash to the same digest."""
+workload and of its two tail-curve workloads, and two passes of each must
+hash to the same digest."""
 
 import importlib.util
 import pathlib
@@ -23,10 +24,11 @@ def workloads():
         del sys.modules[spec.name]
 
 
-def test_interval_fractional_passes_checks_deterministically(workloads):
-    ctx = workloads.setup("interval-fractional")
-    first, second = (workloads.run_pass("interval-fractional", ctx) for _ in range(2))
+@pytest.mark.parametrize("name", ["interval-fractional", "disk-dirac-cg", "disk-mixed-psor"])
+def test_workload_passes_checks_deterministically(workloads, name):
+    ctx = workloads.setup(name)
+    first, second = (workloads.run_pass(name, ctx) for _ in range(2))
     for result in (first, second):
-        failed = [name for name, ok in result.checks.items() if not ok]
+        failed = [check for check, ok in result.checks.items() if not ok]
         assert not failed, f"failed checks: {failed}"
     assert first.digest == second.digest

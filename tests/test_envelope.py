@@ -10,6 +10,7 @@ from potkit import (Domain, OperatorSpec, assemble, build_grid, d1_norm,
                     reduite, tail_curve)
 from potkit.envelope import FVP_FAMILY, envelope_field
 from potkit.config import _coeff_presets
+from potkit.discrete import DiscreteOperator
 from potkit.errors import ConvergenceError, SupportError
 from potkit.geometry import GridField
 from potkit.measures import Density, MeasureData
@@ -366,11 +367,102 @@ def test_tail_curve_unresolvable_warns(disk_dirac_solution, disk_dop_small):
 
 
 def test_envelope_field_uses_discrete_diagonal(disk_dirac_solution, disk_dop_small):
-    u_abs, nodes, exts = envelope_field(disk_dirac_solution, disk_dop_small)
+    u_abs, nodes, cols = envelope_field(disk_dirac_solution, disk_dop_small)
     assert len(nodes) == 1
     col = discrete_green(disk_dop_small, np.array([0.0, 0.0]))
     assert u_abs[nodes[0]] == pytest.approx(col.values[nodes[0]], rel=1e-12)
     assert np.isfinite(u_abs[disk_dop_small.grid.interior_mask]).all()
+    assert len(cols) == 1
+    assert np.array_equal(cols[0].values, col.values)
+
+
+def _tail_case(case):
+    """(solution, operator, rho values on the interior, levels) of a small
+    tail-curve problem."""
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    if case == "fractional-interval":
+        dom = Domain.interval(0.0, 1.0)
+        op = OperatorSpec.fractional(0.6)
+        dop = assemble(op, build_grid(dom, 2.0**-6))
+        atoms = [([0.5], 1.0)]
+    elif case == "divergence-disk":
+        dom = disk
+        coeff, lam, Lam = _coeff_presets()["smooth"]
+        op = OperatorSpec.divergence(coeff, lam, Lam)
+        dop = assemble(op, build_grid(dom, 2.0**-5))
+        atoms = [([0.0, 0.0], 1.0)]
+    else:
+        dom, op = disk, LAP
+        dop = assemble(op, build_grid(dom, 2.0**-5))
+        atoms = {"diffuse-disk": [], "one-atom-disk": [([0.0, 0.0], 1.0)],
+                 "two-atom-disk": [([-0.25, 0.0], 1.0), ([0.25, 0.25], -0.5)]}[case]
+    density = Density.constant(1.0) if case == "diffuse-disk" else None
+    mu = MeasureData.make(atoms=atoms, density=density, dom=dom)
+    sol = integral_solution(op, dom, mu, dop=dop)
+    pts = dop.grid.interior_points()
+    rho = 1.0 + 0.5 * pts[:, 0]               # positive, and not symmetric about the atoms
+    return sol, dop, rho, [0.1, 0.2]
+
+
+TAIL_CASES = ["one-atom-disk", "two-atom-disk", "fractional-interval", "divergence-disk"]
+
+
+@pytest.mark.parametrize("case", ["diffuse-disk", "one-atom-disk", "two-atom-disk"])
+def test_tail_curve_one_solve_per_atom(monkeypatch, case):
+    sol, dop, rho, levels = _tail_case(case)
+    calls = []
+    solve = DiscreteOperator.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(DiscreteOperator, "solve", counted)
+    tail_curve(sol, dop, rho, levels)
+    assert len(calls) == len(sol.decomposition.concentrated.atoms)
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_tail_curve_target_matches_potential_solve(case):
+    # reference: R^D rho by its own solve, read at each atom's node
+    sol, dop, rho, levels = _tail_case(case)
+    grid = dop.grid
+    pot_rho = dop.solve(rho)
+    ref = sum(abs(w) * pot_rho[grid.flat_of_lattice(grid.nearest_node(np.asarray(p)))]
+              for p, w in sol.decomposition.concentrated.atoms)
+    tc = tail_curve(sol, dop, rho, levels)
+    assert ref > 0
+    assert abs(tc.target - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_tail_curve_values_match_fresh_extensions(case):
+    # reference: the tail loop with single-node extensions built from
+    # Green columns solved here, not taken from envelope_field
+    sol, dop, rho, levels = _tail_case(case)
+    grid = dop.grid
+    u_abs, nodes, _ = envelope_field(sol, dop)
+    exts = []
+    for (p, _), node in zip(sol.decomposition.concentrated.atoms, nodes):
+        col = discrete_green(dop, np.asarray(p)).values
+        exts.append(u_abs[node] * col / col[node])
+    ref = np.empty(len(levels))
+    prev = None
+    for i in range(len(levels) - 1, -1, -1):
+        g = np.maximum(u_abs - levels[i], 0.0)
+        for node in nodes:
+            g[node] = u_abs[node]
+        g = np.where(grid.interior_mask, g, 0.0)
+        w0 = g if prev is None else np.maximum(g, prev)
+        for ext in exts:
+            w0 = np.maximum(w0, ext)
+        w0 = np.where(grid.interior_mask, w0, 0.0)
+        res = reduite(dop, g, tol=1e-10, omega="auto", w0=w0)
+        prev = res.envelope.values
+        ref[i] = res.envelope.weighted_sum(rho)
+    tc = tail_curve(sol, dop, rho, levels)
+    assert np.all(tc.resolvable)
+    assert np.array_equal(tc.values, ref)
 
 
 def test_fvp_bounded_finite(disk_dop_small):
