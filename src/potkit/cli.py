@@ -24,7 +24,7 @@ from . import __version__
 from .config import (build_domain, build_eta, build_measure, build_operator,
                      build_rho, grid_widths, load_config, validate_config)
 from .discrete import assemble
-from .envelope import d1_norm, envelope_field, reduite, tail_curve
+from .envelope import d1_norm, envelope_field, reduite, tail_curve, tail_obstacle
 from .errors import PotkitError
 from .geometry import build_grid
 from .kernels import constants_table
@@ -158,11 +158,8 @@ def cmd_reduite(args) -> int:
     dop = _grid_operator(cfg, dom, op)
     n = cfg.get("n", 1.0)
     u_abs, atom_nodes, _ = envelope_field(sol, dop)
-    g = np.maximum(u_abs - n, 0.0)
-    for node in atom_nodes:
-        g[node] = u_abs[node]
     tol = cfg.get("tolerances", {}).get("reduite", 1e-10)
-    res = reduite(dop, np.where(dop.grid.interior_mask, g, 0.0), tol=tol)
+    res = reduite(dop, tail_obstacle(u_abs, atom_nodes, n, dop.grid), tol=tol)
     pts = dop.grid.interior_points()
     env = res.envelope.interior_values()
     rows = [tuple(p) + (v,) for p, v in zip(pts, env)]
@@ -280,7 +277,8 @@ def cmd_mc(args) -> int:
                 zip(diag.levels, diag.estimates, diag.stderrs)]
         verdict = {"verdict": diag.verdict,
                    "limit_estimate": diag.limit_estimate,
-                   "limit_stderr": diag.limit_stderr}
+                   "limit_stderr": diag.limit_stderr,
+                   "limit_basis": diag.limit_basis}
         results = {"levels": diag.levels, "estimates": diag.estimates,
                    "stderrs": diag.stderrs, "family": diag.family,
                    "table": diag.table}

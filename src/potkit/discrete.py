@@ -81,7 +81,7 @@ class DiscreteOperator:
     def p_apply(self, flat: np.ndarray) -> np.ndarray:
         return flat - (self.A @ flat) / self.diag
 
-    def solve(self, rhs_flat: np.ndarray) -> np.ndarray:
+    def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
         """Deterministic linear solve A x = rhs, local and fractional alike.
 
         CG to relative residual ``_CG_RTOL``, preconditioned by one symmetric
@@ -90,7 +90,14 @@ class DiscreteOperator:
         sparse LU for local operators, dense Cholesky for the fully dense
         non-local ones.  A grid of at most ``_COARSE_MAX`` unknowns has no
         coarser level, so its solve is that factorization alone.
+
+        With ``on`` (flat interior indices c) it solves the principal block
+        A[c, c] x = rhs instead, by one direct factorization of a fresh copy
+        of the block: the Dirichlet problem on c with zero data off c.
         """
+        if on is not None:
+            block = self.A[on][:, on] if self.is_local else self.dense_view()[np.ix_(on, on)]
+            return _factor(block)(rhs_flat)
         levels, bottom = _hierarchy(self.grid, self.A, self.is_local)
         if not levels:
             return bottom(rhs_flat)
@@ -104,6 +111,17 @@ class DiscreteOperator:
                 f"CG did not reach relative residual {_CG_RTOL:g} within "
                 f"{_CG_MAX_ITERS} iterations (info={info})")
         return x
+
+
+def _factor(M):
+    """Solver x = M^{-1} b for a symmetric positive definite M that the
+    caller hands over: SuperLU for a sparse M, otherwise a Cholesky in place
+    of the dense array (its transpose is the same matrix in the Fortran
+    order that LAPACK factors without a copy).  The right-hand side is
+    never overwritten."""
+    if sp.issparse(M):
+        return spla.factorized(M.tocsc())
+    return partial(cho_solve, cho_factor(M.T, overwrite_a=True))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +163,7 @@ def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
         levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
         A = (P.T @ A @ P).tocsr()
         grid = coarse
-    if is_local:
-        return levels, spla.factorized(A.tocsc())
-    # A is symmetric, so its transpose is the same matrix in the Fortran
-    # order that LAPACK factors in place
-    return levels, partial(cho_solve, cho_factor(A.toarray().T, overwrite_a=True))
+    return levels, _factor(A if is_local else A.toarray())
 
 
 def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:

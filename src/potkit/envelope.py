@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
 
 from .discrete import DiscreteOperator, discrete_green
 from .errors import ConvergenceError, SupportError
@@ -134,18 +132,6 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
         f"sweeps (last update {update:.3e})")
 
 
-def _continuation_solve(A: np.ndarray, c: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Values on the index set c of the A-harmonic extension of ``data``
-    from the complement of c: the solution of A[c, c] x = -A[c, ~c] data
-    by one dense Cholesky.  ``A`` is the dense symmetric operator and
-    ``data`` vanishes on c."""
-    rhs = -(A @ data)[c]
-    # A[c, c] is symmetric, so its transpose is the same matrix in the
-    # Fortran order that LAPACK factors in place
-    factor = cho_factor(A[np.ix_(c, c)].T, overwrite_a=True)
-    return cho_solve(factor, rhs, overwrite_b=True)
-
-
 def _policy_iteration(dop: DiscreteOperator, g: np.ndarray,
                       w: np.ndarray) -> tuple:
     """Exact envelope of a dense non-local operator by Howard's algorithm
@@ -168,7 +154,8 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray,
         w = np.where(stop, g, 0.0)
         c = np.flatnonzero(~stop)
         if c.size:
-            w[c] = _continuation_solve(A, c, w)
+            # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
+            w[c] = dop.solve(-(A @ w)[c], on=c)
         defect = (A @ w) / d
         new_stop = (w - g) <= defect
         if (np.array_equal(new_stop, stop)
@@ -231,8 +218,8 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
 
     Returns the field that is P-invariant on V and equal to g on the
     interior complement (zero on boundary/exterior).  V may be a boolean
-    lattice mask or a flat interior mask.  Local operators solve on V with
-    sparse LU; the dense fractional operator with one Cholesky of A[V, V].
+    lattice mask or a flat interior mask; the values on V come from one
+    block solve with A[V, V].
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
@@ -244,15 +231,8 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
     g_flat = g_lat[grid.interior_mask]
     out = g_flat.copy()
     if V_flat.any():
-        idx = np.where(V_flat)[0]
-        if dop.is_local:
-            comp = np.where(~V_flat)[0]
-            A_VV = dop.A[idx][:, idx].tocsc()
-            rhs = -dop.A[idx][:, comp] @ g_flat[comp]
-            out[idx] = spla.spsolve(A_VV, rhs)
-        else:
-            out[idx] = _continuation_solve(dop.dense_view(), idx,
-                                           np.where(V_flat, 0.0, g_flat))
+        idx = np.flatnonzero(V_flat)
+        out[idx] = dop.solve(-(dop.A @ np.where(V_flat, 0.0, g_flat))[idx], on=idx)
     return GridField.from_interior(grid, out)
 
 
@@ -316,6 +296,16 @@ def envelope_field(solution: Solution, dop: DiscreteOperator) -> tuple:
     return np.abs(vals), atom_nodes, columns
 
 
+def tail_obstacle(u_abs: np.ndarray, atom_nodes, n: float, grid: Grid) -> np.ndarray:
+    """The level-n tail obstacle (|u| - n)^+ on the lattice, enriched at the
+    concentrated-atom nodes (full |u| there; see module docstring) and 0 off
+    the interior."""
+    g = np.maximum(u_abs - n, 0.0)
+    for node in atom_nodes:
+        g[node] = u_abs[node]
+    return np.where(grid.interior_mask, g, 0.0)
+
+
 def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
                levels: Sequence[float], tol: float = 1e-10,
                omega="auto") -> TailCurve:
@@ -363,10 +353,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     prev_w = None
     for i in range(len(levels) - 1, -1, -1):
         n = levels[i]
-        g = np.maximum(u_abs - n, 0.0)
-        for node in atom_nodes:
-            g[node] = u_abs[node]
-        g = np.where(grid.interior_mask, g, 0.0)
+        g = tail_obstacle(u_abs, atom_nodes, n, grid)
         if atom_nodes and n > u_near:
             resolvable[i] = False
             warnings.warn(

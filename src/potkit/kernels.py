@@ -393,10 +393,3 @@ def _complement_integral(alpha: float, d: int, R: float, r: float, rule) -> floa
     val, _ = integrate.quad(shell, R, np.inf, limit=200)
     return val
 
-
-def killing_for_op(op: OperatorSpec, dom: Domain, x):
-    """Killing density dispatched on the operator; 0 for local operators."""
-    if op.is_local:
-        xv = np.asarray(x, dtype=float)
-        return 0.0 if xv.ndim <= 1 else np.zeros(xv.shape[0])
-    return killing_density(op.alpha, dom, x)

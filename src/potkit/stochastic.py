@@ -180,18 +180,13 @@ def _project_to_boundary(dom: Domain, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _radial_profile(solution: Solution):
-    """(center, profile r -> u) for measures radial about a single point:
-    one atom at the ball center / in an interval, plus a radial density."""
+    """(center, profile r -> u) for measures radial about the center of a
+    ball: atoms at the center, plus a radial density."""
     dom = solution.dom
-    atoms = solution.measure.atoms
-    if dom.kind == "interval" or dom.dim == 1:
-        if len(atoms) > 1:
-            raise SupportError("radial MC machinery needs at most one atom")
-        return None, None   # 1d handled separately (exact chain)
     if dom.kind != "ball":
         raise SupportError("radial MC machinery needs a ball or interval")
     center = np.asarray(dom.center)
-    for p, _ in atoms:
+    for p, _ in solution.measure.atoms:
         if not np.allclose(p, center):
             raise SupportError("ball MC machinery needs the atom at the center")
     if solution.measure.density is not None and \
@@ -221,10 +216,10 @@ def _level_radius(profile, R: float, k: float) -> float:
 
 
 def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
-    """Walk-on-spheres in the annulus {r_inner < |x - c| < R}; returns
-    (stopped points, hit_inner mask).  Maximal-ball steps with exact exit
-    draws; the inner shell uses a relative tolerance so that level circles
-    far below the outer scale (r_inner ~ e^{-2 pi k}) stay unbiased."""
+    """Walk-on-spheres in the annulus {r_inner < |x - c| < R}; returns the
+    mask of walkers stopped at the inner circle.  Maximal-ball steps with
+    exact exit draws; the inner shell uses a relative tolerance so that level
+    circles far below the outer scale (r_inner ~ e^{-2 pi k}) stay unbiased."""
     center = np.asarray(center, dtype=float)
     cur = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     d = cur.shape[1]
@@ -240,13 +235,7 @@ def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
         return rho[:, None] * _unit_directions(rng, p.shape[0], d)
 
     _walk(cur, stop, step, _WOS_MAX_ITERS)
-    # project onto the exact circles
-    rel = cur - center
-    r = np.linalg.norm(rel, axis=1, keepdims=True)
-    hit_inner = (r[:, 0] - r_inner) <= eps_in
-    tgt = np.where(hit_inner[:, None], r_inner, R)
-    cur = center + rel * (tgt / np.maximum(r, 1e-300))
-    return cur, hit_inner
+    return (np.linalg.norm(cur - center, axis=1) - r_inner) <= eps_in
 
 
 def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
@@ -297,8 +286,8 @@ def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng) -> np.ndar
     if r_k <= 0.0:
         return np.zeros(np.atleast_2d(x0).shape[0])
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    pts, hit = _walk_annulus(center, R, r_k, x0, rng)
-    vals = np.zeros(pts.shape[0])
+    hit = _walk_annulus(center, R, r_k, x0, rng)
+    vals = np.zeros(hit.size)
     # the stopped position lies on the level circle {u = k} exactly
     vals[hit] = k
     # a start inside {u > k} stops at once (tau_k = 0, no draws): u(x0)
@@ -433,8 +422,9 @@ class UIDiagnostic:
     family: np.ndarray
     table: np.ndarray              # (levels x family) estimates
     verdict: str                   # "class-D" | "not-class-D"
-    limit_estimate: float          # plateau: 1/k -> 0 extrapolation, smallest level
+    limit_estimate: float          # smallest level's limit in k; see limit_basis
     limit_stderr: float
+    limit_basis: str               # the rule behind limit_estimate
     target: float
 
 
@@ -447,6 +437,10 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     A curve trending to zero evidences uniform integrability of the stopped
     family (class (D)); a plateau evidences the opposite, and its height is
     compared against the independently computed target <R^D rho, |mu_c|>.
+    ``limit_estimate`` is the smallest level's limit in k: the 1/k
+    extrapolation of its row, or exactly 0 for a solution with no
+    concentrated atom, whose bounded potential makes every k > sup u stop at
+    the boundary value 0; ``limit_basis`` names the rule used.
     """
     rng = _rng(seed)
     dom = solution.dom
@@ -476,22 +470,26 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     else:
         verdict = "not-class-D"
 
-    # plateau: stopped expectations approach the limit linearly in 1/k
-    # (deficit factor (1 - n/k) for the reducing family), so extrapolate the
-    # smallest level's row to 1/k -> 0 by weighted least squares
     row = table[0]
-    row_err = np.maximum(stderr_tab[0], 1e-15)
-    if len(family) >= 2 and np.any(row > 0):
-        wts = 1.0 / row_err
+    if not solution.decomposition.concentrated.atoms:
+        # bounded potential: every k > sup u stops at the boundary value 0
+        limit_est, limit_sig, basis = 0.0, 0.0, "exact zero (bounded potential)"
+    elif len(family) >= 2 and np.any(row > 0):
+        # plateau: stopped expectations approach the limit linearly in 1/k
+        # (deficit factor (1 - n/k) for the reducing family), so extrapolate
+        # the smallest level's row to 1/k -> 0 by weighted least squares
+        wts = 1.0 / np.maximum(stderr_tab[0], 1e-15)
         coef, cov = np.polyfit(1.0 / family, row, 1, w=wts, cov="unscaled")
         limit_est = float(coef[1])
         limit_sig = float(math.sqrt(max(cov[1, 1], 0.0)))
+        basis = "1/k extrapolation"
     else:
         limit_est, limit_sig = float(estimates[0]), float(stderrs[0])
+        basis = "best stopping time at the smallest level (no fit)"
     return UIDiagnostic(levels=levels, estimates=estimates, stderrs=stderrs,
                         family=family, table=table, verdict=verdict,
                         limit_estimate=limit_est, limit_stderr=limit_sig,
-                        target=float(target))
+                        limit_basis=basis, target=float(target))
 
 
 def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,

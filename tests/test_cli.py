@@ -134,6 +134,8 @@ def test_mc_subcommands(tmp_path):
     assert rc == 0
     rep = json.loads(read(os.path.join(out, "mc_classd_bounded.json")))
     assert rep["verdicts"]["verdict"] == "class-D"
+    assert rep["verdicts"]["limit_estimate"] == 0.0
+    assert rep["verdicts"]["limit_basis"] == "exact zero (bounded potential)"
     body = read(os.path.join(out, "mc_classd_bounded.csv")).decode().splitlines()
     assert [l for l in body if not l.startswith("#")][0] == "level,estimate,stderr"
 

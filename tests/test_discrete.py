@@ -1,4 +1,6 @@
 import gc
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,29 @@ CG_CASES = {
 }
 
 
+BLOCK_CASES = {"laplacian-disk": CG_CASES["disk"],
+               "divergence-disk": CG_CASES["divergence-disk"],
+               "fractional-interval": CG_CASES["fractional-interval"]}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_principal_block_solve(case):
+    """solve(rhs, on=c) solves A[c, c] x = rhs directly, and leaves A and
+    the caller's right-hand side as they were."""
+    op, dom, h = BLOCK_CASES[case]
+    dop = assemble(op, build_grid(dom, h))
+    rng = np.random.default_rng(8)
+    c = np.flatnonzero(rng.random(dop.n) < 0.6)
+    rhs = rng.standard_normal(c.size)
+    assert rhs.flags.f_contiguous
+    A_data, rhs_before = dop.A.data.copy(), rhs.copy()
+    x = dop.solve(rhs, on=c)
+    ref = spla.spsolve(dop.A[c][:, c].tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(dop.A.data, A_data)
+    assert np.array_equal(rhs, rhs_before)
+
+
 @pytest.fixture
 def cg_calls(monkeypatch):
     """Record the iterations of every CG call."""
@@ -301,3 +326,15 @@ def test_dense_view_shares_the_csr_data(interval_dop):
     assert np.array_equal(A, dop.A.toarray())
     with pytest.raises(AssemblyError):
         interval_dop.dense_view()
+
+
+def test_only_discrete_factors_a():
+    """One linear-solver interface: every solve with A or a block A[c, c]
+    goes through DiscreteOperator.solve, so no other module factors it."""
+    solver = re.compile(r"spsolve|factorized|splu|cho_factor|cho_solve")
+    found = [f"{path.name}:{i}"
+             for path in sorted(Path(discrete.__file__).parent.glob("*.py"))
+             if path.name != "discrete.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if solver.search(line)]
+    assert found == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 import potkit.envelope as envelope_mod
 from potkit import (Domain, OperatorSpec, assemble, build_grid, d1_norm,
@@ -101,6 +102,29 @@ def test_fractional_reduite_is_exact(frac_dop):
     assert np.all(w >= g_flat)
     assert res.iterations == 0
     assert res.policy_steps >= 1
+
+
+def _dense_cholesky_block_solve(dop, rhs, on=None):
+    """Reference for the continuation solve of the fractional policy
+    iteration, as ``envelope._continuation_solve`` did it before block solves
+    went through ``DiscreteOperator.solve(on=c)``: one dense Cholesky of
+    A[c, c], factored in place through its Fortran-ordered transpose."""
+    A = dop.dense_view()
+    factor = cho_factor(A[np.ix_(on, on)].T, overwrite_a=True)
+    return cho_solve(factor, rhs.copy(), overwrite_b=True)
+
+
+def test_fractional_reduite_matches_dense_cholesky_solve(monkeypatch, frac_dop):
+    grid = frac_dop.grid
+    g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
+    g_flat[grid.n_interior // 4] = 0.35          # an isolated peak off the bump
+    g = GridField.from_interior(grid, g_flat)
+    res = reduite(frac_dop, g)
+    assert res.policy_steps >= 2
+    monkeypatch.setattr(DiscreteOperator, "solve", _dense_cholesky_block_solve)
+    ref = reduite(frac_dop, g)
+    assert ref.policy_steps == res.policy_steps
+    assert np.array_equal(res.envelope.values, ref.envelope.values)
 
 
 def test_fractional_zero_obstacle(frac_dop):

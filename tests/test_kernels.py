@@ -165,13 +165,11 @@ def test_killing_interval_closed_form():
     assert killing_density(alpha, dom, x) == pytest.approx(direct, rel=1e-14)
 
 
-def test_killing_blowup_and_local_zero():
+def test_killing_blows_up_at_the_boundary():
     alpha = 0.5
     dom = Domain.interval(-1.0, 1.0)
     vals = [killing_density(alpha, dom, x) for x in (0.0, 0.9, 0.99, 0.999)]
     assert np.all(np.diff(vals) > 0)
-    from potkit.kernels import killing_for_op
-    assert killing_for_op(LAP, dom, 0.3) == 0.0
 
 
 def test_killing_ball2_quadrature_oracle():

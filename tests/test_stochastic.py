@@ -223,6 +223,7 @@ def test_class_d_estimates_nonincreasing(disk_dirac_solution):
                               n_samples=5_000, seed=12)
     assert np.all(np.diff(diag.table, axis=0) <= 1e-12)
     assert diag.verdict == "not-class-D"
+    assert diag.limit_basis == "1/k extrapolation"
 
 
 def test_class_d_bounded_exact_zeros():
@@ -233,6 +234,11 @@ def test_class_d_bounded_exact_zeros():
                               n_samples=5_000, seed=12)
     assert diag.verdict == "class-D"
     assert np.all(diag.estimates[1:] == 0.0)
+    # sup u = 1/4, so every k > 1/4 stops at the boundary value 0: the limit
+    # in k is 0, whatever a fit in 1/k to k <= 0.2 would give
+    assert diag.table[0, -1] > 0.0
+    assert (diag.limit_estimate, diag.limit_stderr) == (0.0, 0.0)
+    assert diag.limit_basis == "exact zero (bounded potential)"
 
 
 def test_maximal_inequality_presets():
