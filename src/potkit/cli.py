@@ -268,7 +268,9 @@ def cmd_mc(args) -> int:
         verdict = {"frac_stopped_before_exit":
                    est.extra["frac_stopped_before_exit"]}
         results = {"k": cfg["k"], "n": cfg["n"], "estimate": est.value,
-                   "stderr": est.stderr}
+                   "stderr": est.stderr,
+                   "walk_iterations": est.extra["walk_iterations"],
+                   "path_steps": est.extra["path_steps"]}
     elif args.mode == "classd":
         diag = class_d_diagnostic(sol, cfg["family"], cfg["levels"], rho=rho,
                                   n_samples=cfg.get("samples", 30000),

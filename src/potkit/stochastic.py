@@ -2,6 +2,10 @@
 increment walks, reducing-family stopped expectations, class-(D)
 uniform-integrability diagnostics, and the pathwise maximal inequality.
 
+The reducing and class-(D) walks run walk-on-spheres on the radial harmonic
+coordinate (log r in the plane, -r^(2-d) above), a time-changed 1-d Brownian
+motion, so they reach a level sphere of any radius in O(log 1/eps) steps.
+
 Determinism: every sampler takes a seed and drives a single PCG64 stream
 through vectorized draws, so identical (seed, config) reproduce results
 bit-for-bit; worker/thread counts never enter the samplers.
@@ -35,8 +39,10 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None) -> None:
-    """Advance the walkers ``cur`` (n, d) in place until each one stops.
+def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None):
+    """Advance the walkers ``cur`` (n, d) in place until each one stops;
+    returns (loop iterations, path steps): the ``step`` calls and the walkers
+    they moved.
 
     Every iteration evaluates ``stop`` on the live walkers' positions, which
     returns the stopped mask and a per-walker quantity (or None), drops the
@@ -47,15 +53,17 @@ def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None) -> None:
     draws keep the same order and size as a full-width mask would give.
     """
     live = np.arange(cur.shape[0])
-    for _ in range(max_iters):
+    path_steps = 0
+    for it in range(max_iters):
         pos = cur[live]
         stopped, quantity = stop(pos)
         moving = ~stopped
         live, pos = live[moving], pos[moving]
         if live.size == 0:
-            return
+            return it, path_steps
         pos = pos + step(pos, None if quantity is None else quantity[moving])
         cur[live] = pos
+        path_steps += live.size
         if on_step is not None:
             on_step(live, pos)
     raise ConvergenceError(f"walk exceeded its budget of {max_iters} iterations "
@@ -203,7 +211,9 @@ def _radial_profile(solution: Solution):
 def _level_radius(profile, R: float, k: float) -> float:
     """Radius of the superlevel set {u > k} of a decreasing radial profile
     (0 when the level is never reached).  Solved in log-radius so that level
-    circles shrinking like e^{-2 pi k} stay resolvable in doubles."""
+    circles shrinking like e^{-2 pi k} stay resolvable in doubles; a level
+    the profile does not resolve (|x|^2 underflows below r ~ 1.6e-162, so a
+    planar Dirac resolves k up to about 58) raises SupportError."""
     t_lo = math.log(1e-280)
     if profile(math.exp(t_lo))[0] <= k:
         return 0.0
@@ -212,30 +222,43 @@ def _level_radius(profile, R: float, k: float) -> float:
         return R
     t = optimize.brentq(lambda tt: profile(math.exp(tt))[0] - k, t_lo, t_hi,
                         xtol=1e-13, rtol=8.9e-16)
-    return float(math.exp(t))
+    r = math.exp(t)
+    u = profile(r)[0]
+    if not abs(u - k) <= 1e-9 * max(abs(k), 1.0):
+        raise SupportError(f"level k={k:g} is below the resolution of the radial "
+                           f"profile: its smallest resolved radius is about {r:.3g}, "
+                           f"where u = {u:.6g}")
+    return r
 
 
 def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
-    """Walk-on-spheres in the annulus {r_inner < |x - c| < R}; returns the
-    mask of walkers stopped at the inner circle.  Maximal-ball steps with
-    exact exit draws; the inner shell uses a relative tolerance so that level
-    circles far below the outer scale (r_inner ~ e^{-2 pi k}) stay unbiased."""
-    center = np.asarray(center, dtype=float)
-    cur = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    d = cur.shape[1]
-    eps_out = _EPS_ABS_FACTOR * 2.0 * R
-    eps_in = max(_EPS_REL_INNER * r_inner, 1e-300)
+    """Mask of the walkers from ``x0`` (n, d) that reach the inner sphere of the
+    annulus {r_inner < |x - c| < R} before the outer one, and the walk's
+    (loop iterations, path steps).  phi(|B_t - c|) is a time-changed 1-d
+    Brownian motion for phi = log r (d = 2) or -r^(2-d) (Levy), so the walk
+    runs on x = phi(r) in the strip phi(r_inner) < x < phi(R): walk-on-spheres
+    there (Muller 1956) steps x <- x + rho cos(theta), rho the distance to
+    the nearer edge, and needs O(log 1/eps) steps however small r_inner is
+    (e^{-2 pi k} for a planar Dirac).  The radial shells (relative 1e-3 at
+    the inner sphere, 1e-6 of the diameter at the outer) are carried into phi.
+    """
+    d = x0.shape[1]
+    phi = np.log if d == 2 else (lambda r: -np.power(r, 2.0 - d))
+    lo, hi = phi(r_inner), phi(R)
+    lo_shell = phi(r_inner * (1.0 + _EPS_REL_INNER))
+    hi_shell = phi(R - 2.0 * R * _EPS_ABS_FACTOR)
+    with np.errstate(divide="ignore"):
+        cur = phi(np.linalg.norm(x0 - center, axis=1))[:, None]
 
-    def stop(p):
-        r = np.linalg.norm(p - center, axis=1)
-        return ((r - r_inner) <= eps_in) | ((R - r) <= eps_out), r
+    def stop(x):
+        x = x[:, 0]
+        return (x <= lo_shell) | (x >= hi_shell), np.minimum(x - lo, hi - x)
 
-    def step(p, r):
-        rho = np.minimum(R - r, r - r_inner)
-        return rho[:, None] * _unit_directions(rng, p.shape[0], d)
+    def step(x, rho):
+        return (rho * _unit_directions(rng, x.shape[0], 2)[:, 0])[:, None]
 
-    _walk(cur, stop, step, _WOS_MAX_ITERS)
-    return (np.linalg.norm(cur - center, axis=1) - r_inner) <= eps_in
+    counts = _walk(cur, stop, step, _WOS_MAX_ITERS)
+    return cur[:, 0] <= lo_shell, counts
 
 
 def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
@@ -274,19 +297,21 @@ def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
     return out.reshape(-1, 1)
 
 
-def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng) -> np.ndarray:
-    """u(X_{tau_k}) for the reducing time tau_k = exit of {R^D|mu| <= k}."""
+def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng):
+    """u(X_{tau_k}) for the reducing time tau_k = exit of {R^D|mu| <= k}, and
+    the (loop iterations, path steps) of the walk that drew them ((0, 0)
+    when no walk runs: 1d exits are single exact draws)."""
     dom = solution.dom
     if dom.dim == 1:
         pts = _stopped_positions_1d(solution, k, x0, rng)
-        return solution.evaluate(pts)
+        return solution.evaluate(pts), (0, 0)
     center, profile = _radial_profile(solution)
     R = dom.radius
     r_k = _level_radius(profile, R, k)
     if r_k <= 0.0:
-        return np.zeros(np.atleast_2d(x0).shape[0])
+        return np.zeros(np.atleast_2d(x0).shape[0]), (0, 0)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    hit = _walk_annulus(center, R, r_k, x0, rng)
+    hit, counts = _walk_annulus(center, R, r_k, x0, rng)
     vals = np.zeros(hit.size)
     # the stopped position lies on the level circle {u = k} exactly
     vals[hit] = k
@@ -294,7 +319,7 @@ def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng) -> np.ndar
     inside = np.linalg.norm(x0 - center, axis=1) < r_k
     if inside.any():
         vals[inside] = solution.evaluate(x0[inside])
-    return vals
+    return vals, counts
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +402,14 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
     """
     rng = _rng(seed)
     x0 = np.tile(np.atleast_1d(np.asarray(start, dtype=float)), (n_samples, 1))
-    vals = stopped_values(solution, k, x0, rng)
+    vals, (iterations, path_steps) = stopped_values(solution, k, x0, rng)
     payoff = np.maximum(vals - n, 0.0)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     frac_inner = float(np.mean(vals > 1e-12))
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
-                      extra={"frac_stopped_before_exit": frac_inner, "k": k, "n": n})
+                      extra={"frac_stopped_before_exit": frac_inner, "k": k, "n": n,
+                             "walk_iterations": iterations, "path_steps": path_steps})
 
 
 def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
@@ -450,7 +476,7 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
 
     stopped = []
     for k in family:
-        vals = stopped_values(solution, k, starts, rng)
+        vals, _ = stopped_values(solution, k, starts, rng)
         stopped.append(np.abs(vals))
 
     table = np.empty((len(levels), len(family)))

@@ -140,6 +140,18 @@ def test_mc_subcommands(tmp_path):
     assert [l for l in body if not l.startswith("#")][0] == "level,estimate,stderr"
 
 
+def test_mc_reducing_reports_walk_counts(tmp_path):
+    outs = [str(tmp_path / name) for name in ("o1", "o2")]
+    for out in outs:
+        assert main(["mc", "reducing", "--preset", "mc-reducing-disk", "--out", out,
+                     "--quiet"]) == 0
+    first, second = (read(os.path.join(out, "mc_reducing_disk.json")) for out in outs)
+    assert first == second
+    res = json.loads(first)["results"]
+    assert 0 < res["walk_iterations"] < 1_000
+    assert res["path_steps"] >= res["walk_iterations"]
+
+
 def test_seed_override_changes_output(tmp_path):
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from potkit import (Domain, OperatorSpec, poisson_kernel, stable_exit, wos_exit)
+from potkit import (Domain, OperatorSpec, poisson_kernel, stable_exit, stochastic,
+                    wos_exit)
 from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit.solve import integral_solution
@@ -12,7 +13,8 @@ from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                one_sided_stable, reducing_expectation,
                                sample_start_points, stopped_values,
                                symmetric_stable_increments, _project_to_boundary,
-                               _rng, _walk)
+                               _level_radius, _radial_profile, _rng, _walk,
+                               _walk_annulus)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -175,6 +177,100 @@ def test_stopped_values_determinism(disk_dirac_solution):
                              start=[0.5, 0.0], n_samples=10_000, seed=77)
     assert a.value == b.value
     assert a.stderr == b.stderr
+    assert a.extra == b.extra
+
+
+def _ball_walk_annulus(center, R, r_inner, x0, rng):
+    """Reference: maximal-ball walk-on-spheres in the annulus itself, with
+    the same shells; returns the mask of walkers stopped at the inner sphere."""
+    cur = np.array(x0, dtype=float)
+    eps_out = 2e-6 * R
+    eps_in = 1e-3 * r_inner
+
+    def stop(p):
+        r = np.linalg.norm(p - center, axis=1)
+        return ((r - r_inner) <= eps_in) | ((R - r) <= eps_out), r
+
+    def step(p, r):
+        z = rng.standard_normal(p.shape)
+        rho = np.minimum(R - r, r - r_inner)
+        return rho[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    _walk(cur, stop, step, 100_000)
+    return (np.linalg.norm(cur - center, axis=1) - r_inner) <= eps_in
+
+
+def _hit_probability(d, r0, r_k):
+    """P(|B| reaches r_k before 1 from |B_0| = r0), by the radial harmonic
+    function: log r in the plane, -1/r in space."""
+    if d == 2:
+        return math.log(r0) / math.log(r_k)
+    return (1.0 / r0 - 1.0) / (1.0 / r_k - 1.0)
+
+
+@pytest.mark.parametrize("d,x0,r_k", [
+    (2, [0.5, 0.0], math.exp(-4.0 * math.pi)),
+    (2, [0.0, -0.1], math.exp(-8.0 * math.pi)),
+    (2, [0.6, 0.6], math.exp(-16.0 * math.pi)),
+    (2, [0.5, 0.0], math.exp(-32.0 * math.pi)),
+    (2, [0.05, 0.0], math.exp(-32.0 * math.pi)),
+    (3, [0.5, 0.0, 0.0], 0.02),
+    (3, [0.0, 0.3, -0.3], 0.1),
+    (3, [0.0, 0.0, 0.5], 0.3)])
+def test_walk_annulus_hit_frequency(d, x0, r_k):
+    # k = 2, 4, 8, 16 and 16 in the plane; three radii in space
+    n = 40_000
+    hit, _ = _walk_annulus(np.zeros(d), 1.0, r_k, np.tile(x0, (n, 1)), _rng(5))
+    p = _hit_probability(d, np.linalg.norm(x0), r_k)
+    assert abs(hit.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("d,x0,r_k", [(2, [0.5, 0.0], math.exp(-4.0 * math.pi)),
+                                      (3, [0.5, 0.0, 0.0], 0.1)])
+def test_walk_annulus_matches_ball_walk(d, x0, r_k):
+    n = 20_000
+    starts = np.tile(x0, (n, 1))
+    new, _ = _walk_annulus(np.zeros(d), 1.0, r_k, starts, _rng(8))
+    ref = _ball_walk_annulus(np.zeros(d), 1.0, r_k, starts, _rng(9))
+    p, q = new.mean(), ref.mean()
+    assert abs(p - q) <= 3.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n)
+
+
+def test_reducing_expectation_3d_ball():
+    ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+    sol = integral_solution(LAP, ball, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)],
+                                                        dom=ball))
+    k, n, r0 = 4.0, 1.0, 0.5
+    est = reducing_expectation(sol, k=k, n=n, start=[0.0, r0, 0.0],
+                               n_samples=50_000, seed=6)
+    # u = (1/r - 1)/(4 pi), so u = k on 1/r_k - 1 = 4 pi k
+    exact = (k - n) * (1.0 / r0 - 1.0) / (4.0 * math.pi * k)
+    assert abs(est.value - exact) <= 3.0 * est.stderr
+    assert est.extra["walk_iterations"] > 0
+
+
+def test_reducing_walk_step_count(disk_dirac_solution, monkeypatch):
+    # the radial walk needs O(log 1/eps) steps, not (2 pi k)^2: at k = 16 the
+    # maximal-ball walk in the annulus took 23,117 loop iterations on these inputs
+    calls = []
+    draw = stochastic._unit_directions
+    monkeypatch.setattr(stochastic, "_unit_directions",
+                        lambda rng, n, d: calls.append(n) or draw(rng, n, d))
+    est = reducing_expectation(disk_dirac_solution, k=16.0, n=1.0, start=[0.5, 0.0],
+                               n_samples=20_000, seed=3)
+    assert len(calls) < 500
+    assert est.extra["walk_iterations"] == len(calls)
+    assert est.extra["path_steps"] == sum(calls)
+
+
+def test_level_radius_resolution_guard(disk_dirac_solution):
+    _, profile = _radial_profile(disk_dirac_solution)
+    assert _level_radius(profile, 1.0, 16.0) == pytest.approx(math.exp(-32.0 * math.pi),
+                                                             rel=1e-12)
+    # e^{-200 pi} is below the smallest radius the profile resolves
+    with pytest.raises(SupportError, match="k=100"):
+        reducing_expectation(disk_dirac_solution, k=100.0, n=1.0, start=[0.5, 0.0],
+                             n_samples=1, seed=0)
 
 
 def test_stopped_values_unreached_level_draws_nothing():
@@ -183,8 +279,9 @@ def test_stopped_values_unreached_level_draws_nothing():
     sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    vals = stopped_values(sol, 0.3, np.array([[0.1, 0.2], [-0.4, 0.0]]), rng)
+    vals, counts = stopped_values(sol, 0.3, np.array([[0.1, 0.2], [-0.4, 0.0]]), rng)
     assert np.all(vals == 0.0)
+    assert counts == (0, 0)
     assert rng.bit_generator.state == before
 
 
@@ -195,11 +292,11 @@ def test_stopped_values_start_inside_level_set():
     sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
     r_k = math.sqrt(0.2)
     starts = np.array([[0.5 * r_k, 0.0], [0.0, -0.3], [0.8, 0.0]])
-    vals = stopped_values(sol, 0.2, starts, np.random.default_rng(3))
+    vals, _ = stopped_values(sol, 0.2, starts, np.random.default_rng(3))
     assert vals[:2] == pytest.approx((1.0 - np.sum(starts[:2] ** 2, axis=1)) / 4.0,
                                      rel=1e-12)
     assert vals[0] == pytest.approx(0.2375, rel=1e-12)
-    alone = stopped_values(sol, 0.2, starts[2:], np.random.default_rng(3))
+    alone, _ = stopped_values(sol, 0.2, starts[2:], np.random.default_rng(3))
     assert vals[2] == alone[0]
     assert alone[0] in (0.0, 0.2)
 
@@ -289,14 +386,16 @@ def test_stable_walk_start_outside_rejected():
 def _mask_walk(cur, stop, step, max_iters, on_step=None):
     """Reference walker loop: re-masks all n walkers on every iteration."""
     active = np.ones(cur.shape[0], dtype=bool)
-    for _ in range(max_iters):
+    path_steps = 0
+    for it in range(max_iters):
         stopped, quantity = stop(cur[active])
         active[active] = ~stopped
         if not active.any():
-            return
+            return it, path_steps
         new = cur[active] + step(cur[active],
                                  None if quantity is None else quantity[~stopped])
         cur[active] = new
+        path_steps += new.shape[0]
         if on_step is not None:
             on_step(np.flatnonzero(active), new)
     raise ConvergenceError("reference walk exceeded its budget")
@@ -320,7 +419,8 @@ def _walk_outputs(disk_dirac_solution):
                                        rho=lambda p: np.ones(len(p)),
                                        n_samples=1_000, seed=4)
     return [wos_exit(rect, [0.4, 1.0], seed=4, n_samples=500),
-            np.array([red.value, red.stderr, red.extra["frac_stopped_before_exit"]]),
+            np.array([red.value, red.stderr, red.extra["frac_stopped_before_exit"],
+                      red.extra["walk_iterations"], red.extra["path_steps"]]),
             diag.table, diag.stderrs,
             np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
             stable_exit(Domain.interval(-1.0, 1.0), [0.0], alpha=0.5, dt=1e-2,
