@@ -283,7 +283,8 @@ def cmd_mc(args) -> int:
                    "limit_basis": diag.limit_basis}
         results = {"levels": diag.levels, "estimates": diag.estimates,
                    "stderrs": diag.stderrs, "family": diag.family,
-                   "table": diag.table}
+                   "table": diag.table, "walk_iterations": diag.walk_iterations,
+                   "path_steps": diag.path_steps}
     else:
         dop = _grid_operator(cfg, dom, op)
         u_abs, _, _ = envelope_field(sol, dop)
@@ -294,7 +295,9 @@ def cmd_mc(args) -> int:
         rows = [(0.5, est.value, est.stderr)]
         verdict = {"passed": est.extra["passed"], "bound": est.extra["bound"],
                    "margin": est.extra["margin"], "d1_norm": d1}
-        results = {"estimate": est.value, "stderr": est.stderr}
+        results = {"estimate": est.value, "stderr": est.stderr,
+                   "walk_iterations": est.extra["walk_iterations"],
+                   "path_steps": est.extra["path_steps"]}
 
     write_csv(os.path.join(out, f"{prefix}.csv"),
               ["level", "estimate", "stderr"], rows,

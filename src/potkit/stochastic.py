@@ -1,6 +1,11 @@
-"""Exit-time Monte Carlo: exact ball-exit draws (walk-on-spheres), stable
-increment walks, reducing-family stopped expectations, class-(D)
-uniform-integrability diagnostics, and the pathwise maximal inequality.
+"""Exit-time Monte Carlo: exact ball-exit draws (walk-on-spheres), exact
+stable-process exits by ball jumps, reducing-family stopped expectations,
+class-(D) uniform-integrability diagnostics, and the pathwise maximal
+inequality.
+
+Stable exits jump from the centre of the largest ball inside D to an exact
+draw from that ball's Blumenthal-Getoor-Ray exit law until they land outside
+D, so they carry no time-step bias; ``stable_exit`` ignores a ``dt``.
 
 The reducing and class-(D) walks run walk-on-spheres on the radial harmonic
 coordinate (log r in the plane, -r^(2-d) above), a time-changed 1-d Brownian
@@ -138,6 +143,24 @@ def ball_exit_points(center: np.ndarray, radius, x: np.ndarray,
     raise SupportError("ball exit sampling supports d in {1,2,3}")
 
 
+def _start_points(x, n_samples: Optional[int]) -> np.ndarray:
+    """A fresh array of the start rows of x, a single point repeated
+    n_samples times; the walks move it in place."""
+    pts = np.array(x, dtype=float, ndmin=2)
+    if n_samples is not None and pts.shape[0] == 1:
+        pts = np.repeat(pts, n_samples, axis=0)
+    return pts
+
+
+def _check_unmasked(dom: Domain, sampler: str) -> None:
+    """Walk-on-spheres steps by ``Domain.distance_to_boundary``, which
+    measures to a rectangle's faces and ignores its mask: on a masked
+    rectangle the balls would cross the removed part."""
+    if dom.mask is not None:
+        raise SupportError(f"{sampler} does not support a masked rectangle: its "
+                           "distance to the boundary ignores the mask")
+
+
 def wos_exit(dom: Domain, x, rng=None, seed: int = 0,
              n_samples: Optional[int] = None) -> np.ndarray:
     """Exit point(s) of Brownian motion from the domain, started at x.
@@ -145,12 +168,12 @@ def wos_exit(dom: Domain, x, rng=None, seed: int = 0,
     Balls and intervals use a single exact draw from the closed-form exit
     law.  Rectangles iterate maximal inscribed balls until within
     1e-6 * diameter of the boundary, then project to the nearest boundary
-    point.
+    point.  A masked rectangle raises SupportError: its distance to the
+    boundary is not known.
     """
+    _check_unmasked(dom, "wos_exit")
     rng = _rng(rng if rng is not None else seed)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if n_samples is not None and pts.shape[0] == 1:
-        pts = np.repeat(pts, n_samples, axis=0)
+    pts = _start_points(x, n_samples)
 
     if dom.kind in ("ball", "interval"):
         ball = dom.as_ball()
@@ -162,11 +185,10 @@ def wos_exit(dom: Domain, x, rng=None, seed: int = 0,
         dist = dom.distance_to_boundary(p)
         return dist <= eps, dist
 
-    cur = pts.copy()
-    _walk(cur, stop,
+    _walk(pts, stop,
           lambda p, dist: dist[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
           _WOS_MAX_ITERS)
-    return _project_to_boundary(dom, cur)
+    return _project_to_boundary(dom, pts)
 
 
 def _project_to_boundary(dom: Domain, pts: np.ndarray) -> np.ndarray:
@@ -323,60 +345,41 @@ def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng):
 
 
 # ---------------------------------------------------------------------------
-# stable walks
+# stable-process exits
 # ---------------------------------------------------------------------------
 
-def symmetric_stable_increments(alpha: float, size, rng) -> np.ndarray:
-    """Standard symmetric alpha-stable draws (characteristic function
-    exp(-|xi|^alpha)) by the polar/exponential transformation method."""
-    V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    W = rng.exponential(1.0, size)
-    if abs(alpha - 1.0) < 1e-12:
-        return np.tan(V)
-    return (np.sin(alpha * V) / np.cos(V) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * V) / W) ** ((1.0 - alpha) / alpha))
+def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None, rng=None,
+                seed: int = 0, n_samples: Optional[int] = None) -> np.ndarray:
+    """Landing points X_{tau_D} (in the complement) of the symmetric
+    alpha-stable process leaving D, 0 < alpha < 2.
 
+    Walk-on-spheres for the fractional Laplacian (Kyprianou, Osojnik &
+    Shardlow 2018): from x, with rho the distance to the boundary, jump to
+    x + rho T^(-1/2) Theta, T ~ Beta(alpha/2, 1 - alpha/2) and Theta a
+    uniform direction; that is an exact draw from the exit law of the ball
+    B(x, rho) from its centre (Blumenthal, Getoor & Ray 1961), the law of
+    ``kernels.poisson_kernel``.  The first point outside D is therefore
+    X_{tau_D} exactly.  In 1-d a jump toward the nearer edge always exits.
 
-def one_sided_stable(beta: float, size, rng) -> np.ndarray:
-    """Positive beta-stable draws with Laplace transform exp(-lambda^beta)."""
-    U = rng.uniform(0.0, math.pi, size)
-    W = rng.exponential(1.0, size)
-    A = (np.sin(beta * U) ** beta * np.sin((1.0 - beta) * U) ** (1.0 - beta)
-         / np.sin(U)) ** (1.0 / (1.0 - beta))
-    return (A / W) ** ((1.0 - beta) / beta)
-
-
-def isotropic_stable_increments(alpha: float, n: int, d: int, rng) -> np.ndarray:
-    """Rotationally invariant alpha-stable vectors via Brownian subordination."""
-    if d == 1:
-        return symmetric_stable_increments(alpha, (n, 1), rng)
-    S = one_sided_stable(alpha / 2.0, n, rng)
-    Z = rng.standard_normal((n, d))
-    return np.sqrt(2.0 * S)[:, None] * Z
-
-
-def stable_exit(dom: Domain, x, alpha: float, dt: float, rng=None, seed: int = 0,
-                n_samples: Optional[int] = None,
-                max_steps: int = 10**7) -> np.ndarray:
-    """Landing points (in the complement) of the alpha-stable walk leaving D.
-
-    Sums standard symmetric stable increments scaled by dt^(1/alpha); the
-    returned overshoot positions lie outside the closed domain with
-    probability one (no boundary creeping for alpha < 2).  ``max_steps``
-    caps the steps of the longest walk; ConvergenceError past it.
+    ``dt`` is accepted and ignored: the walk has no time step.  It stays in
+    the signature for callers that still pass one, and they get the same
+    landings as without it.
     """
+    if not 0.0 < alpha < 2.0:
+        raise SupportError(f"stable exits need 0 < alpha < 2, got alpha={alpha}")
+    _check_unmasked(dom, "stable_exit")
     rng = _rng(rng if rng is not None else seed)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if n_samples is not None and pts.shape[0] == 1:
-        pts = np.repeat(pts, n_samples, axis=0)
-    cur = pts.copy()
+    cur = _start_points(x, n_samples)
     if not np.all(dom.contains(cur)):
         raise SupportError("stable walk starts must be interior")
     d = cur.shape[1]
-    scale = dt ** (1.0 / alpha)
-    _walk(cur, lambda p: (~dom.contains(p), None),
-          lambda p, _: isotropic_stable_increments(alpha, p.shape[0], d, rng) * scale,
-          max_steps)
+
+    def step(p, rho):
+        t = rng.beta(alpha / 2.0, 1.0 - alpha / 2.0, p.shape[0])
+        return (rho / np.sqrt(t))[:, None] * _unit_directions(rng, p.shape[0], d)
+
+    _walk(cur, lambda p: (~dom.contains(p), dom.distance_to_boundary(p)), step,
+          _WOS_MAX_ITERS)
     return cur
 
 
@@ -452,6 +455,8 @@ class UIDiagnostic:
     limit_stderr: float
     limit_basis: str               # the rule behind limit_estimate
     target: float
+    walk_iterations: int           # loop iterations, summed over the family
+    path_steps: int                # walker moves, summed over the family
 
 
 def class_d_diagnostic(solution: Solution, family: Sequence[float],
@@ -475,9 +480,12 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     starts = sample_start_points(dom, rho, n_samples, rng)
 
     stopped = []
+    iterations = path_steps = 0
     for k in family:
-        vals, _ = stopped_values(solution, k, starts, rng)
+        vals, (its, steps) = stopped_values(solution, k, starts, rng)
         stopped.append(np.abs(vals))
+        iterations += its
+        path_steps += steps
 
     table = np.empty((len(levels), len(family)))
     stderr_tab = np.empty_like(table)
@@ -515,7 +523,8 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     return UIDiagnostic(levels=levels, estimates=estimates, stderrs=stderrs,
                         family=family, table=table, verdict=verdict,
                         limit_estimate=limit_est, limit_stderr=limit_sig,
-                        limit_basis=basis, target=float(target))
+                        limit_basis=basis, target=float(target),
+                        walk_iterations=iterations, path_steps=path_steps)
 
 
 def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
@@ -546,9 +555,9 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
         v[~np.isfinite(v)] = 0.0
         running[live] = np.maximum(running[live], v)
 
-    _walk(pts, stop,
-          lambda p, gap: gap[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
-          _WOS_MAX_ITERS, on_step=track)
+    iterations, path_steps = _walk(
+        pts, stop, lambda p, gap: gap[:, None] * _unit_directions(rng, p.shape[0], dom.dim),
+        _WOS_MAX_ITERS, on_step=track)
 
     payoff = running**exponent
     est = float(np.mean(payoff))
@@ -557,4 +566,5 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     passed = est <= bound + 3.0 * stderr
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
                       extra={"bound": float(bound), "passed": bool(passed),
-                             "margin": float(bound + 3.0 * stderr - est)})
+                             "margin": float(bound + 3.0 * stderr - est),
+                             "walk_iterations": iterations, "path_steps": path_steps})

@@ -1,7 +1,7 @@
 """The benchmark's checks, run in the tier-1 suite: ``bench/workloads.py``
-(imported, never modified) must pass every check of its dense fractional
-workload and of its two tail-curve workloads, and two passes of each must
-hash to the same digest."""
+(imported, never modified) must pass every check of each of its four
+workloads (the dense fractional one, the two tail curves and the Monte Carlo
+exits), and two passes of each must hash to the same digest."""
 
 import importlib.util
 import pathlib
@@ -24,7 +24,8 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["interval-fractional", "disk-dirac-cg", "disk-mixed-psor"])
+@pytest.mark.parametrize("name", ["interval-fractional", "disk-dirac-cg", "disk-mixed-psor",
+                                  "mc-exit"])
 def test_workload_passes_checks_deterministically(workloads, name):
     ctx = workloads.setup(name)
     first, second = (workloads.run_pass(name, ctx) for _ in range(2))

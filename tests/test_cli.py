@@ -152,6 +152,16 @@ def test_mc_reducing_reports_walk_counts(tmp_path):
     assert res["path_steps"] >= res["walk_iterations"]
 
 
+@pytest.mark.parametrize("mode,preset", [("classd", "mc-classd-bounded"),
+                                         ("maximal", "mc-maximal-bounded")])
+def test_mc_classd_maximal_report_walk_counts(tmp_path, mode, preset):
+    out = str(tmp_path / "out")
+    assert main(["mc", mode, "--preset", preset, "--out", out, "--quiet"]) == 0
+    res = json.loads(read(os.path.join(out, preset.replace("-", "_") + ".json")))["results"]
+    assert 0 < res["walk_iterations"] < 1_000
+    assert res["path_steps"] >= res["walk_iterations"]
+
+
 def test_seed_override_changes_output(tmp_path):
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")

@@ -10,14 +10,15 @@ from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit.solve import integral_solution
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
-                               one_sided_stable, reducing_expectation,
-                               sample_start_points, stopped_values,
-                               symmetric_stable_increments, _project_to_boundary,
-                               _level_radius, _radial_profile, _rng, _walk,
-                               _walk_annulus)
+                               reducing_expectation, sample_start_points,
+                               stopped_values, _project_to_boundary, _level_radius,
+                               _radial_profile, _rng, _walk, _walk_annulus)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
+# the unit square without its upper-right quadrant
+L_SHAPE = Domain.rectangle([(0.0, 1.0), (0.0, 1.0)],
+                           mask=lambda p: ~((p[:, 0] > 0.5) & (p[:, 1] > 0.5)))
 EXACT_REDUCING = 3.0 * math.log(2.0) / (8.0 * math.pi)
 
 
@@ -71,30 +72,15 @@ def test_wos_rectangle_lands_on_boundary():
     assert np.all(on_face)
 
 
-def test_symmetric_stable_characteristic_function():
-    rng = _rng(17)
-    alpha = 0.7
-    x = symmetric_stable_increments(alpha, 200_000, rng)
-    for t in (0.5, 1.0, 2.0):
-        emp = np.cos(t * x).mean()
-        se = np.cos(t * x).std() / math.sqrt(x.size)
-        assert abs(emp - math.exp(-abs(t) ** alpha)) < 4.0 * se
-
-
-def test_one_sided_stable_laplace_transform():
-    rng = _rng(23)
-    beta = 0.4
-    s = one_sided_stable(beta, 200_000, rng)
-    assert np.all(s > 0)
-    for lam in (0.5, 1.0, 2.0):
-        emp = np.exp(-lam * s).mean()
-        se = np.exp(-lam * s).std() / math.sqrt(s.size)
-        assert abs(emp - math.exp(-lam**beta)) < 4.0 * se
+def test_wos_masked_rectangle_rejected():
+    # the walk's balls would reach into the removed quadrant
+    with pytest.raises(SupportError, match="masked"):
+        wos_exit(L_SHAPE, [0.45, 0.45], seed=1, n_samples=2_000)
 
 
 def test_stable_exit_outside_and_symmetric():
     dom = Domain.interval(-1.0, 1.0)
-    pts = stable_exit(dom, [0.0], alpha=0.5, dt=1e-3, seed=31, n_samples=20_000)
+    pts = stable_exit(dom, [0.0], alpha=0.5, seed=31, n_samples=20_000)
     z = pts[:, 0]
     assert np.all(np.abs(z) >= 1.0)
     p_right = np.mean(z > 0)
@@ -102,28 +88,56 @@ def test_stable_exit_outside_and_symmetric():
 
 
 def test_stable_exit_law_total_variation():
+    # from x = 0.5 the largest ball inside (-1, 1) is not the interval, so a
+    # walker takes several jumps; its landing law is the exact exit law of
+    # the interval from 0.5, binned on both sides with the two tails
     dom = Domain.interval(-1.0, 1.0)
     op = OperatorSpec.fractional(0.5)
+    kernel = lambda s: poisson_kernel(op, dom, [0.5], [s])
     edges = np.linspace(1.0, 3.0, 33)
-    expect = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, _ = integrate.quad(lambda s: 2.0 * poisson_kernel(op, dom, [0.0], [s]),
-                              lo, hi)
-        expect.append(v)
-    expect.append(1.0 - sum(expect))
+    right = [integrate.quad(kernel, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:])]
+    left = [integrate.quad(kernel, -hi, -lo)[0] for lo, hi in zip(edges[:-1], edges[1:])]
+    tails = [integrate.quad(kernel, 3.0, np.inf)[0],
+             integrate.quad(kernel, -np.inf, -3.0)[0]]
+    expect = np.array(right + left + tails)
+    assert expect.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def tv_at(dt, seed):
-        pts = stable_exit(dom, [0.0], alpha=0.5, dt=dt, seed=seed,
-                          n_samples=20_000)
-        z = np.abs(pts[:, 0])
-        emp = np.histogram(z, bins=edges)[0] / z.size
-        emp = np.append(emp, np.mean(z >= 3.0))
-        return 0.5 * float(np.sum(np.abs(emp - np.asarray(expect))))
+    z = stable_exit(dom, [0.5], alpha=0.5, seed=41, n_samples=200_000)[:, 0]
+    assert np.all(np.abs(z) >= 1.0)
+    emp = np.concatenate([np.histogram(z, bins=edges)[0],
+                          np.histogram(-z, bins=edges)[0],
+                          [np.sum(z >= 3.0), np.sum(z <= -3.0)]]) / z.size
+    assert emp.sum() == 1.0
+    assert 0.5 * np.sum(np.abs(emp - expect)) <= 0.02
 
-    tv_fine = tv_at(1e-3, 41)
-    tv_coarse = tv_at(2e-2, 41)
-    assert tv_fine < 0.05
-    assert tv_fine <= tv_coarse + 0.01        # refinement trend
+
+def test_stable_exit_ignores_dt():
+    dom = Domain.interval(-1.0, 1.0)
+    with_dt = stable_exit(dom, [0.5], alpha=0.5, dt=1e-3, seed=5, n_samples=2_000)
+    without = stable_exit(dom, [0.5], alpha=0.5, seed=5, n_samples=2_000)
+    assert np.array_equal(with_dt, without)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5, 2.5])
+def test_stable_exit_alpha_outside_range_rejected(alpha):
+    with pytest.raises(SupportError, match="alpha"):
+        stable_exit(Domain.interval(-1.0, 1.0), [0.0], alpha=alpha, seed=1,
+                    n_samples=10)
+
+
+def test_stable_exit_masked_rectangle_rejected():
+    with pytest.raises(SupportError, match="masked"):
+        stable_exit(L_SHAPE, [0.45, 0.45], alpha=0.5, seed=1, n_samples=2_000)
+
+
+def test_stable_exit_rectangle_lands_outside():
+    # in 2-d a jump can land back inside the rectangle, so walkers take
+    # several jumps; each stops at its first point outside
+    dom = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
+    starts = np.tile([0.4, 1.0], (5_000, 1))
+    pts = stable_exit(dom, starts, alpha=1.2, seed=3)
+    assert not np.any(dom.contains(pts))
+    assert np.all(starts == [0.4, 1.0])      # the walk moves a copy
 
 
 def test_reducing_expectation_benchmark(disk_dirac_solution):
@@ -252,10 +266,7 @@ def test_reducing_expectation_3d_ball():
 def test_reducing_walk_step_count(disk_dirac_solution, monkeypatch):
     # the radial walk needs O(log 1/eps) steps, not (2 pi k)^2: at k = 16 the
     # maximal-ball walk in the annulus took 23,117 loop iterations on these inputs
-    calls = []
-    draw = stochastic._unit_directions
-    monkeypatch.setattr(stochastic, "_unit_directions",
-                        lambda rng, n, d: calls.append(n) or draw(rng, n, d))
+    calls = _count_directions(monkeypatch)
     est = reducing_expectation(disk_dirac_solution, k=16.0, n=1.0, start=[0.5, 0.0],
                                n_samples=20_000, seed=3)
     assert len(calls) < 500
@@ -354,6 +365,36 @@ def test_maximal_inequality_presets():
     assert esti.extra["passed"]
 
 
+def _count_directions(monkeypatch):
+    """Record the walker count of every ``_unit_directions`` draw: one per
+    loop iteration of a walk."""
+    calls = []
+    draw = stochastic._unit_directions
+    monkeypatch.setattr(stochastic, "_unit_directions",
+                        lambda rng, n, d: calls.append(n) or draw(rng, n, d))
+    return calls
+
+
+def test_class_d_reports_walk_counts(disk_dirac_solution, monkeypatch):
+    calls = _count_directions(monkeypatch)
+    diag = class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0],
+                              levels=[0.25, 0.5],
+                              rho=lambda p: np.full(len(p), 1 / math.pi),
+                              n_samples=2_000, seed=12)
+    assert diag.walk_iterations == len(calls) > 0
+    assert diag.path_steps == sum(calls)
+
+
+def test_maximal_reports_walk_counts(monkeypatch):
+    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    calls = _count_directions(monkeypatch)
+    est = maximal_inequality_check(sol, d1_value=0.125,
+                                   rho=lambda p: np.full(len(p), 1 / math.pi),
+                                   n_samples=1_000, seed=8)
+    assert est.extra["walk_iterations"] == len(calls) > 0
+    assert est.extra["path_steps"] == sum(calls)
+
+
 def test_maximal_zero_solution():
     sol = integral_solution(LAP, DISK, MeasureData())
     est = maximal_inequality_check(sol, d1_value=0.0,
@@ -380,7 +421,7 @@ def test_radial_machinery_guards():
 def test_stable_walk_start_outside_rejected():
     dom = Domain.interval(-1.0, 1.0)
     with pytest.raises(SupportError):
-        stable_exit(dom, [2.0], alpha=0.5, dt=1e-3, seed=1, n_samples=10)
+        stable_exit(dom, [2.0], alpha=0.5, seed=1, n_samples=10)
 
 
 def _mask_walk(cur, stop, step, max_iters, on_step=None):
@@ -423,8 +464,8 @@ def _walk_outputs(disk_dirac_solution):
                       red.extra["walk_iterations"], red.extra["path_steps"]]),
             diag.table, diag.stderrs,
             np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
-            stable_exit(Domain.interval(-1.0, 1.0), [0.0], alpha=0.5, dt=1e-2,
-                        seed=4, n_samples=500)]
+            stable_exit(Domain.interval(-1.0, 1.0), [0.5], alpha=0.5, seed=4,
+                        n_samples=500)]
 
 
 def test_walk_matches_full_mask_reference(disk_dirac_solution, monkeypatch):
