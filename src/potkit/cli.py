@@ -224,8 +224,7 @@ def cmd_reconstruct(args) -> int:
     eta = build_eta(cfg, dom)
     levels = cfg.get("levels", [0.25, 0.5])
     rep = reconstruct_mu_c(sol, eta, levels,
-                           **({"rel_tol": cfg.get("tolerances", {}).get(
-                               "quad_rel", 0.01)} if args.mode == "nonlocal" else {}))
+                           rel_tol=cfg.get("tolerances", {}).get("quad_rel", 0.01))
     rows = [(n, v, rep.target, e) for n, v, e in
             zip(rep.levels, rep.values, rep.rel_errors)]
     prefix = _prefix(cfg)

@@ -188,37 +188,26 @@ def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:
 
 def assemble(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     """Assemble the discrete -L on the grid's interior nodes."""
-    if op.kind == "laplacian":
-        return _assemble_local(op, grid, coeff=None)
-    if op.kind == "divergence":
-        return _assemble_local(op, grid, coeff=op.coeff)
+    if op.is_local:
+        return _assemble_local(op, grid)
     if op.kind == "fractional":
         return _assemble_fractional(op, grid)
     raise AssemblyError(f"unknown operator kind {op.kind!r}")
 
 
-def _coeff_at(coeff, pts: np.ndarray, axis: int, dim: int) -> np.ndarray:
-    """Scalar or per-axis (diagonal tensor) coefficient values at points."""
-    vals = np.asarray(coeff(pts), dtype=float)
-    if vals.ndim == 1:
-        return vals
-    if vals.ndim == 2 and vals.shape[1] == dim:
-        return vals[:, axis]
-    raise AssemblyError(
-        "coefficient field must return (N,) scalars or (N,d) diagonal entries; "
-        "full anisotropic tensors are not supported by the stencil assembly")
-
-
-def _assemble_local(op: OperatorSpec, grid: Grid, coeff) -> DiscreteOperator:
+def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
+    """Stencil of -div(a grad .), with a = 1 for the Laplacian and each
+    edge weighted by the mean of ``op.coeff_at`` at its two ends."""
     dim, h = grid.dim, grid.h
     shape = grid.shape
     inv_h2 = 1.0 / h**2
     idx = grid.interior_index
     interior = grid.interior_mask
+    coeff = op.coeff
 
     if coeff is not None:
         pts = grid.node_points().reshape(-1, dim)
-        relevant = (grid.classes.reshape(-1) > 0)
+        relevant = (interior | grid.boundary_mask).reshape(-1)
         vals_check = np.asarray(coeff(pts[relevant]), dtype=float)
         if np.any(vals_check < op.lam - 1e-12) or np.any(vals_check > op.Lam + 1e-12):
             bad = pts[relevant][np.argmax((vals_check < op.lam) | (vals_check > op.Lam))]
@@ -236,8 +225,8 @@ def _assemble_local(op: OperatorSpec, grid: Grid, coeff) -> DiscreteOperator:
         else:
             p_lo = node_pts[trail].reshape(-1, dim)
             p_hi = node_pts[lead].reshape(-1, dim)
-            a_lo = _coeff_at(coeff, p_lo, k, dim)
-            a_hi = _coeff_at(coeff, p_hi, k, dim)
+            a_lo = op.coeff_at(p_lo, k)
+            a_hi = op.coeff_at(p_hi, k)
             edge = (0.5 * (a_lo + a_hi) * inv_h2).reshape(node_pts[trail].shape[:-1])
 
         # edges with at least one interior endpoint enter the diagonal;

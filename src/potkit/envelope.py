@@ -32,7 +32,6 @@ from .discrete import DiscreteOperator, discrete_green
 from .errors import ConvergenceError, SupportError
 from .geometry import Grid, GridField, lattice_shifts
 from .kernels import green
-from .measures import Density
 from .solve import Solution
 
 _ACTIVE_TOL_FACTOR = 100.0
@@ -168,18 +167,18 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray,
         f"{_MAX_POLICY_STEPS} steps")
 
 
-def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
-            omega: float = 1.5,
+def reduite(dop: DiscreteOperator, g, tol: float = 1e-10, omega="auto",
             w0: Optional[np.ndarray] = None) -> ReduiteResult:
     """Smallest excessive majorant of the obstacle g >= 0.
 
     Local operators run projected red-black SOR from w0 = g toward the
     smallest fixed point of w = max(g, P w); any supplied warm start must
     sit below the envelope.  ``tol`` (the stopping update and, times
-    ``_ACTIVE_TOL_FACTOR``, the continuation threshold) and ``omega``
-    (``"auto"`` picks the near-optimal SOR relaxation) govern only this
-    local PSOR.  The dense fractional operator is solved exactly by policy
-    iteration, started from the stopping set of w0 (any w0 will do).
+    ``_ACTIVE_TOL_FACTOR``, the continuation threshold) and ``omega`` (a
+    number, or the default ``"auto"``: ``omega_optimal`` of the grid)
+    govern only this local PSOR.  The dense fractional operator is solved
+    exactly by policy iteration, started from the stopping set of w0 (any
+    w0 will do).
     Non-finite obstacle values are capped at the obstacle's value one cell
     away.
     """
@@ -237,8 +236,8 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
 
 
 def _rho_values(rho, grid) -> np.ndarray:
-    if isinstance(rho, Density):
-        return rho(grid.interior_points())
+    """rho at the interior nodes, for rho a callable (a ``Density`` among
+    them), a number or an array of interior values."""
     if callable(rho):
         return np.asarray(rho(grid.interior_points()), dtype=float)
     if isinstance(rho, (int, float)):

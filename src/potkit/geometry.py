@@ -3,9 +3,9 @@
 Domains are open sets (interval, ball, axis-aligned rectangle). Grids are
 uniform lattices anchored at a fixed domain point, so that halving the mesh
 width produces a refinement containing every coarse node. Each lattice node
-is classified as interior (inside the open domain), boundary (outside, but
-face-adjacent to an interior node; homogeneous Dirichlet data lives there),
-or exterior.
+is interior (inside the open domain), boundary (outside, but face-adjacent
+to an interior node; homogeneous Dirichlet data lives there), or exterior
+(neither).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DimensionMismatchError, GridSizeError, SupportError
 
 DEFAULT_NODE_CAP = 10**7
-
-EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,9 @@ class Domain:
 class Grid:
     """Uniform lattice over a domain's bounding box (plus one ring).
 
-    Nodes are classified interior/boundary/exterior; interior nodes are
-    indexed flat (lexicographic lattice order) for sparse assembly. The
-    lattice coordinate of multi-index ``idx`` along axis k is
+    Nodes are interior, boundary or exterior (in neither mask); interior
+    nodes are indexed flat (lexicographic lattice order) for sparse
+    assembly. The lattice coordinate of multi-index ``idx`` along axis k is
     ``anchor[k] + (offset[k] + idx) * h``.
     """
 
@@ -174,7 +172,6 @@ class Grid:
     h: float
     shape: tuple
     offset: tuple
-    classes: np.ndarray            # uint8 lattice array of node classes
     interior_mask: np.ndarray      # bool lattice array
     boundary_mask: np.ndarray      # bool lattice array
     interior_index: np.ndarray = field(repr=False, default=None)  # int lattice array, -1 off-interior
@@ -220,8 +217,9 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.dim
 
-    def new_field(self, fill: float = 0.0) -> np.ndarray:
-        return np.full(self.shape, fill, dtype=float)
+    def new_field(self) -> np.ndarray:
+        """A zero lattice-shaped float array."""
+        return np.zeros(self.shape)
 
 
 @dataclass
@@ -287,7 +285,7 @@ def build_grid(domain: Domain, h: float, node_cap: int = DEFAULT_NODE_CAP) -> Gr
             f"grid would have {n_nodes} nodes, above the cap {node_cap}")
 
     grid = Grid(domain=domain, h=h, shape=tuple(shape), offset=tuple(offset),
-                classes=None, interior_mask=None, boundary_mask=None)
+                interior_mask=None, boundary_mask=None)
     pts = grid.node_points().reshape(-1, domain.dim)
     interior = domain.contains(pts).reshape(shape)
 
@@ -301,11 +299,6 @@ def build_grid(domain: Domain, h: float, node_cap: int = DEFAULT_NODE_CAP) -> Gr
     if not interior.any():
         raise GridSizeError("grid has no interior nodes; h too coarse")
 
-    classes = np.full(shape, EXTERIOR, dtype=np.uint8)
-    classes[boundary] = BOUNDARY
-    classes[interior] = INTERIOR
-
-    grid.classes = classes
     grid.interior_mask = interior
     grid.boundary_mask = boundary
     grid.interior_index = None

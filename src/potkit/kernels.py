@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, special
 
-from .errors import SupportError, UnsupportedKernelError
+from .errors import AssemblyError, SupportError, UnsupportedKernelError
 from .geometry import Domain
 
 
@@ -71,6 +71,18 @@ class OperatorSpec:
     @property
     def is_local(self) -> bool:
         return self.kind in ("laplacian", "divergence")
+
+    def coeff_at(self, pts: np.ndarray, axis: int) -> np.ndarray:
+        """The coefficient along ``axis`` at points (N, d): the values of a
+        scalar field, or the axis's entry of a diagonal tensor field."""
+        vals = np.asarray(self.coeff(pts), dtype=float)
+        if vals.ndim == 1:
+            return vals
+        if vals.ndim == 2 and vals.shape[1] == pts.shape[1]:
+            return vals[:, axis]
+        raise AssemblyError(
+            "coefficient field must return (N,) scalars or (N,d) diagonal entries; "
+            "full anisotropic tensors are not supported by the stencil assembly")
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +343,11 @@ def jump_kernel(alpha: float, d: int, x, y):
 
 def killing_density(alpha: float, dom: Domain, x):
     """kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy for the fractional
-    operator; identically zero for local operators on these domains.
+    operator of index alpha.
 
     Interval: closed form (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)].
     Ball d in {2,3}: radial quadrature of the complement integral.
     """
-    if alpha is None:
-        return 0.0
     if dom.kind == "rectangle":
         raise UnsupportedKernelError("killing_density needs an interval or ball domain")
     d = dom.dim

@@ -4,7 +4,9 @@ Two functionals, both normalized so they converge to the eta-mass of the
 positive concentrated part as the window level n grows:
 
 * local (laplacian / divergence-form):
-      (1/n) Int_{n <= u <= 2n} eta (a grad u . grad u) dx
+      (1/n) Int_{n <= u <= 2n} eta Gamma(u, u) dx
+  with the carre du champ Gamma(u, u) = a grad u . grad u of the operator's
+  coefficient a (a = 1 for the Laplacian)
 * nonlocal (fractional):
       (1/2n) [ IntInt_{DxD} eta(x) theta_n(u(x), u(y)) J(dx dy)
                + Int_D eta(x) theta_n(u(x), 0) kappa_D(dx) ]
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
@@ -32,6 +34,11 @@ from .kernels import frac_constant, killing_density
 from .solve import Solution
 
 _JUMP_BLOCK_ROWS = 512     # rows of the jump measure held at a time
+_ANGULAR_RAYS = 64         # rays around each atom (closed-form local energy)
+_RADIAL_NODES = 48         # Gauss nodes per ray across the window
+_MAX_REFINE = 5            # panel gradings tried by the nonlocal quadrature
+_PER_DECADE = 6            # panels per decade of the first grading (doubled each time)
+_GAUSS = 10                # Gauss nodes per panel
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +141,15 @@ def _window_radii(u_ray: Callable, level: float, r_hi: float) -> float:
                                  xtol=1e-15, rtol=1e-14))
 
 
-def local_energy(solution: Solution, eta: Callable, n: float,
-                 a_coeff: Optional[Callable] = None,
-                 n_angular: int = 64, n_radial: int = 48) -> float:
-    """(1/n) Int_{n <= u <= 2n} eta (a grad u . grad u) dx for local operators.
+def local_energy(solution: Solution, eta: Callable, n: float) -> float:
+    """(1/n) Int_{n <= u <= 2n} eta Gamma(u, u) dx for local operators, with
+    the carre du champ Gamma(u, u) = a grad u . grad u of the coefficient a
+    of ``solution.op`` (a scalar field or the diagonal of a tensor field;
+    a = 1 for the Laplacian).
 
-    Closed-form solutions integrate in polar panels around each positive
-    concentrated atom (window radii located on each ray by bisection of the
+    Closed-form solutions (Laplacians on 2-d and 3-d balls, the only ones
+    with a positive concentrated atom) integrate in polar panels around each
+    such atom (window radii located on each ray by bisection of the
     decreasing profile); grid solutions sum stencil gradients over window
     cells.  Empty window (n above max u) gives 0.
     """
@@ -149,19 +158,18 @@ def local_energy(solution: Solution, eta: Callable, n: float,
     if n <= 0:
         raise SupportError("level must be positive")
     if solution.closed:
-        return _local_energy_closed(solution, eta, n, a_coeff, n_angular, n_radial)
-    return _local_energy_grid(solution, eta, n, a_coeff)
+        return _local_energy_closed(solution, eta, n)
+    return _local_energy_grid(solution, eta, n)
 
 
-def _ray_directions(d: int, n_angular: int):
-    if d == 1:
-        return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
+def _ray_directions(d: int):
+    """Unit directions and their solid-angle weights for d = 2 or 3."""
     if d == 2:
-        th = (np.arange(n_angular) + 0.5) * 2.0 * math.pi / n_angular
+        th = (np.arange(_ANGULAR_RAYS) + 0.5) * 2.0 * math.pi / _ANGULAR_RAYS
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return dirs, np.full(n_angular, 2.0 * math.pi / n_angular)
+        return dirs, np.full(_ANGULAR_RAYS, 2.0 * math.pi / _ANGULAR_RAYS)
     # d == 3: product rule, Gauss in cos(polar) x uniform azimuth
-    m = max(8, n_angular // 8)
+    m = max(8, _ANGULAR_RAYS // 8)
     gc, gw = np.polynomial.legendre.leggauss(m)
     az = (np.arange(2 * m) + 0.5) * 2.0 * math.pi / (2 * m)
     dirs, wts = [], []
@@ -173,15 +181,15 @@ def _ray_directions(d: int, n_angular: int):
     return np.asarray(dirs), np.asarray(wts)
 
 
-def _local_energy_closed(solution, eta, n, a_coeff, n_angular, n_radial):
+def _local_energy_closed(solution, eta, n):
     dom = solution.dom
     d = dom.dim
-    gx, gw = np.polynomial.legendre.leggauss(n_radial)
+    gx, gw = np.polynomial.legendre.leggauss(_RADIAL_NODES)
     total = 0.0
     atoms = [(p, w) for p, w in solution.decomposition.concentrated.atoms if w > 0]
     if not atoms:
         return 0.0
-    dirs, ang_w = _ray_directions(d, n_angular)
+    dirs, ang_w = _ray_directions(d)
     for (p, _w) in atoms:
         p = np.asarray(p, dtype=float)
         for direction, wa in zip(dirs, ang_w):
@@ -199,38 +207,21 @@ def _local_energy_closed(solution, eta, n, a_coeff, n_angular, n_radial):
             rr = mid + half * gx
             pts = p + rr[:, None] * direction
             grad = solution.gradient(pts)
-            if a_coeff is None:
-                dens = np.sum(grad * grad, axis=1)
-            else:
-                a_val = np.asarray(a_coeff(pts), dtype=float)
-                if a_val.ndim == 1:
-                    dens = a_val * np.sum(grad * grad, axis=1)
-                else:
-                    dens = np.sum(a_val * grad * grad, axis=1)
+            dens = np.sum(grad * grad, axis=1)
             total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** (d - 1)))
     return total / n
 
 
 def _ray_exit(dom: Domain, p: np.ndarray, direction: np.ndarray) -> float:
-    """Distance from p to the boundary along `direction`."""
-    if dom.kind == "interval":
-        return (dom.b - p[0]) if direction[0] > 0 else (p[0] - dom.a)
-    if dom.kind == "ball":
-        c = np.asarray(dom.center)
-        rel = p - c
-        b = float(np.dot(rel, direction))
-        disc = b * b - (np.dot(rel, rel) - dom.radius**2)
-        return -b + math.sqrt(max(disc, 0.0))
-    lo = np.inf
-    for k, (a, b) in enumerate(dom.bounds):
-        if direction[k] > 1e-14:
-            lo = min(lo, (b - p[k]) / direction[k])
-        elif direction[k] < -1e-14:
-            lo = min(lo, (a - p[k]) / direction[k])
-    return lo
+    """Distance from p to the sphere of the ball ``dom`` along ``direction``."""
+    c = np.asarray(dom.center)
+    rel = p - c
+    b = float(np.dot(rel, direction))
+    disc = b * b - (np.dot(rel, rel) - dom.radius**2)
+    return -b + math.sqrt(max(disc, 0.0))
 
 
-def _local_energy_grid(solution, eta, n, a_coeff):
+def _local_energy_grid(solution, eta, n):
     gf = solution.grid_field
     grid = gf.grid
     h, d = grid.h, grid.dim
@@ -238,18 +229,15 @@ def _local_energy_grid(solution, eta, n, a_coeff):
     inside = (v >= n) & (v <= 2.0 * n) & grid.interior_mask
     if not inside.any():
         return 0.0
-    grads = []
+    pts = grid.node_points()[inside]
+    op = solution.op
+    g2 = 0.0
     for k, lead, trail in lattice_shifts(d, step=2):
         centre = lead[:k] + (slice(1, -1),) + lead[k + 1:]
         gk = np.zeros_like(v)
         gk[centre] = (v[lead] - v[trail]) / (2.0 * h)
-        grads.append(gk)
-    pts = grid.node_points()[inside]
-    g2 = sum(g[inside] ** 2 for g in grads)
-    if a_coeff is not None:
-        a_val = np.asarray(a_coeff(pts), dtype=float)
-        g2 = (a_val * g2) if a_val.ndim == 1 else np.sum(
-            a_val * np.stack([g[inside] for g in grads], axis=1) ** 2, axis=1)
+        gk2 = gk[inside] ** 2
+        g2 = g2 + (gk2 if op.coeff is None else op.coeff_at(pts, k) * gk2)
     return float(np.sum(eta(pts) * g2) * h**d / n)
 
 
@@ -284,13 +272,13 @@ def _graded_panels_1d(dom: Domain, anchors: Sequence[float],
 
 
 def nonlocal_energy(solution: Solution, eta: Callable, n: float,
-                    rel_tol: float = 0.01, max_refine: int = 5,
-                    per_decade: int = 6, gauss: int = 10,
-                    return_trace: bool = False):
+                    rel_tol: float = 0.01, return_trace: bool = False):
     """Fractional-window energy (see module docstring), refined until the
     relative change between successive panel gradings is below rel_tol;
-    ConvergenceError if ``max_refine`` gradings do not get there.  With
-    ``return_trace`` the value comes with the list of every grading's value.
+    ConvergenceError if ``_MAX_REFINE`` gradings do not get there.  Grading
+    i has ``_PER_DECADE * 2**i`` panels per decade and ``_GAUSS`` nodes per
+    panel.  With ``return_trace`` the value comes with the list of every
+    grading's value.
 
     The one-level case of the quadrature that ``reconstruct_mu_c`` runs for
     all its levels at once, with the same value and trace.  Supported for 1d
@@ -298,15 +286,12 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     dimensions would need 2d-pair quadrature and are out of scope for the
     closed-form path).
     """
-    (val, trace), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol,
-                                       max_refine=max_refine, per_decade=per_decade,
-                                       gauss=gauss)
+    (val, trace), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
     return (val, trace) if return_trace else val
 
 
 def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],
-                       rel_tol: float = 0.01, max_refine: int = 5,
-                       per_decade: int = 6, gauss: int = 10) -> list:
+                       rel_tol: float = 0.01) -> list:
     """``(value, trace)`` of the fractional-window energy for each level.
 
     Each panel grading is built once for all the levels that have not yet
@@ -328,11 +313,11 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
 
     traces = [[] for _ in levels]
     open_levels = list(range(len(levels)))
-    for refine in range(max_refine):
+    for refine in range(_MAX_REFINE):
         if not open_levels:
             break
-        x, w = _graded_panels_1d(dom, anchors, per_decade * 2**refine, r_min=1e-9,
-                                 gauss=gauss)
+        x, w = _graded_panels_1d(dom, anchors, _PER_DECADE * 2**refine, r_min=1e-9,
+                                 gauss=_GAUSS)
         u = solution.evaluate(x.reshape(-1, 1))
         ex = eta(x.reshape(-1, 1)) * w
         kap = killing_density(alpha, dom, x)
@@ -419,10 +404,12 @@ class ReconstructionReport:
     traces: list                   # per level: the value of each quadrature refinement
 
 
-def reconstruct_mu_c(solution: Solution, eta: Callable,
-                     levels: Sequence[float], **quad_opts) -> ReconstructionReport:
+def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
+                     rel_tol: float = 0.01) -> ReconstructionReport:
     """Tabulate the reconstruction functional against the independently known
-    eta-mass of mu_c^+ and fit the residual prefactor.
+    eta-mass of mu_c^+ and fit the residual prefactor.  ``rel_tol`` is the
+    nonlocal quadrature's refinement tolerance (see ``nonlocal_energy``); the
+    local functional has none.
 
     A persistent fitted prefactor away from 1 is reported loudly (flag), not
     normalized away.
@@ -430,10 +417,10 @@ def reconstruct_mu_c(solution: Solution, eta: Callable,
     levels = np.asarray(sorted(float(n) for n in levels))
     kind = "local" if solution.op.is_local else "nonlocal"
     if kind == "local":
-        vals = np.array([local_energy(solution, eta, n, **quad_opts) for n in levels])
+        vals = np.array([local_energy(solution, eta, n) for n in levels])
         traces = [[v] for v in vals]
     else:
-        results = _nonlocal_energies(solution, eta, levels, **quad_opts)
+        results = _nonlocal_energies(solution, eta, levels, rel_tol=rel_tol)
         vals = np.array([val for val, _ in results])
         traces = [trace for _, trace in results]
 

@@ -27,6 +27,7 @@ from .kernels import OperatorSpec, frac_torsion_constant, green, sphere_area
 from .measures import Decomposition, Density, MeasureData, decompose, deposit
 
 _RADIAL_NODES = 4097
+_SUP_SAMPLES = 20001       # sample points of the closed-form sup estimate
 
 
 class RadialPotential:
@@ -212,8 +213,10 @@ class Solution:
                 out += _numeric_gradient(self.density_potential, pts)
         return out
 
-    def max_interior(self, sample: int = 20001) -> float:
-        """Cheap sup estimate of |u| away from concentrated atoms."""
+    def max_interior(self) -> float:
+        """Cheap sup estimate of |u| away from concentrated atoms: the grid
+        field's max, or the max over ``_SUP_SAMPLES`` uniform points of the
+        bounding box that lie in the domain."""
         if self._sup_estimate is not None:
             return self._sup_estimate
         if self.grid_field is not None:
@@ -222,7 +225,7 @@ class Solution:
             return self._sup_estimate
         box = self.dom.bounding_box
         rng = np.random.default_rng(0)
-        pts = np.column_stack([rng.uniform(lo, hi, sample) for lo, hi in box])
+        pts = np.column_stack([rng.uniform(lo, hi, _SUP_SAMPLES) for lo, hi in box])
         pts = pts[self.dom.contains(pts)]
         vals = self.evaluate(pts)
         finite = np.isfinite(vals)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from potkit import Domain, OperatorSpec
 from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
+from potkit import reconstruct as reconstruct_mod
 from potkit.kernels import frac_constant, killing_density
 from potkit.reconstruct import (CutoffEta, _graded_panels_1d, _jump_terms,
                                 _nonlocal_energies, constant_eta, kink_integral,
@@ -130,6 +131,29 @@ def test_local_energy_grid_path():
     assert val == pytest.approx(1.0, rel=0.25)
 
 
+def test_divergence_local_energy_uses_the_coefficient():
+    # the carre du champ a grad u . grad u comes from the operator itself
+    from potkit.config import _coeff_presets
+    from potkit.geometry import build_grid
+    dom = Domain.ball([0.0, 0.0], 1.0, 2)
+    # a = 2: u = u_lap / 2, so the window [n, 2n] of u is [2n, 4n] of u_lap
+    # and Gamma(u, u) / n = |grad u_lap|^2 / (2n)
+    grid = build_grid(dom, 2.0**-5)
+    mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=dom)
+    two = OperatorSpec.divergence(lambda p: np.full(len(p), 2.0), 2.0, 2.0)
+    div = integral_solution(two, dom, mu, grid=grid)
+    lap = integral_solution(LAP, dom, mu, grid=grid, prefer="grid")
+    for n in (0.05, 0.1, 0.2):
+        assert local_energy(div, constant_eta(1.0), n) == pytest.approx(
+            local_energy(lap, constant_eta(1.0), 2.0 * n), rel=1e-9, abs=0.0)
+    # a varying coefficient: the window energy still recovers the atom mass
+    coeff, lam, Lam = _coeff_presets()["smooth"]
+    mu = MeasureData.make(atoms=[([0.3, 0.0], 1.0)], dom=dom)
+    sol = integral_solution(OperatorSpec.divergence(coeff, lam, Lam), dom, mu,
+                            grid=build_grid(dom, 2.0**-7))
+    assert local_energy(sol, constant_eta(1.0), 0.25) == pytest.approx(1.0, rel=0.05)
+
+
 def test_local_energy_rejects_fractional():
     dom = Domain.interval(-1.0, 1.0)
     sol = integral_solution(OperatorSpec.fractional(0.5), dom,
@@ -149,7 +173,7 @@ def test_nonlocal_energy_benchmark_level_one():
     assert val >= 0.0
 
 
-def test_reconstruct_report_keeps_refinement_traces():
+def test_reconstruct_report_keeps_refinement_traces(monkeypatch):
     dom = Domain.interval(-1.0, 1.0)
     sol = integral_solution(OperatorSpec.fractional(0.5), dom,
                             MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
@@ -158,8 +182,9 @@ def test_reconstruct_report_keeps_refinement_traces():
     for n, val, trace in zip(rep.levels, rep.values, rep.traces):
         assert nonlocal_energy(sol, eta, n, return_trace=True) == (val, trace)
     # an unconverged trace raises instead of passing for a value
+    monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 1)
     with pytest.raises(ConvergenceError):
-        nonlocal_energy(sol, eta, 1.0, max_refine=1, return_trace=True)
+        nonlocal_energy(sol, eta, 1.0, return_trace=True)
 
 
 def _full_matrix_jump(x, w, u, ex, alpha, n):
@@ -181,7 +206,7 @@ def _full_matrix_energy(sol, eta, n, x, w):
 
 
 @pytest.mark.parametrize("case", ["atom", "bounded"])
-def test_nonlocal_energies_match_full_matrix_formula(case):
+def test_nonlocal_energies_match_full_matrix_formula(case, monkeypatch):
     # gradings of 770 and 1,510 nodes: two and three row blocks of the kernel;
     # the bounded potential (sup u ~ 1.128) has an empty window at n = 2
     dom = Domain.interval(-1.0, 1.0)
@@ -193,8 +218,9 @@ def test_nonlocal_energies_match_full_matrix_formula(case):
         eta, levels = constant_eta(1.0), [0.3, 2.0]
     sol = integral_solution(OperatorSpec.fractional(0.5), dom, measure)
     anchors = [p[0] for p, _ in sol.measure.atoms]
-    results = _nonlocal_energies(sol, eta, levels, rel_tol=1.0, max_refine=2,
-                                 per_decade=2)
+    monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 2)
+    monkeypatch.setattr(reconstruct_mod, "_PER_DECADE", 2)
+    results = _nonlocal_energies(sol, eta, levels, rel_tol=1.0)
     for n, (val, trace) in zip(levels, results):
         assert len(trace) == 2 and val == trace[-1]
         for i, got in enumerate(trace):

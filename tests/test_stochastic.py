@@ -125,6 +125,16 @@ def test_stable_exit_alpha_outside_range_rejected(alpha):
                     n_samples=10)
 
 
+def test_stable_exit_beta_underflow_rejected():
+    # at alpha = 0.01 some Beta(alpha/2, 1 - alpha/2) draws are exactly 0,
+    # whose jump would be infinite; at alpha = 0.05 none are
+    dom = Domain.interval(-1.0, 1.0)
+    with pytest.raises(SupportError, match="alpha=0.01"):
+        stable_exit(dom, [0.5], alpha=0.01, seed=1, n_samples=20_000)
+    z = stable_exit(dom, [0.5], alpha=0.05, seed=1, n_samples=20_000)
+    assert np.all(np.isfinite(z)) and np.all(np.abs(z) >= 1.0)
+
+
 def test_stable_exit_masked_rectangle_rejected():
     with pytest.raises(SupportError, match="masked"):
         stable_exit(L_SHAPE, [0.45, 0.45], alpha=0.5, seed=1, n_samples=2_000)
@@ -393,6 +403,15 @@ def test_maximal_reports_walk_counts(monkeypatch):
                                    n_samples=1_000, seed=8)
     assert est.extra["walk_iterations"] == len(calls) > 0
     assert est.extra["path_steps"] == sum(calls)
+
+
+def test_maximal_masked_rectangle_rejected():
+    from potkit.geometry import build_grid
+    sol = integral_solution(LAP, L_SHAPE, MeasureData(density=Density.constant(1.0)),
+                            grid=build_grid(L_SHAPE, 2.0**-4))
+    with pytest.raises(SupportError, match="masked"):
+        maximal_inequality_check(sol, d1_value=0.1, rho=lambda p: np.ones(len(p)),
+                                 n_samples=100, seed=1)
 
 
 def test_maximal_zero_solution():
