@@ -82,29 +82,32 @@ class DiscreteOperator:
         return flat - (self.A @ flat) / self.diag
 
     def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
-        """Deterministic linear solve A x = rhs, local and fractional alike.
+        """Deterministic linear solve A x = rhs, local and fractional alike;
+        with ``on`` (flat interior indices c), of the principal block
+        A[c, c] x = rhs instead: the Dirichlet problem on c with zero data
+        off c.
 
-        CG to relative residual ``_CG_RTOL``, preconditioned by one symmetric
-        geometric V-cycle on the grids of mesh width 2h, 4h, ... with a direct
-        factorization at the bottom (built per solve and freed on return):
-        sparse LU for local operators, dense Cholesky for the fully dense
-        non-local ones.  A grid of at most ``_COARSE_MAX`` unknowns has no
-        coarser level, so its solve is that factorization alone.
-
-        With ``on`` (flat interior indices c) it solves the principal block
-        A[c, c] x = rhs instead, by one direct factorization of a fresh copy
-        of the block: the Dirichlet problem on c with zero data off c.
+        One rule for both: a system of at most ``_COARSE_MAX`` unknowns, or
+        a block of the dense non-local operator, is factored directly (a
+        fresh copy: sparse LU for local operators, dense Cholesky for the
+        non-local one).  Anything larger runs CG to relative residual
+        ``_CG_RTOL``, preconditioned by one symmetric geometric V-cycle of
+        the full A on the grids of mesh width 2h, 4h, ... with that direct
+        factorization at the bottom (built per solve and freed on return).
+        A block zero-pads its residual to the grid and restricts the
+        correction to c, which keeps the preconditioner symmetric positive
+        definite.
         """
-        if on is not None:
-            block = self.A[on][:, on] if self.is_local else self.dense_view()[np.ix_(on, on)]
+        c = np.arange(self.n) if on is None else on
+        if c.size <= _COARSE_MAX or (on is not None and not self.is_local):
+            block = self.A[c][:, c] if self.is_local else self.dense_view()[np.ix_(c, c)]
             return _factor(block)(rhs_flat)
         levels, bottom = _hierarchy(self.grid, self.A, self.is_local)
-        if not levels:
-            return bottom(rhs_flat)
-        n = self.n
-        M = spla.LinearOperator((n, n), matvec=partial(_vcycle, levels, bottom),
-                                dtype=float)
-        x, info = spla.cg(self.A, rhs_flat, rtol=_CG_RTOL, atol=0.0,
+        A, precond = self.A, partial(_vcycle, levels, bottom)
+        if on is not None:
+            A, precond = A[c][:, c], partial(_restricted, precond, c, self.n)
+        M = spla.LinearOperator((c.size, c.size), matvec=precond, dtype=float)
+        x, info = spla.cg(A, rhs_flat, rtol=_CG_RTOL, atol=0.0,
                           maxiter=_CG_MAX_ITERS, M=M)
         if info != 0:
             raise ConvergenceError(
@@ -164,6 +167,14 @@ def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
         A = (P.T @ A @ P).tocsr()
         grid = coarse
     return levels, _factor(A if is_local else A.toarray())
+
+
+def _restricted(precond, c: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
+    """``precond`` of the full system applied to r zero-padded off the flat
+    indices c, read back on c."""
+    full = np.zeros(n)
+    full[c] = r
+    return precond(full)[c]
 
 
 def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:

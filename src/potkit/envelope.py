@@ -1,13 +1,14 @@
-"""Smallest excessive majorants (reduite) by projected relaxation (local
-operators) or exact policy iteration (the dense fractional operator), the
-weighted norm built on them, tail functionals over truncation levels, and a
-uniform-integrability diagnostic driven by convex test functions.
+"""Smallest excessive majorants (reduite), the weighted norm built on them,
+tail functionals over truncation levels, and a uniform-integrability
+diagnostic driven by convex test functions.
 
 Discrete setting: for the sub-stochastic one-step kernel P of an assembled
 operator, the reduite of an obstacle g >= 0 is the smallest fixed point of
 w = max(g, P w), equivalently the value function of optimally stopping g
 along the killed chain, equivalently the sup over node subsets V of the
-harmonic extension of g from the complement of V.
+harmonic extension of g from the complement of V.  Every operator gets it
+the same way: exact policy iteration (one block solve per step), which for
+local operators starts from a short projected-SOR warm start.
 
 Atom handling in tail functionals: when the measure carries concentrated
 atoms, the obstacle (|u| - n)^+ is enriched at each atom's node, where the
@@ -34,22 +35,22 @@ from .geometry import Grid, GridField, lattice_shifts
 from .kernels import green
 from .solve import Solution
 
-_ACTIVE_TOL_FACTOR = 100.0
+_WARM_TOL = 1e-6            # last PSOR update that ends a local warm start
 _MAX_SWEEPS = 10**6
 _MAX_POLICY_STEPS = 500
 
 
 @dataclass
 class ReduiteResult:
-    """Envelope field, continuation set, PSOR sweep count (local operators;
-    0 for the fractional one), policy-iteration step count (the fractional
-    operator; 0 for local ones) and the max complementarity violation
-    min(w - g, A w / diag).  ``tol`` and ``omega`` of ``reduite`` govern
-    only the local PSOR: the fractional envelope is exact.
+    """Envelope field, continuation set, warm-start PSOR sweep count (local
+    operators; 0 for the fractional one), policy-iteration step count (0
+    when the warm start already meets ``tol``) and the max complementarity
+    violation |min(w - g, A w / diag)|, which ``reduite`` brings to at most
+    its ``tol`` or to the accuracy of its last block solve.
 
-    The continuation set is where the envelope is P-harmonic within
-    tolerance (the optimal-continuation region); its complement inside the
-    interior is the stopping set, where the envelope sits on the obstacle.
+    The continuation set is where the envelope is P-harmonic within ``tol``
+    (the optimal-continuation region); its complement inside the interior
+    is the stopping set, where the envelope sits on the obstacle.
     For an excessive obstacle this is everything except the nodes carrying
     its defect (e.g. all interior nodes but the source, for a Green column).
     """
@@ -71,19 +72,26 @@ class TailCurve:
     verdict: str                  # "diffuse-like" | "concentrated-like"
 
 
+def _neighbour_max(values: np.ndarray, grid) -> np.ndarray:
+    """Largest finite value at the interior face neighbours of each lattice
+    node; -inf where there is none."""
+    vals = np.where(grid.interior_mask & np.isfinite(values), values, -np.inf)
+    nb_max = np.full(grid.shape, -np.inf)
+    for _, lead, trail in lattice_shifts(grid.dim):
+        nb_max[trail] = np.maximum(nb_max[trail], vals[lead])
+        nb_max[lead] = np.maximum(nb_max[lead], vals[trail])
+    return nb_max
+
+
 def _cap_infinite(g: np.ndarray, grid) -> np.ndarray:
     """Replace non-finite obstacle nodes by the largest finite neighbor value
-    (the obstacle's own value one cell away)."""
+    (the obstacle's own value one cell away; 0 without one)."""
     if np.all(np.isfinite(g[grid.interior_mask])):
         return g
     g = g.copy()
     bad = ~np.isfinite(g) & grid.interior_mask
-    nb_max = np.full(grid.shape, -np.inf)
-    finite = np.where(np.isfinite(g), g, -np.inf)
-    for _, lead, trail in lattice_shifts(grid.dim):
-        nb_max[trail] = np.maximum(nb_max[trail], finite[lead])
-        nb_max[lead] = np.maximum(nb_max[lead], finite[trail])
-    g[bad] = np.where(np.isfinite(nb_max[bad]), nb_max[bad], 0.0)
+    nb_max = _neighbour_max(g, grid)[bad]
+    g[bad] = np.where(np.isfinite(nb_max), nb_max, 0.0)
     return g
 
 
@@ -131,54 +139,49 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
         f"sweeps (last update {update:.3e})")
 
 
-def _policy_iteration(dop: DiscreteOperator, g: np.ndarray,
-                      w: np.ndarray) -> tuple:
-    """Exact envelope of a dense non-local operator by Howard's algorithm
-    (the primal-dual active-set method): take the stopping set
-    S = {w - g <= A w / diag}, set w = g on S and solve A w = 0 on the
-    complement, until S no longer changes.  For an M-matrix the iterates
-    increase to the envelope from the first solve on and the loop ends
-    within n + 1 steps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
-    47, 2009).  Returns (w, policy steps), with w >= g bit for bit.
-
-    Nodes where the two policy values agree to rounding (e.g. everywhere
-    off the source, for an excessive obstacle) may change sides from one
-    step to the next without moving w, so a complementarity residual
-    within the rounding error of a length-n row product ends the loop too.
+def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
+                      tol: float) -> tuple:
+    """Exact envelope by Howard's algorithm (the primal-dual active-set
+    method; Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2003): take the
+    stopping set S = {w - g <= A w / diag}, set w = g on S and solve A w = 0
+    on the complement by one block solve, until the complementarity
+    residual |min(w - g, A w / diag)| is at most ``tol`` or S no longer
+    changes.  The residual of the start w is tested first, so an exact warm
+    start costs no solve.  For an M-matrix the iterates increase to the
+    envelope from the first solve on and the loop ends within n + 1 steps
+    (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  Returns
+    (w, policy steps), with w >= g bit for bit.
     """
-    A, d = dop.dense_view(), dop.diag
-    tie = dop.n * np.finfo(float).eps * float(np.max(g, initial=0.0))
-    stop = (w - g) <= (A @ w) / d
-    for step in range(1, _MAX_POLICY_STEPS + 1):
-        w = np.where(stop, g, 0.0)
-        c = np.flatnonzero(~stop)
-        if c.size:
-            # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
-            w[c] = dop.solve(-(A @ w)[c], on=c)
+    A, d = (dop.A if dop.is_local else dop.dense_view()), dop.diag
+    stop = None
+    for step in range(_MAX_POLICY_STEPS + 1):
+        if step:
+            w = np.where(stop, g, 0.0)
+            c = np.flatnonzero(~stop)
+            if c.size:
+                # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
+                w[c] = dop.solve(-(A @ w)[c], on=c)
         defect = (A @ w) / d
         new_stop = (w - g) <= defect
-        if (np.array_equal(new_stop, stop)
-                or np.max(np.abs(np.minimum(w - g, defect)), initial=0.0) <= tie):
-            np.maximum(w, g, out=w)
-            return w, step
+        if (np.max(np.abs(np.minimum(w - g, defect)), initial=0.0) <= tol
+                or np.array_equal(new_stop, stop)):
+            return np.maximum(w, g), step
         stop = new_stop
     raise ConvergenceError(
-        f"policy iteration did not fix its stopping set within "
-        f"{_MAX_POLICY_STEPS} steps")
+        f"policy iteration neither reached the complementarity residual "
+        f"{tol:g} nor fixed its stopping set within {_MAX_POLICY_STEPS} steps")
 
 
-def reduite(dop: DiscreteOperator, g, tol: float = 1e-10, omega="auto",
+def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
             w0: Optional[np.ndarray] = None) -> ReduiteResult:
     """Smallest excessive majorant of the obstacle g >= 0.
 
-    Local operators run projected red-black SOR from w0 = g toward the
-    smallest fixed point of w = max(g, P w); any supplied warm start must
-    sit below the envelope.  ``tol`` (the stopping update and, times
-    ``_ACTIVE_TOL_FACTOR``, the continuation threshold) and ``omega`` (a
-    number, or the default ``"auto"``: ``omega_optimal`` of the grid)
-    govern only this local PSOR.  The dense fractional operator is solved
-    exactly by policy iteration, started from the stopping set of w0 (any
-    w0 will do).
+    Policy iteration finishes it for every operator, started from w0
+    (default g; any w0 will do).  On a local operator, projected red-black
+    SOR at ``omega_optimal`` of the grid first improves w0 until its last
+    update falls below ``_WARM_TOL``.  ``tol`` is the complementarity
+    residual that the returned envelope must meet, and the continuation
+    threshold on A w / diag (relative to the envelope's scale).
     Non-finite obstacle values are capped at the obstacle's value one cell
     away.
     """
@@ -190,23 +193,19 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10, omega="auto",
     g_lat = _cap_infinite(g_lat, grid)
     if np.any(g_lat[grid.interior_mask] < 0):
         raise SupportError("reduite requires a nonnegative obstacle")
-    if omega == "auto":
-        omega = omega_optimal(grid)
 
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
+    sweeps = 0
     if dop.is_local:
-        sweeps, steps = _relax(dop, g_flat, w_flat, omega, tol), 0
-        active_tol = max(_ACTIVE_TOL_FACTOR * tol, 1e-14)
-    else:
-        w_flat, steps = _policy_iteration(dop, g_flat, w_flat)
-        sweeps, active_tol = 0, 1e-14
+        sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
+    w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
     defect = (dop.A @ w_flat) / dop.diag
     ncp = np.minimum(w_flat - g_flat, defect)
     residual = float(np.max(np.abs(ncp))) if ncp.size else 0.0
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
-    continuation[grid.interior_mask] = defect <= active_tol * max(scale, 1.0)
+    continuation[grid.interior_mask] = defect <= tol * max(scale, 1.0)
     return ReduiteResult(envelope=GridField.from_interior(grid, w_flat),
                          continuation=continuation, iterations=sweeps,
                          policy_steps=steps, residual=residual)
@@ -245,13 +244,12 @@ def _rho_values(rho, grid) -> np.ndarray:
     return np.asarray(rho, dtype=float)
 
 
-def d1_norm(dop: DiscreteOperator, u, rho, tol: float = 1e-10,
-            omega: float = 1.5) -> float:
+def d1_norm(dop: DiscreteOperator, u, rho, tol: float = 1e-10) -> float:
     """Weighted mass of the smallest excessive majorant of |u|:
     integral of e_{|u|} against rho dm, computed through the reduite."""
     grid = dop.grid
     u_lat = u.values if isinstance(u, GridField) else np.asarray(u, dtype=float)
-    res = reduite(dop, np.abs(u_lat), tol=tol, omega=omega)
+    res = reduite(dop, np.abs(u_lat), tol=tol)
     w = _rho_values(rho, grid)
     return res.envelope.weighted_sum(w)
 
@@ -306,8 +304,7 @@ def tail_obstacle(u_abs: np.ndarray, atom_nodes, n: float, grid: Grid) -> np.nda
 
 
 def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
-               levels: Sequence[float], tol: float = 1e-10,
-               omega="auto") -> TailCurve:
+               levels: Sequence[float], tol: float = 1e-10) -> TailCurve:
     """Tail functional T_n = d1_norm((|u| - n)^+) across increasing levels.
 
     Obstacles at concentrated-atom nodes are enriched (level subtraction
@@ -332,19 +329,10 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     target = sum(abs(w) * col.weighted_sum(rho_vals)
                  for (_, w), col in zip(conc.atoms, columns))
 
-    # resolvability: level must sit below the obstacle one cell off the atom
-    if atom_nodes:
-        near_vals = []
-        for node in atom_nodes:
-            for k in range(grid.dim):
-                for step in (-1, 1):
-                    nb = list(node)
-                    nb[k] += step
-                    nb = tuple(nb)
-                    if grid.interior_mask[nb]:
-                        near_vals.append(u_abs[nb])
-        u_near = max(near_vals) if near_vals else np.inf
-    else:
+    # resolvability: level must sit below the obstacle one cell off the atoms
+    nb_max = _neighbour_max(u_abs, grid)
+    u_near = max((nb_max[node] for node in atom_nodes), default=-np.inf)
+    if u_near == -np.inf:         # no atom with an interior neighbour
         u_near = np.inf
 
     values = np.empty(levels.shape)
@@ -353,7 +341,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     for i in range(len(levels) - 1, -1, -1):
         n = levels[i]
         g = tail_obstacle(u_abs, atom_nodes, n, grid)
-        if atom_nodes and n > u_near:
+        if n > u_near:
             resolvable[i] = False
             warnings.warn(
                 f"level n={n} exceeds the obstacle value one cell off the atom "
@@ -363,7 +351,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
             # single-node harmonic extensions are exact lower envelope bounds
             w0 = np.maximum(w0, ext)
         w0 = np.where(grid.interior_mask, w0, 0.0)
-        res = reduite(dop, g, tol=tol, omega=omega, w0=w0)
+        res = reduite(dop, g, tol=tol, w0=w0)
         prev_w = res.envelope.values
         values[i] = res.envelope.weighted_sum(rho_vals)
 
@@ -387,7 +375,7 @@ class FvpResult:
 
 def fvp_diagnostic(dop: DiscreteOperator, u, rho, phi: Callable,
                    caps: Optional[Sequence[float]] = None,
-                   tol: float = 1e-10, omega="auto") -> FvpResult:
+                   tol: float = 1e-10) -> FvpResult:
     """d1_norm of phi(|u|) under level caps, with the growth trend across caps.
 
     phi must be increasing convex with phi(0) = 0 and superlinear growth.
@@ -422,7 +410,7 @@ def fvp_diagnostic(dop: DiscreteOperator, u, rho, phi: Callable,
     for i, k in enumerate(caps):
         g = phi(np.minimum(u_lat, k))
         g = np.where(grid.interior_mask, g, 0.0)
-        res = reduite(dop, g, tol=tol, omega=omega)
+        res = reduite(dop, g, tol=tol)
         values[i] = res.envelope.weighted_sum(rho_vals)
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -163,7 +163,6 @@ class Solution:
     closed: bool
     density_potential: object = None          # callable pts -> values, or None
     grid_field: Optional[GridField] = None
-    dop: Optional[DiscreteOperator] = None
     _sup_estimate: float = field(default=None, repr=False)
 
     def evaluate(self, points) -> np.ndarray:
@@ -303,8 +302,7 @@ def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData,
             else:
                 dens_pot = RadialPotential(op, dom, mu.density)
         return Solution(op=op, dom=dom, measure=mu, decomposition=dec,
-                        closed=True, density_potential=dens_pot,
-                        dop=dop, grid_field=None)
+                        closed=True, density_potential=dens_pot)
     if dop is None:
         if grid is None:
             raise UnsupportedKernelError(
@@ -315,7 +313,7 @@ def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData,
     flat = dop.solve(rhs)
     gf = GridField.from_interior(dop.grid, flat)
     return Solution(op=op, dom=dom, measure=mu, decomposition=dec,
-                    closed=False, grid_field=gf, dop=dop)
+                    closed=False, grid_field=gf)
 
 
 def potential(op: OperatorSpec, dom: Domain, rho,

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from potkit import Domain, OperatorSpec, assemble, build_grid, discrete_green, green
+from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, green,
+                    harmonic_extension)
 from potkit import discrete
 from potkit.errors import AssemblyError, ConvergenceError, SupportError
 from potkit.kernels import frac_constant
@@ -211,14 +212,16 @@ CG_CASES = {
 
 
 BLOCK_CASES = {"laplacian-disk": CG_CASES["disk"],
+               "laplacian-disk-coarse": (LAP, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5),
                "divergence-disk": CG_CASES["divergence-disk"],
                "fractional-interval": CG_CASES["fractional-interval"]}
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_principal_block_solve(case):
-    """solve(rhs, on=c) solves A[c, c] x = rhs directly, and leaves A and
-    the caller's right-hand side as they were."""
+    """solve(rhs, on=c) solves A[c, c] x = rhs: directly for a block of at
+    most _COARSE_MAX nodes or of the dense operator, else by CG to relative
+    residual _CG_RTOL; A and the caller's right-hand side stay as they were."""
     op, dom, h = BLOCK_CASES[case]
     dop = assemble(op, build_grid(dom, h))
     rng = np.random.default_rng(8)
@@ -227,10 +230,32 @@ def test_principal_block_solve(case):
     assert rhs.flags.f_contiguous
     A_data, rhs_before = dop.A.data.copy(), rhs.copy()
     x = dop.solve(rhs, on=c)
-    ref = spla.spsolve(dop.A[c][:, c].tocsc(), rhs)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    block = dop.A[c][:, c]
+    if c.size > discrete._COARSE_MAX:
+        assert np.linalg.norm(block @ x - rhs) <= discrete._CG_RTOL * np.linalg.norm(rhs)
+    else:
+        ref = spla.spsolve(block.tocsc(), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(dop.A.data, A_data)
     assert np.array_equal(rhs, rhs_before)
+
+
+def test_block_solve_factors_no_large_local_matrix(monkeypatch):
+    """A 7,691-node block of the h = 2^-6 disk is solved by CG with the
+    V-cycle of the full A, so no local matrix above _COARSE_MAX rows is
+    factored (the bottom grid is)."""
+    rows = []
+    factor = discrete._factor
+
+    def spy(M):
+        rows.append(M.shape[0])
+        return factor(M)
+    monkeypatch.setattr(discrete, "_factor", spy)
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    V = np.random.default_rng(8).random(dop.n) < 0.6
+    assert V.sum() > discrete._COARSE_MAX
+    harmonic_extension(dop, V, np.ones(dop.grid.shape))
+    assert rows and max(rows) <= discrete._COARSE_MAX
 
 
 @pytest.fixture

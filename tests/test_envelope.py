@@ -75,11 +75,25 @@ def test_relaxation_matches_lattice_reference(case):
     dop = assemble(op, grid)
     g_flat = _bump_obstacle(grid)
     omega = envelope_mod.omega_optimal(grid)
-    res = reduite(dop, GridField.from_interior(grid, g_flat), tol=1e-10, omega="auto")
+    got = g_flat.copy()
+    sweeps = envelope_mod._relax(dop, g_flat, got, omega, 1e-10)
     w_ref, sweeps_ref = reference_psor(dop, g_flat, omega, 1e-10)
-    assert res.iterations == sweeps_ref
-    got = res.envelope.interior_values()
+    assert sweeps == sweeps_ref
     assert np.max(np.abs(got - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+def test_local_reduite_is_exact(disk_dop_small):
+    """The PSOR warm start is finished by policy iteration: the local
+    envelope is the value-iteration fixed point up to rounding."""
+    grid = disk_dop_small.grid
+    g_flat = _bump_obstacle(grid)
+    res = reduite(disk_dop_small, GridField.from_interior(grid, g_flat))
+    w = res.envelope.interior_values()
+    # value iteration contracts slowly here: its last update must be tiny
+    oracle = brute_force_envelope(disk_dop_small, g_flat, tol=1e-16)
+    assert np.max(np.abs(w - oracle)) <= 1e-12
+    assert res.residual <= 1e-13
+    assert res.iterations > 0 and res.policy_steps >= 1
 
 
 FRAC = OperatorSpec.fractional(0.8)
@@ -131,7 +145,7 @@ def test_fractional_zero_obstacle(frac_dop):
     res = reduite(frac_dop, frac_dop.grid.new_field())
     assert np.all(res.envelope.values == 0.0)
     assert res.residual == 0.0
-    assert res.policy_steps == 1
+    assert res.policy_steps == 0          # the start g = 0 is already exact
 
 
 def test_fractional_excessive_obstacle_fixed(frac_dop):
@@ -149,9 +163,13 @@ def test_fractional_excessive_obstacle_fixed(frac_dop):
 
 
 def test_policy_budget_raises(monkeypatch, frac_dop):
-    monkeypatch.setattr(envelope_mod, "_MAX_POLICY_STEPS", 0)
+    # the bump with an isolated peak needs two or more policy steps
+    grid = frac_dop.grid
+    g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
+    g_flat[grid.n_interior // 4] = 0.35
+    monkeypatch.setattr(envelope_mod, "_MAX_POLICY_STEPS", 1)
     with pytest.raises(ConvergenceError, match="policy iteration"):
-        reduite(frac_dop, frac_dop.grid.new_field())
+        reduite(frac_dop, GridField.from_interior(grid, g_flat))
 
 
 def test_fractional_harmonic_extension_matches_spsolve(frac_dop):
@@ -174,7 +192,7 @@ def test_sweep_budget_raises(monkeypatch, disk_dop_small):
     g = _bump_obstacle(disk_dop_small.grid)
     with pytest.raises(ConvergenceError):
         reduite(disk_dop_small, GridField.from_interior(disk_dop_small.grid, g),
-                tol=1e-12, omega="auto")
+                tol=1e-12)
 
 
 def test_zero_obstacle(interval_dop):
@@ -437,9 +455,10 @@ def test_tail_curve_one_solve_per_atom(monkeypatch, case):
     calls = []
     solve = DiscreteOperator.solve
 
-    def counted(self, rhs):
-        calls.append(1)
-        return solve(self, rhs)
+    def counted(self, rhs, on=None):
+        if on is None:                # a grid solve, not a policy step's block
+            calls.append(1)
+        return solve(self, rhs, on=on)
 
     monkeypatch.setattr(DiscreteOperator, "solve", counted)
     tail_curve(sol, dop, rho, levels)
@@ -481,7 +500,7 @@ def test_tail_curve_values_match_fresh_extensions(case):
         for ext in exts:
             w0 = np.maximum(w0, ext)
         w0 = np.where(grid.interior_mask, w0, 0.0)
-        res = reduite(dop, g, tol=1e-10, omega="auto", w0=w0)
+        res = reduite(dop, g, tol=1e-10, w0=w0)
         prev = res.envelope.values
         ref[i] = res.envelope.weighted_sum(rho)
     tc = tail_curve(sol, dop, rho, levels)
@@ -518,3 +537,26 @@ def test_fvp_zero():
     res = fvp_diagnostic(dop, grid.new_field(), np.ones(dop.n),
                          FVP_FAMILY["xlog"], caps=[1.0, 2.0])
     assert np.all(res.values == 0.0)
+
+
+def test_tail_disk_mixed_reduites_are_exact(monkeypatch):
+    """Criterion 4's tail curve (tail-disk-mixed, h = 2^-7, tol 1e-9): every
+    level's reduite ends at complementarity residual <= 1e-12 within two
+    policy steps after its PSOR warm start."""
+    from potkit.config import build_rho, grid_widths
+    from potkit.verify import _solution_from_preset
+    cfg, dom, op, _, sol = _solution_from_preset("tail-disk-mixed")
+    assert grid_widths(cfg)[0] == 2.0**-7
+    dop = assemble(op, build_grid(dom, 2.0**-7))
+    results = []
+    solve_reduite = envelope_mod.reduite
+
+    def recorded(*args, **kwargs):
+        results.append(solve_reduite(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(envelope_mod, "reduite", recorded)
+    tail_curve(sol, dop, build_rho(cfg, dom), cfg["levels"], tol=1e-9)
+    assert len(results) == len(cfg["levels"])
+    assert max(r.residual for r in results) <= 1e-12
+    assert max(r.policy_steps for r in results) <= 2
