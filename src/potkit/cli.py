@@ -267,9 +267,7 @@ def cmd_mc(args) -> int:
         verdict = {"frac_stopped_before_exit":
                    est.extra["frac_stopped_before_exit"]}
         results = {"k": cfg["k"], "n": cfg["n"], "estimate": est.value,
-                   "stderr": est.stderr,
-                   "walk_iterations": est.extra["walk_iterations"],
-                   "path_steps": est.extra["path_steps"]}
+                   "stderr": est.stderr, "draws": est.extra["draws"]}
     elif args.mode == "classd":
         diag = class_d_diagnostic(sol, cfg["family"], cfg["levels"], rho=rho,
                                   n_samples=cfg.get("samples", 30000),
@@ -282,8 +280,7 @@ def cmd_mc(args) -> int:
                    "limit_basis": diag.limit_basis}
         results = {"levels": diag.levels, "estimates": diag.estimates,
                    "stderrs": diag.stderrs, "family": diag.family,
-                   "table": diag.table, "walk_iterations": diag.walk_iterations,
-                   "path_steps": diag.path_steps}
+                   "table": diag.table, "draws": diag.draws}
     else:
         dop = _grid_operator(cfg, dom, op)
         u_abs, _, _ = envelope_field(sol, dop)

@@ -66,20 +66,9 @@ class DiscreteOperator:
             raise AssemblyError("operator does not store every entry of A")
         return self.A.data.reshape(n, n)
 
-    def transition_matrix(self) -> sp.csr_matrix:
-        """P = I - D^{-1} A (off-diagonal part of A, sign-flipped and scaled)."""
-        Dinv = sp.diags(1.0 / self.diag)
-        P = sp.eye(self.n, format="csr") - (Dinv @ self.A).tocsr()
-        P.data[P.data < 0] = np.where(np.abs(P.data[P.data < 0]) < 1e-15, 0.0,
-                                      P.data[P.data < 0])
-        return P
-
     def p_row_sums(self) -> np.ndarray:
         row_sums_A = np.asarray(self.A.sum(axis=1)).ravel()
         return 1.0 - row_sums_A / self.diag
-
-    def p_apply(self, flat: np.ndarray) -> np.ndarray:
-        return flat - (self.A @ flat) / self.diag
 
     def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
         """Deterministic linear solve A x = rhs, local and fractional alike;

@@ -7,9 +7,11 @@ Stable exits jump from the centre of the largest ball inside D to an exact
 draw from that ball's Blumenthal-Getoor-Ray exit law until they land outside
 D, so they carry no time-step bias; ``stable_exit`` ignores a ``dt``.
 
-The reducing and class-(D) walks run walk-on-spheres on the radial harmonic
-coordinate (log r in the plane, -r^(2-d) above), a time-changed 1-d Brownian
-motion, so they reach a level sphere of any radius in O(log 1/eps) steps.
+The reducing and class-(D) estimators walk nothing: whether Brownian motion
+from x reaches the level sphere |x - c| = r_k before the boundary |x - c| = R
+is a Bernoulli variable with the closed-form parameter of the radial harmonic
+function phi (log r in the plane, -r^(2-d) above), so each walker that starts
+outside the level ball costs one uniform draw, however small r_k is.
 
 Determinism: every sampler takes a seed (an int, or a Generator to draw
 from) and drives a single PCG64 stream through vectorized draws, so
@@ -34,7 +36,6 @@ from .errors import ConvergenceError, SupportError
 from .geometry import Domain
 from .solve import Solution
 
-_EPS_REL_INNER = 1e-3     # relative shell for hitting tiny level circles
 _EPS_ABS_FACTOR = 1e-6    # outer-boundary shell: 1e-6 * diameter
 _WOS_MAX_ITERS = 100_000  # walk-on-spheres iteration budget
 
@@ -261,40 +262,10 @@ def _level_radius(profile, R: float, k: float) -> float:
     return r
 
 
-def _walk_annulus(center, R: float, r_inner: float, x0: np.ndarray, rng):
-    """Mask of the walkers from ``x0`` (n, d) that reach the inner sphere of the
-    annulus {r_inner < |x - c| < R} before the outer one, and the walk's
-    (loop iterations, path steps).  phi(|B_t - c|) is a time-changed 1-d
-    Brownian motion for phi = log r (d = 2) or -r^(2-d) (Levy), so the walk
-    runs on x = phi(r) in the strip phi(r_inner) < x < phi(R): walk-on-spheres
-    there (Muller 1956) steps x <- x + rho cos(theta), rho the distance to
-    the nearer edge, and needs O(log 1/eps) steps however small r_inner is
-    (e^{-2 pi k} for a planar Dirac).  The radial shells (relative 1e-3 at
-    the inner sphere, 1e-6 of the diameter at the outer) are carried into phi.
-    """
-    d = x0.shape[1]
-    phi = np.log if d == 2 else (lambda r: -np.power(r, 2.0 - d))
-    lo, hi = phi(r_inner), phi(R)
-    lo_shell = phi(r_inner * (1.0 + _EPS_REL_INNER))
-    hi_shell = phi(R - 2.0 * R * _EPS_ABS_FACTOR)
-    with np.errstate(divide="ignore"):
-        cur = phi(np.linalg.norm(x0 - center, axis=1))[:, None]
-
-    def stop(x):
-        x = x[:, 0]
-        return (x <= lo_shell) | (x >= hi_shell), np.minimum(x - lo, hi - x)
-
-    def step(x, rho):
-        return (rho * _unit_directions(rng, x.shape[0], 2)[:, 0])[:, None]
-
-    counts = _walk(cur, stop, step, _WOS_MAX_ITERS)
-    return cur[:, 0] <= lo_shell, counts
-
-
 def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
-    """tau_k-stopped positions for a 1d solution with one atom: the sublevel
-    component of the start is an interval, so the exit is a single exact
-    two-point draw."""
+    """tau_k-stopped positions for a 1d solution with one atom, and the
+    uniform draws they took: the sublevel component of the start is an
+    interval, so the exit is a single exact two-point draw."""
     dom = solution.dom
     a, b = dom.bounding_box[0]
     atoms = solution.measure.atoms
@@ -309,7 +280,7 @@ def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
         # level never reached: tau_k = tau_D, a single two-point exit draw
         p_hi = (x - a) / (b - a)
         out[:] = np.where(rng.random(x.size) < p_hi, b, a)
-        return out.reshape(-1, 1)
+        return out.reshape(-1, 1), x.size
     lo_edge = float(optimize.brentq(lambda t: prof([t])[0] - k, a + 1e-14, m - 1e-14,
                                     xtol=1e-15))
     hi_edge = float(optimize.brentq(lambda t: prof([t])[0] - k, m + 1e-14, b - 1e-14,
@@ -324,32 +295,40 @@ def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
             out[mask] = np.where(rng.random(mask.sum()) < p_hi, hi, lo)
     if mid.any():
         out[mid] = x[mid]           # started above the level: tau_k = 0
-    return out.reshape(-1, 1)
+    return out.reshape(-1, 1), int(x.size - mid.sum())
 
 
 def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng):
     """u(X_{tau_k}) for the reducing time tau_k = exit of {R^D|mu| <= k}, and
-    the (loop iterations, path steps) of the walk that drew them ((0, 0)
-    when no walk runs: 1d exits are single exact draws)."""
+    the number of uniform draws the exit law consumed.
+
+    On a ball of centre c and radius R, with {u > k} the ball of radius r_k
+    about c, a start x outside it reaches the level sphere before the
+    boundary with probability (phi(R) - phi(|x - c|)) / (phi(R) - phi(r_k))
+    (Morters & Peres, Brownian Motion, Thm 3.18), phi = log r in d = 2 and
+    -r^(2-d) in d = 3, and stops there at u = k, else at the boundary value
+    0: one draw per such start, in index order.  A start inside the level
+    ball stops at once (tau_k = 0) with u(x0) and draws nothing.
+    """
     dom = solution.dom
     if dom.dim == 1:
-        pts = _stopped_positions_1d(solution, k, x0, rng)
-        return solution.evaluate(pts), (0, 0)
+        pts, draws = _stopped_positions_1d(solution, k, x0, rng)
+        return solution.evaluate(pts), draws
     center, profile = _radial_profile(solution)
     R = dom.radius
     r_k = _level_radius(profile, R, k)
-    if r_k <= 0.0:
-        return np.zeros(np.atleast_2d(x0).shape[0]), (0, 0)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    hit, counts = _walk_annulus(center, R, r_k, x0, rng)
-    vals = np.zeros(hit.size)
-    # the stopped position lies on the level circle {u = k} exactly
-    vals[hit] = k
-    # a start inside {u > k} stops at once (tau_k = 0, no draws): u(x0)
-    inside = np.linalg.norm(x0 - center, axis=1) < r_k
+    if r_k <= 0.0:
+        return np.zeros(x0.shape[0]), 0
+    r0 = np.linalg.norm(x0 - center, axis=1)
+    inside = r0 < r_k
+    vals = np.zeros(r0.size)
     if inside.any():
         vals[inside] = solution.evaluate(x0[inside])
-    return vals, counts
+    phi = np.log if dom.dim == 2 else (lambda r: -np.power(r, 2.0 - dom.dim))
+    p = (phi(R) - phi(r0[~inside])) / (phi(R) - phi(r_k))
+    vals[~inside] = np.where(rng.random(p.size) < p, k, 0.0)
+    return vals, int(p.size)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +401,14 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
     """
     rng = _rng(seed)
     x0 = np.tile(np.atleast_1d(np.asarray(start, dtype=float)), (n_samples, 1))
-    vals, (iterations, path_steps) = stopped_values(solution, k, x0, rng)
+    vals, draws = stopped_values(solution, k, x0, rng)
     payoff = np.maximum(vals - n, 0.0)
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     frac_inner = float(np.mean(vals > 1e-12))
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
                       extra={"frac_stopped_before_exit": frac_inner, "k": k, "n": n,
-                             "walk_iterations": iterations, "path_steps": path_steps})
+                             "draws": draws})
 
 
 def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
@@ -472,8 +451,7 @@ class UIDiagnostic:
     limit_stderr: float
     limit_basis: str               # the rule behind limit_estimate
     target: float
-    walk_iterations: int           # loop iterations, summed over the family
-    path_steps: int                # walker moves, summed over the family
+    draws: int                     # exit-law uniform draws, summed over the family
 
 
 def class_d_diagnostic(solution: Solution, family: Sequence[float],
@@ -497,12 +475,11 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     starts = sample_start_points(dom, rho, n_samples, rng)
 
     stopped = []
-    iterations = path_steps = 0
+    draws = 0
     for k in family:
-        vals, (its, steps) = stopped_values(solution, k, starts, rng)
+        vals, n_draws = stopped_values(solution, k, starts, rng)
         stopped.append(np.abs(vals))
-        iterations += its
-        path_steps += steps
+        draws += n_draws
 
     table = np.empty((len(levels), len(family)))
     stderr_tab = np.empty_like(table)
@@ -540,8 +517,7 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     return UIDiagnostic(levels=levels, estimates=estimates, stderrs=stderrs,
                         family=family, table=table, verdict=verdict,
                         limit_estimate=limit_est, limit_stderr=limit_sig,
-                        limit_basis=basis, target=float(target),
-                        walk_iterations=iterations, path_steps=path_steps)
+                        limit_basis=basis, target=float(target), draws=draws)
 
 
 def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,

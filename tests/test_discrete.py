@@ -17,7 +17,8 @@ LAP = OperatorSpec.laplacian()
 
 
 def test_laplacian_1d_transition_weights(interval_dop):
-    P = interval_dop.transition_matrix()
+    # P = I - D^{-1} A
+    P = sp.eye(interval_dop.n) - sp.diags(1.0 / interval_dop.diag) @ interval_dop.A
     # interior rows: one half to each neighbor
     row = P.getrow(interval_dop.n // 2).toarray().ravel()
     nz = row[row > 0]

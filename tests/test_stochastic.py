@@ -12,7 +12,7 @@ from potkit.solve import integral_solution
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
                                stopped_values, _project_to_boundary, _level_radius,
-                               _radial_profile, _rng, _walk, _walk_annulus)
+                               _radial_profile, _rng, _walk)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -232,6 +232,18 @@ def _hit_probability(d, r0, r_k):
     return (1.0 / r0 - 1.0) / (1.0 / r_k - 1.0)
 
 
+def _annulus_hits(d, r_k, starts, rng):
+    """Mask of the starts whose reducing walk stops on the level sphere of
+    radius r_k of the unit-ball Dirac, u = -log r / (2 pi) in the plane and
+    (1/r - 1) / (4 pi) in space, by ``stopped_values``."""
+    ball = Domain.ball(np.zeros(d), 1.0, d)
+    sol = integral_solution(LAP, ball, MeasureData.make(atoms=[(np.zeros(d), 1.0)],
+                                                        dom=ball))
+    k = -math.log(r_k) / (2.0 * math.pi) if d == 2 else (1.0 / r_k - 1.0) / (4.0 * math.pi)
+    vals, _ = stopped_values(sol, k, starts, rng)
+    return vals == k
+
+
 @pytest.mark.parametrize("d,x0,r_k", [
     (2, [0.5, 0.0], math.exp(-4.0 * math.pi)),
     (2, [0.0, -0.1], math.exp(-8.0 * math.pi)),
@@ -244,7 +256,7 @@ def _hit_probability(d, r0, r_k):
 def test_walk_annulus_hit_frequency(d, x0, r_k):
     # k = 2, 4, 8, 16 and 16 in the plane; three radii in space
     n = 40_000
-    hit, _ = _walk_annulus(np.zeros(d), 1.0, r_k, np.tile(x0, (n, 1)), _rng(5))
+    hit = _annulus_hits(d, r_k, np.tile(x0, (n, 1)), _rng(5))
     p = _hit_probability(d, np.linalg.norm(x0), r_k)
     assert abs(hit.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
@@ -254,7 +266,7 @@ def test_walk_annulus_hit_frequency(d, x0, r_k):
 def test_walk_annulus_matches_ball_walk(d, x0, r_k):
     n = 20_000
     starts = np.tile(x0, (n, 1))
-    new, _ = _walk_annulus(np.zeros(d), 1.0, r_k, starts, _rng(8))
+    new = _annulus_hits(d, r_k, starts, _rng(8))
     ref = _ball_walk_annulus(np.zeros(d), 1.0, r_k, starts, _rng(9))
     p, q = new.mean(), ref.mean()
     assert abs(p - q) <= 3.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n)
@@ -270,18 +282,19 @@ def test_reducing_expectation_3d_ball():
     # u = (1/r - 1)/(4 pi), so u = k on 1/r_k - 1 = 4 pi k
     exact = (k - n) * (1.0 / r0 - 1.0) / (4.0 * math.pi * k)
     assert abs(est.value - exact) <= 3.0 * est.stderr
-    assert est.extra["walk_iterations"] > 0
+    # every start lies outside the level ball: one draw each
+    assert est.extra["draws"] == 50_000
 
 
 def test_reducing_walk_step_count(disk_dirac_solution, monkeypatch):
-    # the radial walk needs O(log 1/eps) steps, not (2 pi k)^2: at k = 16 the
+    # the exit law is one Bernoulli draw per walker, however small the level
+    # circle (e^{-32 pi} at k = 16): no walk step at all, where the
     # maximal-ball walk in the annulus took 23,117 loop iterations on these inputs
     calls = _count_directions(monkeypatch)
     est = reducing_expectation(disk_dirac_solution, k=16.0, n=1.0, start=[0.5, 0.0],
                                n_samples=20_000, seed=3)
-    assert len(calls) < 500
-    assert est.extra["walk_iterations"] == len(calls)
-    assert est.extra["path_steps"] == sum(calls)
+    assert calls == []
+    assert est.extra["draws"] == 20_000
 
 
 def test_level_radius_resolution_guard(disk_dirac_solution):
@@ -300,9 +313,9 @@ def test_stopped_values_unreached_level_draws_nothing():
     sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    vals, counts = stopped_values(sol, 0.3, np.array([[0.1, 0.2], [-0.4, 0.0]]), rng)
+    vals, draws = stopped_values(sol, 0.3, np.array([[0.1, 0.2], [-0.4, 0.0]]), rng)
     assert np.all(vals == 0.0)
-    assert counts == (0, 0)
+    assert draws == 0
     assert rng.bit_generator.state == before
 
 
@@ -320,6 +333,59 @@ def test_stopped_values_start_inside_level_set():
     alone, _ = stopped_values(sol, 0.2, starts[2:], np.random.default_rng(3))
     assert vals[2] == alone[0]
     assert alone[0] in (0.0, 0.2)
+
+
+def _interval_atom_solution():
+    unit = Domain.interval(0.0, 1.0)
+    return integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
+
+
+@pytest.mark.parametrize("case", ["disk", "interval", "interval-unreached"])
+def test_stopped_values_counts_its_draws(case):
+    # draws = the starts outside the level set {u > k}, and the generator has
+    # advanced by exactly that many random() draws
+    if case == "disk":
+        # (1 - r^2)/4 exceeds k = 0.2 on r < sqrt(0.2)
+        sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+        k = 0.2
+        starts = sample_start_points(DISK, None, 500, _rng(2))
+        outside = np.linalg.norm(starts, axis=1) >= math.sqrt(0.2)
+    else:
+        # the tent peaked at 0.5: k = u(0.25) puts the level edges at 0.25, 0.75
+        sol = _interval_atom_solution()
+        k = float(sol.evaluate([[0.25]])[0])
+        if case == "interval-unreached":
+            k *= 10.0
+        starts = np.array([[0.1], [0.45], [0.55], [0.9], [0.2], [0.7]])
+        outside = (np.abs(starts[:, 0] - 0.5) > 0.25) | (case == "interval-unreached")
+    rng = np.random.default_rng(3)
+    vals, draws = stopped_values(sol, k, starts, rng)
+    assert draws == int(outside.sum()) > 0
+    assert np.all(outside | (vals > k))
+    ref = np.random.default_rng(3)
+    ref.random(draws)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_reducing_and_class_d_never_walk(disk_dirac_solution, monkeypatch):
+    # the level-sphere hit is a closed-form Bernoulli draw: a spy on the walk
+    # loop sees no call, while the maximal inequality still walks through it
+    calls = []
+    walk = stochastic._walk
+    monkeypatch.setattr(stochastic, "_walk",
+                        lambda *a, **kw: calls.append(1) or walk(*a, **kw))
+    uniform_disk = lambda p: np.full(len(p), 1 / math.pi)
+    reducing_expectation(disk_dirac_solution, k=4.0, n=1.0, start=[0.5, 0.0],
+                         n_samples=1_000, seed=4)
+    class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0], levels=[0.25, 0.5],
+                       rho=uniform_disk, n_samples=1_000, seed=4)
+    reducing_expectation(_interval_atom_solution(), k=0.1, n=0.05, start=[0.2],
+                         n_samples=1_000, seed=4)
+    assert calls == []
+    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
+                             n_samples=100, seed=4)
+    assert calls == [1]
 
 
 def test_stderr_scaling(disk_dirac_solution):
@@ -387,12 +453,16 @@ def _count_directions(monkeypatch):
 
 def test_class_d_reports_walk_counts(disk_dirac_solution, monkeypatch):
     calls = _count_directions(monkeypatch)
+    rho = lambda p: np.full(len(p), 1 / math.pi)
     diag = class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0],
-                              levels=[0.25, 0.5],
-                              rho=lambda p: np.full(len(p), 1 / math.pi),
-                              n_samples=2_000, seed=12)
-    assert diag.walk_iterations == len(calls) > 0
-    assert diag.path_steps == sum(calls)
+                              levels=[0.25, 0.5], rho=rho, n_samples=2_000, seed=12)
+    # the diagnostic draws its starts first, then one uniform per start
+    # outside each level circle r_k = e^{-2 pi k}
+    starts = sample_start_points(DISK, rho, 2_000, _rng(12))
+    radii = np.linalg.norm(starts, axis=1)
+    outside = sum(int(np.sum(radii >= math.exp(-2.0 * math.pi * k))) for k in (2.0, 4.0))
+    assert diag.draws == outside > 0
+    assert calls == []
 
 
 def test_maximal_reports_walk_counts(monkeypatch):
@@ -461,37 +531,28 @@ def _mask_walk(cur, stop, step, max_iters, on_step=None):
     raise ConvergenceError("reference walk exceeded its budget")
 
 
-def _walk_outputs(disk_dirac_solution):
+def _walk_outputs():
     """Every sampler that walks to an exit, on small seeded inputs."""
     uniform_disk = lambda p: np.full(len(p), 1 / math.pi)
     bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
-    unit = Domain.interval(0.0, 1.0)
-    atom = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
+    atom = _interval_atom_solution()
     rect = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
-    red = reducing_expectation(disk_dirac_solution, k=4.0, n=1.0, start=[0.5, 0.0],
-                               n_samples=2_000, seed=4)
-    diag = class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0],
-                              levels=[0.25, 0.5], rho=uniform_disk,
-                              n_samples=2_000, seed=4)
     max_disk = maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
                                         n_samples=1_000, seed=4)
     max_int = maximal_inequality_check(atom, d1_value=0.125,
                                        rho=lambda p: np.ones(len(p)),
                                        n_samples=1_000, seed=4)
     return [wos_exit(rect, [0.4, 1.0], seed=4, n_samples=500),
-            np.array([red.value, red.stderr, red.extra["frac_stopped_before_exit"],
-                      red.extra["walk_iterations"], red.extra["path_steps"]]),
-            diag.table, diag.stderrs,
             np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
             stable_exit(Domain.interval(-1.0, 1.0), [0.5], alpha=0.5, seed=4,
                         n_samples=500)]
 
 
-def test_walk_matches_full_mask_reference(disk_dirac_solution, monkeypatch):
+def test_walk_matches_full_mask_reference(monkeypatch):
     # compacting the live set must keep every draw's order and size
-    fast = _walk_outputs(disk_dirac_solution)
+    fast = _walk_outputs()
     monkeypatch.setattr("potkit.stochastic._walk", _mask_walk)
-    ref = _walk_outputs(disk_dirac_solution)
+    ref = _walk_outputs()
     for a, b in zip(fast, ref):
         assert np.array_equal(a, b)
 
