@@ -25,7 +25,7 @@ from .config import (build_domain, build_eta, build_measure, build_operator,
                      build_rho, grid_widths, load_config, validate_config)
 from .discrete import assemble
 from .envelope import d1_norm, envelope_field, reduite, tail_curve, tail_obstacle
-from .errors import PotkitError
+from .errors import ConfigError, PotkitError
 from .geometry import build_grid
 from .kernels import constants_table
 from .measures import total_variation
@@ -250,8 +250,10 @@ def cmd_reconstruct(args) -> int:
 def cmd_mc(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    if "seed" not in cfg:
-        raise PotkitError("stochastic runs require a seed in the config")
+    needed = {"reducing": ("k", "n", "start"), "classd": ("family", "levels")}
+    for key in ("seed",) + needed.get(args.mode, ()):
+        if key not in cfg:
+            raise ConfigError(f"config field '{key}': required for mc {args.mode}")
     dom, op, mu = _build_all(cfg)
     sol = integral_solution(op, dom, mu)
     rho = build_rho(cfg, dom)

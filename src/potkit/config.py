@@ -104,8 +104,10 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
         },
-        "levels": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-        "family": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+        "levels": {"type": "array", "minItems": 1,
+                   "items": {"type": "number", "exclusiveMinimum": 0}},
+        "family": {"type": "array", "minItems": 1,
+                   "items": {"type": "number", "exclusiveMinimum": 0}},
         "k": {"type": "number", "exclusiveMinimum": 0},
         "n": {"type": "number", "exclusiveMinimum": 0},
         "start": {"type": "array", "items": {"type": "number"}},

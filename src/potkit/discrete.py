@@ -76,33 +76,34 @@ class DiscreteOperator:
         A[c, c] x = rhs instead: the Dirichlet problem on c with zero data
         off c.
 
-        One rule for both: a system of at most ``_COARSE_MAX`` unknowns, or
-        a block of the dense non-local operator, is factored directly (a
-        fresh copy: sparse LU for local operators, dense Cholesky for the
-        non-local one).  Anything larger runs CG to relative residual
-        ``_CG_RTOL``, preconditioned by one symmetric geometric V-cycle of
-        the full A on the grids of mesh width 2h, 4h, ... with that direct
-        factorization at the bottom (built per solve and freed on return).
-        A block zero-pads its residual to the grid and restricts the
-        correction to c, which keeps the preconditioner symmetric positive
-        definite.
+        One rule for both: the dense non-local operator, and any system or
+        block of at most ``_COARSE_MAX`` unknowns, is factored directly (a
+        fresh copy: dense Cholesky or sparse LU).  Everything else runs CG
+        to relative residual ``_CG_RTOL``, preconditioned by one V-cycle
+        (``_hierarchy``) of the matrix it solves: A for a full system, and
+        for a block the embedded K A K + diag(1_S diag A), K = diag(1_c) and
+        S the nodes off c, with the right-hand side zero on S: it is SPD and
+        block diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.
         """
         c = np.arange(self.n) if on is None else on
-        if c.size <= _COARSE_MAX or (on is not None and not self.is_local):
+        if c.size <= _COARSE_MAX or not self.is_local:
             block = self.A[c][:, c] if self.is_local else self.dense_view()[np.ix_(c, c)]
             return _factor(block)(rhs_flat)
-        levels, bottom = _hierarchy(self.grid, self.A, self.is_local)
-        A, precond = self.A, partial(_vcycle, levels, bottom)
+        A, b = self.A, rhs_flat
         if on is not None:
-            A, precond = A[c][:, c], partial(_restricted, precond, c, self.n)
-        M = spla.LinearOperator((c.size, c.size), matvec=precond, dtype=float)
-        x, info = spla.cg(A, rhs_flat, rtol=_CG_RTOL, atol=0.0,
-                          maxiter=_CG_MAX_ITERS, M=M)
+            keep = np.zeros(self.n)
+            keep[c] = 1.0
+            K = sp.diags(keep)
+            A = (K @ A @ K + sp.diags((1.0 - keep) * self.diag)).tocsr()
+            b = np.zeros(self.n)
+            b[c] = rhs_flat
+        levels, bottom = _hierarchy(self.grid, A)
+        M = spla.LinearOperator(A.shape, matvec=partial(_vcycle, levels, bottom), dtype=float)
+        x, info = spla.cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITERS, M=M)
         if info != 0:
-            raise ConvergenceError(
-                f"CG did not reach relative residual {_CG_RTOL:g} within "
-                f"{_CG_MAX_ITERS} iterations (info={info})")
-        return x
+            raise ConvergenceError(f"CG did not reach relative residual {_CG_RTOL:g} "
+                                   f"within {_CG_MAX_ITERS} iterations (info={info})")
+        return x[c]
 
 
 def _factor(M):
@@ -140,11 +141,11 @@ def _prolongation(fine: Grid, coarse: Grid) -> sp.csr_matrix:
         shape=(fine.n_interior, coarse.n_interior))
 
 
-def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
+def _hierarchy(grid: Grid, A: sp.csr_matrix):
     """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
-    Galerkin coarse operators P^T A P, and the factorized bottom operator:
-    SuperLU for a local stencil, Cholesky of the dense array for a non-local
-    operator, whose every entry is stored."""
+    Galerkin coarse operators P^T A P, and the SuperLU factorization of the
+    bottom operator.  Only sparse local matrices get here: a stencil A, or
+    the embedded matrix of a block (Kornhuber's truncated coarse operators)."""
     levels = []
     while A.shape[0] > _COARSE_MAX:
         try:
@@ -155,15 +156,7 @@ def _hierarchy(grid: Grid, A: sp.csr_matrix, is_local: bool):
         levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
         A = (P.T @ A @ P).tocsr()
         grid = coarse
-    return levels, _factor(A if is_local else A.toarray())
-
-
-def _restricted(precond, c: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
-    """``precond`` of the full system applied to r zero-padded off the flat
-    indices c, read back on c."""
-    full = np.zeros(n)
-    full[c] = r
-    return precond(full)[c]
+    return levels, _factor(A)
 
 
 def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:

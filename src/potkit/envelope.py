@@ -189,6 +189,8 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
     if g_lat.shape != grid.shape:
         raise SupportError("obstacle shape does not match the grid lattice")
+    if w0 is not None and np.shape(w0) != grid.shape:
+        raise SupportError("start w0 shape does not match the grid lattice")
     g_lat = np.where(grid.interior_mask, g_lat, 0.0)
     g_lat = _cap_infinite(g_lat, grid)
     if np.any(g_lat[grid.interior_mask] < 0):

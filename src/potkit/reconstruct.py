@@ -272,22 +272,21 @@ def _graded_panels_1d(dom: Domain, anchors: Sequence[float],
 
 
 def nonlocal_energy(solution: Solution, eta: Callable, n: float,
-                    rel_tol: float = 0.01, return_trace: bool = False):
+                    rel_tol: float = 0.01) -> float:
     """Fractional-window energy (see module docstring), refined until the
     relative change between successive panel gradings is below rel_tol;
     ConvergenceError if ``_MAX_REFINE`` gradings do not get there.  Grading
     i has ``_PER_DECADE * 2**i`` panels per decade and ``_GAUSS`` nodes per
-    panel.  With ``return_trace`` the value comes with the list of every
-    grading's value.
+    panel.
 
     The one-level case of the quadrature that ``reconstruct_mu_c`` runs for
-    all its levels at once, with the same value and trace.  Supported for 1d
+    all its levels at once, with the same value.  Supported for 1d
     domains (the double integral is a full tensor quadrature; higher
     dimensions would need 2d-pair quadrature and are out of scope for the
     closed-form path).
     """
-    (val, trace), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
-    return (val, trace) if return_trace else val
+    (val, _), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
+    return val
 
 
 def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],

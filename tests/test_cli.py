@@ -200,6 +200,33 @@ def test_missing_required_field(tmp_path, capsys):
     assert "operator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,preset,field,value", [
+    ("mc maximal", "mc-maximal-bounded", "seed", None),
+    ("mc reducing", "mc-reducing-disk", "k", None),
+    ("mc reducing", "mc-reducing-disk", "n", None),
+    ("mc reducing", "mc-reducing-disk", "start", None),
+    ("mc classd", "mc-classd-bounded", "family", None),
+    ("mc classd", "mc-classd-bounded", "levels", None),
+    ("mc classd", "mc-classd-bounded", "family", []),
+    ("mc classd", "mc-classd-bounded", "levels", []),
+    ("reconstruct local", "reconstruct-local-disk-dirac", "levels", []),
+    ("tail", "tail-disk-dirac", "levels", []),
+])
+def test_missing_or_empty_run_field_named(tmp_path, capsys, command, preset, field, value):
+    """A run field that is missing, or an empty level or family list, exits
+    with code 1 and names the field instead of failing deep in the run."""
+    cfg = get_preset(preset)
+    if value is None:
+        del cfg[field]
+    else:
+        cfg[field] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(command.split() + ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,field", [("domain", "radiuss"), ("operator", "alhpa"),
                                            ("grid", "hh"), ("tolerances", "reduit")])
 def test_misspelled_nested_field_rejected(tmp_path, capsys, tiny_dirac_cfg, section, field):

@@ -145,7 +145,9 @@ def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
     assert dop.A.nnz == dop.n**2
 
 
-def test_fractional_solve_cholesky_bottom(monkeypatch):
+def test_fractional_solve_cholesky_bottom(monkeypatch, cg_calls):
+    """The dense fractional operator is always factored whole, never solved
+    by CG, also with the coarsest V-cycle level lowered below its size."""
     factored = []
     cho_factor = discrete.cho_factor
 
@@ -155,10 +157,14 @@ def test_fractional_solve_cholesky_bottom(monkeypatch):
     monkeypatch.setattr(discrete, "cho_factor", counting_cho_factor)
     dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
     rhs = np.random.default_rng(5).standard_normal(dop.n)
-    x = dop.solve(rhs)
-    assert factored == [(dop.n, dop.n)]
     ref = spla.spsolve(dop.A.tocsc(), rhs)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    for coarse_max in (discrete._COARSE_MAX, 200):
+        monkeypatch.setattr(discrete, "_COARSE_MAX", coarse_max)
+        factored.clear()
+        x = dop.solve(rhs)
+        assert factored == [(dop.n, dop.n)]
+        assert cg_calls == []
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_fractional_green_consistency():
@@ -207,15 +213,14 @@ CG_CASES = {
                         Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
     "l-shape": (LAP, Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=_l_shape), 2.0**-7),
     "interval": (LAP, Domain.interval(0.0, 1.0), 2.0**-10),
-    "fractional-interval": (OperatorSpec.fractional(0.5), Domain.interval(-1.0, 1.0),
-                            2.0**-8),
 }
 
 
 BLOCK_CASES = {"laplacian-disk": CG_CASES["disk"],
                "laplacian-disk-coarse": (LAP, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5),
                "divergence-disk": CG_CASES["divergence-disk"],
-               "fractional-interval": CG_CASES["fractional-interval"]}
+               "fractional-interval": (OperatorSpec.fractional(0.5),
+                                       Domain.interval(-1.0, 1.0), 2.0**-8)}
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
@@ -243,8 +248,8 @@ def test_principal_block_solve(case):
 
 def test_block_solve_factors_no_large_local_matrix(monkeypatch):
     """A 7,691-node block of the h = 2^-6 disk is solved by CG with the
-    V-cycle of the full A, so no local matrix above _COARSE_MAX rows is
-    factored (the bottom grid is)."""
+    V-cycle of its embedded matrix, so no local matrix above _COARSE_MAX
+    rows is factored (the bottom grid is)."""
     rows = []
     factor = discrete._factor
 
@@ -319,6 +324,27 @@ def test_cg_budget_raises(monkeypatch, cg_iterations):
     dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
     with pytest.raises(ConvergenceError, match="within 1 iterations"):
         dop.solve(np.ones(dop.n))
+
+
+def _disk_blocks(pts):
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    return {"r<0.8": r < 0.8, "r>0.2": r > 0.2, "x<0.3": pts[:, 0] < 0.3,
+            "random-60%": np.random.default_rng(8).random(len(pts)) < 0.6}
+
+
+@pytest.mark.parametrize("block", ["r<0.8", "r>0.2", "random-60%", "x<0.3"])
+def test_block_cg_uses_the_blocks_own_vcycle(cg_calls, block):
+    """A block of the h = 2^-6 disk above _COARSE_MAX nodes is one CG solve
+    preconditioned by the V-cycle of its embedded matrix, so it needs about
+    as few iterations as the full system (the V-cycle of the full A,
+    restricted to the block, needed 28, 16, 142 and 24)."""
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    c = np.flatnonzero(_disk_blocks(dop.grid.interior_points())[block])
+    assert c.size > discrete._COARSE_MAX
+    rhs = np.ones(c.size)
+    x = dop.solve(rhs, on=c)
+    assert len(cg_calls) == 1 and cg_calls[0] <= 15
+    assert np.linalg.norm(dop.A[c][:, c] @ x - rhs) <= discrete._CG_RTOL * np.linalg.norm(rhs)
 
 
 def test_default_disk_solve_runs_cg(cg_calls):

@@ -258,6 +258,18 @@ def test_negative_obstacle_rejected(interval_dop):
         reduite(interval_dop, g)
 
 
+@pytest.mark.parametrize("shape", ["flat", "short"])
+def test_start_of_wrong_shape_rejected(interval_dop, shape):
+    """A start w0 off the grid lattice is refused by name, as the obstacle
+    is, instead of failing on a mask of another shape."""
+    grid = interval_dop.grid
+    g = grid.new_field()
+    g[grid.nearest_node(0.5)] = 1.0
+    w0 = g[grid.interior_mask] if shape == "flat" else g[:-1]
+    with pytest.raises(SupportError, match="start w0 shape"):
+        reduite(interval_dop, g, w0=w0)
+
+
 def test_infinite_obstacle_capped(interval_dop):
     g = interval_dop.grid.new_field()
     node = interval_dop.grid.nearest_node(0.5)

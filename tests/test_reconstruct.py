@@ -180,11 +180,12 @@ def test_reconstruct_report_keeps_refinement_traces(monkeypatch):
     eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
     rep = reconstruct_mu_c(sol, eta, [2.0, 1.0])
     for n, val, trace in zip(rep.levels, rep.values, rep.traces):
-        assert nonlocal_energy(sol, eta, n, return_trace=True) == (val, trace)
+        assert reconstruct_mod._nonlocal_energies(sol, eta, [n]) == [(val, trace)]
+        assert nonlocal_energy(sol, eta, n) == val
     # an unconverged trace raises instead of passing for a value
     monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 1)
     with pytest.raises(ConvergenceError):
-        nonlocal_energy(sol, eta, 1.0, return_trace=True)
+        nonlocal_energy(sol, eta, 1.0)
 
 
 def _full_matrix_jump(x, w, u, ex, alpha, n):
