@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import AssemblyError, SupportError, UnsupportedKernelError
 from .geometry import Domain
@@ -400,6 +400,7 @@ def _complement_integral(alpha: float, d: int, R: float, r: float, rule) -> floa
                 if r > 0 else 4.0 * math.pi * s**2 * s ** (-(d + alpha))
     else:
         raise UnsupportedKernelError("killing_density ball supports d in {1,2,3}")
-    val, _ = integrate.quad(shell, R, np.inf, limit=200)
+    from scipy.integrate import quad
+    val, _ = quad(shell, R, np.inf, limit=200)
     return val
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DimensionMismatchError, SupportError
 from .geometry import Domain, Grid
@@ -61,6 +60,7 @@ class Density:
         """Integral of |density| over the domain (total-variation part)."""
         if self.kind == "constant":
             return abs(self.value) * dom.volume()
+        from scipy.integrate import quad
         # gaussian: radial quadrature about its center when centered in a ball,
         # generic quadrature otherwise
         if dom.kind == "ball" and self.is_radial_about(dom.center):
@@ -68,10 +68,10 @@ class Density:
             area = sphere_area(d)
             f = lambda r: abs(self.value) * math.exp(-r * r / (2 * self.sigma**2)) \
                 * area * r ** (d - 1)
-            return integrate.quad(f, 0.0, R)[0]
+            return quad(f, 0.0, R)[0]
         if dom.dim == 1:
             a, b = dom.bounding_box[0]
-            return integrate.quad(lambda x: abs(float(self(np.array([[x]])))), a, b)[0]
+            return quad(lambda x: abs(float(self(np.array([[x]])))), a, b)[0]
         raise SupportError("gaussian TV needs a centered ball or 1d domain")
 
 

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ConvergenceError, SupportError
 from .geometry import Domain, lattice_shifts
 from .kernels import frac_constant, killing_density
-from .solve import Solution
+from .solve import Solution, level_radius
 
 _JUMP_BLOCK_ROWS = 512     # rows of the jump measure held at a time
 _ANGULAR_RAYS = 64         # rays around each atom (closed-form local energy)
@@ -99,7 +98,8 @@ def kink_integral(f: Callable, x: float, y: float) -> float:
         return ((max(x - a, 0.0) - max(y - a, 0.0)
                  - (x - y) * (1.0 if y > a else 0.0)) * f(a))
 
-    val, _ = integrate.quad(integrand, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)
+    from scipy.integrate import quad
+    val, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-12)
     return val
 
 
@@ -129,17 +129,6 @@ def constant_eta(value: float = 1.0) -> Callable:
 # ---------------------------------------------------------------------------
 # local functional
 # ---------------------------------------------------------------------------
-
-def _window_radii(u_ray: Callable, level: float, r_hi: float) -> float:
-    """Radius where the decreasing ray profile crosses `level` (0 if below)."""
-    lo = 1e-14
-    if u_ray(lo) <= level:
-        return 0.0
-    if u_ray(r_hi) >= level:
-        return r_hi
-    return float(optimize.brentq(lambda r: u_ray(r) - level, lo, r_hi,
-                                 xtol=1e-15, rtol=1e-14))
-
 
 def local_energy(solution: Solution, eta: Callable, n: float) -> float:
     """(1/n) Int_{n <= u <= 2n} eta Gamma(u, u) dx for local operators, with
@@ -194,12 +183,9 @@ def _local_energy_closed(solution, eta, n):
         p = np.asarray(p, dtype=float)
         for direction, wa in zip(dirs, ang_w):
             r_hi = _ray_exit(dom, p, direction)
-
-            def u_ray(r, direction=direction):
-                return float(solution.evaluate((p + r * direction).reshape(1, -1))[0])
-
-            r_out = _window_radii(u_ray, n, r_hi)          # u = n crossing
-            r_in = _window_radii(u_ray, 2.0 * n, r_hi)     # u = 2n crossing
+            u_ray = lambda r: solution.evaluate(p + np.outer(r, direction))
+            r_out = level_radius(u_ray, r_hi, n)           # u = n crossing
+            r_in = level_radius(u_ray, r_hi, 2.0 * n)      # u = 2n crossing
             if r_out <= r_in:
                 continue
             mid = 0.5 * (r_out + r_in)

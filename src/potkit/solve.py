@@ -316,6 +316,40 @@ def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData,
                     closed=False, grid_field=gf)
 
 
+def level_radius(profile, R: float, k: float) -> float:
+    """Radius of the superlevel set {u > k} of a profile decreasing on (0, R)
+    (an array of radii -> u there): 0 when u never exceeds k, R when u still
+    reaches k at R(1 - 1e-12).
+
+    Each step calls the profile on 256 radii evenly spaced in log r inside the
+    bracket and keeps the pair around the sign change of u - k, until the
+    bracket ends on adjacent doubles (about 8 steps); its end where u <= k is
+    returned.  Only the sign is read, so u = +inf where a point rounds onto an
+    atom does no harm, and circles shrinking like e^{-2 pi k} stay resolvable.
+    A level the profile does not resolve (|x|^2 underflows below r ~ 1.6e-162,
+    so a planar Dirac resolves k up to about 58) raises SupportError naming k.
+    """
+    lo, hi = 1e-280, R * (1.0 - 1e-12)
+    u_lo, u_hi = profile(np.array([lo, hi]))
+    if not u_lo > k:
+        return 0.0
+    if u_hi >= k:
+        return R
+    while math.nextafter(lo, hi) < hi:
+        inner = np.clip(lo * (hi / lo) ** np.linspace(0.0, 1.0, 258)[1:-1],
+                        math.nextafter(lo, hi), math.nextafter(hi, lo))
+        r = np.concatenate(([lo], inner, [hi]))
+        # the last radius above k and the first at or below it
+        j = int(np.argmin(np.append(profile(inner) > k, False)))
+        lo, hi = float(r[j]), float(r[j + 1])
+    u = float(profile(np.array([hi]))[0])
+    if not abs(u - k) <= 1e-9 * max(abs(k), 1.0):
+        raise SupportError(f"level k={k:g} is below the resolution of the radial "
+                           f"profile: its smallest resolved radius is about {hi:.3g}, "
+                           f"where u = {u:.6g}")
+    return hi
+
+
 def potential(op: OperatorSpec, dom: Domain, rho,
               grid: Optional[Grid] = None,
               dop: Optional[DiscreteOperator] = None):

@@ -10,7 +10,7 @@ D, so they carry no time-step bias; ``stable_exit`` ignores a ``dt``.
 The reducing and class-(D) estimators walk nothing: whether Brownian motion
 from x reaches the level sphere |x - c| = r_k before the boundary |x - c| = R
 is a Bernoulli variable with the closed-form parameter of the radial harmonic
-function phi (log r in the plane, -r^(2-d) above), so each walker that starts
+function phi (log r if d = 2, else -r^(2-d)), so each walker that starts
 outside the level ball costs one uniform draw, however small r_k is.
 
 Determinism: every sampler takes a seed (an int, or a Generator to draw
@@ -20,7 +20,8 @@ counts never enter the samplers.
 
 Brownian clock: the generator is the full Laplacian, i.e. variance-2t paths.
 Only stopped positions are consumed and exit laws are invariant under the
-deterministic time change, so samplers use standard Brownian scaling.
+deterministic time change, so samplers use standard Brownian scaling.  The
+Brownian samplers raise SupportError on the solution of any other operator.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .errors import ConvergenceError, SupportError
+from .errors import ConvergenceError, DimensionMismatchError, SupportError
 from .geometry import Domain
-from .solve import Solution
+from .solve import Solution, level_radius
 
 _EPS_ABS_FACTOR = 1e-6    # outer-boundary shell: 1e-6 * diameter
 _WOS_MAX_ITERS = 100_000  # walk-on-spheres iteration budget
@@ -218,114 +218,54 @@ def _project_to_boundary(dom: Domain, pts: np.ndarray) -> np.ndarray:
 # radial level sets and the reducing family
 # ---------------------------------------------------------------------------
 
+def _check_laplacian(solution: Solution, sampler: str) -> None:
+    """Brownian exits sample the Laplacian's process, no other operator's."""
+    if solution.op.kind != "laplacian":
+        raise SupportError(f"{sampler} samples Brownian motion: it needs a laplacian "
+                           f"solution, got the {solution.op.kind} operator")
+
+
 def _radial_profile(solution: Solution):
-    """(center, profile r -> u) for measures radial about the center of a
-    ball: atoms at the center, plus a radial density."""
-    dom = solution.dom
-    if dom.kind != "ball":
-        raise SupportError("radial MC machinery needs a ball or interval")
-    center = np.asarray(dom.center)
+    """(ball, profile radii -> u) for a Laplacian solution on a ball or interval
+    (the 1d ball) whose measure is radial about the center: atoms at the
+    center, plus a radial density."""
+    _check_laplacian(solution, "the reducing family")
+    ball = solution.dom.as_ball()
+    center = np.asarray(ball.center)
     for p, _ in solution.measure.atoms:
         if not np.allclose(p, center):
-            raise SupportError("ball MC machinery needs the atom at the center")
+            raise SupportError("radial MC machinery needs the atom at the center")
     if solution.measure.density is not None and \
             not solution.measure.density.is_radial_about(center):
         raise SupportError("density must be radial about the center")
-
-    def profile(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        pts = center + np.outer(r, np.eye(dom.dim)[0])
-        return solution.evaluate(pts)
-    return center, profile
-
-
-def _level_radius(profile, R: float, k: float) -> float:
-    """Radius of the superlevel set {u > k} of a decreasing radial profile
-    (0 when the level is never reached).  Solved in log-radius so that level
-    circles shrinking like e^{-2 pi k} stay resolvable in doubles; a level
-    the profile does not resolve (|x|^2 underflows below r ~ 1.6e-162, so a
-    planar Dirac resolves k up to about 58) raises SupportError."""
-    t_lo = math.log(1e-280)
-    if profile(math.exp(t_lo))[0] <= k:
-        return 0.0
-    t_hi = math.log(R * (1.0 - 1e-12))
-    if profile(math.exp(t_hi))[0] >= k:
-        return R
-    t = optimize.brentq(lambda tt: profile(math.exp(tt))[0] - k, t_lo, t_hi,
-                        xtol=1e-13, rtol=8.9e-16)
-    r = math.exp(t)
-    u = profile(r)[0]
-    if not abs(u - k) <= 1e-9 * max(abs(k), 1.0):
-        raise SupportError(f"level k={k:g} is below the resolution of the radial "
-                           f"profile: its smallest resolved radius is about {r:.3g}, "
-                           f"where u = {u:.6g}")
-    return r
-
-
-def _stopped_positions_1d(solution: Solution, k: float, x0: np.ndarray, rng):
-    """tau_k-stopped positions for a 1d solution with one atom, and the
-    uniform draws they took: the sublevel component of the start is an
-    interval, so the exit is a single exact two-point draw."""
-    dom = solution.dom
-    a, b = dom.bounding_box[0]
-    atoms = solution.measure.atoms
-    if len(atoms) != 1:
-        raise SupportError("1d reducing walk needs exactly one atom")
-    m = atoms[0][0][0]
-    prof = lambda t: solution.evaluate(np.asarray(t, dtype=float).reshape(-1, 1))
-    peak = prof([m - 1e-12])[0]
-    x = np.atleast_2d(x0)[:, 0]
-    out = np.empty_like(x)
-    if peak <= k:
-        # level never reached: tau_k = tau_D, a single two-point exit draw
-        p_hi = (x - a) / (b - a)
-        out[:] = np.where(rng.random(x.size) < p_hi, b, a)
-        return out.reshape(-1, 1), x.size
-    lo_edge = float(optimize.brentq(lambda t: prof([t])[0] - k, a + 1e-14, m - 1e-14,
-                                    xtol=1e-15))
-    hi_edge = float(optimize.brentq(lambda t: prof([t])[0] - k, m + 1e-14, b - 1e-14,
-                                    xtol=1e-15))
-    left = x <= lo_edge
-    right = x >= hi_edge
-    mid = ~(left | right)
-    # start below the level: exit of (a, lo_edge) / (hi_edge, b)
-    for mask, lo, hi in ((left, a, lo_edge), (right, hi_edge, b)):
-        if mask.any():
-            p_hi = (x[mask] - lo) / (hi - lo)
-            out[mask] = np.where(rng.random(mask.sum()) < p_hi, hi, lo)
-    if mid.any():
-        out[mid] = x[mid]           # started above the level: tau_k = 0
-    return out.reshape(-1, 1), int(x.size - mid.sum())
+    axis = np.eye(ball.dim)[0]
+    return ball, lambda r: solution.evaluate(center + np.outer(r, axis))
 
 
 def stopped_values(solution: Solution, k: float, x0: np.ndarray, rng):
     """u(X_{tau_k}) for the reducing time tau_k = exit of {R^D|mu| <= k}, and
     the number of uniform draws the exit law consumed.
 
-    On a ball of centre c and radius R, with {u > k} the ball of radius r_k
-    about c, a start x outside it reaches the level sphere before the
-    boundary with probability (phi(R) - phi(|x - c|)) / (phi(R) - phi(r_k))
+    On a ball or interval of centre c and radius R, with {u > k} the ball of
+    radius r_k about c, a start x outside it reaches the level sphere before
+    the boundary with probability (phi(R) - phi(|x - c|)) / (phi(R) - phi(r_k))
     (Morters & Peres, Brownian Motion, Thm 3.18), phi = log r in d = 2 and
-    -r^(2-d) in d = 3, and stops there at u = k, else at the boundary value
+    -r^(2-d) otherwise, and stops there at u = k, else at the boundary value
     0: one draw per such start, in index order.  A start inside the level
     ball stops at once (tau_k = 0) with u(x0) and draws nothing.
     """
-    dom = solution.dom
-    if dom.dim == 1:
-        pts, draws = _stopped_positions_1d(solution, k, x0, rng)
-        return solution.evaluate(pts), draws
-    center, profile = _radial_profile(solution)
-    R = dom.radius
-    r_k = _level_radius(profile, R, k)
+    ball, profile = _radial_profile(solution)
+    R = ball.radius
+    r_k = level_radius(profile, R, k)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if r_k <= 0.0:
         return np.zeros(x0.shape[0]), 0
-    r0 = np.linalg.norm(x0 - center, axis=1)
+    r0 = np.linalg.norm(x0 - np.asarray(ball.center), axis=1)
     inside = r0 < r_k
     vals = np.zeros(r0.size)
     if inside.any():
         vals[inside] = solution.evaluate(x0[inside])
-    phi = np.log if dom.dim == 2 else (lambda r: -np.power(r, 2.0 - dom.dim))
+    phi = np.log if ball.dim == 2 else (lambda r: -np.power(r, 2.0 - ball.dim))
     p = (phi(R) - phi(r0[~inside])) / (phi(R) - phi(r_k))
     vals[~inside] = np.where(rng.random(p.size) < p, k, 0.0)
     return vals, int(p.size)
@@ -397,10 +337,18 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
     time tau_k (exit of the sublevel set of the absolute potential).
 
     The estimator's per-path values and the fraction of paths stopped before
-    leaving the domain are reported; the latter decreases in k.
+    leaving the domain are reported; the latter decreases in k.  A start
+    that is not one interior point of the domain raises before any draw.
     """
+    dom = solution.dom
+    x = np.atleast_1d(np.asarray(start, dtype=float))
+    if x.shape != (dom.dim,):
+        raise DimensionMismatchError(f"reducing start {x.tolist()} is not a point of "
+                                     f"the {dom.dim}-d domain")
+    if not dom.contains(x):
+        raise SupportError(f"reducing start {x.tolist()} must be interior")
     rng = _rng(seed)
-    x0 = np.tile(np.atleast_1d(np.asarray(start, dtype=float)), (n_samples, 1))
+    x0 = np.tile(x, (n_samples, 1))
     vals, draws = stopped_values(solution, k, x0, rng)
     payoff = np.maximum(vals - n, 0.0)
     est = float(np.mean(payoff))
@@ -530,6 +478,7 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     supremum; pass iff estimate <= bound + 3 stderr.
     """
     dom = solution.dom
+    _check_laplacian(solution, "maximal_inequality_check")
     _check_unmasked(dom, "maximal_inequality_check")
     rng = _rng(seed)
     pts = sample_start_points(dom, rho, n_samples, rng)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +227,31 @@ def test_missing_or_empty_run_field_named(tmp_path, capsys, command, preset, fie
     rc = main(command.split() + ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_mc_reducing_rejects_fractional_config(tmp_path, capsys):
+    # the reducing walk is Brownian: a fractional solution must not get its numbers
+    cfg = get_preset("reconstruct-nonlocal-interval")
+    cfg.update({"k": 1.0, "n": 0.5, "start": [0.5], "samples": 100, "seed": 1})
+    path = tmp_path / "frac.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["mc", "reducing", "--config", str(path), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 1
+    assert "fractional" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_optimize_and_integrate_unloaded():
+    # scipy.optimize and scipy.integrate are imported only inside the functions
+    # that call them, so a fresh `import potkit.cli` loads neither
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, potkit.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("section,field", [("domain", "radiuss"), ("operator", "alhpa"),

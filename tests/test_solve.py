@@ -8,7 +8,8 @@ from potkit import (Domain, OperatorSpec, build_grid, green, integral_solution,
                     killing_density, potential)
 from potkit.kernels import frac_torsion_constant
 from potkit.measures import Density, MeasureData
-from potkit.solve import l1_rho_norm
+from potkit.errors import SupportError
+from potkit.solve import l1_rho_norm, level_radius
 
 LAP = OperatorSpec.laplacian()
 
@@ -162,3 +163,55 @@ def test_ball_1d_matches_interval():
     u_ball = integral_solution(LAP, ball, mu).evaluate(pts)
     assert np.array_equal(u_ball, integral_solution(LAP, interval, mu).evaluate(pts))
     assert np.all(u_ball > 0.0)
+
+
+def _ray(sol, p, direction):
+    p, direction = np.asarray(p, dtype=float), np.asarray(direction, dtype=float)
+    return lambda r: sol.evaluate(p + np.outer(r, direction))
+
+
+def _assert_crossing(profile, r, k):
+    """u(r) <= k at the returned radius and u > k one double inside it."""
+    u_r, u_inside = profile(np.array([r, math.nextafter(r, 0.0)]))
+    assert u_r <= k < u_inside
+
+
+def test_level_radius_interval_tent():
+    # the unit-interval Dirac at 1/2 is the tent u = (1/2 - r) / 2 at distance r
+    unit = Domain.interval(0.0, 1.0)
+    sol = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
+    tent = _ray(sol, [0.5], [1.0])
+    r = level_radius(tent, 0.5, 0.125)
+    assert r == pytest.approx(0.25, rel=1e-15)
+    _assert_crossing(tent, r, 0.125)
+    # above the peak 1/4 nothing is reached; at a tiny level all of (0, R)
+    assert level_radius(tent, 0.5, 0.3) == 0.0
+    assert level_radius(tent, 0.5, 1e-14) == 0.5
+
+
+@pytest.mark.parametrize("direction", [[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]])
+def test_level_radius_ray_from_off_centre_atom(disk, direction):
+    # p + r dir rounds to p for the smallest radii, where u = +inf: the
+    # bisection reads only the sign of u - k and still finds the crossing
+    p = [0.3, 0.0]
+    sol = integral_solution(LAP, disk, MeasureData.make(atoms=[(p, 1.0)], dom=disk))
+    u_ray = _ray(sol, p, direction)
+    assert np.isinf(u_ray([1e-280])[0])
+    b = float(np.dot(p, direction))
+    r_hi = -b + math.sqrt(b * b - (0.09 - 1.0))
+    for k in (0.25, 1.0, 2.0):
+        r = level_radius(u_ray, r_hi, k)
+        assert 0.0 < r < r_hi
+        _assert_crossing(u_ray, r, k)
+    # at k = 4 the crossing lies near r = 1e-11, where the points p + r dir
+    # are 5.6e-17 apart and u moves in steps of about 1e-6
+    with pytest.raises(SupportError, match="k=4"):
+        level_radius(u_ray, r_hi, 4.0)
+
+
+def test_level_radius_unresolved_level_raises(disk_dirac_solution):
+    # u = -log(r) / (2 pi) reaches k = 100 only at r = e^{-200 pi}, below the
+    # radius where |x|^2 underflows
+    centre = _ray(disk_dirac_solution, [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(SupportError, match="k=100"):
+        level_radius(centre, 1.0, 100.0)

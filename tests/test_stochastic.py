@@ -6,12 +6,12 @@ from scipy import integrate, stats
 
 from potkit import (Domain, OperatorSpec, poisson_kernel, stable_exit, stochastic,
                     wos_exit)
-from potkit.errors import ConvergenceError, SupportError
+from potkit.errors import ConvergenceError, DimensionMismatchError, SupportError
 from potkit.measures import Density, MeasureData
-from potkit.solve import integral_solution
+from potkit.solve import integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
-                               stopped_values, _project_to_boundary, _level_radius,
+                               stopped_values, _project_to_boundary,
                                _radial_profile, _rng, _walk)
 
 LAP = OperatorSpec.laplacian()
@@ -299,7 +299,7 @@ def test_reducing_walk_step_count(disk_dirac_solution, monkeypatch):
 
 def test_level_radius_resolution_guard(disk_dirac_solution):
     _, profile = _radial_profile(disk_dirac_solution)
-    assert _level_radius(profile, 1.0, 16.0) == pytest.approx(math.exp(-32.0 * math.pi),
+    assert level_radius(profile, 1.0, 16.0) == pytest.approx(math.exp(-32.0 * math.pi),
                                                              rel=1e-12)
     # e^{-200 pi} is below the smallest radius the profile resolves
     with pytest.raises(SupportError, match="k=100"):
@@ -354,14 +354,20 @@ def test_stopped_values_counts_its_draws(case):
         # the tent peaked at 0.5: k = u(0.25) puts the level edges at 0.25, 0.75
         sol = _interval_atom_solution()
         k = float(sol.evaluate([[0.25]])[0])
-        if case == "interval-unreached":
-            k *= 10.0
         starts = np.array([[0.1], [0.45], [0.55], [0.9], [0.2], [0.7]])
-        outside = (np.abs(starts[:, 0] - 0.5) > 0.25) | (case == "interval-unreached")
+        outside = np.abs(starts[:, 0] - 0.5) > 0.25
+        if case == "interval-unreached":
+            # above the peak 1/4 every walker stops at the boundary value 0
+            # (tau_k = tau_D), which takes no draw
+            k *= 10.0
+            outside[:] = False
     rng = np.random.default_rng(3)
     vals, draws = stopped_values(sol, k, starts, rng)
-    assert draws == int(outside.sum()) > 0
-    assert np.all(outside | (vals > k))
+    assert draws == int(outside.sum())
+    if case == "interval-unreached":
+        assert draws == 0 and np.all(vals == 0.0)
+    else:
+        assert draws > 0 and np.all(outside | (vals > k))
     ref = np.random.default_rng(3)
     ref.random(draws)
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -505,6 +511,57 @@ def test_radial_machinery_guards():
     sol = integral_solution(LAP, DISK, mu)
     with pytest.raises(SupportError):
         stopped_values(sol, 2.0, np.array([[0.5, 0.0]]), _rng(1))
+
+
+def test_radial_machinery_rejects_off_centre_interval_atom():
+    unit = Domain.interval(0.0, 1.0)
+    sol = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.3], 1.0)], dom=unit))
+    with pytest.raises(SupportError, match="center"):
+        stopped_values(sol, 0.1, np.array([[0.5]]), _rng(1))
+
+
+@pytest.mark.parametrize("seed", [1])
+def test_reducing_interval_constant_density(seed):
+    # u = x (1 - x) / 2 on (0, 1), radial about 1/2 with no atom: from x the
+    # walk hits the level edge x_k before a = 0 with probability x / x_k, and
+    # stops there with payoff k - n
+    unit = Domain.interval(0.0, 1.0)
+    sol = integral_solution(LAP, unit, MeasureData(density=Density.constant(1.0)))
+    k, n, x = 0.1, 0.05, 0.1
+    x_k = (1.0 - math.sqrt(1.0 - 8.0 * k)) / 2.0
+    est = reducing_expectation(sol, k=k, n=n, start=[x], n_samples=20_000, seed=seed)
+    assert est.extra["draws"] == 20_000
+    assert abs(est.value - (k - n) * x / x_k) <= 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("start,error", [([0.5], DimensionMismatchError),
+                                         ([0.5, 0.0, 0.0], DimensionMismatchError),
+                                         ([1.5, 0.0], SupportError),
+                                         ([1.0, 0.0], SupportError)])
+def test_reducing_start_checked_before_any_draw(disk_dirac_solution, start, error):
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(error, match="start"):
+        reducing_expectation(disk_dirac_solution, k=4.0, n=1.0, start=start,
+                             n_samples=1_000, seed=rng)
+    assert rng.bit_generator.state == before
+
+
+def _fractional_interval_atom_solution():
+    dom = Domain.interval(-1.0, 1.0)
+    return integral_solution(OperatorSpec.fractional(0.5), dom,
+                             MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
+
+
+def test_brownian_samplers_reject_other_operators():
+    sol = _fractional_interval_atom_solution()
+    with pytest.raises(SupportError, match="fractional"):
+        reducing_expectation(sol, k=1.0, n=0.5, start=[0.5], n_samples=100, seed=1)
+    with pytest.raises(SupportError, match="fractional"):
+        class_d_diagnostic(sol, family=[1.0, 2.0], levels=[0.5], n_samples=100, seed=1)
+    with pytest.raises(SupportError, match="fractional"):
+        maximal_inequality_check(sol, d1_value=0.5, rho=lambda p: np.ones(len(p)),
+                                 n_samples=100, seed=1)
 
 
 def test_stable_walk_start_outside_rejected():
