@@ -193,6 +193,7 @@ def cmd_tail(args) -> int:
         tc = tail_curve(sol, dop, rho, levels,
                         tol=cfg.get("tolerances", {}).get("reduite", 1e-10))
         results[fmt(h)] = {"levels": tc.levels, "values": tc.values,
+                           "sweeps": tc.sweeps, "policy_steps": tc.policy_steps,
                            "resolvable": tc.resolvable}
         last = tc
     rows = [(n, v, int(r)) for n, v, r in

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discrete import DiscreteOperator, discrete_green
 from .errors import ConvergenceError, SupportError
@@ -67,6 +68,8 @@ class TailCurve:
     levels: np.ndarray
     values: np.ndarray
     resolvable: np.ndarray        # bool per level
+    sweeps: np.ndarray            # PSOR warm-start sweeps per level
+    policy_steps: np.ndarray      # policy-iteration steps per level
     limit_estimate: float
     target: float                 # <R^D rho, |mu_c|> from the atoms' Green columns
     verdict: str                  # "diffuse-like" | "concentrated-like"
@@ -103,14 +106,15 @@ def omega_optimal(grid: Grid) -> float:
 
 
 def _colour_rows(grid: Grid) -> tuple:
-    """Flat interior indices of the red and black nodes (lattice parity)."""
+    """Flat interior indices in red-then-black order (lattice parity, each
+    colour in increasing index order) and the red count."""
     parity = 0
     for k, n in enumerate(grid.shape):
         shape = [1] * grid.dim
         shape[k] = n
         parity = parity + np.arange(n).reshape(shape)
     odd = (parity % 2 == 1)[grid.interior_mask]
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
+    return np.argsort(odd, kind="stable"), int(np.count_nonzero(~odd))
 
 
 def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
@@ -119,20 +123,40 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     interior vectors of a local operator, in place: the red and black rows
     in turn, with the update tested every 8 sweeps.  Returns the sweep
     count.
+
+    The sweeps run on a copy of w in red-then-black order, so each colour
+    is one contiguous slice.  Each colour's rows of A keep their stored
+    entry order with the columns renamed into that order, so every row sums
+    the same terms in the same order as on the lattice numbering and the
+    result is the same bit for bit.
     """
-    blocks = [(rows, dop.A[rows], dop.diag[rows]) for rows in _colour_rows(dop.grid)]
+    order, n_red = _colour_rows(dop.grid)
+    pos = np.empty(order.size, dtype=dop.A.indices.dtype)
+    pos[order] = np.arange(order.size)
+    blocks = []
+    for part in (slice(0, n_red), slice(n_red, None)):
+        A_rows = dop.A[order[part]]
+        A_rows = sp.csr_matrix((A_rows.data, pos[A_rows.indices], A_rows.indptr),
+                               shape=A_rows.shape)
+        blocks.append((part, A_rows, dop.diag[order[part]]))
+    wp, gp = w[order], g[order]
     update = np.inf
     for sweep in range(1, _MAX_SWEEPS + 1):
         track = sweep % 8 == 0
         if track:
             update = 0.0
-        for rows, A_rows, d_rows in blocks:
-            cand = w[rows] - omega * (A_rows @ w) / d_rows
-            np.maximum(cand, g[rows], out=cand)
+        for part, A_rows, d_rows in blocks:
+            w_rows = wp[part]
+            old = w_rows.copy() if track else None
+            step = A_rows @ wp
+            np.multiply(omega, step, out=step)
+            np.divide(step, d_rows, out=step)
+            np.subtract(w_rows, step, out=w_rows)
+            np.maximum(w_rows, gp[part], out=w_rows)
             if track:
-                update = max(update, float(np.max(np.abs(cand - w[rows]), initial=0.0)))
-            w[rows] = cand
+                update = max(update, float(np.max(np.abs(w_rows - old), initial=0.0)))
         if track and update < tol:
+            w[order] = wp
             return sweep
     raise ConvergenceError(
         f"projected relaxation did not reach tol={tol} within {_MAX_SWEEPS} "
@@ -339,6 +363,8 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
 
     values = np.empty(levels.shape)
     resolvable = np.ones(levels.shape, dtype=bool)
+    sweeps = np.zeros(levels.shape, dtype=int)
+    policy_steps = np.zeros(levels.shape, dtype=int)
     prev_w = None
     for i in range(len(levels) - 1, -1, -1):
         n = levels[i]
@@ -356,6 +382,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
         res = reduite(dop, g, tol=tol, w0=w0)
         prev_w = res.envelope.values
         values[i] = res.envelope.weighted_sum(rho_vals)
+        sweeps[i], policy_steps[i] = res.iterations, res.policy_steps
 
     limit_estimate = float(np.mean(values[-2:])) if len(values) > 1 else float(values[-1])
     if target > 0 and limit_estimate > 0.5 * target:
@@ -363,6 +390,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     else:
         verdict = "diffuse-like"
     return TailCurve(levels=levels, values=values, resolvable=resolvable,
+                     sweeps=sweeps, policy_steps=policy_steps,
                      limit_estimate=limit_estimate, target=float(target),
                      verdict=verdict)
 

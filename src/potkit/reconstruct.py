@@ -188,13 +188,15 @@ def _local_energy_closed(solution, eta, n):
             r_in = level_radius(u_ray, r_hi, 2.0 * n)      # u = 2n crossing
             if r_out <= r_in:
                 continue
-            mid = 0.5 * (r_out + r_in)
-            half = 0.5 * (r_out - r_in)
-            rr = mid + half * gx
+            # nodes in s = log r, where r^(d-1) dr = r^d ds: around a planar
+            # atom the window spans a radius ratio of e^(2 pi n)
+            s_in, s_out = math.log(r_in), math.log(r_out)
+            half = 0.5 * (s_out - s_in)
+            rr = np.exp(0.5 * (s_out + s_in) + half * gx)
             pts = p + rr[:, None] * direction
             grad = solution.gradient(pts)
             dens = np.sum(grad * grad, axis=1)
-            total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** (d - 1)))
+            total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** d))
     return total / n
 
 

@@ -57,6 +57,11 @@ def test_tail_verdicts(tmp_path, tiny_dirac_cfg):
         1.0 / (4.0 * np.pi), rel=0.08)
     body = read(os.path.join(out, "tiny_dirac.csv")).decode().splitlines()
     assert [l for l in body if not l.startswith("#")][0] == "n,T_n,resolvable"
+    # solver counts per level, next to the values of the one grid width
+    (block,) = rep["results"].values()
+    assert len(block["sweeps"]) == len(block["policy_steps"]) == 2
+    assert all(isinstance(k, int) and k >= 8 for k in block["sweeps"])
+    assert all(isinstance(k, int) and k >= 0 for k in block["policy_steps"])
     # config echoed verbatim
     assert rep["config"]["grid"]["h"] == 2.0**-5
 

@@ -56,15 +56,43 @@ def reference_psor(dop, g_flat, omega, tol, check_every=8):
     raise AssertionError("reference PSOR did not converge")
 
 
+def gather_scatter_psor(dop, g_flat, w, omega, tol):
+    """Projected red-black SOR as it ran on the lattice numbering before the
+    sweeps moved to colour-contiguous storage: each half-sweep gathers
+    w[rows] and g[rows], multiplies by the colour's rows of A and scatters
+    back to w[rows].  Updates w in place; returns the sweep count."""
+    grid = dop.grid
+    parity = np.indices(grid.shape).sum(axis=0)[grid.interior_mask] % 2
+    blocks = [(rows, dop.A[rows], dop.diag[rows])
+              for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))]
+    for sweep in range(1, 10**6):
+        track = sweep % 8 == 0
+        update = 0.0
+        for rows, A_rows, d_rows in blocks:
+            cand = w[rows] - omega * (A_rows @ w) / d_rows
+            np.maximum(cand, g_flat[rows], out=cand)
+            if track:
+                update = max(update, float(np.max(np.abs(cand - w[rows]), initial=0.0)))
+            w[rows] = cand
+        if track and update < tol:
+            return sweep
+    raise AssertionError("gather/scatter PSOR did not converge")
+
+
 def _bump_obstacle(grid):
     pts = grid.interior_points()
     return np.maximum(0.3 - np.sum(pts**2, axis=1), 0.0) + 0.2 * (np.abs(pts[:, 0]) < 0.2)
 
 
-@pytest.mark.parametrize("case", ["laplacian-disk", "smooth-disk", "laplacian-ball3d"])
-def test_relaxation_matches_lattice_reference(case):
+RELAX_CASES = ["laplacian-disk", "smooth-disk", "laplacian-ball3d", "laplacian-interval"]
+
+
+def _relax_case(case):
+    """(operator, obstacle) of a small projected-SOR problem."""
     if case == "laplacian-ball3d":
         grid = build_grid(Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 2.0**-3)
+    elif case == "laplacian-interval":
+        grid = build_grid(Domain.interval(-1.0, 1.0), 2.0**-7)
     else:
         grid = build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5)
     if case == "smooth-disk":
@@ -72,14 +100,40 @@ def test_relaxation_matches_lattice_reference(case):
         op = OperatorSpec.divergence(coeff, lam, Lam)
     else:
         op = LAP
-    dop = assemble(op, grid)
-    g_flat = _bump_obstacle(grid)
-    omega = envelope_mod.omega_optimal(grid)
+    return assemble(op, grid), _bump_obstacle(grid)
+
+
+@pytest.mark.parametrize("case", RELAX_CASES)
+def test_relaxation_matches_lattice_reference(case):
+    dop, g_flat = _relax_case(case)
+    omega = envelope_mod.omega_optimal(dop.grid)
     got = g_flat.copy()
     sweeps = envelope_mod._relax(dop, g_flat, got, omega, 1e-10)
     w_ref, sweeps_ref = reference_psor(dop, g_flat, omega, 1e-10)
     assert sweeps == sweeps_ref
     assert np.max(np.abs(got - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("case", RELAX_CASES)
+def test_relaxation_matches_gather_scatter_bit_for_bit(case):
+    dop, g_flat = _relax_case(case)
+    omega = envelope_mod.omega_optimal(dop.grid)
+    got, ref = g_flat.copy(), g_flat.copy()
+    sweeps = envelope_mod._relax(dop, g_flat, got, omega, 1e-10)
+    assert sweeps == gather_scatter_psor(dop, g_flat, ref, omega, 1e-10)
+    assert np.array_equal(got, ref)
+
+
+def test_reduite_leaves_operator_matrix_untouched():
+    dop, g_flat = _relax_case("smooth-disk")
+    A = dop.A
+    assert A.has_sorted_indices
+    before = [A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes()]
+    res = reduite(dop, GridField.from_interior(dop.grid, g_flat))
+    assert res.iterations > 0
+    assert dop.A is A
+    assert [A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes()] == before
+    assert A.has_sorted_indices
 
 
 def test_local_reduite_is_exact(disk_dop_small):
@@ -518,6 +572,26 @@ def test_tail_curve_values_match_fresh_extensions(case):
     tc = tail_curve(sol, dop, rho, levels)
     assert np.all(tc.resolvable)
     assert np.array_equal(tc.values, ref)
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_tail_curve_reports_solver_counts(monkeypatch, case):
+    sol, dop, rho, levels = _tail_case(case)
+    results = []
+    solve_reduite = envelope_mod.reduite
+
+    def recorded(*args, **kwargs):
+        results.append(solve_reduite(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(envelope_mod, "reduite", recorded)
+    tc = tail_curve(sol, dop, rho, levels)
+    # the levels are solved from the top down; the counts are in level order
+    assert tc.sweeps.tolist() == [r.iterations for r in reversed(results)]
+    assert tc.policy_steps.tolist() == [r.policy_steps for r in reversed(results)]
+    assert tc.sweeps.sum() == sum(r.iterations for r in results)
+    assert tc.policy_steps.sum() == sum(r.policy_steps for r in results)
+    assert (tc.sweeps.sum() > 0) == dop.is_local
 
 
 def test_fvp_bounded_finite(disk_dop_small):

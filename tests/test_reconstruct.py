@@ -103,6 +103,13 @@ def test_local_energy_disk_dirac(disk_dirac_solution):
         assert val == pytest.approx(1.0, abs=1e-3)
 
 
+def test_local_energy_disk_dirac_high_levels(disk_dirac_solution):
+    # the window [n, 2n] spans radii e^(-4 pi n) to e^(-2 pi n)
+    for n in (1.0, 2.0, 4.0):
+        val = local_energy(disk_dirac_solution, constant_eta(1.0), n)
+        assert val == pytest.approx(1.0, abs=1e-9)
+
+
 def test_local_energy_empty_window():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     sol = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)))
