@@ -235,9 +235,12 @@ def cmd_reconstruct(args) -> int:
                         "positive concentrated mass"])
     verdict = {"fitted_prefactor": rep.fitted_prefactor,
                "prefactor_flagged": rep.prefactor_flagged}
-    write_json(os.path.join(out, f"{prefix}.json"), run_report(
-        cfg, {"levels": rep.levels, "values": rep.values,
-              "target": rep.target}, verdict))
+    report = run_report(cfg, {"levels": rep.levels, "values": rep.values,
+                              "target": rep.target}, verdict)
+    if rep.kind == "nonlocal":
+        report["diagnostics"] = {"quad_nodes": rep.quad_nodes,
+                                 "kernel_rows": rep.kernel_rows}
+    write_json(os.path.join(out, f"{prefix}.json"), report)
     if not args.quiet:
         print(f"{rep.kind} reconstruction: values "
               f"{np.round(rep.values, 4).tolist()} target {rep.target:.4g} "

@@ -66,10 +66,6 @@ class DiscreteOperator:
             raise AssemblyError("operator does not store every entry of A")
         return self.A.data.reshape(n, n)
 
-    def p_row_sums(self) -> np.ndarray:
-        row_sums_A = np.asarray(self.A.sum(axis=1)).ravel()
-        return 1.0 - row_sums_A / self.diag
-
     def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
         """Deterministic linear solve A x = rhs, local and fractional alike;
         with ``on`` (flat interior indices c), of the principal block
@@ -87,7 +83,12 @@ class DiscreteOperator:
         """
         c = np.arange(self.n) if on is None else on
         if c.size <= _COARSE_MAX or not self.is_local:
-            block = self.A[c][:, c] if self.is_local else self.dense_view()[np.ix_(c, c)]
+            if self.is_local:
+                block = self.A[c][:, c]
+            elif on is None:        # the same bytes as np.ix_, several times faster
+                block = self.dense_view().copy()
+            else:
+                block = self.dense_view()[np.ix_(c, c)]
             return _factor(block)(rhs_flat)
         A, b = self.A, rhs_flat
         if on is not None:

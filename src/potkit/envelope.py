@@ -342,6 +342,8 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     """
     grid = dop.grid
     levels = np.asarray(sorted(float(n) for n in levels))
+    if levels.size == 0:
+        raise SupportError("levels must hold at least one level")
     if np.any(levels <= 0):
         raise SupportError("levels must be positive")
     rho_vals = _rho_values(rho, grid)

@@ -273,13 +273,16 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     dimensions would need 2d-pair quadrature and are out of scope for the
     closed-form path).
     """
-    (val, _), = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
+    ((val, _),), _ = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
     return val
 
 
 def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],
-                       rel_tol: float = 0.01) -> list:
-    """``(value, trace)`` of the fractional-window energy for each level.
+                       rel_tol: float = 0.01) -> tuple:
+    """``(results, gradings)``: ``(value, trace)`` of the fractional-window
+    energy for each level, and ``(nodes, kernel rows)`` of each panel
+    grading built, the kernel rows being the nodes where eta != 0 (the
+    live rows of ``_jump_terms``).  Entry i of a trace comes from grading i.
 
     Each panel grading is built once for all the levels that have not yet
     converged; a level stops refining once its relative change is below
@@ -299,6 +302,7 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
     anchors = [p[0] for p, w in solution.measure.atoms]
 
     traces = [[] for _ in levels]
+    gradings = []
     open_levels = list(range(len(levels)))
     for refine in range(_MAX_REFINE):
         if not open_levels:
@@ -308,6 +312,7 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
         u = solution.evaluate(x.reshape(-1, 1))
         ex = eta(x.reshape(-1, 1)) * w
         kap = killing_density(alpha, dom, x)
+        gradings.append((x.size, int(np.count_nonzero(ex))))
         jumps = _jump_terms(x, w, u, ex, alpha, [levels[i] for i in open_levels])
         for i, jump_term in zip(list(open_levels), jumps):
             n = levels[i]
@@ -321,7 +326,7 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
         raise ConvergenceError(
             f"nonlocal quadrature did not stabilize below {rel_tol:.1%}: "
             f"trace={traces[open_levels[0]]}")
-    return [(trace[-1], trace) for trace in traces]
+    return [(trace[-1], trace) for trace in traces], gradings
 
 
 def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
@@ -329,6 +334,12 @@ def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
     """Sum_ij ex_i theta_n(u_i, u_j) J_ij w_j for each level n, with the jump
     measure J_ij = (c/2) |x_i - x_j|^(-1-alpha) (zero diagonal) built in
     blocks of ``_JUMP_BLOCK_ROWS`` rows and never stored whole.
+
+    Every term of row i carries the factor ex_i, so only the live rows
+    {i : ex_i != 0} are built: the blocks take successive runs of
+    ``_JUMP_BLOCK_ROWS`` live rows (not necessarily contiguous nodes)
+    against all columns, and with eta = 0 on every node no row is built
+    and each level's sum is 0.0.
 
     With L = {u <= n}, M = {n < u < 2n} and H = {u >= 2n}, theta_n vanishes
     on L x L and H x H and equals 2n(3n - 2u_i) on L x H and 2n(2u_i - 3n) on
@@ -348,17 +359,18 @@ def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
         mids.append((mid, np.flatnonzero(mid)))
     weights, masses = np.stack(weights, axis=1), np.stack(masses, axis=1)
     totals = [0.0] * len(levels)
+    live = np.flatnonzero(ex)
     # one block buffer for every block: fresh pages would be faulted in anew
-    block = np.empty((min(_JUMP_BLOCK_ROWS, x.size), x.size))
-    for r0 in range(0, x.size, _JUMP_BLOCK_ROWS):
-        rows = slice(r0, r0 + _JUMP_BLOCK_ROWS)
-        J = block[:x[rows].size]
+    block = np.empty((min(_JUMP_BLOCK_ROWS, live.size), x.size))
+    for r0 in range(0, live.size, _JUMP_BLOCK_ROWS):
+        rows = live[r0:r0 + _JUMP_BLOCK_ROWS]
+        J = block[:rows.size]
         np.subtract(x[rows, None], x[None, :], out=J)
         np.abs(J, out=J)
         with np.errstate(divide="ignore"):
             np.power(J, -1.0 - alpha, out=J)
         J *= half_c
-        np.fill_diagonal(J[:, r0:], 0.0)
+        J[np.arange(rows.size), rows] = 0.0
         low_high = J @ masses
         for k, (n, (mid, cols)) in enumerate(zip(levels, mids)):
             pair = slice(2 * k, 2 * k + 2)
@@ -389,6 +401,8 @@ class ReconstructionReport:
     prefactor_flagged: bool        # |prefactor - 1| > 10%
     kind: str                      # "local" | "nonlocal"
     traces: list                   # per level: the value of each quadrature refinement
+    quad_nodes: list               # per panel grading (nonlocal; [] for local): nodes
+    kernel_rows: list              # per panel grading: jump-kernel rows built (eta != 0)
 
 
 def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
@@ -399,15 +413,18 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
     local functional has none.
 
     A persistent fitted prefactor away from 1 is reported loudly (flag), not
-    normalized away.
+    normalized away.  An empty ``levels`` raises ``SupportError``.
     """
     levels = np.asarray(sorted(float(n) for n in levels))
+    if levels.size == 0:
+        raise SupportError("levels must hold at least one level")
     kind = "local" if solution.op.is_local else "nonlocal"
     if kind == "local":
         vals = np.array([local_energy(solution, eta, n) for n in levels])
         traces = [[v] for v in vals]
+        gradings = []
     else:
-        results = _nonlocal_energies(solution, eta, levels, rel_tol=rel_tol)
+        results, gradings = _nonlocal_energies(solution, eta, levels, rel_tol=rel_tol)
         vals = np.array([val for val, _ in results])
         traces = [trace for _, trace in results]
 
@@ -427,4 +444,6 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
     flagged = bool(target > 0 and abs(fitted - 1.0) > 0.10)
     return ReconstructionReport(levels=levels, values=vals, target=target,
                                 rel_errors=rel, fitted_prefactor=fitted,
-                                prefactor_flagged=flagged, kind=kind, traces=traces)
+                                prefactor_flagged=flagged, kind=kind, traces=traces,
+                                quad_nodes=[nodes for nodes, _ in gradings],
+                                kernel_rows=[rows for _, rows in gradings])

@@ -110,6 +110,7 @@ def test_reconstruct_local_cli(tmp_path):
     rep = json.loads(read(os.path.join(out, "reconstruct_local_disk_dirac.json")))
     assert rep["verdicts"]["fitted_prefactor"] == pytest.approx(1.0, abs=1e-3)
     assert not rep["verdicts"]["prefactor_flagged"]
+    assert "diagnostics" not in rep
 
 
 def test_reconstruct_nonlocal_cli(tmp_path):
@@ -132,6 +133,9 @@ def test_reconstruct_nonlocal_cli(tmp_path):
     body = read(os.path.join(out, "nl_quick.csv")).decode().splitlines()
     header = [l for l in body if not l.startswith("#")][0]
     assert header == "n,value,target,rel_error"
+    # two panel gradings; the kernel is built only where eta != 0
+    rep = json.loads(read(os.path.join(out, "nl_quick.json")))
+    assert rep["diagnostics"] == {"quad_nodes": [2230, 4430], "kernel_rows": [1200, 2366]}
 
 
 def test_mc_subcommands(tmp_path):

@@ -466,6 +466,11 @@ def test_tail_curve_dirac_small_grid(disk_dirac_solution, disk_dop_small):
     assert np.all(tc.resolvable)
 
 
+def test_tail_curve_rejects_empty_levels(disk_dirac_solution, disk_dop_small):
+    with pytest.raises(SupportError, match="levels"):
+        tail_curve(disk_dirac_solution, disk_dop_small, 1.0 / math.pi, [])
+
+
 def test_tail_curve_unresolvable_warns(disk_dirac_solution, disk_dop_small):
     with pytest.warns(UserWarning, match="below mesh resolution"):
         tc = tail_curve(disk_dirac_solution, disk_dop_small, 1.0 / math.pi,

@@ -187,7 +187,7 @@ def test_reconstruct_report_keeps_refinement_traces(monkeypatch):
     eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
     rep = reconstruct_mu_c(sol, eta, [2.0, 1.0])
     for n, val, trace in zip(rep.levels, rep.values, rep.traces):
-        assert reconstruct_mod._nonlocal_energies(sol, eta, [n]) == [(val, trace)]
+        assert reconstruct_mod._nonlocal_energies(sol, eta, [n])[0] == [(val, trace)]
         assert nonlocal_energy(sol, eta, n) == val
     # an unconverged trace raises instead of passing for a value
     monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 1)
@@ -228,7 +228,7 @@ def test_nonlocal_energies_match_full_matrix_formula(case, monkeypatch):
     anchors = [p[0] for p, _ in sol.measure.atoms]
     monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 2)
     monkeypatch.setattr(reconstruct_mod, "_PER_DECADE", 2)
-    results = _nonlocal_energies(sol, eta, levels, rel_tol=1.0)
+    results, _ = _nonlocal_energies(sol, eta, levels, rel_tol=1.0)
     for n, (val, trace) in zip(levels, results):
         assert len(trace) == 2 and val == trace[-1]
         for i, got in enumerate(trace):
@@ -250,6 +250,55 @@ def test_jump_terms_with_no_node_in_the_window():
     assert ref > 0.0
     assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
     assert got[1] == 0.0
+
+
+def test_jump_terms_build_only_the_live_rows(monkeypatch):
+    # eta vanishes on the band (0.2, 0.6), so the live rows fall in two runs
+    # and, with blocks of 64 rows, one block straddles the gap; the window is
+    # empty of nodes at n = 1 and holds the inner nodes at n = 3 and the
+    # outer ones at n = 0.15
+    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
+    u = np.where(np.abs(x) < 0.3, 5.0 + x, 0.2 + 0.1 * x)
+    ex = np.where((x > 0.2) & (x < 0.6), 0.0, 1.0 + x**2) * w
+    monkeypatch.setattr(reconstruct_mod, "_JUMP_BLOCK_ROWS", 64)
+    live = np.flatnonzero(ex)
+    assert np.count_nonzero(np.diff(live) > 1) == 1
+    assert any(np.ptp(live[r0:r0 + 64]) >= 64 for r0 in range(0, live.size, 64))
+    levels = [0.15, 1.0, 3.0]
+    got = _jump_terms(x, w, u, ex, 0.5, levels)
+    for n, val in zip(levels, got):
+        ref = _full_matrix_jump(x, w, u, ex, 0.5, n)
+        assert ref > 0.0
+        assert val == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # eta = 0 on every node: no row is built
+    assert _jump_terms(x, w, u, 0.0 * ex, 0.5, levels) == [0.0, 0.0, 0.0]
+
+
+def test_reconstruct_report_counts_the_quadrature():
+    dom = Domain.interval(-1.0, 1.0)
+    sol = integral_solution(OperatorSpec.fractional(0.5), dom,
+                            MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
+    eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
+    rep = reconstruct_mu_c(sol, eta, [1.0, 2.0])
+    assert len(rep.quad_nodes) == len(rep.kernel_rows) == max(map(len, rep.traces))
+    for i, (nodes, rows) in enumerate(zip(rep.quad_nodes, rep.kernel_rows)):
+        x, w = _graded_panels_1d(dom, [0.0], reconstruct_mod._PER_DECADE * 2**i,
+                                 r_min=1e-9, gauss=reconstruct_mod._GAUSS)
+        assert nodes == x.size
+        assert rows == np.count_nonzero(eta(x.reshape(-1, 1)) * w)
+        assert 0 < rows < nodes
+    local = reconstruct_mu_c(integral_solution(LAP, Domain.ball([0.0, 0.0], 1.0, 2),
+                                               MeasureData(density=Density.constant(1.0))),
+                             constant_eta(1.0), [0.5])
+    assert local.quad_nodes == [] and local.kernel_rows == []
+
+
+def test_reconstruct_rejects_empty_levels():
+    dom = Domain.interval(-1.0, 1.0)
+    sol = integral_solution(OperatorSpec.fractional(0.5), dom,
+                            MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
+    with pytest.raises(SupportError, match="levels"):
+        reconstruct_mu_c(sol, constant_eta(1.0), [])
 
 
 def test_nonlocal_energy_bounded_u_zero():
