@@ -43,7 +43,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"potkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, func):
+        sp.set_defaults(func=func)
         sp.add_argument("--config", help="YAML experiment config")
         sp.add_argument("--preset", help="shipped preset name")
         sp.add_argument("--out", default=None, help="output directory")
@@ -52,25 +53,28 @@ def _parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; never affects results")
         sp.add_argument("--quiet", action="store_true")
 
-    common(sub.add_parser("solve", help="integral solution u = R^D mu"))
-    common(sub.add_parser("reduite", help="envelope of (|u| - n)^+ at one level"))
-    common(sub.add_parser("tail", help="tail functional curve and verdict"))
+    common(sub.add_parser("solve", help="integral solution u = R^D mu"), cmd_solve)
+    common(sub.add_parser("reduite", help="envelope of (|u| - n)^+ at one level"),
+           cmd_reduite)
+    common(sub.add_parser("tail", help="tail functional curve and verdict"), cmd_tail)
 
     sp = sub.add_parser("reconstruct", help="window-energy reconstruction")
     sp.add_argument("mode", choices=["local", "nonlocal"])
-    common(sp)
+    common(sp, cmd_reconstruct)
 
     sp = sub.add_parser("mc", help="Monte Carlo diagnostics")
     sp.add_argument("mode", choices=["classd", "reducing", "maximal"])
-    common(sp)
+    common(sp, cmd_mc)
 
     sp = sub.add_parser("verify", help="run the bundled acceptance suite")
+    sp.set_defaults(func=cmd_verify)
     sp.add_argument("--criteria", help="comma-separated criterion ids (default all)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("constants", help="print normalization constants")
+    sp.set_defaults(func=cmd_constants)
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--dim", type=int, default=1)
     return p
@@ -82,12 +86,12 @@ def _load(args) -> dict:
     if args.config:
         cfg = load_config(args.config)
     elif args.preset:
-        cfg = validate_config(get_preset(args.preset))
+        cfg = get_preset(args.preset)
     else:
         raise PotkitError("one of --config or --preset is required")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return cfg
+    return validate_config(cfg)
 
 
 def _out_dir(args) -> str:
@@ -111,7 +115,7 @@ def _grid_operator(cfg, dom, op, h=None):
     hs = grid_widths(cfg)
     if h is None:
         if not hs:
-            raise PotkitError("config needs grid.h (or grid.h_list)")
+            raise ConfigError("config field 'grid': h or h_list required")
         h = hs[-1]
     return assemble(op, build_grid(dom, h, cfg.get("grid", {}).get(
         "node_cap", 10**7)))
@@ -340,21 +344,7 @@ def cmd_constants(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "reduite":
-            return cmd_reduite(args)
-        if args.command == "tail":
-            return cmd_tail(args)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args)
-        if args.command == "mc":
-            return cmd_mc(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "constants":
-            return cmd_constants(args)
-        raise PotkitError(f"unknown command {args.command}")
+        return args.func(args)
     except PotkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,12 +8,11 @@ the offending field.  Builders turn the validated dict into toolkit objects.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
-import yaml
-from jsonschema import Draft202012Validator
 
 from .errors import ConfigError
 from .geometry import Domain
@@ -133,19 +132,68 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "integer": int}
+_BOUNDS = (("minimum", operator.lt, "less than the minimum"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
+           ("maximum", operator.gt, "greater than the maximum"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum"))
+
+
+def _violation(value, schema: dict, path: tuple):
+    """First place ``value`` breaks ``schema``, as (path, message), else None.
+
+    Implements the JSON Schema keywords CONFIG_SCHEMA uses, with jsonschema's
+    messages.  A bool is neither a number nor an integer, and an integer is a
+    Python int.  An object's required and unknown keys are checked before its
+    fields; fields and items are visited in document order.
+    """
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    children = []
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        extra = sorted((k for k in value if k not in props), key=str)
+        if extra and schema.get("additionalProperties") is False:
+            verb = "was" if len(extra) == 1 else "were"
+            return path, ("Additional properties are not allowed "
+                          f"({', '.join(map(repr, extra))} {verb} unexpected)")
+        children = [(value[k], props[k], path + (k,)) for k in value if k in props]
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            return path, f"{value!r} {short}"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} is too long"
+        if "items" in schema:
+            children = [(v, schema["items"], path + (i,)) for i, v in enumerate(value)]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        for key, breaks, words in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                return path, f"{value!r} is {words} of {schema[key]!r}"
+    for child, sub, where in children:
+        found = _violation(child, sub, where)
+        if found:
+            return found
+    return None
 
 
 def validate_config(cfg: dict) -> dict:
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{path}': {e.message}")
+    found = _violation(cfg, CONFIG_SCHEMA, ())
+    if found:
+        path = ".".join(str(p) for p in found[0]) or "<root>"
+        raise ConfigError(f"config field '{path}': {found[1]}")
     return cfg
 
 
 def load_config(path: str) -> dict:
+    import yaml
     with open(path, "r", encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):

@@ -190,6 +190,14 @@ def test_seed_override_changes_output(tmp_path):
         read(os.path.join(out2, "mc_reducing_disk.csv"))
 
 
+def test_negative_seed_override_named(tmp_path, capsys):
+    # --seed is validated with the config it overrides
+    rc = main(["mc", "reducing", "--preset", "mc-reducing-disk", "--seed", "-1",
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    assert "config field 'seed': -1 is less than the minimum of 0" in capsys.readouterr().err
+
+
 def test_malformed_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({
@@ -222,6 +230,8 @@ def test_missing_required_field(tmp_path, capsys):
     ("mc classd", "mc-classd-bounded", "levels", []),
     ("reconstruct local", "reconstruct-local-disk-dirac", "levels", []),
     ("tail", "tail-disk-dirac", "levels", []),
+    ("mc maximal", "mc-maximal-bounded", "grid", None),
+    ("reduite", "reduite-oracle", "grid", None),
 ])
 def test_missing_or_empty_run_field_named(tmp_path, capsys, command, preset, field, value):
     """A run field that is missing, or an empty level or family list, exits
@@ -252,11 +262,12 @@ def test_mc_reducing_rejects_fractional_config(tmp_path, capsys):
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
     # scipy.optimize and scipy.integrate are imported only inside the functions
-    # that call them, so a fresh `import potkit.cli` loads neither
+    # that call them, and yaml only by load_config, so a fresh `import
+    # potkit.cli` loads none of them; config validation needs no jsonschema
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, potkit.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'jsonschema', 'yaml') if sys.modules.get(m)))")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -145,6 +145,25 @@ def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
     assert dop.A.nnz == dop.n**2
 
 
+@pytest.mark.parametrize("alpha, dom, h", [
+    (0.5, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-3),
+    (1.5, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-3),
+    (0.8, Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 0.25),
+])
+def test_fractional_assembly_ball(alpha, dom, h):
+    """The pairwise-kernel assembly of d >= 2: a symmetric CSR matrix with
+    every entry stored, nonpositive off the diagonal, and positive row sums
+    (the killing density of the jumps that leave the domain)."""
+    dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, h))
+    A = dop.A
+    assert A.format == "csr" and A.nnz == dop.n**2
+    assert (A != A.T).nnz == 0
+    dense = A.toarray()
+    assert np.all(dense[~np.eye(dop.n, dtype=bool)] <= 0.0)
+    assert np.array_equal(np.diag(dense), dop.diag)
+    assert np.all(np.asarray(A.sum(axis=1)).ravel() > 0.0)
+
+
 def test_fractional_solve_cholesky_bottom(monkeypatch, cg_calls):
     """The dense fractional operator is always factored whole, never solved
     by CG, also with the coarsest V-cycle level lowered below its size."""

@@ -9,7 +9,7 @@ from potkit import (Domain, OperatorSpec, build_grid, green, integral_solution,
 from potkit.kernels import frac_torsion_constant
 from potkit.measures import Density, MeasureData
 from potkit.errors import SupportError
-from potkit.solve import l1_rho_norm, level_radius
+from potkit.solve import RadialPotential, l1_rho_norm, level_radius
 
 LAP = OperatorSpec.laplacian()
 
@@ -122,6 +122,50 @@ def test_gaussian_radial_potential_oracle():
     val, _ = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
                                lambda _: 0.0, lambda _: 1.0, epsabs=1e-10)
     assert sol.evaluate(x0) == pytest.approx(val, rel=5e-6)
+
+
+def test_radial_potential_ball_3d_constant_density():
+    ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+    pot = RadialPotential(LAP, ball, Density.constant(1.0))
+    r = np.array([0.0, 0.1, 0.37, 0.5, 0.8, 0.99, 1.0])
+    pts = np.outer(r, [0.6, 0.0, 0.8])
+    assert np.allclose(pot(pts), (1.0 - r**2) / 6.0, rtol=0.0, atol=1e-7)
+
+
+def _central_difference(sol, pts, eps):
+    out = np.zeros_like(pts)
+    for k in range(pts.shape[1]):
+        step = np.zeros(pts.shape[1])
+        step[k] = eps
+        out[:, k] = (sol.evaluate(pts + step) - sol.evaluate(pts - step)) / (2 * eps)
+    return out
+
+
+_DISK = Domain.ball([0.0, 0.0], 1.0, 2)
+_BALL = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+
+
+@pytest.mark.parametrize("dom, mu, pts, eps, atol", [
+    # radial density: RadialPotential.gradient differences the interpolated
+    # profile over one of its cells, so it agrees to about the cell width
+    (_DISK, MeasureData(density=Density.gaussian(1.0, 0.35, [0.0, 0.0])),
+     [[0.3, 0.2], [-0.5, 0.1], [0.0, -0.7]], 1e-3, 1e-5),
+    # constant density next to an off-centre atom: the density's closed form
+    # is differenced numerically, the atom's Kelvin image analytically
+    (_DISK, MeasureData.make(atoms=[([0.2, 0.1], 1.0)], density=Density.constant(2.0),
+                             dom=_DISK),
+     [[0.5, 0.3], [-0.4, -0.2], [0.1, 0.6]], 1e-5, 1e-8),
+    # the 3-d Newton kernel with its reflected pole, and an atom at the centre
+    (_BALL, MeasureData.make(atoms=[([0.2, 0.0, 0.1], 1.0)], dom=_BALL),
+     [[0.5, 0.3, 0.0], [-0.4, -0.2, 0.1], [0.1, 0.6, -0.3]], 1e-5, 1e-8),
+    (_BALL, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)], dom=_BALL),
+     [[0.5, 0.3, 0.0], [0.0, 0.0, -0.4]], 1e-5, 1e-8),
+])
+def test_gradient_matches_central_differences(dom, mu, pts, eps, atol):
+    sol = integral_solution(LAP, dom, mu)
+    pts = np.asarray(pts)
+    assert np.allclose(sol.gradient(pts), _central_difference(sol, pts, eps),
+                       rtol=0.0, atol=atol)
 
 
 def test_fractional_constant_density_closed_form():
