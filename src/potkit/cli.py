@@ -70,7 +70,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
     sp.add_argument("--criteria", help="comma-separated criterion ids (default all)")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("constants", help="print normalization constants")
@@ -121,14 +120,21 @@ def _grid_operator(cfg, dom, op, h=None):
         "node_cap", 10**7)))
 
 
+def _solution(cfg, dom, op, mu, dop=None):
+    """u = R^D mu: the closed form where one exists, else the discrete solve
+    on ``dop`` or, without one, on the config's finest grid."""
+    if dop is None and not closed_form_supported(op, dom, mu):
+        dop = _grid_operator(cfg, dom, op)
+    return integral_solution(op, dom, mu, dop=dop)
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     dom, op, mu = _build_all(cfg)
     hs = grid_widths(cfg)
     grid = build_grid(dom, hs[-1] if hs else dom.diameter / 64.0)
-    needs_grid = hs and not closed_form_supported(op, dom, mu)
-    sol = integral_solution(op, dom, mu, grid=grid if needs_grid else None)
+    sol = _solution(cfg, dom, op, mu)
     if cfg.get("eval_points"):
         pts = np.asarray(cfg["eval_points"], dtype=float)
     else:
@@ -158,8 +164,8 @@ def cmd_reduite(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     dom, op, mu = _build_all(cfg)
-    sol = integral_solution(op, dom, mu)
     dop = _grid_operator(cfg, dom, op)
+    sol = _solution(cfg, dom, op, mu, dop)
     n = cfg.get("n", 1.0)
     u_abs, atom_nodes, _ = envelope_field(sol, dop)
     tol = cfg.get("tolerances", {}).get("reduite", 1e-10)
@@ -186,7 +192,6 @@ def cmd_tail(args) -> int:
     out = _out_dir(args)
     t0 = time.time()
     dom, op, mu = _build_all(cfg)
-    sol = integral_solution(op, dom, mu)
     rho = build_rho(cfg, dom)
     levels = cfg.get("levels", [0.25, 0.5, 1.0])
     prefix = _prefix(cfg)
@@ -194,7 +199,7 @@ def cmd_tail(args) -> int:
     last = None
     for h in grid_widths(cfg) or [dom.diameter / 128.0]:
         dop = _grid_operator(cfg, dom, op, h=h)
-        tc = tail_curve(sol, dop, rho, levels,
+        tc = tail_curve(_solution(cfg, dom, op, mu, dop), dop, rho, levels,
                         tol=cfg.get("tolerances", {}).get("reduite", 1e-10))
         results[fmt(h)] = {"levels": tc.levels, "values": tc.values,
                            "sweeps": tc.sweeps, "policy_steps": tc.policy_steps,
@@ -225,7 +230,7 @@ def cmd_reconstruct(args) -> int:
         raise PotkitError("local reconstruction needs a local operator")
     if args.mode == "nonlocal" and op.is_local:
         raise PotkitError("nonlocal reconstruction needs the fractional operator")
-    sol = integral_solution(op, dom, mu)
+    sol = _solution(cfg, dom, op, mu)
     eta = build_eta(cfg, dom)
     levels = cfg.get("levels", [0.25, 0.5])
     rep = reconstruct_mu_c(sol, eta, levels,
@@ -263,7 +268,8 @@ def cmd_mc(args) -> int:
         if key not in cfg:
             raise ConfigError(f"config field '{key}': required for mc {args.mode}")
     dom, op, mu = _build_all(cfg)
-    sol = integral_solution(op, dom, mu)
+    dop = _grid_operator(cfg, dom, op) if args.mode == "maximal" else None
+    sol = _solution(cfg, dom, op, mu, dop)
     rho = build_rho(cfg, dom)
     prefix = _prefix(cfg)
     t0 = time.time()
@@ -292,7 +298,6 @@ def cmd_mc(args) -> int:
                    "stderrs": diag.stderrs, "family": diag.family,
                    "table": diag.table, "draws": diag.draws}
     else:
-        dop = _grid_operator(cfg, dom, op)
         u_abs, _, _ = envelope_field(sol, dop)
         d1 = d1_norm(dop, u_abs, rho(dop.grid.interior_points()))
         est = maximal_inequality_check(sol, d1, rho=rho,

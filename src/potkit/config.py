@@ -144,9 +144,11 @@ def _violation(value, schema: dict, path: tuple):
     """First place ``value`` breaks ``schema``, as (path, message), else None.
 
     Implements the JSON Schema keywords CONFIG_SCHEMA uses, with jsonschema's
-    messages.  A bool is neither a number nor an integer, and an integer is a
-    Python int.  An object's required and unknown keys are checked before its
-    fields; fields and items are visited in document order.
+    messages, plus one rule of its own: a number must be finite (NaN passes
+    every bound, and no field means anything at +-inf).  A bool is neither a
+    number nor an integer, and an integer is a Python int.  An object's
+    required and unknown keys are checked before its fields; fields and
+    items are visited in document order.
     """
     kind = schema.get("type")
     if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
@@ -174,6 +176,8 @@ def _violation(value, schema: dict, path: tuple):
         if "items" in schema:
             children = [(v, schema["items"], path + (i,)) for i, v in enumerate(value)]
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) and not math.isfinite(value):
+            return path, f"{value!r} is not a finite number"
         for key, breaks, words in _BOUNDS:
             if key in schema and breaks(value, schema[key]):
                 return path, f"{value!r} is {words} of {schema[key]!r}"

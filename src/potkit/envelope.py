@@ -283,13 +283,14 @@ def d1_norm(dop: DiscreteOperator, u, rho, tol: float = 1e-10) -> float:
 def envelope_field(solution: Solution, dop: DiscreteOperator) -> tuple:
     """Grid representation of |u| for envelope work.
 
-    Off-atom nodes carry the best pointwise values available (closed form
-    when the solution has one, otherwise the discrete field); each
-    concentrated atom's own node carries the discrete Green diagonal for its
-    self-contribution, which is the lattice-consistent height of the peak.
-    Returns (lattice |u| array, atom lattice indices, the atoms' discrete
-    Green columns).  Each column scaled to |u|(node_k) at its node is the
-    single-node harmonic extension e_k(x) = |u|(node_k) * q_k(x), q_k the
+    Nodes carry ``solution.evaluate`` (the closed form, or the grid field
+    interpolated onto this grid).  For a closed form, each concentrated
+    atom's own node instead carries the discrete Green diagonal for its
+    self-contribution, the lattice-consistent height of the peak, plus the
+    closed form of the rest of mu there; a grid field already holds the
+    lattice's own value at the node.  Returns (lattice |u| array, atom
+    lattice indices, the atoms' discrete Green columns).  Each column
+    scaled to |u|(node_k) at its node is the single-node harmonic extension e_k(x) = |u|(node_k) * q_k(x), q_k the
     hitting probability of node_k: an exact lower bound for the envelope of
     any obstacle that dominates |u|(node_k) at the node.
     """
@@ -297,24 +298,20 @@ def envelope_field(solution: Solution, dop: DiscreteOperator) -> tuple:
     conc = solution.decomposition.concentrated
     atom_nodes = [grid.nearest_node(np.asarray(p)) for p, _ in conc.atoms]
 
-    if solution.closed:
-        vals = grid.new_field()
-        pts = grid.interior_points()
-        vals[grid.interior_mask] = solution.evaluate(pts)
-    else:
-        vals = solution.grid_field.values.copy()
+    vals = grid.new_field()
+    vals[grid.interior_mask] = solution.evaluate(grid.interior_points())
 
     columns = []
     for (p, w), node in zip(conc.atoms, atom_nodes):
         col = discrete_green(dop, np.asarray(p))
-        self_val = w * col.values[node]
-        other = 0.0
-        for (q, wq) in solution.measure.atoms:
-            if tuple(q) != tuple(p):
-                other += wq * green(solution.op, solution.dom, p, q)
-        if solution.closed and solution.density_potential is not None:
-            other += float(solution.density_potential(np.asarray(p).reshape(1, -1))[0])
-        vals[node] = self_val + other
+        if solution.closed:
+            other = 0.0
+            for (q, wq) in solution.measure.atoms:
+                if tuple(q) != tuple(p):
+                    other += wq * green(solution.op, solution.dom, p, q)
+            if solution.density_potential is not None:
+                other += float(solution.density_potential(np.asarray(p).reshape(1, -1))[0])
+            vals[node] = w * col.values[node] + other
         columns.append(col)
     return np.abs(vals), atom_nodes, columns
 

@@ -210,6 +210,28 @@ class Grid:
         idx = np.clip(idx, 0, np.asarray(self.shape) - 1)
         return tuple(int(i) for i in idx)
 
+    def corners(self, points) -> tuple:
+        """The 2^d corners of each point's lattice cell and their multilinear
+        weights, both of shape (n_points, 2^d): corner c steps one node up
+        along axis k where bit k of c is set.  Corners are flat interior
+        indices, -1 off the interior.  A point within 1e-12 cells below a
+        node takes that node as its cell's lower corner, with weight 1 and
+        a round-off of either sign on the others."""
+        pts = self.domain._check_points(points)
+        rel = (pts - self.domain.anchor) / self.h - np.asarray(self.offset)
+        base = np.floor(rel + 1e-12).astype(int)
+        frac = rel - base
+        flat = np.full((pts.shape[0], 2**self.dim), -1, dtype=np.int64)
+        weights = np.ones(flat.shape)
+        for c in range(2**self.dim):
+            bits = (c >> np.arange(self.dim)) & 1
+            idx = base + bits
+            on = np.all((idx >= 0) & (idx < np.asarray(self.shape)), axis=1)
+            flat[on, c] = self.interior_index[tuple(idx[on].T)]
+            for k in range(self.dim):
+                weights[:, c] *= frac[:, k] if bits[k] else 1.0 - frac[:, k]
+        return flat, weights
+
     def flat_of_lattice(self, lattice_idx: tuple) -> int:
         """Flat interior index of a lattice multi-index (-1 if not interior)."""
         return int(self.interior_index[lattice_idx])

@@ -142,44 +142,21 @@ def deposit(mu: MeasureData, grid: Grid) -> np.ndarray:
     """Deposit mu on the grid as a density-units right-hand side (flat).
 
     Atoms on nodes become h^{-d}-scaled node masses; off-node atoms spread
-    to the 2^d surrounding nodes by multilinear weights.  Mass falling on
-    non-interior corners is redistributed among the interior ones so the
-    total deposited mass matches the atom weight exactly.
+    to the 2^d corners of their cell (``Grid.corners``) by multilinear
+    weights.  Mass falling on non-interior corners is redistributed among
+    the interior ones of positive weight, so the total deposited mass
+    matches the atom weight exactly; an atom with no such corner raises
+    SupportError.
     """
     rhs = np.zeros(grid.n_interior)
-    h, dim = grid.h, grid.dim
     inv_vol = 1.0 / grid.cell_volume()
-    anchor = grid.domain.anchor
-    for point, weight in mu.atoms:
-        rel = (np.asarray(point) - anchor) / h - np.asarray(grid.offset)
-        base = np.floor(rel + 1e-12).astype(int)
-        frac = rel - base
-        corners, wts = [], []
-        for mask in range(2**dim):
-            idx = tuple(base[k] + ((mask >> k) & 1) for k in range(dim))
-            w = 1.0
-            for k in range(dim):
-                w *= frac[k] if (mask >> k) & 1 else (1.0 - frac[k])
-            if w <= 0.0:
-                continue
-            if all(0 <= idx[k] < grid.shape[k] for k in range(dim)):
-                flat = grid.interior_index[idx]
-            else:
-                flat = -1
-            corners.append(flat)
-            wts.append(w)
-        wts = np.asarray(wts)
-        good = np.asarray([c >= 0 for c in corners])
-        if not good.any():
-            flat = grid.flat_of_lattice(grid.nearest_node(np.asarray(point)))
-            if flat < 0:
+    if mu.atoms:
+        flat, wts = grid.corners([p for p, _ in mu.atoms])
+        for (point, weight), f, w in zip(mu.atoms, flat, wts):
+            good = (f >= 0) & (w > 0.0)
+            if not good.any():
                 raise SupportError(f"atom at {point} has no interior node nearby")
-            rhs[flat] += weight * inv_vol
-            continue
-        wts = wts * (1.0 / wts[good].sum())
-        for flat, w in zip(corners, wts):
-            if flat >= 0:
-                rhs[flat] += weight * w * inv_vol
+            rhs[f[good]] += weight * (w[good] * (1.0 / w[good].sum())) * inv_vol
     if mu.density is not None:
         rhs += mu.density(grid.interior_points())
     return rhs

@@ -151,9 +151,10 @@ def closed_form_supported(op: OperatorSpec, dom: Domain,
 class Solution:
     """Integral solution u = R^D mu with its measure and decomposition.
 
-    ``evaluate`` returns closed-form values where available (+inf exactly at
-    a concentrated atom); discrete solutions interpolate the grid field.
-    The solution vanishes off the domain by convention.
+    ``evaluate`` is the one way to read u: closed-form values where
+    available (+inf exactly at a concentrated atom), else the grid field
+    interpolated multilinearly over ``Grid.corners``.  Both vanish off the
+    domain.
     """
 
     op: OperatorSpec
@@ -175,27 +176,15 @@ class Solution:
                     green(self.op, self.dom, pts, np.asarray(p)), dtype=float)
             if self.density_potential is not None:
                 out = out + self.density_potential(pts)
-            inside = self.dom.contains(pts)
-            out = np.where(inside, out, 0.0)
         else:
-            out = self._interp_grid(pts)
+            # multilinear in the grid field; index -1 (off the interior) reads 0
+            flat, wts = self.grid_field.grid.corners(pts)
+            vals = np.append(self.grid_field.interior_values(), 0.0)
+            out = np.zeros(flat.shape[0])
+            for c in range(wts.shape[1]):
+                out += wts[:, c] * vals[flat[:, c]]
+        out = np.where(self.dom.contains(pts), out, 0.0)
         return float(out[0]) if scalar and out.size == 1 else out
-
-    def _interp_grid(self, pts: np.ndarray) -> np.ndarray:
-        g = self.grid_field.grid
-        vals = self.grid_field.values
-        rel = (pts - g.domain.anchor) / g.h - np.asarray(g.offset)
-        base = np.floor(rel).astype(int)
-        frac = rel - base
-        out = np.zeros(pts.shape[0])
-        for mask in range(2**g.dim):
-            idx = tuple(np.clip(base[:, k] + ((mask >> k) & 1), 0, g.shape[k] - 1)
-                        for k in range(g.dim))
-            w = np.ones(pts.shape[0])
-            for k in range(g.dim):
-                w = w * np.where((mask >> k) & 1, frac[:, k], 1.0 - frac[:, k])
-            out += w * vals[idx]
-        return out
 
     def gradient(self, points) -> np.ndarray:
         """Closed-form gradient (atoms analytic, density via radial profile)."""
@@ -367,7 +356,6 @@ def potential(op: OperatorSpec, dom: Domain, rho,
 
 def l1_rho_norm(solution: Solution, rho_values: np.ndarray, grid: Grid) -> float:
     """||u||_{L^1_rho} on the grid (finite nodes only; atoms are polar-null)."""
-    vals = solution.evaluate(grid.interior_points()) if solution.closed \
-        else solution.grid_field.interior_values()
+    vals = solution.evaluate(grid.interior_points())
     vals = np.where(np.isfinite(vals), vals, 0.0)
     return float(np.sum(np.abs(vals) * rho_values) * grid.cell_volume())

@@ -40,12 +40,6 @@ _EPS_ABS_FACTOR = 1e-6    # outer-boundary shell: 1e-6 * diameter
 _WOS_MAX_ITERS = 100_000  # walk-on-spheres iteration budget
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None):
     """Advance the walkers ``cur`` (n, d) in place until each one stops;
     returns (loop iterations, path steps): the ``step`` calls and the walkers
@@ -191,7 +185,7 @@ def wos_exit(dom: Domain, x, seed=0, n_samples: Optional[int] = None) -> np.ndar
     boundary is not known.
     """
     _check_unmasked(dom, "wos_exit")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     pts = _start_points(x, n_samples)
 
     if dom.kind in ("ball", "interval"):
@@ -300,7 +294,7 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
     if not 0.0 < alpha < 2.0:
         raise SupportError(f"stable exits need 0 < alpha < 2, got alpha={alpha}")
     _check_unmasked(dom, "stable_exit")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     cur = _start_points(x, n_samples)
     if not np.all(dom.contains(cur)):
         raise SupportError("stable walk starts must be interior")
@@ -347,7 +341,7 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
                                      f"the {dom.dim}-d domain")
     if not dom.contains(x):
         raise SupportError(f"reducing start {x.tolist()} must be interior")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x0 = np.tile(x, (n_samples, 1))
     vals, draws = stopped_values(solution, k, x0, rng)
     payoff = np.maximum(vals - n, 0.0)
@@ -416,7 +410,7 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     concentrated atom, whose bounded potential makes every k > sup u stop at
     the boundary value 0; ``limit_basis`` names the rule used.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     dom = solution.dom
     levels = np.asarray(sorted(float(v) for v in levels))
     family = np.asarray(sorted(float(v) for v in family))
@@ -480,7 +474,7 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     dom = solution.dom
     _check_laplacian(solution, "maximal_inequality_check")
     _check_unmasked(dom, "maximal_inequality_check")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     pts = sample_start_points(dom, rho, n_samples, rng)
     running = np.abs(np.asarray(solution.evaluate(pts), dtype=float))
     running[~np.isfinite(running)] = 0.0

@@ -260,6 +260,32 @@ def test_mc_reducing_rejects_fractional_config(tmp_path, capsys):
     assert "fractional" in capsys.readouterr().err
 
 
+def test_divergence_config_solves_on_its_grid(tmp_path, capsys):
+    """Without a closed form every subcommand solves on the config grid."""
+    cfg = {
+        "name": "tiny-div",
+        "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2},
+        "operator": {"kind": "divergence", "coeff_preset": "smooth"},
+        "measure": {"atoms": [[[0.0, 0.0], 1.0]]},
+        "grid": {"h": 2.0**-3},
+        "levels": [0.125, 0.25],
+        "seed": 3,
+        "samples": 100,
+    }
+    path = tmp_path / "div.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    run = lambda cmd: main(cmd.split() + ["--config", str(path), "--out",
+                                          str(tmp_path / "out"), "--quiet"])
+    for cmd in ("solve", "tail", "reduite", "reconstruct local"):
+        assert run(cmd) == 0, cmd
+    assert run("mc maximal") == 1
+    assert "divergence operator" in capsys.readouterr().err
+    del cfg["grid"]
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("solve") == 1
+    assert "config field 'grid'" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
     # scipy.optimize and scipy.integrate are imported only inside the functions
     # that call them, and yaml only by load_config, so a fresh `import

@@ -99,6 +99,11 @@ def test_base_config_validates():
      "0 is less than or equal to the minimum of 0"),
     ("exclusiveMaximum", "operator.alpha", 2, "operator.alpha",
      "2 is greater than or equal to the maximum of 2"),
+    ("finite", "grid.h", float("nan"), "grid.h", "nan is not a finite number"),
+    ("finite", "domain.radius", float("inf"), "domain.radius",
+     "inf is not a finite number"),
+    ("finite", "measure.density.value", float("nan"), "measure.density.value",
+     "nan is not a finite number"),
 ])
 def test_rejected_config_names_field(keyword, edit, value, field, message):
     with pytest.raises(ConfigError,

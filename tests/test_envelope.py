@@ -489,6 +489,40 @@ def test_envelope_field_uses_discrete_diagonal(disk_dirac_solution, disk_dop_sma
     assert np.array_equal(cols[0].values, col.values)
 
 
+def test_envelope_field_reads_grid_solution_from_another_grid(disk_dop_small):
+    disk = disk_dop_small.grid.domain
+    sol = integral_solution(LAP, disk, MeasureData(density=Density.constant(1.0)),
+                            grid=build_grid(disk, 2.0**-4), prefer="grid")
+    grid = disk_dop_small.grid
+    u_abs, nodes, cols = envelope_field(sol, disk_dop_small)
+    assert u_abs.shape == grid.shape
+    assert np.array_equal(u_abs[grid.interior_mask],
+                          np.abs(sol.evaluate(grid.interior_points())))
+    assert nodes == [] and cols == []
+
+
+def test_tail_curve_grid_solution_keeps_the_density_at_the_atom(disk, disk_dop_small):
+    mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], density=Density.constant(4.0),
+                          dom=disk)
+    rho = 1.0 / math.pi
+    closed = tail_curve(integral_solution(LAP, disk, mu), disk_dop_small, rho, [1.0])
+    sol = integral_solution(LAP, disk, mu, dop=disk_dop_small, prefer="grid")
+    grid = tail_curve(sol, disk_dop_small, rho, [1.0])
+    assert grid.values[0] == pytest.approx(closed.values[0], rel=0.03)
+
+
+def test_tail_curve_two_atom_divergence_grid_solution(disk):
+    fn, lam, Lam = _coeff_presets()["smooth"]
+    dop = assemble(OperatorSpec.divergence(fn, lam, Lam), build_grid(disk, 2.0**-5))
+    mu = MeasureData.make(atoms=[([0.25, 0.0], 1.0), ([-0.25, 0.0], 1.0)], dom=disk)
+    sol = integral_solution(dop.op, disk, mu, dop=dop)
+    tc = tail_curve(sol, dop, 1.0 / math.pi, [0.25, 0.5])
+    # u is the sum of the atoms' Green columns, so the envelope of the
+    # enriched obstacle is u itself at every level
+    assert tc.values == pytest.approx([tc.target] * 2, rel=1e-8)
+    assert tc.verdict == "concentrated-like"
+
+
 def _tail_case(case):
     """(solution, operator, rho values on the interior, levels) of a small
     tail-curve problem."""

@@ -99,3 +99,27 @@ def test_invalid_domains():
         Domain.ball([0.0], -1.0, 1)
     with pytest.raises(ValueError):
         Domain.ball([0.0] * 4, 1.0, 4)
+
+
+def test_corners_flat_indices_and_weights():
+    grid = build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 0.25)
+    nodes = grid.interior_points()
+    flat, wts = grid.corners([[0.1, 0.05], [0.97, 0.0], [0.25 - 1e-14, 0.0]])
+    assert flat.shape == wts.shape == (3, 4)
+    assert np.allclose(wts.sum(axis=1), 1.0)
+    # corner c steps up along axis k where bit k of c is set
+    assert np.all(flat[0] >= 0)
+    assert np.array_equal(nodes[flat[0]], [[0.0, 0.0], [0.25, 0.0],
+                                           [0.0, 0.25], [0.25, 0.25]])
+    assert np.allclose(wts[0], [0.48, 0.32, 0.12, 0.08])
+    # the corners on x = 1 are off the interior
+    assert np.array_equal(flat[1] >= 0, [True, False, True, False])
+    assert np.allclose(wts[1], [0.12, 0.88, 0.0, 0.0])
+    # a point a round-off below a node takes that node as its lower corner
+    assert np.array_equal(nodes[flat[2, 0]], [0.25, 0.0])
+    assert wts[2, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rectangle_volume():
+    assert Domain.rectangle([(0.0, 2.0), (-1.0, 0.5)]).volume() == 3.0
+    assert Domain.rectangle([(0.0, 1.0), (0.0, 2.0), (0.0, 0.5)]).volume() == 1.0

@@ -104,6 +104,20 @@ def test_deposit_near_boundary_conserves_mass():
     assert rhs.sum() * grid.cell_volume() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_deposit_without_interior_corner_raises():
+    # the mask drops the two nodes of the cell edge the atom sits on, the only
+    # corners of positive weight; the atom itself lies in the domain
+    def mask(pts):
+        on_edge = np.isclose(pts[:, 1], 0.5) & (np.isclose(pts[:, 0], 0.5)
+                                                | np.isclose(pts[:, 0], 0.75))
+        return ~on_edge
+    dom = Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=mask)
+    grid = build_grid(dom, 0.25)
+    mu = MeasureData.make(atoms=[([0.6, 0.5], 1.0)], dom=dom)
+    with pytest.raises(SupportError, match="no interior node nearby"):
+        deposit(mu, grid)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(0.05, 0.95), st.floats(-3.0, 3.0))
 def test_deposit_mass_exact_property(x, w):

@@ -110,6 +110,14 @@ def test_local_energy_disk_dirac_high_levels(disk_dirac_solution):
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
+def test_local_energy_ball_3d_dirac():
+    ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+    sol = integral_solution(LAP, ball, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)],
+                                                        dom=ball))
+    for n in (0.5, 1.0, 4.0):
+        assert local_energy(sol, constant_eta(1.0), n) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_local_energy_empty_window():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     sol = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)))

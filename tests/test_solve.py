@@ -189,6 +189,37 @@ def test_discrete_interpolation_matches_nodes():
     assert np.allclose(sol.evaluate(pts), direct, atol=1e-12)
 
 
+def test_grid_solution_vanishes_off_domain():
+    dom = Domain.ball([0.0, 0.0], 1.0, 2)
+    grid = build_grid(dom, 2.0**-4)
+    sol = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)),
+                            grid=grid, prefer="grid")
+    # both points lie in cells with interior corners, outside the disk
+    assert np.array_equal(sol.evaluate([[0.72, 0.72], [0.9, 0.45]]), [0.0, 0.0])
+    assert sol.evaluate([0.0, 0.0]) > 0.0
+
+
+def test_grid_solution_reads_flat_1d_points():
+    dom = Domain.interval(0.0, 1.0)
+    mu = MeasureData.make(atoms=[([0.5], 1.0)], dom=dom)
+    sol = integral_solution(LAP, dom, mu, grid=build_grid(dom, 0.125), prefer="grid")
+    # a flat array of 1-d points reads like a column, as on the closed path
+    x = np.array([0.25, 0.5, 0.75])
+    assert np.array_equal(sol.evaluate(x), sol.evaluate(x.reshape(-1, 1)))
+    assert np.allclose(sol.evaluate(x), [0.125, 0.25, 0.125], atol=1e-12)
+
+
+def test_l1_rho_norm_of_grid_solution_on_another_grid():
+    dom = Domain.ball([0.0, 0.0], 1.0, 2)
+    mu = MeasureData(density=Density.constant(1.0))
+    sol = integral_solution(LAP, dom, mu, grid=build_grid(dom, 2.0**-4),
+                            prefer="grid")
+    grid = build_grid(dom, 2.0**-5)
+    val = l1_rho_norm(sol, np.full(grid.n_interior, 1.0 / math.pi), grid)
+    # u = (1 - r^2)/4 against rho = 1/pi: 1/8
+    assert val == pytest.approx(0.125, rel=0.1)
+
+
 def test_l1_rho_norm_matches_quadrature(disk_dirac_solution):
     grid = build_grid(disk_dirac_solution.dom, 2.0**-5)
     rho = np.full(grid.n_interior, 1.0 / math.pi)

@@ -12,7 +12,7 @@ from potkit.solve import integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
                                stopped_values, _project_to_boundary,
-                               _radial_profile, _rng, _walk)
+                               _radial_profile, _walk)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -256,7 +256,7 @@ def _annulus_hits(d, r_k, starts, rng):
 def test_walk_annulus_hit_frequency(d, x0, r_k):
     # k = 2, 4, 8, 16 and 16 in the plane; three radii in space
     n = 40_000
-    hit = _annulus_hits(d, r_k, np.tile(x0, (n, 1)), _rng(5))
+    hit = _annulus_hits(d, r_k, np.tile(x0, (n, 1)), np.random.default_rng(5))
     p = _hit_probability(d, np.linalg.norm(x0), r_k)
     assert abs(hit.mean() - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
@@ -266,8 +266,8 @@ def test_walk_annulus_hit_frequency(d, x0, r_k):
 def test_walk_annulus_matches_ball_walk(d, x0, r_k):
     n = 20_000
     starts = np.tile(x0, (n, 1))
-    new = _annulus_hits(d, r_k, starts, _rng(8))
-    ref = _ball_walk_annulus(np.zeros(d), 1.0, r_k, starts, _rng(9))
+    new = _annulus_hits(d, r_k, starts, np.random.default_rng(8))
+    ref = _ball_walk_annulus(np.zeros(d), 1.0, r_k, starts, np.random.default_rng(9))
     p, q = new.mean(), ref.mean()
     assert abs(p - q) <= 3.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n)
 
@@ -348,7 +348,7 @@ def test_stopped_values_counts_its_draws(case):
         # (1 - r^2)/4 exceeds k = 0.2 on r < sqrt(0.2)
         sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
         k = 0.2
-        starts = sample_start_points(DISK, None, 500, _rng(2))
+        starts = sample_start_points(DISK, None, 500, np.random.default_rng(2))
         outside = np.linalg.norm(starts, axis=1) >= math.sqrt(0.2)
     else:
         # the tent peaked at 0.5: k = u(0.25) puts the level edges at 0.25, 0.75
@@ -431,6 +431,14 @@ def test_class_d_bounded_exact_zeros():
     assert diag.limit_basis == "exact zero (bounded potential)"
 
 
+def test_class_d_single_stopping_time_is_not_fitted(disk_dirac_solution):
+    diag = class_d_diagnostic(disk_dirac_solution, family=[2.0], levels=[0.25, 0.5],
+                              n_samples=2_000, seed=3)
+    assert diag.limit_basis == "best stopping time at the smallest level (no fit)"
+    assert (diag.limit_estimate, diag.limit_stderr) == (diag.estimates[0],
+                                                        diag.stderrs[0])
+
+
 def test_maximal_inequality_presets():
     sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
     est = maximal_inequality_check(sol, d1_value=0.125,
@@ -464,7 +472,7 @@ def test_class_d_reports_walk_counts(disk_dirac_solution, monkeypatch):
                               levels=[0.25, 0.5], rho=rho, n_samples=2_000, seed=12)
     # the diagnostic draws its starts first, then one uniform per start
     # outside each level circle r_k = e^{-2 pi k}
-    starts = sample_start_points(DISK, rho, 2_000, _rng(12))
+    starts = sample_start_points(DISK, rho, 2_000, np.random.default_rng(12))
     radii = np.linalg.norm(starts, axis=1)
     outside = sum(int(np.sum(radii >= math.exp(-2.0 * math.pi * k))) for k in (2.0, 4.0))
     assert diag.draws == outside > 0
@@ -500,7 +508,7 @@ def test_maximal_zero_solution():
 
 
 def test_sample_start_points_inside():
-    rng = _rng(3)
+    rng = np.random.default_rng(3)
     pts = sample_start_points(DISK, lambda p: np.full(len(p), 1 / math.pi),
                               5_000, rng)
     assert np.all(DISK.contains(pts))
@@ -510,14 +518,14 @@ def test_radial_machinery_guards():
     mu = MeasureData.make(atoms=[([0.3, 0.0], 1.0)], dom=DISK)
     sol = integral_solution(LAP, DISK, mu)
     with pytest.raises(SupportError):
-        stopped_values(sol, 2.0, np.array([[0.5, 0.0]]), _rng(1))
+        stopped_values(sol, 2.0, np.array([[0.5, 0.0]]), np.random.default_rng(1))
 
 
 def test_radial_machinery_rejects_off_centre_interval_atom():
     unit = Domain.interval(0.0, 1.0)
     sol = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.3], 1.0)], dom=unit))
     with pytest.raises(SupportError, match="center"):
-        stopped_values(sol, 0.1, np.array([[0.5]]), _rng(1))
+        stopped_values(sol, 0.1, np.array([[0.5]]), np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("seed", [1])
@@ -638,7 +646,7 @@ def _project_loop(dom, pts):
                                     [(0.0, 1.0), (-1.0, 1.0), (0.0, 0.5)]])
 def test_project_to_boundary_matches_loop(bounds):
     dom = Domain.rectangle(bounds)
-    rng = _rng(6)
+    rng = np.random.default_rng(6)
     lo, hi = np.asarray(bounds).T
     # a coarse lattice makes ties between faces common
     pts = lo + (hi - lo) * rng.integers(0, 9, size=(2_000, len(bounds))) / 8.0
