@@ -57,7 +57,11 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "atoms": {"type": "array",
-                          "items": {"type": "array", "minItems": 2, "maxItems": 2}},
+                          "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                                    # [point, weight]; a point is a number or
+                                    # an array of coordinates
+                                    "prefixItems": [{"items": {"type": "number"}},
+                                                    {"type": "number"}]}},
                 "density": {
                     "type": "object",
                     "properties": {
@@ -173,8 +177,9 @@ def _violation(value, schema: dict, path: tuple):
             return path, f"{value!r} {short}"
         if len(value) > schema.get("maxItems", len(value)):
             return path, f"{value!r} is too long"
-        if "items" in schema:
-            children = [(v, schema["items"], path + (i,)) for i, v in enumerate(value)]
+        subs = schema.get("prefixItems", []) + [schema.get("items")] * len(value)
+        children = [(v, sub, path + (i,))
+                    for i, (v, sub) in enumerate(zip(value, subs)) if sub is not None]
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if isinstance(value, float) and not math.isfinite(value):
             return path, f"{value!r} is not a finite number"

@@ -8,7 +8,7 @@ from potkit.errors import ConfigError
 
 # the JSON Schema keywords validate_config implements
 SUPPORTED = {"type", "properties", "required", "additionalProperties", "enum", "items",
-             "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+             "prefixItems", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
              "exclusiveMaximum"}
 
 
@@ -18,6 +18,8 @@ def _schemas(schema):
         yield from _schemas(sub)
     if "items" in schema:
         yield from _schemas(schema["items"])
+    for sub in schema.get("prefixItems", []):
+        yield from _schemas(sub)
 
 
 def test_schema_uses_only_checked_keywords():
@@ -104,6 +106,16 @@ def test_base_config_validates():
      "inf is not a finite number"),
     ("finite", "measure.density.value", float("nan"), "measure.density.value",
      "nan is not a finite number"),
+    ("finite", "measure.atoms.0.1", float("nan"), "measure.atoms.0.1",
+     "nan is not a finite number"),
+    ("finite", "measure.atoms.0.0.1", float("-inf"), "measure.atoms.0.0.1",
+     "-inf is not a finite number"),
+    ("finite", "measure.atoms.0.0", float("inf"), "measure.atoms.0.0",
+     "inf is not a finite number"),
+    ("prefixItems", "measure.atoms.0.1", "1", "measure.atoms.0.1",
+     "'1' is not of type 'number'"),
+    ("prefixItems", "measure.atoms.0.0.0", None, "measure.atoms.0.0.0",
+     "None is not of type 'number'"),
 ])
 def test_rejected_config_names_field(keyword, edit, value, field, message):
     with pytest.raises(ConfigError,

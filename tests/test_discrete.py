@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 
 from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, green,
                     harmonic_extension)
@@ -164,26 +165,79 @@ def test_fractional_assembly_ball(alpha, dom, h):
     assert np.all(np.asarray(A.sum(axis=1)).ravel() > 0.0)
 
 
-def test_fractional_solve_cholesky_bottom(monkeypatch, cg_calls):
-    """The dense fractional operator is always factored whole, never solved
-    by CG, also with the coarsest V-cycle level lowered below its size."""
-    factored = []
+@pytest.fixture
+def factored(monkeypatch):
+    """Record the shape of every dense Cholesky factorization."""
+    shapes = []
     cho_factor = discrete.cho_factor
 
     def counting_cho_factor(a, **kwargs):
-        factored.append(a.shape)
+        shapes.append(a.shape)
         return cho_factor(a, **kwargs)
     monkeypatch.setattr(discrete, "cho_factor", counting_cho_factor)
-    dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
-    rhs = np.random.default_rng(5).standard_normal(dop.n)
+    return shapes
+
+
+def _frac_interval():
+    """The dense fractional operator on the h = 2^-8 interval (n = 511)."""
+    return assemble(OperatorSpec.fractional(0.5),
+                    build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
+
+
+def _off(dop, S):
+    """The flat interior indices off S, in increasing order."""
+    return np.setdiff1d(np.arange(dop.n), S)
+
+
+def test_fractional_solve_cholesky_bottom(monkeypatch, cg_calls, factored):
+    """The dense fractional operator is factored whole once, by its first
+    solve, and that factor serves every later full solve and small-S block
+    solve on the operator; it is never solved by CG, also with the coarsest
+    V-cycle level lowered below its size."""
+    dop = _frac_interval()
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(dop.n)
     ref = spla.spsolve(dop.A.tocsc(), rhs)
     for coarse_max in (discrete._COARSE_MAX, 200):
         monkeypatch.setattr(discrete, "_COARSE_MAX", coarse_max)
-        factored.clear()
         x = dop.solve(rhs)
-        assert factored == [(dop.n, dop.n)]
-        assert cg_calls == []
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        for k in (1, 3):
+            c = _off(dop, rng.choice(dop.n, k, replace=False))
+            dop.solve(rhs[c], on=c)
+    assert factored == [(dop.n, dop.n)]
+    assert cg_calls == []
+
+
+@pytest.mark.parametrize("S", [[200], [0, 255, 510]])
+def test_capacitance_block_solve(factored, S):
+    """A block that leaves |S| = 1 or 3 nodes out is solved with the factor
+    of the whole A by the capacitance correction, to 1e-12 of a Cholesky of
+    A[c, c], leaving A and the right-hand side as they were."""
+    dop = _frac_interval()
+    c = _off(dop, S)
+    rhs = np.random.default_rng(6).standard_normal(c.size)
+    A_data, rhs_before = dop.A.data.copy(), rhs.copy()
+    x = dop.solve(rhs, on=c)
+    assert factored == [(dop.n, dop.n)]
+    block = dop.dense_view()[np.ix_(c, c)]
+    ref = cho_solve(cho_factor(block), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(dop.A.data, A_data)
+    assert np.array_equal(rhs, rhs_before)
+
+
+def test_block_solve_flop_rule(factored):
+    """2 n^2 (|S| + 1) <= |c|^3 / 3 picks the capacitance correction with
+    the factor of A; one node more in S factors the block A[c, c]."""
+    dop = _frac_interval()
+    n = dop.n
+    k = max(k for k in range(n) if 2 * n**2 * (k + 1) <= (n - k) ** 3 / 3)
+    rng = np.random.default_rng(7)
+    for size in (k, k + 1):
+        c = _off(dop, rng.choice(n, size, replace=False))
+        dop.solve(np.ones(c.size), on=c)
+    assert factored == [(n, n), (n - k - 1, n - k - 1)]
 
 
 def test_fractional_green_consistency():
@@ -263,6 +317,26 @@ def test_principal_block_solve(case):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(dop.A.data, A_data)
     assert np.array_equal(rhs, rhs_before)
+
+
+@pytest.mark.parametrize("op", [LAP, OperatorSpec.fractional(0.5)], ids=["local", "fractional"])
+@pytest.mark.parametrize("on, size", [
+    pytest.param([3, 2, 5], 3, id="unsorted"),
+    pytest.param([2, 3, 3], 3, id="duplicated"),
+    pytest.param([-1, 0, 1], 3, id="below-range"),
+    pytest.param([0, 1, 63], 3, id="above-range"),      # n = 63
+    pytest.param([0.0, 1.0], 2, id="not-integer"),
+    pytest.param([[0, 1]], 2, id="not-flat"),
+    pytest.param([0, 1, 2], 2, id="rhs-shorter-than-c"),
+    pytest.param(None, 62, id="rhs-shorter-than-n"),
+])
+def test_malformed_block_raises(op, on, size):
+    """Every operator rejects an index set that is not increasing, distinct
+    flat interior indices, and a right-hand side whose length is not |c|."""
+    dop = assemble(op, build_grid(Domain.interval(0.0, 1.0), 2.0**-6))
+    assert dop.n == 63
+    with pytest.raises(SupportError):
+        dop.solve(np.ones(size), on=None if on is None else np.array(on))
 
 
 def test_block_solve_factors_no_large_local_matrix(monkeypatch):

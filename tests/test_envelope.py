@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
+import potkit.discrete as discrete_mod
 import potkit.envelope as envelope_mod
 from potkit import (Domain, OperatorSpec, assemble, build_grid, d1_norm,
                     discrete_green, fvp_diagnostic, harmonic_extension,
@@ -568,6 +569,34 @@ def test_tail_curve_one_solve_per_atom(monkeypatch, case):
     monkeypatch.setattr(DiscreteOperator, "solve", counted)
     tail_curve(sol, dop, rho, levels)
     assert len(calls) == len(sol.decomposition.concentrated.atoms)
+
+
+def test_tail_curve_fractional_factors_once(monkeypatch):
+    """On a two-atom fractional interval (n = 511) the two Green columns and
+    every policy step, each leaving a few nodes out, share one Cholesky
+    factor of the whole A."""
+    factored, blocks = [], []
+    factor, solve = discrete_mod.cho_factor, DiscreteOperator.solve
+
+    def counted_factor(a, **kwargs):
+        factored.append(a.shape)
+        return factor(a, **kwargs)
+
+    def counted_solve(self, rhs, on=None):
+        blocks.append(None if on is None else self.n - len(on))
+        return solve(self, rhs, on=on)
+
+    monkeypatch.setattr(discrete_mod, "cho_factor", counted_factor)
+    monkeypatch.setattr(DiscreteOperator, "solve", counted_solve)
+    dom, op = Domain.interval(-1.0, 1.0), OperatorSpec.fractional(0.5)
+    dop = assemble(op, build_grid(dom, 2.0**-8))
+    mu = MeasureData.make(atoms=[([-0.3], 1.0), ([0.4], 0.5)], dom=dom)
+    sol = integral_solution(op, dom, mu, dop=dop)
+    tail_curve(sol, dop, 1.0, [0.5, 1.0])
+    assert factored == [(dop.n, dop.n)]
+    assert blocks.count(None) == 2
+    steps = [k for k in blocks if k is not None]
+    assert len(steps) >= 2 and max(steps) <= 4
 
 
 @pytest.mark.parametrize("case", TAIL_CASES)
