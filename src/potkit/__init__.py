@@ -12,7 +12,7 @@ from .kernels import (OperatorSpec, green, jump_kernel, killing_density,
                       poisson_kernel)
 from .discrete import DiscreteOperator, assemble, discrete_green
 from .measures import Decomposition, Density, MeasureData, decompose, total_variation
-from .solve import Solution, integral_solution, potential
+from .solve import Solution, grid_solution, integral_solution
 from .envelope import (ReduiteResult, TailCurve, d1_norm, fvp_diagnostic,
                        harmonic_extension, reduite, tail_curve)
 from .reconstruct import (ReconstructionReport, local_energy, nonlocal_energy,

@@ -26,13 +26,14 @@ from .config import (build_domain, build_eta, build_measure, build_operator,
 from .discrete import assemble
 from .envelope import d1_norm, envelope_field, reduite, tail_curve, tail_obstacle
 from .errors import ConfigError, PotkitError
-from .geometry import build_grid
+from .geometry import DEFAULT_NODE_CAP, build_grid
 from .kernels import constants_table
 from .measures import total_variation
 from .presets import get_preset
 from .reconstruct import reconstruct_mu_c
 from .reports import fmt, log_timing, run_report, write_csv, write_json
-from .solve import closed_form_supported, integral_solution, l1_rho_norm
+from .solve import (closed_form_supported, grid_solution, integral_solution,
+                    l1_rho_norm)
 from .stochastic import (class_d_diagnostic, maximal_inequality_check,
                          reducing_expectation)
 
@@ -110,22 +111,26 @@ def _build_all(cfg):
     return dom, op, mu
 
 
+def _grid(cfg, dom, h):
+    """The lattice of width h over the domain, under the config's node cap."""
+    return build_grid(dom, h, cfg.get("grid", {}).get("node_cap", DEFAULT_NODE_CAP))
+
+
 def _grid_operator(cfg, dom, op, h=None):
     hs = grid_widths(cfg)
     if h is None:
         if not hs:
             raise ConfigError("config field 'grid': h or h_list required")
         h = hs[-1]
-    return assemble(op, build_grid(dom, h, cfg.get("grid", {}).get(
-        "node_cap", 10**7)))
+    return assemble(op, _grid(cfg, dom, h))
 
 
 def _solution(cfg, dom, op, mu, dop=None):
     """u = R^D mu: the closed form where one exists, else the discrete solve
     on ``dop`` or, without one, on the config's finest grid."""
-    if dop is None and not closed_form_supported(op, dom, mu):
-        dop = _grid_operator(cfg, dom, op)
-    return integral_solution(op, dom, mu, dop=dop)
+    if closed_form_supported(op, dom, mu):
+        return integral_solution(op, dom, mu)
+    return grid_solution(dop or _grid_operator(cfg, dom, op), mu)
 
 
 def cmd_solve(args) -> int:
@@ -133,7 +138,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     dom, op, mu = _build_all(cfg)
     hs = grid_widths(cfg)
-    grid = build_grid(dom, hs[-1] if hs else dom.diameter / 64.0)
+    grid = _grid(cfg, dom, hs[-1] if hs else dom.diameter / 64.0)
     sol = _solution(cfg, dom, op, mu)
     if cfg.get("eval_points"):
         pts = np.asarray(cfg["eval_points"], dtype=float)

@@ -115,7 +115,7 @@ CONFIG_SCHEMA = {
         "n": {"type": "number", "exclusiveMinimum": 0},
         "start": {"type": "array", "items": {"type": "number"}},
         "seed": {"type": "integer", "minimum": 0},
-        "samples": {"type": "integer", "minimum": 1},
+        "samples": {"type": "integer", "minimum": 2},
         "eval_points": {"type": "array",
                         "items": {"type": "array", "items": {"type": "number"}}},
         "tolerances": {

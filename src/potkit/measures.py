@@ -77,7 +77,11 @@ class Density:
 
 @dataclass(frozen=True)
 class MeasureData:
-    """mu = sum of weighted atoms + density; total variation must be finite."""
+    """mu = sum of weighted atoms + density; total variation must be finite.
+
+    ``make`` merges atoms given at one point into one atom of their summed
+    weight, in first-appearance order, so no two atoms share a point.
+    """
 
     atoms: tuple = ()                 # ((point tuple, weight), ...)
     density: Optional[Density] = None
@@ -85,7 +89,7 @@ class MeasureData:
     @staticmethod
     def make(atoms=(), density: Optional[Density] = None,
              dom: Optional[Domain] = None) -> "MeasureData":
-        norm_atoms = []
+        merged = {}
         for p, w in atoms:
             pt = tuple(float(c) for c in np.atleast_1d(p))
             if dom is not None and len(pt) != dom.dim:
@@ -93,8 +97,8 @@ class MeasureData:
                     f"atom at {pt} has dimension {len(pt)}, expected {dom.dim}")
             if dom is not None and not dom.contains(np.asarray(pt)):
                 raise SupportError(f"atom at {pt} lies outside the open domain")
-            norm_atoms.append((pt, float(w)))
-        return MeasureData(atoms=tuple(norm_atoms), density=density)
+            merged[pt] = merged[pt] + float(w) if pt in merged else float(w)
+        return MeasureData(atoms=tuple(merged.items()), density=density)
 
     def atom_weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)

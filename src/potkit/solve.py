@@ -1,5 +1,7 @@
-"""Integral solutions u = R^D mu: kernel superposition for atoms plus density
-potentials, with a discrete fallback on grids.
+"""Integral solutions u = R^D mu, built one of two ways: ``integral_solution``
+superposes kernels for atoms plus density potentials in closed form, and
+``grid_solution`` solves A u = (deposited mu) on the lattice of a discrete
+operator.
 
 Closed-form paths:
   * laplacian x interval: exact kernel, density potential by cumulative
@@ -9,18 +11,20 @@ Closed-form paths:
     larger radius);
   * fractional x interval/ball: atoms by the radial ball formula; constant
     densities through (R^2 - r^2)^(alpha/2) / C.
-Anything else solves A u = (deposited mu) on a grid.
+Anything else (divergence operators, rectangles, non-radial densities, any
+non-constant fractional density) has no closed form: ``integral_solution``
+raises UnsupportedKernelError there, and ``grid_solution`` serves it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .discrete import DiscreteOperator, assemble
+from .discrete import DiscreteOperator
 from .errors import SupportError, UnsupportedKernelError
 from .geometry import Domain, Grid, GridField
 from .kernels import OperatorSpec, frac_torsion_constant, green, sphere_area
@@ -92,14 +96,10 @@ class RadialPotential:
         return np.interp(q, self._x, self._u, left=self._u[0], right=0.0)
 
     def gradient(self, points) -> np.ndarray:
-        """Finite-difference gradient of the radial profile (central, fine grid)."""
+        """Finite-difference gradient of the radial profile of a ball
+        (central, fine grid)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         eps = (self._x[1] - self._x[0])
-        if self.dom.dim == 1:
-            q = pts[:, 0]
-            du = (np.interp(q + eps, self._x, self._u, right=0.0)
-                  - np.interp(q - eps, self._x, self._u, right=0.0)) / (2 * eps)
-            return du.reshape(-1, 1)
         ctr = np.asarray(self.dom.center)
         rel = pts - ctr
         q = np.linalg.norm(rel, axis=1)
@@ -110,32 +110,30 @@ class RadialPotential:
 
 
 def _constant_density_potential(op: OperatorSpec, dom: Domain, value: float):
-    """Closed-form R^D(value * 1) where available, else None."""
+    """Closed-form R^D(value * 1) on a pair ``closed_form_supported`` accepts:
+    a Laplacian on an interval or ball, or a fractional operator."""
     if op.kind == "laplacian":
         if dom.kind == "interval":
             a, b = dom.a, dom.b
             return lambda pts: value * 0.5 * (np.atleast_2d(pts)[:, 0] - a) \
                 * (b - np.atleast_2d(pts)[:, 0])
-        if dom.kind == "ball":
-            d, R = dom.dim, dom.radius
-            ctr = np.asarray(dom.center)
-
-            def pot(pts):
-                r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
-                return value * (R**2 - r2) / (2.0 * d)
-            return pot
-    if op.kind == "fractional" and dom.kind in ("interval", "ball"):
-        alpha = op.alpha
-        d = dom.dim
-        C = frac_torsion_constant(alpha, d)
-        ball = dom.as_ball()
-        ctr, R = np.asarray(ball.center), ball.radius
+        d, R = dom.dim, dom.radius
+        ctr = np.asarray(dom.center)
 
         def pot(pts):
             r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
-            return value * np.maximum(R**2 - r2, 0.0) ** (alpha / 2.0) / C
+            return value * (R**2 - r2) / (2.0 * d)
         return pot
-    return None
+    alpha = op.alpha
+    d = dom.dim
+    C = frac_torsion_constant(alpha, d)
+    ball = dom.as_ball()
+    ctr, R = np.asarray(ball.center), ball.radius
+
+    def pot(pts):
+        r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
+        return value * np.maximum(R**2 - r2, 0.0) ** (alpha / 2.0) / C
+    return pot
 
 
 def closed_form_supported(op: OperatorSpec, dom: Domain,
@@ -161,10 +159,12 @@ class Solution:
     dom: Domain
     measure: MeasureData
     decomposition: Decomposition
-    closed: bool
     density_potential: object = None          # callable pts -> values, or None
     grid_field: Optional[GridField] = None
-    _sup_estimate: float = field(default=None, repr=False)
+
+    @property
+    def closed(self) -> bool:
+        return self.grid_field is None
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -187,13 +187,16 @@ class Solution:
         return float(out[0]) if scalar and out.size == 1 else out
 
     def gradient(self, points) -> np.ndarray:
-        """Closed-form gradient (atoms analytic, density via radial profile)."""
-        if not self.closed:
-            raise SupportError("gradient available on the closed-form path only")
+        """grad u of a closed-form Laplacian on a 2-d or 3-d ball, the only
+        solutions with a positive concentrated atom (atoms analytic, the
+        density by differences); anything else raises SupportError."""
+        if not self.closed or self.op.kind != "laplacian" or self.dom.dim < 2:
+            raise SupportError("gradient needs a closed-form laplacian on a "
+                               "2-d or 3-d ball")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros_like(pts)
         for (p, w) in self.measure.atoms:
-            out += w * _green_gradient(self.op, self.dom, pts, np.asarray(p))
+            out += w * _green_gradient(self.dom, pts, np.asarray(p))
         if self.density_potential is not None:
             if isinstance(self.density_potential, RadialPotential):
                 out += self.density_potential.gradient(pts)
@@ -202,64 +205,45 @@ class Solution:
         return out
 
     def max_interior(self) -> float:
-        """Cheap sup estimate of |u| away from concentrated atoms: the grid
-        field's max, or the max over ``_SUP_SAMPLES`` uniform points of the
-        bounding box that lie in the domain."""
-        if self._sup_estimate is not None:
-            return self._sup_estimate
-        if self.grid_field is not None:
-            vals = self.grid_field.interior_values()
-            self._sup_estimate = float(np.max(np.abs(vals))) if vals.size else 0.0
-            return self._sup_estimate
+        """Sup estimate of |u| away from concentrated atoms: the max of the
+        finite |u| over ``_SUP_SAMPLES`` uniform points of the bounding box
+        that lie in the domain."""
         box = self.dom.bounding_box
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(lo, hi, _SUP_SAMPLES) for lo, hi in box])
         pts = pts[self.dom.contains(pts)]
         vals = self.evaluate(pts)
         finite = np.isfinite(vals)
-        self._sup_estimate = float(np.max(np.abs(vals[finite]))) if finite.any() else 0.0
-        return self._sup_estimate
+        return float(np.max(np.abs(vals[finite]))) if finite.any() else 0.0
 
 
-def _green_gradient(op: OperatorSpec, dom: Domain, x: np.ndarray, a: np.ndarray):
-    """grad_x G(x, a) for the closed-form kernels (laplacian and fractional)."""
-    if op.kind == "laplacian":
-        if dom.dim == 1:
-            lo, hi = dom.bounding_box[0]
-            xv = x[:, 0]
-            av = float(np.atleast_1d(a)[0])
-            gx = np.where(xv < av, (hi - av) / (hi - lo), -(av - lo) / (hi - lo))
-            return gx.reshape(-1, 1)
-        ctr = np.asarray(dom.center)
-        R = dom.radius
-        X = x - ctr
-        A = np.atleast_1d(a).astype(float) - ctr
-        dist = X - A
-        r2 = np.sum(dist**2, axis=1)
-        # reflected pole A* = R^2 A / |A|^2 with charge scaling
-        a2 = float(np.sum(A * A))
-        if dom.dim == 2:
-            grad = -dist / (2.0 * math.pi * r2[:, None])
-            if a2 > 0:
-                Astar = R**2 * A / a2
-                dist2 = X - Astar
-                r22 = np.sum(dist2**2, axis=1)
-                grad += dist2 / (2.0 * math.pi * r22[:, None])
-            # atom at the center: the reflected factor is constant, no gradient
-            return grad
-        if dom.dim == 3:
-            grad = -dist / (4.0 * math.pi * np.maximum(r2, 1e-300)[:, None] ** 1.5)
-            if a2 > 0:
-                Astar = R**2 * A / a2
-                q = R / math.sqrt(a2)
-                dist2 = X - Astar
-                r23 = np.sum(dist2**2, axis=1) ** 1.5
-                grad += q * dist2 / (4.0 * math.pi * np.maximum(r23, 1e-300)[:, None])
-            return grad
-    # fractional and anything else: numeric differentiation of the kernel
-    def f(p):
-        return np.asarray(green(op, dom, p, a), dtype=float)
-    return _numeric_gradient(f, x)
+def _green_gradient(dom: Domain, x: np.ndarray, a: np.ndarray):
+    """grad_x G(x, a) of the Laplacian on a 2-d or 3-d ball."""
+    ctr = np.asarray(dom.center)
+    R = dom.radius
+    X = x - ctr
+    A = np.atleast_1d(a).astype(float) - ctr
+    dist = X - A
+    r2 = np.sum(dist**2, axis=1)
+    # reflected pole A* = R^2 A / |A|^2 with charge scaling
+    a2 = float(np.sum(A * A))
+    if dom.dim == 2:
+        grad = -dist / (2.0 * math.pi * r2[:, None])
+        if a2 > 0:
+            Astar = R**2 * A / a2
+            dist2 = X - Astar
+            r22 = np.sum(dist2**2, axis=1)
+            grad += dist2 / (2.0 * math.pi * r22[:, None])
+        # atom at the center: the reflected factor is constant, no gradient
+        return grad
+    grad = -dist / (4.0 * math.pi * np.maximum(r2, 1e-300)[:, None] ** 1.5)
+    if a2 > 0:
+        Astar = R**2 * A / a2
+        q = R / math.sqrt(a2)
+        dist2 = X - Astar
+        r23 = np.sum(dist2**2, axis=1) ** 1.5
+        grad += q * dist2 / (4.0 * math.pi * np.maximum(r23, 1e-300)[:, None])
+    return grad
 
 
 def _numeric_gradient(f, pts: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -271,38 +255,34 @@ def _numeric_gradient(f, pts: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
-def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData,
-                      grid: Optional[Grid] = None,
-                      dop: Optional[DiscreteOperator] = None,
-                      prefer: str = "auto") -> Solution:
-    """Build the integral solution of -L u = mu, u = 0 off D.
+def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData) -> Solution:
+    """The closed-form integral solution of -L u = mu, u = 0 off D.
 
-    Closed form when the (operator, domain, density) combination supports it
-    and ``prefer`` != "grid"; otherwise a discrete solve on the supplied grid.
+    Where ``closed_form_supported`` is false this raises
+    UnsupportedKernelError; ``grid_solution`` solves those cases.
     """
-    dec = decompose(mu, op, dom)
-    use_closed = prefer != "grid" and closed_form_supported(op, dom, mu)
-    if use_closed:
-        dens_pot = None
-        if mu.density is not None:
-            if mu.density.kind == "constant":
-                if mu.density.value != 0.0:
-                    dens_pot = _constant_density_potential(op, dom, mu.density.value)
-            else:
-                dens_pot = RadialPotential(op, dom, mu.density)
-        return Solution(op=op, dom=dom, measure=mu, decomposition=dec,
-                        closed=True, density_potential=dens_pot)
-    if dop is None:
-        if grid is None:
-            raise UnsupportedKernelError(
-                "no closed form for this combination; supply a grid for the "
-                "discrete solve")
-        dop = assemble(op, grid)
-    rhs = deposit(mu, dop.grid)
-    flat = dop.solve(rhs)
-    gf = GridField.from_interior(dop.grid, flat)
-    return Solution(op=op, dom=dom, measure=mu, decomposition=dec,
-                    closed=False, grid_field=gf)
+    if not closed_form_supported(op, dom, mu):
+        raise UnsupportedKernelError(
+            f"no closed form for the {op.kind} operator on this {dom.kind} with "
+            "this measure; solve it on a lattice with grid_solution")
+    dens_pot = None
+    if mu.density is not None:
+        if mu.density.kind == "constant":
+            if mu.density.value != 0.0:
+                dens_pot = _constant_density_potential(op, dom, mu.density.value)
+        else:
+            dens_pot = RadialPotential(op, dom, mu.density)
+    return Solution(op=op, dom=dom, measure=mu,
+                    decomposition=decompose(mu, op, dom), density_potential=dens_pot)
+
+
+def grid_solution(dop: DiscreteOperator, mu: MeasureData) -> Solution:
+    """The integral solution of -L u = mu on the lattice of ``dop``: its
+    solve against the deposited mu, for the operator and domain of ``dop``."""
+    op, dom = dop.op, dop.grid.domain
+    gf = GridField.from_interior(dop.grid, dop.solve(deposit(mu, dop.grid)))
+    return Solution(op=op, dom=dom, measure=mu,
+                    decomposition=decompose(mu, op, dom), grid_field=gf)
 
 
 def level_radius(profile, R: float, k: float) -> float:
@@ -337,21 +317,6 @@ def level_radius(profile, R: float, k: float) -> float:
                            f"profile: its smallest resolved radius is about {hi:.3g}, "
                            f"where u = {u:.6g}")
     return hi
-
-
-def potential(op: OperatorSpec, dom: Domain, rho,
-              grid: Optional[Grid] = None,
-              dop: Optional[DiscreteOperator] = None):
-    """R^D rho for a nonnegative density rho (Density or constant float).
-
-    Returns a callable evaluator.  Used as the fixed test potential in tail
-    functionals and verdict targets.
-    """
-    if isinstance(rho, (int, float)):
-        rho = Density.constant(float(rho))
-    mu = MeasureData(atoms=(), density=rho)
-    sol = integral_solution(op, dom, mu, grid=grid, dop=dop)
-    return sol.evaluate
 
 
 def l1_rho_norm(solution: Solution, rho_values: np.ndarray, grid: Grid) -> float:

@@ -325,6 +325,12 @@ class McEstimate:
     extra: dict
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise SupportError(f"n_samples={n_samples}: a standard error needs at "
+                           "least 2 samples")
+
+
 def reducing_expectation(solution: Solution, k: float, n: float, start,
                          n_samples: int = 10**5, seed: int = 0) -> McEstimate:
     """Monte Carlo estimate of E_x[(u - n)^+ (X_{tau_k})] for the reducing
@@ -332,8 +338,10 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
 
     The estimator's per-path values and the fraction of paths stopped before
     leaving the domain are reported; the latter decreases in k.  A start
-    that is not one interior point of the domain raises before any draw.
+    that is not one interior point of the domain, or fewer than 2 samples,
+    raises before any draw.
     """
+    _check_samples(n_samples)
     dom = solution.dom
     x = np.atleast_1d(np.asarray(start, dtype=float))
     if x.shape != (dom.dim,):
@@ -346,7 +354,7 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
     vals, draws = stopped_values(solution, k, x0, rng)
     payoff = np.maximum(vals - n, 0.0)
     est = float(np.mean(payoff))
-    stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_samples))
     frac_inner = float(np.mean(vals > 1e-12))
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
                       extra={"frac_stopped_before_exit": frac_inner, "k": k, "n": n,
@@ -408,8 +416,10 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     ``limit_estimate`` is the smallest level's limit in k: the 1/k
     extrapolation of its row, or exactly 0 for a solution with no
     concentrated atom, whose bounded potential makes every k > sup u stop at
-    the boundary value 0; ``limit_basis`` names the rule used.
+    the boundary value 0; ``limit_basis`` names the rule used.  Fewer than
+    2 samples raise SupportError before any draw.
     """
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     dom = solution.dom
     levels = np.asarray(sorted(float(v) for v in levels))
@@ -469,8 +479,10 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
 
     The path supremum is tracked at the positions of the walk-on-spheres
     that ``wos_exit`` runs on rectangles, which lower-bounds the true
-    supremum; pass iff estimate <= bound + 3 stderr.
+    supremum; pass iff estimate <= bound + 3 stderr.  Fewer than 2 samples
+    raise SupportError before any draw.
     """
+    _check_samples(n_samples)
     dom = solution.dom
     _check_laplacian(solution, "maximal_inequality_check")
     _check_unmasked(dom, "maximal_inequality_check")

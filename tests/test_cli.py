@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from potkit import cli as cli_mod
 from potkit.cli import main
 from potkit.config import validate_config
 from potkit.presets import PRESETS, get_preset
@@ -284,6 +285,32 @@ def test_divergence_config_solves_on_its_grid(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg))
     assert run("solve") == 1
     assert "config field 'grid'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "tail"])
+def test_grid_node_cap_applies_to_every_subcommand(tmp_path, capsys, command):
+    # the h = 2^-7 grid of the preset has 67,081 nodes
+    cfg = get_preset("tail-disk-dirac")
+    cfg["grid"]["node_cap"] = 100
+    path = tmp_path / "capped.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert "above the cap 100" in capsys.readouterr().err
+
+
+def test_every_preset_solution_is_closed_form(monkeypatch):
+    """No shipped preset needs a grid solve for u, even where the subcommand
+    passes its grid operator along."""
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assemble called")
+
+    monkeypatch.setattr(cli_mod, "assemble", no_assembly)
+    for name in sorted(PRESETS):
+        cfg = validate_config(get_preset(name))
+        dom, op, mu = cli_mod._build_all(cfg)
+        sol = cli_mod._solution(cfg, dom, op, mu)
+        assert sol.closed, name
 
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded():

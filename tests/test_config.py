@@ -94,7 +94,8 @@ def test_base_config_validates():
      "[[0.0, 0.0]] is too short"),
     ("maxItems", "measure.atoms.0", [[0.0, 0.0], 1.0, 2.0], "measure.atoms.0",
      "[[0.0, 0.0], 1.0, 2.0] is too long"),
-    ("minimum", "samples", 0, "samples", "0 is less than the minimum of 1"),
+    ("minimum", "samples", 0, "samples", "0 is less than the minimum of 2"),
+    ("minimum", "samples", 1, "samples", "1 is less than the minimum of 2"),
     ("minimum", "seed", -1, "seed", "-1 is less than the minimum of 0"),
     ("maximum", "domain.dim", 4, "domain.dim", "4 is greater than the maximum of 3"),
     ("exclusiveMinimum", "grid.h", 0, "grid.h",

@@ -16,7 +16,7 @@ from potkit.discrete import DiscreteOperator
 from potkit.errors import ConvergenceError, SupportError
 from potkit.geometry import GridField
 from potkit.measures import Density, MeasureData
-from potkit.solve import integral_solution
+from potkit.solve import grid_solution, integral_solution
 
 LAP = OperatorSpec.laplacian()
 
@@ -492,8 +492,8 @@ def test_envelope_field_uses_discrete_diagonal(disk_dirac_solution, disk_dop_sma
 
 def test_envelope_field_reads_grid_solution_from_another_grid(disk_dop_small):
     disk = disk_dop_small.grid.domain
-    sol = integral_solution(LAP, disk, MeasureData(density=Density.constant(1.0)),
-                            grid=build_grid(disk, 2.0**-4), prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(disk, 2.0**-4)),
+                        MeasureData(density=Density.constant(1.0)))
     grid = disk_dop_small.grid
     u_abs, nodes, cols = envelope_field(sol, disk_dop_small)
     assert u_abs.shape == grid.shape
@@ -507,16 +507,28 @@ def test_tail_curve_grid_solution_keeps_the_density_at_the_atom(disk, disk_dop_s
                           dom=disk)
     rho = 1.0 / math.pi
     closed = tail_curve(integral_solution(LAP, disk, mu), disk_dop_small, rho, [1.0])
-    sol = integral_solution(LAP, disk, mu, dop=disk_dop_small, prefer="grid")
+    sol = grid_solution(disk_dop_small, mu)
     grid = tail_curve(sol, disk_dop_small, rho, [1.0])
     assert grid.values[0] == pytest.approx(closed.values[0], rel=0.03)
+
+
+def test_tail_curve_coincident_atoms_match_their_sum(disk, disk_dop_small):
+    # two halves at one point are one unit atom: the atom's node must carry
+    # the whole weight times the Green diagonal
+    halves = MeasureData.make(atoms=[([0.0, 0.0], 0.5), ([0.0, 0.0], 0.5)], dom=disk)
+    unit = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=disk)
+    rho = 1.0 / math.pi
+    tc = tail_curve(integral_solution(LAP, disk, halves), disk_dop_small, rho, [0.25, 0.5])
+    ref = tail_curve(integral_solution(LAP, disk, unit), disk_dop_small, rho, [0.25, 0.5])
+    assert np.array_equal(tc.values, ref.values)
+    assert tc.values == pytest.approx([ref.target] * 2, rel=0.01)
 
 
 def test_tail_curve_two_atom_divergence_grid_solution(disk):
     fn, lam, Lam = _coeff_presets()["smooth"]
     dop = assemble(OperatorSpec.divergence(fn, lam, Lam), build_grid(disk, 2.0**-5))
     mu = MeasureData.make(atoms=[([0.25, 0.0], 1.0), ([-0.25, 0.0], 1.0)], dom=disk)
-    sol = integral_solution(dop.op, disk, mu, dop=dop)
+    sol = grid_solution(dop, mu)
     tc = tail_curve(sol, dop, 1.0 / math.pi, [0.25, 0.5])
     # u is the sum of the atoms' Green columns, so the envelope of the
     # enriched obstacle is u itself at every level
@@ -546,7 +558,10 @@ def _tail_case(case):
                  "two-atom-disk": [([-0.25, 0.0], 1.0), ([0.25, 0.25], -0.5)]}[case]
     density = Density.constant(1.0) if case == "diffuse-disk" else None
     mu = MeasureData.make(atoms=atoms, density=density, dom=dom)
-    sol = integral_solution(op, dom, mu, dop=dop)
+    if case == "divergence-disk":
+        sol = grid_solution(dop, mu)
+    else:
+        sol = integral_solution(op, dom, mu)
     pts = dop.grid.interior_points()
     rho = 1.0 + 0.5 * pts[:, 0]               # positive, and not symmetric about the atoms
     return sol, dop, rho, [0.1, 0.2]
@@ -591,7 +606,7 @@ def test_tail_curve_fractional_factors_once(monkeypatch):
     dom, op = Domain.interval(-1.0, 1.0), OperatorSpec.fractional(0.5)
     dop = assemble(op, build_grid(dom, 2.0**-8))
     mu = MeasureData.make(atoms=[([-0.3], 1.0), ([0.4], 0.5)], dom=dom)
-    sol = integral_solution(op, dom, mu, dop=dop)
+    sol = integral_solution(op, dom, mu)
     tail_curve(sol, dop, 1.0, [0.5, 1.0])
     assert factored == [(dop.n, dop.n)]
     assert blocks.count(None) == 2

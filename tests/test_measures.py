@@ -70,6 +70,12 @@ def test_atom_outside_domain_rejected():
         MeasureData.make(atoms=[([1.5], 1.0)], dom=dom)
 
 
+def test_coincident_atoms_merged_in_first_appearance_order():
+    dom = Domain.interval(0.0, 1.0)
+    mu = MeasureData.make(atoms=[([0.5], 0.25), ([0.2], -1.0), ([0.5], 0.5)], dom=dom)
+    assert mu.atoms == (((0.5,), 0.75), ((0.2,), -1.0))
+
+
 def test_atom_dimension_checked():
     with pytest.raises(DimensionMismatchError):
         MeasureData.make(atoms=[([0.5, 0.9], 1.0)], dom=Domain.interval(0.0, 1.0))

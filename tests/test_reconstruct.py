@@ -12,7 +12,8 @@ from potkit.reconstruct import (CutoffEta, _graded_panels_1d, _jump_terms,
                                 _nonlocal_energies, constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
                                 reconstruct_mu_c, s_n, sigma, theta_n)
-from potkit.solve import integral_solution
+from potkit.discrete import assemble
+from potkit.solve import grid_solution, integral_solution
 
 LAP = OperatorSpec.laplacian()
 
@@ -139,8 +140,7 @@ def test_local_energy_grid_path():
     from potkit.geometry import build_grid
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=dom)
-    grid = build_grid(dom, 2.0**-6)
-    sol = integral_solution(LAP, dom, mu, grid=grid, prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(dom, 2.0**-6)), mu)
     val = local_energy(sol, constant_eta(1.0), 0.25)
     # stencil gradients on the staircase grid: same limit, coarse accuracy
     assert val == pytest.approx(1.0, rel=0.25)
@@ -156,16 +156,16 @@ def test_divergence_local_energy_uses_the_coefficient():
     grid = build_grid(dom, 2.0**-5)
     mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=dom)
     two = OperatorSpec.divergence(lambda p: np.full(len(p), 2.0), 2.0, 2.0)
-    div = integral_solution(two, dom, mu, grid=grid)
-    lap = integral_solution(LAP, dom, mu, grid=grid, prefer="grid")
+    div = grid_solution(assemble(two, grid), mu)
+    lap = grid_solution(assemble(LAP, grid), mu)
     for n in (0.05, 0.1, 0.2):
         assert local_energy(div, constant_eta(1.0), n) == pytest.approx(
             local_energy(lap, constant_eta(1.0), 2.0 * n), rel=1e-9, abs=0.0)
     # a varying coefficient: the window energy still recovers the atom mass
     coeff, lam, Lam = _coeff_presets()["smooth"]
     mu = MeasureData.make(atoms=[([0.3, 0.0], 1.0)], dom=dom)
-    sol = integral_solution(OperatorSpec.divergence(coeff, lam, Lam), dom, mu,
-                            grid=build_grid(dom, 2.0**-7))
+    sol = grid_solution(assemble(OperatorSpec.divergence(coeff, lam, Lam),
+                                 build_grid(dom, 2.0**-7)), mu)
     assert local_energy(sol, constant_eta(1.0), 0.25) == pytest.approx(1.0, rel=0.05)
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from potkit import (Domain, OperatorSpec, build_grid, green, integral_solution,
-                    killing_density, potential)
+from potkit import (Domain, OperatorSpec, assemble, build_grid, green, grid_solution,
+                    integral_solution, killing_density)
 from potkit.kernels import frac_torsion_constant
-from potkit.measures import Density, MeasureData
-from potkit.errors import SupportError
+from potkit.measures import Density, MeasureData, deposit
+from potkit.errors import SupportError, UnsupportedKernelError
 from potkit.solve import RadialPotential, l1_rho_norm, level_radius
 
 LAP = OperatorSpec.laplacian()
@@ -40,15 +40,15 @@ def test_zero_measure():
 
 def test_potential_disk_uniform():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
-    pot = potential(LAP, dom, Density.constant(1.0 / math.pi))
-    assert pot([0.0, 0.0]) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
+    pot = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0 / math.pi)))
+    assert pot.evaluate([0.0, 0.0]) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
 
 
 def test_potential_interval_unit():
     dom = Domain.interval(0.0, 1.0)
-    pot = potential(LAP, dom, Density.constant(1.0))
-    assert pot([0.5]) == pytest.approx(0.125, rel=1e-12)
-    assert pot([0.25]) == pytest.approx(0.25 * 0.75 / 2.0, rel=1e-12)
+    pot = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)))
+    assert pot.evaluate([0.5]) == pytest.approx(0.125, rel=1e-12)
+    assert pot.evaluate([0.25]) == pytest.approx(0.25 * 0.75 / 2.0, rel=1e-12)
 
 
 def test_linearity_closed_path():
@@ -65,23 +65,22 @@ def test_linearity_closed_path():
 
 def test_linearity_discrete_path():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
-    grid = build_grid(dom, 2.0**-4)
+    dop = assemble(LAP, build_grid(dom, 2.0**-4))
     m1 = MeasureData.make(atoms=[([0.25, 0.0], 1.0)], dom=dom)
     m2 = MeasureData(density=Density.constant(1.0))
     m12 = MeasureData.make(atoms=[([0.25, 0.0], 1.0)],
                            density=Density.constant(1.0), dom=dom)
-    u1 = integral_solution(LAP, dom, m1, grid=grid, prefer="grid").grid_field
-    u2 = integral_solution(LAP, dom, m2, grid=grid, prefer="grid").grid_field
-    u12 = integral_solution(LAP, dom, m12, grid=grid, prefer="grid").grid_field
+    u1 = grid_solution(dop, m1).grid_field
+    u2 = grid_solution(dop, m2).grid_field
+    u12 = grid_solution(dop, m12).grid_field
     assert np.max(np.abs(u12.values - u1.values - u2.values)) < 1e-10
 
 
 def test_positivity_discrete():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
-    grid = build_grid(dom, 2.0**-4)
     mu = MeasureData.make(atoms=[([0.25, 0.25], 2.0)],
                           density=Density.constant(0.5), dom=dom)
-    sol = integral_solution(LAP, dom, mu, grid=grid, prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(dom, 2.0**-4)), mu)
     assert np.all(sol.grid_field.values >= -1e-14)
 
 
@@ -100,11 +99,11 @@ def test_bounded_density_bound():
 def test_domination_transfer():
     # |mu| <= nu componentwise implies |u_mu| <= R^D nu on nodes
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
-    grid = build_grid(dom, 2.0**-4)
+    dop = assemble(LAP, build_grid(dom, 2.0**-4))
     mu = MeasureData.make(atoms=[([0.25, 0.0], 1.0), ([-0.3, 0.2], -0.7)], dom=dom)
     nu = MeasureData.make(atoms=[([0.25, 0.0], 1.0), ([-0.3, 0.2], 0.7)], dom=dom)
-    u = integral_solution(LAP, dom, mu, grid=grid, prefer="grid").grid_field
-    Rnu = integral_solution(LAP, dom, nu, grid=grid, prefer="grid").grid_field
+    u = grid_solution(dop, mu).grid_field
+    Rnu = grid_solution(dop, nu).grid_field
     assert np.all(np.abs(u.values) <= Rnu.values + 1e-12)
 
 
@@ -168,6 +167,49 @@ def test_gradient_matches_central_differences(dom, mu, pts, eps, atol):
                        rtol=0.0, atol=atol)
 
 
+@pytest.mark.parametrize("op, dom, mu", [
+    (LAP, Domain.interval(0.0, 1.0),
+     MeasureData.make(atoms=[([0.5], 1.0)], dom=Domain.interval(0.0, 1.0))),
+    (OperatorSpec.fractional(0.5), _DISK,
+     MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=_DISK)),
+])
+def test_gradient_outside_2d_3d_laplacian_raises(op, dom, mu):
+    sol = integral_solution(op, dom, mu)
+    with pytest.raises(SupportError, match="gradient"):
+        sol.gradient(np.full((1, dom.dim), 0.25))
+
+
+@pytest.mark.parametrize("op, dom", [
+    (LAP, Domain.rectangle([(0.0, 1.0), (0.0, 1.0)])),
+    (OperatorSpec.divergence(lambda p: np.ones(len(p)), 1.0, 1.0), _DISK),
+])
+def test_integral_solution_without_closed_form_names_grid_solution(op, dom):
+    with pytest.raises(UnsupportedKernelError, match="grid_solution"):
+        integral_solution(op, dom, MeasureData(density=Density.constant(1.0)))
+
+
+def test_grid_solution_takes_operator_and_domain_from_dop():
+    # a divergence-form operator cannot be labelled as another's solution
+    div = OperatorSpec.divergence(lambda p: np.full(len(p), 2.0), 2.0, 2.0)
+    dop = assemble(div, build_grid(_DISK, 2.0**-3))
+    mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=_DISK)
+    sol = grid_solution(dop, mu)
+    assert sol.op is div and sol.dom is _DISK and not sol.closed
+    assert sol.measure is mu and len(sol.decomposition.concentrated.atoms) == 1
+    assert np.array_equal(sol.grid_field.interior_values(),
+                          dop.solve(deposit(mu, dop.grid)))
+
+
+def test_max_interior_reads_a_grid_solution():
+    sol = grid_solution(assemble(LAP, build_grid(_DISK, 2.0**-4)),
+                        MeasureData(density=Density.constant(1.0)))
+    # interpolation never exceeds the largest node value, which the staircase
+    # disk puts a few percent above the 1/4 of u = (1 - r^2)/4
+    top = np.max(sol.grid_field.interior_values())
+    assert 0.99 * top <= sol.max_interior() <= top
+    assert top == pytest.approx(0.25, rel=0.05)
+
+
 def test_fractional_constant_density_closed_form():
     alpha = 0.5
     op = OperatorSpec.fractional(alpha)
@@ -183,7 +225,7 @@ def test_discrete_interpolation_matches_nodes():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     grid = build_grid(dom, 2.0**-4)
     mu = MeasureData(density=Density.constant(1.0))
-    sol = integral_solution(LAP, dom, mu, grid=grid, prefer="grid")
+    sol = grid_solution(assemble(LAP, grid), mu)
     pts = grid.interior_points()[::17]
     direct = sol.grid_field.values[grid.interior_mask][::17]
     assert np.allclose(sol.evaluate(pts), direct, atol=1e-12)
@@ -191,9 +233,8 @@ def test_discrete_interpolation_matches_nodes():
 
 def test_grid_solution_vanishes_off_domain():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
-    grid = build_grid(dom, 2.0**-4)
-    sol = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)),
-                            grid=grid, prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(dom, 2.0**-4)),
+                        MeasureData(density=Density.constant(1.0)))
     # both points lie in cells with interior corners, outside the disk
     assert np.array_equal(sol.evaluate([[0.72, 0.72], [0.9, 0.45]]), [0.0, 0.0])
     assert sol.evaluate([0.0, 0.0]) > 0.0
@@ -202,7 +243,7 @@ def test_grid_solution_vanishes_off_domain():
 def test_grid_solution_reads_flat_1d_points():
     dom = Domain.interval(0.0, 1.0)
     mu = MeasureData.make(atoms=[([0.5], 1.0)], dom=dom)
-    sol = integral_solution(LAP, dom, mu, grid=build_grid(dom, 0.125), prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(dom, 0.125)), mu)
     # a flat array of 1-d points reads like a column, as on the closed path
     x = np.array([0.25, 0.5, 0.75])
     assert np.array_equal(sol.evaluate(x), sol.evaluate(x.reshape(-1, 1)))
@@ -212,8 +253,7 @@ def test_grid_solution_reads_flat_1d_points():
 def test_l1_rho_norm_of_grid_solution_on_another_grid():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     mu = MeasureData(density=Density.constant(1.0))
-    sol = integral_solution(LAP, dom, mu, grid=build_grid(dom, 2.0**-4),
-                            prefer="grid")
+    sol = grid_solution(assemble(LAP, build_grid(dom, 2.0**-4)), mu)
     grid = build_grid(dom, 2.0**-5)
     val = l1_rho_norm(sol, np.full(grid.n_interior, 1.0 / math.pi), grid)
     # u = (1 - r^2)/4 against rho = 1/pi: 1/8

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from potkit import (Domain, OperatorSpec, poisson_kernel, stable_exit, stochastic,
-                    wos_exit)
+from potkit import (Domain, OperatorSpec, assemble, poisson_kernel, stable_exit,
+                    stochastic, wos_exit)
 from potkit.errors import ConvergenceError, DimensionMismatchError, SupportError
 from potkit.measures import Density, MeasureData
-from potkit.solve import integral_solution, level_radius
+from potkit.solve import grid_solution, integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
                                stopped_values, _project_to_boundary,
@@ -304,7 +304,24 @@ def test_level_radius_resolution_guard(disk_dirac_solution):
     # e^{-200 pi} is below the smallest radius the profile resolves
     with pytest.raises(SupportError, match="k=100"):
         reducing_expectation(disk_dirac_solution, k=100.0, n=1.0, start=[0.5, 0.0],
-                             n_samples=1, seed=0)
+                             n_samples=2, seed=0)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda sol: reducing_expectation(sol, k=0.2, n=0.1, start=[0.5, 0.0], n_samples=1),
+    lambda sol: class_d_diagnostic(sol, [0.2, 0.3], [0.1], n_samples=1),
+    lambda sol: maximal_inequality_check(sol, d1_value=0.1, n_samples=1),
+], ids=["reducing", "classd", "maximal"])
+def test_one_sample_estimate_raises_before_any_draw(monkeypatch, estimate):
+    # one sample has no standard error, so no verdict can be drawn from it
+    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+
+    def no_rng(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(stochastic.np.random, "default_rng", no_rng)
+    with pytest.raises(SupportError, match="n_samples=1"):
+        estimate(sol)
 
 
 def test_stopped_values_unreached_level_draws_nothing():
@@ -491,8 +508,8 @@ def test_maximal_reports_walk_counts(monkeypatch):
 
 def test_maximal_masked_rectangle_rejected():
     from potkit.geometry import build_grid
-    sol = integral_solution(LAP, L_SHAPE, MeasureData(density=Density.constant(1.0)),
-                            grid=build_grid(L_SHAPE, 2.0**-4))
+    sol = grid_solution(assemble(LAP, build_grid(L_SHAPE, 2.0**-4)),
+                        MeasureData(density=Density.constant(1.0)))
     with pytest.raises(SupportError, match="masked"):
         maximal_inequality_check(sol, d1_value=0.1, rho=lambda p: np.ones(len(p)),
                                  n_samples=100, seed=1)
