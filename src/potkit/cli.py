@@ -235,8 +235,8 @@ def cmd_reconstruct(args) -> int:
         raise PotkitError("local reconstruction needs a local operator")
     if args.mode == "nonlocal" and op.is_local:
         raise PotkitError("nonlocal reconstruction needs the fractional operator")
-    sol = _solution(cfg, dom, op, mu)
     eta = build_eta(cfg, dom)
+    sol = _solution(cfg, dom, op, mu)
     levels = cfg.get("levels", [0.25, 0.5])
     rep = reconstruct_mu_c(sol, eta, levels,
                            rel_tol=cfg.get("tolerances", {}).get("quad_rel", 0.01))

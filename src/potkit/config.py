@@ -222,13 +222,18 @@ def _coeff_presets():
     }
 
 
+def _require(section: dict, name: str, keys) -> None:
+    """ConfigError naming the first of ``keys`` that ``section`` lacks."""
+    for key in keys:
+        if key not in section:
+            raise ConfigError(f"config field '{name}.{key}': required for "
+                              f"kind {section['kind']!r}")
+
+
 def build_domain(cfg: dict) -> Domain:
     d = cfg["domain"]
-    required = {"interval": ("a", "b"), "ball": ("center", "radius", "dim"),
-                "rectangle": ("bounds",)}[d["kind"]]
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"config field 'domain.{key}': required for {d['kind']}s")
+    _require(d, "domain", {"interval": ("a", "b"), "ball": ("center", "radius", "dim"),
+                           "rectangle": ("bounds",)}[d["kind"]])
     with _rejected_field("domain"):
         if d["kind"] == "interval":
             return Domain.interval(d["a"], d["b"])
@@ -241,10 +246,9 @@ def build_operator(cfg: dict) -> OperatorSpec:
     o = cfg["operator"]
     if o["kind"] == "laplacian":
         return OperatorSpec.laplacian()
-    if o["kind"] == "fractional" and "alpha" not in o:
-        raise ConfigError("config field 'operator.alpha': required for fractional")
     with _rejected_field("operator"):
         if o["kind"] == "fractional":
+            _require(o, "operator", ("alpha",))
             return OperatorSpec.fractional(o["alpha"])
         fn, lam, Lam = _coeff_presets()[o.get("coeff_preset", "identity")]
         return OperatorSpec.divergence(fn, o.get("lam", lam), o.get("Lam", Lam))
@@ -282,6 +286,7 @@ def build_rho(cfg: dict, dom: Domain) -> Callable:
     if r["kind"] == "uniform":
         level = 1.0 / dom.volume()
     else:
+        _require(r, "rho", ("value",))
         level = float(r["value"])
     return lambda pts: np.full(np.atleast_2d(pts).shape[0], level)
 
@@ -290,8 +295,10 @@ def build_eta(cfg: dict, dom: Domain) -> Callable:
     e = cfg.get("eta", {"kind": "constant"})
     if e["kind"] == "constant":
         return constant_eta(e.get("value", 1.0))
+    _require(e, "eta", ("r_one", "r_zero"))
     center = e.get("center", list(dom.anchor))
-    return CutoffEta(center=tuple(center), r_one=e["r_one"], r_zero=e["r_zero"])
+    with _rejected_field("eta"):
+        return CutoffEta(center=tuple(center), r_one=e["r_one"], r_zero=e["r_zero"])
 
 
 def grid_widths(cfg: dict) -> list:

@@ -1,6 +1,5 @@
 """Smallest excessive majorants (reduite), the weighted norm built on them,
-tail functionals over truncation levels, and a uniform-integrability
-diagnostic driven by convex test functions.
+and tail functionals over truncation levels.
 
 Discrete setting: for the sub-stochastic one-step kernel P of an assembled
 operator, the reduite of an obstacle g >= 0 is the smallest fixed point of
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -392,65 +391,3 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
                      sweeps=sweeps, policy_steps=policy_steps,
                      limit_estimate=limit_estimate, target=float(target),
                      verdict=verdict)
-
-
-@dataclass
-class FvpResult:
-    caps: np.ndarray
-    values: np.ndarray
-    growth_ratios: np.ndarray
-    verdict: str                  # "finite" | "diverging"
-
-
-def fvp_diagnostic(dop: DiscreteOperator, u, rho, phi: Callable,
-                   caps: Optional[Sequence[float]] = None,
-                   tol: float = 1e-10) -> FvpResult:
-    """d1_norm of phi(|u|) under level caps, with the growth trend across caps.
-
-    phi must be increasing convex with phi(0) = 0 and superlinear growth.
-    Bounded values across growing caps evidence membership (the weighted
-    envelope norm of phi(|u|) is finite); growth tracking phi(k)/k evidences
-    the opposite.  The existential quantifier over all such phi cannot be
-    decided numerically; this reports evidence for the supplied one.
-
-    ``u`` may be a Solution, a GridField or a lattice array.  Solutions with
-    concentrated atoms evaluate the obstacle from the unbounded closed form,
-    so the cap value phi(k) is attained at the atom nodes for every k (the
-    sub-cell level set collapses to the node); that is what lets the capped
-    family probe arbitrarily high levels on a fixed mesh.
-    """
-    grid = dop.grid
-    if isinstance(u, Solution):
-        u_lat = grid.new_field()
-        u_lat[grid.interior_mask] = np.abs(u.evaluate(grid.interior_points()))
-        u_lat[~np.isfinite(u_lat)] = np.inf
-    else:
-        u_lat = np.abs(u.values if isinstance(u, GridField)
-                       else np.asarray(u, float))
-    u_lat = np.where(grid.interior_mask, u_lat, 0.0)
-    finite_mask = np.isfinite(u_lat)
-    u_max = float(np.max(u_lat[finite_mask & grid.interior_mask]))
-    if caps is None:
-        caps = u_max * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    caps = np.asarray(sorted(float(k) for k in caps))
-    rho_vals = _rho_values(rho, grid)
-
-    values = np.empty(caps.shape)
-    for i, k in enumerate(caps):
-        g = phi(np.minimum(u_lat, k))
-        g = np.where(grid.interior_mask, g, 0.0)
-        res = reduite(dop, g, tol=tol)
-        values[i] = res.envelope.weighted_sum(rho_vals)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = values[1:] / np.where(values[:-1] > 0, values[:-1], np.nan)
-    tail_ratios = ratios[-2:][np.isfinite(ratios[-2:])]
-    diverging = tail_ratios.size > 0 and bool(np.all(tail_ratios > 1.05))
-    return FvpResult(caps=caps, values=values, growth_ratios=ratios,
-                     verdict="diverging" if diverging else "finite")
-
-
-FVP_FAMILY = {
-    "xlog": lambda x: x * np.log1p(x),
-    "power_1_2": lambda x: np.power(x, 1.2),
-}

@@ -321,25 +321,8 @@ def poisson_kernel(op: OperatorSpec, dom: Domain, x, z):
 
 
 # ---------------------------------------------------------------------------
-# jump kernel and killing density (fractional)
+# killing density (fractional)
 # ---------------------------------------------------------------------------
-
-def jump_kernel(alpha: float, d: int, x, y):
-    """Pointwise jump intensity c(alpha,d) |x-y|^(-d-alpha).
-
-    This is the full singular-integral kernel; the symmetric jump *measure*
-    on ordered pairs carries half of it (see module docstring).
-    """
-    X = _as_points(x, d)
-    Y = _as_points(y, d)
-    X, Y = np.broadcast_arrays(X, Y)
-    dist = np.linalg.norm(X - Y, axis=1)
-    if np.any(dist == 0.0):
-        raise SupportError("jump kernel undefined on the diagonal x = y")
-    val = frac_constant(alpha, d) * dist ** (-d - alpha)
-    scalar = np.asarray(x, dtype=float).ndim <= 1 and np.asarray(y, dtype=float).ndim <= 1
-    return float(val[0]) if scalar and np.size(val) == 1 else val
-
 
 def killing_density(alpha: float, dom: Domain, x):
     """kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy for the fractional

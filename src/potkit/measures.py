@@ -80,7 +80,8 @@ class MeasureData:
     """mu = sum of weighted atoms + density; total variation must be finite.
 
     ``make`` merges atoms given at one point into one atom of their summed
-    weight, in first-appearance order, so no two atoms share a point.
+    weight, in first-appearance order, so no two atoms share a point, and
+    drops the atoms whose weight is then 0.
     """
 
     atoms: tuple = ()                 # ((point tuple, weight), ...)
@@ -98,7 +99,8 @@ class MeasureData:
             if dom is not None and not dom.contains(np.asarray(pt)):
                 raise SupportError(f"atom at {pt} lies outside the open domain")
             merged[pt] = merged[pt] + float(w) if pt in merged else float(w)
-        return MeasureData(atoms=tuple(merged.items()), density=density)
+        return MeasureData(atoms=tuple((p, w) for p, w in merged.items() if w != 0.0),
+                           density=density)
 
     def atom_weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)

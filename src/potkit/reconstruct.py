@@ -12,7 +12,8 @@ positive concentrated part as the window level n grows:
                + Int_D eta(x) theta_n(u(x), 0) kappa_D(dx) ]
   with theta_n(a, b) = 2 (S_n(a) - S_n(b)) (2a - S_n(a) - S_n(b)),
   S_n(z) = clamp(z, n, 2n), J the symmetric jump measure
-  (= jump_kernel / 2 on ordered pairs) and kappa_D the killing density.
+  ((c(alpha, d) / 2) |x - y|^(-d-alpha) on ordered pairs) and kappa_D the
+  killing density.
 
 The clamp window localizes everything: pairs with both values below n or
 both above 2n contribute nothing, which is exactly what tames both the
@@ -62,25 +63,20 @@ def theta_n(x, y, n: float):
     return 2.0 * (sx - sy) * (2.0 * np.asarray(x, dtype=float) - sx - sy)
 
 
-def sigma(f: Callable, x, y, nodes: int = 32):
+def sigma(f: Callable, x: float, y: float, nodes: int = 32) -> float:
     """sigma(f; x, y) = Int_0^1 Int_0^1  alpha f(alpha beta (x-y) + y) d alpha d beta
-    by tensor Gauss-Legendre quadrature (nodes x nodes)."""
+    by tensor Gauss-Legendre quadrature (nodes x nodes), for scalar x and y;
+    an array argument raises SupportError."""
+    if np.ndim(x) or np.ndim(y):
+        raise SupportError("sigma takes scalar x and y")
     ga, gw = np.polynomial.legendre.leggauss(nodes)
     a = 0.5 * (ga + 1.0)
     w = 0.5 * gw
     A = a[:, None]
     B = a[None, :]
     WA = w[:, None] * w[None, :]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 0:
-        arg = A * B * (float(x) - float(y)) + float(y)
-        return float(np.sum(WA * A * f(arg)))
-    out = np.empty(x.shape)
-    for i in range(x.size):
-        arg = A * B * (x.flat[i] - y.flat[i]) + y.flat[i]
-        out.flat[i] = np.sum(WA * A * f(arg))
-    return out
+    arg = A * B * (float(x) - float(y)) + float(y)
+    return float(np.sum(WA * A * f(arg)))
 
 
 def kink_integral(f: Callable, x: float, y: float) -> float:
@@ -114,6 +110,11 @@ class CutoffEta:
     center: tuple
     r_one: float
     r_zero: float
+
+    def __post_init__(self):
+        if not self.r_one < self.r_zero:
+            raise ValueError(f"cutoff needs r_one < r_zero, got r_one={self.r_one}, "
+                             f"r_zero={self.r_zero}")
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

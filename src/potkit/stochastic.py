@@ -1,7 +1,6 @@
-"""Exit-time Monte Carlo: exact ball-exit draws (walk-on-spheres), exact
-stable-process exits by ball jumps, reducing-family stopped expectations,
-class-(D) uniform-integrability diagnostics, and the pathwise maximal
-inequality.
+"""Exit-time Monte Carlo: the Brownian walk-on-spheres, exact stable-process
+exits by ball jumps, reducing-family stopped expectations, class-(D)
+uniform-integrability diagnostics, and the pathwise maximal inequality.
 
 Stable exits jump from the centre of the largest ball inside D to an exact
 draw from that ball's Blumenthal-Getoor-Ray exit law until they land outside
@@ -72,7 +71,7 @@ def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None):
 
 
 # ---------------------------------------------------------------------------
-# exact ball-exit sampling
+# walk-on-spheres
 # ---------------------------------------------------------------------------
 
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
@@ -82,66 +81,9 @@ def _unit_directions(rng, n: int, d: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def ball_exit_points(center: np.ndarray, radius, x: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One exact draw per row from the Brownian exit law of the ball.
-
-    d=1: endpoint Bernoulli; d=2: boundary Mobius transform of a uniform
-    angle; d=3: closed-form inverse CDF of the polar cosine.  ``radius``
-    may be scalar or per-row.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    center = np.asarray(center, dtype=float)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (n,))
-    rel = x - center
-    s = np.linalg.norm(rel, axis=1) / radius
-    if np.any(s >= 1.0 + 1e-12):
-        raise SupportError("start point must be inside the ball")
-    s = np.minimum(s, 1.0 - 1e-15)
-
-    if d == 1:
-        p_hi = (rel[:, 0] / radius + 1.0) / 2.0
-        side = np.where(rng.random(n) < p_hi, 1.0, -1.0)
-        return (center + (side * radius)[:, None]).reshape(n, 1)
-
-    if d == 2:
-        phi = rng.uniform(-math.pi, math.pi, n)
-        e = np.exp(1j * phi)
-        m = (e + s) / (1.0 + s * e)      # Mobius map sending 0 -> s
-        base_angle = np.arctan2(rel[:, 1], rel[:, 0])
-        ang = np.angle(m) + np.where(s > 0, base_angle, 0.0)
-        out = center + radius[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return out
-
-    if d == 3:
-        U = rng.random(n)
-        Q = 2.0 * s * U / np.maximum(1.0 - s**2, 1e-300) + 1.0 / (1.0 + s)
-        t = np.where(s > 1e-14, (1.0 + s**2 - Q ** (-2.0)) / (2.0 * s),
-                     2.0 * U - 1.0)
-        t = np.clip(t, -1.0, 1.0)
-        # frame with third axis along rel
-        axis = np.where(s[:, None] > 1e-14, rel / np.maximum(
-            np.linalg.norm(rel, axis=1, keepdims=True), 1e-300),
-            np.tile([0.0, 0.0, 1.0], (n, 1)))
-        helper = np.where(np.abs(axis[:, [0]]) < 0.9,
-                          np.tile([1.0, 0.0, 0.0], (n, 1)),
-                          np.tile([0.0, 1.0, 0.0], (n, 1)))
-        e1 = np.cross(axis, helper)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(axis, e1)
-        az = rng.uniform(0.0, 2.0 * math.pi, n)
-        sin_t = np.sqrt(np.maximum(1.0 - t**2, 0.0))
-        direction = (t[:, None] * axis
-                     + sin_t[:, None] * (np.cos(az)[:, None] * e1
-                                         + np.sin(az)[:, None] * e2))
-        return center + radius[:, None] * direction
-    raise SupportError("ball exit sampling supports d in {1,2,3}")
-
-
 def _start_points(x, n_samples: Optional[int]) -> np.ndarray:
     """A fresh array of the start rows of x, a single point repeated
-    n_samples times; the walks move it in place."""
+    n_samples times; the stable walk moves it in place."""
     pts = np.array(x, dtype=float, ndmin=2)
     if n_samples is not None and pts.shape[0] == 1:
         pts = np.repeat(pts, n_samples, axis=0)
@@ -172,40 +114,6 @@ def _wos_walk(dom: Domain, pts: np.ndarray, rng, on_step=None):
         return dist[:, None] * _unit_directions(rng, p.shape[0], dom.dim)
 
     return _walk(pts, stop, step, _WOS_MAX_ITERS, on_step=on_step)
-
-
-def wos_exit(dom: Domain, x, seed=0, n_samples: Optional[int] = None) -> np.ndarray:
-    """Exit point(s) of Brownian motion from the domain, started at x;
-    ``seed`` is an int or a Generator to draw from.
-
-    Balls and intervals use a single exact draw from the closed-form exit
-    law.  Rectangles iterate maximal inscribed balls until within
-    1e-6 * diameter of the boundary, then project to the nearest boundary
-    point.  A masked rectangle raises SupportError: its distance to the
-    boundary is not known.
-    """
-    _check_unmasked(dom, "wos_exit")
-    rng = np.random.default_rng(seed)
-    pts = _start_points(x, n_samples)
-
-    if dom.kind in ("ball", "interval"):
-        ball = dom.as_ball()
-        return ball_exit_points(ball.center, ball.radius, pts, rng)
-
-    _wos_walk(dom, pts, rng)
-    return _project_to_boundary(dom, pts)
-
-
-def _project_to_boundary(dom: Domain, pts: np.ndarray) -> np.ndarray:
-    """Snap each point of a rectangle onto its nearest face; gaps are ordered
-    axis 0 lo, axis 0 hi, axis 1 lo, ..., and ties go to the first."""
-    lo, hi = np.asarray(dom.bounds).T
-    gaps = np.stack([pts - lo, hi - pts], axis=2).reshape(pts.shape[0], -1)
-    face = np.argmin(gaps, axis=1)
-    axis = face // 2
-    out = pts.copy()
-    out[np.arange(pts.shape[0]), axis] = np.where(face % 2 == 0, lo[axis], hi[axis])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +386,8 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     2 sqrt(d1_value), the maximal inequality at exponent 1/2.
 
     The path supremum is tracked at the positions of the walk-on-spheres
-    that ``wos_exit`` runs on rectangles, which lower-bounds the true
-    supremum; pass iff estimate <= bound + 3 stderr.  Fewer than 2 samples
+    (``_wos_walk``, on every domain), which lower-bounds the true supremum;
+    pass iff estimate <= bound + 3 stderr.  Fewer than 2 samples
     raise SupportError before any draw.
     """
     _check_samples(n_samples)

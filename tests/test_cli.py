@@ -233,15 +233,23 @@ def test_missing_required_field(tmp_path, capsys):
     ("tail", "tail-disk-dirac", "levels", []),
     ("mc maximal", "mc-maximal-bounded", "grid", None),
     ("reduite", "reduite-oracle", "grid", None),
+    ("tail", "tail-interval-dirac", "rho.value", None),
+    ("reconstruct nonlocal", "reconstruct-nonlocal-interval", "eta.r_one", None),
+    ("reconstruct nonlocal", "reconstruct-nonlocal-interval", "eta.r_zero", None),
 ])
 def test_missing_or_empty_run_field_named(tmp_path, capsys, command, preset, field, value):
-    """A run field that is missing, or an empty level or family list, exits
-    with code 1 and names the field instead of failing deep in the run."""
+    """A run field that is missing (a dotted field: one its section's kind
+    needs), or an empty level or family list, exits with code 1 and names
+    the field instead of failing deep in the run."""
     cfg = get_preset(preset)
+    *parents, key = field.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
     if value is None:
-        del cfg[field]
+        del section[key]
     else:
-        cfg[field] = value
+        section[key] = value
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
     rc = main(command.split() + ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
@@ -357,6 +365,7 @@ def test_unknown_preset(capsys):
 @pytest.mark.parametrize("section,value,message", [
     ("domain", {"kind": "interval", "a": 1.0, "b": 0.0}, "interval requires a < b"),
     ("operator", {"kind": "divergence", "lam": 2.0, "Lam": 1.0}, "need 0 < lam <= Lam"),
+    ("eta", {"kind": "smoothstep", "r_one": 0.5, "r_zero": 0.2}, "needs r_one < r_zero"),
 ])
 def test_invalid_constructor_values_exit_1(tmp_path, capsys, section, value, message):
     cfg = {"domain": {"kind": "interval", "a": 0.0, "b": 1.0},
@@ -366,7 +375,9 @@ def test_invalid_constructor_values_exit_1(tmp_path, capsys, section, value, mes
     cfg[section] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    rc = main(["solve", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    # only the reconstruction builds eta
+    command = ["reconstruct", "local"] if section == "eta" else ["solve"]
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path), "--quiet"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{section}': ")

@@ -8,9 +8,8 @@ from scipy.linalg import cho_factor, cho_solve
 import potkit.discrete as discrete_mod
 import potkit.envelope as envelope_mod
 from potkit import (Domain, OperatorSpec, assemble, build_grid, d1_norm,
-                    discrete_green, fvp_diagnostic, harmonic_extension,
-                    reduite, tail_curve)
-from potkit.envelope import FVP_FAMILY, envelope_field
+                    discrete_green, harmonic_extension, reduite, tail_curve)
+from potkit.envelope import envelope_field
 from potkit.config import _coeff_presets
 from potkit.discrete import DiscreteOperator
 from potkit.errors import ConvergenceError, SupportError
@@ -524,6 +523,23 @@ def test_tail_curve_coincident_atoms_match_their_sum(disk, disk_dop_small):
     assert tc.values == pytest.approx([ref.target] * 2, rel=0.01)
 
 
+def test_cancelled_atoms_match_the_remaining_atom(disk, disk_dop_small):
+    # atoms that cancel at one point leave no atom behind: u is finite there
+    # and the tail curve makes one Green solve, not two
+    cancelled = MeasureData.make(atoms=[([0.0, 0.0], 1.0), ([0.0, 0.0], -1.0),
+                                        ([0.5, 0.0], 1.0)], dom=disk)
+    single = MeasureData.make(atoms=[([0.5, 0.0], 1.0)], dom=disk)
+    sol = integral_solution(LAP, disk, cancelled)
+    ref = integral_solution(LAP, disk, single)
+    pts = np.array([[0.0, 0.0], [0.25, 0.1], [-0.5, 0.3]])
+    assert np.array_equal(sol.evaluate(pts), ref.evaluate(pts))
+    rho = 1.0 / math.pi
+    tc = tail_curve(sol, disk_dop_small, rho, [0.25, 0.5])
+    tc_ref = tail_curve(ref, disk_dop_small, rho, [0.25, 0.5])
+    for a, b in zip(vars(tc).values(), vars(tc_ref).values()):
+        assert np.array_equal(a, b)
+
+
 def test_tail_curve_two_atom_divergence_grid_solution(disk):
     fn, lam, Lam = _coeff_presets()["smooth"]
     dop = assemble(OperatorSpec.divergence(fn, lam, Lam), build_grid(disk, 2.0**-5))
@@ -675,37 +691,6 @@ def test_tail_curve_reports_solver_counts(monkeypatch, case):
     assert tc.sweeps.sum() == sum(r.iterations for r in results)
     assert tc.policy_steps.sum() == sum(r.policy_steps for r in results)
     assert (tc.sweeps.sum() > 0) == dop.is_local
-
-
-def test_fvp_bounded_finite(disk_dop_small):
-    dom = disk_dop_small.grid.domain
-    sol = integral_solution(LAP, dom, MeasureData(density=Density.constant(1.0)))
-    u = disk_dop_small.grid.new_field()
-    u[disk_dop_small.grid.interior_mask] = sol.evaluate(
-        disk_dop_small.grid.interior_points())
-    rho = np.full(disk_dop_small.n, 1.0 / math.pi)
-    res = fvp_diagnostic(disk_dop_small, u, rho, FVP_FAMILY["xlog"])
-    assert res.verdict == "finite"
-    assert np.all(np.isfinite(res.values))
-    # caps beyond the sup change nothing
-    assert res.values[-1] == pytest.approx(res.values[-2], rel=1e-9)
-
-
-def test_fvp_dirac_diverging(disk_dirac_solution, disk_dop_small):
-    rho = np.full(disk_dop_small.n, 1.0 / math.pi)
-    caps = [0.5, 1.0, 2.0, 4.0, 8.0]
-    res = fvp_diagnostic(disk_dop_small, disk_dirac_solution, rho,
-                         FVP_FAMILY["xlog"], caps=caps)
-    assert res.verdict == "diverging"
-    assert np.all(np.diff(res.values) > 0)
-
-
-def test_fvp_zero():
-    grid = build_grid(Domain.interval(0.0, 1.0), 0.125)
-    dop = assemble(LAP, grid)
-    res = fvp_diagnostic(dop, grid.new_field(), np.ones(dop.n),
-                         FVP_FAMILY["xlog"], caps=[1.0, 2.0])
-    assert np.all(res.values == 0.0)
 
 
 def test_tail_disk_mixed_reduites_are_exact(monkeypatch):

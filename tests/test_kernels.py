@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from potkit import Domain, OperatorSpec, green, jump_kernel, killing_density, poisson_kernel
+from potkit import Domain, OperatorSpec, green, killing_density, poisson_kernel
 from potkit.errors import SupportError, UnsupportedKernelError
 from potkit import build_grid
 from potkit.kernels import (ball_green_constant, frac_constant,
@@ -120,17 +120,10 @@ def test_unsupported_pairs():
         green(LAP, Domain.rectangle([(0, 1), (0, 1)]), [0.2, 0.2], [0.5, 0.5])
 
 
-def test_jump_kernel_values():
-    assert jump_kernel(0.5, 1, 0.0, 1.0) == pytest.approx(
+def test_frac_constant_value():
+    # frozen value: c(1/2, 1) = 2^(1/2) Gamma(3/4) / (pi^(1/2) |Gamma(-1/4)|)
+    assert frac_constant(0.5, 1) == pytest.approx(
         1.0 / (2.0 * math.sqrt(2.0 * math.pi)), rel=1e-13)
-    # symmetry and homogeneity: doubling the distance divides by 2^(d+alpha)
-    assert jump_kernel(0.7, 2, [0.0, 0.0], [0.3, 0.4]) == pytest.approx(
-        jump_kernel(0.7, 2, [0.3, 0.4], [0.0, 0.0]), rel=1e-14)
-    v1 = jump_kernel(0.7, 2, [0.0, 0.0], [0.3, 0.4])
-    v2 = jump_kernel(0.7, 2, [0.0, 0.0], [0.6, 0.8])
-    assert v1 / v2 == pytest.approx(2.0 ** (2 + 0.7), rel=1e-12)
-    with pytest.raises(SupportError):
-        jump_kernel(0.5, 1, 0.3, 0.3)
 
 
 def test_fractional_form_constant():

@@ -71,8 +71,10 @@ def test_atom_outside_domain_rejected():
 
 
 def test_coincident_atoms_merged_in_first_appearance_order():
+    # atoms whose merged weight is 0 are dropped
     dom = Domain.interval(0.0, 1.0)
-    mu = MeasureData.make(atoms=[([0.5], 0.25), ([0.2], -1.0), ([0.5], 0.5)], dom=dom)
+    mu = MeasureData.make(atoms=[([0.7], 1.0), ([0.5], 0.25), ([0.2], -1.0),
+                                 ([0.5], 0.5), ([0.7], -1.0), ([0.9], 0.0)], dom=dom)
     assert mu.atoms == (((0.5,), 0.75), ((0.2,), -1.0))
 
 

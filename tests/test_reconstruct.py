@@ -73,6 +73,13 @@ def test_sigma_constant():
     assert sigma(np.ones_like, 2.0, 0.5) == pytest.approx(0.5, rel=1e-13)
 
 
+def test_sigma_rejects_arrays():
+    with pytest.raises(SupportError, match="scalar"):
+        sigma(np.ones_like, np.array([2.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(SupportError, match="scalar"):
+        sigma(np.ones_like, 2.0, np.array([0.5]))
+
+
 def test_sigma_identity_linear_f():
     # frozen closed form for f(a) = a:
     # (x-y)^2 sigma = (x-y)^3/6 + y (x-y)^2/2

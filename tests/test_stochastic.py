@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from potkit import (Domain, OperatorSpec, assemble, poisson_kernel, stable_exit,
-                    stochastic, wos_exit)
+                    stochastic)
 from potkit.errors import ConvergenceError, DimensionMismatchError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit.solve import grid_solution, integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
-                               stopped_values, _project_to_boundary,
-                               _radial_profile, _walk)
+                               stopped_values, _radial_profile, _walk,
+                               _wos_walk)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -22,37 +22,28 @@ L_SHAPE = Domain.rectangle([(0.0, 1.0), (0.0, 1.0)],
 EXACT_REDUCING = 3.0 * math.log(2.0) / (8.0 * math.pi)
 
 
-def test_wos_disk_center_uniform_sectors():
-    pts = wos_exit(DISK, [0.0, 0.0], seed=101, n_samples=100_000)
-    ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi)
-    counts, _ = np.histogram(ang, bins=16, range=(0.0, 2 * math.pi))
-    chi2 = stats.chisquare(counts)
-    assert chi2.pvalue > 0.01
-    assert abs(pts[:, 0].mean()) < 3.0 * pts[:, 0].std() / math.sqrt(len(pts))
+def _wos_stops(dom, x, seed, n_samples):
+    """Stopped positions of n_samples walk-on-spheres walkers from x."""
+    pts = np.tile(np.asarray(x, dtype=float), (n_samples, 1))
+    _wos_walk(dom, pts, np.random.default_rng(seed))
+    return pts
 
 
 @pytest.mark.parametrize("dim,x", [(2, [0.35, -0.2]), (3, [0.1, 0.4, -0.3])])
 def test_wos_ball_exit_harmonic_mean(dim, x):
-    # coordinates are harmonic: the exit-point mean must reproduce the start
+    # coordinates are harmonic: the mean stopped position must reproduce the start
     dom = Domain.ball([0.0] * dim, 1.0, dim)
-    pts = wos_exit(dom, x, seed=7, n_samples=60_000)
-    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+    pts = _wos_stops(dom, x, seed=7, n_samples=60_000)
+    r = np.linalg.norm(pts, axis=1)
+    assert np.all(np.abs(r - 1.0) <= 1e-6 * dom.diameter)
     for k in range(dim):
         se = pts[:, k].std() / math.sqrt(len(pts))
         assert abs(pts[:, k].mean() - x[k]) < 3.5 * se
 
 
-def test_wos_interval_exact_probability():
-    dom = Domain.interval(0.0, 1.0)
-    pts = wos_exit(dom, [0.3], seed=5, n_samples=50_000)
-    p_right = np.mean(pts[:, 0] > 0.5)
-    se = math.sqrt(0.3 * 0.7 / 50_000)
-    assert abs(p_right - 0.3) < 3.5 * se
-
-
 def test_wos_near_boundary_concentrates():
     x = np.array([0.9, 0.0])
-    pts = wos_exit(DISK, x, seed=13, n_samples=20_000)
+    pts = _wos_stops(DISK, x, seed=13, n_samples=20_000)
     dist = np.linalg.norm(pts - [1.0, 0.0], axis=1)
     assert dist.mean() < DISK.diameter / 4.0
     # cross-check the mean displacement against Poisson-kernel quadrature
@@ -65,17 +56,11 @@ def test_wos_near_boundary_concentrates():
 
 
 def test_wos_rectangle_lands_on_boundary():
+    # every walker stops inside D, in the shell within 1e-6 * diameter of a face
     dom = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
-    pts = wos_exit(dom, [0.4, 1.0], seed=3, n_samples=2_000)
-    on_face = (np.isclose(pts[:, 0], 0.0) | np.isclose(pts[:, 0], 1.0)
-               | np.isclose(pts[:, 1], 0.0) | np.isclose(pts[:, 1], 2.0))
-    assert np.all(on_face)
-
-
-def test_wos_masked_rectangle_rejected():
-    # the walk's balls would reach into the removed quadrant
-    with pytest.raises(SupportError, match="masked"):
-        wos_exit(L_SHAPE, [0.45, 0.45], seed=1, n_samples=2_000)
+    pts = _wos_stops(dom, [0.4, 1.0], seed=3, n_samples=2_000)
+    dist = dom.distance_to_boundary(pts)
+    assert np.all((dist >= 0.0) & (dist <= 1e-6 * dom.diameter))
 
 
 def test_stable_exit_outside_and_symmetric():
@@ -624,7 +609,7 @@ def _walk_outputs():
     max_int = maximal_inequality_check(atom, d1_value=0.125,
                                        rho=lambda p: np.ones(len(p)),
                                        n_samples=1_000, seed=4)
-    return [wos_exit(rect, [0.4, 1.0], seed=4, n_samples=500),
+    return [_wos_stops(rect, [0.4, 1.0], seed=4, n_samples=500),
             np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
             stable_exit(Domain.interval(-1.0, 1.0), [0.5], alpha=0.5, seed=4,
                         n_samples=500)]
@@ -645,26 +630,3 @@ def test_walk_budget_raises():
         _walk(cur, lambda p: (np.zeros(len(p), dtype=bool), None),
               lambda p, _: np.ones_like(p), max_iters=5)
     assert np.array_equal(cur, np.full((3, 2), 5.0))
-
-
-def _project_loop(dom, pts):
-    out = pts.copy()
-    for i, p in enumerate(out):
-        faces = []
-        for k, (lo, hi) in enumerate(dom.bounds):
-            faces.append((p[k] - lo, k, lo))
-            faces.append((hi - p[k], k, hi))
-        _, k, val = min(faces, key=lambda t: t[0])
-        out[i, k] = val
-    return out
-
-
-@pytest.mark.parametrize("bounds", [[(0.0, 1.0), (0.0, 2.0)],
-                                    [(0.0, 1.0), (-1.0, 1.0), (0.0, 0.5)]])
-def test_project_to_boundary_matches_loop(bounds):
-    dom = Domain.rectangle(bounds)
-    rng = np.random.default_rng(6)
-    lo, hi = np.asarray(bounds).T
-    # a coarse lattice makes ties between faces common
-    pts = lo + (hi - lo) * rng.integers(0, 9, size=(2_000, len(bounds))) / 8.0
-    assert np.array_equal(_project_to_boundary(dom, pts), _project_loop(dom, pts))
