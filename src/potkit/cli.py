@@ -8,7 +8,10 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
-never depend on it.
+never depend on it.  The BLAS thread pool is another matter: its size,
+set by the environment (``OPENBLAS_NUM_THREADS``), changes the summation
+order of BLAS reductions and so the last digits of CG-solved tails
+(``tail-disk-dirac``) and of the dense fractional solves.
 """
 
 from __future__ import annotations
@@ -312,6 +315,7 @@ def cmd_mc(args) -> int:
         verdict = {"passed": est.extra["passed"], "bound": est.extra["bound"],
                    "margin": est.extra["margin"], "d1_norm": d1}
         results = {"estimate": est.value, "stderr": est.stderr,
+                   "draws": est.extra["draws"],
                    "walk_iterations": est.extra["walk_iterations"],
                    "path_steps": est.extra["path_steps"]}
 

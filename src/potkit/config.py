@@ -263,6 +263,16 @@ def _rejected_field(section: str):
         raise ConfigError(f"config field '{section}': {exc}") from exc
 
 
+def _center(section: dict, name: str, dom: Domain) -> list:
+    """``section``'s center, the domain's anchor by default; ConfigError
+    naming ``name.center`` when it is not a point of the domain."""
+    center = section.get("center", list(dom.anchor))
+    if len(center) != dom.dim:
+        raise ConfigError(f"config field '{name}.center': {center} has {len(center)} "
+                          f"coordinates, the domain is {dom.dim}-d")
+    return center
+
+
 def build_measure(cfg: dict, dom: Domain) -> MeasureData:
     m = cfg.get("measure", {})
     atoms = []
@@ -275,9 +285,8 @@ def build_measure(cfg: dict, dom: Domain) -> MeasureData:
         if dd["kind"] == "constant":
             density = Density.constant(dd.get("value", 1.0))
         else:
-            center = dd.get("center", list(dom.anchor))
-            density = Density.gaussian(dd.get("value", 1.0),
-                                       dd.get("sigma", 0.25), center)
+            density = Density.gaussian(dd.get("value", 1.0), dd.get("sigma", 0.25),
+                                       _center(dd, "measure.density", dom))
     return MeasureData.make(atoms=atoms, density=density, dom=dom)
 
 
@@ -296,7 +305,7 @@ def build_eta(cfg: dict, dom: Domain) -> Callable:
     if e["kind"] == "constant":
         return constant_eta(e.get("value", 1.0))
     _require(e, "eta", ("r_one", "r_zero"))
-    center = e.get("center", list(dom.anchor))
+    center = _center(e, "eta", dom)
     with _rejected_field("eta"):
         return CutoffEta(center=tuple(center), r_one=e["r_one"], r_zero=e["r_zero"])
 

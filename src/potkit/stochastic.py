@@ -10,7 +10,10 @@ The reducing and class-(D) estimators walk nothing: whether Brownian motion
 from x reaches the level sphere |x - c| = r_k before the boundary |x - c| = R
 is a Bernoulli variable with the closed-form parameter of the radial harmonic
 function phi (log r if d = 2, else -r^(2-d)), so each walker that starts
-outside the level ball costs one uniform draw, however small r_k is.
+outside the level ball costs one uniform draw, however small r_k is.  The
+same hit law gives the smallest radius a path reaches, so the maximal
+inequality draws its path supremum exactly, one uniform per start, where u
+is radial and nonincreasing in r; elsewhere it walks on spheres.
 
 Determinism: every sampler takes a seed (an int, or a Generator to draw
 from) and drives a single PCG64 stream through vectorized draws, so
@@ -127,6 +130,12 @@ def _check_laplacian(solution: Solution, sampler: str) -> None:
                            f"solution, got the {solution.op.kind} operator")
 
 
+def _is_radial(measure, center) -> bool:
+    """Atoms at the center, plus a density radial about it."""
+    return all(np.allclose(p, center) for p, _ in measure.atoms) and \
+        (measure.density is None or measure.density.is_radial_about(center))
+
+
 def _radial_profile(solution: Solution):
     """(ball, profile radii -> u) for a Laplacian solution on a ball or interval
     (the 1d ball) whose measure is radial about the center: atoms at the
@@ -134,12 +143,9 @@ def _radial_profile(solution: Solution):
     _check_laplacian(solution, "the reducing family")
     ball = solution.dom.as_ball()
     center = np.asarray(ball.center)
-    for p, _ in solution.measure.atoms:
-        if not np.allclose(p, center):
-            raise SupportError("radial MC machinery needs the atom at the center")
-    if solution.measure.density is not None and \
-            not solution.measure.density.is_radial_about(center):
-        raise SupportError("density must be radial about the center")
+    if not _is_radial(solution.measure, center):
+        raise SupportError("radial MC machinery needs a measure radial about the "
+                           "center: atoms at the center and a radial density")
     axis = np.eye(ball.dim)[0]
     return ball, lambda r: solution.evaluate(center + np.outer(r, axis))
 
@@ -380,15 +386,72 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
                         limit_basis=basis, target=float(target), draws=draws)
 
 
+def _monotone_profile(solution: Solution):
+    """``_radial_profile`` of a closed-form solution on a ball or interval whose
+    measure is radial and nonnegative (atom weights and density value >= 0),
+    where u >= 0 is radial and nonincreasing in r = |x - c|; None otherwise."""
+    mu, dom = solution.measure, solution.dom
+    if not solution.closed or dom.kind == "rectangle" or \
+            not _is_radial(mu, dom.as_ball().center):
+        return None
+    if any(w < 0.0 for _, w in mu.atoms) or \
+            (mu.density is not None and mu.density.value < 0.0):
+        return None
+    return _radial_profile(solution)
+
+
+def _smallest_radius_values(ball: Domain, profile, pts: np.ndarray, rng) -> np.ndarray:
+    """u(m) for the smallest radius m = min_{t <= tau} |X_t - c| of a Brownian
+    path from each row of ``pts`` to the boundary |x - c| = R: one uniform per
+    start, in index order, then one profile call.
+
+    From r0 = |x - c| the path reaches radius a < r0 before R with probability
+    P(m <= a) = (phi(R) - phi(r0)) / (phi(R) - phi(a)), the hit law of
+    ``stopped_values``; inverting it at U in (0, 1] (no start is sent to the
+    center by a zero draw) gives m = R (r0/R)^(1/U) in the plane,
+    1 / (1/R + (1/r0 - 1/R)/U) in 3-d and max(0, R - (R - r0)/U) on an
+    interval.  A non-finite u(m) (a planar atom's m below the resolution of the
+    profile, which underflows |x|^2 below r ~ 1.6e-162) raises SupportError.
+    """
+    R = ball.radius
+    r0 = np.linalg.norm(pts - np.asarray(ball.center), axis=1)
+    U = 1.0 - rng.random(r0.size)
+    if ball.dim == 1:
+        m = np.maximum(R - (R - r0) / U, 0.0)
+    elif ball.dim == 2:
+        m = R * (r0 / R) ** (1.0 / U)
+    else:
+        m = 1.0 / (1.0 / R + (1.0 / r0 - 1.0 / R) / U)
+    vals = np.abs(np.asarray(profile(m), dtype=float))
+    lost = ~np.isfinite(vals)
+    if lost.any():
+        raise SupportError(
+            f"u is not finite at the smallest radius of {int(lost.sum())} of {r0.size} "
+            f"paths (at most {m[lost].max():.3g}): below the resolution of the radial "
+            "profile, so their path supremum cannot be read")
+    return vals
+
+
 def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
                              n_samples: int = 20_000, seed=0) -> McEstimate:
     """E_{rho m} sup_{t <= tau_D} |u(X_t)|^(1/2) against the bound
-    2 sqrt(d1_value), the maximal inequality at exponent 1/2.
+    2 sqrt(d1_value), the maximal inequality at exponent 1/2; pass iff
+    estimate <= bound + 3 stderr.  Fewer than 2 samples raise SupportError
+    before any draw.
 
-    The path supremum is tracked at the positions of the walk-on-spheres
-    (``_wos_walk``, on every domain), which lower-bounds the true supremum;
-    pass iff estimate <= bound + 3 stderr.  Fewer than 2 samples
-    raise SupportError before any draw.
+    The starts are drawn from rho first.  For a closed-form solution on a ball
+    or interval whose measure is radial and nonnegative, u is radial and
+    nonincreasing in r = |x - c|, so the path supremum is u(m) at the path's
+    smallest radius m, drawn exactly from its hit law by
+    ``_smallest_radius_values``: the estimate is unbiased, ``extra["draws"]``
+    is n_samples and nothing walks.  Where u(m) is not finite (a planar
+    atom at the center, whose payoff has infinite variance) that raises
+    SupportError naming the profile's resolution.  Any other solution (a
+    rectangle, a measure that is signed or not radial, a grid solution) keeps
+    the walk-on-spheres (``_wos_walk``), tracking |u| only at the walk's
+    positions, so its estimate lower-bounds the true one; a non-finite |u| at
+    a position counts as 0.  ``extra`` reports ``draws`` (0 on the walk), and
+    the walk's ``walk_iterations`` and ``path_steps`` (0 on the exact draw).
     """
     _check_samples(n_samples)
     dom = solution.dom
@@ -396,15 +459,21 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     _check_unmasked(dom, "maximal_inequality_check")
     rng = np.random.default_rng(seed)
     pts = sample_start_points(dom, rho, n_samples, rng)
-    running = np.abs(np.asarray(solution.evaluate(pts), dtype=float))
-    running[~np.isfinite(running)] = 0.0
+    radial = _monotone_profile(solution)
+    if radial is not None:
+        running = _smallest_radius_values(*radial, pts, rng)
+        draws, iterations, path_steps = n_samples, 0, 0
+    else:
+        running = np.abs(np.asarray(solution.evaluate(pts), dtype=float))
+        running[~np.isfinite(running)] = 0.0
 
-    def track(live, p):
-        v = np.abs(np.asarray(solution.evaluate(p), dtype=float))
-        v[~np.isfinite(v)] = 0.0
-        running[live] = np.maximum(running[live], v)
+        def track(live, p):
+            v = np.abs(np.asarray(solution.evaluate(p), dtype=float))
+            v[~np.isfinite(v)] = 0.0
+            running[live] = np.maximum(running[live], v)
 
-    iterations, path_steps = _wos_walk(dom, pts, rng, on_step=track)
+        iterations, path_steps = _wos_walk(dom, pts, rng, on_step=track)
+        draws = 0
 
     payoff = np.sqrt(running)
     est = float(np.mean(payoff))
@@ -414,4 +483,5 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
                       extra={"bound": float(bound), "passed": bool(passed),
                              "margin": float(bound + 3.0 * stderr - est),
-                             "walk_iterations": iterations, "path_steps": path_steps})
+                             "draws": draws, "walk_iterations": iterations,
+                             "path_steps": path_steps})

@@ -176,8 +176,9 @@ def test_mc_classd_maximal_report_walk_counts(tmp_path, mode, preset):
         assert 0 < res["draws"] <= 20_000 * 3
         assert "walk_iterations" not in res
     else:
-        assert 0 < res["walk_iterations"] < 1_000
-        assert res["path_steps"] >= res["walk_iterations"]
+        # one exact smallest-radius draw per start, and no walk
+        assert res["draws"] == 20_000
+        assert res["walk_iterations"] == res["path_steps"] == 0
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -382,6 +383,28 @@ def test_invalid_constructor_values_exit_1(tmp_path, capsys, section, value, mes
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{section}': ")
     assert message in err
+
+
+@pytest.mark.parametrize("command,section,value,field", [
+    (["reconstruct", "local"], "eta",
+     {"kind": "smoothstep", "center": [0.3], "r_one": 0.25, "r_zero": 0.75}, "eta.center"),
+    (["solve"], "measure", {"density": {"kind": "gaussian", "center": [0.0, 0.0, 0.0]}},
+     "measure.density.center"),
+], ids=["eta", "gaussian-density"])
+def test_center_of_wrong_dimension_named(tmp_path, capsys, command, section, value, field):
+    # numpy would broadcast a 1-vector about (0.3, 0.3) and fail on a 3-vector
+    cfg = {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2},
+           "operator": {"kind": "laplacian"},
+           "measure": {"atoms": [[[0.0, 0.0], 1.0]]},
+           "grid": {"h": 0.125}}
+    cfg[section] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ")
+    assert "the domain is 2-d" in err
 
 
 def test_constants_output(capsys):

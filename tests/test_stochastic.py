@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from potkit import (Domain, OperatorSpec, assemble, poisson_kernel, stable_exit,
-                    stochastic)
+from potkit import (Domain, OperatorSpec, assemble, build_grid, poisson_kernel,
+                    stable_exit, stochastic)
+from potkit.config import build_domain, build_measure, build_rho
 from potkit.errors import ConvergenceError, DimensionMismatchError, SupportError
 from potkit.measures import Density, MeasureData
+from potkit.presets import get_preset
 from potkit.solve import grid_solution, integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
@@ -337,6 +339,13 @@ def test_stopped_values_start_inside_level_set():
     assert alone[0] in (0.0, 0.2)
 
 
+def _rectangle_solution():
+    """u of the unit density on (0, 1) x (0, 2), solved on a lattice."""
+    rect = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
+    return grid_solution(assemble(LAP, build_grid(rect, 2.0**-4)),
+                         MeasureData(density=Density.constant(1.0)))
+
+
 def _interval_atom_solution():
     unit = Domain.interval(0.0, 1.0)
     return integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
@@ -390,9 +399,8 @@ def test_reducing_and_class_d_never_walk(disk_dirac_solution, monkeypatch):
     reducing_expectation(_interval_atom_solution(), k=0.1, n=0.05, start=[0.2],
                          n_samples=1_000, seed=4)
     assert calls == []
-    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
-    maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
-                             n_samples=100, seed=4)
+    maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
+                             rho=lambda p: np.full(len(p), 0.5), n_samples=100, seed=4)
     assert calls == [1]
 
 
@@ -487,8 +495,87 @@ def test_maximal_reports_walk_counts(monkeypatch):
     est = maximal_inequality_check(sol, d1_value=0.125,
                                    rho=lambda p: np.full(len(p), 1 / math.pi),
                                    n_samples=1_000, seed=8)
+    # the disk's path supremum is one exact draw per start: nothing walks
+    assert est.extra["draws"] == 1_000
+    assert est.extra["walk_iterations"] == est.extra["path_steps"] == 0
+    assert calls == []
+    # a rectangle keeps the walk, and reports its counts
+    est = maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
+                                   rho=lambda p: np.full(len(p), 0.5),
+                                   n_samples=1_000, seed=8)
+    assert est.extra["draws"] == 0
     assert est.extra["walk_iterations"] == len(calls) > 0
     assert est.extra["path_steps"] == sum(calls)
+
+
+# E sqrt(u(m)) by 400 x 400 Gauss quadrature of the smallest-radius law
+DISK_MAXIMAL_EXACT = 0.40035
+INTERVAL_DIRAC_MAXIMAL_EXACT = 0.41667
+
+
+@pytest.mark.parametrize("preset,exact", [
+    ("mc-maximal-bounded", DISK_MAXIMAL_EXACT),
+    ("mc-maximal-interval-dirac", INTERVAL_DIRAC_MAXIMAL_EXACT)])
+def test_maximal_presets_match_the_exact_supremum(preset, exact):
+    # the walk's positions miss the path's innermost point: it read 0.3766 and
+    # 0.3767 here, 30 and 50 standard errors low
+    cfg = get_preset(preset)
+    dom = build_domain(cfg)
+    sol = integral_solution(LAP, dom, build_measure(cfg, dom))
+    est = maximal_inequality_check(sol, d1_value=0.125, rho=build_rho(cfg, dom),
+                                   n_samples=cfg["samples"], seed=cfg["seed"])
+    assert est.n_samples == 20_000
+    assert abs(est.value - exact) <= 4.0 * est.stderr
+
+
+def test_maximal_ball3d_density_matches_quadrature():
+    # u = (1 - r^2)/6 on the unit ball, starts uniform: r0 has density 3 r0^2
+    # and m = 1 / (1 + (1/r0 - 1)/U)
+    ball = Domain.ball([0.0] * 3, 1.0, 3)
+    sol = integral_solution(LAP, ball, MeasureData(density=Density.constant(1.0)))
+    x, w = np.polynomial.legendre.leggauss(400)
+    r0, u = np.meshgrid((x + 1.0) / 2.0, (x + 1.0) / 2.0, indexing="ij")
+    m = 1.0 / (1.0 + (1.0 / r0 - 1.0) / u)
+    exact = np.sum(np.outer(w, w) / 4.0 * 3.0 * r0**2 * np.sqrt((1.0 - m**2) / 6.0))
+    est = maximal_inequality_check(sol, d1_value=0.1, n_samples=20_000, seed=99)
+    assert est.extra["draws"] == 20_000
+    assert abs(est.value - exact) <= 4.0 * est.stderr
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_smallest_radius_follows_the_hit_law(dim):
+    # from r0 the path reaches r0/2 before R with probability
+    # (phi(R) - phi(r0)) / (phi(R) - phi(r0/2)); read m through an identity profile
+    ball = Domain.ball([0.0] * dim, 1.0, dim)
+    r0, n = 0.5, 40_000
+    pts = np.zeros((n, dim))
+    pts[:, 0] = r0
+    m = stochastic._smallest_radius_values(ball, lambda r: r, pts,
+                                           np.random.default_rng(17))
+    phi = np.log if dim == 2 else (lambda r: -r ** (2.0 - dim))
+    p = (phi(1.0) - phi(r0)) / (phi(1.0) - phi(r0 / 2.0))
+    assert np.all((m >= 0.0) & (m <= r0))
+    assert abs(np.mean(m <= r0 / 2.0) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_maximal_planar_centre_atom_raises(disk_dirac_solution):
+    # about 0.2 % of paths reach a radius whose u the profile cannot resolve;
+    # counting them as 0, like the walk, would read 6 sigma low
+    with pytest.raises(SupportError, match="resolution of the radial profile"):
+        maximal_inequality_check(disk_dirac_solution, d1_value=1.0,
+                                 rho=lambda p: np.full(len(p), 1 / math.pi),
+                                 n_samples=20_000, seed=99)
+
+
+def test_maximal_signed_radial_measure_walks(monkeypatch):
+    # u is radial but not nonnegative, so its path supremum is not u(m)
+    calls = _count_directions(monkeypatch)
+    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(-1.0)))
+    est = maximal_inequality_check(sol, d1_value=0.125,
+                                   rho=lambda p: np.full(len(p), 1 / math.pi),
+                                   n_samples=500, seed=8)
+    assert est.extra["draws"] == 0
+    assert est.extra["walk_iterations"] == len(calls) > 0
 
 
 def test_maximal_masked_rectangle_rejected():
@@ -609,8 +696,13 @@ def _walk_outputs():
     max_int = maximal_inequality_check(atom, d1_value=0.125,
                                        rho=lambda p: np.ones(len(p)),
                                        n_samples=1_000, seed=4)
+    # the rectangle walks, and tracks the supremum through on_step
+    max_rect = maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
+                                        rho=lambda p: np.full(len(p), 0.5),
+                                        n_samples=1_000, seed=4)
     return [_wos_stops(rect, [0.4, 1.0], seed=4, n_samples=500),
-            np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr]),
+            np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr,
+                      max_rect.value, max_rect.stderr, max_rect.extra["path_steps"]]),
             stable_exit(Domain.interval(-1.0, 1.0), [0.5], alpha=0.5, seed=4,
                         n_samples=500)]
 
