@@ -254,9 +254,6 @@ class GridField:
     def interior_values(self) -> np.ndarray:
         return self.values[self.grid.interior_mask]
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
     def weighted_sum(self, weights_interior: np.ndarray) -> float:
         """sum over interior nodes of value * weight * cell volume."""
         return float(np.sum(self.interior_values() * weights_interior)

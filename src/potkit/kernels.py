@@ -158,19 +158,17 @@ def points_polar(op: OperatorSpec, d: int) -> bool:
 # Green functions
 # ---------------------------------------------------------------------------
 
-def _as_points(x, d: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[-1] != d:
-        if d == 1:
-            pts = pts.reshape(-1, 1)
-        else:
-            raise SupportError(f"point dimension {pts.shape[-1]} != {d}")
-    return pts
+def _centred(ball: Domain, x, y):
+    """The points x and y of ``ball`` relative to its centre, broadcast
+    together."""
+    c = np.asarray(ball.center)
+    return np.broadcast_arrays(ball._check_points(x) - c, ball._check_points(y) - c)
 
 
-def _green_laplace_interval(a: float, b: float, x, y):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+def _green_laplace_interval(dom: Domain, x, y):
+    a, b = dom.bounding_box[0]
+    x = dom._check_points(x)[:, 0]
+    y = dom._check_points(y)[:, 0]
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     return (lo - a) * (b - hi) / (b - a)
@@ -178,11 +176,8 @@ def _green_laplace_interval(a: float, b: float, x, y):
 
 def _green_laplace_ball(dom: Domain, x, y):
     d = dom.dim
-    c = np.asarray(dom.center)
     R = dom.radius
-    X = _as_points(x, d) - c
-    Y = _as_points(y, d) - c
-    X, Y = np.broadcast_arrays(X, Y)
+    X, Y = _centred(dom, x, y)
     dist = np.linalg.norm(X - Y, axis=1)
     ry = np.linalg.norm(Y, axis=1)
     # Kelvin reflection y* = R^2 y / |y|^2; |y||x - y*|/R -> via the identity
@@ -203,11 +198,8 @@ def _green_laplace_ball(dom: Domain, x, y):
 
 def _green_frac_ball(op: OperatorSpec, dom: Domain, x, y):
     alpha, d = op.alpha, dom.dim
-    c = np.asarray(dom.center)
     R = dom.radius
-    X = _as_points(x, d) - c
-    Y = _as_points(y, d) - c
-    X, Y = np.broadcast_arrays(X, Y)
+    X, Y = _centred(dom, x, y)
     dist = np.linalg.norm(X - Y, axis=1)
     rx2 = np.sum(X * X, axis=1)
     ry2 = np.sum(Y * Y, axis=1)
@@ -258,7 +250,7 @@ def green(op: OperatorSpec, dom: Domain, x, y):
             "no closed-form Green function on rectangles; use discrete_green")
     if op.kind == "laplacian":
         if dom.dim == 1:   # an interval, or the 1d ball with the same endpoints
-            val = _green_laplace_interval(*dom.bounding_box[0], x, y)
+            val = _green_laplace_interval(dom, x, y)
         else:
             val = _green_laplace_ball(dom, x, y)
     else:
@@ -283,11 +275,8 @@ def poisson_kernel(op: OperatorSpec, dom: Domain, x, z):
         raise UnsupportedKernelError("poisson_kernel requires a ball or interval domain")
     dom_ball = dom.as_ball()
     d = dom_ball.dim
-    c = np.asarray(dom_ball.center)
     R = dom_ball.radius
-    X = _as_points(x, d) - c
-    Z = _as_points(z, d) - c
-    X, Z = np.broadcast_arrays(X, Z)
+    X, Z = _centred(dom_ball, x, z)
     rx = np.linalg.norm(X, axis=1)
     rz = np.linalg.norm(Z, axis=1)
     if np.any(rx >= R):
@@ -337,7 +326,7 @@ def killing_density(alpha: float, dom: Domain, x):
     c = frac_constant(alpha, d)
     if d == 1:
         a, b = dom.bounding_box[0]
-        xv = np.asarray(x, dtype=float).reshape(-1)
+        xv = dom._check_points(x)[:, 0]
         if np.any((xv <= a) | (xv >= b)):
             raise SupportError("x must be interior")
         val = (c / alpha) * ((xv - a) ** (-alpha) + (b - xv) ** (-alpha))
@@ -345,7 +334,7 @@ def killing_density(alpha: float, dom: Domain, x):
 
     R = dom.radius
     ctr = np.asarray(dom.center)
-    pts = _as_points(x, d) - ctr
+    pts = dom._check_points(x) - ctr
     rr = np.linalg.norm(pts, axis=1)
     if np.any(rr >= R):
         raise SupportError("x must be interior")

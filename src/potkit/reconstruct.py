@@ -139,9 +139,11 @@ def local_energy(solution: Solution, eta: Callable, n: float) -> float:
 
     Closed-form solutions (Laplacians on 2-d and 3-d balls, the only ones
     with a positive concentrated atom) integrate in polar panels around each
-    such atom (window radii located on each ray by bisection of the
-    decreasing profile); grid solutions sum stencil gradients over window
-    cells.  Empty window (n above max u) gives 0.
+    such atom: ``level_radius`` locates the window radii on every ray of the
+    atom at once, one profile call per step for all of them, and one
+    ``gradient`` and one ``eta`` call cover all their Gauss nodes.  Grid
+    solutions sum stencil gradients over window cells.  Empty window (n above
+    max u) gives 0.
     """
     if not solution.op.is_local:
         raise SupportError("local_energy applies to local operators only")
@@ -180,34 +182,31 @@ def _local_energy_closed(solution, eta, n):
     if not atoms:
         return 0.0
     dirs, ang_w = _ray_directions(d)
+    # every ray leaves the convex ball once, within its diameter, and u reads
+    # 0 off the domain
+    R = np.full(len(dirs), dom.diameter)
     for (p, _w) in atoms:
         p = np.asarray(p, dtype=float)
-        for direction, wa in zip(dirs, ang_w):
-            r_hi = _ray_exit(dom, p, direction)
-            u_ray = lambda r: solution.evaluate(p + np.outer(r, direction))
-            r_out = level_radius(u_ray, r_hi, n)           # u = n crossing
-            r_in = level_radius(u_ray, r_hi, 2.0 * n)      # u = 2n crossing
-            if r_out <= r_in:
-                continue
-            # nodes in s = log r, where r^(d-1) dr = r^d ds: around a planar
-            # atom the window spans a radius ratio of e^(2 pi n)
-            s_in, s_out = math.log(r_in), math.log(r_out)
-            half = 0.5 * (s_out - s_in)
-            rr = np.exp(0.5 * (s_out + s_in) + half * gx)
-            pts = p + rr[:, None] * direction
-            grad = solution.gradient(pts)
-            dens = np.sum(grad * grad, axis=1)
-            total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** d))
+        rays = lambda r: solution.evaluate((p + r[:, :, None] * dirs[:, None, :])
+                                           .reshape(-1, d))
+        r_out = level_radius(rays, R, n)             # u = n crossings
+        r_in = level_radius(rays, R, 2.0 * n)        # u = 2n crossings
+        live = np.flatnonzero(r_out > r_in)
+        if not live.size:
+            continue
+        # nodes in s = log r, where r^(d-1) dr = r^d ds: around a planar
+        # atom the window spans a radius ratio of e^(2 pi n)
+        s_in = np.array([math.log(r) for r in r_in[live]])
+        s_out = np.array([math.log(r) for r in r_out[live]])
+        half = (0.5 * (s_out - s_in))[:, None]
+        rr = np.exp((0.5 * (s_out + s_in))[:, None] + half * gx)
+        pts = (p + rr[:, :, None] * dirs[live, None, :]).reshape(-1, d)
+        grad = solution.gradient(pts)
+        dens = np.sum(grad * grad, axis=1).reshape(rr.shape)
+        v = np.sum(half * gw * eta(pts).reshape(rr.shape) * dens * rr ** d, axis=1)
+        for wa, v_ray in zip(ang_w[live], v):
+            total += wa * float(v_ray)
     return total / n
-
-
-def _ray_exit(dom: Domain, p: np.ndarray, direction: np.ndarray) -> float:
-    """Distance from p to the sphere of the ball ``dom`` along ``direction``."""
-    c = np.asarray(dom.center)
-    rel = p - c
-    b = float(np.dot(rel, direction))
-    disc = b * b - (np.dot(rel, rel) - dom.radius**2)
-    return -b + math.sqrt(max(disc, 0.0))
 
 
 def _local_energy_grid(solution, eta, n):

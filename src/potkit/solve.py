@@ -167,7 +167,7 @@ class Solution:
         return self.grid_field is None
 
     def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self.dom._check_points(points)
         scalar = np.asarray(points).ndim <= 1
         if self.closed:
             out = np.zeros(pts.shape[0])
@@ -285,38 +285,51 @@ def grid_solution(dop: DiscreteOperator, mu: MeasureData) -> Solution:
                     decomposition=decompose(mu, op, dom), grid_field=gf)
 
 
-def level_radius(profile, R: float, k: float) -> float:
-    """Radius of the superlevel set {u > k} of a profile decreasing on (0, R)
-    (an array of radii -> u there): 0 when u never exceeds k, R when u still
-    reaches k at R(1 - 1e-12).
+_LOG_SPLIT = np.linspace(0.0, 1.0, 258)[1:-1]     # inner radii of a bracket, in log r
 
-    Each step calls the profile on 256 radii evenly spaced in log r inside the
-    bracket and keeps the pair around the sign change of u - k, until the
-    bracket ends on adjacent doubles (about 8 steps); its end where u <= k is
-    returned.  Only the sign is read, so u = +inf where a point rounds onto an
-    atom does no harm, and circles shrinking like e^{-2 pi k} stay resolvable.
-    A level the profile does not resolve (|x|^2 underflows below r ~ 1.6e-162,
-    so a planar Dirac resolves k up to about 58) raises SupportError naming k.
+
+def level_radius(profile, R, k: float) -> np.ndarray:
+    """Radii of the superlevel sets {u > k} on m rows, each a profile
+    decreasing on (0, R_i): ``R`` holds the m outer radii and ``profile`` maps
+    an (m, j) array of radii to u there.  Row i reads 0 when u never exceeds
+    k, R_i when u still reaches k at R_i(1 - 1e-12).
+
+    Each step makes one profile call, on 256 radii per row evenly spaced in
+    log r inside the row's bracket, and keeps the pair around the sign change
+    of u - k, until every bracket ends on adjacent doubles (about 8 steps);
+    closed brackets, and rows resolved at 0 or R_i, are held fixed.  A row
+    ends at its bracket's end where u <= k.  Only the sign is read, so u = +inf
+    where a point rounds onto an atom does no harm, and circles shrinking like
+    e^{-2 pi k} stay resolvable.  A level the profile does not resolve (|x|^2
+    underflows below r ~ 1.6e-162, so a planar Dirac resolves k up to about
+    58) raises SupportError naming k.
     """
-    lo, hi = 1e-280, R * (1.0 - 1e-12)
-    u_lo, u_hi = profile(np.array([lo, hi]))
-    if not u_lo > k:
-        return 0.0
-    if u_hi >= k:
-        return R
-    while math.nextafter(lo, hi) < hi:
-        inner = np.clip(lo * (hi / lo) ** np.linspace(0.0, 1.0, 258)[1:-1],
-                        math.nextafter(lo, hi), math.nextafter(hi, lo))
-        r = np.concatenate(([lo], inner, [hi]))
-        # the last radius above k and the first at or below it
-        j = int(np.argmin(np.append(profile(inner) > k, False)))
-        lo, hi = float(r[j]), float(r[j + 1])
-    u = float(profile(np.array([hi]))[0])
-    if not abs(u - k) <= 1e-9 * max(abs(k), 1.0):
-        raise SupportError(f"level k={k:g} is below the resolution of the radial "
-                           f"profile: its smallest resolved radius is about {hi:.3g}, "
-                           f"where u = {u:.6g}")
-    return hi
+    R = np.asarray(R, dtype=float)
+    m, rows = R.size, np.arange(R.size)
+    lo, hi = np.full(m, 1e-280), R * (1.0 - 1e-12)
+    u = np.reshape(profile(np.stack([lo, hi], axis=1)), (m, 2))
+    zero = ~(u[:, 0] > k)
+    held = zero | (u[:, 1] >= k)
+    lo[held] = hi[held]                  # an empty bracket never steps
+    # a step's radii, the bracket's ends around its 256 inner ones, and
+    # whether u > k there, closed by False at the outer end
+    r, above = np.empty((m, 258)), np.zeros((m, 257), dtype=bool)
+    while (step := np.nextafter(lo, hi) < hi).any():
+        r[:, 0], r[:, -1], inner = lo, hi, r[:, 1:-1]
+        np.multiply(lo[:, None], (hi / lo)[:, None] ** _LOG_SPLIT, out=inner)
+        np.clip(inner, np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None],
+                out=inner)
+        np.greater(np.reshape(profile(inner), (m, 256)), k, out=above[:, :-1])
+        j = np.argmin(above, axis=1)         # u(r[j]) > k >= u(r[j + 1])
+        lo, hi = np.where(step, r[rows, j], lo), np.where(step, r[rows, j + 1], hi)
+    if not held.all():
+        u = np.reshape(profile(hi[:, None]), m)
+        bad = np.flatnonzero(~held & ~(np.abs(u - k) <= 1e-9 * max(abs(k), 1.0)))
+        if bad.size:
+            raise SupportError(f"level k={k:g} is below the resolution of the radial "
+                               f"profile: its smallest resolved radius is about "
+                               f"{hi[bad[0]]:.3g}, where u = {u[bad[0]]:.6g}")
+    return np.where(zero, 0.0, np.where(held, R, hi))
 
 
 def l1_rho_norm(solution: Solution, rho_values: np.ndarray, grid: Grid) -> float:

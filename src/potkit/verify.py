@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class CriterionResult:
     passed: bool
     details: str
     runtime_s: float = 0.0
-    data: dict = field(default_factory=dict)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -86,8 +85,7 @@ def criterion_01() -> CriterionResult:
     passed = bool(fine_ok and order_ok and dt < 1.0)
     return CriterionResult(1, "kernel accuracy", passed,
                            f"errors {[f'{e:.2e}' for e in errs]}, {order_note}, "
-                           f"runtime {dt:.2f}s",
-                           dt, {"errors": errs.tolist()})
+                           f"runtime {dt:.2f}s", dt)
 
 
 def criterion_02() -> CriterionResult:
@@ -126,7 +124,7 @@ def criterion_03() -> CriterionResult:
     passed = bool(fine_ok and monotone and dt < 300.0)
     return CriterionResult(3, "tail functional, concentrated", passed,
                            f"rel errs by grid {[f'{e:.3%}' for e in max_err]}, "
-                           f"runtime {dt:.0f}s", dt, {"rel_errors": max_err})
+                           f"runtime {dt:.0f}s", dt)
 
 
 def criterion_04() -> CriterionResult:
@@ -176,9 +174,7 @@ def criterion_06() -> CriterionResult:
     return CriterionResult(6, "nonlocal reconstruction", passed,
                            f"values {np.round(rep.values, 4).tolist()}, top level "
                            f"{val:.4f}, fitted prefactor {rep.fitted_prefactor:.4f} "
-                           f"(flagged={rep.prefactor_flagged}), runtime {dt:.0f}s",
-                           dt, {"values": rep.values.tolist(),
-                                "prefactor": rep.fitted_prefactor})
+                           f"(flagged={rep.prefactor_flagged}), runtime {dt:.0f}s", dt)
 
 
 def criterion_07() -> CriterionResult:

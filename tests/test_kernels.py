@@ -5,7 +5,9 @@ import pytest
 from scipy import integrate, special
 
 from potkit import Domain, OperatorSpec, green, killing_density, poisson_kernel
-from potkit.errors import SupportError, UnsupportedKernelError
+from potkit.errors import DimensionMismatchError, SupportError, UnsupportedKernelError
+from potkit.measures import MeasureData
+from potkit.solve import integral_solution
 from potkit import build_grid
 from potkit.kernels import (ball_green_constant, frac_constant,
                             frac_torsion_constant, riesz_constant, sphere_area)
@@ -250,6 +252,32 @@ def test_poisson_fractional_support_error():
     dom = Domain.ball([0.0, 0.0], 1.0, 2)
     with pytest.raises(SupportError):
         poisson_kernel(op, dom, [0.0, 0.0], [0.5, 0.0])   # inside: invalid
+
+
+_INTERVAL = Domain.interval(-1.0, 1.0)
+_DISK = Domain.ball([0.0, 0.0], 1.0, 2)
+
+
+@pytest.mark.parametrize("read", [
+    lambda x: green(LAP, _INTERVAL, x, 0.0),
+    lambda x: green(OperatorSpec.fractional(0.5), _INTERVAL, x, 0.0),
+    lambda x: killing_density(0.5, _INTERVAL, x),
+    lambda x: poisson_kernel(LAP, _INTERVAL, x, 1.0),
+    lambda x: integral_solution(LAP, _INTERVAL, MeasureData.make(
+        atoms=[([0.0], 1.0)], dom=_INTERVAL)).evaluate(x),
+], ids=["green", "green-fractional", "killing", "poisson", "evaluate"])
+def test_interval_reads_no_two_column_points(read):
+    # three 2-d points are not six points of the interval
+    with pytest.raises(DimensionMismatchError):
+        read(np.full((3, 2), 0.1))
+    assert np.shape(read([0.1, 0.2, 0.3])) == (3,)
+
+
+def test_ball_point_of_wrong_dimension():
+    with pytest.raises(DimensionMismatchError):
+        green(LAP, _DISK, [0.1, 0.2, 0.3], [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        killing_density(0.5, _DISK, [0.1, 0.2, 0.3])
 
 
 def test_sphere_area_values():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,14 @@ from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit import reconstruct as reconstruct_mod
 from potkit.kernels import frac_constant, killing_density
-from potkit.reconstruct import (CutoffEta, _graded_panels_1d, _jump_terms,
-                                _nonlocal_energies, constant_eta, kink_integral,
+from potkit.reconstruct import (_RADIAL_NODES, CutoffEta, _graded_panels_1d,
+                                _jump_terms, _local_energy_closed,
+                                _nonlocal_energies, _ray_directions,
+                                constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
                                 reconstruct_mu_c, s_n, sigma, theta_n)
 from potkit.discrete import assemble
-from potkit.solve import grid_solution, integral_solution
+from potkit.solve import grid_solution, integral_solution, level_radius
 
 LAP = OperatorSpec.laplacian()
 
@@ -124,6 +128,63 @@ def test_local_energy_ball_3d_dirac():
                                                         dom=ball))
     for n in (0.5, 1.0, 4.0):
         assert local_energy(sol, constant_eta(1.0), n) == pytest.approx(1.0, abs=1e-9)
+
+
+def _local_energy_per_ray(solution, eta, n):
+    """Reference for ``_local_energy_closed``: one ray at a time, each ray's
+    window searched out to where it leaves the ball."""
+    dom = solution.dom
+    d = dom.dim
+    gx, gw = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    c = np.asarray(dom.center)
+    dirs, ang_w = _ray_directions(d)
+    total = 0.0
+    for p, w in solution.decomposition.concentrated.atoms:
+        if w <= 0:
+            continue
+        p = np.asarray(p, dtype=float)
+        for direction, wa in zip(dirs, ang_w):
+            rel = p - c
+            b = float(np.dot(rel, direction))
+            r_hi = -b + math.sqrt(max(b * b - (np.dot(rel, rel) - dom.radius**2), 0.0))
+            u_ray = lambda r: solution.evaluate(p + np.outer(r, direction))
+            r_out = float(level_radius(u_ray, [r_hi], n)[0])
+            r_in = float(level_radius(u_ray, [r_hi], 2.0 * n)[0])
+            if r_out <= r_in:
+                continue
+            s_in, s_out = math.log(r_in), math.log(r_out)
+            half = 0.5 * (s_out - s_in)
+            rr = np.exp(0.5 * (s_out + s_in) + half * gx)
+            pts = p + rr[:, None] * direction
+            grad = solution.gradient(pts)
+            dens = np.sum(grad * grad, axis=1)
+            total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** d))
+    return total / n
+
+
+def _ball3():
+    ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+    return integral_solution(LAP, ball, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)],
+                                                         dom=ball))
+
+
+def _two_atom_disk():
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    mu = MeasureData.make(atoms=[([0.3, 0.0], 1.0), ([-0.2, 0.4], 0.5)],
+                          density=Density.gaussian(2.0, 0.2, [0.0, 0.0]), dom=disk)
+    return integral_solution(LAP, disk, mu)
+
+
+@pytest.mark.parametrize("case", ["disk-dirac", "ball3-dirac", "two-atom-disk"])
+def test_local_energy_closed_matches_per_ray_reference(case, disk_dirac_solution):
+    # every ray of an atom searched at once, out to the diameter, gives the
+    # same bits as one ray at a time out to its exit
+    sol, eta, n = {
+        "disk-dirac": (disk_dirac_solution, constant_eta(1.0), 0.25),
+        "ball3-dirac": (_ball3(), constant_eta(1.0), 1.0),
+        "two-atom-disk": (_two_atom_disk(), CutoffEta((0.0, 0.0), 0.3, 0.8), 0.25),
+    }[case]
+    assert _local_energy_closed(sol, eta, n).hex() == _local_energy_per_ray(sol, eta, n).hex()
 
 
 def test_local_energy_empty_window():

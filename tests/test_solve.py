@@ -296,12 +296,12 @@ def test_level_radius_interval_tent():
     unit = Domain.interval(0.0, 1.0)
     sol = integral_solution(LAP, unit, MeasureData.make(atoms=[([0.5], 1.0)], dom=unit))
     tent = _ray(sol, [0.5], [1.0])
-    r = level_radius(tent, 0.5, 0.125)
+    r, = level_radius(tent, [0.5], 0.125)
     assert r == pytest.approx(0.25, rel=1e-15)
     _assert_crossing(tent, r, 0.125)
     # above the peak 1/4 nothing is reached; at a tiny level all of (0, R)
-    assert level_radius(tent, 0.5, 0.3) == 0.0
-    assert level_radius(tent, 0.5, 1e-14) == 0.5
+    assert level_radius(tent, [0.5], 0.3)[0] == 0.0
+    assert level_radius(tent, [0.5], 1e-14)[0] == 0.5
 
 
 @pytest.mark.parametrize("direction", [[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]])
@@ -315,13 +315,69 @@ def test_level_radius_ray_from_off_centre_atom(disk, direction):
     b = float(np.dot(p, direction))
     r_hi = -b + math.sqrt(b * b - (0.09 - 1.0))
     for k in (0.25, 1.0, 2.0):
-        r = level_radius(u_ray, r_hi, k)
+        r, = level_radius(u_ray, [r_hi], k)
         assert 0.0 < r < r_hi
         _assert_crossing(u_ray, r, k)
     # at k = 4 the crossing lies near r = 1e-11, where the points p + r dir
     # are 5.6e-17 apart and u moves in steps of about 1e-6
     with pytest.raises(SupportError, match="k=4"):
-        level_radius(u_ray, r_hi, 4.0)
+        level_radius(u_ray, [r_hi], 4.0)
+
+
+def _ray_rows(sol, origins, dirs):
+    """The profile of rays from each row of ``origins`` along each row of
+    ``dirs``: an (m, j) array of radii -> u there."""
+    return lambda r: sol.evaluate(
+        (origins[:, None, :] + r[:, :, None] * dirs[:, None, :]).reshape(-1, 2))
+
+
+def _counted(profile, calls):
+    def wrapped(r):
+        calls.append(r.shape)
+        return profile(r)
+    return wrapped
+
+
+def _off_centre_batch(disk):
+    """64 rays from the atom at (0.3, 0), out to the disk's diameter, except
+    that row 0 starts off the disk (u = 0 on it: resolved at 0) and row 1 ends
+    at 1e-6 (u > 1 there: resolved at R)."""
+    p = [0.3, 0.0]
+    sol = integral_solution(LAP, disk, MeasureData.make(atoms=[(p, 1.0)], dom=disk))
+    th = (np.arange(64) + 0.5) * 2.0 * math.pi / 64
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    origins = np.tile(p, (64, 1))
+    origins[0] = [2.0, 0.0]
+    dirs[0] = [1.0, 0.0]
+    R = np.full(64, disk.diameter)
+    R[1] = 1e-6
+    return sol, origins, dirs, R
+
+
+def test_level_radius_batch_matches_one_row_calls(disk):
+    sol, origins, dirs, R = _off_centre_batch(disk)
+    r = level_radius(_ray_rows(sol, origins, dirs), R, 1.0)
+    rows = [level_radius(_ray_rows(sol, origins[i:i + 1], dirs[i:i + 1]), R[i:i + 1], 1.0)[0]
+            for i in range(64)]
+    assert [x.hex() for x in r] == [float(x).hex() for x in rows]
+    assert r[0] == 0.0 and r[1] == 1e-6
+    assert np.all((r[2:] > 0.0) & (r[2:] < 1.0))
+
+
+def test_level_radius_batch_takes_no_more_profile_calls_than_one_row(disk):
+    sol, origins, dirs, R = _off_centre_batch(disk)
+    batch = []
+    level_radius(_counted(_ray_rows(sol, origins, dirs), batch), R, 1.0)
+    per_row = []
+    for i in range(64):
+        calls = []
+        level_radius(_counted(_ray_rows(sol, origins[i:i + 1], dirs[i:i + 1]), calls),
+                     R[i:i + 1], 1.0)
+        per_row.append(len(calls))
+    # one call covers all 64 rows; the rows resolved at 0 or R take one call
+    assert all(shape[0] == 64 for shape in batch)
+    assert per_row[0] == per_row[1] == 1
+    assert len(batch) == max(per_row) > 2
 
 
 def test_level_radius_unresolved_level_raises(disk_dirac_solution):
@@ -329,4 +385,4 @@ def test_level_radius_unresolved_level_raises(disk_dirac_solution):
     # radius where |x|^2 underflows
     centre = _ray(disk_dirac_solution, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(SupportError, match="k=100"):
-        level_radius(centre, 1.0, 100.0)
+        level_radius(centre, [1.0], 100.0)

@@ -286,8 +286,8 @@ def test_reducing_walk_step_count(disk_dirac_solution, monkeypatch):
 
 def test_level_radius_resolution_guard(disk_dirac_solution):
     _, profile = _radial_profile(disk_dirac_solution)
-    assert level_radius(profile, 1.0, 16.0) == pytest.approx(math.exp(-32.0 * math.pi),
-                                                             rel=1e-12)
+    assert level_radius(profile, [1.0], 16.0)[0] == \
+        pytest.approx(math.exp(-32.0 * math.pi), rel=1e-12)
     # e^{-200 pi} is below the smallest radius the profile resolves
     with pytest.raises(SupportError, match="k=100"):
         reducing_expectation(disk_dirac_solution, k=100.0, n=1.0, start=[0.5, 0.0],
@@ -601,6 +601,14 @@ def test_sample_start_points_inside():
     pts = sample_start_points(DISK, lambda p: np.full(len(p), 1 / math.pi),
                               5_000, rng)
     assert np.all(DISK.contains(pts))
+
+
+def test_sample_start_points_rejects_rho_above_the_probed_bound():
+    # the probes put the bound at 0.667 against the peak 1.0: accepting the
+    # candidates above it with probability 1 would flatten the peak
+    rho = Density.gaussian(1.0, 0.01, [0.3, 0.3])
+    with pytest.raises(SupportError, match="rho reaches"):
+        sample_start_points(DISK, rho, 20_000, np.random.default_rng(0))
 
 
 def test_radial_machinery_guards():
