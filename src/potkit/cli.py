@@ -8,10 +8,9 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
-never depend on it.  The BLAS thread pool is another matter: its size,
-set by the environment (``OPENBLAS_NUM_THREADS``), changes the summation
-order of BLAS reductions and so the last digits of CG-solved tails
-(``tail-disk-dirac``) and of the dense fractional solves.
+never depend on it.  The size of the BLAS thread pool, set by the
+environment (``OPENBLAS_NUM_THREADS``), reaches only the dense fractional
+solves and the nonlocal jump quadrature; no preset's output depends on it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from . import __version__
 from .config import (build_domain, build_eta, build_measure, build_operator,
                      build_rho, grid_widths, load_config, validate_config)
 from .discrete import assemble
-from .envelope import d1_norm, envelope_field, reduite, tail_curve, tail_obstacle
+from .envelope import (d1_norm, envelope_field, reduite, reduite_start, tail_curve,
+                       tail_obstacle)
 from .errors import ConfigError, PotkitError
 from .geometry import DEFAULT_NODE_CAP, build_grid
 from .kernels import constants_table
@@ -147,8 +147,7 @@ def cmd_solve(args) -> int:
         pts = np.asarray(cfg["eval_points"], dtype=float)
     else:
         pts = grid.interior_points()
-    vals = np.atleast_1d(sol.evaluate(pts))
-    rows = [tuple(p) + (v,) for p, v in zip(np.atleast_2d(pts), vals)]
+    rows = np.column_stack([np.atleast_2d(pts), np.atleast_1d(sol.evaluate(pts))])
     header = [f"x{k}" for k in range(dom.dim)] + ["u"]
     prefix = _prefix(cfg)
     write_csv(os.path.join(out, f"{prefix}.csv"), header, rows,
@@ -175,12 +174,11 @@ def cmd_reduite(args) -> int:
     dop = _grid_operator(cfg, dom, op)
     sol = _solution(cfg, dom, op, mu, dop)
     n = cfg.get("n", 1.0)
-    u_abs, atom_nodes, _ = envelope_field(sol, dop)
-    tol = cfg.get("tolerances", {}).get("reduite", 1e-10)
-    res = reduite(dop, tail_obstacle(u_abs, atom_nodes, n, dop.grid), tol=tol)
-    pts = dop.grid.interior_points()
-    env = res.envelope.interior_values()
-    rows = [tuple(p) + (v,) for p, v in zip(pts, env)]
+    field = envelope_field(sol, dop)
+    g = tail_obstacle(field[0], field[1], n, dop.grid)
+    res = reduite(dop, g, tol=cfg.get("tolerances", {}).get("reduite", 1e-10),
+                  w0=reduite_start(g, field))
+    rows = np.column_stack([dop.grid.interior_points(), res.envelope.interior_values()])
     prefix = _prefix(cfg)
     write_csv(os.path.join(out, f"{prefix}_envelope.csv"),
               [f"x{k}" for k in range(dom.dim)] + ["envelope"], rows,

@@ -94,11 +94,13 @@ class DiscreteOperator:
 
         A local system or block of at most ``_COARSE_MAX`` unknowns is
         factored directly (SuperLU of a copy).  Everything else runs CG
-        to relative residual ``_CG_RTOL``, preconditioned by one V-cycle
-        (``_hierarchy``) of the matrix it solves: A for a full system, and
-        for a block the embedded K A K + diag(1_S diag A), K = diag(1_c) and
-        S the nodes off c, with the right-hand side zero on S: it is SPD and
-        block diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.
+        (``_pcg``) to relative residual ``_CG_RTOL``, preconditioned by one
+        V-cycle (``_hierarchy``) of the matrix it solves: A for a full
+        system, and for a block the embedded K A K + diag(1_S diag A), K =
+        diag(1_c) and S the nodes off c, with the right-hand side zero on S:
+        it is SPD and block diagonal, so x is zero on S and A[c, c]^{-1} rhs
+        on c.  No local solve calls BLAS; the dense fractional ones do, so
+        only their last digits can follow the size of the BLAS thread pool.
         """
         n = self.n
         c = np.arange(n) if on is None else np.asarray(on)
@@ -133,11 +135,7 @@ class DiscreteOperator:
             b = np.zeros(n)
             b[c] = rhs_flat
         levels, bottom = _hierarchy(self.grid, A)
-        M = spla.LinearOperator(A.shape, matvec=partial(_vcycle, levels, bottom), dtype=float)
-        x, info = spla.cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITERS, M=M)
-        if info != 0:
-            raise ConvergenceError(f"CG did not reach relative residual {_CG_RTOL:g} "
-                                   f"within {_CG_MAX_ITERS} iterations (info={info})")
+        x, _ = _pcg(A, b, partial(_vcycle, levels, bottom))
         return x[c]
 
 
@@ -151,6 +149,31 @@ def _factor(M):
     if sp.issparse(M):
         return spla.factorized(M.tocsc())
     return partial(cho_solve, cho_factor(M.T, overwrite_a=True))
+
+
+def _pcg(A, b: np.ndarray, precond) -> tuple:
+    """Preconditioned conjugate gradients for the SPD system A x = b from
+    x = 0, with ``precond(r)`` applying the SPD preconditioner, until
+    ||r|| <= ``_CG_RTOL`` ||b||.  Returns (x, iterations); raises
+    ``ConvergenceError`` after ``_CG_MAX_ITERS`` iterations.  Inner
+    products run in einsum's own loop, not BLAS, so neither x nor the
+    cost depends on the BLAS thread pool."""
+    x, r = np.zeros_like(b), b.copy()
+    bound = _CG_RTOL * np.sqrt(np.einsum("i,i", b, b))
+    p = rz_prev = None
+    for it in range(_CG_MAX_ITERS):
+        if np.sqrt(np.einsum("i,i", r, r)) <= bound:
+            return x, it
+        z = precond(r)
+        rz = np.einsum("i,i", r, z)
+        p = z if p is None else z + (rz / rz_prev) * p
+        q = A @ p
+        alpha = rz / np.einsum("i,i", p, q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+    raise ConvergenceError(f"CG did not reach relative residual {_CG_RTOL:g} "
+                           f"within {_CG_MAX_ITERS} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ operator, the reduite of an obstacle g >= 0 is the smallest fixed point of
 w = max(g, P w), equivalently the value function of optimally stopping g
 along the killed chain, equivalently the sup over node subsets V of the
 harmonic extension of g from the complement of V.  Every operator gets it
-the same way: exact policy iteration (one block solve per step), which for
-local operators starts from a short projected-SOR warm start.
+the same way: exact policy iteration (one block solve per step); a local
+start that misses the tolerance first gets a short projected-SOR warm start.
 
 Atom handling in tail functionals: when the measure carries concentrated
 atoms, the obstacle (|u| - n)^+ is enriched at each atom's node, where the
@@ -42,9 +42,9 @@ _MAX_POLICY_STEPS = 500
 
 @dataclass
 class ReduiteResult:
-    """Envelope field, continuation set, warm-start PSOR sweep count (local
-    operators; 0 for the fractional one), policy-iteration step count (0
-    when the warm start already meets ``tol``) and the max complementarity
+    """Envelope field, continuation set, warm-start PSOR sweep count (0 for
+    the fractional operator), policy-iteration step count (both counts are
+    0 when the start already meets ``tol``) and the max complementarity
     violation |min(w - g, A w / diag)|, which ``reduite`` brings to at most
     its ``tol`` or to the accuracy of its last block solve.
 
@@ -162,6 +162,13 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
         f"sweeps (last update {update:.3e})")
 
 
+def _complementarity(A, d: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple:
+    """(A w / d, max |min(w - g, A w / d)|): the defect of w and its
+    complementarity residual against the obstacle g, 0 without unknowns."""
+    defect = (A @ w) / d
+    return defect, float(np.max(np.abs(np.minimum(w - g, defect)), initial=0.0))
+
+
 def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
                       tol: float) -> tuple:
     """Exact envelope by Howard's algorithm (the primal-dual active-set
@@ -184,10 +191,9 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
             if c.size:
                 # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
                 w[c] = dop.solve(-(A @ w)[c], on=c)
-        defect = (A @ w) / d
+        defect, residual = _complementarity(A, d, w, g)
         new_stop = (w - g) <= defect
-        if (np.max(np.abs(np.minimum(w - g, defect)), initial=0.0) <= tol
-                or np.array_equal(new_stop, stop)):
+        if residual <= tol or np.array_equal(new_stop, stop):
             return np.maximum(w, g), step
         stop = new_stop
     raise ConvergenceError(
@@ -200,8 +206,9 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     """Smallest excessive majorant of the obstacle g >= 0.
 
     Policy iteration finishes it for every operator, started from w0
-    (default g; any w0 will do).  On a local operator, projected red-black
-    SOR at ``omega_optimal`` of the grid first improves w0 until its last
+    (default g; any w0 will do); a start that meets ``tol`` is returned as
+    max(w0, g).  On a local operator any other start is first improved by
+    projected red-black SOR at ``omega_optimal`` of the grid until its last
     update falls below ``_WARM_TOL``.  ``tol`` is the complementarity
     residual that the returned envelope must meet, and the continuation
     threshold on A w / diag (relative to the envelope's scale).
@@ -222,12 +229,10 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
     sweeps = 0
-    if dop.is_local:
+    if dop.is_local and _complementarity(dop.A, dop.diag, w_flat, g_flat)[1] > tol:
         sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
     w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
-    defect = (dop.A @ w_flat) / dop.diag
-    ncp = np.minimum(w_flat - g_flat, defect)
-    residual = float(np.max(np.abs(ncp))) if ncp.size else 0.0
+    defect, residual = _complementarity(dop.A, dop.diag, w_flat, g_flat)
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= tol * max(scale, 1.0)
@@ -325,14 +330,26 @@ def tail_obstacle(u_abs: np.ndarray, atom_nodes, n: float, grid: Grid) -> np.nda
     return np.where(grid.interior_mask, g, 0.0)
 
 
+def reduite_start(g: np.ndarray, field: tuple, prev: Optional[np.ndarray] = None):
+    """Start of the reduite of a tail obstacle g, given ``envelope_field``'s
+    output: the max of g, the envelope ``prev`` of a higher level and each
+    atom's single-node extension |u|(node_k) q_k.  Each is a lower bound of
+    the envelope, since g carries |u|(node_k) at each atom's node."""
+    u_abs, atom_nodes, columns = field
+    w0 = g if prev is None else np.maximum(g, prev)
+    for node, col in zip(atom_nodes, columns):
+        w0 = np.maximum(w0, u_abs[node] * col.values / col.values[node])
+    return w0
+
+
 def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
                levels: Sequence[float], tol: float = 1e-10) -> TailCurve:
     """Tail functional T_n = d1_norm((|u| - n)^+) across increasing levels.
 
     Obstacles at concentrated-atom nodes are enriched (level subtraction
     waived; see module docstring).  Levels are solved from the top down so
-    each solve warm-starts from the previous envelope, which is a valid
-    from-below start by monotonicity of the reduite in the obstacle.
+    each solve warm-starts (``reduite_start``) from the previous envelope
+    and the atoms' extensions.
     The verdict compares the extrapolated limit against both zero and
     <R^D rho, |mu_c|>, read off the atoms' Green columns, not the envelopes.
     """
@@ -344,9 +361,8 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
         raise SupportError("levels must be positive")
     rho_vals = _rho_values(rho, grid)
 
-    u_abs, atom_nodes, columns = envelope_field(solution, dop)
-    extensions = [u_abs[node] * col.values / col.values[node]
-                  for node, col in zip(atom_nodes, columns)]
+    field = envelope_field(solution, dop)
+    u_abs, atom_nodes, columns = field
 
     # A is symmetric, so R^D rho at an atom's node is rho against its Green column
     conc = solution.decomposition.concentrated
@@ -372,12 +388,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
             warnings.warn(
                 f"level n={n} exceeds the obstacle value one cell off the atom "
                 f"({u_near:.4g}); the window is below mesh resolution")
-        w0 = g if prev_w is None else np.maximum(g, prev_w)
-        for ext in extensions:
-            # single-node harmonic extensions are exact lower envelope bounds
-            w0 = np.maximum(w0, ext)
-        w0 = np.where(grid.interior_mask, w0, 0.0)
-        res = reduite(dop, g, tol=tol, w0=w0)
+        res = reduite(dop, g, tol=tol, w0=reduite_start(g, field, prev_w))
         prev_w = res.envelope.values
         values[i] = res.envelope.weighted_sum(rho_vals)
         sweeps[i], policy_steps[i] = res.iterations, res.policy_steps

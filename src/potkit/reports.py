@@ -15,6 +15,8 @@ import os
 import platform
 import tempfile
 
+import numpy as np
+
 
 def fmt(x) -> str:
     """Shortest decimal string that round-trips the float exactly."""
@@ -38,7 +40,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cell(v) -> str:
-    import numpy as np
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -48,16 +49,20 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header: list, rows: list, comments: list = ()) -> None:
+def write_csv(path: str, header: list, rows, comments: list = ()) -> None:
+    """CSV of ``rows``: row tuples, each cell written by ``_cell``, or a 2-d
+    float array, each cell written as ``fmt`` would without a call per cell."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        rows = rows.astype(float, copy=False).tolist()
+        lines.extend(",".join(map(repr, row)) for row in rows)
+    else:
+        lines.extend(",".join(_cell(v) for v in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _jsonify(obj):
-    import numpy as np
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -78,13 +83,12 @@ def write_json(path: str, obj: dict) -> None:
 
 
 def versions() -> dict:
-    import numpy
     import scipy
 
     from . import __version__
     return {
         "potkit": __version__,
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
     }

@@ -1,5 +1,8 @@
 import gc
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -359,17 +362,15 @@ def test_block_solve_factors_no_large_local_matrix(monkeypatch):
 
 @pytest.fixture
 def cg_calls(monkeypatch):
-    """Record the iterations of every CG call."""
+    """Record the iterations of every CG call, as the loop returns them."""
     counts = []
-    cg = discrete.spla.cg
+    pcg = discrete._pcg
 
-    def counting_cg(*args, **kwargs):
-        counts.append(0)
-
-        def tick(xk):
-            counts[-1] += 1
-        return cg(*args, callback=tick, **kwargs)
-    monkeypatch.setattr(discrete.spla, "cg", counting_cg)
+    def counting_pcg(*args, **kwargs):
+        x, iters = pcg(*args, **kwargs)
+        counts.append(iters)
+        return x, iters
+    monkeypatch.setattr(discrete, "_pcg", counting_pcg)
     return counts
 
 
@@ -417,6 +418,62 @@ def test_cg_budget_raises(monkeypatch, cg_iterations):
     dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
     with pytest.raises(ConvergenceError, match="within 1 iterations"):
         dop.solve(np.ones(dop.n))
+
+
+def test_cg_budget_raise_leaves_no_reference_cycles(monkeypatch):
+    monkeypatch.setattr(discrete, "_CG_MAX_ITERS", 3)
+    dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    rhs = np.ones(dop.n)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            dop.solve(rhs)
+        except ConvergenceError as exc:
+            assert "within 3 iterations" in str(exc)
+        else:
+            raise AssertionError("the CG budget did not raise")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_THREADS_PROBE = """
+import hashlib
+from potkit import Domain, OperatorSpec, assemble, build_grid, reduite
+from potkit.envelope import envelope_field, tail_obstacle
+from potkit.measures import MeasureData
+from potkit.solve import integral_solution
+dom = Domain.ball([0.0, 0.0], 1.0, 2)
+op = OperatorSpec.laplacian()
+dop = assemble(op, build_grid(dom, 2.0**-6))
+sol = integral_solution(op, dom, MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=dom))
+u_abs, nodes, columns = envelope_field(sol, dop)
+res = reduite(dop, tail_obstacle(u_abs, nodes, 0.5, dop.grid), tol=1e-9)
+digest = hashlib.sha256(columns[0].values.tobytes())
+digest.update(res.envelope.values.tobytes())
+print(dop.n, res.iterations, res.policy_steps, digest.hexdigest())
+"""
+
+
+def test_grid_outputs_do_not_depend_on_blas_threads():
+    """A disk Dirac at h = 2^-6 (12,849 unknowns, above the coarsest level):
+    its Green column (one V-cycle-preconditioned CG solve) and the cold
+    reduite of its n = 0.5 tail obstacle (PSOR, then a policy step whose
+    block solve is CG again) have the same bytes at 1 and 2 BLAS threads.
+    The dense fractional path is left out: its Cholesky solves and the
+    matrix products of the jump quadrature call BLAS, whose summation order
+    follows the thread count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        lines.append(subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                                    capture_output=True, text=True, check=True).stdout)
+    n, sweeps, steps, _ = lines[0].split()
+    assert int(n) == 12_849 and int(sweeps) > 0 and int(steps) >= 1
+    assert lines[0] == lines[1]
 
 
 def _disk_blocks(pts):

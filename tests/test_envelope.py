@@ -676,11 +676,14 @@ def test_tail_curve_values_match_fresh_extensions(case):
 @pytest.mark.parametrize("case", TAIL_CASES)
 def test_tail_curve_reports_solver_counts(monkeypatch, case):
     sol, dop, rho, levels = _tail_case(case)
-    results = []
+    results, start_meets_tol = [], []
     solve_reduite = envelope_mod.reduite
 
-    def recorded(*args, **kwargs):
-        results.append(solve_reduite(*args, **kwargs))
+    def recorded(dop, g, tol=1e-10, w0=None):
+        inside = dop.grid.interior_mask
+        _, start = envelope_mod._complementarity(dop.A, dop.diag, w0[inside], g[inside])
+        start_meets_tol.append(start <= tol)
+        results.append(solve_reduite(dop, g, tol=tol, w0=w0))
         return results[-1]
 
     monkeypatch.setattr(envelope_mod, "reduite", recorded)
@@ -690,7 +693,51 @@ def test_tail_curve_reports_solver_counts(monkeypatch, case):
     assert tc.policy_steps.tolist() == [r.policy_steps for r in reversed(results)]
     assert tc.sweeps.sum() == sum(r.iterations for r in results)
     assert tc.policy_steps.sum() == sum(r.policy_steps for r in results)
-    assert (tc.sweeps.sum() > 0) == dop.is_local
+    # PSOR tests its update every 8 sweeps; an exact start is not swept
+    assert all(k % 8 == 0 for k in tc.sweeps)
+    for exact, r in zip(start_meets_tol, results):
+        if exact:
+            assert (r.iterations, r.policy_steps) == (0, 0)
+
+
+def test_exact_start_is_returned_without_a_sweep(monkeypatch):
+    """The single-node extension of a one-atom disk is the envelope of its
+    tail obstacle: reduite returns max(w0, g) bit for bit, with no PSOR."""
+    sol, dop, _, levels = _tail_case("one-atom-disk")
+    grid = dop.grid
+    field = envelope_field(sol, dop)
+    g = envelope_mod.tail_obstacle(field[0], field[1], levels[0], grid)
+    w0 = envelope_mod.reduite_start(g, field)
+    inside = grid.interior_mask
+    _, start = envelope_mod._complementarity(dop.A, dop.diag, w0[inside], g[inside])
+    assert start <= 1e-10
+
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("_relax called on an exact start")
+
+    monkeypatch.setattr(envelope_mod, "_relax", no_sweeps)
+    res = reduite(dop, g, tol=1e-10, w0=w0)
+    assert (res.iterations, res.policy_steps) == (0, 0)
+    assert np.array_equal(res.envelope.values, np.maximum(w0, g))
+
+
+@pytest.mark.parametrize("case", RELAX_CASES)
+@pytest.mark.parametrize("start", ["obstacle", "half-obstacle"])
+def test_inexact_start_sweeps_as_before(case, start):
+    """A start that misses tol runs the PSOR warm start and policy
+    iteration exactly as reduite did before it tested the start."""
+    dop, g_flat = _relax_case(case)
+    w0_flat = g_flat if start == "obstacle" else 0.5 * g_flat
+    w0 = GridField.from_interior(dop.grid, w0_flat).values
+    _, residual = envelope_mod._complementarity(dop.A, dop.diag, w0_flat, g_flat)
+    assert residual > 1e-10
+    w = w0_flat.copy()
+    sweeps = envelope_mod._relax(dop, g_flat, w, envelope_mod.omega_optimal(dop.grid),
+                                 envelope_mod._WARM_TOL)
+    w, steps = envelope_mod._policy_iteration(dop, g_flat, w, 1e-10)
+    res = reduite(dop, GridField.from_interior(dop.grid, g_flat), tol=1e-10, w0=w0)
+    assert sweeps > 0 and (res.iterations, res.policy_steps) == (sweeps, steps)
+    assert np.array_equal(res.envelope.interior_values(), w)
 
 
 def test_tail_disk_mixed_reduites_are_exact(monkeypatch):
