@@ -23,20 +23,18 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (build_domain, build_eta, build_measure, build_operator,
-                     build_rho, grid_widths, load_config, validate_config)
-from .discrete import assemble
+from .config import (build_eta, build_grid_operator, build_lattice, build_problem,
+                     build_rho, build_solution, grid_widths, load_config,
+                     validate_config)
 from .envelope import (d1_norm, envelope_field, reduite, reduite_start, tail_curve,
                        tail_obstacle)
 from .errors import ConfigError, PotkitError
-from .geometry import DEFAULT_NODE_CAP, build_grid
 from .kernels import constants_table
 from .measures import total_variation
 from .presets import get_preset
 from .reconstruct import reconstruct_mu_c
 from .reports import fmt, log_timing, run_report, write_csv, write_json
-from .solve import (closed_form_supported, grid_solution, integral_solution,
-                    l1_rho_norm)
+from .solve import l1_rho_norm
 from .stochastic import (class_d_diagnostic, maximal_inequality_check,
                          reducing_expectation)
 
@@ -107,42 +105,43 @@ def _prefix(cfg: dict) -> str:
     return cfg.get("output", {}).get("prefix", cfg.get("name", "run"))
 
 
-def _build_all(cfg):
-    dom = build_domain(cfg)
-    op = build_operator(cfg)
-    mu = build_measure(cfg, dom)
-    return dom, op, mu
+def tail_curves(cfg: dict) -> list:
+    """``potkit tail``'s [(h, TailCurve)], one per grid width of the config (or
+    at diameter / 128), at its reduite tolerance; criteria 2-4 judge them."""
+    dom, op, mu = build_problem(cfg)
+    rho = build_rho(cfg, dom)
+    levels = cfg.get("levels", [0.25, 0.5, 1.0])
+    tol = cfg.get("tolerances", {}).get("reduite", 1e-10)
+    curves = []
+    for h in grid_widths(cfg) or [dom.diameter / 128.0]:
+        dop = build_grid_operator(cfg, dom, op, h)
+        sol = build_solution(cfg, dom, op, mu, dop)
+        curves.append((h, tail_curve(sol, dop, rho, levels, tol=tol)))
+    return curves
 
 
-def _grid(cfg, dom, h):
-    """The lattice of width h over the domain, under the config's node cap."""
-    return build_grid(dom, h, cfg.get("grid", {}).get("node_cap", DEFAULT_NODE_CAP))
-
-
-def _grid_operator(cfg, dom, op, h=None):
-    hs = grid_widths(cfg)
-    if h is None:
-        if not hs:
-            raise ConfigError("config field 'grid': h or h_list required")
-        h = hs[-1]
-    return assemble(op, _grid(cfg, dom, h))
-
-
-def _solution(cfg, dom, op, mu, dop=None):
-    """u = R^D mu: the closed form where one exists, else the discrete solve
-    on ``dop`` or, without one, on the config's finest grid."""
-    if closed_form_supported(op, dom, mu):
-        return integral_solution(op, dom, mu)
-    return grid_solution(dop or _grid_operator(cfg, dom, op), mu)
+def maximal_check(cfg: dict) -> tuple:
+    """``potkit mc maximal``'s (estimate, d1 norm of |u| on the finest grid)
+    for E sup |u|^{1/2} <= 2 sqrt(d1); criterion 13 judges them."""
+    dom, op, mu = build_problem(cfg)
+    dop = build_grid_operator(cfg, dom, op)
+    sol = build_solution(cfg, dom, op, mu, dop)
+    rho = build_rho(cfg, dom)
+    u_abs, _, _ = envelope_field(sol, dop)
+    d1 = d1_norm(dop, u_abs, rho)
+    est = maximal_inequality_check(sol, d1, rho=rho,
+                                   n_samples=cfg.get("samples", 20000),
+                                   seed=cfg["seed"])
+    return est, d1
 
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    dom, op, mu = _build_all(cfg)
+    dom, op, mu = build_problem(cfg)
     hs = grid_widths(cfg)
-    grid = _grid(cfg, dom, hs[-1] if hs else dom.diameter / 64.0)
-    sol = _solution(cfg, dom, op, mu)
+    grid = build_lattice(cfg, dom, hs[-1] if hs else dom.diameter / 64.0)
+    sol = build_solution(cfg, dom, op, mu)
     if cfg.get("eval_points"):
         pts = np.asarray(cfg["eval_points"], dtype=float)
     else:
@@ -170,9 +169,9 @@ def cmd_solve(args) -> int:
 def cmd_reduite(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    dom, op, mu = _build_all(cfg)
-    dop = _grid_operator(cfg, dom, op)
-    sol = _solution(cfg, dom, op, mu, dop)
+    dom, op, mu = build_problem(cfg)
+    dop = build_grid_operator(cfg, dom, op)
+    sol = build_solution(cfg, dom, op, mu, dop)
     n = cfg.get("n", 1.0)
     field = envelope_field(sol, dop)
     g = tail_obstacle(field[0], field[1], n, dop.grid)
@@ -197,20 +196,12 @@ def cmd_tail(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     t0 = time.time()
-    dom, op, mu = _build_all(cfg)
-    rho = build_rho(cfg, dom)
-    levels = cfg.get("levels", [0.25, 0.5, 1.0])
     prefix = _prefix(cfg)
-    results = {}
-    last = None
-    for h in grid_widths(cfg) or [dom.diameter / 128.0]:
-        dop = _grid_operator(cfg, dom, op, h=h)
-        tc = tail_curve(_solution(cfg, dom, op, mu, dop), dop, rho, levels,
-                        tol=cfg.get("tolerances", {}).get("reduite", 1e-10))
-        results[fmt(h)] = {"levels": tc.levels, "values": tc.values,
-                           "sweeps": tc.sweeps, "policy_steps": tc.policy_steps,
-                           "resolvable": tc.resolvable}
-        last = tc
+    curves = tail_curves(cfg)
+    results = {fmt(h): {"levels": tc.levels, "values": tc.values,
+                        "sweeps": tc.sweeps, "policy_steps": tc.policy_steps,
+                        "resolvable": tc.resolvable} for h, tc in curves}
+    last = curves[-1][1]
     rows = [(n, v, int(r)) for n, v, r in
             zip(last.levels, last.values, last.resolvable)]
     write_csv(os.path.join(out, f"{prefix}.csv"), ["n", "T_n", "resolvable"], rows,
@@ -231,13 +222,13 @@ def cmd_tail(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    dom, op, mu = _build_all(cfg)
+    dom, op, mu = build_problem(cfg)
     if args.mode == "local" and not op.is_local:
         raise PotkitError("local reconstruction needs a local operator")
     if args.mode == "nonlocal" and op.is_local:
         raise PotkitError("nonlocal reconstruction needs the fractional operator")
     eta = build_eta(cfg, dom)
-    sol = _solution(cfg, dom, op, mu)
+    sol = build_solution(cfg, dom, op, mu)
     levels = cfg.get("levels", [0.25, 0.5])
     rep = reconstruct_mu_c(sol, eta, levels,
                            rel_tol=cfg.get("tolerances", {}).get("quad_rel", 0.01))
@@ -273,12 +264,22 @@ def cmd_mc(args) -> int:
     for key in ("seed",) + needed.get(args.mode, ()):
         if key not in cfg:
             raise ConfigError(f"config field '{key}': required for mc {args.mode}")
-    dom, op, mu = _build_all(cfg)
-    dop = _grid_operator(cfg, dom, op) if args.mode == "maximal" else None
-    sol = _solution(cfg, dom, op, mu, dop)
-    rho = build_rho(cfg, dom)
     prefix = _prefix(cfg)
     t0 = time.time()
+
+    if args.mode == "maximal":
+        est, d1 = maximal_check(cfg)
+        rows = [(0.5, est.value, est.stderr)]
+        verdict = {"passed": est.extra["passed"], "bound": est.extra["bound"],
+                   "margin": est.extra["margin"], "d1_norm": d1}
+        results = {"estimate": est.value, "stderr": est.stderr,
+                   "draws": est.extra["draws"],
+                   "walk_iterations": est.extra["walk_iterations"],
+                   "path_steps": est.extra["path_steps"]}
+    else:
+        dom, op, mu = build_problem(cfg)
+        sol = build_solution(cfg, dom, op, mu)
+        rho = build_rho(cfg, dom)
 
     if args.mode == "reducing":
         est = reducing_expectation(sol, k=cfg["k"], n=cfg["n"],
@@ -303,19 +304,6 @@ def cmd_mc(args) -> int:
         results = {"levels": diag.levels, "estimates": diag.estimates,
                    "stderrs": diag.stderrs, "family": diag.family,
                    "table": diag.table, "draws": diag.draws}
-    else:
-        u_abs, _, _ = envelope_field(sol, dop)
-        d1 = d1_norm(dop, u_abs, rho(dop.grid.interior_points()))
-        est = maximal_inequality_check(sol, d1, rho=rho,
-                                       n_samples=cfg.get("samples", 20000),
-                                       seed=cfg["seed"])
-        rows = [(0.5, est.value, est.stderr)]
-        verdict = {"passed": est.extra["passed"], "bound": est.extra["bound"],
-                   "margin": est.extra["margin"], "d1_norm": d1}
-        results = {"estimate": est.value, "stderr": est.stderr,
-                   "draws": est.extra["draws"],
-                   "walk_iterations": est.extra["walk_iterations"],
-                   "path_steps": est.extra["path_steps"]}
 
     write_csv(os.path.join(out, f"{prefix}.csv"),
               ["level", "estimate", "stderr"], rows,
@@ -331,12 +319,14 @@ def cmd_mc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_criteria
+    from .verify import ALL_CRITERIA, run_criteria
+    tokens = args.criteria.split(",") if args.criteria else []
+    for token in tokens:
+        if not (token.strip().isdecimal() and int(token) in ALL_CRITERIA):
+            raise PotkitError(f"--criteria: {token!r} is not a criterion id; ids run "
+                              f"from {min(ALL_CRITERIA)} to {max(ALL_CRITERIA)}")
     out = _out_dir(args)
-    ids = None
-    if args.criteria:
-        ids = [int(t) for t in args.criteria.split(",")]
-    results = run_criteria(ids, verbose=not args.quiet)
+    results = run_criteria([int(t) for t in tokens] or None, verbose=not args.quiet)
     write_json(os.path.join(out, "verify_report.json"), {
         "results": [{"cid": r.cid, "name": r.name, "passed": r.passed,
                      "details": r.details, "runtime_s": round(r.runtime_s, 2)}
@@ -347,6 +337,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    if not 0.0 < args.alpha < 2.0:          # as OperatorSpec.fractional
+        raise PotkitError(f"--alpha: {args.alpha} lies outside (0, 2)")
+    if not 1 <= args.dim <= 3:              # as Domain.ball
+        raise PotkitError(f"--dim: {args.dim} lies outside 1..3")
     table = constants_table(alpha=args.alpha, d=args.dim)
     for key, val in table.items():
         print(f"{key:24s} {fmt(val)}")

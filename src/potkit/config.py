@@ -2,7 +2,9 @@
 
 A config is one structured document naming the domain, operator, measure,
 grid, weight, levels, seeds and tolerances.  Validation reports the path of
-the offending field.  Builders turn the validated dict into toolkit objects.
+the offending field.  Builders turn the validated dict into toolkit objects;
+``build_problem``, ``build_grid_operator`` and ``build_solution`` are the one
+path from a config to u that the CLI and the acceptance suite share.
 """
 
 from __future__ import annotations
@@ -10,15 +12,17 @@ from __future__ import annotations
 import math
 import operator
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
+from .discrete import DiscreteOperator, assemble
 from .errors import ConfigError
-from .geometry import Domain
+from .geometry import DEFAULT_NODE_CAP, Domain, Grid, build_grid
 from .kernels import OperatorSpec
 from .measures import Density, MeasureData
 from .reconstruct import CutoffEta, constant_eta
+from .solve import Solution, closed_form_supported, grid_solution, integral_solution
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -317,3 +321,33 @@ def grid_widths(cfg: dict) -> list:
     if "h" in g:
         return [float(g["h"])]
     return []
+
+
+def build_problem(cfg: dict) -> tuple:
+    """The config's (domain, operator, measure)."""
+    dom = build_domain(cfg)
+    return dom, build_operator(cfg), build_measure(cfg, dom)
+
+
+def build_lattice(cfg: dict, dom: Domain, h: float) -> Grid:
+    """The lattice of width h over the domain, under the config's node cap."""
+    return build_grid(dom, h, cfg.get("grid", {}).get("node_cap", DEFAULT_NODE_CAP))
+
+
+def build_grid_operator(cfg: dict, dom: Domain, op: OperatorSpec,
+                        h: Optional[float] = None) -> DiscreteOperator:
+    """The operator assembled on the lattice of width h, by default the
+    config's finest; ConfigError naming 'grid' when the config has none."""
+    hs = grid_widths(cfg) if h is None else [h]
+    if not hs:
+        raise ConfigError("config field 'grid': h or h_list required")
+    return assemble(op, build_lattice(cfg, dom, hs[-1]))
+
+
+def build_solution(cfg: dict, dom: Domain, op: OperatorSpec, mu: MeasureData,
+                   dop: Optional[DiscreteOperator] = None) -> Solution:
+    """u = R^D mu: the closed form where one exists, else the lattice solve
+    on ``dop`` or, without one, on the config's finest grid."""
+    if closed_form_supported(op, dom, mu):
+        return integral_solution(op, dom, mu)
+    return grid_solution(dop or build_grid_operator(cfg, dom, op), mu)

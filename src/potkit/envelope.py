@@ -228,11 +228,16 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
 
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
-    sweeps = 0
-    if dop.is_local and _complementarity(dop.A, dop.diag, w_flat, g_flat)[1] > tol:
-        sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
-    w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
-    defect, residual = _complementarity(dop.A, dop.diag, w_flat, g_flat)
+    sweeps = steps = 0
+    start = _complementarity(dop.A, dop.diag, w_flat, g_flat) if dop.is_local else None
+    if start and start[1] <= tol and np.all(w_flat >= g_flat):
+        # an exact start on or above g is the envelope: keep its defect
+        w_flat, (defect, residual) = np.maximum(w_flat, g_flat), start
+    else:
+        if start and start[1] > tol:
+            sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
+        w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
+        defect, residual = _complementarity(dop.A, dop.diag, w_flat, g_flat)
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= tol * max(scale, 1.0)

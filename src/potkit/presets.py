@@ -1,14 +1,15 @@
 """Shipped experiment presets, one per acceptance scenario.
 
-Each preset is a complete config dict (see config.CONFIG_SCHEMA); the
-bundled verification suite consumes them by name, and the CLI accepts
-``--preset NAME`` anywhere a config file is accepted.
+Each preset is a complete config dict (see config.CONFIG_SCHEMA); ``get_preset``
+returns a validated copy.  The verification suite consumes them by name, and
+the CLI accepts ``--preset NAME`` anywhere a config file is accepted.
 """
 
 from __future__ import annotations
 
 import copy
 
+from .config import validate_config
 from .errors import ConfigError
 
 _DISK = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2}
@@ -197,4 +198,4 @@ def get_preset(name: str) -> dict:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; available: {known}")
-    return copy.deepcopy(PRESETS[name])
+    return validate_config(copy.deepcopy(PRESETS[name]))

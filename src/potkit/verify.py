@@ -1,9 +1,10 @@
 """Bundled verification suite: one check per acceptance scenario.
 
-Each check builds its inputs from the shipped presets, runs the relevant
-toolkit operations at the pinned tolerances and returns a CriterionResult.
-The CLI ``verify`` subcommand and the acceptance test module both consume
-this; a failing check exits the CLI with status 2.
+Each check runs the CLI's computations on the shipped presets: the config
+driver, and the CLI's own ``tail_curves`` (criteria 2-4) and
+``maximal_check`` (criterion 13).  It returns a CriterionResult; the CLI
+``verify`` subcommand and the acceptance test module both consume these,
+and a failing check exits the CLI with status 2.
 """
 
 from __future__ import annotations
@@ -16,20 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (build_domain, build_eta, build_measure, build_operator,
-                     build_rho, grid_widths, validate_config)
+from . import cli
+from .config import (build_eta, build_grid_operator, build_problem, build_rho,
+                     build_solution, grid_widths)
 from .discrete import assemble, discrete_green
-from .envelope import (d1_norm, envelope_field, harmonic_extension, reduite,
-                       tail_curve)
+from .envelope import harmonic_extension, reduite
 from .geometry import Domain, GridField, build_grid
 from .kernels import OperatorSpec, green
-
 from .presets import STOCHASTIC_PRESETS, get_preset
 from .reconstruct import (kink_integral, local_energy, reconstruct_mu_c, sigma,
                           theta_n)
-from .solve import integral_solution
-from .stochastic import (class_d_diagnostic, maximal_inequality_check,
-                         reducing_expectation)
+from .stochastic import class_d_diagnostic, reducing_expectation
 
 QUARTER_PI_INV = 1.0 / (4.0 * math.pi)      # <R^D rho, delta_0> on the unit disk
 REDUCING_EXACT = 3.0 * math.log(2.0) / (8.0 * math.pi)
@@ -48,28 +46,24 @@ class CriterionResult:
         return f"[{tag}] criterion {self.cid:2d} ({self.name}): {self.details}"
 
 
-def _solution_from_preset(name: str):
-    cfg = validate_config(get_preset(name))
-    dom = build_domain(cfg)
-    op = build_operator(cfg)
-    mu = build_measure(cfg, dom)
-    sol = integral_solution(op, dom, mu)
-    return cfg, dom, op, mu, sol
+def _preset_solution(name: str) -> tuple:
+    """(config, domain, u) of a shipped preset."""
+    cfg = get_preset(name)
+    dom, op, mu = build_problem(cfg)
+    return cfg, dom, build_solution(cfg, dom, op, mu)
 
 
 def criterion_01() -> CriterionResult:
     """Discrete Green vs closed form on the interval; error and order."""
     t0 = time.time()
     cfg = get_preset("kernel-interval-order")
-    dom = build_domain(cfg)
-    op = build_operator(cfg)
+    dom, op, _ = build_problem(cfg)
     exact = green(op, dom, 0.25, 0.5)
     errs = []
     for h in grid_widths(cfg):
-        grid = build_grid(dom, h)
-        dop = assemble(op, grid)
+        dop = build_grid_operator(cfg, dom, op, h)
         col = discrete_green(dop, np.array([0.5]))
-        errs.append(abs(col.values[grid.nearest_node(0.25)] - exact))
+        errs.append(abs(col.values[dop.grid.nearest_node(0.25)] - exact))
     errs = np.asarray(errs)
     fine_ok = errs[-1] <= 5e-4
     if np.all(errs <= 1e-12):
@@ -91,14 +85,9 @@ def criterion_01() -> CriterionResult:
 def criterion_02() -> CriterionResult:
     """Diffuse tails vanish exactly above the bounded potential's sup."""
     t0 = time.time()
-    ok_parts = []
-    details = []
+    ok_parts, details = [], []
     for preset in ("tail-disk-density", "tail-interval-dirac"):
-        cfg, dom, op, mu, sol = _solution_from_preset(preset)
-        h = grid_widths(cfg)[0]
-        dop = assemble(op, build_grid(dom, h))
-        rho = build_rho(cfg, dom)
-        tc = tail_curve(sol, dop, rho, cfg["levels"])
+        [(_, tc)] = cli.tail_curves(get_preset(preset))
         zero = bool(np.all(tc.values == 0.0))
         ok_parts.append(zero and tc.verdict == "diffuse-like")
         details.append(f"{preset}: T={tc.values.tolist()} verdict={tc.verdict}")
@@ -110,14 +99,8 @@ def criterion_02() -> CriterionResult:
 def criterion_03() -> CriterionResult:
     """Concentrated tail: disk Dirac within 10% at the finest grid, improving."""
     t0 = time.time()
-    cfg, dom, op, mu, sol = _solution_from_preset("tail-disk-dirac")
-    rho = build_rho(cfg, dom)
-    target = QUARTER_PI_INV
-    max_err = []
-    for h in grid_widths(cfg):
-        dop = assemble(op, build_grid(dom, h))
-        tc = tail_curve(sol, dop, rho, cfg["levels"], tol=1e-9)
-        max_err.append(float(np.max(np.abs(tc.values - target) / target)))
+    max_err = [float(np.max(np.abs(tc.values - QUARTER_PI_INV) / QUARTER_PI_INV))
+               for _, tc in cli.tail_curves(get_preset("tail-disk-dirac"))]
     dt = time.time() - t0
     fine_ok = max_err[-1] <= 0.10
     monotone = bool(np.all(np.diff(max_err) < 0))
@@ -130,13 +113,8 @@ def criterion_03() -> CriterionResult:
 def criterion_04() -> CriterionResult:
     """Mixed measure: tails nonincreasing, gap to the atom mass halves."""
     t0 = time.time()
-    cfg, dom, op, mu, sol = _solution_from_preset("tail-disk-mixed")
-    h = grid_widths(cfg)[0]
-    dop = assemble(op, build_grid(dom, h))
-    rho = build_rho(cfg, dom)
-    tc = tail_curve(sol, dop, rho, cfg["levels"], tol=1e-9)
-    target = QUARTER_PI_INV
-    gaps = np.abs(tc.values - target)
+    [(_, tc)] = cli.tail_curves(get_preset("tail-disk-mixed"))
+    gaps = np.abs(tc.values - QUARTER_PI_INV)
     noninc = bool(np.all(np.diff(tc.values) <= 1e-8))
     halves = bool(gaps[-1] <= 0.5 * gaps[0])
     dt = time.time() - t0
@@ -149,7 +127,7 @@ def criterion_04() -> CriterionResult:
 def criterion_05() -> CriterionResult:
     """Local window energy of the disk Dirac equals 1 within 1%."""
     t0 = time.time()
-    cfg, dom, op, mu, sol = _solution_from_preset("reconstruct-local-disk-dirac")
+    cfg, dom, sol = _preset_solution("reconstruct-local-disk-dirac")
     eta = build_eta(cfg, dom)
     val = local_energy(sol, eta, 0.25)
     dt = time.time() - t0
@@ -161,7 +139,7 @@ def criterion_05() -> CriterionResult:
 def criterion_06() -> CriterionResult:
     """Nonlocal window energy converges to the atom mass within 0.15."""
     t0 = time.time()
-    cfg, dom, op, mu, sol = _solution_from_preset("reconstruct-nonlocal-interval")
+    cfg, dom, sol = _preset_solution("reconstruct-nonlocal-interval")
     eta = build_eta(cfg, dom)
     rep = reconstruct_mu_c(sol, eta, cfg["levels"],
                            rel_tol=cfg["tolerances"]["quad_rel"])
@@ -228,10 +206,9 @@ def criterion_09() -> CriterionResult:
     """Projection algebra: restriction and nesting identities on a disk grid."""
     t0 = time.time()
     cfg = get_preset("grid-identities")
-    dom = build_domain(cfg)
-    op = build_operator(cfg)
-    grid = build_grid(dom, grid_widths(cfg)[0])
-    dop = assemble(op, grid)
+    dom, op, _ = build_problem(cfg)
+    dop = build_grid_operator(cfg, dom, op)
+    grid = dop.grid
     rng = np.random.default_rng(cfg["seed"])
     pts = grid.interior_points()
     worst = 0.0
@@ -251,18 +228,14 @@ def criterion_09() -> CriterionResult:
         worst = max(worst, float(np.max(np.abs(hVW.values - hW.values))))
         # restriction: potential solved on W minus its V-extension equals the
         # potential solved on V, for mass supported in V
+        idxV, idxW = np.flatnonzero(V), np.flatnonzero(W)
         rhs = np.zeros(dop.n)
-        inside = np.where(V)[0]
-        rhs[inside[rng.integers(len(inside), size=3)]] = 1.0 / grid.cell_volume()
+        rhs[idxV[rng.integers(len(idxV), size=3)]] = 1.0 / grid.cell_volume()
         uW = np.zeros(dop.n)
-        idxW = np.where(W)[0]
         uW[idxW] = dop.solve(rhs[idxW], on=idxW)
-        uV = np.zeros(dop.n)
-        idxV = np.where(V)[0]
-        uV[idxV] = dop.solve(rhs[idxV], on=idxV)
         hV = harmonic_extension(dop, V, GridField.from_interior(grid, uW))
-        resid = (uW - hV.interior_values()) - uV
-        worst = max(worst, float(np.max(np.abs(resid[idxV]))))
+        resid = (uW - hV.interior_values())[idxV] - dop.solve(rhs[idxV], on=idxV)
+        worst = max(worst, float(np.max(np.abs(resid))))
     dt = time.time() - t0
     return CriterionResult(9, "grid identities", bool(worst <= 1e-9),
                            f"max residual {worst:.2e} over 5 nested pairs", dt)
@@ -294,7 +267,7 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Stopped expectation along the reducing family, disk Dirac benchmark."""
     t0 = time.time()
-    cfg, dom, op, mu, sol = _solution_from_preset("mc-reducing-disk")
+    cfg, dom, sol = _preset_solution("mc-reducing-disk")
     est = reducing_expectation(sol, k=cfg["k"], n=cfg["n"], start=cfg["start"],
                                n_samples=cfg["samples"], seed=cfg["seed"])
     dt = time.time() - t0
@@ -310,7 +283,7 @@ def criterion_12() -> CriterionResult:
     """Class-(D) verdicts for the bounded and Dirac presets."""
     t0 = time.time()
     details = []
-    cfgb, domb, opb, mub, solb = _solution_from_preset("mc-classd-bounded")
+    cfgb, domb, solb = _preset_solution("mc-classd-bounded")
     diagb = class_d_diagnostic(solb, cfgb["family"], cfgb["levels"],
                                rho=build_rho(cfgb, domb),
                                n_samples=cfgb["samples"], seed=cfgb["seed"])
@@ -320,7 +293,7 @@ def criterion_12() -> CriterionResult:
     ok_b = diagb.verdict == "class-D" and zeros
     details.append(f"bounded: verdict={diagb.verdict}, exact zeros above sup={zeros}")
 
-    cfgd, domd, opd, mud, sold = _solution_from_preset("mc-classd-dirac")
+    cfgd, domd, sold = _preset_solution("mc-classd-dirac")
     diagd = class_d_diagnostic(sold, cfgd["family"], cfgd["levels"],
                                rho=build_rho(cfgd, domd),
                                n_samples=cfgd["samples"], seed=cfgd["seed"],
@@ -338,17 +311,9 @@ def criterion_12() -> CriterionResult:
 def criterion_13() -> CriterionResult:
     """Pathwise maximal inequality on both presets."""
     t0 = time.time()
-    details = []
-    ok = True
+    details, ok = [], True
     for preset in ("mc-maximal-bounded", "mc-maximal-interval-dirac"):
-        cfg, dom, op, mu, sol = _solution_from_preset(preset)
-        h = grid_widths(cfg)[0]
-        dop = assemble(op, build_grid(dom, h))
-        u_abs, _, _ = envelope_field(sol, dop)
-        rho = build_rho(cfg, dom)
-        d1 = d1_norm(dop, u_abs, rho(dop.grid.interior_points()))
-        est = maximal_inequality_check(sol, d1, rho=rho,
-                                       n_samples=cfg["samples"], seed=cfg["seed"])
+        est, _ = cli.maximal_check(get_preset(preset))
         ok &= est.extra["passed"]
         details.append(f"{preset}: E sup^0.5 = {est.value:.4f} vs bound "
                        f"{est.extra['bound']:.4f} (margin {est.extra['margin']:.4f})")

@@ -8,8 +8,10 @@ import pytest
 import yaml
 
 from potkit import cli as cli_mod
+from potkit import config as config_mod
 from potkit.cli import main
-from potkit.config import validate_config
+from potkit.config import (build_grid_operator, build_problem, build_solution,
+                           validate_config)
 from potkit.presets import PRESETS, get_preset
 
 
@@ -93,9 +95,9 @@ def _cold_reduite(path):
     from the obstacle itself (no warm start)."""
     from potkit.envelope import envelope_field, reduite, tail_obstacle
     cfg = validate_config(yaml.safe_load(read(path)))
-    dom, op, mu = cli_mod._build_all(cfg)
-    dop = cli_mod._grid_operator(cfg, dom, op)
-    u_abs, nodes, _ = envelope_field(cli_mod._solution(cfg, dom, op, mu, dop), dop)
+    dom, op, mu = build_problem(cfg)
+    dop = build_grid_operator(cfg, dom, op)
+    u_abs, nodes, _ = envelope_field(build_solution(cfg, dom, op, mu, dop), dop)
     return reduite(dop, tail_obstacle(u_abs, nodes, cfg.get("n", 1.0), dop.grid))
 
 
@@ -344,11 +346,11 @@ def test_every_preset_solution_is_closed_form(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assemble called")
 
-    monkeypatch.setattr(cli_mod, "assemble", no_assembly)
+    monkeypatch.setattr(config_mod, "assemble", no_assembly)
     for name in sorted(PRESETS):
         cfg = validate_config(get_preset(name))
-        dom, op, mu = cli_mod._build_all(cfg)
-        sol = cli_mod._solution(cfg, dom, op, mu)
+        dom, op, mu = build_problem(cfg)
+        sol = build_solution(cfg, dom, op, mu)
         assert sol.closed, name
 
 
@@ -453,6 +455,103 @@ def test_verify_single_criterion(tmp_path, capsys):
     assert "criterion  8" in text
     rep = json.loads(read(os.path.join(out, "verify_report.json")))
     assert rep["all_passed"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--criteria", "15"], "--criteria: '15' is not a criterion id"),
+    (["verify", "--criteria", "3,15"], "--criteria: '15' is not a criterion id"),
+    (["verify", "--criteria", "8,x"], "--criteria: 'x' is not a criterion id"),
+    (["constants", "--alpha", "2"], "--alpha: "),
+    (["constants", "--alpha", "0"], "--alpha: "),
+    (["constants", "--alpha", "3"], "--alpha: "),
+    (["constants", "--dim", "0"], "--dim: "),
+], ids=["criteria-15", "criteria-3,15", "criteria-8,x", "alpha-2", "alpha-0", "alpha-3",
+        "dim-0"])
+def test_out_of_range_arguments_exit_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+    from potkit import verify as verify_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(verify_mod, "run_criteria", no_run)
+    monkeypatch.setattr(cli_mod, "constants_table", no_run)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] == "verify" else []
+    assert main(argv + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == "" and not out.exists()
+
+
+def _canned_curve(values):
+    """A TailCurve no grid computes: its values and verdict show up in a
+    criterion's details only if the criterion reads them."""
+    from potkit.envelope import TailCurve
+    values = np.asarray(values, dtype=float)
+    return TailCurve(levels=np.arange(1.0, values.size + 1.0), values=values,
+                     resolvable=np.ones(values.size, dtype=bool),
+                     sweeps=np.zeros(values.size, dtype=int),
+                     policy_steps=np.zeros(values.size, dtype=int),
+                     limit_estimate=float(values[-1]), target=0.0, verdict="canned")
+
+
+@pytest.mark.parametrize("cid,presets,values,passed,shown", [
+    (2, ["tail-disk-density", "tail-interval-dirac"], [[0.0, 0.0]], False,
+     "T=[0.0, 0.0] verdict=canned"),
+    (3, ["tail-disk-dirac"], [[1.3 / (4 * np.pi)], [1.2 / (4 * np.pi)],
+                              [1.05 / (4 * np.pi)]], True,
+     "['30.000%', '20.000%', '5.000%']"),
+    (4, ["tail-disk-mixed"], [[0.2, 0.15, 0.1]], True, "T=[0.2, 0.15, 0.1]"),
+], ids=["criterion_02", "criterion_03", "criterion_04"])
+def test_tail_criteria_judge_the_cli_tail_curves(monkeypatch, cid, presets, values,
+                                                 passed, shown):
+    """Criteria 2-4 take every number they judge from ``cli.tail_curves``
+    on their presets, one curve per grid width."""
+    from potkit.config import grid_widths
+    from potkit.verify import ALL_CRITERIA
+    seen = []
+
+    def canned(cfg):
+        seen.append(cfg["name"])
+        return [(h, _canned_curve(v)) for h, v in zip(grid_widths(cfg), values)]
+
+    monkeypatch.setattr(cli_mod, "tail_curves", canned)
+    result = ALL_CRITERIA[cid]()
+    assert seen == presets
+    assert result.passed is passed and shown in result.details
+
+
+def test_maximal_criterion_judges_the_cli_maximal_check(monkeypatch):
+    """Criterion 13 takes its estimate and bound from ``cli.maximal_check``
+    on both presets."""
+    from potkit.stochastic import McEstimate
+    from potkit.verify import ALL_CRITERIA
+    seen = []
+
+    def canned(cfg):
+        seen.append(cfg["name"])
+        extra = {"passed": len(seen) == 1, "bound": 0.125, "margin": -0.375}
+        return McEstimate(value=0.5, stderr=0.0, n_samples=2, extra=extra), 1.0 / 256
+
+    monkeypatch.setattr(cli_mod, "maximal_check", canned)
+    result = ALL_CRITERIA[13]()
+    assert seen == ["mc-maximal-bounded", "mc-maximal-interval-dirac"]
+    assert not result.passed
+    assert result.details.count("E sup^0.5 = 0.5000 vs bound 0.1250 "
+                                "(margin -0.3750)") == 2
+
+
+def test_tail_curves_are_the_tail_subcommand_values(tmp_path):
+    """``cli.tail_curves`` gives ``potkit tail``'s JSON values bit for bit."""
+    out = str(tmp_path / "out")
+    assert main(["tail", "--preset", "tail-disk-mixed", "--out", out, "--quiet"]) == 0
+    rep = json.loads(read(os.path.join(out, "tail_disk_mixed.json")))
+    curves = cli_mod.tail_curves(get_preset("tail-disk-mixed"))
+    assert len(curves) == len(rep["results"]) == 1
+    for (h, tc), (key, block) in zip(curves, rep["results"].items()):
+        assert h == float(key)
+        assert tc.values.tolist() == block["values"]
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

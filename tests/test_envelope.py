@@ -721,6 +721,39 @@ def test_exact_start_is_returned_without_a_sweep(monkeypatch):
     assert np.array_equal(res.envelope.values, np.maximum(w0, g))
 
 
+@pytest.mark.parametrize("start,calls", [("exact", 1), ("dips-below-g", 3)])
+def test_exact_start_computes_its_complementarity_once(monkeypatch, start, calls):
+    """An exact start on or above g is the envelope: one complementarity pass
+    makes the start test, the reported residual and the continuation set.
+    A start within tol that dips below g keeps the policy step-0 test and
+    the residual of max(w0, g)."""
+    sol, dop, _, levels = _tail_case("one-atom-disk")
+    inside = dop.grid.interior_mask
+    field = envelope_field(sol, dop)
+    g = envelope_mod.tail_obstacle(field[0], field[1], levels[0], dop.grid)
+    w0 = envelope_mod.reduite_start(g, field)
+    if start == "dips-below-g":
+        w0 = w0.copy()
+        w0[field[1][0]] -= 1e-12          # the atom's node, where w0 = g
+    complementarity = envelope_mod._complementarity
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return complementarity(*args)
+
+    monkeypatch.setattr(envelope_mod, "_complementarity", counting)
+    res = reduite(dop, g, tol=1e-10, w0=w0)
+    assert len(counted) == calls
+    assert (res.iterations, res.policy_steps) == (0, 0)
+    w = np.maximum(w0, g)[inside]
+    assert np.array_equal(res.envelope.interior_values(), w)
+    defect, residual = complementarity(dop.A, dop.diag, w, g[inside])
+    assert res.residual == residual
+    scale = max(float(np.max(np.abs(w))), 1.0)
+    assert np.array_equal(res.continuation[inside], defect <= 1e-10 * scale)
+
+
 @pytest.mark.parametrize("case", RELAX_CASES)
 @pytest.mark.parametrize("start", ["obstacle", "half-obstacle"])
 def test_inexact_start_sweeps_as_before(case, start):
@@ -741,14 +774,14 @@ def test_inexact_start_sweeps_as_before(case, start):
 
 
 def test_tail_disk_mixed_reduites_are_exact(monkeypatch):
-    """Criterion 4's tail curve (tail-disk-mixed, h = 2^-7, tol 1e-9): every
-    level's reduite ends at complementarity residual <= 1e-12 within two
-    policy steps after its PSOR warm start."""
-    from potkit.config import build_rho, grid_widths
-    from potkit.verify import _solution_from_preset
-    cfg, dom, op, _, sol = _solution_from_preset("tail-disk-mixed")
-    assert grid_widths(cfg)[0] == 2.0**-7
-    dop = assemble(op, build_grid(dom, 2.0**-7))
+    """Criterion 4's tail curve (``potkit tail`` on tail-disk-mixed, h = 2^-7,
+    tol 1e-10): every level's reduite ends at complementarity residual
+    <= 1e-12 within two policy steps after its PSOR warm start."""
+    from potkit.cli import tail_curves
+    from potkit.config import grid_widths
+    from potkit.presets import get_preset
+    cfg = get_preset("tail-disk-mixed")
+    assert grid_widths(cfg) == [2.0**-7]
     results = []
     solve_reduite = envelope_mod.reduite
 
@@ -757,7 +790,7 @@ def test_tail_disk_mixed_reduites_are_exact(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(envelope_mod, "reduite", recorded)
-    tail_curve(sol, dop, build_rho(cfg, dom), cfg["levels"], tol=1e-9)
+    tail_curves(cfg)
     assert len(results) == len(cfg["levels"])
     assert max(r.residual for r in results) <= 1e-12
     assert max(r.policy_steps for r in results) <= 2
