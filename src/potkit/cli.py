@@ -8,9 +8,10 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
-never depend on it.  The size of the BLAS thread pool, set by the
-environment (``OPENBLAS_NUM_THREADS``), reaches only the dense fractional
-solves and the nonlocal jump quadrature; no preset's output depends on it.
+never depend on it.  No solve calls BLAS, so the size of the BLAS thread
+pool, set by the environment (``OPENBLAS_NUM_THREADS``), reaches only the
+matrix products of the nonlocal jump quadrature; no preset's output
+depends on it.
 """
 
 from __future__ import annotations
@@ -139,6 +140,7 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     dom, op, mu = build_problem(cfg)
+    rho = build_rho(cfg, dom)
     hs = grid_widths(cfg)
     grid = build_lattice(cfg, dom, hs[-1] if hs else dom.diameter / 64.0)
     sol = build_solution(cfg, dom, op, mu)
@@ -152,7 +154,6 @@ def cmd_solve(args) -> int:
     write_csv(os.path.join(out, f"{prefix}.csv"), header, rows,
               comments=["integral solution u(x); u = 0 off the domain",
                         "evaluation at a concentrated atom reports inf"])
-    rho = build_rho(cfg, dom)
     summary = {
         "l1_rho_norm": l1_rho_norm(sol, rho(grid.interior_points()), grid),
         "total_variation": total_variation(mu, dom),

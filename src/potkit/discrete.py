@@ -6,30 +6,55 @@ The fractional operator in 1d uses exact per-cell integrals of the jump
 kernel against a piecewise-constant ansatz, with everything outside the
 interior cell union folded into the killing term, so the assembled matrix
 is a symmetric M-matrix and the one-step kernel P = I - D^{-1} A is
-sub-stochastic exactly.
+sub-stochastic exactly.  Its jumps depend only on the lattice offset
+between two nodes, so the fractional operator is applied and solved
+matrix-free, by FFT convolution with that offset table.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from numpy.fft import irfftn, rfftn
+from scipy.linalg import toeplitz
 
 from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
 from .geometry import Grid, GridField, build_grid, lattice_shifts
 from .kernels import OperatorSpec, frac_constant, killing_density
 
 _CG_RTOL = 1e-12
+_FRACTIONAL_RTOL = 1e-14   # fractional solves: the policy iteration's residual rests on them
 _CG_MAX_ITERS = 1_000
 _COARSE_MAX = 4_000        # V-cycle levels stop at this many unknowns
 _JACOBI_OMEGA = 0.8
 _SMOOTH_SWEEPS = 2         # damped-Jacobi sweeps before and after each coarse correction
 _FRACTIONAL_DENSE_MAX = 6_000
+
+
+@dataclass
+class LatticeKernel:
+    """The jump kernel of a fractional operator as a lattice convolution.
+
+    The offset table T holds the jump weight of every lattice offset on a
+    box of the first power of two at or above twice the interior's extent
+    per axis, in FFT order (offset o at index o mod box), so the box
+    circulant of T applied to interior values is the exact
+    sum_j T[i - j] x_j.  Kept: the box shape,
+    the flat box index of each interior node (``at``), the rfft of T
+    (``k_hat``), the inverse symbol 1 / (d_max - k_hat) of the box
+    circulant C that preconditions A, and the scaling s = sqrt(d_max / diag).
+    """
+
+    box: tuple
+    at: np.ndarray
+    k_hat: np.ndarray
+    c_inv: np.ndarray
+    scale: np.ndarray
 
 
 @dataclass
@@ -43,14 +68,16 @@ class DiscreteOperator:
     strictly so wherever mass leaks to boundary nodes (local operators) or
     through jumps/killing (fractional).
 
-    The dense fractional operator keeps the Cholesky factor of A that its
-    first solve builds, so ``A`` must not be written after the first solve.
+    The fractional operator also keeps its ``kernel``: A x = diag x - K * x
+    on the interior nodes, the convolution taken by FFT.  Its solves and
+    ``apply`` use the kernel, never the stored A.
     """
 
     grid: Grid
     op: OperatorSpec
     A: sp.csr_matrix
     diag: np.ndarray                      # flat interior diagonal of A
+    kernel: LatticeKernel | None = field(default=None, repr=False)
 
     @property
     def is_local(self) -> bool:
@@ -60,20 +87,12 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_interior
 
-    def dense_view(self) -> np.ndarray:
-        """``A`` as an (n, n) array that shares the CSR data, for an
-        operator that stores every entry row by row in column order (the
-        dense fractional one); raises for any other storage."""
-        n = self.n
-        if self.A.nnz != n * n or not self.A.has_sorted_indices:
-            raise AssemblyError("operator does not store every entry of A")
-        return self.A.data.reshape(n, n)
-
-    @cached_property
-    def _dense_solver(self):
-        """x = A^{-1} b by the Cholesky factor of the dense A (of a copy),
-        factored by the first solve that needs it and kept from then on."""
-        return _factor(self.dense_view().copy())
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a flat interior vector x; by the kernel's convolution for
+        the fractional operator."""
+        if self.kernel is None:
+            return self.A @ x
+        return _kernel_apply(self.kernel, self.diag, self.kernel.at, x)
 
     def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
         """Deterministic linear solve A x = rhs, local and fractional alike;
@@ -82,25 +101,22 @@ class DiscreteOperator:
         on c with zero data off c.  A malformed ``on``, or a right-hand side
         whose length is not |c|, raises ``SupportError``.
 
-        The dense non-local operator is factored once (``_dense_solver``).
-        A full system is solved with that factor.  A block on c, with S the
-        n - |c| nodes off c, is solved with it too while the capacitance
-        correction costs fewer flops than factoring the block,
-        2 n^2 (|S| + 1) <= |c|^3 / 3 (Buzbee, Dorr, George & Golub, SIAM J.
-        Numer. Anal. 8, 1971; the Woodbury identity): one triangular solve
-        pair with the n x (|S| + 1) right-hand side [b on c, 0 on S | E_S]
-        gives y and Z, and x = y_c - Z_cS Z_SS^{-1} y_S.  A block with a
-        larger S gets a dense Cholesky of A[c, c].
+        A fractional system or block runs CG (``_pcg``) to relative residual
+        ``_FRACTIONAL_RTOL``, matrix-free: A[c, c] x is diag x minus the
+        kernel's convolution of x, read on c, and the preconditioner is the
+        scaled box circulant s C^{-1} s, restricted to c in the same way
+        (Chan & Ng, SIAM Review 38, 1996).  In 1d the diagonal is constant,
+        so s = 1 and A is the section of C on the interior.
 
         A local system or block of at most ``_COARSE_MAX`` unknowns is
         factored directly (SuperLU of a copy).  Everything else runs CG
-        (``_pcg``) to relative residual ``_CG_RTOL``, preconditioned by one
+        to relative residual ``_CG_RTOL``, preconditioned by one
         V-cycle (``_hierarchy``) of the matrix it solves: A for a full
         system, and for a block the embedded K A K + diag(1_S diag A), K =
         diag(1_c) and S the nodes off c, with the right-hand side zero on S:
         it is SPD and block diagonal, so x is zero on S and A[c, c]^{-1} rhs
-        on c.  No local solve calls BLAS; the dense fractional ones do, so
-        only their last digits can follow the size of the BLAS thread pool.
+        on c.  No solve calls BLAS, so no result depends on the size of the
+        BLAS thread pool.
         """
         n = self.n
         c = np.arange(n) if on is None else np.asarray(on)
@@ -111,19 +127,11 @@ class DiscreteOperator:
             raise SupportError(f"right-hand side of shape {np.shape(rhs_flat)} for a "
                                f"system of {c.size} unknowns")
         if not self.is_local:
-            if on is None:
-                return self._dense_solver(rhs_flat)
-            off = np.ones(n, dtype=bool)
-            off[c] = False
-            S = np.flatnonzero(off)
-            if 6 * n * n * (S.size + 1) > c.size ** 3:
-                return _factor(self.dense_view()[np.ix_(c, c)])(rhs_flat)
-            B = np.zeros((n, S.size + 1), order="F")
-            B[c, 0] = rhs_flat
-            B[S, np.arange(1, S.size + 1)] = 1.0
-            Y = self._dense_solver(B, overwrite_b=True, check_finite=False)
-            y, Z = Y[:, 0], Y[:, 1:]
-            return y[c] - Z[c] @ np.linalg.solve(Z[S], y[S])
+            kern = self.kernel
+            at, s = kern.at[c], kern.scale[c]
+            x, _ = _pcg(partial(_kernel_apply, kern, self.diag[c], at), rhs_flat,
+                        partial(_circulant_solve, kern, s, at), _FRACTIONAL_RTOL)
+            return x
         if c.size <= _COARSE_MAX:
             return _factor(self.A[c][:, c])(rhs_flat)
         A, b = self.A, rhs_flat
@@ -135,31 +143,47 @@ class DiscreteOperator:
             b = np.zeros(n)
             b[c] = rhs_flat
         levels, bottom = _hierarchy(self.grid, A)
-        x, _ = _pcg(A, b, partial(_vcycle, levels, bottom))
+        x, _ = _pcg(A.dot, b, partial(_vcycle, levels, bottom))
         return x[c]
 
 
-def _factor(M):
-    """Solver x = M^{-1} b for a symmetric positive definite M that the
-    caller hands over: SuperLU for a sparse M, otherwise a Cholesky in place
-    of the dense array (its transpose is the same matrix in the Fortran
-    order that LAPACK factors without a copy), whose solver passes keyword
-    arguments on to ``cho_solve``.  The right-hand side is overwritten only
-    when the caller passes ``overwrite_b=True``."""
-    if sp.issparse(M):
-        return spla.factorized(M.tocsc())
-    return partial(cho_solve, cho_factor(M.T, overwrite_a=True))
+def _box_convolve(box: tuple, at: np.ndarray, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The circulant of ``symbol`` on the box applied to x placed at the
+    flat box indices ``at`` (zero elsewhere), read back at ``at``."""
+    v = np.zeros(box)
+    v.reshape(-1)[at] = x
+    axes = tuple(range(len(box)))
+    return irfftn(rfftn(v) * symbol, s=box, axes=axes).reshape(-1)[at]
 
 
-def _pcg(A, b: np.ndarray, precond) -> tuple:
+def _kernel_apply(kern: LatticeKernel, d: np.ndarray, at: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """d x - K * x at the box nodes ``at``: the principal block of A on
+    them, for d the diagonal of A there."""
+    return d * x - _box_convolve(kern.box, at, kern.k_hat, x)
+
+
+def _circulant_solve(kern: LatticeKernel, s: np.ndarray, at: np.ndarray,
+                     r: np.ndarray) -> np.ndarray:
+    """s C^{-1} s r at the box nodes ``at``: SPD, as a section of the SPD
+    s C^{-1} s on the box."""
+    return s * _box_convolve(kern.box, at, kern.c_inv, s * r)
+
+
+def _factor(M: sp.spmatrix):
+    """SuperLU solver x = M^{-1} b of a sparse nonsingular M (of a copy)."""
+    return spla.factorized(M.tocsc())
+
+
+def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL) -> tuple:
     """Preconditioned conjugate gradients for the SPD system A x = b from
-    x = 0, with ``precond(r)`` applying the SPD preconditioner, until
-    ||r|| <= ``_CG_RTOL`` ||b||.  Returns (x, iterations); raises
-    ``ConvergenceError`` after ``_CG_MAX_ITERS`` iterations.  Inner
+    x = 0, with ``matvec(p)`` applying A and ``precond(r)`` the SPD
+    preconditioner, until ||r|| <= ``rtol`` ||b||.  Returns (x, iterations);
+    raises ``ConvergenceError`` after ``_CG_MAX_ITERS`` iterations.  Inner
     products run in einsum's own loop, not BLAS, so neither x nor the
     cost depends on the BLAS thread pool."""
     x, r = np.zeros_like(b), b.copy()
-    bound = _CG_RTOL * np.sqrt(np.einsum("i,i", b, b))
+    bound = rtol * np.sqrt(np.einsum("i,i", b, b))
     p = rz_prev = None
     for it in range(_CG_MAX_ITERS):
         if np.sqrt(np.einsum("i,i", r, r)) <= bound:
@@ -167,12 +191,12 @@ def _pcg(A, b: np.ndarray, precond) -> tuple:
         z = precond(r)
         rz = np.einsum("i,i", r, z)
         p = z if p is None else z + (rz / rz_prev) * p
-        q = A @ p
+        q = matvec(p)
         alpha = rz / np.einsum("i,i", p, q)
         x += alpha * p
         r -= alpha * q
         rz_prev = rz
-    raise ConvergenceError(f"CG did not reach relative residual {_CG_RTOL:g} "
+    raise ConvergenceError(f"CG did not reach relative residual {rtol:g} "
                            f"within {_CG_MAX_ITERS} iterations")
 
 
@@ -308,6 +332,9 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
 
 
 def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
+    """The fractional operator from one table of jump weights per lattice
+    offset, which fills the stored A and is the kernel's convolution; the
+    diagonal adds the killing of jumps that leave the interior."""
     alpha = op.alpha
     dim, h = grid.dim, grid.h
     n = grid.n_interior
@@ -317,27 +344,32 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
             f"{_FRACTIONAL_DENSE_MAX}")
     pts = grid.interior_points()
     c = frac_constant(alpha, dim)
+    lattice = np.nonzero(grid.interior_mask)          # interior multi-indices, flat order
+    box = tuple(1 << int(2 * (ix.max() - ix.min()) + 1).bit_length() for ix in lattice)
+    # the signed lattice offset of every box index, per axis, in FFT order
+    offsets = np.meshgrid(*[(np.arange(L) + L // 2) % L - L // 2 for L in box],
+                          indexing="ij", sparse=True)
 
     if dim == 1:
-        # the 1-d interior is one run of consecutive lattice nodes in flat
-        # order, so nodes i and j sit |i - j| cells apart and W is Toeplitz;
         # exact cell integrals of the kernel: w_k = (c/alpha)[((k-1/2)h)^-a - ((k+1/2)h)^-a]
-        x = pts[:, 0]
-        k = np.arange(1.0, n)
-        w = np.zeros(n)
-        w[1:] = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
-        W = toeplitz(w)
+        k = np.maximum(np.abs(offsets[0]), 1).astype(float)
+        table = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
+        table[0] = 0.0
+        # the 1-d interior is one run of consecutive lattice nodes in flat
+        # order, so nodes i and j sit |i - j| cells apart and W is Toeplitz
+        W = toeplitz(table[:n])
         # killing: everything outside the interior cell union, exactly
+        x = pts[:, 0]
         x_lo = x[0] - 0.5 * h
         x_hi = x[-1] + 0.5 * h
         kill = (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
     else:
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        r2 = sum((o * h) ** 2 for o in offsets)
         with np.errstate(divide="ignore"):
-            W = c * h**dim * d2 ** (-(dim + alpha) / 2.0)
-        np.fill_diagonal(W, 0.0)
-        kill = killing_density(alpha, grid.domain, pts)
-        kill = np.atleast_1d(kill)
+            table = c * h**dim * r2 ** (-(dim + alpha) / 2.0)
+        table[(0,) * dim] = 0.0
+        W = table[tuple((ix[:, None] - ix[None, :]) % L for ix, L in zip(lattice, box))]
+        kill = np.atleast_1d(killing_density(alpha, grid.domain, pts))
 
     diag = W.sum(axis=1) + kill
     A_dense = np.negative(W, out=W)
@@ -345,7 +377,24 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     # every entry is stored: fill the CSR arrays from the dense block directly
     A = sp.csr_matrix((A_dense.ravel(), np.tile(np.arange(n, dtype=np.int32), n),
                        np.arange(0, n * n + 1, n, dtype=np.int32)), shape=(n, n))
-    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag)
+    at = np.ravel_multi_index(tuple(ix - ix.min() for ix in lattice), box)
+    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag,
+                            kernel=_lattice_kernel(table, at, diag))
+
+
+def _lattice_kernel(table: np.ndarray, at: np.ndarray, diag: np.ndarray) -> LatticeKernel:
+    """The kernel of an offset table on its box, with the circulant
+    preconditioner of symbol d_max - k_hat, d_max the largest diagonal
+    entry; a symbol that is not positive raises ``AssemblyError``."""
+    k_hat = rfftn(table).real
+    d_max = float(np.max(diag))
+    symbol = d_max - k_hat
+    if not np.min(symbol) > 0.0:
+        raise AssemblyError(
+            f"circulant preconditioner symbol is not positive (min {np.min(symbol):.3e}): "
+            f"the jump weights on the box outweigh the largest diagonal entry {d_max:.3e}")
+    return LatticeKernel(box=table.shape, at=at, k_hat=k_hat, c_inv=1.0 / symbol,
+                         scale=np.sqrt(d_max / diag))
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,11 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
         f"sweeps (last update {update:.3e})")
 
 
-def _complementarity(A, d: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple:
-    """(A w / d, max |min(w - g, A w / d)|): the defect of w and its
-    complementarity residual against the obstacle g, 0 without unknowns."""
-    defect = (A @ w) / d
+def _complementarity(dop: DiscreteOperator, w: np.ndarray, g: np.ndarray) -> tuple:
+    """(A w / d, max |min(w - g, A w / d)|), d = diag(A): the defect of w
+    and its complementarity residual against the obstacle g, 0 without
+    unknowns."""
+    defect = dop.apply(w) / dop.diag
     return defect, float(np.max(np.abs(np.minimum(w - g, defect)), initial=0.0))
 
 
@@ -182,7 +183,6 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  Returns
     (w, policy steps), with w >= g bit for bit.
     """
-    A, d = (dop.A if dop.is_local else dop.dense_view()), dop.diag
     stop = None
     for step in range(_MAX_POLICY_STEPS + 1):
         if step:
@@ -190,8 +190,8 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
             c = np.flatnonzero(~stop)
             if c.size:
                 # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
-                w[c] = dop.solve(-(A @ w)[c], on=c)
-        defect, residual = _complementarity(A, d, w, g)
+                w[c] = dop.solve(-dop.apply(w)[c], on=c)
+        defect, residual = _complementarity(dop, w, g)
         new_stop = (w - g) <= defect
         if residual <= tol or np.array_equal(new_stop, stop):
             return np.maximum(w, g), step
@@ -229,7 +229,7 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
     sweeps = steps = 0
-    start = _complementarity(dop.A, dop.diag, w_flat, g_flat) if dop.is_local else None
+    start = _complementarity(dop, w_flat, g_flat) if dop.is_local else None
     if start and start[1] <= tol and np.all(w_flat >= g_flat):
         # an exact start on or above g is the envelope: keep its defect
         w_flat, (defect, residual) = np.maximum(w_flat, g_flat), start
@@ -237,7 +237,7 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
         if start and start[1] > tol:
             sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
         w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
-        defect, residual = _complementarity(dop.A, dop.diag, w_flat, g_flat)
+        defect, residual = _complementarity(dop, w_flat, g_flat)
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= tol * max(scale, 1.0)
@@ -265,7 +265,7 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
     out = g_flat.copy()
     if V_flat.any():
         idx = np.flatnonzero(V_flat)
-        out[idx] = dop.solve(-(dop.A @ np.where(V_flat, 0.0, g_flat))[idx], on=idx)
+        out[idx] = dop.solve(-dop.apply(np.where(V_flat, 0.0, g_flat))[idx], on=idx)
     return GridField.from_interior(grid, out)
 
 

@@ -290,6 +290,19 @@ def test_missing_or_empty_run_field_named(tmp_path, capsys, command, preset, fie
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+def test_solve_with_a_bad_rho_writes_nothing(tmp_path, capsys):
+    """``potkit solve`` builds rho before it writes: a rho without its value
+    exits 1, names the field and leaves --out empty."""
+    cfg = get_preset("tail-interval-dirac")
+    del cfg["rho"]["value"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    assert "config field 'rho.value'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mc_reducing_rejects_fractional_config(tmp_path, capsys):
     # the reducing walk is Brownian: a fractional solution must not get its numbers
     cfg = get_preset("reconstruct-nonlocal-interval")

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, green,
-                    harmonic_extension)
+                    harmonic_extension, reduite)
 from potkit import discrete
 from potkit.errors import AssemblyError, ConvergenceError, SupportError
+from potkit.geometry import GridField
 from potkit.kernels import frac_constant
 
 LAP = OperatorSpec.laplacian()
@@ -168,21 +171,8 @@ def test_fractional_assembly_ball(alpha, dom, h):
     assert np.all(np.asarray(A.sum(axis=1)).ravel() > 0.0)
 
 
-@pytest.fixture
-def factored(monkeypatch):
-    """Record the shape of every dense Cholesky factorization."""
-    shapes = []
-    cho_factor = discrete.cho_factor
-
-    def counting_cho_factor(a, **kwargs):
-        shapes.append(a.shape)
-        return cho_factor(a, **kwargs)
-    monkeypatch.setattr(discrete, "cho_factor", counting_cho_factor)
-    return shapes
-
-
 def _frac_interval():
-    """The dense fractional operator on the h = 2^-8 interval (n = 511)."""
+    """The fractional operator on the h = 2^-8 interval (n = 511)."""
     return assemble(OperatorSpec.fractional(0.5),
                     build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
 
@@ -192,55 +182,131 @@ def _off(dop, S):
     return np.setdiff1d(np.arange(dop.n), S)
 
 
-def test_fractional_solve_cholesky_bottom(monkeypatch, cg_calls, factored):
-    """The dense fractional operator is factored whole once, by its first
-    solve, and that factor serves every later full solve and small-S block
-    solve on the operator; it is never solved by CG, also with the coarsest
-    V-cycle level lowered below its size."""
+def test_fractional_solve_matches_spsolve(cg_calls, no_factor):
+    """A full fractional solve is one matrix-free CG solve, to 1e-12 of a
+    sparse direct solve, and factors nothing."""
     dop = _frac_interval()
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(dop.n)
+    rhs = np.random.default_rng(5).standard_normal(dop.n)
     ref = spla.spsolve(dop.A.tocsc(), rhs)
-    for coarse_max in (discrete._COARSE_MAX, 200):
-        monkeypatch.setattr(discrete, "_COARSE_MAX", coarse_max)
-        x = dop.solve(rhs)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        for k in (1, 3):
-            c = _off(dop, rng.choice(dop.n, k, replace=False))
-            dop.solve(rhs[c], on=c)
-    assert factored == [(dop.n, dop.n)]
-    assert cg_calls == []
+    x = dop.solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(cg_calls) == 1 and cg_calls[0] <= 20
 
 
 @pytest.mark.parametrize("S", [[200], [0, 255, 510]])
-def test_capacitance_block_solve(factored, S):
-    """A block that leaves |S| = 1 or 3 nodes out is solved with the factor
-    of the whole A by the capacitance correction, to 1e-12 of a Cholesky of
-    A[c, c], leaving A and the right-hand side as they were."""
+def test_fractional_block_solve(cg_calls, no_factor, S):
+    """A block that leaves |S| = 1 or 3 nodes out is one matrix-free CG
+    solve, to 1e-12 of a Cholesky of A[c, c], leaving A and the right-hand
+    side as they were."""
     dop = _frac_interval()
     c = _off(dop, S)
     rhs = np.random.default_rng(6).standard_normal(c.size)
     A_data, rhs_before = dop.A.data.copy(), rhs.copy()
     x = dop.solve(rhs, on=c)
-    assert factored == [(dop.n, dop.n)]
-    block = dop.dense_view()[np.ix_(c, c)]
-    ref = cho_solve(cho_factor(block), rhs)
+    assert len(cg_calls) == 1
+    ref = cho_solve(cho_factor(dop.A.toarray()[np.ix_(c, c)]), rhs)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(dop.A.data, A_data)
     assert np.array_equal(rhs, rhs_before)
 
 
-def test_block_solve_flop_rule(factored):
-    """2 n^2 (|S| + 1) <= |c|^3 / 3 picks the capacitance correction with
-    the factor of A; one node more in S factors the block A[c, c]."""
+FRAC_KERNEL_CASES = {
+    "interval-0.5": (0.5, Domain.interval(-1.0, 1.0), 2.0**-10),
+    "interval-1.9": (1.9, Domain.interval(-0.3, 2.1), 0.013),
+    "disk-0.5": (0.5, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-4),
+    "disk-1.5": (1.5, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-4),
+    "ball3-0.8": (0.8, Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 0.25),
+}
+
+
+@pytest.mark.parametrize("case", FRAC_KERNEL_CASES)
+def test_kernel_convolution_matches_a(case):
+    """The kernel's FFT convolution is the stored A within 1e-14, on every
+    node and on a principal block, and the circulant symbol is positive."""
+    alpha, dom, h = FRAC_KERNEL_CASES[case]
+    dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, h))
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(dop.n)
+    ref = dop.A @ x
+    assert np.linalg.norm(dop.apply(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+    c = np.flatnonzero(rng.random(dop.n) < 0.5)
+    kern = dop.kernel
+    ref = dop.A[c][:, c] @ x[c]
+    got = discrete._kernel_apply(kern, dop.diag[c], kern.at[c], x[c])
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.all(1.0 / kern.c_inv > 0.0)
+    if dom.dim == 1:
+        assert np.max(np.abs(kern.scale - 1.0)) <= 1e-14
+
+
+def test_nonpositive_symbol_raises():
+    """A diagonal too small for the box's jump weights leaves the circulant
+    without a positive symbol, which is refused by name."""
     dop = _frac_interval()
-    n = dop.n
-    k = max(k for k in range(n) if 2 * n**2 * (k + 1) <= (n - k) ** 3 / 3)
-    rng = np.random.default_rng(7)
-    for size in (k, k + 1):
-        c = _off(dop, rng.choice(n, size, replace=False))
-        dop.solve(np.ones(c.size), on=c)
-    assert factored == [(n, n), (n - k - 1, n - k - 1)]
+    kern = dop.kernel
+    table = np.fft.irfft(kern.k_hat, n=kern.box[0])
+    with pytest.raises(AssemblyError, match="symbol is not positive"):
+        discrete._lattice_kernel(table, kern.at, 0.5 * dop.diag)
+
+
+def _jacobi_iterations(dop, b):
+    """CG iterations with the Jacobi preconditioner instead of the
+    circulant; the budget if it is not enough."""
+    kern = dop.kernel
+    try:
+        return discrete._pcg(partial(discrete._kernel_apply, kern, dop.diag, kern.at), b,
+                             lambda r: r / dop.diag, discrete._FRACTIONAL_RTOL)[1]
+    except ConvergenceError:
+        return discrete._CG_MAX_ITERS
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_interval_solve_iterations_are_bounded(cg_calls, alpha):
+    """On the n = 2,047 interval the circulant-preconditioned CG takes at
+    most 20 iterations for every alpha (8-12); Jacobi needs more than 20
+    (75 at alpha 0.5, over the 1,000-iteration budget at 1.9)."""
+    dop = assemble(OperatorSpec.fractional(alpha), build_grid(Domain.interval(-1.0, 1.0),
+                                                               2.0**-10))
+    assert dop.n == 2_047
+    b = np.random.default_rng(10).standard_normal(dop.n)
+    x = dop.solve(b)
+    assert cg_calls[0] <= 20
+    assert np.linalg.norm(dop.A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert _jacobi_iterations(dop, b) > 20
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_disk_solve_iterations_are_bounded(cg_calls, alpha):
+    """On the h = 2^-5 disk (3,205 unknowns, diagonal spread up to 20x)
+    the scaled circulant keeps CG within 150 iterations (22 and 89)."""
+    dop = assemble(OperatorSpec.fractional(alpha),
+                   build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5))
+    assert dop.n == 3_205
+    b = np.ones(dop.n)
+    x = dop.solve(b)
+    assert cg_calls[0] <= 150
+    assert np.linalg.norm(dop.A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_dropped_fractional_operator_is_freed():
+    """An operator that has solved, block-solved and run a reduite holds no
+    reference cycle: dropping it frees it at once, kernel and all."""
+    gc.collect()
+    gc.disable()
+    try:
+        dop = _frac_interval()
+        x = dop.grid.interior_points()[:, 0]
+        dop.solve(np.ones(dop.n))
+        dop.solve(np.ones(dop.n - 1), on=_off(dop, [100]))
+        assert reduite(dop, GridField.from_interior(dop.grid, np.maximum(0.3 - x * x, 0.0))
+                       ).policy_steps >= 1
+        kernel = weakref.ref(dop.kernel)
+        dropped = weakref.ref(dop)
+        del dop
+        assert dropped() is None and kernel() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fractional_green_consistency():
@@ -456,23 +522,56 @@ print(dop.n, res.iterations, res.policy_steps, digest.hexdigest())
 """
 
 
-def test_grid_outputs_do_not_depend_on_blas_threads():
-    """A disk Dirac at h = 2^-6 (12,849 unknowns, above the coarsest level):
-    its Green column (one V-cycle-preconditioned CG solve) and the cold
-    reduite of its n = 0.5 tail obstacle (PSOR, then a policy step whose
-    block solve is CG again) have the same bytes at 1 and 2 BLAS threads.
-    The dense fractional path is left out: its Cholesky solves and the
-    matrix products of the jump quadrature call BLAS, whose summation order
-    follows the thread count."""
+def _probe_at_threads(probe):
+    """The probe's output in a fresh interpreter at 1 and at 2 BLAS and
+    OpenMP threads."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     lines = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        lines.append(subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+        lines.append(subprocess.run([sys.executable, "-c", probe], env=env,
                                     capture_output=True, text=True, check=True).stdout)
+    return lines
+
+
+def test_grid_outputs_do_not_depend_on_blas_threads():
+    """A disk Dirac at h = 2^-6 (12,849 unknowns, above the coarsest level):
+    its Green column (one V-cycle-preconditioned CG solve) and the cold
+    reduite of its n = 0.5 tail obstacle (PSOR, then a policy step whose
+    block solve is CG again) have the same bytes at 1 and 2 BLAS threads.
+    The fractional path has its own gate below."""
+    lines = _probe_at_threads(_THREADS_PROBE)
     n, sweeps, steps, _ = lines[0].split()
     assert int(n) == 12_849 and int(sweeps) > 0 and int(steps) >= 1
+    assert lines[0] == lines[1]
+
+
+_FRACTIONAL_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from potkit import Domain, OperatorSpec, assemble, build_grid, discrete_green, reduite
+from potkit.geometry import GridField
+dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-8))
+column = discrete_green(dop, np.array([0.3]))
+x = dop.grid.interior_points()[:, 0]
+g = np.maximum(0.2 - (x - 0.4) ** 2, 0.0)
+g[dop.n // 4] = 0.35
+res = reduite(dop, GridField.from_interior(dop.grid, g))
+digest = hashlib.sha256(column.values.tobytes())
+digest.update(res.envelope.values.tobytes())
+print(dop.n, res.policy_steps, digest.hexdigest())
+"""
+
+
+def test_fractional_outputs_do_not_depend_on_blas_threads():
+    """The fractional interval at h = 2^-8 (n = 511): its Green column and
+    the reduite of a bump with an isolated peak (policy steps whose block
+    solves are matrix-free CG as well) have the same bytes at 1 and 2 BLAS
+    threads.  Dense Cholesky solves gave different bytes."""
+    lines = _probe_at_threads(_FRACTIONAL_THREADS_PROBE)
+    n, steps, _ = lines[0].split()
+    assert int(n) == 511 and int(steps) >= 1
     assert lines[0] == lines[1]
 
 
@@ -517,17 +616,6 @@ def test_operator_matrix_is_csr(op):
     dop = assemble(op, build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
     assert sp.issparse(dop.A)
     assert dop.A.format == "csr"
-
-
-def test_dense_view_shares_the_csr_data(interval_dop):
-    """The dense fractional operator's CSR arrays hold A row by row, so the
-    (n, n) view is A itself without a copy; sparse storage is refused."""
-    dop = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
-    A = dop.dense_view()
-    assert np.shares_memory(A, dop.A.data)
-    assert np.array_equal(A, dop.A.toarray())
-    with pytest.raises(AssemblyError):
-        interval_dop.dense_view()
 
 
 def test_only_discrete_factors_a():
