@@ -10,8 +10,9 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 all solvers and samplers are single-threaded by construction, so outputs
 never depend on it.  No solve calls BLAS, so the size of the BLAS thread
 pool, set by the environment (``OPENBLAS_NUM_THREADS``), reaches only the
-matrix products of the nonlocal jump quadrature; no preset's output
-depends on it.
+matrix products of the nonlocal jump quadrature.  Their bits do move with
+it (``ReconstructionReport.traces`` at 1 against 2 threads), but no
+preset's output does.
 """
 
 from __future__ import annotations
@@ -274,9 +275,7 @@ def cmd_mc(args) -> int:
         verdict = {"passed": est.extra["passed"], "bound": est.extra["bound"],
                    "margin": est.extra["margin"], "d1_norm": d1}
         results = {"estimate": est.value, "stderr": est.stderr,
-                   "draws": est.extra["draws"],
-                   "walk_iterations": est.extra["walk_iterations"],
-                   "path_steps": est.extra["path_steps"]}
+                   "draws": est.extra["draws"]}
     else:
         dom, op, mu = build_problem(cfg)
         sol = build_solution(cfg, dom, op, mu)

@@ -133,7 +133,8 @@ class Domain:
         return list(self.bounds)
 
     def distance_to_boundary(self, x) -> np.ndarray:
-        """Distance from interior points to the boundary (used by samplers)."""
+        """Distance from interior points to the boundary: the radius of
+        ``stable_exit``'s ball jumps.  A rectangle's mask is ignored."""
         pts = self._check_points(x)
         if self.kind == "interval":
             d = np.minimum(pts[:, 0] - self.a, self.b - pts[:, 0])

@@ -1,19 +1,21 @@
-"""Exit-time Monte Carlo: the Brownian walk-on-spheres, exact stable-process
-exits by ball jumps, reducing-family stopped expectations, class-(D)
-uniform-integrability diagnostics, and the pathwise maximal inequality.
+"""Exit-time Monte Carlo: exact stable-process exits by ball jumps,
+reducing-family stopped expectations, class-(D) uniform-integrability
+diagnostics, and the pathwise maximal inequality.
 
 Stable exits jump from the centre of the largest ball inside D to an exact
 draw from that ball's Blumenthal-Getoor-Ray exit law until they land outside
-D, so they carry no time-step bias; ``stable_exit`` ignores a ``dt``.
+D, so they carry no time-step bias; ``stable_exit`` ignores a ``dt``.  It is
+the one walk in this module.
 
-The reducing and class-(D) estimators walk nothing: whether Brownian motion
-from x reaches the level sphere |x - c| = r_k before the boundary |x - c| = R
-is a Bernoulli variable with the closed-form parameter of the radial harmonic
-function phi (log r if d = 2, else -r^(2-d)), so each walker that starts
-outside the level ball costs one uniform draw, however small r_k is.  The
-same hit law gives the smallest radius a path reaches, so the maximal
-inequality draws its path supremum exactly, one uniform per start, where u
-is radial and nonincreasing in r; elsewhere it walks on spheres.
+The Brownian estimators walk nothing, and are exact or refuse: whether
+Brownian motion from x reaches the level sphere |x - c| = r_k before the
+boundary |x - c| = R is a Bernoulli variable with the closed-form parameter
+of the radial harmonic function phi (log r if d = 2, else -r^(2-d)), so each
+walker that starts outside the level ball costs one uniform draw, however
+small r_k is.  The same hit law gives the smallest radius a path reaches, so
+the maximal inequality draws its path supremum exactly, one uniform per
+start, where u is radial and nonincreasing in r.  A solution outside these
+rules raises SupportError before any draw.
 
 Determinism: every sampler takes a seed (an int, or a Generator to draw
 from) and drives a single PCG64 stream through vectorized draws, so
@@ -38,85 +40,14 @@ from .errors import ConvergenceError, DimensionMismatchError, SupportError
 from .geometry import Domain
 from .solve import Solution, level_radius
 
-_EPS_ABS_FACTOR = 1e-6    # outer-boundary shell: 1e-6 * diameter
-_WOS_MAX_ITERS = 100_000  # walk-on-spheres iteration budget
+_WOS_MAX_ITERS = 100_000  # stable-walk iteration budget
 
-
-def _walk(cur: np.ndarray, stop, step, max_iters: int, on_step=None):
-    """Advance the walkers ``cur`` (n, d) in place until each one stops;
-    returns (loop iterations, path steps): the ``step`` calls and the walkers
-    they moved.
-
-    Every iteration evaluates ``stop`` on the live walkers' positions, which
-    returns the stopped mask and a per-walker quantity (or None), drops the
-    stopped walkers from the live index array, and moves the rest by
-    ``step(positions, quantity)`` with the quantity sliced to them, so a
-    distance is computed once per iteration; ``on_step(live, new_positions)``
-    then sees them.  Live walkers stay in index order, so a step's random
-    draws keep the same order and size as a full-width mask would give.
-    """
-    live = np.arange(cur.shape[0])
-    path_steps = 0
-    for it in range(max_iters):
-        pos = cur[live]
-        stopped, quantity = stop(pos)
-        moving = ~stopped
-        live, pos = live[moving], pos[moving]
-        if live.size == 0:
-            return it, path_steps
-        pos = pos + step(pos, None if quantity is None else quantity[moving])
-        cur[live] = pos
-        path_steps += live.size
-        if on_step is not None:
-            on_step(live, pos)
-    raise ConvergenceError(f"walk exceeded its budget of {max_iters} iterations "
-                           f"with {live.size} walkers still moving")
-
-
-# ---------------------------------------------------------------------------
-# walk-on-spheres
-# ---------------------------------------------------------------------------
 
 def _unit_directions(rng, n: int, d: int) -> np.ndarray:
     if d == 1:
         return rng.choice([-1.0, 1.0], size=(n, 1))
     z = rng.standard_normal((n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _start_points(x, n_samples: Optional[int]) -> np.ndarray:
-    """A fresh array of the start rows of x, a single point repeated
-    n_samples times; the stable walk moves it in place."""
-    pts = np.array(x, dtype=float, ndmin=2)
-    if n_samples is not None and pts.shape[0] == 1:
-        pts = np.repeat(pts, n_samples, axis=0)
-    return pts
-
-
-def _check_unmasked(dom: Domain, sampler: str) -> None:
-    """Walk-on-spheres steps by ``Domain.distance_to_boundary``, which
-    measures to a rectangle's faces and ignores its mask: on a masked
-    rectangle the balls would cross the removed part."""
-    if dom.mask is not None:
-        raise SupportError(f"{sampler} does not support a masked rectangle: its "
-                           "distance to the boundary ignores the mask")
-
-
-def _wos_walk(dom: Domain, pts: np.ndarray, rng, on_step=None):
-    """Walk-on-spheres of the rows of ``pts`` in place: each walker jumps to
-    a uniform point of the largest sphere about it inside D (radius
-    ``dom.distance_to_boundary``) until it is within 1e-6 * diameter of the
-    boundary.  Returns ``_walk``'s (loop iterations, path steps)."""
-    eps = _EPS_ABS_FACTOR * dom.diameter
-
-    def stop(p):
-        dist = dom.distance_to_boundary(p)
-        return dist <= eps, dist
-
-    def step(p, dist):
-        return dist[:, None] * _unit_directions(rng, p.shape[0], dom.dim)
-
-    return _walk(pts, stop, step, _WOS_MAX_ITERS, on_step=on_step)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +135,42 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
     ``dt`` is accepted and ignored: the walk has no time step.  It stays in
     the signature for callers that still pass one, and they get the same
     landings as without it.
+
+    The walk measures its balls by ``Domain.distance_to_boundary``, which
+    ignores a rectangle's mask, so a masked rectangle raises SupportError.
+    Each iteration drops the landed walkers from an index array kept in
+    order, so a jump's draws have the order and size a full-width mask would
+    give; a walker still inside after ``_WOS_MAX_ITERS`` iterations raises
+    ConvergenceError.
     """
     if not 0.0 < alpha < 2.0:
         raise SupportError(f"stable exits need 0 < alpha < 2, got alpha={alpha}")
-    _check_unmasked(dom, "stable_exit")
+    if dom.mask is not None:
+        raise SupportError("stable_exit does not support a masked rectangle: its "
+                           "distance to the boundary ignores the mask")
     rng = np.random.default_rng(seed)
-    cur = _start_points(x, n_samples)
+    cur = np.array(x, dtype=float, ndmin=2)
+    if n_samples is not None and cur.shape[0] == 1:
+        cur = np.repeat(cur, n_samples, axis=0)
     if not np.all(dom.contains(cur)):
         raise SupportError("stable walk starts must be interior")
     d = cur.shape[1]
-
-    def step(p, rho):
-        t = rng.beta(alpha / 2.0, 1.0 - alpha / 2.0, p.shape[0])
+    live = np.arange(cur.shape[0])
+    for _ in range(_WOS_MAX_ITERS):
+        pos = cur[live]
+        inside = dom.contains(pos)
+        live, pos = live[inside], pos[inside]
+        if live.size == 0:
+            return cur
+        t = rng.beta(alpha / 2.0, 1.0 - alpha / 2.0, live.size)
         if not np.all(t > 0.0):
             raise SupportError(
                 f"a Beta({alpha / 2.0:g}, {1.0 - alpha / 2.0:g}) draw underflowed to 0 "
                 f"at alpha={alpha:g}: the stable jump would be infinite")
-        return (rho / np.sqrt(t))[:, None] * _unit_directions(rng, p.shape[0], d)
-
-    _walk(cur, lambda p: (~dom.contains(p), dom.distance_to_boundary(p)), step,
-          _WOS_MAX_ITERS)
-    return cur
+        rho = dom.distance_to_boundary(pos)
+        cur[live] = pos + (rho / np.sqrt(t))[:, None] * _unit_directions(rng, live.size, d)
+    raise ConvergenceError(f"stable walk exceeded its budget of {_WOS_MAX_ITERS} "
+                           f"iterations with {live.size} walkers still moving")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +224,9 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
 def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
     """Rejection sampling of the start distribution rho * m, under the bound
     1.2 x the max of rho over 4,096 probes of the bounding box; a candidate
-    where rho exceeds that bound raises SupportError naming rho."""
+    where rho exceeds that bound raises SupportError naming rho, and so does
+    a rho with no positive value at the probes inside D, which would reject
+    every candidate."""
     box = dom.bounding_box
     d = dom.dim
     out = np.empty((n_samples, d))
@@ -289,7 +237,10 @@ def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
         probe = np.column_stack([rng.uniform(lo, hi, 4096) for lo, hi in box])
         inside = dom.contains(probe)
         vals = np.asarray(rho_fn(probe[inside]), dtype=float)
-        rho_max = float(vals.max()) * 1.2 if vals.size else 1.0
+        if not np.any(vals > 0.0):
+            raise SupportError("rho has no positive value at its 4,096 probes of the "
+                               "domain: rejection sampling would never accept a start")
+        rho_max = float(vals.max()) * 1.2
     while have < n_samples:
         m = max(2 * (n_samples - have), 1024)
         cand = np.column_stack([rng.uniform(lo, hi, m) for lo, hi in box])
@@ -337,14 +288,19 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
     extrapolation of its row, or exactly 0 for a solution with no
     concentrated atom, whose bounded potential makes every k > sup u stop at
     the boundary value 0; ``limit_basis`` names the rule used.  Fewer than
-    2 samples raise SupportError before any draw.
+    2 samples, an empty ``family`` or ``levels``, or a solution the reducing
+    family cannot sample (``_radial_profile``) raise SupportError before any
+    draw.
     """
     _check_samples(n_samples)
+    for name, values in (("family", family), ("levels", levels)):
+        if len(values) == 0:
+            raise SupportError(f"{name} must hold at least one value")
+    _radial_profile(solution)
     rng = np.random.default_rng(seed)
-    dom = solution.dom
     levels = np.asarray(sorted(float(v) for v in levels))
     family = np.asarray(sorted(float(v) for v in family))
-    starts = sample_start_points(dom, rho, n_samples, rng)
+    starts = sample_start_points(solution.dom, rho, n_samples, rng)
 
     stopped = []
     draws = 0
@@ -393,16 +349,20 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
 
 
 def _monotone_profile(solution: Solution):
-    """``_radial_profile`` of a closed-form solution on a ball or interval whose
-    measure is radial and nonnegative (atom weights and density value >= 0),
-    where u >= 0 is radial and nonincreasing in r = |x - c|; None otherwise."""
+    """``_radial_profile`` of a closed-form Laplacian solution on a ball or
+    interval whose measure is radial and nonnegative (atom weights and
+    density value >= 0), where u >= 0 is radial and nonincreasing in
+    r = |x - c|; SupportError naming that rule otherwise."""
+    _check_laplacian(solution, "maximal_inequality_check")
     mu, dom = solution.measure, solution.dom
-    if not solution.closed or dom.kind == "rectangle" or \
-            not _is_radial(mu, dom.as_ball().center):
-        return None
-    if any(w < 0.0 for _, w in mu.atoms) or \
-            (mu.density is not None and mu.density.value < 0.0):
-        return None
+    if not (solution.closed and dom.kind != "rectangle"
+            and _is_radial(mu, dom.as_ball().center)
+            and all(w >= 0.0 for _, w in mu.atoms)
+            and (mu.density is None or mu.density.value >= 0.0)):
+        raise SupportError(
+            "maximal_inequality_check draws the path supremum exactly only for a "
+            "closed-form laplacian solution on a ball or interval whose measure is "
+            "radial (atoms at the center, a radial density) and nonnegative")
     return _radial_profile(solution)
 
 
@@ -445,43 +405,22 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     estimate <= bound + 3 stderr.  Fewer than 2 samples raise SupportError
     before any draw.
 
-    The starts are drawn from rho first.  For a closed-form solution on a ball
-    or interval whose measure is radial and nonnegative, u is radial and
-    nonincreasing in r = |x - c|, so the path supremum is u(m) at the path's
-    smallest radius m, drawn exactly from its hit law by
-    ``_smallest_radius_values``: the estimate is unbiased, ``extra["draws"]``
-    is n_samples and nothing walks.  Where u(m) is not finite (a planar
-    atom at the center, whose payoff has infinite variance) that raises
-    SupportError naming the profile's resolution.  Any other solution (a
-    rectangle, a measure that is signed or not radial, a grid solution) keeps
-    the walk-on-spheres (``_wos_walk``), tracking |u| only at the walk's
-    positions, so its estimate lower-bounds the true one; a non-finite |u| at
-    a position counts as 0.  ``extra`` reports ``draws`` (0 on the walk), and
-    the walk's ``walk_iterations`` and ``path_steps`` (0 on the exact draw).
+    The support is checked before any draw (``_monotone_profile``): a
+    closed-form Laplacian solution on a ball or interval whose measure is
+    radial and nonnegative, else SupportError naming that rule.  There u is
+    radial and nonincreasing in r = |x - c|, so the path supremum is u(m) at
+    the path's smallest radius m: the starts are drawn from rho, then m
+    exactly from its hit law by ``_smallest_radius_values``, one uniform per
+    start, so the estimate is unbiased and ``extra["draws"]`` is n_samples.
+    Where u(m) is not finite (a planar atom at the center, whose payoff has
+    infinite variance) that raises SupportError naming the profile's
+    resolution.
     """
     _check_samples(n_samples)
-    dom = solution.dom
-    _check_laplacian(solution, "maximal_inequality_check")
-    _check_unmasked(dom, "maximal_inequality_check")
+    ball, profile = _monotone_profile(solution)
     rng = np.random.default_rng(seed)
-    pts = sample_start_points(dom, rho, n_samples, rng)
-    radial = _monotone_profile(solution)
-    if radial is not None:
-        running = _smallest_radius_values(*radial, pts, rng)
-        draws, iterations, path_steps = n_samples, 0, 0
-    else:
-        running = np.abs(np.asarray(solution.evaluate(pts), dtype=float))
-        running[~np.isfinite(running)] = 0.0
-
-        def track(live, p):
-            v = np.abs(np.asarray(solution.evaluate(p), dtype=float))
-            v[~np.isfinite(v)] = 0.0
-            running[live] = np.maximum(running[live], v)
-
-        iterations, path_steps = _wos_walk(dom, pts, rng, on_step=track)
-        draws = 0
-
-    payoff = np.sqrt(running)
+    pts = sample_start_points(solution.dom, rho, n_samples, rng)
+    payoff = np.sqrt(_smallest_radius_values(ball, profile, pts, rng))
     est = float(np.mean(payoff))
     stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_samples))
     bound = 2.0 * d1_value ** 0.5
@@ -489,5 +428,4 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     return McEstimate(value=est, stderr=stderr, n_samples=n_samples,
                       extra={"bound": float(bound), "passed": bool(passed),
                              "margin": float(bound + 3.0 * stderr - est),
-                             "draws": draws, "walk_iterations": iterations,
-                             "path_steps": path_steps})
+                             "draws": n_samples})

@@ -208,9 +208,9 @@ def test_mc_classd_maximal_report_walk_counts(tmp_path, mode, preset):
         assert 0 < res["draws"] <= 20_000 * 3
         assert "walk_iterations" not in res
     else:
-        # one exact smallest-radius draw per start, and no walk
+        # one exact smallest-radius draw per start; nothing walks, so no walk counts
         assert res["draws"] == 20_000
-        assert res["walk_iterations"] == res["path_steps"] == 0
+        assert "walk_iterations" not in res and "path_steps" not in res
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -13,8 +13,7 @@ from potkit.presets import get_preset
 from potkit.solve import grid_solution, integral_solution, level_radius
 from potkit.stochastic import (class_d_diagnostic, maximal_inequality_check,
                                reducing_expectation, sample_start_points,
-                               stopped_values, _radial_profile, _walk,
-                               _wos_walk)
+                               stopped_values, _radial_profile)
 
 LAP = OperatorSpec.laplacian()
 DISK = Domain.ball([0.0, 0.0], 1.0, 2)
@@ -22,47 +21,6 @@ DISK = Domain.ball([0.0, 0.0], 1.0, 2)
 L_SHAPE = Domain.rectangle([(0.0, 1.0), (0.0, 1.0)],
                            mask=lambda p: ~((p[:, 0] > 0.5) & (p[:, 1] > 0.5)))
 EXACT_REDUCING = 3.0 * math.log(2.0) / (8.0 * math.pi)
-
-
-def _wos_stops(dom, x, seed, n_samples):
-    """Stopped positions of n_samples walk-on-spheres walkers from x."""
-    pts = np.tile(np.asarray(x, dtype=float), (n_samples, 1))
-    _wos_walk(dom, pts, np.random.default_rng(seed))
-    return pts
-
-
-@pytest.mark.parametrize("dim,x", [(2, [0.35, -0.2]), (3, [0.1, 0.4, -0.3])])
-def test_wos_ball_exit_harmonic_mean(dim, x):
-    # coordinates are harmonic: the mean stopped position must reproduce the start
-    dom = Domain.ball([0.0] * dim, 1.0, dim)
-    pts = _wos_stops(dom, x, seed=7, n_samples=60_000)
-    r = np.linalg.norm(pts, axis=1)
-    assert np.all(np.abs(r - 1.0) <= 1e-6 * dom.diameter)
-    for k in range(dim):
-        se = pts[:, k].std() / math.sqrt(len(pts))
-        assert abs(pts[:, k].mean() - x[k]) < 3.5 * se
-
-
-def test_wos_near_boundary_concentrates():
-    x = np.array([0.9, 0.0])
-    pts = _wos_stops(DISK, x, seed=13, n_samples=20_000)
-    dist = np.linalg.norm(pts - [1.0, 0.0], axis=1)
-    assert dist.mean() < DISK.diameter / 4.0
-    # cross-check the mean displacement against Poisson-kernel quadrature
-    val, _ = integrate.quad(
-        lambda th: poisson_kernel(LAP, DISK, x, [math.cos(th), math.sin(th)])
-        * np.linalg.norm([math.cos(th) - 1.0, math.sin(th)]),
-        0.0, 2.0 * math.pi, limit=200)
-    se = dist.std() / math.sqrt(len(dist))
-    assert abs(dist.mean() - val) < 3.5 * se
-
-
-def test_wos_rectangle_lands_on_boundary():
-    # every walker stops inside D, in the shell within 1e-6 * diameter of a face
-    dom = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
-    pts = _wos_stops(dom, [0.4, 1.0], seed=3, n_samples=2_000)
-    dist = dom.distance_to_boundary(pts)
-    assert np.all((dist >= 0.0) & (dist <= 1e-6 * dom.diameter))
 
 
 def test_stable_exit_outside_and_symmetric():
@@ -207,7 +165,7 @@ def _ball_walk_annulus(center, R, r_inner, x0, rng):
         rho = np.minimum(R - r, r - r_inner)
         return rho[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
 
-    _walk(cur, stop, step, 100_000)
+    _mask_walk(cur, stop, step, 100_000)
     return (np.linalg.norm(cur - center, axis=1) - r_inner) <= eps_in
 
 
@@ -385,23 +343,23 @@ def test_stopped_values_counts_its_draws(case):
 
 
 def test_reducing_and_class_d_never_walk(disk_dirac_solution, monkeypatch):
-    # the level-sphere hit is a closed-form Bernoulli draw: a spy on the walk
-    # loop sees no call, while the maximal inequality still walks through it
-    calls = []
-    walk = stochastic._walk
-    monkeypatch.setattr(stochastic, "_walk",
-                        lambda *a, **kw: calls.append(1) or walk(*a, **kw))
+    # the level-sphere hit and the smallest radius are closed-form draws: a
+    # spy on the walk's direction draws sees no call from any estimator
+    calls = _count_directions(monkeypatch)
     uniform_disk = lambda p: np.full(len(p), 1 / math.pi)
+    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
     reducing_expectation(disk_dirac_solution, k=4.0, n=1.0, start=[0.5, 0.0],
                          n_samples=1_000, seed=4)
     class_d_diagnostic(disk_dirac_solution, family=[2.0, 4.0], levels=[0.25, 0.5],
                        rho=uniform_disk, n_samples=1_000, seed=4)
     reducing_expectation(_interval_atom_solution(), k=0.1, n=0.05, start=[0.2],
                          n_samples=1_000, seed=4)
+    est = maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
+                                   n_samples=1_000, seed=4)
+    assert est.extra["draws"] == 1_000
+    maximal_inequality_check(_interval_atom_solution(), d1_value=0.125,
+                             rho=lambda p: np.ones(len(p)), n_samples=1_000, seed=4)
     assert calls == []
-    maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
-                             rho=lambda p: np.full(len(p), 0.5), n_samples=100, seed=4)
-    assert calls == [1]
 
 
 def test_stderr_scaling(disk_dirac_solution):
@@ -489,25 +447,6 @@ def test_class_d_reports_walk_counts(disk_dirac_solution, monkeypatch):
     assert calls == []
 
 
-def test_maximal_reports_walk_counts(monkeypatch):
-    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
-    calls = _count_directions(monkeypatch)
-    est = maximal_inequality_check(sol, d1_value=0.125,
-                                   rho=lambda p: np.full(len(p), 1 / math.pi),
-                                   n_samples=1_000, seed=8)
-    # the disk's path supremum is one exact draw per start: nothing walks
-    assert est.extra["draws"] == 1_000
-    assert est.extra["walk_iterations"] == est.extra["path_steps"] == 0
-    assert calls == []
-    # a rectangle keeps the walk, and reports its counts
-    est = maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
-                                   rho=lambda p: np.full(len(p), 0.5),
-                                   n_samples=1_000, seed=8)
-    assert est.extra["draws"] == 0
-    assert est.extra["walk_iterations"] == len(calls) > 0
-    assert est.extra["path_steps"] == sum(calls)
-
-
 # E sqrt(u(m)) by 400 x 400 Gauss quadrature of the smallest-radius law
 DISK_MAXIMAL_EXACT = 0.40035
 INTERVAL_DIRAC_MAXIMAL_EXACT = 0.41667
@@ -567,24 +506,41 @@ def test_maximal_planar_centre_atom_raises(disk_dirac_solution):
                                  n_samples=20_000, seed=99)
 
 
-def test_maximal_signed_radial_measure_walks(monkeypatch):
-    # u is radial but not nonnegative, so its path supremum is not u(m)
-    calls = _count_directions(monkeypatch)
-    sol = integral_solution(LAP, DISK, MeasureData(density=Density.constant(-1.0)))
-    est = maximal_inequality_check(sol, d1_value=0.125,
-                                   rho=lambda p: np.full(len(p), 1 / math.pi),
-                                   n_samples=500, seed=8)
-    assert est.extra["draws"] == 0
-    assert est.extra["walk_iterations"] == len(calls) > 0
+# each input outside the exact draws: (solution, an interior start, whether
+# reducing and class-(D) refuse it too; they sample signed radial measures)
+REFUSED = {
+    "rectangle-grid": lambda: (_rectangle_solution(), [0.4, 1.0], True),
+    "masked-rectangle": lambda: (grid_solution(assemble(LAP, build_grid(L_SHAPE, 2.0**-4)),
+                                               MeasureData(density=Density.constant(1.0))),
+                                 [0.25, 0.25], True),
+    "off-centre-atom": lambda: (integral_solution(LAP, DISK, MeasureData.make(
+        atoms=[([0.3, 0.0], 1.0)], dom=DISK)), [0.5, 0.0], True),
+    "negative-density": lambda: (integral_solution(LAP, DISK, MeasureData(
+        density=Density.constant(-1.0))), [0.5, 0.0], False),
+    "fractional": lambda: (_fractional_interval_atom_solution(), [0.5], True)}
 
 
-def test_maximal_masked_rectangle_rejected():
-    from potkit.geometry import build_grid
-    sol = grid_solution(assemble(LAP, build_grid(L_SHAPE, 2.0**-4)),
-                        MeasureData(density=Density.constant(1.0)))
-    with pytest.raises(SupportError, match="masked"):
-        maximal_inequality_check(sol, d1_value=0.1, rho=lambda p: np.ones(len(p)),
-                                 n_samples=100, seed=1)
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_brownian_estimators_refuse_before_any_draw(case):
+    # each estimator is exact or refuses: no start is drawn from rho, and no
+    # exit law, before the SupportError that names the rule
+    sol, start, reducing_refuses = REFUSED[case]()
+    rho = lambda p: np.ones(len(p))
+    rule = "fractional" if case == "fractional" else "path supremum exactly"
+    estimators = [(lambda g: maximal_inequality_check(sol, d1_value=0.1, rho=rho,
+                                                      n_samples=100, seed=g), rule)]
+    if reducing_refuses:
+        estimators += [
+            (lambda g: reducing_expectation(sol, k=1.0, n=0.5, start=start,
+                                            n_samples=100, seed=g), None),
+            (lambda g: class_d_diagnostic(sol, family=[1.0, 2.0], levels=[0.5],
+                                          rho=rho, n_samples=100, seed=g), None)]
+    for estimate, match in estimators:
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(SupportError, match=match):
+            estimate(rng)
+        assert rng.bit_generator.state == before
 
 
 def test_maximal_zero_solution():
@@ -609,6 +565,26 @@ def test_sample_start_points_rejects_rho_above_the_probed_bound():
     rho = Density.gaussian(1.0, 0.01, [0.3, 0.3])
     with pytest.raises(SupportError, match="rho reaches"):
         sample_start_points(DISK, rho, 20_000, np.random.default_rng(0))
+
+
+def test_start_sampler_rejects_rho_without_a_positive_value(disk_dirac_solution):
+    # rho = 0 would reject every candidate, and the sampler would never return
+    zero = lambda p: np.zeros(len(p))
+    with pytest.raises(SupportError, match="rho has no positive value"):
+        sample_start_points(DISK, zero, 100, np.random.default_rng(0))
+    with pytest.raises(SupportError, match="rho has no positive value"):
+        class_d_diagnostic(disk_dirac_solution, family=[2.0], levels=[0.25], rho=zero,
+                           n_samples=100, seed=0)
+
+
+@pytest.mark.parametrize("field", ["family", "levels"])
+def test_class_d_empty_field_raises_before_any_draw(disk_dirac_solution, field):
+    args = {"family": [2.0, 4.0], "levels": [0.25, 0.5], field: []}
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(SupportError, match=f"{field} must hold at least one value"):
+        class_d_diagnostic(disk_dirac_solution, n_samples=100, seed=rng, **args)
+    assert rng.bit_generator.state == before
 
 
 def test_radial_machinery_guards():
@@ -675,58 +651,47 @@ def test_stable_walk_start_outside_rejected():
         stable_exit(dom, [2.0], alpha=0.5, seed=1, n_samples=10)
 
 
-def _mask_walk(cur, stop, step, max_iters, on_step=None):
+def _mask_walk(cur, stop, step, max_iters):
     """Reference walker loop: re-masks all n walkers on every iteration."""
     active = np.ones(cur.shape[0], dtype=bool)
-    path_steps = 0
-    for it in range(max_iters):
+    for _ in range(max_iters):
         stopped, quantity = stop(cur[active])
         active[active] = ~stopped
         if not active.any():
-            return it, path_steps
-        new = cur[active] + step(cur[active],
-                                 None if quantity is None else quantity[~stopped])
-        cur[active] = new
-        path_steps += new.shape[0]
-        if on_step is not None:
-            on_step(np.flatnonzero(active), new)
+            return
+        cur[active] = cur[active] + step(cur[active], quantity[~stopped])
     raise ConvergenceError("reference walk exceeded its budget")
 
 
-def _walk_outputs():
-    """Every sampler that walks to an exit, on small seeded inputs."""
-    uniform_disk = lambda p: np.full(len(p), 1 / math.pi)
-    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
-    atom = _interval_atom_solution()
-    rect = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
-    max_disk = maximal_inequality_check(bounded, d1_value=0.125, rho=uniform_disk,
-                                        n_samples=1_000, seed=4)
-    max_int = maximal_inequality_check(atom, d1_value=0.125,
-                                       rho=lambda p: np.ones(len(p)),
-                                       n_samples=1_000, seed=4)
-    # the rectangle walks, and tracks the supremum through on_step
-    max_rect = maximal_inequality_check(_rectangle_solution(), d1_value=0.125,
-                                        rho=lambda p: np.full(len(p), 0.5),
-                                        n_samples=1_000, seed=4)
-    return [_wos_stops(rect, [0.4, 1.0], seed=4, n_samples=500),
-            np.array([max_disk.value, max_disk.stderr, max_int.value, max_int.stderr,
-                      max_rect.value, max_rect.stderr, max_rect.extra["path_steps"]]),
-            stable_exit(Domain.interval(-1.0, 1.0), [0.5], alpha=0.5, seed=4,
-                        n_samples=500)]
+def _mask_stable_exit(dom, x, alpha, seed, n_samples):
+    """``stable_exit``'s ball jumps through the full-mask reference loop."""
+    rng = np.random.default_rng(seed)
+    cur = np.tile(np.asarray(x, dtype=float), (n_samples, 1))
+
+    def step(p, rho):
+        t = rng.beta(alpha / 2.0, 1.0 - alpha / 2.0, p.shape[0])
+        return (rho / np.sqrt(t))[:, None] * \
+            stochastic._unit_directions(rng, p.shape[0], p.shape[1])
+
+    _mask_walk(cur, lambda p: (~dom.contains(p), dom.distance_to_boundary(p)), step,
+               100_000)
+    return cur
 
 
-def test_walk_matches_full_mask_reference(monkeypatch):
+def test_walk_matches_full_mask_reference():
     # compacting the live set must keep every draw's order and size
-    fast = _walk_outputs()
-    monkeypatch.setattr("potkit.stochastic._walk", _mask_walk)
-    ref = _walk_outputs()
-    for a, b in zip(fast, ref):
-        assert np.array_equal(a, b)
+    for dom, x, alpha in [(Domain.interval(-1.0, 1.0), [0.5], 0.5),
+                          (Domain.rectangle([(0.0, 1.0), (0.0, 2.0)]), [0.4, 1.0], 1.2),
+                          (DISK, [0.3, -0.2], 1.2)]:
+        fast = stable_exit(dom, x, alpha=alpha, seed=4, n_samples=2_000)
+        ref = _mask_stable_exit(dom, x, alpha, seed=4, n_samples=2_000)
+        assert np.array_equal(fast, ref)
 
 
-def test_walk_budget_raises():
-    cur = np.zeros((3, 2))
-    with pytest.raises(ConvergenceError):
-        _walk(cur, lambda p: (np.zeros(len(p), dtype=bool), None),
-              lambda p, _: np.ones_like(p), max_iters=5)
-    assert np.array_equal(cur, np.full((3, 2), 5.0))
+def test_walk_budget_raises(monkeypatch):
+    # from (0.4, 1) a jump can land back inside the rectangle: after two
+    # iterations some of 2,000 walkers are still moving
+    dom = Domain.rectangle([(0.0, 1.0), (0.0, 2.0)])
+    monkeypatch.setattr(stochastic, "_WOS_MAX_ITERS", 2)
+    with pytest.raises(ConvergenceError, match="budget of 2 iterations"):
+        stable_exit(dom, [0.4, 1.0], alpha=1.2, seed=3, n_samples=2_000)

@@ -12,7 +12,8 @@ CSV/JSON file:
 where <command> is the subcommand with its words joined by ``-``.  A run
 that writes no file prints one line with ``-`` for file and digest; a run
 that dies with a Python traceback has ``crashed`` after its exit code.
-The ``timings.log`` sidecar holds wall times and is not digested.
+The ``timings.log`` sidecar holds wall times and is not digested.  The
+script prints every line and then exits 1 if any run crashed, else 0.
 
 Usage, on two checkouts at the same thread count:
 
@@ -60,6 +61,7 @@ def _sha256(path: Path) -> str:
 def main() -> int:
     env = _env()
     print(f"# preset_digests blas_threads={env['OPENBLAS_NUM_THREADS']}", flush=True)
+    crashed = 0
     with tempfile.TemporaryDirectory(prefix="preset_digests_") as tmp:
         for preset in PRESETS:
             for command in COMMANDS:
@@ -72,13 +74,14 @@ def main() -> int:
                 status = f"exit={run.returncode}"
                 if "Traceback" in run.stderr:
                     status += " crashed"
+                    crashed += 1
                 files = sorted(p for p in out.glob("*") if p.suffix in (".csv", ".json"))
                 if not files:
                     print(f"{preset} {name} {status} - -", flush=True)
                 for path in files:
                     print(f"{preset} {name} {status} {path.name} {_sha256(path)}",
                           flush=True)
-    return 0
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":
