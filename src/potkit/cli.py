@@ -8,11 +8,10 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
-never depend on it.  No solve calls BLAS, so the size of the BLAS thread
-pool, set by the environment (``OPENBLAS_NUM_THREADS``), reaches only the
-matrix products of the nonlocal jump quadrature.  Their bits do move with
-it (``ReconstructionReport.traces`` at 1 against 2 threads), but no
-preset's output does.
+never depend on it.  No potkit computation calls BLAS (the solves and the
+nonlocal jump quadrature take their products with ``np.einsum``), so the
+size of the BLAS thread pool, set by the environment
+(``OPENBLAS_NUM_THREADS``), reaches no result.
 """
 
 from __future__ import annotations
@@ -247,7 +246,8 @@ def cmd_reconstruct(args) -> int:
                               "target": rep.target}, verdict)
     if rep.kind == "nonlocal":
         report["diagnostics"] = {"quad_nodes": rep.quad_nodes,
-                                 "kernel_rows": rep.kernel_rows}
+                                 "kernel_rows": rep.kernel_rows,
+                                 "kernel_entries": rep.kernel_entries}
     write_json(os.path.join(out, f"{prefix}.json"), report)
     if not args.quiet:
         print(f"{rep.kind} reconstruction: values "

@@ -18,6 +18,13 @@ positive concentrated part as the window level n grows:
 The clamp window localizes everything: pairs with both values below n or
 both above 2n contribute nothing, which is exactly what tames both the
 kernel diagonal (theta_n ~ 2(u(x)-u(y))^2) and the atom neighborhood.
+
+The nonlocal double integral is a tensor quadrature on graded panels.  Its
+jump sums run on a cluster tree of the nodes: exact near blocks, and far
+blocks whose kernel is interpolated at Chebyshev points (an H^2 matrix,
+Hackbusch, Computing 62, 1999; Fong & Darve, J. Comput. Phys. 228, 2009),
+where theta_n splits into three products.  Every product is an
+``np.einsum``, so no result depends on the BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ from .geometry import Domain, lattice_shifts
 from .kernels import frac_constant, killing_density
 from .solve import Solution, level_radius
 
-_JUMP_BLOCK_ROWS = 512     # rows of the jump measure held at a time
+_LEAF = 64                 # nodes per leaf of the jump quadrature's cluster tree, at most
+_CHEB = 20                 # Chebyshev points per cluster of a far jump block
+_CHUNK = 2048              # far pairs, or near rows, taken at a time
 _ANGULAR_RAYS = 64         # rays around each atom (closed-form local energy)
 _RADIAL_NODES = 48         # Gauss nodes per ray across the window
 _MAX_REFINE = 5            # panel gradings tried by the nonlocal quadrature
@@ -137,13 +146,19 @@ def local_energy(solution: Solution, eta: Callable, n: float) -> float:
     of ``solution.op`` (a scalar field or the diagonal of a tensor field;
     a = 1 for the Laplacian).
 
-    Closed-form solutions (Laplacians on 2-d and 3-d balls, the only ones
-    with a positive concentrated atom) integrate in polar panels around each
-    such atom: ``level_radius`` locates the window radii on every ray of the
-    atom at once, one profile call per step for all of them, and one
-    ``gradient`` and one ``eta`` call cover all their Gauss nodes.  Grid
-    solutions sum stencil gradients over window cells.  Empty window (n above
-    max u) gives 0.
+    Closed-form solutions (Laplacians on intervals and on 2-d and 3-d
+    balls) integrate along rays on which u falls: from each positive atom,
+    with Gauss nodes in log r, or, with no atom and a nonnegative measure
+    radial about the ball's centre, from the centre, with Gauss nodes in r
+    (the window reaches the centre when u there is at most 2n).
+    ``level_radius`` locates the window radii on every ray of an origin at
+    once, one profile call per step for all of them, and one ``gradient``
+    and one ``eta`` call cover all their Gauss nodes.  Rays from two atoms
+    can cover the same part of the window, so the rays of at most one atom
+    may meet it where eta != 0; more, or an atom-free measure that is signed
+    or not radial, raise SupportError, and a nonpositive measure (u <= 0)
+    gives 0.  Grid solutions sum stencil gradients over window cells.  Empty
+    window (n above max u) gives 0.
     """
     if not solution.op.is_local:
         raise SupportError("local_energy applies to local operators only")
@@ -155,7 +170,9 @@ def local_energy(solution: Solution, eta: Callable, n: float) -> float:
 
 
 def _ray_directions(d: int):
-    """Unit directions and their solid-angle weights for d = 2 or 3."""
+    """Unit directions and their solid-angle weights for d = 1, 2 or 3."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
     if d == 2:
         th = (np.arange(_ANGULAR_RAYS) + 0.5) * 2.0 * math.pi / _ANGULAR_RAYS
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -173,20 +190,36 @@ def _ray_directions(d: int):
     return np.asarray(dirs), np.asarray(wts)
 
 
+def _ray_origins(solution) -> list:
+    """Where the closed form's rays start: at each positive atom of the
+    measure or, with none, at the ball's centre, which needs a nonnegative
+    measure radial about it so that u falls along every ray.  A nonpositive
+    measure has u <= 0 < n, so no ray; anything else raises SupportError
+    naming the rule."""
+    mu = solution.measure
+    atoms = [np.asarray(p, dtype=float) for p, w in mu.atoms if w > 0]
+    if atoms:
+        return atoms
+    if mu.density is None or mu.density.value <= 0:
+        return []
+    centre = np.asarray(solution.dom.as_ball().center, dtype=float)
+    if mu.atoms or not mu.density.is_radial_about(centre):
+        raise SupportError(
+            "with no positive atom the closed-form local energy casts its rays from "
+            "the ball's centre, which needs a nonnegative measure radial about it")
+    return [centre]
+
+
 def _local_energy_closed(solution, eta, n):
     dom = solution.dom
     d = dom.dim
     gx, gw = np.polynomial.legendre.leggauss(_RADIAL_NODES)
-    total = 0.0
-    atoms = [(p, w) for p, w in solution.decomposition.concentrated.atoms if w > 0]
-    if not atoms:
-        return 0.0
     dirs, ang_w = _ray_directions(d)
     # every ray leaves the convex ball once, within its diameter, and u reads
     # 0 off the domain
     R = np.full(len(dirs), dom.diameter)
-    for (p, _w) in atoms:
-        p = np.asarray(p, dtype=float)
+    total, seen = 0.0, 0
+    for p in _ray_origins(solution):
         rays = lambda r: solution.evaluate((p + r[:, :, None] * dirs[:, None, :])
                                            .reshape(-1, d))
         r_out = level_radius(rays, R, n)             # u = n crossings
@@ -194,18 +227,32 @@ def _local_energy_closed(solution, eta, n):
         live = np.flatnonzero(r_out > r_in)
         if not live.size:
             continue
-        # nodes in s = log r, where r^(d-1) dr = r^d ds: around a planar
-        # atom the window spans a radius ratio of e^(2 pi n)
-        s_in = np.array([math.log(r) for r in r_in[live]])
-        s_out = np.array([math.log(r) for r in r_out[live]])
-        half = (0.5 * (s_out - s_in))[:, None]
-        rr = np.exp((0.5 * (s_out + s_in))[:, None] + half * gx)
+        if np.all(r_in[live] > 0.0):
+            # nodes in s = log r, where r^(d-1) dr = r^d ds: around a planar
+            # atom the window spans a radius ratio of e^(2 pi n)
+            s_in = np.array([math.log(r) for r in r_in[live]])
+            s_out = np.array([math.log(r) for r in r_out[live]])
+            half = (0.5 * (s_out - s_in))[:, None]
+            rr = np.exp((0.5 * (s_out + s_in))[:, None] + half * gx)
+            jac = rr ** d
+        else:
+            # nodes in r: the window reaches the origin, where u is at most 2n
+            half = (0.5 * (r_out[live] - r_in[live]))[:, None]
+            rr = (0.5 * (r_out[live] + r_in[live]))[:, None] + half * gx
+            jac = rr ** (d - 1)
         pts = (p + rr[:, :, None] * dirs[live, None, :]).reshape(-1, d)
         grad = solution.gradient(pts)
         dens = np.sum(grad * grad, axis=1).reshape(rr.shape)
-        v = np.sum(half * gw * eta(pts).reshape(rr.shape) * dens * rr ** d, axis=1)
+        v = np.sum(half * gw * eta(pts).reshape(rr.shape) * dens * jac, axis=1)
+        seen += bool(np.any(v))
         for wa, v_ray in zip(ang_w[live], v):
             total += wa * float(v_ray)
+    if seen > 1:
+        raise SupportError(
+            f"the closed-form local energy casts rays from each positive atom, which "
+            f"is exact only when the rays of one atom alone meet the window where "
+            f"eta != 0; here those of {seen} atoms do, and u need not fall along a "
+            f"ray from either, so parts of the window would count twice")
     return total / n
 
 
@@ -280,9 +327,10 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
 def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],
                        rel_tol: float = 0.01) -> tuple:
     """``(results, gradings)``: ``(value, trace)`` of the fractional-window
-    energy for each level, and ``(nodes, kernel rows)`` of each panel
-    grading built, the kernel rows being the nodes where eta != 0 (the
-    live rows of ``_jump_terms``).  Entry i of a trace comes from grading i.
+    energy for each level, and ``(nodes, kernel rows, kernel entries)`` of
+    each panel grading built, the kernel rows being the nodes where
+    eta != 0 (the live rows of ``_jump_terms``) and the kernel entries the
+    jump-kernel values it built.  Entry i of a trace comes from grading i.
 
     Each panel grading is built once for all the levels that have not yet
     converged; a level stops refining once its relative change is below
@@ -312,8 +360,8 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
         u = solution.evaluate(x.reshape(-1, 1))
         ex = eta(x.reshape(-1, 1)) * w
         kap = killing_density(alpha, dom, x)
-        gradings.append((x.size, int(np.count_nonzero(ex))))
-        jumps = _jump_terms(x, w, u, ex, alpha, [levels[i] for i in open_levels])
+        jumps, entries = _jump_terms(x, w, u, ex, alpha, [levels[i] for i in open_levels])
+        gradings.append((x.size, int(np.count_nonzero(ex)), entries))
         for i, jump_term in zip(list(open_levels), jumps):
             n = levels[i]
             kill_term = float(np.sum(ex * theta_n(u, 0.0, n) * kap))
@@ -329,62 +377,224 @@ def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float
     return [(trace[-1], trace) for trace in traces], gradings
 
 
+def _chebyshev_basis(t, lo, hi):
+    """The Lagrange basis of the ``_CHEB`` first-kind Chebyshev points of
+    [lo, hi] at t, by the barycentric formula: shape t.shape + (_CHEB,).
+    lo and hi broadcast against t; a point of t on a Chebyshev point gets
+    that point's unit vector."""
+    angle = (2 * np.arange(_CHEB) + 1) * math.pi / (2 * _CHEB)
+    lam = np.where(np.arange(_CHEB) % 2, -1.0, 1.0) * np.sin(angle)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = ((2.0 * t - (lo + hi)) / (hi - lo))[..., None] - np.cos(angle)
+        q = lam / diff
+        q /= np.sum(q, axis=-1, keepdims=True)
+    hit = ~np.all(np.isfinite(q), axis=-1)
+    q[hit] = diff[hit] == 0.0
+    return q
+
+
+def _cluster_tree(x: np.ndarray) -> list:
+    """Index bisection of the nodes down to leaves of at most ``_LEAF``
+    nodes: for each depth d, the 2**d + 1 node offsets of its clusters."""
+    offsets = [np.array([0, x.size])]
+    while np.max(np.diff(offsets[-1])) > _LEAF:
+        o = offsets[-1]
+        finer = np.empty(2 * o.size - 1, dtype=np.int64)
+        finer[0::2], finer[1::2] = o, o[:-1] + np.diff(o) // 2
+        offsets.append(finer)
+    return offsets
+
+
 def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
-                alpha: float, levels: Sequence[float]) -> list:
-    """Sum_ij ex_i theta_n(u_i, u_j) J_ij w_j for each level n, with the jump
-    measure J_ij = (c/2) |x_i - x_j|^(-1-alpha) (zero diagonal) built in
-    blocks of ``_JUMP_BLOCK_ROWS`` rows and never stored whole.
+                alpha: float, levels: Sequence[float]) -> tuple:
+    """``(sums, kernel_entries)``: Sum_ij ex_i theta_n(u_i, u_j) J_ij w_j for
+    each level n, with the jump measure J_ij = (c/2) |x_i - x_j|^(-1-alpha)
+    (zero diagonal), and the number of kernel values built.
 
-    Every term of row i carries the factor ex_i, so only the live rows
-    {i : ex_i != 0} are built: the blocks take successive runs of
-    ``_JUMP_BLOCK_ROWS`` live rows (not necessarily contiguous nodes)
-    against all columns, and with eta = 0 on every node no row is built
-    and each level's sum is 0.0.
+    The nodes, sorted, are cut by index bisection into a cluster tree with
+    leaves of at most ``_LEAF`` nodes, and the cluster pairs into near and
+    far blocks.  A pair is far when the larger diameter is at most the gap
+    between the clusters; the kernel is then smooth on it, and its
+    interpolant at ``_CHEB`` Chebyshev points per cluster takes one
+    ``_CHEB`` x ``_CHEB`` coupling.  The moments against the Chebyshev basis
+    are nested: a parent's come from its children's.  Leaf pairs that are
+    not far are near blocks, built exactly.  Each unordered pair's kernel is
+    built once and serves both orders.
 
-    With L = {u <= n}, M = {n < u < 2n} and H = {u >= 2n}, theta_n vanishes
-    on L x L and H x H and equals 2n(3n - 2u_i) on L x H and 2n(2u_i - 3n) on
-    H x L, so those pairs reduce to the products J (w 1_H) and J (w 1_L),
-    taken for every level in one matrix product per block (a column of a
-    product depends on that column alone); only pairs with an end in M need
-    theta_n explicitly.
+    A pair's sum carries the factor ex_i, so pairs of clusters without a
+    live row (eta != 0) are dropped, and with eta = 0 on every node nothing
+    is built and each level's sum is 0.0.  With L = {u <= n},
+    M = {n < u < 2n} and H = {u >= 2n}, theta_n vanishes on L x L and H x H,
+    so a block whose clusters both lie in L or both in H adds nothing at
+    level n; blocks like that at every level are never built.
+
+    On far blocks theta_n(a, b) = A_n(a) - 4a S_n(b) + 2 S_n(b)^2 with
+    A_n(a) = 2 S_n(a) (2a - S_n(a)), so a level needs the moments of three
+    node vectors; the couplings against w, -4u ex and 2 ex are taken once for
+    all levels.  Near blocks keep theta_n explicit where it would cancel
+    (theta_n ~ 2 (u_i - u_j)^2 on the diagonal): on L x H and H x L it is
+    2n(3n - 2u_i) and 2n(2u_i - 3n), products of J with w 1_H and w 1_L,
+    and only pairs with an end in M take theta_n itself.
+
+    Every reduction is an ``np.einsum`` over the blocks that level n keeps,
+    in a fixed order, so no product calls BLAS and a level's sum does not
+    depend on the other levels.
     """
-    half_c = 0.5 * frac_constant(alpha, 1)
-    weights, masses, mids = [], [], []
-    for n in levels:
-        low, high = u <= n, u >= 2.0 * n
-        weights += [np.where(low, ex * 2.0 * n * (3.0 * n - 2.0 * u), 0.0),
-                    np.where(high, ex * 2.0 * n * (2.0 * u - 3.0 * n), 0.0)]
-        masses += [np.where(high, w, 0.0), np.where(low, w, 0.0)]
-        mid = ~(low | high)
-        mids.append((mid, np.flatnonzero(mid)))
-    weights, masses = np.stack(weights, axis=1), np.stack(masses, axis=1)
     totals = [0.0] * len(levels)
-    live = np.flatnonzero(ex)
-    # one block buffer for every block: fresh pages would be faulted in anew
-    block = np.empty((min(_JUMP_BLOCK_ROWS, live.size), x.size))
-    for r0 in range(0, live.size, _JUMP_BLOCK_ROWS):
-        rows = live[r0:r0 + _JUMP_BLOCK_ROWS]
-        J = block[:rows.size]
-        np.subtract(x[rows, None], x[None, :], out=J)
-        np.abs(J, out=J)
-        with np.errstate(divide="ignore"):
-            np.power(J, -1.0 - alpha, out=J)
-        J *= half_c
-        J[np.arange(rows.size), rows] = 0.0
-        low_high = J @ masses
-        for k, (n, (mid, cols)) in enumerate(zip(levels, mids)):
-            pair = slice(2 * k, 2 * k + 2)
-            part = float(np.vdot(weights[rows, pair], low_high[:, pair]))
-            if cols.size:
-                # rows in M against every column, the other rows against M
-                in_rows = mid[rows]
-                m_rows = np.flatnonzero(in_rows)
-                th = theta_n(u[rows][m_rows, None], u[None, :], n)
-                part += float(ex[rows][m_rows] @ (th * J[m_rows]) @ w)
-                th = theta_n(u[rows, None], u[None, cols], n)
-                part += float(np.where(in_rows, 0.0, ex[rows]) @ (th * J[:, cols]) @ w[cols])
-            totals[k] += part
-    return totals
+    if not np.any(ex):
+        return totals, 0
+    order = np.argsort(x, kind="stable")
+    x, w, u, ex = x[order], w[order], u[order], ex[order]
+    half_c = 0.5 * frac_constant(alpha, 1)
+    offsets = _cluster_tree(x)
+    leaf = offsets[-1]
+    first = 2 ** (len(offsets) - 1) - 1       # clusters in heap order: c has children 2c+1, 2c+2
+    lo = np.concatenate([x[o[:-1]] for o in offsets])
+    hi = np.concatenate([x[o[1:] - 1] for o in offsets])
+    umin = np.concatenate([np.minimum.reduceat(u, o[:-1]) for o in offsets])
+    umax = np.concatenate([np.maximum.reduceat(u, o[:-1]) for o in offsets])
+    live = np.concatenate([np.logical_or.reduceat(ex != 0, o[:-1]) for o in offsets])
+
+    def dead(s, t, n):
+        return ((umax[s] <= n) & (umax[t] <= n)) | ((umin[s] >= 2.0 * n) & (umin[t] >= 2.0 * n))
+
+    # unordered cluster pairs s <= t, from the root down
+    s = t = np.zeros(1, dtype=np.int64)
+    far = []
+    for depth in range(len(offsets)):
+        keep = (live[s] | live[t]) & ~np.all(dead(s[:, None], t[:, None], np.asarray(levels)),
+                                              axis=1)
+        s, t = s[keep], t[keep]
+        gap = np.maximum(lo[t] - hi[s], lo[s] - hi[t])
+        adm = (np.maximum(hi[s] - lo[s], hi[t] - lo[t]) <= gap) & (gap > 0)
+        far.append((s[adm], t[adm]))
+        s, t = s[~adm], t[~adm]
+        if depth < len(offsets) - 1:
+            s = (2 * s[:, None] + np.array([1, 1, 2, 2])).ravel()
+            t = (2 * t[:, None] + np.array([1, 2, 1, 2])).ravel()
+            s, t = s[s <= t], t[s <= t]
+    order = np.lexsort((t, s))
+    near_s, near_t = s[order] - first, t[order] - first
+    far_s, far_t = (np.concatenate(c) for c in zip(*far))
+    order = np.lexsort((far_t, far_s))
+    far_s, far_t = far_s[order], far_t[order]
+
+    # leaves as padded rows of node indices; a pad reads 0
+    size = np.diff(leaf)
+    width = int(size.max())
+    idx = np.where(np.arange(width) < size[:, None], leaf[:-1, None] + np.arange(width), x.size)
+    pad = lambda v, fill=0.0: np.append(v, fill)[idx]
+    lx, lu, lw, lex = pad(x), pad(u), pad(w), pad(ex)
+    real = idx < x.size
+
+    # near blocks, exactly; pads sit at +inf against -inf, where J is 0.
+    # Each pair s <= t is built once, rows in s; the pairs s < t with a live
+    # row in t follow, transposed
+    bwd = np.flatnonzero(live[near_t + first] & (near_s != near_t))
+    ns = np.concatenate([near_s, near_t[bwd]])
+    nt = np.concatenate([near_t, near_s[bwd]])
+    Kn = np.empty((ns.size, width, width))
+    K = Kn[:near_s.size]
+    np.subtract(pad(x, np.inf)[near_s][:, :, None], pad(x, -np.inf)[near_t][:, None, :], out=K)
+    np.abs(K, out=K)
+    with np.errstate(divide="ignore"):
+        np.power(K, -1.0 - alpha, out=K)
+    K *= half_c
+    diag = np.flatnonzero(near_s == near_t)
+    K[diag[:, None], np.arange(width), np.arange(width)] = 0.0
+    Kn[near_s.size:] = K[bwd].transpose(0, 2, 1)
+    entries = int(np.einsum("b,b->", size[near_s], size[near_t]))
+
+    # far blocks: Chebyshev points of each cluster, one coupling per pair
+    pts = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(
+        (2 * np.arange(_CHEB) + 1) * math.pi / (2 * _CHEB))
+    entries += far_s.size * _CHEB**2
+
+    # nested moments: leaves against the basis at their nodes, every parent
+    # from its children through the basis at their Chebyshev points
+    leaf_basis = _chebyshev_basis(lx, lo[first:, None], hi[first:, None])
+    leaf_basis[~real] = 0.0
+    transfer = []
+    for depth in range(len(offsets) - 1):
+        child = np.arange(2 ** (depth + 1) - 1, 2 ** (depth + 2) - 1)
+        parent = (child - 1) // 2
+        transfer.append(_chebyshev_basis(pts[child], lo[parent, None], hi[parent, None]))
+
+    def moments(V):
+        """Per cluster, the moments of the columns of V: (clusters, V columns, _CHEB)."""
+        out = np.empty((first + size.size, V.shape[1], _CHEB))
+        out[first:] = np.einsum("sij,sik->sjk", np.vstack([V, np.zeros_like(V[:1])])[idx],
+                                leaf_basis)
+        for depth in range(len(offsets) - 2, -1, -1):
+            a, b = 2 ** (depth + 1) - 1, 2 ** (depth + 2) - 1
+            kids = np.einsum("cmk,cjm->cjk", transfer[depth], out[a:b])
+            out[2**depth - 1:a] = kids[0::2] + kids[1::2]
+        return out
+
+    # the level-independent couplings, for the pair read both ways (rows
+    # in s: K; rows in t: K transposed), with the kernels built a chunk of
+    # pairs at a time
+    Cw = moments(w[:, None])[:, 0]
+    Ru = moments(np.stack([-4.0 * u * ex, 2.0 * ex], axis=1))
+    rows = (far_s, far_t)
+    cols = (far_t, far_s)
+    Yw, Yu, Y1 = (np.empty((2, far_s.size, _CHEB)) for _ in range(3))
+    for c0 in range(0, far_s.size, _CHUNK):
+        s, t = far_s[c0:c0 + _CHUNK], far_t[c0:c0 + _CHUNK]
+        Kf = np.subtract(pts[s][:, :, None], pts[t][:, None, :])
+        np.abs(Kf, out=Kf)
+        np.power(Kf, -1.0 - alpha, out=Kf)
+        Kf *= half_c
+        part = slice(c0, c0 + s.size)
+        np.einsum("bkl,bl->bk", Kf, Cw[t], out=Yw[0, part])
+        np.einsum("bkl,bk->bl", Kf, Cw[s], out=Yw[1, part])
+        np.einsum("bkl,bk->bl", Kf, Ru[s, 0], out=Yu[0, part])
+        np.einsum("bkl,bl->bk", Kf, Ru[t, 0], out=Yu[1, part])
+        np.einsum("bkl,bk->bl", Kf, Ru[s, 1], out=Y1[0, part])
+        np.einsum("bkl,bl->bk", Kf, Ru[t, 1], out=Y1[1, part])
+
+    for k, n in enumerate(levels):
+        S = np.clip(u, n, 2.0 * n)
+        total = 0.0
+        act = ~dead(far_s, far_t, n)
+        if act.any():
+            M = moments(np.stack([2.0 * S * (2.0 * u - S) * ex, S * w, S * S * w], axis=1))
+            for r, c, yw, yu, y1 in zip(rows, cols, Yw, Yu, Y1):
+                b = act & live[r]
+                total += float(np.einsum("bk,bk->", M[r[b], 0], yw[b]))
+                total += float(np.einsum("bk,bk->", yu[b], M[c[b], 1]))
+                total += float(np.einsum("bk,bk->", y1[b], M[c[b], 2]))
+        act = ~dead(ns + first, nt + first, n) & live[ns + first]
+        low, high = lu <= n, lu >= 2.0 * n
+        mid = real & ~low & ~high
+        # pairs with an end in M: M rows against every column, then the
+        # other rows against M columns
+        b, i = np.nonzero(mid[ns] & act[:, None])
+        y = np.empty(b.size)
+        for c in range(0, b.size, _CHUNK):
+            bc, ic = b[c:c + _CHUNK], i[c:c + _CHUNK]
+            th = theta_n(lu[ns[bc], ic][:, None], lu[nt[bc]], n) * Kn[bc, ic]
+            np.einsum("pj,pj->p", th, lw[nt[bc]], out=y[c:c + _CHUNK])
+        total += float(np.einsum("p,p->", lex[ns[b], i], y))
+        b, j = np.nonzero(mid[nt] & act[:, None])
+        y = np.empty(b.size)
+        for c in range(0, b.size, _CHUNK):
+            bc, jc = b[c:c + _CHUNK], j[c:c + _CHUNK]
+            th = theta_n(lu[ns[bc]], lu[nt[bc], jc][:, None], n) * Kn[bc, :, jc]
+            np.einsum("pi,pi->p", np.where(mid, 0.0, lex)[ns[bc]], th, out=y[c:c + _CHUNK])
+        total += float(np.einsum("p,p->", y, lw[nt[b], j]))
+        for r, c, f in ((low, high, 2.0 * n * (3.0 * n - 2.0 * lu)),
+                        (high, low, 2.0 * n * (2.0 * lu - 3.0 * n))):
+            b = np.flatnonzero(act & np.any(r & real, axis=1)[ns] & np.any(c & real, axis=1)[nt])
+            if b.size:
+                y = np.empty((b.size, width))
+                for c0 in range(0, b.size, _CHUNK // width):
+                    bc = b[c0:c0 + _CHUNK // width]
+                    np.einsum("bij,bj->bi", Kn[bc], np.where(c, lw, 0.0)[nt[bc]],
+                              out=y[c0:c0 + _CHUNK // width])
+                total += float(np.einsum("bi,bi->", np.where(r, lex * f, 0.0)[ns[b]], y))
+        totals[k] = total
+    return totals, entries
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +612,8 @@ class ReconstructionReport:
     kind: str                      # "local" | "nonlocal"
     traces: list                   # per level: the value of each quadrature refinement
     quad_nodes: list               # per panel grading (nonlocal; [] for local): nodes
-    kernel_rows: list              # per panel grading: jump-kernel rows built (eta != 0)
+    kernel_rows: list              # per panel grading: jump-kernel rows (eta != 0)
+    kernel_entries: list           # per panel grading: jump-kernel values built (near + far)
 
 
 def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
@@ -445,5 +656,6 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
     return ReconstructionReport(levels=levels, values=vals, target=target,
                                 rel_errors=rel, fitted_prefactor=fitted,
                                 prefactor_flagged=flagged, kind=kind, traces=traces,
-                                quad_nodes=[nodes for nodes, _ in gradings],
-                                kernel_rows=[rows for _, rows in gradings])
+                                quad_nodes=[nodes for nodes, _, _ in gradings],
+                                kernel_rows=[rows for _, rows, _ in gradings],
+                                kernel_entries=[entries for _, _, entries in gradings])

@@ -140,8 +140,8 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
     ignores a rectangle's mask, so a masked rectangle raises SupportError.
     Each iteration drops the landed walkers from an index array kept in
     order, so a jump's draws have the order and size a full-width mask would
-    give; a walker still inside after ``_WOS_MAX_ITERS`` iterations raises
-    ConvergenceError.
+    give; a walker still inside after the last of ``_WOS_MAX_ITERS`` jumps
+    raises ConvergenceError, which counts only those walkers.
     """
     if not 0.0 < alpha < 2.0:
         raise SupportError(f"stable exits need 0 < alpha < 2, got alpha={alpha}")
@@ -169,6 +169,10 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
                 f"at alpha={alpha:g}: the stable jump would be infinite")
         rho = dom.distance_to_boundary(pos)
         cur[live] = pos + (rho / np.sqrt(t))[:, None] * _unit_directions(rng, live.size, d)
+    # the last jump's landings, tested like every earlier one's
+    live = live[dom.contains(cur[live])]
+    if live.size == 0:
+        return cur
     raise ConvergenceError(f"stable walk exceeded its budget of {_WOS_MAX_ITERS} "
                            f"iterations with {live.size} walkers still moving")
 

@@ -166,9 +166,11 @@ def test_reconstruct_nonlocal_cli(tmp_path):
     body = read(os.path.join(out, "nl_quick.csv")).decode().splitlines()
     header = [l for l in body if not l.startswith("#")][0]
     assert header == "n,value,target,rel_error"
-    # two panel gradings; the kernel is built only where eta != 0
+    # two panel gradings; the kernel is built only where eta != 0, exactly on
+    # near blocks and at Chebyshev points on far ones
     rep = json.loads(read(os.path.join(out, "nl_quick.json")))
-    assert rep["diagnostics"] == {"quad_nodes": [2230, 4430], "kernel_rows": [1200, 2366]}
+    assert rep["diagnostics"] == {"quad_nodes": [2230, 4430], "kernel_rows": [1200, 2366],
+                                  "kernel_entries": [301320, 428693]}
 
 
 def test_mc_subcommands(tmp_path):

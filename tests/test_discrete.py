@@ -560,7 +560,16 @@ g[dop.n // 4] = 0.35
 res = reduite(dop, GridField.from_interior(dop.grid, g))
 digest = hashlib.sha256(column.values.tobytes())
 digest.update(res.envelope.values.tobytes())
-print(dop.n, res.policy_steps, digest.hexdigest())
+from potkit import config
+from potkit.presets import get_preset
+from potkit.reconstruct import reconstruct_mu_c
+cfg = get_preset("reconstruct-nonlocal-interval")
+dom, op, mu = config.build_problem(cfg)
+rep = reconstruct_mu_c(config.build_solution(cfg, dom, op, mu), config.build_eta(cfg, dom),
+                       cfg["levels"])
+traces = np.array([v for trace in rep.traces for v in trace])
+print(dop.n, res.policy_steps, digest.hexdigest(), traces.size,
+      hashlib.sha256(traces.tobytes()).hexdigest())
 """
 
 
@@ -568,10 +577,13 @@ def test_fractional_outputs_do_not_depend_on_blas_threads():
     """The fractional interval at h = 2^-8 (n = 511): its Green column and
     the reduite of a bump with an isolated peak (policy steps whose block
     solves are matrix-free CG as well) have the same bytes at 1 and 2 BLAS
-    threads.  Dense Cholesky solves gave different bytes."""
+    threads.  Dense Cholesky solves gave different bytes.  So do the
+    refinement traces of the nonlocal reconstruction on
+    ``reconstruct-nonlocal-interval``: BLAS products in its jump quadrature
+    moved their last digits."""
     lines = _probe_at_threads(_FRACTIONAL_THREADS_PROBE)
-    n, steps, _ = lines[0].split()
-    assert int(n) == 511 and int(steps) >= 1
+    n, steps, _, traces, _ = lines[0].split()
+    assert int(n) == 511 and int(steps) >= 1 and int(traces) == 10
     assert lines[0] == lines[1]
 
 
@@ -616,6 +628,17 @@ def test_operator_matrix_is_csr(op):
     dop = assemble(op, build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
     assert sp.issparse(dop.A)
     assert dop.A.format == "csr"
+
+
+def test_jump_quadrature_calls_no_blas():
+    """The jump quadrature takes every product with np.einsum and no
+    ``optimize``, so none reaches BLAS and its bits do not move with the
+    thread pool."""
+    blas = re.compile(r" @ |np\.dot|np\.vdot|np\.matmul|tensordot|optimize=")
+    path = Path(discrete.__file__).parent / "reconstruct.py"
+    found = [f"{path.name}:{i}" for i, line in enumerate(path.read_text().splitlines(), 1)
+             if blas.search(line)]
+    assert found == []
 
 
 def test_only_discrete_factors_a():

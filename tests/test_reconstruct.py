@@ -175,16 +175,58 @@ def _two_atom_disk():
     return integral_solution(LAP, disk, mu)
 
 
-@pytest.mark.parametrize("case", ["disk-dirac", "ball3-dirac", "two-atom-disk"])
+@pytest.mark.parametrize("case", ["disk-dirac", "ball3-dirac"])
 def test_local_energy_closed_matches_per_ray_reference(case, disk_dirac_solution):
     # every ray of an atom searched at once, out to the diameter, gives the
     # same bits as one ray at a time out to its exit
     sol, eta, n = {
         "disk-dirac": (disk_dirac_solution, constant_eta(1.0), 0.25),
         "ball3-dirac": (_ball3(), constant_eta(1.0), 1.0),
-        "two-atom-disk": (_two_atom_disk(), CutoffEta((0.0, 0.0), 0.3, 0.8), 0.25),
     }[case]
     assert _local_energy_closed(sol, eta, n).hex() == _local_energy_per_ray(sol, eta, n).hex()
+
+
+@pytest.mark.parametrize("case", ["two-atom-disk", "atoms-at-half-n0.1", "atoms-at-half-n0.125"])
+def test_local_energy_closed_refuses_two_atoms_in_the_window(case):
+    # rays from each of two atoms that both meet the window where eta != 0
+    # cover parts of it twice: atoms at (+-0.5, 0) read 4.030 at n = 0.1 and
+    # 8.975 at n = 0.125, where the exact value is 2, and the two-atom disk
+    # read 4.124 against a grid value near 1.48
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    halves = integral_solution(LAP, disk, MeasureData.make(
+        atoms=[([0.5, 0.0], 1.0), ([-0.5, 0.0], 1.0)], dom=disk))
+    sol, eta, n = {
+        "two-atom-disk": (_two_atom_disk(), CutoffEta((0.0, 0.0), 0.3, 0.8), 0.25),
+        "atoms-at-half-n0.1": (halves, constant_eta(1.0), 0.1),
+        "atoms-at-half-n0.125": (halves, constant_eta(1.0), 0.125),
+    }[case]
+    with pytest.raises(SupportError, match="rays from each positive atom"):
+        local_energy(sol, eta, n)
+
+
+@pytest.mark.parametrize("value, n, exact", [(1.0, 0.1, 0.4 * math.pi),
+                                             (4.0, 0.25, 2.5 * math.pi),
+                                             (1.0, 0.3, 0.0), (-4.0, 0.25, 0.0)])
+def test_local_energy_closed_density_casts_rays_from_the_centre(value, n, exact):
+    # u = value (1 - r^2) / 4, so (1/n) Int_{n <= u <= 2n} |grad u|^2 is
+    # (2 pi / n) (value / 4) ((r_out^4 - r_in^4) / 4) over the window radii;
+    # at n = 0.3 the window lies above max u = 0.25, and a negative density
+    # has u <= 0 below every window
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(LAP, disk, MeasureData(density=Density.constant(value)))
+    val = local_energy(sol, constant_eta(1.0), n)
+    if exact == 0.0:
+        assert val == 0.0
+    else:
+        assert val == pytest.approx(exact, rel=1e-9)
+
+
+def test_local_energy_closed_refuses_a_signed_atom_free_measure():
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(LAP, disk, MeasureData.make(
+        atoms=[([0.0, 0.0], -1.0)], density=Density.constant(4.0), dom=disk))
+    with pytest.raises(SupportError, match="ball's centre"):
+        local_energy(sol, constant_eta(1.0), 0.25)
 
 
 def test_local_energy_empty_window():
@@ -321,33 +363,52 @@ def test_jump_terms_with_no_node_in_the_window():
     x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
     u = np.where(np.abs(x) < 0.3, 5.0, 0.2)
     ex = w * (1.0 + x**2)
-    got = _jump_terms(x, w, u, ex, 0.5, [1.0, 10.0])
+    got, _ = _jump_terms(x, w, u, ex, 0.5, [1.0, 10.0])
     ref = _full_matrix_jump(x, w, u, ex, 0.5, 1.0)
     assert ref > 0.0
     assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
     assert got[1] == 0.0
 
 
-def test_jump_terms_build_only_the_live_rows(monkeypatch):
-    # eta vanishes on the band (0.2, 0.6), so the live rows fall in two runs
-    # and, with blocks of 64 rows, one block straddles the gap; the window is
-    # empty of nodes at n = 1 and holds the inner nodes at n = 3 and the
-    # outer ones at n = 0.15
+def test_jump_terms_build_only_the_live_rows():
+    # eta vanishes on the band (1e-5, 0.5), which holds whole leaves of the
+    # cluster tree, so fewer kernel entries are built than with eta != 0
+    # everywhere; the window is empty of nodes at n = 1 and holds the inner
+    # nodes at n = 3 and the outer ones at n = 0.15
     x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
     u = np.where(np.abs(x) < 0.3, 5.0 + x, 0.2 + 0.1 * x)
-    ex = np.where((x > 0.2) & (x < 0.6), 0.0, 1.0 + x**2) * w
-    monkeypatch.setattr(reconstruct_mod, "_JUMP_BLOCK_ROWS", 64)
+    ex = np.where((x > 1e-5) & (x < 0.5), 0.0, 1.0 + x**2) * w
     live = np.flatnonzero(ex)
     assert np.count_nonzero(np.diff(live) > 1) == 1
-    assert any(np.ptp(live[r0:r0 + 64]) >= 64 for r0 in range(0, live.size, 64))
+    leaves = reconstruct_mod._cluster_tree(x)[-1]
+    assert any(not ex[a:b].any() for a, b in zip(leaves[:-1], leaves[1:]))
     levels = [0.15, 1.0, 3.0]
-    got = _jump_terms(x, w, u, ex, 0.5, levels)
+    got, entries = _jump_terms(x, w, u, ex, 0.5, levels)
     for n, val in zip(levels, got):
         ref = _full_matrix_jump(x, w, u, ex, 0.5, n)
         assert ref > 0.0
         assert val == pytest.approx(ref, rel=1e-13, abs=0.0)
-    # eta = 0 on every node: no row is built
-    assert _jump_terms(x, w, u, 0.0 * ex, 0.5, levels) == [0.0, 0.0, 0.0]
+    assert 0 < entries < _jump_terms(x, w, u, (1.0 + x**2) * w, 0.5, levels)[1]
+    # eta = 0 on every node: no kernel entry is built
+    assert _jump_terms(x, w, u, 0.0 * ex, 0.5, levels) == ([0.0, 0.0, 0.0], 0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.9])
+def test_jump_terms_match_full_matrix_on_an_oscillating_profile(alpha):
+    # u = 3 + 2 sin(7x) crosses every window several times, so clusters hold
+    # rows of all three classes and far blocks pair L, M and H nodes; eta
+    # vanishes on a scattered fifth of the nodes; each level alone gives the
+    # bits it gives among the others, though the blocks built depend on the
+    # level set
+    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 6, r_min=1e-9, gauss=10)
+    u = 3.0 + 2.0 * np.sin(7.0 * x)
+    ex = w * np.where(np.random.default_rng(3).random(x.size) < 0.2, 0.0, 1.0 + x**2)
+    levels = [0.6, 1.2, 2.0, 3.3]
+    got, entries = _jump_terms(x, w, u, ex, alpha, levels)
+    assert 0 < entries < np.count_nonzero(ex) * x.size
+    for n, val in zip(levels, got):
+        assert val == pytest.approx(_full_matrix_jump(x, w, u, ex, alpha, n), rel=1e-13, abs=0.0)
+        assert _jump_terms(x, w, u, ex, alpha, [n])[0] == [val]
 
 
 def test_reconstruct_report_counts_the_quadrature():
@@ -356,17 +417,24 @@ def test_reconstruct_report_counts_the_quadrature():
                             MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
     eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
     rep = reconstruct_mu_c(sol, eta, [1.0, 2.0])
-    assert len(rep.quad_nodes) == len(rep.kernel_rows) == max(map(len, rep.traces))
+    assert len(rep.quad_nodes) == len(rep.kernel_rows) == len(rep.kernel_entries) \
+        == max(map(len, rep.traces))
     for i, (nodes, rows) in enumerate(zip(rep.quad_nodes, rep.kernel_rows)):
         x, w = _graded_panels_1d(dom, [0.0], reconstruct_mod._PER_DECADE * 2**i,
                                  r_min=1e-9, gauss=reconstruct_mod._GAUSS)
         assert nodes == x.size
-        assert rows == np.count_nonzero(eta(x.reshape(-1, 1)) * w)
+        ex = eta(x.reshape(-1, 1)) * w
+        assert rows == np.count_nonzero(ex)
         assert 0 < rows < nodes
+        u = sol.evaluate(x.reshape(-1, 1))
+        assert rep.kernel_entries[i] == _jump_terms(x, w, u, ex, 0.5, [1.0, 2.0])[1]
+        assert 0 < rep.kernel_entries[i] < rows * nodes
+    # the atom-free local case: rays from the disk's centre, and no quadrature
     local = reconstruct_mu_c(integral_solution(LAP, Domain.ball([0.0, 0.0], 1.0, 2),
                                                MeasureData(density=Density.constant(1.0))),
-                             constant_eta(1.0), [0.5])
-    assert local.quad_nodes == [] and local.kernel_rows == []
+                             constant_eta(1.0), [0.1, 0.5])
+    assert local.values[0] == pytest.approx(0.4 * math.pi, rel=1e-9) and local.values[1] == 0.0
+    assert local.quad_nodes == local.kernel_rows == local.kernel_entries == []
 
 
 def test_reconstruct_rejects_empty_levels():

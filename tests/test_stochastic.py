@@ -695,3 +695,21 @@ def test_walk_budget_raises(monkeypatch):
     monkeypatch.setattr(stochastic, "_WOS_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError, match="budget of 2 iterations"):
         stable_exit(dom, [0.4, 1.0], alpha=1.2, seed=3, n_samples=2_000)
+
+
+def test_walk_budget_counts_the_last_jump(monkeypatch):
+    # from the centre of (-1, 1) every jump leaves: with a budget of one
+    # iteration all 1,000 walkers land, and from 0.5 the error counts only
+    # the walkers the one jump left inside
+    dom = Domain.interval(-1.0, 1.0)
+    monkeypatch.setattr(stochastic, "_WOS_MAX_ITERS", 1)
+    land = stable_exit(dom, [0.0], alpha=1.2, seed=5, n_samples=1_000)
+    assert land.shape == (1_000, 1) and not np.any(dom.contains(land))
+    with pytest.raises(ConvergenceError) as err:
+        stable_exit(dom, [0.5], alpha=1.2, seed=5, n_samples=1_000)
+    moving = int(str(err.value).split(" with ")[1].split()[0])
+    monkeypatch.setattr(stochastic, "_WOS_MAX_ITERS", 100_000)
+    first = np.random.default_rng(5)
+    t = first.beta(0.6, 0.4, 1_000)
+    jump = 0.5 + 0.5 / np.sqrt(t) * stochastic._unit_directions(first, 1_000, 1)[:, 0]
+    assert moving == np.count_nonzero(dom.contains(jump[:, None]))
