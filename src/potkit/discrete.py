@@ -4,11 +4,11 @@ Local operators use the standard 3/5/7-point stencil (second order on the
 lattice; curved boundaries enter through the staircase boundary-node set).
 The fractional operator in 1d uses exact per-cell integrals of the jump
 kernel against a piecewise-constant ansatz, with everything outside the
-interior cell union folded into the killing term, so the assembled matrix
-is a symmetric M-matrix and the one-step kernel P = I - D^{-1} A is
+interior cell union folded into the killing term, so its matrix is a
+symmetric M-matrix and the one-step kernel P = I - D^{-1} A is
 sub-stochastic exactly.  Its jumps depend only on the lattice offset
-between two nodes, so the fractional operator is applied and solved
-matrix-free, by FFT convolution with that offset table.
+between two nodes, so the fractional operator is stored as that one
+offset table, and applied and solved matrix-free by FFT convolution.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.fft import irfftn, rfftn
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
 from .geometry import Grid, GridField, build_grid, lattice_shifts
@@ -33,24 +33,24 @@ _CG_MAX_ITERS = 1_000
 _COARSE_MAX = 4_000        # V-cycle levels stop at this many unknowns
 _JACOBI_OMEGA = 0.8
 _SMOOTH_SWEEPS = 2         # damped-Jacobi sweeps before and after each coarse correction
-_FRACTIONAL_DENSE_MAX = 6_000
+_JUMP_ROWS = 64            # rows of the jump weights per block of the fractional row sums
 
 
 @dataclass
 class LatticeKernel:
     """The jump kernel of a fractional operator as a lattice convolution.
 
-    The offset table T holds the jump weight of every lattice offset on a
-    box of the first power of two at or above twice the interior's extent
+    The offset ``table`` T holds the jump weight of every lattice offset on
+    a box of the first power of two at or above twice the interior's extent
     per axis, in FFT order (offset o at index o mod box), so the box
     circulant of T applied to interior values is the exact
-    sum_j T[i - j] x_j.  Kept: the box shape,
-    the flat box index of each interior node (``at``), the rfft of T
-    (``k_hat``), the inverse symbol 1 / (d_max - k_hat) of the box
+    sum_j T[i - j] x_j.  T is the only stored form of the jump weights.
+    Kept with it: the flat box index of each interior node (``at``), the
+    rfft of T (``k_hat``), the inverse symbol 1 / (d_max - k_hat) of the box
     circulant C that preconditions A, and the scaling s = sqrt(d_max / diag).
     """
 
-    box: tuple
+    table: np.ndarray
     at: np.ndarray
     k_hat: np.ndarray
     c_inv: np.ndarray
@@ -61,21 +61,19 @@ class LatticeKernel:
 class DiscreteOperator:
     """Approximation A of -L on interior nodes, with its diagonal.
 
-    ``A`` is a CSR matrix for every operator: a sparse stencil for local
-    operators, and every entry stored for the dense fractional operator.  It
-    is symmetric positive definite; the associated one-step transition
+    A is symmetric positive definite; the associated one-step transition
     kernel is P = I - D^{-1} A with D = diag(A).  Row sums of P are <= 1,
     strictly so wherever mass leaks to boundary nodes (local operators) or
     through jumps/killing (fractional).
 
-    The fractional operator also keeps its ``kernel``: A x = diag x - K * x
-    on the interior nodes, the convolution taken by FFT.  Its solves and
-    ``apply`` use the kernel, never the stored A.
+    A local operator stores its sparse ``stencil``.  The fractional operator
+    stores its ``kernel``: A x = diag x - K * x on the interior nodes, the
+    convolution taken by FFT, which its solves and ``apply`` use.
     """
 
     grid: Grid
     op: OperatorSpec
-    A: sp.csr_matrix
+    stencil: sp.csr_matrix | None         # local operators only
     diag: np.ndarray                      # flat interior diagonal of A
     kernel: LatticeKernel | None = field(default=None, repr=False)
 
@@ -86,6 +84,17 @@ class DiscreteOperator:
     @property
     def n(self) -> int:
         return self.grid.n_interior
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        """A as a CSR matrix: the stencil of a local operator; for the
+        fractional operator, built from the kernel's offset table on every
+        read, with every entry stored, and not kept."""
+        if self.kernel is None:
+            return self.stencil
+        A = np.negative(_jump_rows(self.kernel.table, self.kernel.at))
+        np.fill_diagonal(A, self.diag)
+        return sp.csr_matrix(A)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a flat interior vector x; by the kernel's convolution for
@@ -160,14 +169,14 @@ def _kernel_apply(kern: LatticeKernel, d: np.ndarray, at: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """d x - K * x at the box nodes ``at``: the principal block of A on
     them, for d the diagonal of A there."""
-    return d * x - _box_convolve(kern.box, at, kern.k_hat, x)
+    return d * x - _box_convolve(kern.table.shape, at, kern.k_hat, x)
 
 
 def _circulant_solve(kern: LatticeKernel, s: np.ndarray, at: np.ndarray,
                      r: np.ndarray) -> np.ndarray:
     """s C^{-1} s r at the box nodes ``at``: SPD, as a section of the SPD
     s C^{-1} s on the box."""
-    return s * _box_convolve(kern.box, at, kern.c_inv, s * r)
+    return s * _box_convolve(kern.table.shape, at, kern.c_inv, s * r)
 
 
 def _factor(M: sp.spmatrix):
@@ -328,20 +337,16 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag_flat)
+    return DiscreteOperator(grid=grid, op=op, stencil=A, diag=diag_flat)
 
 
 def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     """The fractional operator from one table of jump weights per lattice
-    offset, which fills the stored A and is the kernel's convolution; the
-    diagonal adds the killing of jumps that leave the interior."""
+    offset, which is the kernel's convolution; the diagonal is the row sums
+    of the jump weights plus the killing of jumps that leave the interior."""
     alpha = op.alpha
     dim, h = grid.dim, grid.h
     n = grid.n_interior
-    if n > _FRACTIONAL_DENSE_MAX:
-        raise AssemblyError(
-            f"fractional assembly is dense; {n} interior nodes exceeds the cap "
-            f"{_FRACTIONAL_DENSE_MAX}")
     pts = grid.interior_points()
     c = frac_constant(alpha, dim)
     lattice = np.nonzero(grid.interior_mask)          # interior multi-indices, flat order
@@ -355,9 +360,6 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         k = np.maximum(np.abs(offsets[0]), 1).astype(float)
         table = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
         table[0] = 0.0
-        # the 1-d interior is one run of consecutive lattice nodes in flat
-        # order, so nodes i and j sit |i - j| cells apart and W is Toeplitz
-        W = toeplitz(table[:n])
         # killing: everything outside the interior cell union, exactly
         x = pts[:, 0]
         x_lo = x[0] - 0.5 * h
@@ -368,18 +370,24 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         with np.errstate(divide="ignore"):
             table = c * h**dim * r2 ** (-(dim + alpha) / 2.0)
         table[(0,) * dim] = 0.0
-        W = table[tuple((ix[:, None] - ix[None, :]) % L for ix, L in zip(lattice, box))]
         kill = np.atleast_1d(killing_density(alpha, grid.domain, pts))
 
-    diag = W.sum(axis=1) + kill
-    A_dense = np.negative(W, out=W)
-    np.fill_diagonal(A_dense, diag)
-    # every entry is stored: fill the CSR arrays from the dense block directly
-    A = sp.csr_matrix((A_dense.ravel(), np.tile(np.arange(n, dtype=np.int32), n),
-                       np.arange(0, n * n + 1, n, dtype=np.int32)), shape=(n, n))
     at = np.ravel_multi_index(tuple(ix - ix.min() for ix in lattice), box)
-    return DiscreteOperator(grid=grid, op=op, A=A, diag=diag,
+    diag = np.concatenate([_jump_rows(table, at, slice(s, s + _JUMP_ROWS)).sum(axis=1)
+                           for s in range(0, n, _JUMP_ROWS)]) + kill
+    return DiscreteOperator(grid=grid, op=op, stencil=None, diag=diag,
                             kernel=_lattice_kernel(table, at, diag))
+
+
+def _jump_rows(table: np.ndarray, at: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the jump weights W[i, j] = T[offset from node i to
+    node j] between the box nodes ``at``: in 1-d a read-only window view of
+    T (the interior is one run of nodes, so W is Toeplitz), else a gather."""
+    if table.ndim == 1:
+        n = at.size
+        return sliding_window_view(np.concatenate((table[n - 1:0:-1], table[:n])), n)[::-1][rows]
+    ix = np.unravel_index(at, table.shape)
+    return table[tuple((i[rows, None] - i) % L for i, L in zip(ix, table.shape))]
 
 
 def _lattice_kernel(table: np.ndarray, at: np.ndarray, diag: np.ndarray) -> LatticeKernel:
@@ -393,7 +401,7 @@ def _lattice_kernel(table: np.ndarray, at: np.ndarray, diag: np.ndarray) -> Latt
         raise AssemblyError(
             f"circulant preconditioner symbol is not positive (min {np.min(symbol):.3e}): "
             f"the jump weights on the box outweigh the largest diagonal entry {d_max:.3e}")
-    return LatticeKernel(box=table.shape, at=at, k_hat=k_hat, c_inv=1.0 / symbol,
+    return LatticeKernel(table=table, at=at, k_hat=k_hat, c_inv=1.0 / symbol,
                          scale=np.sqrt(d_max / diag))
 
 

@@ -283,7 +283,8 @@ def _local_energy_grid(solution, eta, n):
 def _graded_panels_1d(dom: Domain, anchors: Sequence[float],
                       per_decade: int, r_min: float, gauss: int):
     """Panel Gauss nodes/weights on (a, b), geometrically graded toward each
-    anchor and toward the endpoints (boundary behavior ~ dist^(alpha/2))."""
+    anchor and toward the endpoints (boundary behavior ~ dist^(alpha/2)),
+    less any panel narrower than 1e-12 (b - a): its nodes would round onto its ends."""
     a, b = dom.bounding_box[0]
     edges = {a, b}
     for anchor in list(anchors) + [a, b]:
@@ -298,7 +299,7 @@ def _graded_panels_1d(dom: Domain, anchors: Sequence[float],
     gx, gw = np.polynomial.legendre.leggauss(gauss)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 1e-300:
+        if hi - lo <= 1e-12 * (b - a):
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs.append(mid + half * gx)

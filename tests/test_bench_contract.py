@@ -1,6 +1,6 @@
 """The benchmark's checks, run in the tier-1 suite: ``bench/workloads.py``
 (imported, never modified) must pass every check of each of its four
-workloads (the dense fractional one, the two tail curves and the Monte Carlo
+workloads (the fractional one, the two tail curves and the Monte Carlo
 exits), and two passes of each must hash to the same digest."""
 
 import importlib.util

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -132,10 +133,16 @@ def test_fractional_assembly_1d():
     (0.5, Domain.interval(-1.0, 1.0), 2.0**-6),
     (1.3, Domain.interval(-0.3, 2.1), 0.013),
     (0.8, Domain.interval(0.0, 1.0), 2.0**-9),
+    (1.9, Domain.interval(-1.0, 1.0), 1.0),      # n = 1
+    (0.5, Domain.interval(0.0, 1.0), 0.25),      # n = 3
+    (1.2, Domain.interval(-1.0, 1.0), 0.25),     # n = 7
+    (1.7, Domain.interval(-1.0, 1.0), 0.013),    # n = 153
 ])
 def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
     """The Toeplitz assembly equals the cell-integral formula evaluated on
-    every pair of nodes, entry for entry."""
+    every pair of nodes, entry for entry: the diagonal's row sums over the
+    window view of the offset table add in the order of a contiguous row,
+    for n below, at and above numpy's pairwise-summation blocks."""
     grid = build_grid(dom, h)
     dop = assemble(OperatorSpec.fractional(alpha), grid)
     x = grid.interior_points()[:, 0]
@@ -221,7 +228,7 @@ FRAC_KERNEL_CASES = {
 
 @pytest.mark.parametrize("case", FRAC_KERNEL_CASES)
 def test_kernel_convolution_matches_a(case):
-    """The kernel's FFT convolution is the stored A within 1e-14, on every
+    """The kernel's FFT convolution is A within 1e-14, on every
     node and on a principal block, and the circulant symbol is positive."""
     alpha, dom, h = FRAC_KERNEL_CASES[case]
     dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, h))
@@ -244,9 +251,8 @@ def test_nonpositive_symbol_raises():
     without a positive symbol, which is refused by name."""
     dop = _frac_interval()
     kern = dop.kernel
-    table = np.fft.irfft(kern.k_hat, n=kern.box[0])
     with pytest.raises(AssemblyError, match="symbol is not positive"):
-        discrete._lattice_kernel(table, kern.at, 0.5 * dop.diag)
+        discrete._lattice_kernel(kern.table, kern.at, 0.5 * dop.diag)
 
 
 def _jacobi_iterations(dop, b):
@@ -323,11 +329,41 @@ def test_fractional_green_consistency():
     assert errs[-1] / exact < 0.05
 
 
-def test_fractional_dense_cap():
-    op = OperatorSpec.fractional(0.5)
-    grid = build_grid(Domain.interval(-1.0, 1.0), 1e-4)
-    with pytest.raises(AssemblyError):
-        assemble(op, grid)
+def test_fractional_assembles_and_solves_19999_nodes():
+    """n = 19,999 interior nodes assemble; the Green column solves to
+    1e-14 through the kernel, and the diagonal's first, middle and last
+    rows are the pairwise cell-integral formula bit for bit."""
+    alpha, h = 0.5, 1e-4
+    grid = build_grid(Domain.interval(-1.0, 1.0), h)
+    dop = assemble(OperatorSpec.fractional(alpha), grid)
+    n = dop.n
+    assert n == 19_999
+    g = discrete_green(dop, np.array([0.0])).interior_values()
+    b = np.zeros(n)
+    b[grid.flat_of_lattice(grid.nearest_node(np.array([0.0])))] = 1.0 / h
+    assert np.linalg.norm(dop.apply(g) - b) <= 1e-14 * np.linalg.norm(b)
+    x = grid.interior_points()[:, 0]
+    c = frac_constant(alpha, 1)
+    x_lo, x_hi = x.min() - 0.5 * h, x.max() + 0.5 * h
+    for i in (0, n // 2, n - 1):
+        k = np.maximum(np.rint(np.abs(x[i] - x) / h), 1.0)
+        w = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
+        w[i] = 0.0
+        kill = (c / alpha) * ((x[i] - x_lo) ** (-alpha) + (x_hi - x[i]) ** (-alpha))
+        assert dop.diag[i] == w.sum() + kill
+
+
+def test_fractional_assembly_stores_no_dense_matrix():
+    """Assembling the n = 2,047 interval allocates no n x n array (one
+    would be 33.5 MB); a 1-d grid, because the first d >= 2 assembly also
+    imports scipy.integrate."""
+    tracemalloc.start()
+    try:
+        assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_discrete_green_needs_interior():
@@ -623,8 +659,9 @@ def test_default_disk_solve_runs_cg(cg_calls):
                                 OperatorSpec.fractional(0.5)],
                          ids=["laplacian", "divergence", "fractional"])
 def test_operator_matrix_is_csr(op):
-    """Every operator keeps A as CSR, the dense fractional one included:
-    the benchmark's matrix-vector probe reads A.data, A.indices and A.indptr."""
+    """Every operator reads A as CSR, the fractional one (built from its
+    offset table) included: the benchmark's matrix-vector probe reads
+    A.data, A.indices and A.indptr."""
     dop = assemble(op, build_grid(Domain.interval(-1.0, 1.0), 2.0**-5))
     assert sp.issparse(dop.A)
     assert dop.A.format == "csr"

@@ -357,6 +357,19 @@ def test_nonlocal_energies_match_full_matrix_formula(case, monkeypatch):
         assert results[-1][0] == 0.0
 
 
+@pytest.mark.parametrize("anchors", [[0.0], [0.123], [-0.7, 0.4]])
+@pytest.mark.parametrize("per_decade", [2, 6, 12, 96])
+def test_graded_panels_lie_inside_the_interval(anchors, per_decade):
+    # with anchors (-0.7, 0.4) a ladder rung lands one ulp inside -1; no
+    # panel may put its nodes onto the endpoint, where the jump kernel
+    # between equal nodes is infinite
+    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), anchors, per_decade,
+                             r_min=1e-9, gauss=10)
+    assert np.all((x > -1.0) & (x < 1.0))
+    assert np.all(np.diff(x) > 0.0)
+    assert w.sum() == pytest.approx(2.0, rel=1e-14, abs=0.0)
+
+
 def test_jump_terms_with_no_node_in_the_window():
     # u steps over the window (1, 2): M is empty and only the L x H and H x L
     # products contribute; at n = 10 every node is below the window
