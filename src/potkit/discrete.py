@@ -8,7 +8,9 @@ interior cell union folded into the killing term, so its matrix is a
 symmetric M-matrix and the one-step kernel P = I - D^{-1} A is
 sub-stochastic exactly.  Its jumps depend only on the lattice offset
 between two nodes, so the fractional operator is stored as that one
-offset table, and applied and solved matrix-free by FFT convolution.
+offset table T, and applied and solved matrix-free by FFT convolution;
+its diagonal is the killing plus T * 1 by the same convolution, so a row
+of A leaks exactly its killing, to one rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.fft import irfftn, rfftn
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
 from .geometry import Grid, GridField, build_grid, lattice_shifts
@@ -33,7 +34,6 @@ _CG_MAX_ITERS = 1_000
 _COARSE_MAX = 4_000        # V-cycle levels stop at this many unknowns
 _JACOBI_OMEGA = 0.8
 _SMOOTH_SWEEPS = 2         # damped-Jacobi sweeps before and after each coarse correction
-_JUMP_ROWS = 64            # rows of the jump weights per block of the fractional row sums
 
 
 @dataclass
@@ -46,8 +46,9 @@ class LatticeKernel:
     circulant of T applied to interior values is the exact
     sum_j T[i - j] x_j.  T is the only stored form of the jump weights.
     Kept with it: the flat box index of each interior node (``at``), the
-    rfft of T (``k_hat``), the inverse symbol 1 / (d_max - k_hat) of the box
-    circulant C that preconditions A, and the scaling s = sqrt(d_max / diag).
+    rfft of T (``k_hat``, which also sums the diagonal), the inverse symbol
+    1 / (d_max - k_hat) of the box circulant C that preconditions A, and
+    the scaling s = sqrt(d_max / diag).
     """
 
     table: np.ndarray
@@ -88,11 +89,13 @@ class DiscreteOperator:
     @property
     def A(self) -> sp.csr_matrix:
         """A as a CSR matrix: the stencil of a local operator; for the
-        fractional operator, built from the kernel's offset table on every
-        read, with every entry stored, and not kept."""
+        fractional operator, gathered from the offset table T (W[i, j] =
+        T[offset from i to j]) on every read, all n^2 entries, not kept."""
         if self.kernel is None:
             return self.stencil
-        A = np.negative(_jump_rows(self.kernel.table, self.kernel.at))
+        table = self.kernel.table
+        ix = np.unravel_index(self.kernel.at, table.shape)
+        A = np.negative(table[tuple((i[:, None] - i) % L for i, L in zip(ix, table.shape))])
         np.fill_diagonal(A, self.diag)
         return sp.csr_matrix(A)
 
@@ -341,9 +344,9 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
 
 
 def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
-    """The fractional operator from one table of jump weights per lattice
-    offset, which is the kernel's convolution; the diagonal is the row sums
-    of the jump weights plus the killing of jumps that leave the interior."""
+    """The fractional operator from one table T of jump weights per lattice
+    offset, which is the kernel's convolution; the diagonal is the killing
+    of jumps that leave the interior plus T * 1, by that convolution."""
     alpha = op.alpha
     dim, h = grid.dim, grid.h
     n = grid.n_interior
@@ -373,28 +376,17 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         kill = np.atleast_1d(killing_density(alpha, grid.domain, pts))
 
     at = np.ravel_multi_index(tuple(ix - ix.min() for ix in lattice), box)
-    diag = np.concatenate([_jump_rows(table, at, slice(s, s + _JUMP_ROWS)).sum(axis=1)
-                           for s in range(0, n, _JUMP_ROWS)]) + kill
-    return DiscreteOperator(grid=grid, op=op, stencil=None, diag=diag,
-                            kernel=_lattice_kernel(table, at, diag))
-
-
-def _jump_rows(table: np.ndarray, at: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of the jump weights W[i, j] = T[offset from node i to
-    node j] between the box nodes ``at``: in 1-d a read-only window view of
-    T (the interior is one run of nodes, so W is Toeplitz), else a gather."""
-    if table.ndim == 1:
-        n = at.size
-        return sliding_window_view(np.concatenate((table[n - 1:0:-1], table[:n])), n)[::-1][rows]
-    ix = np.unravel_index(at, table.shape)
-    return table[tuple((i[rows, None] - i) % L for i, L in zip(ix, table.shape))]
-
-
-def _lattice_kernel(table: np.ndarray, at: np.ndarray, diag: np.ndarray) -> LatticeKernel:
-    """The kernel of an offset table on its box, with the circulant
-    preconditioner of symbol d_max - k_hat, d_max the largest diagonal
-    entry; a symbol that is not positive raises ``AssemblyError``."""
     k_hat = rfftn(table).real
+    diag = kill + _box_convolve(box, at, k_hat, np.ones(n))
+    return DiscreteOperator(grid=grid, op=op, stencil=None, diag=diag,
+                            kernel=_lattice_kernel(table, at, k_hat, diag))
+
+
+def _lattice_kernel(table: np.ndarray, at: np.ndarray, k_hat: np.ndarray,
+                    diag: np.ndarray) -> LatticeKernel:
+    """The kernel of an offset table on its box and its rfft ``k_hat``, with
+    the circulant preconditioner of symbol d_max - k_hat, d_max the largest
+    diagonal entry; a symbol that is not positive raises ``AssemblyError``."""
     d_max = float(np.max(diag))
     symbol = d_max - k_hat
     if not np.min(symbol) > 0.0:

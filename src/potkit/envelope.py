@@ -171,30 +171,29 @@ def _complementarity(dop: DiscreteOperator, w: np.ndarray, g: np.ndarray) -> tup
 
 
 def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
-                      tol: float) -> tuple:
+                      defect: np.ndarray, tol: float) -> tuple:
     """Exact envelope by Howard's algorithm (the primal-dual active-set
     method; Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2003): take the
     stopping set S = {w - g <= A w / diag}, set w = g on S and solve A w = 0
     on the complement by one block solve, until the complementarity
     residual |min(w - g, A w / diag)| is at most ``tol`` or S no longer
-    changes.  The residual of the start w is tested first, so an exact warm
-    start costs no solve.  For an M-matrix the iterates increase to the
-    envelope from the first solve on and the loop ends within n + 1 steps
-    (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  Returns
-    (w, policy steps), with w >= g bit for bit.
+    changes.  It starts from a w whose ``defect`` A w / diag is given and
+    whose residual misses ``tol``.  For an M-matrix the iterates increase
+    to the envelope from the first solve on and the loop ends within n + 1
+    steps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
+    Returns (w, policy steps).
     """
-    stop = None
-    for step in range(_MAX_POLICY_STEPS + 1):
-        if step:
-            w = np.where(stop, g, 0.0)
-            c = np.flatnonzero(~stop)
-            if c.size:
-                # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
-                w[c] = dop.solve(-dop.apply(w)[c], on=c)
+    stop = (w - g) <= defect
+    for step in range(1, _MAX_POLICY_STEPS + 1):
+        w = np.where(stop, g, 0.0)
+        c = np.flatnonzero(~stop)
+        if c.size:
+            # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
+            w[c] = dop.solve(-dop.apply(w)[c], on=c)
         defect, residual = _complementarity(dop, w, g)
         new_stop = (w - g) <= defect
         if residual <= tol or np.array_equal(new_stop, stop):
-            return np.maximum(w, g), step
+            return w, step
         stop = new_stop
     raise ConvergenceError(
         f"policy iteration neither reached the complementarity residual "
@@ -206,14 +205,14 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     """Smallest excessive majorant of the obstacle g >= 0.
 
     Policy iteration finishes it for every operator, started from w0
-    (default g; any w0 will do); a start that meets ``tol`` is returned as
-    max(w0, g).  On a local operator any other start is first improved by
-    projected red-black SOR at ``omega_optimal`` of the grid until its last
-    update falls below ``_WARM_TOL``.  ``tol`` is the complementarity
-    residual that the returned envelope must meet, and the continuation
-    threshold on A w / diag (relative to the envelope's scale).
-    Non-finite obstacle values are capped at the obstacle's value one cell
-    away.
+    (default g; any w0 will do) once its residual is tested: a start that
+    meets ``tol`` is returned as max(w0, g).  On a local operator any other
+    start is first improved by projected red-black SOR at ``omega_optimal``
+    of the grid until its last update falls below ``_WARM_TOL``, and tested
+    again.  ``tol`` is the complementarity residual that the returned
+    envelope must meet, and the continuation threshold on A w / diag
+    (relative to the envelope's scale).  Non-finite obstacle values are
+    capped at the obstacle's value one cell away.
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
@@ -229,14 +228,16 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
     sweeps = steps = 0
-    start = _complementarity(dop, w_flat, g_flat) if dop.is_local else None
-    if start and start[1] <= tol and np.all(w_flat >= g_flat):
-        # an exact start on or above g is the envelope: keep its defect
-        w_flat, (defect, residual) = np.maximum(w_flat, g_flat), start
-    else:
-        if start and start[1] > tol:
-            sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
-        w_flat, steps = _policy_iteration(dop, g_flat, w_flat, tol)
+    defect, residual = _complementarity(dop, w_flat, g_flat)
+    # an exact start on or above g is the envelope: keep its defect
+    exact = residual <= tol and bool(np.all(w_flat >= g_flat))
+    if residual > tol and dop.is_local:
+        sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
+        defect, residual = _complementarity(dop, w_flat, g_flat)
+    if residual > tol:
+        w_flat, steps = _policy_iteration(dop, g_flat, w_flat, defect, tol)
+    w_flat = np.maximum(w_flat, g_flat)
+    if not exact:
         defect, residual = _complementarity(dop, w_flat, g_flat)
     scale = float(np.max(np.abs(w_flat))) if w_flat.size else 1.0
     continuation = grid.new_field().astype(bool)

@@ -187,18 +187,18 @@ class Solution:
         return float(out[0]) if scalar and out.size == 1 else out
 
     def gradient(self, points) -> np.ndarray:
-        """grad u of a closed-form Laplacian on a 2-d or 3-d ball, the only
+        """grad u of a closed-form Laplacian on an interval or ball, the only
         solutions with a positive concentrated atom (atoms analytic, the
         density by differences); anything else raises SupportError."""
-        if not self.closed or self.op.kind != "laplacian" or self.dom.dim < 2:
-            raise SupportError("gradient needs a closed-form laplacian on a "
-                               "2-d or 3-d ball")
+        if not self.closed or self.op.kind != "laplacian":
+            raise SupportError("gradient needs a closed-form laplacian on an "
+                               "interval or a ball")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros_like(pts)
         for (p, w) in self.measure.atoms:
             out += w * _green_gradient(self.dom, pts, np.asarray(p))
         if self.density_potential is not None:
-            if isinstance(self.density_potential, RadialPotential):
+            if isinstance(self.density_potential, RadialPotential) and self.dom.dim > 1:
                 out += self.density_potential.gradient(pts)
             else:
                 out += _numeric_gradient(self.density_potential, pts)
@@ -218,7 +218,10 @@ class Solution:
 
 
 def _green_gradient(dom: Domain, x: np.ndarray, a: np.ndarray):
-    """grad_x G(x, a) of the Laplacian on a 2-d or 3-d ball."""
+    """grad_x G(x, a) of the Laplacian on a 2-d or 3-d ball, or on an
+    interval (l, r): ((r - a) for x < a, (l - a) otherwise) / (r - l)."""
+    if dom.dim == 1:
+        return np.where(x < a, dom.b - a, dom.a - a) / (dom.b - dom.a)
     ctr = np.asarray(dom.center)
     R = dom.radius
     X = x - ctr

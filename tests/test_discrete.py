@@ -19,7 +19,7 @@ from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, 
 from potkit import discrete
 from potkit.errors import AssemblyError, ConvergenceError, SupportError
 from potkit.geometry import GridField
-from potkit.kernels import frac_constant
+from potkit.kernels import frac_constant, killing_density
 
 LAP = OperatorSpec.laplacian()
 
@@ -139,10 +139,10 @@ def test_fractional_assembly_1d():
     (1.7, Domain.interval(-1.0, 1.0), 0.013),    # n = 153
 ])
 def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
-    """The Toeplitz assembly equals the cell-integral formula evaluated on
-    every pair of nodes, entry for entry: the diagonal's row sums over the
-    window view of the offset table add in the order of a contiguous row,
-    for n below, at and above numpy's pairwise-summation blocks."""
+    """The assembly equals the cell-integral formula evaluated on every pair
+    of nodes: every off-diagonal entry bit for bit, and the diagonal, the
+    killing plus the kernel's FFT convolution of the interior indicator,
+    within 4e-15 of the row sums of that formula."""
     grid = build_grid(dom, h)
     dop = assemble(OperatorSpec.fractional(alpha), grid)
     x = grid.interior_points()[:, 0]
@@ -150,13 +150,20 @@ def test_fractional_assembly_matches_pairwise_formula(alpha, dom, h):
     k = np.maximum(np.rint(np.abs(x[:, None] - x[None, :]) / h), 1.0)
     W = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
     np.fill_diagonal(W, 0.0)
-    x_lo, x_hi = x.min() - 0.5 * h, x.max() + 0.5 * h
-    diag = W.sum(axis=1) + (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
+    diag = W.sum(axis=1) + _interval_killing(alpha, x, h)
     A = -W
-    np.fill_diagonal(A, diag)
-    assert np.array_equal(dop.diag, diag)
+    np.fill_diagonal(A, dop.diag)
+    assert np.max(np.abs(dop.diag - diag) / diag) <= 4e-15
     assert np.array_equal(dop.A.toarray(), A)
     assert dop.A.nnz == dop.n**2
+
+
+def _interval_killing(alpha, x, h):
+    """The killing of the interval nodes x: the kernel's mass outside the
+    interior cell union."""
+    c = frac_constant(alpha, 1)
+    x_lo, x_hi = x.min() - 0.5 * h, x.max() + 0.5 * h
+    return (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
 
 
 @pytest.mark.parametrize("alpha, dom, h", [
@@ -246,13 +253,30 @@ def test_kernel_convolution_matches_a(case):
         assert np.max(np.abs(kern.scale - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("case", FRAC_KERNEL_CASES)
+def test_applied_operator_leaks_exactly_its_killing(case):
+    """A 1 = kappa within one rounding of the diagonal: a row of A leaks
+    exactly its killing, the cell-union formula in 1-d and
+    ``killing_density`` in d >= 2."""
+    alpha, dom, h = FRAC_KERNEL_CASES[case]
+    grid = build_grid(dom, h)
+    dop = assemble(OperatorSpec.fractional(alpha), grid)
+    pts = grid.interior_points()
+    if dom.dim == 1:
+        kill = _interval_killing(alpha, pts[:, 0], h)
+    else:
+        kill = killing_density(alpha, dom, pts)
+    leak = np.abs(dop.apply(np.ones(dop.n)) - kill)
+    assert np.all(leak <= np.finfo(float).eps * dop.diag)
+
+
 def test_nonpositive_symbol_raises():
     """A diagonal too small for the box's jump weights leaves the circulant
     without a positive symbol, which is refused by name."""
     dop = _frac_interval()
     kern = dop.kernel
     with pytest.raises(AssemblyError, match="symbol is not positive"):
-        discrete._lattice_kernel(kern.table, kern.at, 0.5 * dop.diag)
+        discrete._lattice_kernel(kern.table, kern.at, kern.k_hat, 0.5 * dop.diag)
 
 
 def _jacobi_iterations(dop, b):
@@ -330,40 +354,45 @@ def test_fractional_green_consistency():
 
 
 def test_fractional_assembles_and_solves_19999_nodes():
-    """n = 19,999 interior nodes assemble; the Green column solves to
-    1e-14 through the kernel, and the diagonal's first, middle and last
-    rows are the pairwise cell-integral formula bit for bit."""
-    alpha, h = 0.5, 1e-4
-    grid = build_grid(Domain.interval(-1.0, 1.0), h)
-    dop = assemble(OperatorSpec.fractional(alpha), grid)
-    n = dop.n
-    assert n == 19_999
-    g = discrete_green(dop, np.array([0.0])).interior_values()
-    b = np.zeros(n)
-    b[grid.flat_of_lattice(grid.nearest_node(np.array([0.0])))] = 1.0 / h
-    assert np.linalg.norm(dop.apply(g) - b) <= 1e-14 * np.linalg.norm(b)
-    x = grid.interior_points()[:, 0]
-    c = frac_constant(alpha, 1)
-    x_lo, x_hi = x.min() - 0.5 * h, x.max() + 0.5 * h
-    for i in (0, n // 2, n - 1):
-        k = np.maximum(np.rint(np.abs(x[i] - x) / h), 1.0)
-        w = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
-        w[i] = 0.0
-        kill = (c / alpha) * ((x[i] - x_lo) ** (-alpha) + (x_hi - x[i]) ** (-alpha))
-        assert dop.diag[i] == w.sum() + kill
+    """n = 19,999 and 99,999 interior nodes assemble; the Green column
+    solves to 1e-14 through the kernel, and the diagonal's first, middle
+    and last rows are the pairwise cell-integral formula within 4e-15."""
+    alpha = 0.5
+    for h, n in ((1e-4, 19_999), (2e-5, 99_999)):
+        grid = build_grid(Domain.interval(-1.0, 1.0), h)
+        dop = assemble(OperatorSpec.fractional(alpha), grid)
+        assert dop.n == n
+        g = discrete_green(dop, np.array([0.0])).interior_values()
+        b = np.zeros(n)
+        b[grid.flat_of_lattice(grid.nearest_node(np.array([0.0])))] = 1.0 / h
+        assert np.linalg.norm(dop.apply(g) - b) <= 1e-14 * np.linalg.norm(b)
+        x = grid.interior_points()[:, 0]
+        c = frac_constant(alpha, 1)
+        kill = _interval_killing(alpha, x, h)
+        for i in (0, n // 2, n - 1):
+            k = np.maximum(np.rint(np.abs(x[i] - x) / h), 1.0)
+            w = (c / alpha) * (((k - 0.5) * h) ** (-alpha) - ((k + 0.5) * h) ** (-alpha))
+            w[i] = 0.0
+            diag = w.sum() + kill[i]
+            assert abs(dop.diag[i] - diag) <= 4e-15 * diag
 
 
 def test_fractional_assembly_stores_no_dense_matrix():
-    """Assembling the n = 2,047 interval allocates no n x n array (one
-    would be 33.5 MB); a 1-d grid, because the first d >= 2 assembly also
-    imports scipy.integrate."""
-    tracemalloc.start()
-    try:
-        assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2**20
+    """Assembling the n = 2,047 interval or the h = 2^-5 disk (n = 3,205)
+    allocates no n x n array (one would be 33.5 or 82 MB) and peaks under
+    2 MB; a tiny disk is assembled first, so that the import of
+    scipy.integrate by the first d >= 2 assembly is not counted."""
+    op = OperatorSpec.fractional(0.5)
+    assemble(op, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 0.5))
+    for dom, h in ((Domain.interval(-1.0, 1.0), 2.0**-10),
+                   (Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-5)):
+        tracemalloc.start()
+        try:
+            assemble(op, build_grid(dom, h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 def test_discrete_green_needs_interior():

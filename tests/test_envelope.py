@@ -197,6 +197,28 @@ def test_fractional_reduite_matches_dense_cholesky_solve(monkeypatch, frac_dop):
     assert np.max(np.abs(res.envelope.values - ref.envelope.values)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("kind", ["fractional", "local"])
+def test_inexact_start_is_tested_once(monkeypatch, frac_dop, kind):
+    """reduite tests a start once for every operator: one complementarity
+    pass for the start, one after the local PSOR warm start, one per policy
+    step and one for max(w, g)."""
+    dop = frac_dop if kind == "fractional" else assemble(LAP, frac_dop.grid)
+    grid = dop.grid
+    g_flat = np.maximum(0.2 - (grid.interior_points()[:, 0] - 0.4) ** 2, 0.0)
+    g_flat[grid.n_interior // 4] = 0.35          # an isolated peak off the bump
+    complementarity = envelope_mod._complementarity
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return complementarity(*args)
+
+    monkeypatch.setattr(envelope_mod, "_complementarity", counting)
+    res = reduite(dop, GridField.from_interior(grid, g_flat))
+    assert res.policy_steps >= 1 and (res.iterations > 0) == (kind == "local")
+    assert len(counted) == res.policy_steps + (3 if kind == "local" else 2)
+
+
 def test_fractional_zero_obstacle(frac_dop):
     res = reduite(frac_dop, frac_dop.grid.new_field())
     assert np.all(res.envelope.values == 0.0)
@@ -724,12 +746,12 @@ def test_exact_start_is_returned_without_a_sweep(monkeypatch):
     assert np.array_equal(res.envelope.values, np.maximum(w0, g))
 
 
-@pytest.mark.parametrize("start,calls", [("exact", 1), ("dips-below-g", 3)])
+@pytest.mark.parametrize("start,calls", [("exact", 1), ("dips-below-g", 2)])
 def test_exact_start_computes_its_complementarity_once(monkeypatch, start, calls):
     """An exact start on or above g is the envelope: one complementarity pass
     makes the start test, the reported residual and the continuation set.
-    A start within tol that dips below g keeps the policy step-0 test and
-    the residual of max(w0, g)."""
+    A start within tol that dips below g adds only the residual of
+    max(w0, g)."""
     sol, dop, _, levels = _tail_case("one-atom-disk")
     inside = dop.grid.interior_mask
     field = envelope_field(sol, dop)
@@ -770,10 +792,12 @@ def test_inexact_start_sweeps_as_before(case, start):
     w = w0_flat.copy()
     sweeps = envelope_mod._relax(dop, g_flat, w, envelope_mod.omega_optimal(dop.grid),
                                  envelope_mod._WARM_TOL)
-    w, steps = envelope_mod._policy_iteration(dop, g_flat, w, 1e-10)
+    defect, residual = envelope_mod._complementarity(dop, w, g_flat)
+    assert residual > 1e-10
+    w, steps = envelope_mod._policy_iteration(dop, g_flat, w, defect, 1e-10)
     res = reduite(dop, GridField.from_interior(dop.grid, g_flat), tol=1e-10, w0=w0)
     assert sweeps > 0 and (res.iterations, res.policy_steps) == (sweeps, steps)
-    assert np.array_equal(res.envelope.interior_values(), w)
+    assert np.array_equal(res.envelope.interior_values(), np.maximum(w, g_flat))
 
 
 def test_tail_disk_mixed_reduites_are_exact(monkeypatch):

@@ -221,6 +221,31 @@ def test_local_energy_closed_density_casts_rays_from_the_centre(value, n, exact)
         assert val == pytest.approx(exact, rel=1e-9)
 
 
+_UNIT = Domain.interval(0.0, 1.0)
+_WIDE = Domain.interval(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("dom, mu, n, exact", [
+    # u = G(., 1/2) rises and falls with slope 1/2 to max u = 1/4
+    (_UNIT, MeasureData.make(atoms=[([0.5], 1.0)], dom=_UNIT), 0.05, 1.0),
+    (_UNIT, MeasureData.make(atoms=[([0.5], 1.0)], dom=_UNIT), 0.2, 0.25),
+    (_UNIT, MeasureData.make(atoms=[([0.5], 1.0)], dom=_UNIT), 0.3, 0.0),
+    # u = 1 - t^2, t = |1 - 2x|: the window is t^2 in [1 - 2n, 1 - n]
+    (_UNIT, MeasureData(density=Density.constant(8.0)), 0.25,
+     (16.0 / 3.0) * (0.75**1.5 - 0.5**1.5) / 0.25),
+    # slopes 0.35 and 0.65 about the atom: 0.35 * 0.1 + 0.65 * 0.1 = n
+    (_WIDE, MeasureData.make(atoms=[([0.3], 1.0)], dom=_WIDE), 0.1, 1.0),
+])
+def test_local_energy_closed_on_an_interval(dom, mu, n, exact):
+    """The closed-form local energy of an interval Laplacian, from the
+    analytic slopes of its Green function and the differenced density."""
+    val = local_energy(integral_solution(LAP, dom, mu), constant_eta(1.0), n)
+    if exact == 0.0:
+        assert val == 0.0
+    else:
+        assert val == pytest.approx(exact, rel=1e-9)
+
+
 def test_local_energy_closed_refuses_a_signed_atom_free_measure():
     disk = Domain.ball([0.0, 0.0], 1.0, 2)
     sol = integral_solution(LAP, disk, MeasureData.make(

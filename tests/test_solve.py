@@ -142,6 +142,7 @@ def _central_difference(sol, pts, eps):
 
 _DISK = Domain.ball([0.0, 0.0], 1.0, 2)
 _BALL = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
+_INTERVAL = Domain.interval(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("dom, mu, pts, eps, atol", [
@@ -159,6 +160,14 @@ _BALL = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
      [[0.5, 0.3, 0.0], [-0.4, -0.2, 0.1], [0.1, 0.6, -0.3]], 1e-5, 1e-8),
     (_BALL, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)], dom=_BALL),
      [[0.5, 0.3, 0.0], [0.0, 0.0, -0.4]], 1e-5, 1e-8),
+    # an interval: the atom's piecewise-linear Green function analytically,
+    # the constant density's parabola and the interpolated profile of a
+    # radial density numerically, the latter to about its cell width
+    (_INTERVAL, MeasureData.make(atoms=[([0.3], 1.0)], density=Density.constant(2.0),
+                                 dom=_INTERVAL),
+     [[-0.6], [0.1], [0.7]], 1e-5, 1e-8),
+    (_INTERVAL, MeasureData(density=Density.gaussian(1.0, 0.35, [0.0])),
+     [[-0.6], [0.1], [0.7]], 1e-3, 5e-4),
 ])
 def test_gradient_matches_central_differences(dom, mu, pts, eps, atol):
     sol = integral_solution(LAP, dom, mu)
@@ -168,8 +177,8 @@ def test_gradient_matches_central_differences(dom, mu, pts, eps, atol):
 
 
 @pytest.mark.parametrize("op, dom, mu", [
-    (LAP, Domain.interval(0.0, 1.0),
-     MeasureData.make(atoms=[([0.5], 1.0)], dom=Domain.interval(0.0, 1.0))),
+    (OperatorSpec.fractional(0.5), _INTERVAL,
+     MeasureData.make(atoms=[([0.5], 1.0)], dom=_INTERVAL)),
     (OperatorSpec.fractional(0.5), _DISK,
      MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=_DISK)),
 ])
