@@ -369,11 +369,13 @@ def _assemble_fractional(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         x_hi = x[-1] + 0.5 * h
         kill = (c / alpha) * ((x - x_lo) ** (-alpha) + (x_hi - x) ** (-alpha))
     else:
+        # point weights c h^d |k h|^(-d-alpha) off the origin; the killing is
+        # that of the ball's continuous complement, in its closed 2F1 form
         r2 = sum((o * h) ** 2 for o in offsets)
         with np.errstate(divide="ignore"):
             table = c * h**dim * r2 ** (-(dim + alpha) / 2.0)
         table[(0,) * dim] = 0.0
-        kill = np.atleast_1d(killing_density(alpha, grid.domain, pts))
+        kill = killing_density(alpha, grid.domain, pts)
 
     at = np.ravel_multi_index(tuple(ix - ix.min() for ix in lattice), box)
     k_hat = rfftn(table).real

@@ -23,6 +23,19 @@ All kernels are for ``-L`` with ``L`` the *full* generator:
   killing density of the restriction to D carries the full constant
   (both-sided pair counting):  kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy.
 
+  On a ball of radius R, with r = |x - center| / R, polar coordinates about
+  x turn that integral into the closed form
+
+      kappa_B(x) = c(alpha,d) |S^(d-1)| / alpha * R^(-alpha) (1 - r^2)^(-alpha)
+                   * 2F1(-alpha/2, (d-alpha)/2; d/2; r^2),
+
+  no quadrature needed.  At d = 1 the identity
+  2F1(a, a+1/2; 1/2; z^2) = ((1+z)^(-2a) + (1-z)^(-2a)) / 2 reduces it to
+  (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)].  The interval branch keeps
+  that elementary form: it reads the endpoint distances x - a and b - x
+  directly, which keep their digits at nodes within 1e-9 of an endpoint,
+  where 1 - r would not.
+
 Green functions: interval/ball for the Laplacian (Kelvin reflection), and
 the classical radial formula for the fractional ball expressed through the
 regularized incomplete beta function.
@@ -317,8 +330,19 @@ def killing_density(alpha: float, dom: Domain, x):
     """kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy for the fractional
     operator of index alpha.
 
-    Interval: closed form (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)].
-    Ball d in {2,3}: radial quadrature of the complement integral.
+    In polar coordinates about x the complement integral is
+    (c/alpha) Int_{S^(d-1)} rho_x(theta)^(-alpha) dtheta, rho_x(theta) the
+    distance from x to the boundary along theta.  On a ball of radius R,
+    with r = |x - center| / R, that is the closed form (DLMF 15.6)
+
+        kappa(x) = c |S^(d-1)| / alpha * R^(-alpha) (1 - r^2)^(-alpha)
+                   * 2F1(-alpha/2, (d-alpha)/2; d/2; r^2).
+
+    At d = 1, 2F1(a, a+1/2; 1/2; z^2) = ((1+z)^(-2a) + (1-z)^(-2a)) / 2
+    reduces it to (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)] on (a, b).
+    The interval branch evaluates that form from x - a and b - x: the
+    nonlocal energy puts nodes within 1e-9 of an endpoint, where 1 - r
+    would lose its digits.  Scalar in, scalar out, as in ``green``.
     """
     if dom.kind == "rectangle":
         raise UnsupportedKernelError("killing_density needs an interval or ball domain")
@@ -330,49 +354,14 @@ def killing_density(alpha: float, dom: Domain, x):
         if np.any((xv <= a) | (xv >= b)):
             raise SupportError("x must be interior")
         val = (c / alpha) * ((xv - a) ** (-alpha) + (b - xv) ** (-alpha))
-        return float(val[0]) if np.size(val) == 1 else val
-
-    R = dom.radius
-    ctr = np.asarray(dom.center)
-    pts = dom._check_points(x) - ctr
-    rr = np.linalg.norm(pts, axis=1)
-    if np.any(rr >= R):
-        raise SupportError("x must be interior")
-
-    # nodes at one radius share the complement integral: one quadrature per
-    # distinct radius, all with the same angular rule
-    radii, inverse = np.unique(rr, return_inverse=True)
-    rule = _half_circle_rule() if d == 2 else None
-    vals = np.array([c * _complement_integral(alpha, d, R, r, rule) for r in radii])
-    out = vals[inverse]
-    scalar = np.asarray(x, dtype=float).ndim <= 1
-    return float(out[0]) if scalar and np.size(out) == 1 else out
-
-
-def _half_circle_rule() -> tuple:
-    """96-point Gauss-Legendre nodes and weights on the angle range [0, pi]."""
-    theta, wt = np.polynomial.legendre.leggauss(96)
-    return 0.5 * (theta + 1.0) * math.pi, wt * 0.5 * math.pi
-
-
-def _complement_integral(alpha: float, d: int, R: float, r: float, rule) -> float:
-    """Int_{|y| > R} |x - y|^(-d-alpha) dy for |x| = r < R, radial quadrature;
-    d = 2 integrates the angle with ``rule`` (``_half_circle_rule``), the
-    symmetric half of the circle."""
-    if d == 2:
-        theta, wt = rule
-
-        def shell(s):
-            q = (r**2 + s**2 - 2.0 * r * s * np.cos(theta)) ** (-(d + alpha) / 2.0)
-            return 2.0 * s * float(np.dot(wt, q))
-    elif d == 3:
-        def shell(s):
-            p = 1.0 + alpha
-            return (2.0 * math.pi / (r * s * p)) * ((s - r) ** (-p) - (s + r) ** (-p)) * s**2 \
-                if r > 0 else 4.0 * math.pi * s**2 * s ** (-(d + alpha))
     else:
-        raise UnsupportedKernelError("killing_density ball supports d in {1,2,3}")
-    from scipy.integrate import quad
-    val, _ = quad(shell, R, np.inf, limit=200)
-    return val
-
+        R = dom.radius
+        r = np.linalg.norm(dom._check_points(x) - np.asarray(dom.center), axis=1) / R
+        if np.any(r >= 1.0):
+            raise SupportError("x must be interior")
+        # 1 - r^2 as (1 - r)(1 + r), which keeps its digits next to the sphere
+        val = (c * sphere_area(d) / alpha * R ** (-alpha)
+               * ((1.0 - r) * (1.0 + r)) ** (-alpha)
+               * special.hyp2f1(-alpha / 2.0, (d - alpha) / 2.0, d / 2.0, r * r))
+    scalar = np.asarray(x, dtype=float).ndim <= 1
+    return float(val[0]) if scalar and np.size(val) == 1 else val

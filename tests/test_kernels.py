@@ -8,7 +8,6 @@ from potkit import Domain, OperatorSpec, green, killing_density, poisson_kernel
 from potkit.errors import DimensionMismatchError, SupportError, UnsupportedKernelError
 from potkit.measures import MeasureData
 from potkit.solve import integral_solution
-from potkit import build_grid
 from potkit.kernels import (ball_green_constant, frac_constant,
                             frac_torsion_constant, riesz_constant, sphere_area)
 
@@ -193,7 +192,56 @@ def test_killing_ball3():
     v0 = killing_density(alpha, dom, [0.0, 0.0, 0.0])
     # center value has a one-dimensional closed form
     expect = frac_constant(alpha, 3) * 4.0 * math.pi / alpha
-    assert v0 == pytest.approx(expect, rel=1e-6)
+    assert v0 == pytest.approx(expect, rel=1e-14)
+
+
+def _angular_killing(alpha, d, r):
+    """(c/alpha) Int_{S^(d-1)} rho(theta)^(-alpha) dtheta on the unit ball,
+    rho(theta) = -r cos(theta) + sqrt(1 - r^2 sin(theta)^2) the distance to
+    the sphere along theta, by adaptive quadrature in theta."""
+    def rho(t):
+        return -r * math.cos(t) + math.sqrt(1.0 - (r * math.sin(t)) ** 2)
+
+    def integrand(t):
+        # the circle counts theta and -theta; the sphere's ring at theta has 2 pi sin(theta)
+        weight = 2.0 if d == 2 else 2.0 * math.pi * math.sin(t)
+        return weight * rho(t) ** (-alpha)
+
+    # the integrand peaks at theta = 0, with width about sqrt(1 - r)
+    brk = [min(k * math.sqrt(1.0 - r), 1.0) for k in (0.1, 1.0, 10.0)]
+    val, _ = integrate.quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=500,
+                            points=brk)
+    return frac_constant(alpha, d) / alpha * val
+
+
+_RADII = (0.0, 0.3, 0.9, 0.99, 0.999, 1.0 - 1e-4)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 1.9])
+def test_killing_ball_matches_angular_integral(alpha):
+    """The 2F1 closed form against the angular integral on disk and 3-ball
+    nodes from the centre to 1 - r = 1e-4."""
+    for d in (2, 3):
+        dom = Domain.ball([0.0] * d, 1.0, d)
+        direction = np.arange(1.0, d + 1.0) / np.linalg.norm(np.arange(1.0, d + 1.0))
+        pts = np.outer(_RADII, direction)
+        r = np.linalg.norm(pts, axis=1)
+        expect = [_angular_killing(alpha, d, ri) for ri in r]
+        np.testing.assert_allclose(killing_density(alpha, dom, pts), expect, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dom, x, y", [
+    (Domain.interval(-1.0, 1.0), [0.3], [0.0]),
+    (Domain.ball([0.0, 0.0], 1.0, 2), [0.3, 0.1], [0.0, 0.0]),
+], ids=["interval", "disk"])
+def test_killing_density_follows_green_shape_rule(dom, x, y):
+    """Scalar in, scalar out: one point as the row of a 2-d array gives an
+    array of shape (1,), in both functions, and one point alone a float."""
+    frac = OperatorSpec.fractional(0.5)
+    assert np.shape(killing_density(0.5, dom, [x])) == (1,)
+    assert np.shape(green(frac, dom, [x], [y])) == (1,)
+    assert isinstance(killing_density(0.5, dom, x), float)
+    assert isinstance(green(frac, dom, x, y), float)
 
 
 def test_poisson_disk_center_uniform():
@@ -291,37 +339,3 @@ def test_ball_green_constant_consistency():
         lhs = ball_green_constant(alpha, d) * special.beta(
             alpha / 2.0, (d - alpha) / 2.0)
         assert lhs == pytest.approx(riesz_constant(alpha, d), rel=1e-12)
-
-
-def _complement_integral_per_point(alpha, d, R, r):
-    """The per-point radial quadrature that ``killing_density`` evaluates
-    once per distinct radius, with its own angular rule on every call."""
-    if d == 2:
-        theta, wt = np.polynomial.legendre.leggauss(96)
-        theta = 0.5 * (theta + 1.0) * math.pi
-        wt = wt * 0.5 * math.pi
-
-        def shell(s):
-            q = (r**2 + s**2 - 2.0 * r * s * np.cos(theta)) ** (-(d + alpha) / 2.0)
-            return 2.0 * s * float(np.dot(wt, q))
-    else:
-        def shell(s):
-            p = 1.0 + alpha
-            return (2.0 * math.pi / (r * s * p)) * ((s - r) ** (-p) - (s + r) ** (-p)) * s**2 \
-                if r > 0 else 4.0 * math.pi * s**2 * s ** (-(d + alpha))
-    val, _ = integrate.quad(shell, R, np.inf, limit=200)
-    return val
-
-
-@pytest.mark.parametrize("dim, h", [(2, 2.0**-3), (3, 2.0**-2)])
-def test_killing_ball_one_quadrature_per_radius(dim, h):
-    alpha = 0.6
-    dom = Domain.ball([0.0] * dim, 1.0, dim)
-    pts = build_grid(dom, h).interior_points()
-    rr = np.linalg.norm(pts, axis=1)
-    assert np.unique(rr).size < rr.size           # radii repeat across nodes
-    c = frac_constant(alpha, dim)
-    expect = np.empty(rr.shape)
-    for i, r in enumerate(rr):
-        expect[i] = c * _complement_integral_per_point(alpha, dim, 1.0, r)
-    assert np.array_equal(killing_density(alpha, dom, pts), expect)
