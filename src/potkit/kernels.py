@@ -21,20 +21,8 @@ All kernels are for ``-L`` with ``L`` the *full* generator:
 
   so the symmetric jump measure carries half the pointwise kernel while the
   killing density of the restriction to D carries the full constant
-  (both-sided pair counting):  kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy.
-
-  On a ball of radius R, with r = |x - center| / R, polar coordinates about
-  x turn that integral into the closed form
-
-      kappa_B(x) = c(alpha,d) |S^(d-1)| / alpha * R^(-alpha) (1 - r^2)^(-alpha)
-                   * 2F1(-alpha/2, (d-alpha)/2; d/2; r^2),
-
-  no quadrature needed.  At d = 1 the identity
-  2F1(a, a+1/2; 1/2; z^2) = ((1+z)^(-2a) + (1-z)^(-2a)) / 2 reduces it to
-  (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)].  The interval branch keeps
-  that elementary form: it reads the endpoint distances x - a and b - x
-  directly, which keep their digits at nodes within 1e-9 of an endpoint,
-  where 1 - r would not.
+  (both-sided pair counting):  kappa_D(x) = c(alpha,d) Int_{D^c} |x-y|^(-d-alpha) dy,
+  in closed form on balls and intervals (``killing_density``).
 
 Green functions: interval/ball for the Laplacian (Kelvin reflection), and
 the classical radial formula for the fractional ball expressed through the
@@ -282,7 +270,8 @@ def poisson_kernel(op: OperatorSpec, dom: Domain, x, z):
     fractional: exit-by-jump density supported strictly outside the closed
     ball.  Both integrate to one over their support.  For d = 1 (interval)
     the laplacian kernel degenerates to point masses at the two endpoints
-    and the returned value is the hitting probability of z.
+    and the returned value is the hitting probability of z.  Scalar in,
+    scalar out, as in ``green``: a float only when x and z are one point each.
     """
     if dom.kind == "rectangle":
         raise UnsupportedKernelError("poisson_kernel requires a ball or interval domain")
@@ -294,7 +283,7 @@ def poisson_kernel(op: OperatorSpec, dom: Domain, x, z):
     rz = np.linalg.norm(Z, axis=1)
     if np.any(rx >= R):
         raise SupportError("x must be an interior point")
-    scalar = np.asarray(z, dtype=float).ndim <= 1
+    scalar = np.asarray(x, dtype=float).ndim <= 1 and np.asarray(z, dtype=float).ndim <= 1
 
     if op.kind == "laplacian":
         if d == 1:

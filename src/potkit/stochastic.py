@@ -226,21 +226,24 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
 
 
 def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
-    """Rejection sampling of the start distribution rho * m, under the bound
-    1.2 x the max of rho over 4,096 probes of the bounding box; a candidate
-    where rho exceeds that bound raises SupportError naming rho, and so does
-    a rho with no positive value at the probes inside D, which would reject
-    every candidate."""
+    """Rejection sampling of the start distribution rho * m (uniform for rho
+    None), under the bound 1.2 x the max of rho over 4,096 probes of the
+    bounding box; a candidate where rho exceeds that bound raises
+    SupportError naming rho, and so does a rho with no positive value at the
+    probes inside D, which would reject every candidate, and, before any
+    draw, a rho that is neither None nor callable."""
+    if rho is not None and not callable(rho):
+        raise SupportError(f"rho must be None (uniform) or a callable density, "
+                           f"not {type(rho).__name__}")
     box = dom.bounding_box
     d = dom.dim
     out = np.empty((n_samples, d))
     have = 0
-    rho_fn = rho if callable(rho) else None
     rho_max = None
-    if rho_fn is not None:
+    if rho is not None:
         probe = np.column_stack([rng.uniform(lo, hi, 4096) for lo, hi in box])
         inside = dom.contains(probe)
-        vals = np.asarray(rho_fn(probe[inside]), dtype=float)
+        vals = np.asarray(rho(probe[inside]), dtype=float)
         if not np.any(vals > 0.0):
             raise SupportError("rho has no positive value at its 4,096 probes of the "
                                "domain: rejection sampling would never accept a start")
@@ -249,9 +252,9 @@ def sample_start_points(dom: Domain, rho, n_samples: int, rng) -> np.ndarray:
         m = max(2 * (n_samples - have), 1024)
         cand = np.column_stack([rng.uniform(lo, hi, m) for lo, hi in box])
         keep = dom.contains(cand)
-        if rho_fn is not None:
+        if rho is not None:
             r = np.zeros(m)
-            r[keep] = np.asarray(rho_fn(cand[keep]), dtype=float)
+            r[keep] = np.asarray(rho(cand[keep]), dtype=float)
             if np.any(r > rho_max):
                 raise SupportError(f"rho reaches {r.max():.6g}, above the bound "
                                    f"{rho_max:.6g} its 4,096 probes set: rejection "

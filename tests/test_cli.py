@@ -343,6 +343,22 @@ def test_divergence_config_solves_on_its_grid(tmp_path, capsys):
     assert "config field 'grid'" in capsys.readouterr().err
 
 
+def test_fractional_rectangle_config_solves(tmp_path):
+    """A fractional operator on the unit square has no closed form: the
+    config solves on its grid."""
+    cfg = {
+        "name": "frac-square",
+        "domain": {"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+        "operator": {"kind": "fractional", "alpha": 1.2},
+        "measure": {"atoms": [[[0.5, 0.5], 1.0]]},
+        "grid": {"h": 2.0**-4},
+    }
+    path = tmp_path / "frac_square.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "tail"])
 def test_grid_node_cap_applies_to_every_subcommand(tmp_path, capsys, command):
     # the h = 2^-7 grid of the preset has 67,081 nodes

@@ -230,18 +230,26 @@ def test_killing_ball_matches_angular_integral(alpha):
         np.testing.assert_allclose(killing_density(alpha, dom, pts), expect, rtol=1e-10)
 
 
-@pytest.mark.parametrize("dom, x, y", [
-    (Domain.interval(-1.0, 1.0), [0.3], [0.0]),
-    (Domain.ball([0.0, 0.0], 1.0, 2), [0.3, 0.1], [0.0, 0.0]),
+SHAPE_RULE_KERNELS = {
+    "green": lambda dom, x, y, z: green(OperatorSpec.fractional(0.5), dom, x, y),
+    "poisson_kernel": lambda dom, x, y, z: poisson_kernel(LAP, dom, x, z),
+    "killing_density": lambda dom, x, y, z: killing_density(0.5, dom, x),
+}
+
+
+@pytest.mark.parametrize("kernel", list(SHAPE_RULE_KERNELS))
+@pytest.mark.parametrize("dom, x, y, z", [
+    (Domain.interval(-1.0, 1.0), [0.3], [0.0], [1.0]),
+    (Domain.ball([0.0, 0.0], 1.0, 2), [0.3, 0.1], [0.0, 0.0], [0.6, 0.8]),
 ], ids=["interval", "disk"])
-def test_killing_density_follows_green_shape_rule(dom, x, y):
-    """Scalar in, scalar out: one point as the row of a 2-d array gives an
-    array of shape (1,), in both functions, and one point alone a float."""
-    frac = OperatorSpec.fractional(0.5)
-    assert np.shape(killing_density(0.5, dom, [x])) == (1,)
-    assert np.shape(green(frac, dom, [x], [y])) == (1,)
-    assert isinstance(killing_density(0.5, dom, x), float)
-    assert isinstance(green(frac, dom, x, y), float)
+def test_killing_density_follows_green_shape_rule(kernel, dom, x, y, z):
+    """Scalar in, scalar out, in each closed-form kernel: points given as
+    one-row 2-d arrays give an array of shape (1,), and single points a
+    float."""
+    value = SHAPE_RULE_KERNELS[kernel]
+    assert np.shape(value(dom, [x], [y], [z])) == (1,)
+    assert np.shape(value(dom, [x], y, z)) == (1,)
+    assert isinstance(value(dom, x, y, z), float)
 
 
 def test_poisson_disk_center_uniform():

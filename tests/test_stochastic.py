@@ -559,6 +559,21 @@ def test_sample_start_points_inside():
     assert np.all(DISK.contains(pts))
 
 
+@pytest.mark.parametrize("rho", [np.array([0.0, 0.0, 5.0]), 2.0, "uniform"],
+                         ids=["array", "float", "str"])
+def test_non_callable_rho_raises_before_any_draw(rho):
+    # rho is None (uniform) or a callable density: anything else once drew
+    # uniform starts, the same bits as rho=None
+    bounded = integral_solution(LAP, DISK, MeasureData(density=Density.constant(1.0)))
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(SupportError, match="rho must be None"):
+        maximal_inequality_check(bounded, d1_value=0.125, rho=rho, n_samples=1_000, seed=rng)
+    with pytest.raises(SupportError, match="rho must be None"):
+        sample_start_points(DISK, rho, 10, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_sample_start_points_rejects_rho_above_the_probed_bound():
     # the probes put the bound at 0.667 against the peak 1.0: accepting the
     # candidates above it with probability 1 would flatten the peak
