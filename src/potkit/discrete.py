@@ -30,7 +30,8 @@ from .kernels import OperatorSpec, frac_constant
 _CG_RTOL = 1e-12
 _FRACTIONAL_RTOL = 1e-14   # fractional solves: the policy iteration's residual rests on them
 _CG_MAX_ITERS = 1_000
-_COARSE_MAX = 4_000        # V-cycle levels stop at this many unknowns
+_COARSE_MAX = 4_000        # systems and blocks up to this many unknowns are factored directly
+_BOTTOM_MAX = 500          # V-cycle levels stop at this many unknowns
 _JACOBI_OMEGA = 0.8
 _SMOOTH_SWEEPS = 2         # damped-Jacobi sweeps before and after each coarse correction
 
@@ -102,12 +103,15 @@ class DiscreteOperator:
             return self.A @ x
         return _box_convolve(self.kernel.table.shape, self.kernel.at, self.kernel.symbol, x)
 
-    def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs_flat: np.ndarray, on: np.ndarray | None = None,
+              x0: np.ndarray | None = None) -> np.ndarray:
         """Deterministic linear solve A x = rhs, local and fractional alike;
         with ``on`` (flat interior indices c, increasing and distinct), of
         the principal block A[c, c] x = rhs instead: the Dirichlet problem
-        on c with zero data off c.  A malformed ``on``, or a right-hand side
-        whose length is not |c|, raises ``SupportError``.
+        on c with zero data off c.  Every CG solve starts from ``x0`` (on c;
+        default 0); a direct solve does not read it.  A malformed ``on``, or
+        a right-hand side or ``x0`` whose length is not |c|, raises
+        ``SupportError``.
 
         A fractional system or block runs CG (``_pcg``) to relative residual
         ``_FRACTIONAL_RTOL``, matrix-free: A[c, c] x is the box circulant C
@@ -118,12 +122,13 @@ class DiscreteOperator:
         A local system or block of at most ``_COARSE_MAX`` unknowns is
         factored directly (SuperLU of a copy).  Everything else runs CG
         to relative residual ``_CG_RTOL``, preconditioned by one
-        V-cycle (``_hierarchy``) of the matrix it solves: A for a full
-        system, and for a block the embedded K A K + diag(1_S diag A), K =
-        diag(1_c) and S the nodes off c, with the right-hand side zero on S:
-        it is SPD and block diagonal, so x is zero on S and A[c, c]^{-1} rhs
-        on c.  No solve calls BLAS, so no result depends on the size of the
-        BLAS thread pool.
+        V-cycle (``_hierarchy``, down to ``_BOTTOM_MAX`` unknowns) of the
+        matrix it solves: A for a full system, and for a block the embedded
+        K A K + diag(1_S diag A), K = diag(1_c) and S the nodes off c, with
+        the right-hand side and the start zero on S: it is SPD and block
+        diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.  No solve
+        calls BLAS, so no result depends on the size of the BLAS thread
+        pool.
         """
         n = self.n
         c = np.arange(n) if on is None else np.asarray(on)
@@ -133,23 +138,35 @@ class DiscreteOperator:
         if np.shape(rhs_flat) != (c.size,):
             raise SupportError(f"right-hand side of shape {np.shape(rhs_flat)} for a "
                                f"system of {c.size} unknowns")
+        if x0 is not None and np.shape(x0) != (c.size,):
+            raise SupportError(f"start x0 of shape {np.shape(x0)} for a "
+                               f"system of {c.size} unknowns")
         if not self.is_local:
             kern = self.kernel
             box, at = kern.table.shape, kern.at[c]
             return _pcg(partial(_box_convolve, box, at, kern.symbol), rhs_flat,
-                        partial(_box_convolve, box, at, kern.c_inv), _FRACTIONAL_RTOL)[0]
+                        partial(_box_convolve, box, at, kern.c_inv), _FRACTIONAL_RTOL,
+                        x0=x0)[0]
         if c.size <= _COARSE_MAX:
             return _factor(self.A[c][:, c])(rhs_flat)
         A, b = self.A, rhs_flat
         if on is not None:
-            keep = np.zeros(n)
-            keep[c] = 1.0
-            K = sp.diags(keep)
-            A = (K @ A @ K + sp.diags((1.0 - keep) * self.diag)).tocsr()
+            # K A K + diag(1_S diag A): the stored entries of A inside c and
+            # on the diagonal, in A's order
+            inside = np.zeros(n, dtype=bool)
+            inside[c] = True
+            rows = np.repeat(np.arange(n), np.diff(A.indptr))
+            kept = (inside[rows] & inside[A.indices]) | (rows == A.indices)
+            indptr = np.zeros(kept.size + 1, dtype=A.indptr.dtype)
+            np.cumsum(kept, out=indptr[1:])
+            A = sp.csr_matrix((A.data[kept], A.indices[kept], indptr[A.indptr]), shape=A.shape)
             b = np.zeros(n)
             b[c] = rhs_flat
+            if x0 is not None:
+                x0_c, x0 = x0, np.zeros(n)
+                x0[c] = x0_c
         levels, bottom = _hierarchy(self.grid, A)
-        x, _ = _pcg(A.dot, b, partial(_vcycle, levels, bottom))
+        x, _ = _pcg(A.dot, b, partial(_vcycle, levels, bottom), x0=x0)
         return x[c]
 
 
@@ -167,15 +184,21 @@ def _factor(M: sp.spmatrix):
     return spla.factorized(M.tocsc())
 
 
-def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL) -> tuple:
+def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL,
+         x0: np.ndarray | None = None) -> tuple:
     """Preconditioned conjugate gradients for the SPD system A x = b from
-    x = 0, with ``matvec(p)`` applying A and ``precond(r)`` the SPD
-    preconditioner, until ||r|| <= ``rtol`` ||b||.  Returns (x, iterations);
+    x0 (default 0), with ``matvec(p)`` applying A and ``precond(r)`` the SPD
+    preconditioner, until ||r|| <= ``rtol`` ||b||, r = b - A x.  A zero b
+    returns x = 0 at 0 iterations, whatever x0.  Returns (x, iterations);
     raises ``ConvergenceError`` after ``_CG_MAX_ITERS`` iterations.  Inner
     products run in einsum's own loop, not BLAS, so neither x nor the
     cost depends on the BLAS thread pool."""
-    x, r = np.zeros_like(b), b.copy()
     bound = rtol * np.sqrt(np.einsum("i,i", b, b))
+    if x0 is None or not bound:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - matvec(x)
     p = rz_prev = None
     for it in range(_CG_MAX_ITERS):
         if np.sqrt(np.einsum("i,i", r, r)) <= bound:
@@ -196,40 +219,54 @@ def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL) -> tuple:
 # geometric multigrid (CG preconditioner, direct solve at the bottom)
 # ---------------------------------------------------------------------------
 
-def _prolongation(fine: Grid, coarse: Grid) -> sp.csr_matrix:
-    """Tensor-product linear interpolation from the coarse interior to the
-    fine interior (coarse mesh width 2h on the same anchored lattice), with
-    zero Dirichlet values off the coarse interior."""
+def _restriction(fine: Grid, coarse: Grid) -> sp.csr_matrix:
+    """R = P^T for P the tensor-product linear interpolation from the coarse
+    interior to the fine interior (coarse mesh width 2h on the same anchored
+    lattice), with zero Dirichlet values off the coarse interior: row j
+    holds the weights 2^-|s|_0 of the fine nodes at the 3^d shifts s of
+    coarse node j, whose flat indices increase in ``itertools.product``
+    order."""
     # fine lattice multi-index of every coarse interior node
     centre = [2 * (coarse.offset[k] + c) - fine.offset[k]
               for k, c in enumerate(np.nonzero(coarse.interior_mask))]
-    cols = np.arange(coarse.n_interior)
-    rows_all, cols_all, vals_all = [], [], []
-    for shift in itertools.product((-1, 0, 1), repeat=fine.dim):
-        rows = fine.interior_index[tuple(c + s for c, s in zip(centre, shift))]
-        keep = rows >= 0
-        rows_all.append(rows[keep])
-        cols_all.append(cols[keep])
-        vals_all.append(np.full(rows_all[-1].size, 0.5 ** np.count_nonzero(shift)))
-    return sp.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(fine.n_interior, coarse.n_interior))
+    shifts = list(itertools.product((-1, 0, 1), repeat=fine.dim))
+    cols = np.stack([fine.interior_index[tuple(c + s for c, s in zip(centre, shift))]
+                     for shift in shifts]).astype(np.int32)
+    vals = np.array([[0.5 ** np.count_nonzero(shift)] for shift in shifts])
+    return _slot_csr(cols, np.broadcast_to(vals, cols.shape), fine.n_interior)
+
+
+def _slot_csr(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """The CSR matrix whose row i holds vals[s, i] at column cols[s, i] for
+    each slot s in turn, a column of -1 marking no entry."""
+    keep = cols >= 0
+    indptr = np.zeros(cols.shape[1] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=0), out=indptr[1:])
+    return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr),
+                         shape=(cols.shape[1], n_cols))
 
 
 def _hierarchy(grid: Grid, A: sp.csr_matrix):
     """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
-    Galerkin coarse operators P^T A P, and the SuperLU factorization of the
-    bottom operator.  Only sparse local matrices get here: a stencil A, or
-    the embedded matrix of a block (Kornhuber's truncated coarse operators)."""
-    levels = []
-    while A.shape[0] > _COARSE_MAX:
+    Galerkin coarse operators P^T A P (P kept as the CSC view R.T of the
+    restriction R = P^T), down to at most ``_BOTTOM_MAX`` unknowns or the
+    coarsest grid, and the SuperLU factorization of the bottom operator.
+    Only sparse local matrices get here, each symmetric bit for bit: a
+    stencil A, or the embedded matrix of a block (Kornhuber's truncated
+    coarse operators).  The product runs as M = R (M P) on the transpose M
+    of each level's matrix, so every coarse entry sums the terms of
+    ``(P.T @ A @ P).tocsr()`` in its order."""
+    levels, M = [], A
+    while A.shape[0] > _BOTTOM_MAX:
         try:
             coarse = build_grid(grid.domain, 2.0 * grid.h)
         except GridSizeError:
             break
-        P = _prolongation(grid, coarse)
-        levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
-        A = (P.T @ A @ P).tocsr()
+        R = _restriction(grid, coarse)
+        levels.append((A, _JACOBI_OMEGA / A.diagonal(), R.T))
+        M = R @ (M @ R.T.tocsr())
+        M.sort_indices()
+        A = M.T.tocsr()
         grid = coarse
     return levels, _factor(A)
 
@@ -274,7 +311,8 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
     coeff = op.coeff
 
     if coeff is not None:
-        pts = grid.node_points().reshape(-1, dim)
+        node_pts = grid.node_points()
+        pts = node_pts.reshape(-1, dim)
         relevant = (interior | grid.boundary_mask).reshape(-1)
         vals_check = np.asarray(coeff(pts[relevant]), dtype=float)
         if np.any(vals_check < op.lam - 1e-12) or np.any(vals_check > op.Lam + 1e-12):
@@ -282,9 +320,11 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
             raise AssemblyError(
                 f"coefficient outside [{op.lam}, {op.Lam}] near node {bad}")
 
+    # one slot per stencil entry in CSR column order: -e_0 .. -e_{d-1}, the
+    # node itself, +e_{d-1} .. +e_0; column -1 marks a missing neighbour
     diag_lat = np.zeros(shape)
-    rows, cols, vals = [], [], []
-    node_pts = grid.node_points()
+    cols = np.full((2 * dim + 1,) + shape, -1, dtype=np.int32)
+    vals = np.zeros(cols.shape)
 
     for k, lead, trail in lattice_shifts(dim):
         if coeff is None:
@@ -299,27 +339,17 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
 
         # edges with at least one interior endpoint enter the diagonal;
         # interior-interior edges also produce the off-diagonal entries
-        lo_int = interior[trail]
-        hi_int = interior[lead]
-        diag_lat[trail] += np.where(lo_int, edge, 0.0)
-        diag_lat[lead] += np.where(hi_int, edge, 0.0)
+        diag_lat[trail] += np.where(interior[trail], edge, 0.0)
+        diag_lat[lead] += np.where(interior[lead], edge, 0.0)
+        cols[(2 * dim - k,) + trail] = idx[lead]
+        cols[(k,) + lead] = idx[trail]
+        vals[(2 * dim - k,) + trail] = vals[(k,) + lead] = -edge
 
-        both = lo_int & hi_int
-        r = idx[trail][both]
-        c = idx[lead][both]
-        e = edge[both]
-        rows.extend((r, c))
-        cols.extend((c, r))
-        vals.extend((-e, -e))
-
-    n = grid.n_interior
     diag_flat = diag_lat[interior]
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag_flat)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    cols[dim], vals[dim] = idx, diag_lat
+    rows = np.flatnonzero(interior)
+    A = _slot_csr(cols.reshape(len(cols), -1)[:, rows], vals.reshape(len(vals), -1)[:, rows],
+                  grid.n_interior)
     return DiscreteOperator(grid=grid, op=op, stencil=A, diag=diag_flat)
 
 

@@ -6,8 +6,10 @@ operator, the reduite of an obstacle g >= 0 is the smallest fixed point of
 w = max(g, P w), equivalently the value function of optimally stopping g
 along the killed chain, equivalently the sup over node subsets V of the
 harmonic extension of g from the complement of V.  Every operator gets it
-the same way: exact policy iteration (one block solve per step); a local
-start that misses the tolerance first gets a short projected-SOR warm start.
+the same way: exact policy iteration (one block solve per step, started
+from the current iterate); a local start that misses the tolerance first
+gets a short projected-SOR warm start, on colour rows of A pre-scaled by
+omega / diag.
 
 Atom handling in tail functionals: when the measure carries concentrated
 atoms, the obstacle (|u| - n)^+ is enriched at each atom's node, where the
@@ -124,10 +126,11 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     count.
 
     The sweeps run on a copy of w in red-then-black order, so each colour
-    is one contiguous slice.  Each colour's rows of A keep their stored
-    entry order with the columns renamed into that order, so every row sums
-    the same terms in the same order as on the lattice numbering and the
-    result is the same bit for bit.
+    is one contiguous slice, and each colour's rows of A are scaled by
+    omega / diag once, so a half-sweep is one product and one ``maximum``.
+    Each row keeps its stored entry order with the columns renamed into
+    that order, so every row sums the same terms in the same order as on
+    the lattice numbering and the result is the same bit for bit.
     """
     order, n_red = _colour_rows(dop.grid)
     pos = np.empty(order.size, dtype=dop.A.indices.dtype)
@@ -135,22 +138,19 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     blocks = []
     for part in (slice(0, n_red), slice(n_red, None)):
         A_rows = dop.A[order[part]]
-        A_rows = sp.csr_matrix((A_rows.data, pos[A_rows.indices], A_rows.indptr),
-                               shape=A_rows.shape)
-        blocks.append((part, A_rows, dop.diag[order[part]]))
+        scale = np.repeat(omega / dop.diag[order[part]], np.diff(A_rows.indptr))
+        blocks.append((part, sp.csr_matrix((A_rows.data * scale, pos[A_rows.indices],
+                                            A_rows.indptr), shape=A_rows.shape)))
     wp, gp = w[order], g[order]
     update = np.inf
     for sweep in range(1, _MAX_SWEEPS + 1):
         track = sweep % 8 == 0
         if track:
             update = 0.0
-        for part, A_rows, d_rows in blocks:
+        for part, A_rows in blocks:
             w_rows = wp[part]
             old = w_rows.copy() if track else None
-            step = A_rows @ wp
-            np.multiply(omega, step, out=step)
-            np.divide(step, d_rows, out=step)
-            np.subtract(w_rows, step, out=w_rows)
+            w_rows -= A_rows @ wp
             np.maximum(w_rows, gp[part], out=w_rows)
             if track:
                 update = max(update, float(np.max(np.abs(w_rows - old), initial=0.0)))
@@ -178,18 +178,20 @@ def _policy_iteration(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
     on the complement by one block solve, until the complementarity
     residual |min(w - g, A w / diag)| is at most ``tol`` or S no longer
     changes.  It starts from a w whose ``defect`` A w / diag is given and
-    whose residual misses ``tol``.  For an M-matrix the iterates increase
-    to the envelope from the first solve on and the loop ends within n + 1
-    steps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
-    Returns (w, policy steps).
+    whose residual misses ``tol``.  Each block solve starts from the
+    current iterate on the complement.  For an M-matrix the iterates
+    increase to the envelope from the first solve on and the loop ends
+    within n + 1 steps (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal.
+    47, 2009).  Returns (w, policy steps).
     """
     stop = (w - g) <= defect
     for step in range(1, _MAX_POLICY_STEPS + 1):
-        w = np.where(stop, g, 0.0)
         c = np.flatnonzero(~stop)
+        start = w[c]
+        w = np.where(stop, g, 0.0)
         if c.size:
             # w vanishes on c: A[c, c] w_c = -A[c, S] g_S
-            w[c] = dop.solve(-dop.apply(w)[c], on=c)
+            w[c] = dop.solve(-dop.apply(w)[c], on=c, x0=start)
         defect, residual = _complementarity(dop, w, g)
         new_stop = (w - g) <= defect
         if residual <= tol or np.array_equal(new_stop, stop):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, 
                     harmonic_extension, reduite)
 from potkit import discrete
 from potkit.errors import AssemblyError, ConvergenceError, SupportError
-from potkit.geometry import GridField
+from potkit.geometry import GridField, lattice_shifts
 from potkit.kernels import frac_constant
 
 LAP = OperatorSpec.laplacian()
@@ -497,9 +498,10 @@ def test_malformed_block_raises(op, on, size):
 
 
 def test_block_solve_factors_no_large_local_matrix(monkeypatch):
-    """A 7,691-node block of the h = 2^-6 disk is solved by CG with the
-    V-cycle of its embedded matrix, so no local matrix above _COARSE_MAX
-    rows is factored (the bottom grid is)."""
+    """On the h = 2^-6 disk, the full grid (12,849 nodes) and a 7,691-node
+    block are solved by CG with the V-cycle of their own matrix, whose
+    bottom, the only matrix factored, has at most _BOTTOM_MAX rows; a
+    block of at most _COARSE_MAX nodes is factored directly, once."""
     rows = []
     factor = discrete._factor
 
@@ -508,10 +510,15 @@ def test_block_solve_factors_no_large_local_matrix(monkeypatch):
         return factor(M)
     monkeypatch.setattr(discrete, "_factor", spy)
     dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
-    V = np.random.default_rng(8).random(dop.n) < 0.6
-    assert V.sum() > discrete._COARSE_MAX
-    harmonic_extension(dop, V, np.ones(dop.grid.shape))
-    assert rows and max(rows) <= discrete._COARSE_MAX
+    pts = dop.grid.interior_points()
+    for V in (np.ones(dop.n, dtype=bool), np.random.default_rng(8).random(dop.n) < 0.6,
+              np.hypot(pts[:, 0], pts[:, 1]) < 0.5):
+        del rows[:]
+        harmonic_extension(dop, V, np.ones(dop.grid.shape))
+        if V.sum() > discrete._COARSE_MAX:
+            assert len(rows) == 1 and rows[0] <= discrete._BOTTOM_MAX
+        else:
+            assert rows == [V.sum()] and rows[0] > discrete._BOTTOM_MAX
 
 
 @pytest.fixture
@@ -530,8 +537,10 @@ def cg_calls(monkeypatch):
 
 @pytest.fixture
 def cg_iterations(monkeypatch, cg_calls):
-    """Lower the coarsest level so every small grid gets a V-cycle, and
-    record the iterations of every CG call."""
+    """Lower _COARSE_MAX, the size up to which a system is factored
+    directly, to 200, so every small grid runs V-cycle-preconditioned CG
+    (its levels still stop at _BOTTOM_MAX), and record the iterations of
+    every CG call."""
     monkeypatch.setattr(discrete, "_COARSE_MAX", 200)
     return cg_calls
 
@@ -590,6 +599,206 @@ def test_cg_budget_raise_leaves_no_reference_cycles(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- CSR-native builders against the COO assembly they replaced -------------
+
+def _coo_stencil(op, grid):
+    """The local stencil as it was assembled through COO lists and
+    ``tocsr``: both entries of every interior-interior edge, then the
+    diagonal."""
+    dim, shape, inv_h2 = grid.dim, grid.shape, 1.0 / grid.h**2
+    idx, interior = grid.interior_index, grid.interior_mask
+    node_pts = grid.node_points()
+    diag_lat = np.zeros(shape)
+    rows, cols, vals = [], [], []
+    for k, lead, trail in lattice_shifts(dim):
+        if op.coeff is None:
+            edge = np.full(tuple(s - (1 if i == k else 0) for i, s in enumerate(shape)), inv_h2)
+        else:
+            a_lo = op.coeff_at(node_pts[trail].reshape(-1, dim), k)
+            a_hi = op.coeff_at(node_pts[lead].reshape(-1, dim), k)
+            edge = (0.5 * (a_lo + a_hi) * inv_h2).reshape(node_pts[trail].shape[:-1])
+        diag_lat[trail] += np.where(interior[trail], edge, 0.0)
+        diag_lat[lead] += np.where(interior[lead], edge, 0.0)
+        both = interior[trail] & interior[lead]
+        r, c, e = idx[trail][both], idx[lead][both], edge[both]
+        rows.extend((r, c))
+        cols.extend((c, r))
+        vals.extend((-e, -e))
+    n = grid.n_interior
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag_lat[interior])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def _coo_prolongation(fine, coarse):
+    """Linear interpolation P from the coarse to the fine interior, built
+    through COO lists, one per 3^d shift, and ``tocsr``."""
+    centre = [2 * (coarse.offset[k] + c) - fine.offset[k]
+              for k, c in enumerate(np.nonzero(coarse.interior_mask))]
+    cols = np.arange(coarse.n_interior)
+    rows_all, cols_all, vals_all = [], [], []
+    for shift in itertools.product((-1, 0, 1), repeat=fine.dim):
+        rows = fine.interior_index[tuple(c + s for c, s in zip(centre, shift))]
+        keep = rows >= 0
+        rows_all.append(rows[keep])
+        cols_all.append(cols[keep])
+        vals_all.append(np.full(rows_all[-1].size, 0.5 ** np.count_nonzero(shift)))
+    return sp.csr_matrix(
+        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(fine.n_interior, coarse.n_interior))
+
+
+def _same_csr(M, ref):
+    return (M.format == "csr" and M.has_sorted_indices and np.array_equal(M.data, ref.data)
+            and np.array_equal(M.indices, ref.indices) and np.array_equal(M.indptr, ref.indptr))
+
+
+BUILDER_DOMAINS = {
+    "interval": (Domain.interval(-1.0, 1.0), 2.0**-7),
+    "disk": (Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
+    "ball3d": (Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 2.0**-3),
+    "l-shape": (Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=_l_shape), 2.0**-6),
+}
+BUILDER_OPS = {"laplacian": LAP,
+               "divergence": OperatorSpec.divergence(_smooth_coeff, lam=0.5, Lam=1.5)}
+
+
+@pytest.mark.parametrize("op", BUILDER_OPS)
+@pytest.mark.parametrize("dom", BUILDER_DOMAINS)
+def test_csr_builders_match_coo_assembly(op, dom):
+    """The stencil built straight into CSR and the restriction R = P^T
+    have the arrays of the COO-assembled stencil and prolongation, bit for
+    bit, with sorted indices; P is kept as the CSC view R.T."""
+    domain, h = BUILDER_DOMAINS[dom]
+    grid, coarse = build_grid(domain, h), build_grid(domain, 2.0 * h)
+    assert _same_csr(assemble(BUILDER_OPS[op], grid).A, _coo_stencil(BUILDER_OPS[op], grid))
+    P, R = _coo_prolongation(grid, coarse), discrete._restriction(grid, coarse)
+    assert _same_csr(R, P.T.tocsr()) and _same_csr(R.T.tocsr(), P)
+
+
+@pytest.mark.parametrize("op", BUILDER_OPS)
+@pytest.mark.parametrize("h", [2.0**-6, 2.0**-7], ids=["h=2^-6", "h=2^-7"])
+def test_vcycle_matches_reference_hierarchy(op, h):
+    """The hierarchy of the disk (3 and 4 levels above a bottom of at most
+    _BOTTOM_MAX unknowns) and its V-cycle equal, bit for bit, those of a
+    reference built with the COO prolongation and
+    ``(P.T @ A @ P).tocsr()`` down to the same _BOTTOM_MAX."""
+    grid = build_grid(Domain.ball([0.0, 0.0], 1.0, 2), h)
+    A = assemble(BUILDER_OPS[op], grid).A
+    levels, bottom = discrete._hierarchy(grid, A)
+    ref, fine, M = [], grid, A
+    while M.shape[0] > discrete._BOTTOM_MAX:
+        coarse = build_grid(fine.domain, 2.0 * fine.h)
+        P = _coo_prolongation(fine, coarse)
+        ref.append((M, discrete._JACOBI_OMEGA / M.diagonal(), P))
+        M, fine = (P.T @ M @ P).tocsr(), coarse
+    assert len(levels) == len(ref) >= 3
+    for (A_k, jac, P), (A_ref, jac_ref, P_ref) in zip(levels, ref):
+        assert _same_csr(A_k, A_ref) and _same_csr(P.tocsr(), P_ref)
+        assert np.array_equal(jac, jac_ref)
+    r = np.random.default_rng(4).standard_normal(A.shape[0])
+    assert np.array_equal(discrete._vcycle(levels, bottom, r),
+                          discrete._vcycle(ref, discrete._factor(M), r))
+
+
+@pytest.mark.parametrize("op", BUILDER_OPS)
+def test_embedded_block_matrix_matches_diagonal_products(monkeypatch, op):
+    """The embedded matrix of a block, masked from A's stored entries, has
+    the arrays of (K A K + diag(1_S diag A)).tocsr(), K = diag(1_c), bit for
+    bit, with sorted indices."""
+    dop = assemble(BUILDER_OPS[op], build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
+    c = np.flatnonzero(np.random.default_rng(8).random(dop.n) < 0.6)
+    assert c.size > discrete._COARSE_MAX
+    seen, hierarchy = [], discrete._hierarchy
+    monkeypatch.setattr(discrete, "_hierarchy", lambda grid, A: (seen.append(A), hierarchy(grid, A))[1])
+    dop.solve(np.ones(c.size), on=c)
+    keep = np.zeros(dop.n)
+    keep[c] = 1.0
+    K = sp.diags(keep)
+    assert _same_csr(seen[0], (K @ dop.A @ K + sp.diags((1.0 - keep) * dop.diag)).tocsr())
+
+
+# -- CG from a start x0 ------------------------------------------------------
+
+@pytest.mark.parametrize("op", [LAP, OperatorSpec.fractional(0.5)], ids=["local", "fractional"])
+@pytest.mark.parametrize("on", [None, [0, 5, 9]], ids=["system", "block"])
+@pytest.mark.parametrize("x0_shape", [lambda m: (m - 1,), lambda m: (m + 1,), lambda m: (m, 1),
+                                      lambda m: (1, m)], ids=["short", "long", "column", "row"])
+def test_malformed_start_raises_before_any_work(monkeypatch, op, on, x0_shape):
+    """A start whose shape is not (|c|,) raises SupportError before any
+    factorization or CG iteration, on the local and the fractional
+    operator alike."""
+    dop = assemble(op, build_grid(Domain.interval(0.0, 1.0), 2.0**-6))
+    assert dop.n == 63
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(discrete, "_factor", no_work)
+    monkeypatch.setattr(discrete, "_pcg", no_work)
+    size = dop.n if on is None else len(on)
+    with pytest.raises(SupportError, match="start x0"):
+        dop.solve(np.ones(size), on=None if on is None else np.array(on),
+                  x0=np.ones(x0_shape(size)))
+
+
+START_CASES = {"local": (LAP, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6),
+               "fractional": (OperatorSpec.fractional(0.5), Domain.interval(-1.0, 1.0), 2.0**-8)}
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_solve_from_a_start(cg_calls, case):
+    """solve(rhs, on=c, x0=...) meets the residual bound of a solve from
+    zero, and a zero right-hand side returns zeros at 0 iterations from a
+    nonzero start."""
+    op, dom, h = START_CASES[case]
+    dop = assemble(op, build_grid(dom, h))
+    rng = np.random.default_rng(8)
+    c = np.flatnonzero(rng.random(dop.n) < 0.6)
+    if op.is_local:
+        assert c.size > discrete._COARSE_MAX        # the CG path, not a direct solve
+    rhs = rng.standard_normal(c.size)
+    rtol = discrete._CG_RTOL if op.is_local else discrete._FRACTIONAL_RTOL
+    x0 = dop.solve(rhs, on=c) + 1e-3 * rng.standard_normal(c.size)
+    x = dop.solve(rhs, on=c, x0=x0)
+    block = dop.A[c][:, c]
+    assert np.linalg.norm(block @ x - rhs) <= rtol * np.linalg.norm(rhs)
+    assert len(cg_calls) == 2 and 0 < cg_calls[1]
+    zero = dop.solve(np.zeros(c.size), on=c, x0=x0)
+    assert cg_calls[2] == 0 and not np.any(zero)
+
+
+def test_policy_block_starts_from_the_iterate(monkeypatch, cg_calls):
+    """On the h = 2^-6 tail obstacle of a Dirac plus a density, the policy
+    step after the PSOR warm start starts its block CG from the iterate and
+    takes fewer iterations than from zero, to the same envelope within
+    1e-12 relative."""
+    from potkit.envelope import (_WARM_TOL, _complementarity, _policy_iteration, _relax,
+                                 envelope_field, omega_optimal, reduite_start, tail_obstacle)
+    from potkit.measures import Density, MeasureData
+    from potkit.solve import integral_solution
+    dom = Domain.ball([0.0, 0.0], 1.0, 2)
+    dop = assemble(LAP, build_grid(dom, 2.0**-6))
+    mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], density=Density.constant(4.0), dom=dom)
+    field = envelope_field(integral_solution(LAP, dom, mu), dop)
+    g = tail_obstacle(field[0], field[1], 0.5, dop.grid)
+    mask = dop.grid.interior_mask
+    g_flat, w = g[mask], reduite_start(g, field)[mask]
+    _relax(dop, g_flat, w, omega_optimal(dop.grid), _WARM_TOL)
+    defect, _ = _complementarity(dop, w, g_flat)
+    del cg_calls[:]
+    warm, _ = _policy_iteration(dop, g_flat, w, defect, 1e-10)
+    warm_its = cg_calls[:]
+    solve = discrete.DiscreteOperator.solve
+    monkeypatch.setattr(discrete.DiscreteOperator, "solve",
+                        lambda self, rhs, on=None, x0=None: solve(self, rhs, on=on))
+    del cg_calls[:]
+    cold, _ = _policy_iteration(dop, g_flat, w, defect, 1e-10)
+    assert len(warm_its) == len(cg_calls) >= 1 and sum(warm_its) < sum(cg_calls)
+    assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))
 
 
 _THREADS_PROBE = """

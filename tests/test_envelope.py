@@ -57,19 +57,19 @@ def reference_psor(dop, g_flat, omega, tol, check_every=8):
 
 
 def gather_scatter_psor(dop, g_flat, w, omega, tol):
-    """Projected red-black SOR as it ran on the lattice numbering before the
-    sweeps moved to colour-contiguous storage: each half-sweep gathers
-    w[rows] and g[rows], multiplies by the colour's rows of A and scatters
+    """Projected red-black SOR on the lattice numbering, without the
+    colour-contiguous storage: each half-sweep gathers w[rows] and g[rows],
+    subtracts the colour's rows of A scaled by omega / diag and scatters
     back to w[rows].  Updates w in place; returns the sweep count."""
     grid = dop.grid
     parity = np.indices(grid.shape).sum(axis=0)[grid.interior_mask] % 2
-    blocks = [(rows, dop.A[rows], dop.diag[rows])
+    blocks = [(rows, (sp.diags(omega / dop.diag[rows]) @ dop.A[rows]).sorted_indices())
               for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))]
     for sweep in range(1, 10**6):
         track = sweep % 8 == 0
         update = 0.0
-        for rows, A_rows, d_rows in blocks:
-            cand = w[rows] - omega * (A_rows @ w) / d_rows
+        for rows, A_rows in blocks:
+            cand = w[rows] - A_rows @ w
             np.maximum(cand, g_flat[rows], out=cand)
             if track:
                 update = max(update, float(np.max(np.abs(cand - w[rows]), initial=0.0)))
@@ -172,10 +172,10 @@ def test_fractional_reduite_is_exact(frac_dop):
     assert res.policy_steps >= 1
 
 
-def _dense_cholesky_block_solve(dop, rhs, on=None):
+def _dense_cholesky_block_solve(dop, rhs, on=None, x0=None):
     """Reference for the continuation solve of the fractional policy
     iteration: one dense Cholesky of A[c, c], factored in place through its
-    Fortran-ordered transpose."""
+    Fortran-ordered transpose; the start x0 is not read."""
     factor = cho_factor(dop.A.toarray()[np.ix_(on, on)].T, overwrite_a=True)
     return cho_solve(factor, rhs.copy(), overwrite_b=True)
 
@@ -616,10 +616,10 @@ def test_tail_curve_one_solve_per_atom(monkeypatch, case):
     calls = []
     solve = DiscreteOperator.solve
 
-    def counted(self, rhs, on=None):
+    def counted(self, rhs, on=None, x0=None):
         if on is None:                # a grid solve, not a policy step's block
             calls.append(1)
-        return solve(self, rhs, on=on)
+        return solve(self, rhs, on=on, x0=x0)
 
     monkeypatch.setattr(DiscreteOperator, "solve", counted)
     tail_curve(sol, dop, rho, levels)
@@ -633,12 +633,12 @@ def test_tail_curve_fractional_factors_nothing(monkeypatch, no_factor):
     blocks, iterations = [], []
     solve, pcg = DiscreteOperator.solve, discrete_mod._pcg
 
-    def counted_solve(self, rhs, on=None):
+    def counted_solve(self, rhs, on=None, x0=None):
         blocks.append(None if on is None else self.n - len(on))
-        return solve(self, rhs, on=on)
+        return solve(self, rhs, on=on, x0=x0)
 
-    def counted_pcg(*args):
-        x, its = pcg(*args)
+    def counted_pcg(*args, **kwargs):
+        x, its = pcg(*args, **kwargs)
         iterations.append(its)
         return x, its
 
