@@ -149,17 +149,18 @@ def cmd_solve(args) -> int:
     else:
         pts = grid.interior_points()
     rows = np.column_stack([np.atleast_2d(pts), np.atleast_1d(sol.evaluate(pts))])
-    header = [f"x{k}" for k in range(dom.dim)] + ["u"]
-    prefix = _prefix(cfg)
-    write_csv(os.path.join(out, f"{prefix}.csv"), header, rows,
-              comments=["integral solution u(x); u = 0 off the domain",
-                        "evaluation at a concentrated atom reports inf"])
+    # the summary comes first, so a run that cannot finish writes nothing
     summary = {
         "l1_rho_norm": l1_rho_norm(sol, rho(grid.interior_points()), grid),
         "total_variation": total_variation(mu, dom),
         "concentrated_atoms": len(sol.decomposition.concentrated.atoms),
         "closed_form": sol.closed,
     }
+    header = [f"x{k}" for k in range(dom.dim)] + ["u"]
+    prefix = _prefix(cfg)
+    write_csv(os.path.join(out, f"{prefix}.csv"), header, rows,
+              comments=["integral solution u(x); u = 0 off the domain",
+                        "evaluation at a concentrated atom reports inf"])
     write_json(os.path.join(out, f"{prefix}.json"),
                run_report(cfg, summary, {}))
     if not args.quiet:

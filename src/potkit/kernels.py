@@ -189,10 +189,8 @@ def _green_laplace_ball(dom: Domain, x, y):
     with np.errstate(divide="ignore"):
         if d == 2:
             val = np.log(refl / dist) / (2.0 * math.pi)
-        elif d == 3:
-            val = (1.0 / dist - 1.0 / refl) / (4.0 * math.pi)
         else:
-            raise UnsupportedKernelError("laplacian ball Green needs d in {1,2,3}")
+            val = (1.0 / dist - 1.0 / refl) / (4.0 * math.pi)
     val = np.where(dist == 0.0, np.inf, val)
     return val
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .errors import DimensionMismatchError, SupportError
 from .geometry import Domain, Grid
-from .kernels import OperatorSpec, points_polar, sphere_area
+from .kernels import OperatorSpec, points_polar
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,9 @@ class Density:
     """Scalar density on the domain, given by a named preset.
 
     Presets: ``constant`` (level ``value``) and ``gaussian``
-    (value * exp(-|x - center|^2 / (2 sigma^2))).
+    (value * exp(-|x - center|^2 / (2 sigma^2))).  Both have closed-form
+    masses (``abs_integral``), and ``solve.DensityPotential`` gives their
+    potentials and gradients in closed form.
     """
 
     kind: str
@@ -57,22 +60,27 @@ class Density:
         return False
 
     def abs_integral(self, dom: Domain) -> float:
-        """Integral of |density| over the domain (total-variation part)."""
+        """Integral of |density| over the domain (total-variation part), in
+        closed form.  A Gaussian's is |v| (2 pi sigma^2)^(d/2) times the
+        probability that N(center, sigma^2 I) lands in the domain: the
+        noncentral chi^2 law of |X - c|^2 / sigma^2 on a ball or interval of
+        centre c, one erf difference per axis on a rectangle.  A masked
+        rectangle raises SupportError."""
         if self.kind == "constant":
             return abs(self.value) * dom.volume()
-        from scipy.integrate import quad
-        # gaussian: radial quadrature about its center when centered in a ball,
-        # generic quadrature otherwise
-        if dom.kind == "ball" and self.is_radial_about(dom.center):
-            d, R = dom.dim, dom.radius
-            area = sphere_area(d)
-            f = lambda r: abs(self.value) * math.exp(-r * r / (2 * self.sigma**2)) \
-                * area * r ** (d - 1)
-            return quad(f, 0.0, R)[0]
-        if dom.dim == 1:
-            a, b = dom.bounding_box[0]
-            return quad(lambda x: abs(float(self(np.array([[x]])))), a, b)[0]
-        raise SupportError("gaussian TV needs a centered ball or 1d domain")
+        d, s = dom.dim, self.sigma
+        c = np.asarray(self.center) if self.center else np.zeros(d)
+        if dom.kind == "rectangle":
+            if dom.mask is not None:
+                raise SupportError("gaussian TV has no closed form on a masked rectangle")
+            lo, hi = np.asarray(dom.bounds).T
+            t = math.sqrt(2.0) * s
+            prob = np.prod((special.erf((hi - c) / t) - special.erf((lo - c) / t)) / 2.0)
+        else:
+            ball = dom.as_ball()
+            prob = special.chndtr(ball.radius**2 / s**2, d,
+                                  np.sum((c - np.asarray(ball.center)) ** 2) / s**2)
+        return float(abs(self.value) * (2.0 * math.pi * s**2) ** (d / 2.0) * prob)
 
 
 @dataclass(frozen=True)

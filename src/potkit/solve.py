@@ -4,11 +4,11 @@ superposes kernels for atoms plus density potentials in closed form, and
 operator.
 
 Closed-form paths:
-  * laplacian x interval: exact kernel, density potential by cumulative
-    quadrature of the product kernel;
-  * laplacian x ball (d = 2, 3): atoms by Kelvin reflection, radial densities
-    through the angular average of the kernel (log / Newton kernel of the
-    larger radius);
+  * laplacian x interval: exact kernel; constant densities through the
+    parabola, centred Gaussians through the error function (``DensityPotential``);
+  * laplacian x ball (d = 2, 3): atoms by Kelvin reflection; constant densities
+    through (R^2 - r^2) / 2d, centred Gaussians through the incomplete gamma
+    function and, in the plane, the entire exponential integral Ein;
   * fractional x interval/ball: atoms by the radial ball formula; constant
     densities through (R^2 - r^2)^(alpha/2) / C.
 Anything else (divergence operators, rectangles, non-radial densities, any
@@ -23,117 +23,78 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .discrete import DiscreteOperator
 from .errors import SupportError, UnsupportedKernelError
 from .geometry import Domain, Grid, GridField
-from .kernels import OperatorSpec, frac_torsion_constant, green, sphere_area
+from .kernels import OperatorSpec, frac_torsion_constant, green
 from .measures import Decomposition, Density, MeasureData, decompose, deposit
 
-_RADIAL_NODES = 4097
 _SUP_SAMPLES = 20001       # sample points of the closed-form sup estimate
 
 
-class RadialPotential:
-    """Potential of a radial density on a centered ball / interval, evaluated
-    through cumulative quadrature of the angular-averaged kernel."""
+def _ein(z):
+    """Ein(z) = Int_0^z (1 - e^-t) dt / t = E1(z) + ln z + gamma (DLMF §6.2),
+    Ein(0) = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z > 0, special.exp1(z) + np.log(z) + np.euler_gamma, 0.0)
+
+
+class DensityPotential:
+    """R^D f of a density f in closed form, on a pair ``closed_form_supported``
+    accepts: a constant f under the Laplacian on an interval or ball or under
+    the fractional operator, or a Gaussian centred on a Laplacian's interval
+    or ball.  ``gradient`` serves the Laplacian.
+
+    With r = |x - c| on the ball (or interval) of centre c and radius R, a
+    Gaussian v exp(-r^2 / 2 sigma^2) has the mass
+    M(r) = Int_0^r t^(d-1) f = v (2 sigma^2)^(d/2) Gamma(d/2) / 2 P(d/2, z),
+    z = r^2 / 2 sigma^2, so grad u = -M(r) / r^d (x - c), and u is
+    (v sigma^2 / 2)(Ein(z_R) - Ein(z)) in the plane and
+    (R^(2-d) M(R) - r^(2-d) M(r) - v sigma^2 (e^-z - e^-z_R)) / (2 - d)
+    for d = 1 and 3.
+    """
 
     def __init__(self, op: OperatorSpec, dom: Domain, density: Density):
+        ball = dom.as_ball()
         self.op, self.dom, self.density = op, dom, density
-        if dom.dim == 1:
-            self._build_interval()
-        else:
-            self._build_ball()
+        self.center, self.R, self.d = np.asarray(ball.center), ball.radius, dom.dim
 
-    def _build_interval(self):
-        a, b = self.dom.bounding_box[0]
-        x = np.linspace(a, b, _RADIAL_NODES)
-        f = self.density(x.reshape(-1, 1))
-        # u(x) = (b-x)/(b-a) Int_a^x (y-a) f dy + (x-a)/(b-a) Int_x^b (b-y) f dy
-        from scipy.integrate import cumulative_trapezoid
-        I1 = cumulative_trapezoid((x - a) * f, x, initial=0.0)
-        I2_full = cumulative_trapezoid((b - x) * f, x, initial=0.0)
-        I2 = I2_full[-1] - I2_full
-        u = ((b - x) * I1 + (x - a) * I2) / (b - a)
-        self._x, self._u = x, u
-
-    def _build_ball(self):
-        d, R = self.dom.dim, self.dom.radius
-        area = sphere_area(d)
-        r = np.linspace(0.0, R, _RADIAL_NODES)
-        ctr = np.asarray(self.dom.center)
-        pts = ctr + np.outer(r, np.eye(d)[0])
-        f = self.density(pts)
-        from scipy.integrate import cumulative_trapezoid
-        # angular average of the Green kernel: (1/2pi) ln(R/max(r,s)) for d=2,
-        # (1/4pi)(1/max(r,s) - 1/R) for d=3, of the source shell s
-        w = f * area * r ** (d - 1)
-        if d == 2:
-            M1 = cumulative_trapezoid(w, r, initial=0.0)            # Int_0^r w ds
-            M2_full = cumulative_trapezoid(w * np.log(R / np.maximum(r, 1e-300)),
-                                           r, initial=0.0)
-            M2 = M2_full[-1] - M2_full
-            with np.errstate(divide="ignore"):
-                u = (np.log(R / np.maximum(r, 1e-300)) * M1 + M2) / (2.0 * math.pi)
-            u[0] = M2[0] / (2.0 * math.pi)
-        else:  # d == 3
-            M1 = cumulative_trapezoid(w, r, initial=0.0)
-            M2_full = cumulative_trapezoid(w / np.maximum(r, 1e-300), r, initial=0.0)
-            M2_full[0] = 0.0
-            M2 = M2_full[-1] - M2_full
-            with np.errstate(divide="ignore"):
-                u = ((1.0 / np.maximum(r, 1e-300)) * M1 + M2
-                     - M1[-1] / R) / (4.0 * math.pi)
-            u[0] = (M2[0] - M1[-1] / R) / (4.0 * math.pi)
-        self._x, self._u = r, u
+    def _slope(self, r2):
+        """M(r) / r^d at r^2 = ``r2``; v / d, its limit, at r = 0."""
+        d, v, s2 = self.d, self.density.value, self.density.sigma**2
+        rd = r2 ** (d / 2.0)
+        mass = v * (2.0 * s2) ** (d / 2.0) * special.gamma(d / 2.0) / 2.0 \
+            * special.gammainc(d / 2.0, r2 / (2.0 * s2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rd > 0, mass / rd, v / d)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dom.dim == 1:
-            q = pts[:, 0]
-        else:
-            q = np.linalg.norm(pts - np.asarray(self.dom.center), axis=1)
-        return np.interp(q, self._x, self._u, left=self._u[0], right=0.0)
+        d, R, v = self.d, self.R, self.density.value
+        r2 = np.sum((pts - self.center) ** 2, axis=1)
+        if self.density.kind == "constant":
+            if self.op.kind == "fractional":
+                C = frac_torsion_constant(self.op.alpha, d)
+                return v * np.maximum(R**2 - r2, 0.0) ** (self.op.alpha / 2.0) / C
+            if self.dom.kind == "interval":
+                a, b = self.dom.a, self.dom.b
+                return v * 0.5 * (pts[:, 0] - a) * (b - pts[:, 0])
+            return v * (R**2 - r2) / (2.0 * d)
+        s2 = self.density.sigma**2
+        z, zR = r2 / (2.0 * s2), R**2 / (2.0 * s2)
+        if d == 2:
+            return 0.5 * v * s2 * (_ein(zR) - _ein(z))
+        return (R**2 * self._slope(R**2) - r2 * self._slope(r2)
+                - v * s2 * (np.exp(-z) - np.exp(-zR))) / (2.0 - d)
 
     def gradient(self, points) -> np.ndarray:
-        """Finite-difference gradient of the radial profile of a ball
-        (central, fine grid)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        eps = (self._x[1] - self._x[0])
-        ctr = np.asarray(self.dom.center)
-        rel = pts - ctr
-        q = np.linalg.norm(rel, axis=1)
-        du = (np.interp(q + eps, self._x, self._u, right=0.0)
-              - np.interp(np.maximum(q - eps, 0.0), self._x, self._u)) / (2 * eps)
-        unit = np.where(q[:, None] > 0, rel / np.maximum(q, 1e-300)[:, None], 0.0)
-        return du[:, None] * unit
-
-
-def _constant_density_potential(op: OperatorSpec, dom: Domain, value: float):
-    """Closed-form R^D(value * 1) on a pair ``closed_form_supported`` accepts:
-    a Laplacian on an interval or ball, or a fractional operator."""
-    if op.kind == "laplacian":
-        if dom.kind == "interval":
-            a, b = dom.a, dom.b
-            return lambda pts: value * 0.5 * (np.atleast_2d(pts)[:, 0] - a) \
-                * (b - np.atleast_2d(pts)[:, 0])
-        d, R = dom.dim, dom.radius
-        ctr = np.asarray(dom.center)
-
-        def pot(pts):
-            r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
-            return value * (R**2 - r2) / (2.0 * d)
-        return pot
-    alpha = op.alpha
-    d = dom.dim
-    C = frac_torsion_constant(alpha, d)
-    ball = dom.as_ball()
-    ctr, R = np.asarray(ball.center), ball.radius
-
-    def pot(pts):
-        r2 = np.sum((np.atleast_2d(pts) - ctr) ** 2, axis=1)
-        return value * np.maximum(R**2 - r2, 0.0) ** (alpha / 2.0) / C
-    return pot
+        rel = pts - self.center
+        if self.density.kind == "constant":
+            return -self.density.value * rel / self.d
+        return -self._slope(np.sum(rel**2, axis=1))[:, None] * rel
 
 
 def closed_form_supported(op: OperatorSpec, dom: Domain,
@@ -159,7 +120,7 @@ class Solution:
     dom: Domain
     measure: MeasureData
     decomposition: Decomposition
-    density_potential: object = None          # callable pts -> values, or None
+    density_potential: Optional[DensityPotential] = None
     grid_field: Optional[GridField] = None
 
     @property
@@ -188,8 +149,8 @@ class Solution:
 
     def gradient(self, points) -> np.ndarray:
         """grad u of a closed-form Laplacian on an interval or ball, the only
-        solutions with a positive concentrated atom (atoms analytic, the
-        density by differences); anything else raises SupportError."""
+        solutions with a positive concentrated atom, atoms and density in
+        closed form; anything else raises SupportError."""
         if not self.closed or self.op.kind != "laplacian":
             raise SupportError("gradient needs a closed-form laplacian on an "
                                "interval or a ball")
@@ -198,10 +159,7 @@ class Solution:
         for (p, w) in self.measure.atoms:
             out += w * _green_gradient(self.dom, pts, np.asarray(p))
         if self.density_potential is not None:
-            if isinstance(self.density_potential, RadialPotential) and self.dom.dim > 1:
-                out += self.density_potential.gradient(pts)
-            else:
-                out += _numeric_gradient(self.density_potential, pts)
+            out += self.density_potential.gradient(pts)
         return out
 
     def max_interior(self) -> float:
@@ -249,15 +207,6 @@ def _green_gradient(dom: Domain, x: np.ndarray, a: np.ndarray):
     return grad
 
 
-def _numeric_gradient(f, pts: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    out = np.zeros_like(pts)
-    for k in range(pts.shape[1]):
-        dp = np.zeros(pts.shape[1])
-        dp[k] = eps
-        out[:, k] = (np.asarray(f(pts + dp)) - np.asarray(f(pts - dp))) / (2 * eps)
-    return out
-
-
 def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData) -> Solution:
     """The closed-form integral solution of -L u = mu, u = 0 off D.
 
@@ -269,12 +218,8 @@ def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData) -> Solutio
             f"no closed form for the {op.kind} operator on this {dom.kind} with "
             "this measure; solve it on a lattice with grid_solution")
     dens_pot = None
-    if mu.density is not None:
-        if mu.density.kind == "constant":
-            if mu.density.value != 0.0:
-                dens_pot = _constant_density_potential(op, dom, mu.density.value)
-        else:
-            dens_pot = RadialPotential(op, dom, mu.density)
+    if mu.density is not None and mu.density.value != 0.0:
+        dens_pot = DensityPotential(op, dom, mu.density)
     return Solution(op=op, dom=dom, measure=mu,
                     decomposition=decompose(mu, op, dom), density_potential=dens_pot)
 

@@ -12,6 +12,8 @@ from potkit import config as config_mod
 from potkit.cli import main
 from potkit.config import (build_grid_operator, build_problem, build_solution,
                            validate_config)
+from potkit.errors import PotkitError
+from potkit.measures import total_variation
 from potkit.presets import PRESETS, get_preset
 
 
@@ -590,3 +592,34 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     rc = main(["solve", "--preset", "kernel-interval-order", "--quiet"])
     assert rc == 0
     assert os.path.exists(str(tmp_path / "envout" / "kernel_interval_order.csv"))
+
+
+@pytest.mark.parametrize("domain, density", [
+    ({"kind": "interval", "a": -1.0, "b": 1.0}, {"center": [0.0]}),
+    ({"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 1.0]]}, {"center": [0.5, 0.5]}),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2},
+     {"center": [0.3, -0.2]}),
+], ids=["interval", "square", "off-centre-disk"])
+def test_solve_gaussian_config_reports_total_variation(tmp_path, domain, density):
+    cfg = {"name": "gauss", "domain": domain, "operator": {"kind": "laplacian"},
+           "measure": {"density": dict(kind="gaussian", value=2.0, sigma=0.3, **density)},
+           "grid": {"h": 2.0**-4}, "rho": {"kind": "uniform"},
+           "output": {"prefix": "gauss"}}
+    path = tmp_path / "gauss.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", str(path), "--out", out, "--quiet"]) == 0
+    dom, _, mu = build_problem(validate_config(cfg))
+    rep = json.loads(read(os.path.join(out, "gauss.json")))
+    assert rep["results"]["total_variation"] == total_variation(mu, dom) > 0.0
+
+
+def test_solve_failing_summary_writes_no_csv(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PotkitError("no total variation")
+
+    monkeypatch.setattr(cli_mod, "total_variation", fail)
+    out = tmp_path / "out"
+    rc = main(["solve", "--preset", "kernel-interval-order", "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert not list(out.glob("*.csv"))

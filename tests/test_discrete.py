@@ -928,16 +928,26 @@ def test_operator_matrix_is_csr(op):
     assert dop.A.format == "csr"
 
 
-@pytest.mark.parametrize("module", ["reconstruct.py", "kernels.py"])
-def test_jump_quadrature_calls_no_blas(module):
+@pytest.mark.parametrize("module", ["reconstruct.py", "kernels.py", "solve.py",
+                                    "measures.py"])
+def test_closed_forms_and_jump_quadrature_call_no_blas(module):
     """The jump quadrature takes every product with np.einsum and no
-    ``optimize``, and the closed-form kernels take none, so no product
-    reaches BLAS and no bit moves with the thread pool."""
+    ``optimize``, and the closed-form kernels, density potentials and masses
+    take none, so no product reaches BLAS and no bit moves with the thread
+    pool."""
     blas = re.compile(r" @ |np\.dot|np\.vdot|np\.matmul|tensordot|optimize=")
     path = Path(discrete.__file__).parent / module
     found = [f"{path.name}:{i}" for i, line in enumerate(path.read_text().splitlines(), 1)
              if blas.search(line)]
     assert found == []
+
+
+def test_only_reconstruct_integrates_numerically():
+    """Kernels, density potentials and masses are closed forms: scipy.integrate
+    serves only the reconstruction's kink oracle."""
+    found = [path.name for path in sorted(Path(discrete.__file__).parent.glob("*.py"))
+             if "scipy.integrate" in path.read_text()]
+    assert found == ["reconstruct.py"]
 
 
 def test_only_discrete_factors_a():

@@ -145,3 +145,37 @@ def test_gaussian_density_tv():
         lambda r: 2.0 * np.exp(-r * r / (2 * 0.09)) * 2 * np.pi * r, 0.0, 1.0)
     got = total_variation(MeasureData(density=dens), dom)
     assert got == pytest.approx(expect, rel=1e-9)
+
+
+def _gaussian_mass_oracle(dens, dom):
+    from scipy import integrate
+    f = lambda *x: float(dens(np.array([x[::-1]]))[0])      # dblquad passes (y, x)
+    if dom.kind == "interval":
+        return integrate.quad(f, dom.a, dom.b, epsabs=0.0, epsrel=1e-13)[0]
+    if dom.kind == "rectangle":
+        (x0, x1), (y0, y1) = dom.bounds
+        return integrate.dblquad(f, x0, x1, y0, y1, epsabs=0.0, epsrel=1e-13)[0]
+    if dom.dim == 3:      # centred: the radial integral
+        return integrate.quad(lambda r: 4 * np.pi * r * r * f(r, 0.0, 0.0), 0.0,
+                              dom.radius, epsabs=0.0, epsrel=1e-13)[0]
+    (cx, cy), R = dom.center, dom.radius
+    return integrate.dblquad(f, cx - R, cx + R, lambda x: cy - np.sqrt(R * R - (x - cx)**2),
+                             lambda x: cy + np.sqrt(R * R - (x - cx)**2),
+                             epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("dens, dom", [
+    (Density.gaussian(2.0, 0.3, [0.1]), Domain.interval(-1.0, 1.0)),
+    (Density.gaussian(-1.5, 0.4, [0.3, 0.6]), Domain.rectangle([(0.0, 1.0), (0.0, 1.0)])),
+    (Density.gaussian(2.0, 0.3, [0.2, -0.1]), Domain.ball([0.0, 0.0], 1.0, 2)),
+    (Density.gaussian(0.7, 0.5, [0.0, 0.0, 0.0]), Domain.ball([0.0, 0.0, 0.0], 1.0, 3)),
+], ids=["interval", "square", "off-centre-disk", "centred-ball-3d"])
+def test_gaussian_tv_closed_form(dens, dom):
+    got = total_variation(MeasureData(density=dens), dom)
+    assert got == pytest.approx(abs(_gaussian_mass_oracle(dens, dom)), rel=1e-10)
+
+
+def test_gaussian_tv_on_masked_rectangle_raises():
+    dom = Domain.rectangle([(0.0, 1.0), (0.0, 1.0)], mask=lambda p: p[:, 0] < 0.5)
+    with pytest.raises(SupportError, match="masked rectangle"):
+        total_variation(MeasureData(density=Density.gaussian(1.0, 0.3, [0.5, 0.5])), dom)

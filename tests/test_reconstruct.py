@@ -16,7 +16,9 @@ from potkit.reconstruct import (_RADIAL_NODES, CutoffEta, _graded_panels_1d,
                                 constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
                                 reconstruct_mu_c, s_n, sigma, theta_n)
+from potkit.config import build_eta, build_problem, build_solution, validate_config
 from potkit.discrete import assemble
+from potkit.presets import get_preset
 from potkit.solve import grid_solution, integral_solution, level_radius
 
 LAP = OperatorSpec.laplacian()
@@ -219,6 +221,15 @@ def test_local_energy_closed_density_casts_rays_from_the_centre(value, n, exact)
         assert val == 0.0
     else:
         assert val == pytest.approx(exact, rel=1e-9)
+
+
+def test_classd_bounded_preset_reconstructs_exactly():
+    """The preset's u = (1 - r^2) / 4 has the exact gradient -x / 2, so its
+    window energy at n = 0.1 is 0.4 pi to rounding."""
+    cfg = validate_config(get_preset("mc-classd-bounded"))
+    dom, op, mu = build_problem(cfg)
+    rep = reconstruct_mu_c(build_solution(cfg, dom, op, mu), build_eta(cfg, dom), [0.1])
+    assert rep.values[0] == pytest.approx(0.4 * math.pi, rel=1e-13)
 
 
 _UNIT = Domain.interval(0.0, 1.0)

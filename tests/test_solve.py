@@ -9,7 +9,7 @@ from potkit import (Domain, OperatorSpec, assemble, build_grid, green, grid_solu
 from potkit.kernels import frac_torsion_constant
 from potkit.measures import Density, MeasureData, deposit
 from potkit.errors import SupportError, UnsupportedKernelError
-from potkit.solve import RadialPotential, l1_rho_norm, level_radius
+from potkit.solve import DensityPotential, l1_rho_norm, level_radius
 
 LAP = OperatorSpec.laplacian()
 
@@ -120,15 +120,39 @@ def test_gaussian_radial_potential_oracle():
 
     val, _ = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
                                lambda _: 0.0, lambda _: 1.0, epsabs=1e-10)
-    assert sol.evaluate(x0) == pytest.approx(val, rel=5e-6)
+    assert sol.evaluate(x0) == pytest.approx(val, rel=1e-10)
 
 
-def test_radial_potential_ball_3d_constant_density():
+def test_density_potential_ball_3d_constant_density():
     ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
-    pot = RadialPotential(LAP, ball, Density.constant(1.0))
+    pot = DensityPotential(LAP, ball, Density.constant(1.0))
     r = np.array([0.0, 0.1, 0.37, 0.5, 0.8, 0.99, 1.0])
     pts = np.outer(r, [0.6, 0.0, 0.8])
-    assert np.allclose(pot(pts), (1.0 - r**2) / 6.0, rtol=0.0, atol=1e-7)
+    assert np.allclose(pot(pts), (1.0 - r**2) / 6.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dom", [Domain.interval(-1.0, 1.0),
+                                 Domain.ball([0.0, 0.0], 1.0, 2),
+                                 Domain.ball([0.0, 0.0, 0.0], 1.0, 3)],
+                         ids=["d1", "d2", "d3"])
+def test_gaussian_potential_matches_radial_oracle(dom):
+    """u(r) = Int_r^R M(t) / t^(d-1) dt and u'(r) = -M(r) / r^(d-1), with
+    M(r) = Int_0^r t^(d-1) f the Gaussian's radial mass, by nested quad."""
+    d, v, sigma = dom.dim, 1.3, 0.35
+    sol = integral_solution(LAP, dom, MeasureData(
+        density=Density.gaussian(v, sigma, [0.0] * d)))
+
+    def mass(r):
+        return integrate.quad(lambda t: t ** (d - 1) * v * math.exp(-t * t / (2 * sigma**2)),
+                              0.0, r, epsabs=1e-15, epsrel=1e-13)[0]
+
+    e = np.eye(d)[-1]
+    for r in [0.0, 1e-9, 1e-4, 0.1, 0.37, 0.5, 0.8, 0.99]:
+        u = integrate.quad(lambda t: mass(t) / t ** (d - 1) if t > 0 else 0.0, r, 1.0,
+                           epsabs=1e-15, epsrel=1e-13)[0]
+        du = -mass(r) / r ** (d - 1) if r > 0 else 0.0
+        assert abs(sol.evaluate(r * e[None])[0] - u) <= 1e-12
+        assert np.max(np.abs(sol.gradient(r * e[None])[0] - du * e)) <= 1e-12
 
 
 def _central_difference(sol, pts, eps):
@@ -146,12 +170,11 @@ _INTERVAL = Domain.interval(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("dom, mu, pts, eps, atol", [
-    # radial density: RadialPotential.gradient differences the interpolated
-    # profile over one of its cells, so it agrees to about the cell width
+    # radial density: DensityPotential.gradient in closed form
     (_DISK, MeasureData(density=Density.gaussian(1.0, 0.35, [0.0, 0.0])),
-     [[0.3, 0.2], [-0.5, 0.1], [0.0, -0.7]], 1e-3, 1e-5),
-    # constant density next to an off-centre atom: the density's closed form
-    # is differenced numerically, the atom's Kelvin image analytically
+     [[0.3, 0.2], [-0.5, 0.1], [0.0, -0.7]], 1e-5, 1e-8),
+    # constant density next to an off-centre atom: the density's gradient
+    # and the atom's Kelvin image, both analytic
     (_DISK, MeasureData.make(atoms=[([0.2, 0.1], 1.0)], density=Density.constant(2.0),
                              dom=_DISK),
      [[0.5, 0.3], [-0.4, -0.2], [0.1, 0.6]], 1e-5, 1e-8),
@@ -160,14 +183,15 @@ _INTERVAL = Domain.interval(-1.0, 1.0)
      [[0.5, 0.3, 0.0], [-0.4, -0.2, 0.1], [0.1, 0.6, -0.3]], 1e-5, 1e-8),
     (_BALL, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)], dom=_BALL),
      [[0.5, 0.3, 0.0], [0.0, 0.0, -0.4]], 1e-5, 1e-8),
-    # an interval: the atom's piecewise-linear Green function analytically,
-    # the constant density's parabola and the interpolated profile of a
-    # radial density numerically, the latter to about its cell width
+    # an interval: the atom's piecewise-linear Green function, the constant
+    # density's parabola and a radial density's profile, all analytic
     (_INTERVAL, MeasureData.make(atoms=[([0.3], 1.0)], density=Density.constant(2.0),
                                  dom=_INTERVAL),
      [[-0.6], [0.1], [0.7]], 1e-5, 1e-8),
     (_INTERVAL, MeasureData(density=Density.gaussian(1.0, 0.35, [0.0])),
-     [[-0.6], [0.1], [0.7]], 1e-3, 5e-4),
+     [[-0.6], [0.1], [0.7]], 1e-5, 1e-8),
+    (_BALL, MeasureData(density=Density.gaussian(1.0, 0.35, [0.0, 0.0, 0.0])),
+     [[0.5, 0.3, 0.0], [-0.4, -0.2, 0.1], [0.1, 0.6, -0.3]], 1e-5, 1e-8),
 ])
 def test_gradient_matches_central_differences(dom, mu, pts, eps, atol):
     sol = integral_solution(LAP, dom, mu)
