@@ -9,8 +9,8 @@ JSON written atomically under ``--out`` (default: $POTKIT_OUT or
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
 never depend on it.  No potkit computation calls BLAS (the solves and the
-nonlocal jump quadrature take their products with ``np.einsum``), so the
-size of the BLAS thread pool, set by the environment
+nonlocal functional take their products with ``np.einsum`` or by FFT), so
+the size of the BLAS thread pool, set by the environment
 (``OPENBLAS_NUM_THREADS``), reaches no result.
 """
 
@@ -246,9 +246,7 @@ def cmd_reconstruct(args) -> int:
     report = run_report(cfg, {"levels": rep.levels, "values": rep.values,
                               "target": rep.target}, verdict)
     if rep.kind == "nonlocal":
-        report["diagnostics"] = {"quad_nodes": rep.quad_nodes,
-                                 "kernel_rows": rep.kernel_rows,
-                                 "kernel_entries": rep.kernel_entries}
+        report["diagnostics"] = {"widths": rep.widths, "unknowns": rep.unknowns}
     write_json(os.path.join(out, f"{prefix}.json"), report)
     if not args.quiet:
         print(f"{rep.kind} reconstruction: values "

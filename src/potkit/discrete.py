@@ -87,14 +87,23 @@ class DiscreteOperator:
     def A(self) -> sp.csr_matrix:
         """A as a CSR matrix: the stencil of a local operator; for the
         fractional operator, gathered from the offset table T (W[i, j] =
-        T[offset from i to j]) on every read, all n^2 entries, not kept."""
+        T[offset from i to j]) on every read, all n^2 entries, not kept.
+        The gather runs in blocks of about 2^22 entries straight into the
+        CSR data, so it holds 12 bytes per entry (16 once n^2 needs 64-bit
+        indices)."""
         if self.kernel is None:
             return self.stencil
-        table = self.kernel.table
+        table, n = self.kernel.table, self.n
         ix = np.unravel_index(self.kernel.at, table.shape)
-        A = np.negative(table[tuple((i[:, None] - i) % L for i, L in zip(ix, table.shape))])
-        np.fill_diagonal(A, self.diag)
-        return sp.csr_matrix(A)
+        data = np.empty((n, n))
+        step = max(1, (1 << 22) // n)
+        for r in range(0, n, step):
+            np.negative(table[tuple((i[r:r + step, None] - i) % L for i, L in zip(ix, table.shape))],
+                        out=data[r:r + step])
+        np.fill_diagonal(data, self.diag)
+        index = np.int32 if n * n < 2**31 else np.int64
+        return sp.csr_matrix((data.reshape(-1), np.tile(np.arange(n, dtype=index), n),
+                              np.arange(0, n * n + 1, n, dtype=index)), shape=(n, n))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a flat interior vector x; by the box circulant for the

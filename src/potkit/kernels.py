@@ -175,17 +175,61 @@ def _green_laplace_interval(dom: Domain, x, y):
     return (lo - a) * (b - hi) / (b - a)
 
 
-def _green_laplace_ball(dom: Domain, x, y):
-    d = dom.dim
-    R = dom.radius
-    X, Y = _centred(dom, x, y)
-    dist = np.linalg.norm(X - Y, axis=1)
+def _kelvin_distance(X, Y, R: float):
+    """|y| |x - y*| / R for the Kelvin reflection y* = R^2 y / |y|^2, from
+    centred x and y, via the identity
+    |y|^2 |x-y*|^2 = |y|^2|x|^2 - 2 R^2 x.y + R^4, stable as y -> center."""
     ry = np.linalg.norm(Y, axis=1)
-    # Kelvin reflection y* = R^2 y / |y|^2; |y||x - y*|/R -> via the identity
-    # |y|^2 |x-y*|^2 = |y|^2|x|^2 - 2 R^2 x.y + R^4, stable as y -> center.
     rx2 = np.sum(X * X, axis=1)
     xy = np.sum(X * Y, axis=1)
-    refl = np.sqrt(np.maximum(ry**2 * rx2 - 2.0 * R**2 * xy + R**4, 0.0)) / R
+    return np.sqrt(np.maximum(ry**2 * rx2 - 2.0 * R**2 * xy + R**4, 0.0)) / R
+
+
+def laplace_fundamental(d: int, r, slope: bool = False):
+    """The Laplacian's fundamental solution Phi(r) in d = 2 (-log(r) / 2 pi)
+    and d = 3 (1 / 4 pi r); with ``slope``, its derivative
+    Phi'(r) = -1 / (|S^(d-1)| r^(d-1))."""
+    r = np.asarray(r, dtype=float)
+    if slope:
+        return -1.0 / (sphere_area(d) * r ** (d - 1))
+    return -np.log(r) / (2.0 * math.pi) if d == 2 else 1.0 / (4.0 * math.pi * r)
+
+
+def green_regular(dom: Domain, x, y):
+    """G_D(x, y) - Phi(|x - y|) of the Laplacian on a 2-d or 3-d ball: the
+    Kelvin term log(|y| |x - y*| / R) / 2 pi, or -R / (4 pi |y| |x - y*|),
+    smooth in x and finite at x = y."""
+    X, Y = _centred(dom, x, y)
+    refl = _kelvin_distance(X, Y, dom.radius)
+    if dom.dim == 2:
+        return np.log(refl) / (2.0 * math.pi)
+    return -1.0 / (4.0 * math.pi * refl)
+
+
+def green_regular_gradient(dom: Domain, x, a):
+    """grad_x of ``green_regular`` on a 2-d or 3-d ball, x of shape (m, d):
+    the reflected pole A* = R^2 A / |A|^2 with its charge; None for a pole
+    at the centre, where the reflected term is constant."""
+    ctr = np.asarray(dom.center)
+    R = dom.radius
+    X = x - ctr
+    A = np.atleast_1d(a).astype(float) - ctr
+    a2 = float(np.sum(A * A))
+    if not a2 > 0:
+        return None
+    dist2 = X - R**2 * A / a2
+    if dom.dim == 2:
+        return dist2 / (2.0 * math.pi * np.sum(dist2**2, axis=1)[:, None])
+    q = R / math.sqrt(a2)
+    r23 = np.sum(dist2**2, axis=1) ** 1.5
+    return q * dist2 / (4.0 * math.pi * np.maximum(r23, 1e-300)[:, None])
+
+
+def _green_laplace_ball(dom: Domain, x, y):
+    d = dom.dim
+    X, Y = _centred(dom, x, y)
+    dist = np.linalg.norm(X - Y, axis=1)
+    refl = _kelvin_distance(X, Y, dom.radius)
     with np.errstate(divide="ignore"):
         if d == 2:
             val = np.log(refl / dist) / (2.0 * math.pi)
@@ -327,9 +371,9 @@ def killing_density(alpha: float, dom: Domain, x):
 
     At d = 1, 2F1(a, a+1/2; 1/2; z^2) = ((1+z)^(-2a) + (1-z)^(-2a)) / 2
     reduces it to (c/alpha) [(x-a)^(-alpha) + (b-x)^(-alpha)] on (a, b).
-    The interval branch evaluates that form from x - a and b - x: the
-    nonlocal energy puts nodes within 1e-9 of an endpoint, where 1 - r
-    would lose its digits.  Scalar in, scalar out, as in ``green``.
+    The interval branch evaluates that form from x - a and b - x, which
+    keep their digits next to an endpoint, where 1 - r would not.  Scalar
+    in, scalar out, as in ``green``.
     """
     if dom.kind == "rectangle":
         raise UnsupportedKernelError("killing_density needs an interval or ball domain")

@@ -19,35 +19,36 @@ The clamp window localizes everything: pairs with both values below n or
 both above 2n contribute nothing, which is exactly what tames both the
 kernel diagonal (theta_n ~ 2(u(x)-u(y))^2) and the atom neighborhood.
 
-The nonlocal double integral is a tensor quadrature on graded panels.  Its
-jump sums run on a cluster tree of the nodes: exact near blocks, and far
-blocks whose kernel is interpolated at Chebyshev points (an H^2 matrix,
-Hackbusch, Computing 62, 1999; Fong & Darve, J. Comput. Phys. 228, 2009),
-where theta_n splits into three products.  Every product is an
-``np.einsum``, so no result depends on the BLAS thread pool.
+The nonlocal functional is read on the lattice, where it is the discrete
+form of the same formula: u = A^{-1} mu is the lattice solution, the jump
+measure is the operator's offset table T (Fukushima, Oshima & Takeda,
+Dirichlet Forms and Symmetric Markov Processes, sec. 3.2, for the jump and
+killing parts of the form), and the killing is kappa = diag - T*1_D.
+theta_n splits into products, so the pair sum is three box convolutions
+with T by FFT, the operator's own matrix-free product (Chan & Ng, SIAM
+Review 38, 1996).  For eta = 1 it equals
+<mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n), D = S_n(u) - n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .discrete import assemble
 from .errors import ConvergenceError, SupportError
-from .geometry import Domain, lattice_shifts
-from .kernels import frac_constant, killing_density
-from .solve import Solution, level_radius
+from .geometry import Domain, build_grid, lattice_shifts
+from .kernels import green_regular, green_regular_gradient, laplace_fundamental
+from .solve import Solution, grid_solution, level_radius
 
-_LEAF = 64                 # nodes per leaf of the jump quadrature's cluster tree, at most
-_CHEB = 20                 # Chebyshev points per cluster of a far jump block
-_CHUNK = 2048              # far pairs, or near rows, taken at a time
 _ANGULAR_RAYS = 64         # rays around each atom (closed-form local energy)
 _RADIAL_NODES = 48         # Gauss nodes per ray across the window
-_MAX_REFINE = 5            # panel gradings tried by the nonlocal quadrature
-_PER_DECADE = 6            # panels per decade of the first grading (doubled each time)
-_GAUSS = 10                # Gauss nodes per panel
+_START_NODES = 2_000       # interior nodes of the nonlocal functional's first lattice, at least
+_MAX_REFINE = 5            # lattices tried by the nonlocal functional
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +154,13 @@ def local_energy(solution: Solution, eta: Callable, n: float) -> float:
     (the window reaches the centre when u there is at most 2n).
     ``level_radius`` locates the window radii on every ray of an origin at
     once, one profile call per step for all of them, and one ``gradient``
-    and one ``eta`` call cover all their Gauss nodes.  Rays from two atoms
-    can cover the same part of the window, so the rays of at most one atom
-    may meet it where eta != 0; more, or an atom-free measure that is signed
-    or not radial, raise SupportError, and a nonpositive measure (u <= 0)
-    gives 0.  Grid solutions sum stencil gradients over window cells.  Empty
+    and one ``eta`` call cover all their Gauss nodes.  An atom's own
+    singular term is read from the radius itself (``_ray_fields``), so a
+    window far inside the rounding of the atom's coordinates stays
+    resolved.  Rays from two atoms can cover the same part of the window,
+    so the rays of at most one atom may meet it where eta != 0; more, or an
+    atom-free measure that is signed or not radial, raise SupportError, and
+    a nonpositive measure (u <= 0) gives 0.  Grid solutions sum stencil gradients over window cells.  Empty
     window (n above max u) gives 0.
     """
     if not solution.op.is_local:
@@ -191,23 +194,55 @@ def _ray_directions(d: int):
 
 
 def _ray_origins(solution) -> list:
-    """Where the closed form's rays start: at each positive atom of the
-    measure or, with none, at the ball's centre, which needs a nonnegative
-    measure radial about it so that u falls along every ray.  A nonpositive
-    measure has u <= 0 < n, so no ray; anything else raises SupportError
-    naming the rule."""
+    """Where the closed form's rays start, with the weight of the atom
+    there: each positive atom of the measure or, with none, the ball's
+    centre (weight 0), which needs a nonnegative measure radial about it so
+    that u falls along every ray.  A nonpositive measure has u <= 0 < n, so
+    no ray; anything else raises SupportError naming the rule."""
     mu = solution.measure
-    atoms = [np.asarray(p, dtype=float) for p, w in mu.atoms if w > 0]
+    atoms = [(p, w) for p, w in mu.atoms if w > 0]
     if atoms:
         return atoms
     if mu.density is None or mu.density.value <= 0:
         return []
-    centre = np.asarray(solution.dom.as_ball().center, dtype=float)
+    centre = solution.dom.as_ball().center
     if mu.atoms or not mu.density.is_radial_about(centre):
         raise SupportError(
             "with no positive atom the closed-form local energy casts its rays from "
             "the ball's centre, which needs a nonnegative measure radial about it")
-    return [centre]
+    return [(centre, 0.0)]
+
+
+def _ray_fields(solution, p, w: float) -> tuple:
+    """u and grad u at the points p + r d, as functions of the radii r
+    (m rows) and the m unit directions d, u flat and grad u one row per
+    point.  For an atom of weight w > 0 at p in d >= 2, its singular term
+    w Phi(r) and gradient w Phi'(r) d are read from r and d directly, and
+    only the smooth rest (the other atoms, the density and the atom's
+    Kelvin term) at the rounded points, whose offset from p keeps few digits
+    of a small r.  Off the domain u reads 0."""
+    dom = solution.dom
+    d = dom.dim
+    pts = lambda r, dirs: (np.asarray(p) + r[:, :, None] * dirs[:, None, :]).reshape(-1, d)
+    if not w > 0 or d == 1:
+        return (lambda r, dirs: solution.evaluate(pts(r, dirs)),
+                lambda r, dirs: solution.gradient(pts(r, dirs)))
+    rest = replace(solution, measure=replace(
+        solution.measure, atoms=tuple(a for a in solution.measure.atoms if a[0] != p)))
+
+    def u(r, dirs):
+        x = pts(r, dirs)
+        own = w * (laplace_fundamental(d, r).ravel() + green_regular(dom, x, p))
+        return rest.evaluate(x) + np.where(dom.contains(x), own, 0.0)
+
+    def grad(r, dirs):
+        x = pts(r, dirs)
+        out = rest.gradient(x) + w * (laplace_fundamental(d, r, slope=True)[:, :, None]
+                                      * dirs[:, None, :]).reshape(-1, d)
+        kelvin = green_regular_gradient(dom, x, np.asarray(p))
+        return out if kelvin is None else out + w * kelvin
+
+    return u, grad
 
 
 def _local_energy_closed(solution, eta, n):
@@ -219,9 +254,9 @@ def _local_energy_closed(solution, eta, n):
     # 0 off the domain
     R = np.full(len(dirs), dom.diameter)
     total, seen = 0.0, 0
-    for p in _ray_origins(solution):
-        rays = lambda r: solution.evaluate((p + r[:, :, None] * dirs[:, None, :])
-                                           .reshape(-1, d))
+    for p, w in _ray_origins(solution):
+        u_at, grad_at = _ray_fields(solution, p, w)
+        rays = lambda r: u_at(r, dirs)
         r_out = level_radius(rays, R, n)             # u = n crossings
         r_in = level_radius(rays, R, 2.0 * n)        # u = 2n crossings
         live = np.flatnonzero(r_out > r_in)
@@ -240,9 +275,9 @@ def _local_energy_closed(solution, eta, n):
             half = (0.5 * (r_out[live] - r_in[live]))[:, None]
             rr = (0.5 * (r_out[live] + r_in[live]))[:, None] + half * gx
             jac = rr ** (d - 1)
-        pts = (p + rr[:, :, None] * dirs[live, None, :]).reshape(-1, d)
-        grad = solution.gradient(pts)
+        grad = grad_at(rr, dirs[live])
         dens = np.sum(grad * grad, axis=1).reshape(rr.shape)
+        pts = (np.asarray(p) + rr[:, :, None] * dirs[live, None, :]).reshape(-1, d)
         v = np.sum(half * gw * eta(pts).reshape(rr.shape) * dens * jac, axis=1)
         seen += bool(np.any(v))
         for wa, v_ray in zip(ang_w[live], v):
@@ -280,322 +315,110 @@ def _local_energy_grid(solution, eta, n):
 # nonlocal functional
 # ---------------------------------------------------------------------------
 
-def _graded_panels_1d(dom: Domain, anchors: Sequence[float],
-                      per_decade: int, r_min: float, gauss: int):
-    """Panel Gauss nodes/weights on (a, b), geometrically graded toward each
-    anchor and toward the endpoints (boundary behavior ~ dist^(alpha/2)),
-    less any panel narrower than 1e-12 (b - a): its nodes would round onto its ends."""
-    a, b = dom.bounding_box[0]
-    edges = {a, b}
-    for anchor in list(anchors) + [a, b]:
-        reach = max(abs(anchor - a), abs(b - anchor))
-        ladder = np.geomspace(r_min, reach, int(per_decade * math.log10(reach / r_min)) + 2)
-        for r in ladder:
-            for s in (-1.0, 1.0):
-                t = anchor + s * r
-                if a < t < b:
-                    edges.add(float(t))
-    edges = sorted(edges)
-    gx, gw = np.polynomial.legendre.leggauss(gauss)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-12 * (b - a):
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * gx)
-        ws.append(half * gw)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def nonlocal_energy(solution: Solution, eta: Callable, n: float,
                     rel_tol: float = 0.01) -> float:
-    """Fractional-window energy (see module docstring), refined until the
-    relative change between successive panel gradings is below rel_tol;
-    ConvergenceError if ``_MAX_REFINE`` gradings do not get there.  Grading
-    i has ``_PER_DECADE * 2**i`` panels per decade and ``_GAUSS`` nodes per
-    panel.
+    """Fractional-window energy (see module docstring) of the lattice
+    solution u = A^{-1} mu of ``solution.measure``, on dyadic lattices from
+    the coarsest with ``_START_NODES`` interior nodes, halving h until the
+    relative change between successive lattices is at most rel_tol;
+    ConvergenceError if ``_MAX_REFINE`` lattices do not get there.
 
-    The one-level case of the quadrature that ``reconstruct_mu_c`` runs for
-    all its levels at once, with the same value.  Supported for 1d
-    domains (the double integral is a full tensor quadrature; higher
-    dimensions would need 2d-pair quadrature and are out of scope for the
-    closed-form path).
+    The one-level case of ``reconstruct_mu_c``, with the same value.  Any
+    domain the fractional operator assembles on serves: intervals, balls,
+    rectangles and masked rectangles in d <= 3.
     """
-    ((val, _),), _ = _nonlocal_energies(solution, eta, [n], rel_tol=rel_tol)
-    return val
+    (trace,), _, _, _ = _lattice_energies(solution, eta, [n], rel_tol)
+    return trace[-1]
 
 
-def _nonlocal_energies(solution: Solution, eta: Callable, levels: Sequence[float],
-                       rel_tol: float = 0.01) -> tuple:
-    """``(results, gradings)``: ``(value, trace)`` of the fractional-window
-    energy for each level, and ``(nodes, kernel rows, kernel entries)`` of
-    each panel grading built, the kernel rows being the nodes where
-    eta != 0 (the live rows of ``_jump_terms``) and the kernel entries the
-    jump-kernel values it built.  Entry i of a trace comes from grading i.
+def _start_grid(dom: Domain):
+    """The lattice of the coarsest dyadic width with at least
+    ``_START_NODES`` interior nodes, searched from the width whose cell
+    holds 1 / ``_START_NODES`` of the domain's (bounding) volume."""
+    h = 2.0 ** math.ceil(math.log2(dom.volume() / _START_NODES) / dom.dim)
+    while (grid := build_grid(dom, h)).n_interior < _START_NODES:
+        h /= 2.0
+    return grid
 
-    Each panel grading is built once for all the levels that have not yet
-    converged; a level stops refining once its relative change is below
-    rel_tol, and ConvergenceError names the first level that never does.
-    A level's value depends only on its own gradings, not on which other
-    levels share them.
+
+def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: float) -> float:
+    """F_n of the flat interior values u on the lattice of the fractional
+    operator ``dop``, ex = eta at the interior nodes and kappa = diag - T*1
+    its killing:
+
+        F_n = (h^d / 2n) Sum_x ex [ (2vD - D^2)(T*1) - 2v (T*D) + T*D^2
+                                    + kappa 2D(2v - D) ],
+
+    v = u - n and D = clamp(v, 0, n) = S_n(u) - n, which is theta_n summed
+    against the offset table T over the interior, plus its killing term,
+    expanded; T*w = diag w - A w is one box convolution.  An empty window
+    (D = 0) reads 0.0 exactly."""
+    diag = dop.diag
+    v = u - n
+    D = np.clip(v, 0.0, n)
+    DD = D * D
+    jump = ((2.0 * v * D - DD) * (diag - kappa) - 2.0 * v * (diag * D - dop.apply(D))
+            + (diag * DD - dop.apply(DD)))
+    kill = kappa * 2.0 * D * (2.0 * v - D)
+    return float(np.einsum("i,i->", ex, jump + kill)) * dop.grid.cell_volume() / (2.0 * n)
+
+
+def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float],
+                      rel_tol: float = 0.01) -> tuple:
+    """``(traces, widths, unknowns, resolvable)``: per level the value of
+    ``_lattice_energy`` on each lattice it was read on, and per lattice its
+    width and unknowns, the first from ``_start_grid`` and each next at
+    half the width; per level, whether 2n is at most u at every positive
+    concentrated atom's node on its last lattice, the largest node value of
+    the atom's cell (unresolvable levels also warn).
+
+    u is the lattice solution of ``solution.measure`` on each lattice,
+    closed form or not.  A level stops once its relative change is at most
+    rel_tol, so its value depends only on its own lattices, and
+    ConvergenceError names the first level that never does.
     """
     op, dom = solution.op, solution.dom
     if op.kind != "fractional":
         raise SupportError("nonlocal_energy applies to the fractional operator")
-    if dom.dim != 1:
-        raise SupportError("nonlocal_energy quadrature supports 1d domains")
     levels = [float(n) for n in levels]
     if any(n <= 0 for n in levels):
         raise SupportError("window level n must be positive")
-    alpha = op.alpha
-    anchors = [p[0] for p, w in solution.measure.atoms]
-
+    atoms = [p for p, w in solution.decomposition.concentrated.atoms if w > 0]
     traces = [[] for _ in levels]
-    gradings = []
+    widths, unknowns = [], []
+    atom_u = np.full(len(levels), np.inf)
     open_levels = list(range(len(levels)))
     for refine in range(_MAX_REFINE):
         if not open_levels:
             break
-        x, w = _graded_panels_1d(dom, anchors, _PER_DECADE * 2**refine, r_min=1e-9,
-                                 gauss=_GAUSS)
-        u = solution.evaluate(x.reshape(-1, 1))
-        ex = eta(x.reshape(-1, 1)) * w
-        kap = killing_density(alpha, dom, x)
-        jumps, entries = _jump_terms(x, w, u, ex, alpha, [levels[i] for i in open_levels])
-        gradings.append((x.size, int(np.count_nonzero(ex)), entries))
-        for i, jump_term in zip(list(open_levels), jumps):
-            n = levels[i]
-            kill_term = float(np.sum(ex * theta_n(u, 0.0, n) * kap))
-            val = (jump_term + kill_term) / (2.0 * n)
+        grid = _start_grid(dom) if refine == 0 else build_grid(dom, grid.h / 2.0)
+        dop = assemble(op, grid)
+        u = grid_solution(dop, solution.measure).grid_field.interior_values()
+        ex = eta(grid.interior_points())
+        kappa = dop.apply(np.ones(dop.n))
+        widths.append(grid.h)
+        unknowns.append(dop.n)
+        on_atoms = np.inf
+        if atoms:
+            corners, _ = grid.corners(atoms)          # -1 off the interior reads -inf
+            on_atoms = float(np.min(np.max(np.append(u, -np.inf)[corners], axis=1)))
+        for i in list(open_levels):
             trace = traces[i]
-            trace.append(val)
-            if len(trace) > 1 and abs(val - trace[-2]) <= rel_tol * max(abs(val), 1e-300):
+            trace.append(_lattice_energy(dop, kappa, u, ex, levels[i]))
+            atom_u[i] = on_atoms
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= rel_tol * max(abs(trace[-1]),
+                                                                               1e-300):
                 open_levels.remove(i)
     if open_levels:
+        i = open_levels[0]
         raise ConvergenceError(
-            f"nonlocal quadrature did not stabilize below {rel_tol:.1%}: "
-            f"trace={traces[open_levels[0]]}")
-    return [(trace[-1], trace) for trace in traces], gradings
-
-
-def _chebyshev_basis(t, lo, hi):
-    """The Lagrange basis of the ``_CHEB`` first-kind Chebyshev points of
-    [lo, hi] at t, by the barycentric formula: shape t.shape + (_CHEB,).
-    lo and hi broadcast against t; a point of t on a Chebyshev point gets
-    that point's unit vector."""
-    angle = (2 * np.arange(_CHEB) + 1) * math.pi / (2 * _CHEB)
-    lam = np.where(np.arange(_CHEB) % 2, -1.0, 1.0) * np.sin(angle)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = ((2.0 * t - (lo + hi)) / (hi - lo))[..., None] - np.cos(angle)
-        q = lam / diff
-        q /= np.sum(q, axis=-1, keepdims=True)
-    hit = ~np.all(np.isfinite(q), axis=-1)
-    q[hit] = diff[hit] == 0.0
-    return q
-
-
-def _cluster_tree(x: np.ndarray) -> list:
-    """Index bisection of the nodes down to leaves of at most ``_LEAF``
-    nodes: for each depth d, the 2**d + 1 node offsets of its clusters."""
-    offsets = [np.array([0, x.size])]
-    while np.max(np.diff(offsets[-1])) > _LEAF:
-        o = offsets[-1]
-        finer = np.empty(2 * o.size - 1, dtype=np.int64)
-        finer[0::2], finer[1::2] = o, o[:-1] + np.diff(o) // 2
-        offsets.append(finer)
-    return offsets
-
-
-def _jump_terms(x: np.ndarray, w: np.ndarray, u: np.ndarray, ex: np.ndarray,
-                alpha: float, levels: Sequence[float]) -> tuple:
-    """``(sums, kernel_entries)``: Sum_ij ex_i theta_n(u_i, u_j) J_ij w_j for
-    each level n, with the jump measure J_ij = (c/2) |x_i - x_j|^(-1-alpha)
-    (zero diagonal), and the number of kernel values built.
-
-    The nodes, sorted, are cut by index bisection into a cluster tree with
-    leaves of at most ``_LEAF`` nodes, and the cluster pairs into near and
-    far blocks.  A pair is far when the larger diameter is at most the gap
-    between the clusters; the kernel is then smooth on it, and its
-    interpolant at ``_CHEB`` Chebyshev points per cluster takes one
-    ``_CHEB`` x ``_CHEB`` coupling.  The moments against the Chebyshev basis
-    are nested: a parent's come from its children's.  Leaf pairs that are
-    not far are near blocks, built exactly.  Each unordered pair's kernel is
-    built once and serves both orders.
-
-    A pair's sum carries the factor ex_i, so pairs of clusters without a
-    live row (eta != 0) are dropped, and with eta = 0 on every node nothing
-    is built and each level's sum is 0.0.  With L = {u <= n},
-    M = {n < u < 2n} and H = {u >= 2n}, theta_n vanishes on L x L and H x H,
-    so a block whose clusters both lie in L or both in H adds nothing at
-    level n; blocks like that at every level are never built.
-
-    On far blocks theta_n(a, b) = A_n(a) - 4a S_n(b) + 2 S_n(b)^2 with
-    A_n(a) = 2 S_n(a) (2a - S_n(a)), so a level needs the moments of three
-    node vectors; the couplings against w, -4u ex and 2 ex are taken once for
-    all levels.  Near blocks keep theta_n explicit where it would cancel
-    (theta_n ~ 2 (u_i - u_j)^2 on the diagonal): on L x H and H x L it is
-    2n(3n - 2u_i) and 2n(2u_i - 3n), products of J with w 1_H and w 1_L,
-    and only pairs with an end in M take theta_n itself.
-
-    Every reduction is an ``np.einsum`` over the blocks that level n keeps,
-    in a fixed order, so no product calls BLAS and a level's sum does not
-    depend on the other levels.
-    """
-    totals = [0.0] * len(levels)
-    if not np.any(ex):
-        return totals, 0
-    order = np.argsort(x, kind="stable")
-    x, w, u, ex = x[order], w[order], u[order], ex[order]
-    half_c = 0.5 * frac_constant(alpha, 1)
-    offsets = _cluster_tree(x)
-    leaf = offsets[-1]
-    first = 2 ** (len(offsets) - 1) - 1       # clusters in heap order: c has children 2c+1, 2c+2
-    lo = np.concatenate([x[o[:-1]] for o in offsets])
-    hi = np.concatenate([x[o[1:] - 1] for o in offsets])
-    umin = np.concatenate([np.minimum.reduceat(u, o[:-1]) for o in offsets])
-    umax = np.concatenate([np.maximum.reduceat(u, o[:-1]) for o in offsets])
-    live = np.concatenate([np.logical_or.reduceat(ex != 0, o[:-1]) for o in offsets])
-
-    def dead(s, t, n):
-        return ((umax[s] <= n) & (umax[t] <= n)) | ((umin[s] >= 2.0 * n) & (umin[t] >= 2.0 * n))
-
-    # unordered cluster pairs s <= t, from the root down
-    s = t = np.zeros(1, dtype=np.int64)
-    far = []
-    for depth in range(len(offsets)):
-        keep = (live[s] | live[t]) & ~np.all(dead(s[:, None], t[:, None], np.asarray(levels)),
-                                              axis=1)
-        s, t = s[keep], t[keep]
-        gap = np.maximum(lo[t] - hi[s], lo[s] - hi[t])
-        adm = (np.maximum(hi[s] - lo[s], hi[t] - lo[t]) <= gap) & (gap > 0)
-        far.append((s[adm], t[adm]))
-        s, t = s[~adm], t[~adm]
-        if depth < len(offsets) - 1:
-            s = (2 * s[:, None] + np.array([1, 1, 2, 2])).ravel()
-            t = (2 * t[:, None] + np.array([1, 2, 1, 2])).ravel()
-            s, t = s[s <= t], t[s <= t]
-    order = np.lexsort((t, s))
-    near_s, near_t = s[order] - first, t[order] - first
-    far_s, far_t = (np.concatenate(c) for c in zip(*far))
-    order = np.lexsort((far_t, far_s))
-    far_s, far_t = far_s[order], far_t[order]
-
-    # leaves as padded rows of node indices; a pad reads 0
-    size = np.diff(leaf)
-    width = int(size.max())
-    idx = np.where(np.arange(width) < size[:, None], leaf[:-1, None] + np.arange(width), x.size)
-    pad = lambda v, fill=0.0: np.append(v, fill)[idx]
-    lx, lu, lw, lex = pad(x), pad(u), pad(w), pad(ex)
-    real = idx < x.size
-
-    # near blocks, exactly; pads sit at +inf against -inf, where J is 0.
-    # Each pair s <= t is built once, rows in s; the pairs s < t with a live
-    # row in t follow, transposed
-    bwd = np.flatnonzero(live[near_t + first] & (near_s != near_t))
-    ns = np.concatenate([near_s, near_t[bwd]])
-    nt = np.concatenate([near_t, near_s[bwd]])
-    Kn = np.empty((ns.size, width, width))
-    K = Kn[:near_s.size]
-    np.subtract(pad(x, np.inf)[near_s][:, :, None], pad(x, -np.inf)[near_t][:, None, :], out=K)
-    np.abs(K, out=K)
-    with np.errstate(divide="ignore"):
-        np.power(K, -1.0 - alpha, out=K)
-    K *= half_c
-    diag = np.flatnonzero(near_s == near_t)
-    K[diag[:, None], np.arange(width), np.arange(width)] = 0.0
-    Kn[near_s.size:] = K[bwd].transpose(0, 2, 1)
-    entries = int(np.einsum("b,b->", size[near_s], size[near_t]))
-
-    # far blocks: Chebyshev points of each cluster, one coupling per pair
-    pts = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(
-        (2 * np.arange(_CHEB) + 1) * math.pi / (2 * _CHEB))
-    entries += far_s.size * _CHEB**2
-
-    # nested moments: leaves against the basis at their nodes, every parent
-    # from its children through the basis at their Chebyshev points
-    leaf_basis = _chebyshev_basis(lx, lo[first:, None], hi[first:, None])
-    leaf_basis[~real] = 0.0
-    transfer = []
-    for depth in range(len(offsets) - 1):
-        child = np.arange(2 ** (depth + 1) - 1, 2 ** (depth + 2) - 1)
-        parent = (child - 1) // 2
-        transfer.append(_chebyshev_basis(pts[child], lo[parent, None], hi[parent, None]))
-
-    def moments(V):
-        """Per cluster, the moments of the columns of V: (clusters, V columns, _CHEB)."""
-        out = np.empty((first + size.size, V.shape[1], _CHEB))
-        out[first:] = np.einsum("sij,sik->sjk", np.vstack([V, np.zeros_like(V[:1])])[idx],
-                                leaf_basis)
-        for depth in range(len(offsets) - 2, -1, -1):
-            a, b = 2 ** (depth + 1) - 1, 2 ** (depth + 2) - 1
-            kids = np.einsum("cmk,cjm->cjk", transfer[depth], out[a:b])
-            out[2**depth - 1:a] = kids[0::2] + kids[1::2]
-        return out
-
-    # the level-independent couplings, for the pair read both ways (rows
-    # in s: K; rows in t: K transposed), with the kernels built a chunk of
-    # pairs at a time
-    Cw = moments(w[:, None])[:, 0]
-    Ru = moments(np.stack([-4.0 * u * ex, 2.0 * ex], axis=1))
-    rows = (far_s, far_t)
-    cols = (far_t, far_s)
-    Yw, Yu, Y1 = (np.empty((2, far_s.size, _CHEB)) for _ in range(3))
-    for c0 in range(0, far_s.size, _CHUNK):
-        s, t = far_s[c0:c0 + _CHUNK], far_t[c0:c0 + _CHUNK]
-        Kf = np.subtract(pts[s][:, :, None], pts[t][:, None, :])
-        np.abs(Kf, out=Kf)
-        np.power(Kf, -1.0 - alpha, out=Kf)
-        Kf *= half_c
-        part = slice(c0, c0 + s.size)
-        np.einsum("bkl,bl->bk", Kf, Cw[t], out=Yw[0, part])
-        np.einsum("bkl,bk->bl", Kf, Cw[s], out=Yw[1, part])
-        np.einsum("bkl,bk->bl", Kf, Ru[s, 0], out=Yu[0, part])
-        np.einsum("bkl,bl->bk", Kf, Ru[t, 0], out=Yu[1, part])
-        np.einsum("bkl,bk->bl", Kf, Ru[s, 1], out=Y1[0, part])
-        np.einsum("bkl,bl->bk", Kf, Ru[t, 1], out=Y1[1, part])
-
-    for k, n in enumerate(levels):
-        S = np.clip(u, n, 2.0 * n)
-        total = 0.0
-        act = ~dead(far_s, far_t, n)
-        if act.any():
-            M = moments(np.stack([2.0 * S * (2.0 * u - S) * ex, S * w, S * S * w], axis=1))
-            for r, c, yw, yu, y1 in zip(rows, cols, Yw, Yu, Y1):
-                b = act & live[r]
-                total += float(np.einsum("bk,bk->", M[r[b], 0], yw[b]))
-                total += float(np.einsum("bk,bk->", yu[b], M[c[b], 1]))
-                total += float(np.einsum("bk,bk->", y1[b], M[c[b], 2]))
-        act = ~dead(ns + first, nt + first, n) & live[ns + first]
-        low, high = lu <= n, lu >= 2.0 * n
-        mid = real & ~low & ~high
-        # pairs with an end in M: M rows against every column, then the
-        # other rows against M columns
-        b, i = np.nonzero(mid[ns] & act[:, None])
-        y = np.empty(b.size)
-        for c in range(0, b.size, _CHUNK):
-            bc, ic = b[c:c + _CHUNK], i[c:c + _CHUNK]
-            th = theta_n(lu[ns[bc], ic][:, None], lu[nt[bc]], n) * Kn[bc, ic]
-            np.einsum("pj,pj->p", th, lw[nt[bc]], out=y[c:c + _CHUNK])
-        total += float(np.einsum("p,p->", lex[ns[b], i], y))
-        b, j = np.nonzero(mid[nt] & act[:, None])
-        y = np.empty(b.size)
-        for c in range(0, b.size, _CHUNK):
-            bc, jc = b[c:c + _CHUNK], j[c:c + _CHUNK]
-            th = theta_n(lu[ns[bc]], lu[nt[bc], jc][:, None], n) * Kn[bc, :, jc]
-            np.einsum("pi,pi->p", np.where(mid, 0.0, lex)[ns[bc]], th, out=y[c:c + _CHUNK])
-        total += float(np.einsum("p,p->", y, lw[nt[b], j]))
-        for r, c, f in ((low, high, 2.0 * n * (3.0 * n - 2.0 * lu)),
-                        (high, low, 2.0 * n * (2.0 * lu - 3.0 * n))):
-            b = np.flatnonzero(act & np.any(r & real, axis=1)[ns] & np.any(c & real, axis=1)[nt])
-            if b.size:
-                y = np.empty((b.size, width))
-                for c0 in range(0, b.size, _CHUNK // width):
-                    bc = b[c0:c0 + _CHUNK // width]
-                    np.einsum("bij,bj->bi", Kn[bc], np.where(c, lw, 0.0)[nt[bc]],
-                              out=y[c0:c0 + _CHUNK // width])
-                total += float(np.einsum("bi,bi->", np.where(r, lex * f, 0.0)[ns[b]], y))
-        totals[k] = total
-    return totals, entries
+            f"nonlocal functional at level n={levels[i]:g} did not stabilize below "
+            f"{rel_tol:.1%} on {_MAX_REFINE} lattices: trace={traces[i]}")
+    resolvable = 2.0 * np.asarray(levels) <= atom_u
+    for n, u_node in zip(np.asarray(levels)[~resolvable], atom_u[~resolvable]):
+        warnings.warn(f"level n={n:g} has 2n above u = {u_node:.4g} at an atom's node; "
+                      f"the window cannot read the atom's mass on this lattice")
+    return traces, widths, unknowns, resolvable
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +434,17 @@ class ReconstructionReport:
     fitted_prefactor: float
     prefactor_flagged: bool        # |prefactor - 1| > 10%
     kind: str                      # "local" | "nonlocal"
-    traces: list                   # per level: the value of each quadrature refinement
-    quad_nodes: list               # per panel grading (nonlocal; [] for local): nodes
-    kernel_rows: list              # per panel grading: jump-kernel rows (eta != 0)
-    kernel_entries: list           # per panel grading: jump-kernel values built (near + far)
+    traces: list                   # per level: its value on each lattice (local: the value)
+    resolvable: np.ndarray         # per level: 2n at most u at the atoms' nodes (local: True)
+    widths: list                   # per lattice (nonlocal; [] for local): mesh width h
+    unknowns: list                 # per lattice: interior nodes
 
 
 def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
                      rel_tol: float = 0.01) -> ReconstructionReport:
     """Tabulate the reconstruction functional against the independently known
     eta-mass of mu_c^+ and fit the residual prefactor.  ``rel_tol`` is the
-    nonlocal quadrature's refinement tolerance (see ``nonlocal_energy``); the
+    nonlocal functional's refinement tolerance (see ``nonlocal_energy``); the
     local functional has none.
 
     A persistent fitted prefactor away from 1 is reported loudly (flag), not
@@ -634,11 +457,11 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
     if kind == "local":
         vals = np.array([local_energy(solution, eta, n) for n in levels])
         traces = [[v] for v in vals]
-        gradings = []
+        widths, unknowns, resolvable = [], [], np.ones(levels.size, dtype=bool)
     else:
-        results, gradings = _nonlocal_energies(solution, eta, levels, rel_tol=rel_tol)
-        vals = np.array([val for val, _ in results])
-        traces = [trace for _, trace in results]
+        traces, widths, unknowns, resolvable = _lattice_energies(solution, eta, levels,
+                                                                 rel_tol=rel_tol)
+        vals = np.array([trace[-1] for trace in traces])
 
     target = 0.0
     for p, w in solution.decomposition.concentrated.atoms:
@@ -657,6 +480,4 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
     return ReconstructionReport(levels=levels, values=vals, target=target,
                                 rel_errors=rel, fitted_prefactor=fitted,
                                 prefactor_flagged=flagged, kind=kind, traces=traces,
-                                quad_nodes=[nodes for nodes, _, _ in gradings],
-                                kernel_rows=[rows for _, rows, _ in gradings],
-                                kernel_entries=[entries for _, _, entries in gradings])
+                                resolvable=resolvable, widths=widths, unknowns=unknowns)

@@ -28,7 +28,7 @@ from scipy import special
 from .discrete import DiscreteOperator
 from .errors import SupportError, UnsupportedKernelError
 from .geometry import Domain, Grid, GridField
-from .kernels import OperatorSpec, frac_torsion_constant, green
+from .kernels import OperatorSpec, frac_torsion_constant, green, green_regular_gradient
 from .measures import Decomposition, Density, MeasureData, decompose, deposit
 
 _SUP_SAMPLES = 20001       # sample points of the closed-form sup estimate
@@ -181,30 +181,14 @@ def _green_gradient(dom: Domain, x: np.ndarray, a: np.ndarray):
     if dom.dim == 1:
         return np.where(x < a, dom.b - a, dom.a - a) / (dom.b - dom.a)
     ctr = np.asarray(dom.center)
-    R = dom.radius
-    X = x - ctr
-    A = np.atleast_1d(a).astype(float) - ctr
-    dist = X - A
+    dist = (x - ctr) - (np.atleast_1d(a).astype(float) - ctr)
     r2 = np.sum(dist**2, axis=1)
-    # reflected pole A* = R^2 A / |A|^2 with charge scaling
-    a2 = float(np.sum(A * A))
     if dom.dim == 2:
         grad = -dist / (2.0 * math.pi * r2[:, None])
-        if a2 > 0:
-            Astar = R**2 * A / a2
-            dist2 = X - Astar
-            r22 = np.sum(dist2**2, axis=1)
-            grad += dist2 / (2.0 * math.pi * r22[:, None])
-        # atom at the center: the reflected factor is constant, no gradient
-        return grad
-    grad = -dist / (4.0 * math.pi * np.maximum(r2, 1e-300)[:, None] ** 1.5)
-    if a2 > 0:
-        Astar = R**2 * A / a2
-        q = R / math.sqrt(a2)
-        dist2 = X - Astar
-        r23 = np.sum(dist2**2, axis=1) ** 1.5
-        grad += q * dist2 / (4.0 * math.pi * np.maximum(r23, 1e-300)[:, None])
-    return grad
+    else:
+        grad = -dist / (4.0 * math.pi * np.maximum(r2, 1e-300)[:, None] ** 1.5)
+    kelvin = green_regular_gradient(dom, x, a)
+    return grad if kelvin is None else grad + kelvin
 
 
 def integral_solution(op: OperatorSpec, dom: Domain, mu: MeasureData) -> Solution:

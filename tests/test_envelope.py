@@ -821,3 +821,24 @@ def test_tail_disk_mixed_reduites_are_exact(monkeypatch):
     assert len(results) == len(cfg["levels"])
     assert max(r.residual for r in results) <= 1e-12
     assert max(r.policy_steps for r in results) <= 2
+
+
+@pytest.mark.parametrize("alpha, bound", [(0.5, 0.001), (1.0, 0.01), (1.5, 0.1)])
+def test_fractional_disk_tail_curve_target(alpha, bound):
+    """<R^D rho, delta_0> for the unit atom at the centre of the unit disk
+    and the uniform rho = 1/pi is (1/pi) Int R^D(x, 0) dx = 1 / (pi C), C the
+    fractional torsion constant: the torsion function (1 - r^2)^(alpha/2) / C
+    read at the centre.  The lattice target is first order in h; at
+    alpha = 1.5 it reads 0.15066 at h = 2^-4 and 0.14516 at 2^-5 against
+    0.13323."""
+    from potkit.kernels import frac_torsion_constant
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    op = OperatorSpec.fractional(alpha)
+    sol = integral_solution(op, disk, MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=disk))
+    rho = lambda pts: np.full(np.atleast_2d(pts).shape[0], 1.0 / math.pi)
+    exact = 1.0 / (math.pi * frac_torsion_constant(alpha, 2))
+    errors = [abs(tail_curve(sol, assemble(op, build_grid(disk, h)), rho, [1.0]).target - exact)
+              for h in (2.0**-4, 2.0**-5)]
+    assert errors[1] <= bound * exact
+    if alpha == 1.5:
+        assert errors[1] < errors[0]

@@ -9,15 +9,17 @@ from potkit import Domain, OperatorSpec
 from potkit.errors import ConvergenceError, SupportError
 from potkit.measures import Density, MeasureData
 from potkit import reconstruct as reconstruct_mod
-from potkit.kernels import frac_constant, killing_density
-from potkit.reconstruct import (_RADIAL_NODES, CutoffEta, _graded_panels_1d,
-                                _jump_terms, _local_energy_closed,
-                                _nonlocal_energies, _ray_directions,
+from potkit.kernels import killing_density
+from potkit.reconstruct import (_RADIAL_NODES, CutoffEta, _lattice_energies,
+                                _lattice_energy, _local_energy_closed,
+                                _ray_directions, _ray_fields, _ray_origins,
                                 constant_eta, kink_integral,
                                 local_energy, nonlocal_energy,
                                 reconstruct_mu_c, s_n, sigma, theta_n)
 from potkit.config import build_eta, build_problem, build_solution, validate_config
 from potkit.discrete import assemble
+from potkit.geometry import build_grid
+from potkit.measures import deposit
 from potkit.presets import get_preset
 from potkit.solve import grid_solution, integral_solution, level_radius
 
@@ -124,6 +126,15 @@ def test_local_energy_disk_dirac_high_levels(disk_dirac_solution):
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
+def test_local_energy_off_centre_atom_high_levels():
+    # the window [n, 2n] of the atom at (0.5, 0) lies at radii down to
+    # e^(-4 pi n), about 1e-22 at n = 4, where p + r d - p keeps no digit of r
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(LAP, disk, MeasureData.make(atoms=[([0.5, 0.0], 1.0)], dom=disk))
+    for n in (2.0, 3.0, 4.0):
+        assert local_energy(sol, constant_eta(1.0), n) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_local_energy_ball_3d_dirac():
     ball = Domain.ball([0.0, 0.0, 0.0], 1.0, 3)
     sol = integral_solution(LAP, ball, MeasureData.make(atoms=[([0.0, 0.0, 0.0], 1.0)],
@@ -141,15 +152,13 @@ def _local_energy_per_ray(solution, eta, n):
     c = np.asarray(dom.center)
     dirs, ang_w = _ray_directions(d)
     total = 0.0
-    for p, w in solution.decomposition.concentrated.atoms:
-        if w <= 0:
-            continue
-        p = np.asarray(p, dtype=float)
+    for p, w in _ray_origins(solution):
+        u_at, grad_at = _ray_fields(solution, p, w)
         for direction, wa in zip(dirs, ang_w):
-            rel = p - c
+            rel = np.asarray(p) - c
             b = float(np.dot(rel, direction))
             r_hi = -b + math.sqrt(max(b * b - (np.dot(rel, rel) - dom.radius**2), 0.0))
-            u_ray = lambda r: solution.evaluate(p + np.outer(r, direction))
+            u_ray = lambda r: u_at(np.reshape(r, (1, -1)), direction[None])
             r_out = float(level_radius(u_ray, [r_hi], n)[0])
             r_in = float(level_radius(u_ray, [r_hi], 2.0 * n)[0])
             if r_out <= r_in:
@@ -157,8 +166,8 @@ def _local_energy_per_ray(solution, eta, n):
             s_in, s_out = math.log(r_in), math.log(r_out)
             half = 0.5 * (s_out - s_in)
             rr = np.exp(0.5 * (s_out + s_in) + half * gx)
-            pts = p + rr[:, None] * direction
-            grad = solution.gradient(pts)
+            pts = np.asarray(p) + rr[:, None] * direction
+            grad = grad_at(rr[None], direction[None])
             dens = np.sum(grad * grad, axis=1)
             total += wa * float(np.sum(half * gw * eta(pts) * dens * rr ** d))
     return total / n
@@ -341,36 +350,36 @@ def test_reconstruct_report_keeps_refinement_traces(monkeypatch):
     eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
     rep = reconstruct_mu_c(sol, eta, [2.0, 1.0])
     for n, val, trace in zip(rep.levels, rep.values, rep.traces):
-        assert reconstruct_mod._nonlocal_energies(sol, eta, [n])[0] == [(val, trace)]
+        assert _lattice_energies(sol, eta, [n])[0] == [trace]
         assert nonlocal_energy(sol, eta, n) == val
     # an unconverged trace raises instead of passing for a value
     monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 1)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="level n=1 "):
         nonlocal_energy(sol, eta, 1.0)
 
 
-def _full_matrix_jump(x, w, u, ex, alpha, n):
-    """The unblocked formula: theta_n and the jump measure as N x N arrays."""
+def _dense_energy(dop, u, ex, n):
+    """The lattice functional summed pair by pair: theta_n against the jump
+    weights W = diag - A off the diagonal, and the killing diag - W 1."""
+    W = np.diag(dop.diag) - dop.A.toarray()
+    kill = dop.diag - W.sum(axis=1)
     TH = theta_n(u[:, None], u[None, :], n)
-    dist = np.abs(x[:, None] - x[None, :])
-    with np.errstate(divide="ignore"):
-        Jm = 0.5 * frac_constant(alpha, 1) * dist ** (-1.0 - alpha)
-    np.fill_diagonal(Jm, 0.0)
-    return float(np.einsum("i,ij,j->", ex, TH * Jm, w))
+    jump = 0.5 * np.einsum("i,ij->", ex, W * TH)
+    return (jump + float(np.sum(ex * kill * theta_n(u, 0.0, n)))) \
+        * dop.grid.cell_volume() / (2.0 * n)
 
 
-def _full_matrix_energy(sol, eta, n, x, w):
-    alpha = sol.op.alpha
-    u = sol.evaluate(x.reshape(-1, 1))
-    ex = eta(x.reshape(-1, 1)) * w
-    kill = float(np.sum(ex * theta_n(u, 0.0, n) * killing_density(alpha, sol.dom, x)))
-    return (_full_matrix_jump(x, w, u, ex, alpha, n) + kill) / (2.0 * n)
+def _interval_lattice(alpha, h=2.0**-7):
+    """The fractional operator on (-1, 1) at width h, its nodes and killing."""
+    dop = assemble(OperatorSpec.fractional(alpha), build_grid(Domain.interval(-1.0, 1.0), h))
+    return dop, dop.grid.interior_points()[:, 0], dop.apply(np.ones(dop.n))
 
 
 @pytest.mark.parametrize("case", ["atom", "bounded"])
 def test_nonlocal_energies_match_full_matrix_formula(case, monkeypatch):
-    # gradings of 770 and 1,510 nodes: two and three row blocks of the kernel;
-    # the bounded potential (sup u ~ 1.128) has an empty window at n = 2
+    # lattices of 255 and 511 nodes, each value against the pair sum on the
+    # lattice solution; the bounded potential (sup u ~ 1.128) has an empty
+    # window at n = 2
     dom = Domain.interval(-1.0, 1.0)
     if case == "atom":
         measure = MeasureData.make(atoms=[([0.0], 1.0)], dom=dom)
@@ -378,86 +387,161 @@ def test_nonlocal_energies_match_full_matrix_formula(case, monkeypatch):
     else:
         measure = MeasureData(density=Density.constant(1.0))
         eta, levels = constant_eta(1.0), [0.3, 2.0]
-    sol = integral_solution(OperatorSpec.fractional(0.5), dom, measure)
-    anchors = [p[0] for p, _ in sol.measure.atoms]
+    op = OperatorSpec.fractional(0.5)
+    sol = integral_solution(op, dom, measure)
+    monkeypatch.setattr(reconstruct_mod, "_START_NODES", 200)
     monkeypatch.setattr(reconstruct_mod, "_MAX_REFINE", 2)
-    monkeypatch.setattr(reconstruct_mod, "_PER_DECADE", 2)
-    results, _ = _nonlocal_energies(sol, eta, levels, rel_tol=1.0)
-    for n, (val, trace) in zip(levels, results):
-        assert len(trace) == 2 and val == trace[-1]
-        for i, got in enumerate(trace):
-            x, w = _graded_panels_1d(dom, anchors, 2 * 2**i, r_min=1e-9, gauss=10)
-            ref = _full_matrix_energy(sol, eta, n, x, w)
-            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    traces, widths, unknowns, _ = _lattice_energies(sol, eta, levels, rel_tol=1.0)
+    assert widths == [2.0**-7, 2.0**-8] and unknowns == [255, 511]
+    for n, trace in zip(levels, traces):
+        assert len(trace) == 2
+        for h, got in zip(widths, trace):
+            dop = assemble(op, build_grid(dom, h))
+            u = grid_solution(dop, measure).grid_field.interior_values()
+            ref = _dense_energy(dop, u, eta(dop.grid.interior_points()), n)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
     if case == "bounded":
-        assert results[-1][0] == 0.0
-
-
-@pytest.mark.parametrize("anchors", [[0.0], [0.123], [-0.7, 0.4]])
-@pytest.mark.parametrize("per_decade", [2, 6, 12, 96])
-def test_graded_panels_lie_inside_the_interval(anchors, per_decade):
-    # with anchors (-0.7, 0.4) a ladder rung lands one ulp inside -1; no
-    # panel may put its nodes onto the endpoint, where the jump kernel
-    # between equal nodes is infinite
-    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), anchors, per_decade,
-                             r_min=1e-9, gauss=10)
-    assert np.all((x > -1.0) & (x < 1.0))
-    assert np.all(np.diff(x) > 0.0)
-    assert w.sum() == pytest.approx(2.0, rel=1e-14, abs=0.0)
+        assert traces[-1] == [0.0, 0.0]
 
 
 def test_jump_terms_with_no_node_in_the_window():
-    # u steps over the window (1, 2): M is empty and only the L x H and H x L
-    # products contribute; at n = 10 every node is below the window
-    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
+    # u steps over the window (1, 2), so D is 0 or n at every node and only
+    # the pairs across the step contribute; at n = 10 every node is below
+    # the window and the value is exactly 0
+    dop, x, kappa = _interval_lattice(0.5)
     u = np.where(np.abs(x) < 0.3, 5.0, 0.2)
-    ex = w * (1.0 + x**2)
-    got, _ = _jump_terms(x, w, u, ex, 0.5, [1.0, 10.0])
-    ref = _full_matrix_jump(x, w, u, ex, 0.5, 1.0)
+    ex = 1.0 + x**2
+    ref = _dense_energy(dop, u, ex, 1.0)
     assert ref > 0.0
-    assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
-    assert got[1] == 0.0
+    assert _lattice_energy(dop, kappa, u, ex, 1.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert _lattice_energy(dop, kappa, u, ex, 10.0) == 0.0
 
 
 def test_jump_terms_build_only_the_live_rows():
-    # eta vanishes on the band (1e-5, 0.5), which holds whole leaves of the
-    # cluster tree, so fewer kernel entries are built than with eta != 0
-    # everywhere; the window is empty of nodes at n = 1 and holds the inner
-    # nodes at n = 3 and the outer ones at n = 0.15
-    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 2, r_min=1e-9, gauss=10)
+    # eta vanishes on the band (1e-5, 0.5): its rows add nothing, so the
+    # value is the pair sum over the other rows alone; the window is empty
+    # of nodes at n = 1 and holds the inner nodes at n = 3 and the outer ones
+    # at n = 0.15; eta = 0 on every node gives exactly 0
+    dop, x, kappa = _interval_lattice(0.5)
     u = np.where(np.abs(x) < 0.3, 5.0 + x, 0.2 + 0.1 * x)
-    ex = np.where((x > 1e-5) & (x < 0.5), 0.0, 1.0 + x**2) * w
+    ex = np.where((x > 1e-5) & (x < 0.5), 0.0, 1.0 + x**2)
     live = np.flatnonzero(ex)
     assert np.count_nonzero(np.diff(live) > 1) == 1
-    leaves = reconstruct_mod._cluster_tree(x)[-1]
-    assert any(not ex[a:b].any() for a, b in zip(leaves[:-1], leaves[1:]))
-    levels = [0.15, 1.0, 3.0]
-    got, entries = _jump_terms(x, w, u, ex, 0.5, levels)
-    for n, val in zip(levels, got):
-        ref = _full_matrix_jump(x, w, u, ex, 0.5, n)
+    for n in (0.15, 1.0, 3.0):
+        ref = _dense_energy(dop, u, ex, n)
         assert ref > 0.0
-        assert val == pytest.approx(ref, rel=1e-13, abs=0.0)
-    assert 0 < entries < _jump_terms(x, w, u, (1.0 + x**2) * w, 0.5, levels)[1]
-    # eta = 0 on every node: no kernel entry is built
-    assert _jump_terms(x, w, u, 0.0 * ex, 0.5, levels) == ([0.0, 0.0, 0.0], 0)
+        assert _lattice_energy(dop, kappa, u, ex, n) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert _lattice_energy(dop, kappa, u, 0.0 * ex, n) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.9])
 def test_jump_terms_match_full_matrix_on_an_oscillating_profile(alpha):
-    # u = 3 + 2 sin(7x) crosses every window several times, so clusters hold
-    # rows of all three classes and far blocks pair L, M and H nodes; eta
-    # vanishes on a scattered fifth of the nodes; each level alone gives the
-    # bits it gives among the others, though the blocks built depend on the
-    # level set
-    x, w = _graded_panels_1d(Domain.interval(-1.0, 1.0), [0.0], 6, r_min=1e-9, gauss=10)
+    # u = 3 + 2 sin(7x) crosses every window several times, so every node
+    # class (below, in and above the window) meets every other; eta
+    # vanishes on a scattered fifth of the nodes
+    dop, x, kappa = _interval_lattice(alpha)
     u = 3.0 + 2.0 * np.sin(7.0 * x)
-    ex = w * np.where(np.random.default_rng(3).random(x.size) < 0.2, 0.0, 1.0 + x**2)
-    levels = [0.6, 1.2, 2.0, 3.3]
-    got, entries = _jump_terms(x, w, u, ex, alpha, levels)
-    assert 0 < entries < np.count_nonzero(ex) * x.size
-    for n, val in zip(levels, got):
-        assert val == pytest.approx(_full_matrix_jump(x, w, u, ex, alpha, n), rel=1e-13, abs=0.0)
-        assert _jump_terms(x, w, u, ex, alpha, [n])[0] == [val]
+    ex = np.where(np.random.default_rng(3).random(x.size) < 0.2, 0.0, 1.0 + x**2)
+    for n in (0.6, 1.2, 2.0, 3.3):
+        assert _lattice_energy(dop, kappa, u, ex, n) == pytest.approx(
+            _dense_energy(dop, u, ex, n), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0.5, 2.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_lattice_functional_exact_identity(d, alpha, n):
+    """For eta = 1 and u = A^{-1} mu, symmetrising theta_n gives
+    F_n = <mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n),
+    D = clamp(u - n, 0, n): the discrete reconstruction formula.  At d = 1
+    and alpha = 1.5 the atom is not polar, u stays below 1 and the window
+    at n = 2 is empty."""
+    dom = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball([0.0, 0.0], 1.0, 2)
+    mu = MeasureData.make(atoms=[([0.0] * d, 1.0)], dom=dom)
+    dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, 2.0**-10 if d == 1 else 2.0**-5))
+    u = grid_solution(dop, mu).grid_field.interior_values()
+    kappa = dop.apply(np.ones(dop.n))
+    D = np.clip(u - n, 0.0, n)
+    hd = dop.grid.cell_volume()
+    exact = hd * (np.sum(deposit(mu, dop.grid) * D) + np.sum(kappa * D * (u - D - 2.0 * n))) / n
+    got = _lattice_energy(dop, kappa, u, np.ones(dop.n), n)
+    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_lattice_values_against_the_panel_quadrature():
+    # the graded-panel quadrature of the continuum functional on the closed
+    # form read these on reconstruct-nonlocal-interval (levels 1, 2, 4, 8, 16)
+    panel = [0.9728216661279137, 0.9757569706541644, 0.9844941274401862,
+             0.9911534964379152, 0.99500274263249]
+    cfg = validate_config(get_preset("reconstruct-nonlocal-interval"))
+    dom, op, mu = build_problem(cfg)
+    rep = reconstruct_mu_c(build_solution(cfg, dom, op, mu), build_eta(cfg, dom), cfg["levels"],
+                           rel_tol=cfg["tolerances"]["quad_rel"])
+    np.testing.assert_allclose(rep.values, panel, rtol=0.0, atol=2e-3)
+    assert rep.widths == [2.0**-10, 2.0**-11, 2.0**-12] and rep.unknowns == [2047, 4095, 8191]
+    assert rep.resolvable.all()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_nonlocal_reconstruction_on_the_disk(alpha):
+    # the unit atom at the centre of the unit disk: 1.0353 down to 1.0015 at
+    # alpha = 1, 0.9787 up to 0.9996 at alpha = 1.5
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(OperatorSpec.fractional(alpha), disk,
+                            MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=disk))
+    rep = reconstruct_mu_c(sol, constant_eta(1.0), [0.25, 0.5, 1.0, 2.0])
+    err = np.abs(rep.values - 1.0)
+    assert np.all(err <= 0.04) and np.all(np.diff(err) < 0.0)
+    assert rep.unknowns[0] == 3205 and rep.resolvable.all()
+
+
+@pytest.mark.parametrize("case", ["square", "masked", "ball3"])
+def test_nonlocal_energy_serves_every_fractional_domain(case):
+    # rectangles, masked rectangles and 3-d balls assemble, so they
+    # reconstruct; the grid solution's own lattice is not used
+    dom, p = {
+        "square": (Domain.rectangle([(-1.0, 1.0), (-1.0, 1.0)]), [0.0, 0.0]),
+        "masked": (Domain.rectangle([(-1.0, 1.0), (-1.0, 1.0)],
+                                    mask=lambda x: np.atleast_2d(x).sum(axis=1) < 0.5),
+                   [-0.2, -0.2]),
+        "ball3": (Domain.ball([0.0, 0.0, 0.0], 1.0, 3), [0.0, 0.0, 0.0]),
+    }[case]
+    op = OperatorSpec.fractional(1.0)
+    mu = MeasureData.make(atoms=[(p, 1.0)], dom=dom)
+    sol = grid_solution(assemble(op, build_grid(dom, 0.25)), mu)
+    assert nonlocal_energy(sol, constant_eta(1.0), 1.0) == pytest.approx(1.0, abs=0.06)
+
+
+def test_unresolvable_level_is_flagged():
+    # u at the atom's node is about 36.6 at h = 2^-10, so the window of
+    # n = 100 holds no node and cannot read the atom
+    dom = Domain.interval(-1.0, 1.0)
+    sol = integral_solution(OperatorSpec.fractional(0.5), dom,
+                            MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
+    with pytest.warns(UserWarning, match="n=100 .* atom's node"):
+        rep = reconstruct_mu_c(sol, constant_eta(1.0), [1.0, 100.0])
+    assert rep.resolvable.tolist() == [True, False]
+    assert rep.values[1] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_lattice_killing_matches_its_closed_form(alpha):
+    # kappa = diag - T*1_D, the mass a row leaks past the interior, against
+    # c Int_{D^c} |x - y|^(-d-alpha) dy; the error halves with h in 1-d and
+    # falls about threefold per halving in 2-d
+    for dom, points, widths in (
+            (Domain.interval(-1.0, 1.0), [[0.0], [0.5], [-0.75]], range(8, 12)),
+            (Domain.ball([0.0, 0.0], 1.0, 2), [[0.0, 0.0], [0.5, 0.0], [0.0, -0.5]], range(4, 7))):
+        for k in widths:
+            h = 2.0**-k
+            dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, h))
+            kappa = dop.apply(np.ones(dop.n))
+            grid = dop.grid
+            for x in points:
+                node = grid.nearest_node(x)
+                assert np.allclose(grid.node_points()[node], x, rtol=0.0, atol=1e-14)
+                exact = killing_density(alpha, dom, np.asarray(x))
+                assert abs(kappa[grid.flat_of_lattice(node)] - exact) <= 4.0 * h * exact
 
 
 def test_reconstruct_report_counts_the_quadrature():
@@ -466,24 +550,16 @@ def test_reconstruct_report_counts_the_quadrature():
                             MeasureData.make(atoms=[([0.0], 1.0)], dom=dom))
     eta = CutoffEta(center=(0.0,), r_one=0.25, r_zero=0.75)
     rep = reconstruct_mu_c(sol, eta, [1.0, 2.0])
-    assert len(rep.quad_nodes) == len(rep.kernel_rows) == len(rep.kernel_entries) \
-        == max(map(len, rep.traces))
-    for i, (nodes, rows) in enumerate(zip(rep.quad_nodes, rep.kernel_rows)):
-        x, w = _graded_panels_1d(dom, [0.0], reconstruct_mod._PER_DECADE * 2**i,
-                                 r_min=1e-9, gauss=reconstruct_mod._GAUSS)
-        assert nodes == x.size
-        ex = eta(x.reshape(-1, 1)) * w
-        assert rows == np.count_nonzero(ex)
-        assert 0 < rows < nodes
-        u = sol.evaluate(x.reshape(-1, 1))
-        assert rep.kernel_entries[i] == _jump_terms(x, w, u, ex, 0.5, [1.0, 2.0])[1]
-        assert 0 < rep.kernel_entries[i] < rows * nodes
+    assert len(rep.widths) == len(rep.unknowns) == max(map(len, rep.traces))
+    for h, unknowns in zip(rep.widths, rep.unknowns):
+        assert unknowns == build_grid(dom, h).n_interior
+    assert rep.widths[0] == 2.0**-10 and np.all(np.diff(np.log2(rep.widths)) == -1.0)
     # the atom-free local case: rays from the disk's centre, and no quadrature
     local = reconstruct_mu_c(integral_solution(LAP, Domain.ball([0.0, 0.0], 1.0, 2),
                                                MeasureData(density=Density.constant(1.0))),
                              constant_eta(1.0), [0.1, 0.5])
     assert local.values[0] == pytest.approx(0.4 * math.pi, rel=1e-9) and local.values[1] == 0.0
-    assert local.quad_nodes == local.kernel_rows == local.kernel_entries == []
+    assert local.widths == local.unknowns == [] and local.resolvable.all()
 
 
 def test_reconstruct_rejects_empty_levels():
