@@ -185,7 +185,8 @@ def cmd_reduite(args) -> int:
               [f"x{k}" for k in range(dom.dim)] + ["envelope"], rows,
               comments=[f"smallest excessive majorant of (|u| - {fmt(n)})^+"])
     write_json(os.path.join(out, f"{prefix}_envelope.json"), run_report(
-        cfg, {"iterations": res.iterations, "policy_steps": res.policy_steps,
+        cfg, {"iterations": res.iterations, "omega": res.omega,
+              "policy_steps": res.policy_steps,
               "residual": res.residual,
               "continuation_nodes": int(res.continuation.sum())}, {}))
     if not args.quiet:
@@ -201,7 +202,8 @@ def cmd_tail(args) -> int:
     prefix = _prefix(cfg)
     curves = tail_curves(cfg)
     results = {fmt(h): {"levels": tc.levels, "values": tc.values,
-                        "sweeps": tc.sweeps, "policy_steps": tc.policy_steps,
+                        "sweeps": tc.sweeps, "omega": tc.omega,
+                        "policy_steps": tc.policy_steps,
                         "resolvable": tc.resolvable} for h, tc in curves}
     last = curves[-1][1]
     rows = [(n, v, int(r)) for n, v, r in

@@ -255,23 +255,34 @@ def _slot_csr(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
                          shape=(cols.shape[1], n_cols))
 
 
+def _coarsen(grid: Grid):
+    """(grid of width 2h, restriction R onto it), or None at the coarsest
+    grid: built on the first V-cycle that needs it and kept on the fine
+    grid, so every solve on one grid shares one coarse chain."""
+    if grid.coarse is None:
+        try:
+            coarse = build_grid(grid.domain, 2.0 * grid.h)
+        except GridSizeError:
+            grid.coarse = ()
+        else:
+            grid.coarse = (coarse, _restriction(grid, coarse))
+    return grid.coarse or None
+
+
 def _hierarchy(grid: Grid, A: sp.csr_matrix):
     """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
     Galerkin coarse operators P^T A P (P kept as the CSC view R.T of the
-    restriction R = P^T), down to at most ``_BOTTOM_MAX`` unknowns or the
-    coarsest grid, and the SuperLU factorization of the bottom operator.
+    restriction R = P^T, from ``_coarsen``), down to at most ``_BOTTOM_MAX``
+    unknowns or the coarsest grid, and the SuperLU factorization of the
+    bottom operator.  The matrices are built per call and freed with it.
     Only sparse local matrices get here, each symmetric bit for bit: a
     stencil A, or the embedded matrix of a block (Kornhuber's truncated
     coarse operators).  The product runs as M = R (M P) on the transpose M
     of each level's matrix, so every coarse entry sums the terms of
     ``(P.T @ A @ P).tocsr()`` in its order."""
     levels, M = [], A
-    while A.shape[0] > _BOTTOM_MAX:
-        try:
-            coarse = build_grid(grid.domain, 2.0 * grid.h)
-        except GridSizeError:
-            break
-        R = _restriction(grid, coarse)
+    while A.shape[0] > _BOTTOM_MAX and (step := _coarsen(grid)) is not None:
+        coarse, R = step
         levels.append((A, _JACOBI_OMEGA / A.diagonal(), R.T))
         M = R @ (M @ R.T.tocsr())
         M.sort_indices()

@@ -9,7 +9,9 @@ harmonic extension of g from the complement of V.  Every operator gets it
 the same way: exact policy iteration (one block solve per step, started
 from the current iterate); a local start that misses the tolerance first
 gets a short projected-SOR warm start, on colour rows of A pre-scaled by
-omega / diag.
+omega / diag, whose relaxation omega rises from below the grid's
+bounding-box optimum towards Young's optimum of the rows it iterates on,
+estimated from the measured contraction.
 
 Atom handling in tail functionals: when the measure carries concentrated
 atoms, the obstacle (|u| - n)^+ is enriched at each atom's node, where the
@@ -45,7 +47,8 @@ _MAX_POLICY_STEPS = 500
 @dataclass
 class ReduiteResult:
     """Envelope field, continuation set, warm-start PSOR sweep count (0 for
-    the fractional operator), policy-iteration step count (both counts are
+    the fractional operator) and the relaxation omega of its last sweep
+    (0.0 without sweeps), policy-iteration step count (both counts are
     0 when the start already meets ``tol``) and the max complementarity
     violation |min(w - g, A w / diag)|, which ``reduite`` brings to at most
     its ``tol`` or to the accuracy of its last block solve.
@@ -60,6 +63,7 @@ class ReduiteResult:
     envelope: GridField
     continuation: np.ndarray      # bool lattice mask
     iterations: int
+    omega: float                  # relaxation of the last sweep, 0.0 without sweeps
     policy_steps: int
     residual: float
 
@@ -70,6 +74,7 @@ class TailCurve:
     values: np.ndarray
     resolvable: np.ndarray        # bool per level
     sweeps: np.ndarray            # PSOR warm-start sweeps per level
+    omega: np.ndarray             # relaxation of each level's last sweep (0.0 without)
     policy_steps: np.ndarray      # policy-iteration steps per level
     limit_estimate: float
     target: float                 # <R^D rho, |mu_c|> from the atoms' Green columns
@@ -106,6 +111,13 @@ def omega_optimal(grid: Grid) -> float:
     return float(2.0 / (1.0 + s))
 
 
+def _omega_start(grid: Grid) -> float:
+    """The relaxation ``reduite`` starts its warm start from: Young's
+    optimum of a box 4 times narrower than the grid's bounding box."""
+    extent = min(hi - lo for lo, hi in grid.domain.bounding_box)
+    return float(2.0 / (1.0 + np.sin(min(4.0 * np.pi * grid.h / extent, np.pi / 2))))
+
+
 def _colour_rows(grid: Grid) -> tuple:
     """Flat interior indices in red-then-black order (lattice parity, each
     colour in increasing index order) and the red count."""
@@ -118,45 +130,93 @@ def _colour_rows(grid: Grid) -> tuple:
     return np.argsort(odd, kind="stable"), int(np.count_nonzero(~odd))
 
 
+class _Sweeps(int):
+    """A sweep count that carries the relaxation ``omega`` of its last sweep."""
+
+    def __new__(cls, sweeps: int, omega: float):
+        self = super().__new__(cls, sweeps)
+        self.omega = omega
+        return self
+
+
+def _scaled_rows(rows: list, omega: float) -> list:
+    """Each colour's (rows of A, their diagonal) as CSR rows scaled by
+    omega / diag."""
+    return [sp.csr_matrix((A_rows.data * np.repeat(omega / diag, np.diff(A_rows.indptr)),
+                           A_rows.indices, A_rows.indptr), shape=A_rows.shape)
+            for A_rows, diag in rows]
+
+
 def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
            omega: float, tol: float) -> int:
     """Projected red-black SOR w <- max(g, w - omega D^{-1} A w) on flat
-    interior vectors of a local operator, in place: the red and black rows
-    in turn, with the update tested every 8 sweeps.  Returns the sweep
-    count.
+    interior vectors of a local operator, in place, from the relaxation
+    ``omega``: the red and black rows in turn, with the update tested every
+    8 sweeps.  Returns the sweep count, an int whose ``omega`` is the
+    relaxation of the last sweep.
+
+    The relaxation rises towards Young's optimum of the rows it iterates
+    on (adaptive SOR; Hageman & Young, *Applied Iterative Methods*, 1981,
+    ch. 9), never above ``omega_optimal`` of the grid and never down.  Two
+    tested updates d_prev > d at the same omega give the contraction
+    lambda = (d / d_prev)^(1/8) of 8 sweeps; while lambda > omega - 1 it
+    tells the Jacobi radius mu = (lambda + omega - 1) / (omega sqrt(lambda))
+    of the red-black (consistently ordered) rows, and once two consecutive
+    mu agree within 10 % in 1 - mu the relaxation moves up to
+    2 / (1 + sqrt(1 - mu^2)) and the measurement starts again.  A start at
+    ``omega_optimal`` is never raised: plain projected SOR.
 
     The sweeps run on a copy of w in red-then-black order, so each colour
     is one contiguous slice, and each colour's rows of A are scaled by
-    omega / diag once, so a half-sweep is one product and one ``maximum``.
-    Each row keeps its stored entry order with the columns renamed into
-    that order, so every row sums the same terms in the same order as on
-    the lattice numbering and the result is the same bit for bit.
+    omega / diag once per relaxation, so a half-sweep is one product and
+    one ``maximum``.  Each row keeps its stored entry order with the
+    columns renamed into that order, so every row sums the same terms in
+    the same order as on the lattice numbering and the result is the same
+    bit for bit.
     """
+    cap = omega_optimal(dop.grid)
     order, n_red = _colour_rows(dop.grid)
     pos = np.empty(order.size, dtype=dop.A.indices.dtype)
     pos[order] = np.arange(order.size)
-    blocks = []
-    for part in (slice(0, n_red), slice(n_red, None)):
+    parts = (slice(0, n_red), slice(n_red, None))
+    rows = []
+    for part in parts:
         A_rows = dop.A[order[part]]
-        scale = np.repeat(omega / dop.diag[order[part]], np.diff(A_rows.indptr))
-        blocks.append((part, sp.csr_matrix((A_rows.data * scale, pos[A_rows.indices],
-                                            A_rows.indptr), shape=A_rows.shape)))
+        rows.append((sp.csr_matrix((A_rows.data, pos[A_rows.indices], A_rows.indptr),
+                                   shape=A_rows.shape), dop.diag[order[part]]))
+    blocks = _scaled_rows(rows, omega)
     wp, gp = w[order], g[order]
     update = np.inf
+    d_prev = mu_prev = None
     for sweep in range(1, _MAX_SWEEPS + 1):
         track = sweep % 8 == 0
         if track:
             update = 0.0
-        for part, A_rows in blocks:
+        for part, A_rows in zip(parts, blocks):
             w_rows = wp[part]
             old = w_rows.copy() if track else None
             w_rows -= A_rows @ wp
             np.maximum(w_rows, gp[part], out=w_rows)
             if track:
                 update = max(update, float(np.max(np.abs(w_rows - old), initial=0.0)))
-        if track and update < tol:
+        if not track:
+            continue
+        if update < tol:
             w[order] = wp
-            return sweep
+            return _Sweeps(sweep, float(omega))
+        mu = None
+        if d_prev is not None and update < d_prev:
+            lam = (update / d_prev) ** 0.125
+            if lam > omega - 1.0:         # below the optimum: lambda tells mu
+                mu = min((lam + omega - 1.0) / (omega * np.sqrt(lam)), 1.0)
+        if mu is not None and mu_prev is not None and abs(mu - mu_prev) <= 0.1 * (1.0 - mu):
+            young = min(2.0 / (1.0 + np.sqrt(1.0 - mu * mu)), cap)
+            if young > omega:
+                omega = young
+                blocks = _scaled_rows(rows, omega)
+                d_prev = mu_prev = None
+                continue
+        d_prev, mu_prev = update, mu
     raise ConvergenceError(
         f"projected relaxation did not reach tol={tol} within {_MAX_SWEEPS} "
         f"sweeps (last update {update:.3e})")
@@ -209,9 +269,10 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     Policy iteration finishes it for every operator, started from w0
     (default g; any w0 will do) once its residual is tested: a start that
     meets ``tol`` is returned as max(w0, g).  On a local operator any other
-    start is first improved by projected red-black SOR at ``omega_optimal``
-    of the grid until its last update falls below ``_WARM_TOL``, and tested
-    again.  ``tol`` is the complementarity residual that the returned
+    start is first improved by projected red-black SOR until its last update
+    falls below ``_WARM_TOL``, and tested again; the relaxation starts at
+    ``_omega_start`` and ``_relax`` raises it towards the optimum of the
+    rows it iterates on, at most to ``omega_optimal`` of the grid.  ``tol`` is the complementarity residual that the returned
     envelope must meet, and the continuation threshold on A w / diag
     (relative to the envelope's scale).  Non-finite obstacle values are
     capped at the obstacle's value one cell away.
@@ -230,11 +291,13 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     g_flat = g_lat[grid.interior_mask]
     w_flat = g_flat.copy() if w0 is None else w0[grid.interior_mask]
     sweeps = steps = 0
+    omega = 0.0
     defect, residual = _complementarity(dop, w_flat, g_flat)
     # an exact start on or above g is the envelope: keep its defect
     exact = residual <= tol and bool(np.all(w_flat >= g_flat))
     if residual > tol and dop.is_local:
-        sweeps = _relax(dop, g_flat, w_flat, omega_optimal(grid), _WARM_TOL)
+        sweeps = _relax(dop, g_flat, w_flat, _omega_start(grid), _WARM_TOL)
+        omega = sweeps.omega
         defect, residual = _complementarity(dop, w_flat, g_flat)
     if residual > tol:
         w_flat, steps = _policy_iteration(dop, g_flat, w_flat, defect, tol)
@@ -245,8 +308,8 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     continuation = grid.new_field().astype(bool)
     continuation[grid.interior_mask] = defect <= tol * max(scale, 1.0)
     return ReduiteResult(envelope=GridField.from_interior(grid, w_flat),
-                         continuation=continuation, iterations=sweeps,
-                         policy_steps=steps, residual=residual)
+                         continuation=continuation, iterations=int(sweeps),
+                         omega=omega, policy_steps=steps, residual=residual)
 
 
 def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
@@ -386,6 +449,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     values = np.empty(levels.shape)
     resolvable = np.ones(levels.shape, dtype=bool)
     sweeps = np.zeros(levels.shape, dtype=int)
+    omega = np.zeros(levels.shape)
     policy_steps = np.zeros(levels.shape, dtype=int)
     prev_w = None
     for i in range(len(levels) - 1, -1, -1):
@@ -399,7 +463,7 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
         res = reduite(dop, g, tol=tol, w0=reduite_start(g, field, prev_w))
         prev_w = res.envelope.values
         values[i] = res.envelope.weighted_sum(rho_vals)
-        sweeps[i], policy_steps[i] = res.iterations, res.policy_steps
+        sweeps[i], omega[i], policy_steps[i] = res.iterations, res.omega, res.policy_steps
 
     limit_estimate = float(np.mean(values[-2:])) if len(values) > 1 else float(values[-1])
     if target > 0 and limit_estimate > 0.5 * target:
@@ -407,6 +471,6 @@ def tail_curve(solution: Solution, dop: DiscreteOperator, rho,
     else:
         verdict = "diffuse-like"
     return TailCurve(levels=levels, values=values, resolvable=resolvable,
-                     sweeps=sweeps, policy_steps=policy_steps,
+                     sweeps=sweeps, omega=omega, policy_steps=policy_steps,
                      limit_estimate=limit_estimate, target=float(target),
                      verdict=verdict)

@@ -177,6 +177,9 @@ class Grid:
     boundary_mask: np.ndarray      # bool lattice array
     interior_index: np.ndarray = field(repr=False, default=None)  # int lattice array, -1 off-interior
     n_interior: int = 0
+    # the V-cycle's next level (grid of width 2h, restriction onto it), or ()
+    # at the coarsest grid; built by ``discrete`` on first use
+    coarse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.interior_index is None and self.interior_mask is not None:

@@ -70,6 +70,10 @@ def test_tail_verdicts(tmp_path, tiny_dirac_cfg):
     assert all(isinstance(k, int) and k % 8 == 0 for k in block["sweeps"])
     assert all(isinstance(k, int) and k >= 0 for k in block["policy_steps"])
     assert all(p == 0 for k, p in zip(block["sweeps"], block["policy_steps"]) if k == 0)
+    # the relaxation of each level's last sweep, 0.0 on a level with none
+    assert len(block["omega"]) == 2
+    assert all(isinstance(w, float) and (w > 1.0) == (k > 0) and w < 2.0
+               for w, k in zip(block["omega"], block["sweeps"]))
     # config echoed verbatim
     assert rep["config"]["grid"]["h"] == 2.0**-5
 
@@ -128,7 +132,7 @@ def test_reduite_subcommand_fractional(tmp_path, capsys):
     assert rc == 0
     rep = json.loads(read(os.path.join(out, "reconstruct_nonlocal_interval_envelope.json")))
     res = rep["results"]
-    assert res["iterations"] == 0
+    assert res["iterations"] == 0 and res["omega"] == 0.0
     # the atom's extension is already the envelope: no policy step
     assert res["policy_steps"] == 0
     assert _cold_reduite(path).policy_steps >= 1
@@ -541,7 +545,7 @@ def _canned_curve(values):
     values = np.asarray(values, dtype=float)
     return TailCurve(levels=np.arange(1.0, values.size + 1.0), values=values,
                      resolvable=np.ones(values.size, dtype=bool),
-                     sweeps=np.zeros(values.size, dtype=int),
+                     sweeps=np.zeros(values.size, dtype=int), omega=np.zeros(values.size),
                      policy_steps=np.zeros(values.size, dtype=int),
                      limit_estimate=float(values[-1]), target=0.0, verdict="canned")
 

@@ -6,14 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from potkit import (Domain, OperatorSpec, assemble, build_grid, discrete_green, green,
                     harmonic_extension, reduite)
@@ -310,18 +310,48 @@ def _jacobi_iterations(dop, b):
         return discrete._CG_MAX_ITERS
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
-def test_interval_solve_iterations_are_bounded(cg_calls, alpha):
-    """On the n = 2,047 interval the circulant-preconditioned CG takes at
-    most 20 iterations for every alpha (8-12); Jacobi needs more than 20
-    (75 at alpha 0.5, over the 1,000-iteration budget at 1.9)."""
+@lru_cache(maxsize=1)
+def _interval_lu(alpha):
+    """The n = 2,047 interval operator at alpha, its CSR A, A in long double
+    and the LU factors of A; one alpha at a time is kept."""
     dop = assemble(OperatorSpec.fractional(alpha), build_grid(Domain.interval(-1.0, 1.0),
                                                                2.0**-10))
+    A = dop.A
+    dense = A.toarray()
+    return dop, A, dense.astype(np.longdouble), lu_factor(dense)
+
+
+def _rounded_solution(A_long, lu, b):
+    """A^{-1} b correctly rounded: dense LU refined once with a long-double
+    residual."""
+    x = lu_solve(lu, b)
+    r = b.astype(np.longdouble) - A_long @ x.astype(np.longdouble)
+    return x + lu_solve(lu, r.astype(float))
+
+
+# seed 10 keeps each alpha's historical id
+INTERVAL_SOLVE_CASES = [pytest.param(alpha, seed, id=f"{alpha}" if seed == 10 else
+                                     f"{alpha}-seed{seed}")
+                        for alpha in (0.5, 1.0, 1.5, 1.9) for seed in range(10, 22)]
+
+
+@pytest.mark.parametrize("alpha, seed", INTERVAL_SOLVE_CASES)
+def test_interval_solve_iterations_are_bounded(cg_calls, alpha, seed):
+    """On the n = 2,047 interval the circulant-preconditioned CG takes at
+    most 20 iterations for every alpha (8-12); Jacobi needs more than 20
+    (75 at alpha 0.5, over the 1,000-iteration budget at 1.9).  The CG
+    solution's residual through the CSR A is at most 8 times that of the
+    correctly rounded solution, whose own residual is the floor of the
+    gathered matrix in double (up to 7e-13 at alpha 1.9): over seeds 10-21
+    the ratio reads 1.0-4.3, and the fixed 1e-12 it replaces failed at
+    seeds 15, 20 and 21."""
+    dop, A, A_long, lu = _interval_lu(alpha)
     assert dop.n == 2_047
-    b = np.random.default_rng(10).standard_normal(dop.n)
+    b = np.random.default_rng(seed).standard_normal(dop.n)
     x = dop.solve(b)
     assert cg_calls[0] <= 20
-    assert np.linalg.norm(dop.A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    floor = np.linalg.norm(A @ _rounded_solution(A_long, lu, b) - b)
+    assert np.linalg.norm(A @ x - b) <= 8.0 * floor
     assert _jacobi_iterations(dop, b) > 20
 
 
@@ -703,6 +733,26 @@ def test_vcycle_matches_reference_hierarchy(op, h):
     r = np.random.default_rng(4).standard_normal(A.shape[0])
     assert np.array_equal(discrete._vcycle(levels, bottom, r),
                           discrete._vcycle(ref, discrete._factor(M), r))
+
+
+def test_vcycle_geometry_is_built_once_per_grid(monkeypatch):
+    """Every V-cycle on one fine grid shares one chain of coarse grids and
+    restrictions: two full solves and a block solve on the h = 2^-6 disk
+    build each coarse grid once, the second full solve repeats the first
+    bit for bit, and the chain is freed with the fine grid."""
+    dop = assemble(LAP, build_grid(DISK, 2.0**-6))
+    built = []
+    monkeypatch.setattr(discrete, "build_grid",
+                        lambda dom, h: (built.append(h), build_grid(dom, h))[1])
+    b = np.ones(dop.n)
+    x = dop.solve(b)
+    c = np.arange(10, dop.n)
+    dop.solve(b[c], on=c)
+    assert np.array_equal(dop.solve(b), x)
+    assert built == [2.0**-5, 2.0**-4, 2.0**-3]
+    chain = weakref.ref(dop.grid.coarse[0])
+    del dop
+    assert chain() is None
 
 
 @pytest.mark.parametrize("op", BUILDER_OPS)

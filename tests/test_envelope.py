@@ -124,6 +124,70 @@ def test_relaxation_matches_gather_scatter_bit_for_bit(case):
     assert np.array_equal(got, ref)
 
 
+def _recorded_relaxations(monkeypatch):
+    """The relaxation of every segment ``_relax`` sweeps at, in order."""
+    seen = []
+    scaled_rows = envelope_mod._scaled_rows
+
+    def recording(rows, omega):
+        seen.append(omega)
+        return scaled_rows(rows, omega)
+
+    monkeypatch.setattr(envelope_mod, "_scaled_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["laplacian-disk", "laplacian-ball3d", "laplacian-interval"])
+def test_relaxation_finds_young_omega_on_a_linear_problem(monkeypatch, case):
+    """With an obstacle that never binds, projected SOR is plain SOR for
+    A w = 0; started from Gauss-Seidel (omega = 1) its relaxation settles
+    within 10 % in 2 - omega of Young's 2 / (1 + sqrt(1 - mu^2)), mu the
+    Jacobi radius 1 - lambda_min(D^-1/2 A D^-1/2) of the red-black rows
+    (5.9 %, 0.4 % and 0.0 % on these cases)."""
+    from scipy.sparse.linalg import eigsh
+    dop, g_flat = _relax_case(case)
+    d = sp.diags(dop.diag ** -0.5)
+    mu = 1.0 - eigsh(d @ dop.A @ d, k=1, sigma=0, which="LM")[0][0]
+    young = 2.0 / (1.0 + math.sqrt(1.0 - mu * mu))
+    seen = _recorded_relaxations(monkeypatch)
+    sweeps = envelope_mod._relax(dop, np.full(dop.n, -1e300), g_flat.copy(), 1.0, 1e-10)
+    assert seen[0] == 1.0 and sweeps.omega == seen[-1] > 1.0
+    assert abs(sweeps.omega - young) <= 0.1 * (2.0 - young)
+
+
+@pytest.mark.parametrize("case", RELAX_CASES)
+@pytest.mark.parametrize("start", ["gauss-seidel", "reduite", "cap"])
+def test_relaxation_rises_to_at_most_the_cap(monkeypatch, case, start):
+    """The relaxation starts where it is told, never decreases and never
+    exceeds ``omega_optimal`` of the grid; a start at the cap is never
+    raised, so it sweeps at one relaxation throughout."""
+    dop, g_flat = _relax_case(case)
+    cap = envelope_mod.omega_optimal(dop.grid)
+    omega = {"gauss-seidel": 1.0, "reduite": envelope_mod._omega_start(dop.grid),
+             "cap": cap}[start]
+    seen = _recorded_relaxations(monkeypatch)
+    sweeps = envelope_mod._relax(dop, g_flat, g_flat.copy(), omega, 1e-10)
+    assert seen[0] == omega and sweeps.omega == seen[-1]
+    assert all(a < b for a, b in zip(seen, seen[1:])) and seen[-1] <= cap
+    if start == "cap":
+        assert seen == [cap]
+
+
+def test_tail_disk_mixed_sweeps_are_bounded():
+    """tail-disk-mixed at h = 2^-6: the warm starts of its three levels take
+    at most 240 sweeps in all (200 with the rising relaxation; 400 at the
+    bounding-box omega_optimal throughout)."""
+    from potkit.config import build_problem, build_rho
+    from potkit.presets import get_preset
+    cfg = get_preset("tail-disk-mixed")
+    dom, op, mu = build_problem(cfg)
+    dop = assemble(op, build_grid(dom, 2.0**-6))
+    tc = tail_curve(integral_solution(op, dom, mu), dop, build_rho(cfg, dom), cfg["levels"])
+    assert tc.sweeps.sum() <= 240
+    assert np.all((tc.omega > 1.0) == (tc.sweeps > 0))
+    assert np.all(tc.omega <= envelope_mod.omega_optimal(dop.grid))
+
+
 def test_reduite_leaves_operator_matrix_untouched():
     dop, g_flat = _relax_case("smooth-disk")
     A = dop.A
@@ -718,6 +782,8 @@ def test_tail_curve_reports_solver_counts(monkeypatch, case):
     assert tc.policy_steps.tolist() == [r.policy_steps for r in reversed(results)]
     assert tc.sweeps.sum() == sum(r.iterations for r in results)
     assert tc.policy_steps.sum() == sum(r.policy_steps for r in results)
+    assert tc.omega.tolist() == [r.omega for r in reversed(results)]
+    assert all((w == 0.0) == (k == 0) for w, k in zip(tc.omega, tc.sweeps))
     # PSOR tests its update every 8 sweeps; an exact start is not swept
     assert all(k % 8 == 0 for k in tc.sweeps)
     for exact, r in zip(start_meets_tol, results):
@@ -782,21 +848,23 @@ def test_exact_start_computes_its_complementarity_once(monkeypatch, start, calls
 @pytest.mark.parametrize("case", RELAX_CASES)
 @pytest.mark.parametrize("start", ["obstacle", "half-obstacle"])
 def test_inexact_start_sweeps_as_before(case, start):
-    """A start that misses tol runs the PSOR warm start and policy
-    iteration exactly as reduite did before it tested the start."""
+    """A start that misses tol runs the PSOR warm start from ``_omega_start``
+    and then policy iteration, exactly as reduite did before it tested the
+    start; the result reports the relaxation of the last sweep."""
     dop, g_flat = _relax_case(case)
     w0_flat = g_flat if start == "obstacle" else 0.5 * g_flat
     w0 = GridField.from_interior(dop.grid, w0_flat).values
     _, residual = envelope_mod._complementarity(dop, w0_flat, g_flat)
     assert residual > 1e-10
     w = w0_flat.copy()
-    sweeps = envelope_mod._relax(dop, g_flat, w, envelope_mod.omega_optimal(dop.grid),
+    sweeps = envelope_mod._relax(dop, g_flat, w, envelope_mod._omega_start(dop.grid),
                                  envelope_mod._WARM_TOL)
     defect, residual = envelope_mod._complementarity(dop, w, g_flat)
     assert residual > 1e-10
     w, steps = envelope_mod._policy_iteration(dop, g_flat, w, defect, 1e-10)
     res = reduite(dop, GridField.from_interior(dop.grid, g_flat), tol=1e-10, w0=w0)
     assert sweeps > 0 and (res.iterations, res.policy_steps) == (sweeps, steps)
+    assert res.omega == sweeps.omega
     assert np.array_equal(res.envelope.interior_values(), np.maximum(w, g_flat))
 
 
