@@ -247,8 +247,10 @@ def cmd_reconstruct(args) -> int:
                "prefactor_flagged": rep.prefactor_flagged}
     report = run_report(cfg, {"levels": rep.levels, "values": rep.values,
                               "target": rep.target}, verdict)
-    if rep.kind == "nonlocal":
-        report["diagnostics"] = {"widths": rep.widths, "unknowns": rep.unknowns}
+    if rep.widths:
+        # np.bool_ entries, which _jsonify writes as JSON booleans
+        report["diagnostics"] = {"widths": rep.widths, "unknowns": rep.unknowns,
+                                 "resolvable": list(rep.resolvable)}
     write_json(os.path.join(out, f"{prefix}.json"), report)
     if not args.quiet:
         print(f"{rep.kind} reconstruction: values "

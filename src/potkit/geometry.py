@@ -270,15 +270,15 @@ class GridField:
         return GridField(grid, arr)
 
 
-def lattice_shifts(dim: int, step: int = 1):
+def lattice_shifts(dim: int):
     """Yield (k, lead, trail) for each axis k: index tuples such that
-    ``a[lead]`` and ``a[trail]`` pair every lattice node with the node
-    ``step`` cells further along axis k."""
+    ``a[lead]`` and ``a[trail]`` pair every lattice node with the next node
+    along axis k."""
     for k in range(dim):
         lead = [slice(None)] * dim
         trail = [slice(None)] * dim
-        lead[k] = slice(step, None)
-        trail[k] = slice(None, -step)
+        lead[k] = slice(1, None)
+        trail[k] = slice(None, -1)
         yield k, tuple(lead), tuple(trail)
 
 

@@ -19,14 +19,19 @@ The clamp window localizes everything: pairs with both values below n or
 both above 2n contribute nothing, which is exactly what tames both the
 kernel diagonal (theta_n ~ 2(u(x)-u(y))^2) and the atom neighborhood.
 
-The nonlocal functional is read on the lattice, where it is the discrete
-form of the same formula: u = A^{-1} mu is the lattice solution, the jump
-measure is the operator's offset table T (Fukushima, Oshima & Takeda,
-Dirichlet Forms and Symmetric Markov Processes, sec. 3.2, for the jump and
-killing parts of the form), and the killing is kappa = diag - T*1_D.
-theta_n splits into products, so the pair sum is three box convolutions
-with T by FFT, the operator's own matrix-free product (Chan & Ng, SIAM
-Review 38, 1996).  For eta = 1 it equals
+Both are read by one of two readers.  The closed-form rays integrate
+|grad u|^2 along rays from an atom or the center, for the local closed
+forms of a nonnegative measure on which u falls along every ray (see
+``local_energy``).  Everything else reads the lattice, where either
+functional is the discrete form of the same formula: u = A^{-1} mu is the
+lattice solution, the jump measure is the off-diagonal T = diag - A of the
+operator's own matrix (Fukushima, Oshima & Takeda, Dirichlet Forms and
+Symmetric Markov Processes, sec. 3.2, for the jump and killing parts of the
+form), and the killing is kappa = A 1 = diag - T*1_D.  A local stencil's T
+joins neighbours, and its kappa is the leak to the boundary nodes; the
+fractional operator's T is its offset table, so its pair sum is three box
+convolutions by FFT, the operator's own matrix-free product (Chan & Ng,
+SIAM Review 38, 1996).  For eta = 1 the lattice value equals
 <mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n), D = S_n(u) - n.
 """
 
@@ -41,14 +46,14 @@ import numpy as np
 
 from .discrete import assemble
 from .errors import ConvergenceError, SupportError
-from .geometry import Domain, build_grid, lattice_shifts
+from .geometry import Domain, build_grid
 from .kernels import green_regular, green_regular_gradient, laplace_fundamental
 from .solve import Solution, grid_solution, level_radius
 
 _ANGULAR_RAYS = 64         # rays around each atom (closed-form local energy)
 _RADIAL_NODES = 48         # Gauss nodes per ray across the window
-_START_NODES = 2_000       # interior nodes of the nonlocal functional's first lattice, at least
-_MAX_REFINE = 5            # lattices tried by the nonlocal functional
+_START_NODES = 2_000       # interior nodes of the lattice reader's first lattice, at least
+_MAX_REFINE = 5            # lattices tried by the lattice reader
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +149,48 @@ def constant_eta(value: float = 1.0) -> Callable:
 def local_energy(solution: Solution, eta: Callable, n: float) -> float:
     """(1/n) Int_{n <= u <= 2n} eta Gamma(u, u) dx for local operators, with
     the carre du champ Gamma(u, u) = a grad u . grad u of the coefficient a
-    of ``solution.op`` (a scalar field or the diagonal of a tensor field;
-    a = 1 for the Laplacian).
+    of ``solution.op`` (a = 1 for the Laplacian).
 
-    Closed-form solutions (Laplacians on intervals and on 2-d and 3-d
-    balls) integrate along rays on which u falls: from each positive atom,
-    with Gauss nodes in log r, or, with no atom and a nonnegative measure
-    radial about the ball's centre, from the centre, with Gauss nodes in r
-    (the window reaches the centre when u there is at most 2n).
-    ``level_radius`` locates the window radii on every ray of an origin at
-    once, one profile call per step for all of them, and one ``gradient``
-    and one ``eta`` call cover all their Gauss nodes.  An atom's own
+    Two readers.  The closed-form rays serve a closed-form solution of a
+    nonnegative measure with no density or with every atom at the ball's
+    (or interval's) center, where u falls along every ray from an atom or
+    from the center: ``level_radius`` locates the window radii on every ray
+    of an origin at once, and Gauss nodes in log r (in r where the window
+    reaches the origin) integrate |grad u|^2 along them.  An atom's own
     singular term is read from the radius itself (``_ray_fields``), so a
     window far inside the rounding of the atom's coordinates stays
-    resolved.  Rays from two atoms can cover the same part of the window,
-    so the rays of at most one atom may meet it where eta != 0; more, or an
-    atom-free measure that is signed or not radial, raise SupportError, and
-    a nonpositive measure (u <= 0) gives 0.  Grid solutions sum stencil gradients over window cells.  Empty
-    window (n above max u) gives 0.
+    resolved.  When the rays of two or more atoms meet the window where
+    eta != 0, and for every other solution (grid solutions, a density with
+    an off-center atom, a signed measure), the window energy is the
+    discrete Dirichlet form of the operator's own matrix on dyadic lattices
+    (``_lattice_energies``, to the default 1 %), as for the fractional
+    operator.  An empty window (n above max u) gives 0.
     """
     if not solution.op.is_local:
         raise SupportError("local_energy applies to local operators only")
     if n <= 0:
         raise SupportError("level must be positive")
-    if solution.closed:
-        return _local_energy_closed(solution, eta, n)
-    return _local_energy_grid(solution, eta, n)
+    rays = _ray_energies(solution, eta, [n])
+    if rays is not None:
+        return rays[0]
+    (trace,), _, _, _ = _lattice_energies(solution, eta, [n])
+    return trace[-1]
+
+
+def _ray_energies(solution, eta, levels) -> list | None:
+    """The closed-form rays' window energy at each level, or None where the
+    rays cannot read every level exactly: a grid solution, a signed
+    measure, a density with an atom off the center, or rays of two atoms
+    meeting one window."""
+    mu = solution.measure
+    density = mu.density.value if mu.density is not None else 0.0
+    if not solution.closed or density < 0.0 or any(w < 0.0 for _, w in mu.atoms):
+        return None
+    centre = solution.dom.as_ball().center
+    if density > 0.0 and any(not np.array_equal(p, centre) for p, _ in mu.atoms):
+        return None
+    vals = [_local_energy_closed(solution, eta, n) for n in levels]
+    return None if None in vals else vals
 
 
 def _ray_directions(d: int):
@@ -194,23 +215,14 @@ def _ray_directions(d: int):
 
 
 def _ray_origins(solution) -> list:
-    """Where the closed form's rays start, with the weight of the atom
-    there: each positive atom of the measure or, with none, the ball's
-    centre (weight 0), which needs a nonnegative measure radial about it so
-    that u falls along every ray.  A nonpositive measure has u <= 0 < n, so
-    no ray; anything else raises SupportError naming the rule."""
+    """Where the closed-form rays start, with the weight of the atom there:
+    each positive atom or, with none, the center (weight 0) of a positive
+    density; none for the zero measure."""
     mu = solution.measure
     atoms = [(p, w) for p, w in mu.atoms if w > 0]
-    if atoms:
+    if atoms or mu.density is None or mu.density.value == 0:
         return atoms
-    if mu.density is None or mu.density.value <= 0:
-        return []
-    centre = solution.dom.as_ball().center
-    if mu.atoms or not mu.density.is_radial_about(centre):
-        raise SupportError(
-            "with no positive atom the closed-form local energy casts its rays from "
-            "the ball's centre, which needs a nonnegative measure radial about it")
-    return [(centre, 0.0)]
+    return [(solution.dom.as_ball().center, 0.0)]
 
 
 def _ray_fields(solution, p, w: float) -> tuple:
@@ -246,6 +258,9 @@ def _ray_fields(solution, p, w: float) -> tuple:
 
 
 def _local_energy_closed(solution, eta, n):
+    """The rays' window energy at level n, or None when the rays of two or
+    more atoms meet the window where eta != 0 and could count parts of it
+    twice."""
     dom = solution.dom
     d = dom.dim
     gx, gw = np.polynomial.legendre.leggauss(_RADIAL_NODES)
@@ -282,33 +297,7 @@ def _local_energy_closed(solution, eta, n):
         seen += bool(np.any(v))
         for wa, v_ray in zip(ang_w[live], v):
             total += wa * float(v_ray)
-    if seen > 1:
-        raise SupportError(
-            f"the closed-form local energy casts rays from each positive atom, which "
-            f"is exact only when the rays of one atom alone meet the window where "
-            f"eta != 0; here those of {seen} atoms do, and u need not fall along a "
-            f"ray from either, so parts of the window would count twice")
-    return total / n
-
-
-def _local_energy_grid(solution, eta, n):
-    gf = solution.grid_field
-    grid = gf.grid
-    h, d = grid.h, grid.dim
-    v = gf.values
-    inside = (v >= n) & (v <= 2.0 * n) & grid.interior_mask
-    if not inside.any():
-        return 0.0
-    pts = grid.node_points()[inside]
-    op = solution.op
-    g2 = 0.0
-    for k, lead, trail in lattice_shifts(d, step=2):
-        centre = lead[:k] + (slice(1, -1),) + lead[k + 1:]
-        gk = np.zeros_like(v)
-        gk[centre] = (v[lead] - v[trail]) / (2.0 * h)
-        gk2 = gk[inside] ** 2
-        g2 = g2 + (gk2 if op.coeff is None else op.coeff_at(pts, k) * gk2)
-    return float(np.sum(eta(pts) * g2) * h**d / n)
+    return total / n if seen <= 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +316,8 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     domain the fractional operator assembles on serves: intervals, balls,
     rectangles and masked rectangles in d <= 3.
     """
+    if solution.op.kind != "fractional":
+        raise SupportError("nonlocal_energy applies to the fractional operator")
     (trace,), _, _, _ = _lattice_energies(solution, eta, [n], rel_tol)
     return trace[-1]
 
@@ -342,17 +333,18 @@ def _start_grid(dom: Domain):
 
 
 def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: float) -> float:
-    """F_n of the flat interior values u on the lattice of the fractional
-    operator ``dop``, ex = eta at the interior nodes and kappa = diag - T*1
-    its killing:
+    """F_n of the flat interior values u on the lattice of the operator
+    ``dop``, ex = eta at the interior nodes and kappa = A 1 = diag - T*1 its
+    killing (for a local stencil, the leak to the boundary nodes):
 
         F_n = (h^d / 2n) Sum_x ex [ (2vD - D^2)(T*1) - 2v (T*D) + T*D^2
                                     + kappa 2D(2v - D) ],
 
     v = u - n and D = clamp(v, 0, n) = S_n(u) - n, which is theta_n summed
-    against the offset table T over the interior, plus its killing term,
-    expanded; T*w = diag w - A w is one box convolution.  An empty window
-    (D = 0) reads 0.0 exactly."""
+    against the jump weights T = diag - A off the diagonal (the fractional
+    operator's offset table, a local stencil's neighbour weights) plus its
+    killing term, expanded; T*w = diag w - A w is one product with A.  An
+    empty window (D = 0) reads 0.0 exactly."""
     diag = dop.diag
     v = u - n
     D = np.clip(v, 0.0, n)
@@ -378,8 +370,6 @@ def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float]
     ConvergenceError names the first level that never does.
     """
     op, dom = solution.op, solution.dom
-    if op.kind != "fractional":
-        raise SupportError("nonlocal_energy applies to the fractional operator")
     levels = [float(n) for n in levels]
     if any(n <= 0 for n in levels):
         raise SupportError("window level n must be positive")
@@ -412,7 +402,7 @@ def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float]
     if open_levels:
         i = open_levels[0]
         raise ConvergenceError(
-            f"nonlocal functional at level n={levels[i]:g} did not stabilize below "
+            f"window energy at level n={levels[i]:g} did not stabilize below "
             f"{rel_tol:.1%} on {_MAX_REFINE} lattices: trace={traces[i]}")
     resolvable = 2.0 * np.asarray(levels) <= atom_u
     for n, u_node in zip(np.asarray(levels)[~resolvable], atom_u[~resolvable]):
@@ -434,28 +424,31 @@ class ReconstructionReport:
     fitted_prefactor: float
     prefactor_flagged: bool        # |prefactor - 1| > 10%
     kind: str                      # "local" | "nonlocal"
-    traces: list                   # per level: its value on each lattice (local: the value)
-    resolvable: np.ndarray         # per level: 2n at most u at the atoms' nodes (local: True)
-    widths: list                   # per lattice (nonlocal; [] for local): mesh width h
+    traces: list                   # per level: its value on each lattice (rays: the value)
+    resolvable: np.ndarray         # per level: 2n at most u at the atoms' nodes (rays: True)
+    widths: list                   # per lattice (rays: none): mesh width h
     unknowns: list                 # per lattice: interior nodes
 
 
 def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
                      rel_tol: float = 0.01) -> ReconstructionReport:
     """Tabulate the reconstruction functional against the independently known
-    eta-mass of mu_c^+ and fit the residual prefactor.  ``rel_tol`` is the
-    nonlocal functional's refinement tolerance (see ``nonlocal_energy``); the
-    local functional has none.
+    eta-mass of mu_c^+ and fit the residual prefactor.
 
+    One reader serves every level: the closed-form rays of ``local_energy``
+    when they read each level exactly, else the lattices of
+    ``_lattice_energies``, refined to ``rel_tol`` (see ``nonlocal_energy``).
     A persistent fitted prefactor away from 1 is reported loudly (flag), not
-    normalized away.  An empty ``levels`` raises ``SupportError``.
+    normalized away.  An empty ``levels``, or a level n <= 0, raises
+    ``SupportError``.
     """
     levels = np.asarray(sorted(float(n) for n in levels))
-    if levels.size == 0:
-        raise SupportError("levels must hold at least one level")
+    if levels.size == 0 or levels[0] <= 0:
+        raise SupportError("levels must hold at least one level, all positive")
     kind = "local" if solution.op.is_local else "nonlocal"
-    if kind == "local":
-        vals = np.array([local_energy(solution, eta, n) for n in levels])
+    rays = _ray_energies(solution, eta, levels) if kind == "local" else None
+    if rays is not None:
+        vals = np.array(rays)
         traces = [[v] for v in vals]
         widths, unknowns, resolvable = [], [], np.ones(levels.size, dtype=bool)
     else:

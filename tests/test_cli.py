@@ -174,7 +174,30 @@ def test_reconstruct_nonlocal_cli(tmp_path):
     assert header == "n,value,target,rel_error"
     # two lattices: the first dyadic one with 2,000 interior nodes, then half its width
     rep = json.loads(read(os.path.join(out, "nl_quick.json")))
-    assert rep["diagnostics"] == {"widths": [2.0**-10, 2.0**-11], "unknowns": [2047, 4095]}
+    assert rep["diagnostics"] == {"widths": [2.0**-10, 2.0**-11], "unknowns": [2047, 4095],
+                                  "resolvable": [True, True]}
+
+
+def test_reconstruct_local_cli_reports_its_lattices(tmp_path):
+    """A divergence operator has no closed form, so its window energy is
+    read on lattices, and the report says which."""
+    cfg = {
+        "name": "div-lattice",
+        "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "dim": 2},
+        "operator": {"kind": "divergence", "coeff_preset": "smooth"},
+        "measure": {"atoms": [[[0.3, 0.0], 1.0]]},
+        "grid": {"h": 0.125},
+        "levels": [0.125, 0.25],
+    }
+    path = tmp_path / "div.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "out")
+    assert main(["reconstruct", "local", "--config", str(path), "--out", out, "--quiet"]) == 0
+    rep = json.loads(read(os.path.join(out, "div-lattice.json")))
+    assert rep["diagnostics"] == {"widths": [2.0**-5, 2.0**-6, 2.0**-7],
+                                  "unknowns": [3205, 12849, 51429],
+                                  "resolvable": [True, True]}
+    np.testing.assert_allclose(rep["results"]["values"], 1.0, rtol=1e-12)
 
 
 def test_mc_subcommands(tmp_path):

@@ -20,7 +20,7 @@ from potkit.config import build_eta, build_problem, build_solution, validate_con
 from potkit.discrete import assemble
 from potkit.geometry import build_grid
 from potkit.measures import deposit
-from potkit.presets import get_preset
+from potkit.presets import PRESETS, get_preset
 from potkit.solve import grid_solution, integral_solution, level_radius
 
 LAP = OperatorSpec.laplacian()
@@ -198,11 +198,12 @@ def test_local_energy_closed_matches_per_ray_reference(case, disk_dirac_solution
 
 
 @pytest.mark.parametrize("case", ["two-atom-disk", "atoms-at-half-n0.1", "atoms-at-half-n0.125"])
-def test_local_energy_closed_refuses_two_atoms_in_the_window(case):
+def test_local_energy_two_atoms_read_lattices(case):
     # rays from each of two atoms that both meet the window where eta != 0
-    # cover parts of it twice: atoms at (+-0.5, 0) read 4.030 at n = 0.1 and
-    # 8.975 at n = 0.125, where the exact value is 2, and the two-atom disk
-    # read 4.124 against a grid value near 1.48
+    # would cover parts of it twice (atoms at (+-0.5, 0) read 4.030 at
+    # n = 0.1 and 8.975 at n = 0.125), so the window is read on the lattice:
+    # 2 for the atoms at (+-0.5, 0), whose nodes hold u above 2n, and the
+    # lattice's own converged value (1.4821) for the two-atom disk
     disk = Domain.ball([0.0, 0.0], 1.0, 2)
     halves = integral_solution(LAP, disk, MeasureData.make(
         atoms=[([0.5, 0.0], 1.0), ([-0.5, 0.0], 1.0)], dom=disk))
@@ -211,8 +212,12 @@ def test_local_energy_closed_refuses_two_atoms_in_the_window(case):
         "atoms-at-half-n0.1": (halves, constant_eta(1.0), 0.1),
         "atoms-at-half-n0.125": (halves, constant_eta(1.0), 0.125),
     }[case]
-    with pytest.raises(SupportError, match="rays from each positive atom"):
-        local_energy(sol, eta, n)
+    val = local_energy(sol, eta, n)
+    if case == "two-atom-disk":
+        (trace,), _, _, resolvable = _lattice_energies(sol, eta, [n])
+        assert val.hex() == trace[-1].hex() and resolvable.all()
+    else:
+        assert abs(val - 2.0) <= 1e-12
 
 
 @pytest.mark.parametrize("value, n, exact", [(1.0, 0.1, 0.4 * math.pi),
@@ -266,12 +271,72 @@ def test_local_energy_closed_on_an_interval(dom, mu, n, exact):
         assert val == pytest.approx(exact, rel=1e-9)
 
 
-def test_local_energy_closed_refuses_a_signed_atom_free_measure():
+def test_local_energy_signed_measure_reads_the_lattice():
+    # u = 1 - r^2 + log(r) / 2 pi falls to -inf at the negative atom, so its
+    # rays would not fall from the center; for the Laplacian the window
+    # energy is <mu, D/n> with D = clamp(u - n, 0, n), the radial oracle
+    # (4 / n) 2 pi Int_0^1 D r dr = 7.2930, and the lattice is first order on
+    # the disk's staircase boundary
+    from scipy.integrate import quad
     disk = Domain.ball([0.0, 0.0], 1.0, 2)
     sol = integral_solution(LAP, disk, MeasureData.make(
         atoms=[([0.0, 0.0], -1.0)], density=Density.constant(4.0), dom=disk))
-    with pytest.raises(SupportError, match="ball's centre"):
-        local_energy(sol, constant_eta(1.0), 0.25)
+    n = 0.25
+    D = lambda r: min(max(1.0 - r * r + math.log(r) / (2.0 * math.pi) - n, 0.0), n)
+    oracle = 4.0 / n * 2.0 * math.pi * quad(lambda r: D(r) * r, 0.0, 1.0, limit=200)[0]
+    assert oracle == pytest.approx(7.2930, abs=1e-4)
+    assert local_energy(sol, constant_eta(1.0), n) == pytest.approx(oracle, rel=0.02)
+
+
+def test_local_energy_small_atom_on_a_density_reads_the_lattice():
+    # u does not fall along every ray from an atom of weight 0.05 at
+    # (0.5, 0) on the density 4: the rays would read 4.3437 at n = 0.45,
+    # 3.7 % above the coarea oracle (1/n) Int_n^2n mu({u > t}) dt = 4.18811.
+    # The lattice reads within 1 % of it and flags the level, since 2n lies
+    # above u at the atom's node, and so it does at n = 0.5
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(LAP, disk, MeasureData.make(
+        atoms=[([0.5, 0.0], 0.05)], density=Density.constant(4.0), dom=disk))
+    with pytest.warns(UserWarning, match="n=0.45 .* atom's node"):
+        rep = reconstruct_mu_c(sol, constant_eta(1.0), [0.45])
+    assert rep.values[0] == pytest.approx(4.18811, rel=0.01)
+    assert not rep.resolvable[0] and rep.widths
+    with pytest.warns(UserWarning, match="n=0.5 "):
+        assert local_energy(sol, constant_eta(1.0), 0.5) > 0.0
+
+
+def _no_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+def test_local_presets_read_the_rays(monkeypatch):
+    # every local preset's reconstruction is served by the closed-form rays,
+    # so its outputs keep their bits; none builds a lattice
+    monkeypatch.setattr(reconstruct_mod, "_lattice_energies", _no_call("_lattice_energies"))
+    local = 0
+    for name in PRESETS:
+        cfg = validate_config(get_preset(name))
+        dom, op, mu = build_problem(cfg)
+        if op.is_local:
+            rep = reconstruct_mu_c(build_solution(cfg, dom, op, mu), build_eta(cfg, dom),
+                                   cfg.get("levels", [0.25, 0.5]))
+            assert rep.widths == [] and rep.resolvable.all()
+            local += 1
+    assert local == 13
+
+
+@pytest.mark.parametrize("atom", [([0.5, 0.0], 0.05), ([0.0, 0.0], -1.0)])
+def test_lattice_cases_cast_no_ray(atom, monkeypatch):
+    # an off-center atom on a density, and a signed measure, go straight to
+    # the lattice: no ray is cast
+    monkeypatch.setattr(reconstruct_mod, "level_radius", _no_call("level_radius"))
+    disk = Domain.ball([0.0, 0.0], 1.0, 2)
+    sol = integral_solution(LAP, disk, MeasureData.make(
+        atoms=[atom], density=Density.constant(4.0), dom=disk))
+    rep = reconstruct_mu_c(sol, constant_eta(1.0), [0.25])
+    assert rep.widths and rep.values[0] > 0.0
 
 
 def test_local_energy_empty_window():
@@ -297,8 +362,9 @@ def test_local_energy_grid_path():
     mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=dom)
     sol = grid_solution(assemble(LAP, build_grid(dom, 2.0**-6)), mu)
     val = local_energy(sol, constant_eta(1.0), 0.25)
-    # stencil gradients on the staircase grid: same limit, coarse accuracy
-    assert val == pytest.approx(1.0, rel=0.25)
+    # the lattice identity <mu, D/n>: u exceeds 2n at the atom's node and
+    # stays below n next to the boundary, so each lattice reads 1
+    assert val == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_divergence_local_energy_uses_the_coefficient():
@@ -448,17 +514,26 @@ def test_jump_terms_match_full_matrix_on_an_oscillating_profile(alpha):
 
 
 @pytest.mark.parametrize("n", [0.5, 2.0])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("op", [0.5, 1.0, 1.5, "laplacian", "divergence"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_lattice_functional_exact_identity(d, alpha, n):
+def test_lattice_functional_exact_identity(d, op, n):
     """For eta = 1 and u = A^{-1} mu, symmetrising theta_n gives
     F_n = <mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n),
-    D = clamp(u - n, 0, n): the discrete reconstruction formula.  At d = 1
-    and alpha = 1.5 the atom is not polar, u stays below 1 and the window
-    at n = 2 is empty."""
+    D = clamp(u - n, 0, n): the discrete reconstruction formula, for the
+    fractional operator of index ``op`` and for local stencils, whose
+    kappa = A 1 is the leak to the boundary nodes.  At d = 1 and alpha = 1.5
+    the atom is not polar, u stays below 1 and the window at n = 2 is
+    empty.  A local atom weighs 8, so that u, 4 (1 - |x|) on the interval,
+    crosses both windows; there a local stencil runs at h = 2^-7, since at
+    2^-10 its diagonal of about 2 / h^2 puts the expansion's rounding at
+    1.7e-12 relative."""
+    from potkit.config import _coeff_presets
     dom = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball([0.0, 0.0], 1.0, 2)
-    mu = MeasureData.make(atoms=[([0.0] * d, 1.0)], dom=dom)
-    dop = assemble(OperatorSpec.fractional(alpha), build_grid(dom, 2.0**-10 if d == 1 else 2.0**-5))
+    spec = {"laplacian": LAP,
+            "divergence": OperatorSpec.divergence(*_coeff_presets()["smooth"])}.get(op)
+    mu = MeasureData.make(atoms=[([0.0] * d, 1.0 if spec is None else 8.0)], dom=dom)
+    h = 2.0**-5 if d == 2 else 2.0**-10 if spec is None else 2.0**-7
+    dop = assemble(spec or OperatorSpec.fractional(op), build_grid(dom, h))
     u = grid_solution(dop, mu).grid_field.interior_values()
     kappa = dop.apply(np.ones(dop.n))
     D = np.clip(u - n, 0.0, n)
