@@ -317,16 +317,23 @@ def harmonic_extension(dop: DiscreteOperator, V, g) -> GridField:
 
     Returns the field that is P-invariant on V and equal to g on the
     interior complement (zero on boundary/exterior).  V may be a boolean
-    lattice mask or a flat interior mask; the values on V come from one
-    block solve with A[V, V].
+    lattice mask or a flat interior mask, and g a ``GridField`` or an array
+    of the lattice's shape; any other shape raises SupportError naming it.
+    The values on V come from one block solve with A[V, V].
     """
     grid = dop.grid
     g_lat = g.values if isinstance(g, GridField) else np.asarray(g, dtype=float)
+    if g_lat.shape != grid.shape:
+        raise SupportError(f"g of shape {g_lat.shape} does not match the grid "
+                           f"lattice {grid.shape}")
     V = np.asarray(V)
     if V.shape == grid.shape:
         V_flat = V[grid.interior_mask]
-    else:
+    elif V.shape == (grid.n_interior,):
         V_flat = V.astype(bool)
+    else:
+        raise SupportError(f"V of shape {V.shape} is neither the grid lattice "
+                           f"{grid.shape} nor its {grid.n_interior} interior nodes")
     g_flat = g_lat[grid.interior_mask]
     out = g_flat.copy()
     if V_flat.any():

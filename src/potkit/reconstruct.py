@@ -31,8 +31,13 @@ form), and the killing is kappa = A 1 = diag - T*1_D.  A local stencil's T
 joins neighbours, and its kappa is the leak to the boundary nodes; the
 fractional operator's T is its offset table, so its pair sum is three box
 convolutions by FFT, the operator's own matrix-free product (Chan & Ng,
-SIAM Review 38, 1996).  For eta = 1 the lattice value equals
-<mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n), D = S_n(u) - n.
+SIAM Review 38, 1996).  Regrouped, the pair sum needs no diagonal: with
+v = u - n and D = S_n(u) - n it is Sum_x eta_x [2v (A D) - A D^2 + kappa D
+(2v - D)]_x, exactly 0 where D is flat over a Laplacian stencil.  For
+eta = 1 it equals <mu, D/n> + (h^d / n) Sum_x kappa_x D_x (u_x - D_x - 2n).
+A level refines until its change is at most rel_tol times the larger of
+its value and the target Int eta d mu_c^+.  Both energies are one-level
+cases of ``reconstruct_mu_c``, the one site that picks the reader.
 """
 
 from __future__ import annotations
@@ -163,18 +168,17 @@ def local_energy(solution: Solution, eta: Callable, n: float) -> float:
     eta != 0, and for every other solution (grid solutions, a density with
     an off-center atom, a signed measure), the window energy is the
     discrete Dirichlet form of the operator's own matrix on dyadic lattices
-    (``_lattice_energies``, to the default 1 %), as for the fractional
-    operator.  An empty window (n above max u) gives 0.
+    (``_lattice_energies``, to the default 1 % of the larger of the value
+    and the target), as for the fractional operator.  An empty window
+    (n above max u) gives 0, and so does a Laplacian window that is flat
+    wherever eta != 0 (u above 2n on eta's support).  The one-level case of
+    ``reconstruct_mu_c``, with the same value.
     """
     if not solution.op.is_local:
         raise SupportError("local_energy applies to local operators only")
     if n <= 0:
         raise SupportError("level must be positive")
-    rays = _ray_energies(solution, eta, [n])
-    if rays is not None:
-        return rays[0]
-    (trace,), _, _, _ = _lattice_energies(solution, eta, [n])
-    return trace[-1]
+    return float(reconstruct_mu_c(solution, eta, [n]).values[0])
 
 
 def _ray_energies(solution, eta, levels) -> list | None:
@@ -309,8 +313,9 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     """Fractional-window energy (see module docstring) of the lattice
     solution u = A^{-1} mu of ``solution.measure``, on dyadic lattices from
     the coarsest with ``_START_NODES`` interior nodes, halving h until the
-    relative change between successive lattices is at most rel_tol;
-    ConvergenceError if ``_MAX_REFINE`` lattices do not get there.
+    change between successive lattices is at most rel_tol times the larger
+    of the value and the target Int eta d mu_c^+; ConvergenceError if
+    ``_MAX_REFINE`` lattices do not get there.
 
     The one-level case of ``reconstruct_mu_c``, with the same value.  Any
     domain the fractional operator assembles on serves: intervals, balls,
@@ -318,8 +323,7 @@ def nonlocal_energy(solution: Solution, eta: Callable, n: float,
     """
     if solution.op.kind != "fractional":
         raise SupportError("nonlocal_energy applies to the fractional operator")
-    (trace,), _, _, _ = _lattice_energies(solution, eta, [n], rel_tol)
-    return trace[-1]
+    return float(reconstruct_mu_c(solution, eta, [n], rel_tol).values[0])
 
 
 def _start_grid(dom: Domain):
@@ -334,25 +338,28 @@ def _start_grid(dom: Domain):
 
 def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: float) -> float:
     """F_n of the flat interior values u on the lattice of the operator
-    ``dop``, ex = eta at the interior nodes and kappa = A 1 = diag - T*1 its
-    killing (for a local stencil, the leak to the boundary nodes):
+    ``dop``, ex = eta at the interior nodes and kappa = A 1 its killing (for
+    a local stencil, the leak to the boundary nodes):
 
-        F_n = (h^d / 2n) Sum_x ex [ (2vD - D^2)(T*1) - 2v (T*D) + T*D^2
-                                    + kappa 2D(2v - D) ],
+        F_n = (h^d / 2n) Sum_x ex [ 2v (A D) - A D^2 + kappa D (2v - D) ],
 
-    v = u - n and D = clamp(v, 0, n) = S_n(u) - n, which is theta_n summed
-    against the jump weights T = diag - A off the diagonal (the fractional
+    v = u - n and D = clamp(v, 0, n) = S_n(u) - n.  This is theta_n summed
+    against the jump weights T = -A off the diagonal (the fractional
     operator's offset table, a local stencil's neighbour weights) plus its
-    killing term, expanded; T*w = diag w - A w is one product with A.  An
-    empty window (D = 0) reads 0.0 exactly."""
-    diag = dop.diag
+    killing term, with the diagonal cancelled: two products with A.  An
+    empty window (D = 0) reads 0.0 exactly, and so does a Laplacian row
+    whose D is flat over its stencil: on a dyadic lattice its entries are
+    powers of two, so A D and A D^2 cancel there without rounding."""
     v = u - n
     D = np.clip(v, 0.0, n)
-    DD = D * D
-    jump = ((2.0 * v * D - DD) * (diag - kappa) - 2.0 * v * (diag * D - dop.apply(D))
-            + (diag * DD - dop.apply(DD)))
-    kill = kappa * 2.0 * D * (2.0 * v - D)
-    return float(np.einsum("i,i->", ex, jump + kill)) * dop.grid.cell_volume() / (2.0 * n)
+    terms = 2.0 * v * dop.apply(D) - dop.apply(D * D) + kappa * D * (2.0 * v - D)
+    return float(np.einsum("i,i->", ex, terms)) * dop.grid.cell_volume() / (2.0 * n)
+
+
+def _target(solution: Solution, eta: Callable) -> float:
+    """Int eta d mu_c^+, the eta-mass of the positive concentrated atoms."""
+    return sum((w * float(eta(np.asarray(p).reshape(1, -1))[0])
+                for p, w in solution.decomposition.concentrated.atoms if w > 0), 0.0)
 
 
 def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float],
@@ -365,15 +372,18 @@ def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float]
     the atom's cell (unresolvable levels also warn).
 
     u is the lattice solution of ``solution.measure`` on each lattice,
-    closed form or not.  A level stops once its relative change is at most
-    rel_tol, so its value depends only on its own lattices, and
-    ConvergenceError names the first level that never does.
+    closed form or not.  A level stops once its change is at most rel_tol
+    times the larger of its value and the target Int eta d mu_c^+, so its
+    value depends only on its own lattices, a window that reads about
+    nothing ends, and ConvergenceError names the first level that never
+    does.
     """
     op, dom = solution.op, solution.dom
     levels = [float(n) for n in levels]
     if any(n <= 0 for n in levels):
         raise SupportError("window level n must be positive")
     atoms = [p for p, w in solution.decomposition.concentrated.atoms if w > 0]
+    target = _target(solution, eta)
     traces = [[] for _ in levels]
     widths, unknowns = [], []
     atom_u = np.full(len(levels), np.inf)
@@ -396,8 +406,8 @@ def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float]
             trace = traces[i]
             trace.append(_lattice_energy(dop, kappa, u, ex, levels[i]))
             atom_u[i] = on_atoms
-            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= rel_tol * max(abs(trace[-1]),
-                                                                               1e-300):
+            if len(trace) > 1 and (abs(trace[-1] - trace[-2])
+                                   <= rel_tol * max(abs(trace[-1]), target)):
                 open_levels.remove(i)
     if open_levels:
         i = open_levels[0]
@@ -456,11 +466,7 @@ def reconstruct_mu_c(solution: Solution, eta: Callable, levels: Sequence[float],
                                                                  rel_tol=rel_tol)
         vals = np.array([trace[-1] for trace in traces])
 
-    target = 0.0
-    for p, w in solution.decomposition.concentrated.atoms:
-        if w > 0:
-            target += w * float(eta(np.asarray(p).reshape(1, -1))[0])
-
+    target = _target(solution, eta)
     if target > 0:
         rel = np.abs(vals - target) / target
         # weight late levels: they carry the limit

@@ -14,8 +14,11 @@ of the radial harmonic function phi (log r if d = 2, else -r^(2-d)), so each
 walker that starts outside the level ball costs one uniform draw, however
 small r_k is.  The same hit law gives the smallest radius a path reaches, so
 the maximal inequality draws its path supremum exactly, one uniform per
-start, where u is radial and nonincreasing in r.  A solution outside these
-rules raises SupportError before any draw.
+start, where u is radial and nonincreasing in r.  One rule,
+``_radial_profile``, serves all three: a closed-form Laplacian solution on
+a ball or interval whose measure is radial and nonnegative.  Any other
+solution (a signed or off-centre measure, a grid solution, a rectangle,
+another operator) raises SupportError before any draw.
 
 Determinism: every sampler takes a seed (an int, or a Generator to draw
 from) and drives a single PCG64 stream through vectorized draws, so
@@ -24,8 +27,7 @@ counts never enter the samplers.
 
 Brownian clock: the generator is the full Laplacian, i.e. variance-2t paths.
 Only stopped positions are consumed and exit laws are invariant under the
-deterministic time change, so samplers use standard Brownian scaling.  The
-Brownian samplers raise SupportError on the solution of any other operator.
+deterministic time change, so samplers use standard Brownian scaling.
 """
 
 from __future__ import annotations
@@ -54,29 +56,26 @@ def _unit_directions(rng, n: int, d: int) -> np.ndarray:
 # radial level sets and the reducing family
 # ---------------------------------------------------------------------------
 
-def _check_laplacian(solution: Solution, sampler: str) -> None:
-    """Brownian exits sample the Laplacian's process, no other operator's."""
-    if solution.op.kind != "laplacian":
-        raise SupportError(f"{sampler} samples Brownian motion: it needs a laplacian "
-                           f"solution, got the {solution.op.kind} operator")
-
-
-def _is_radial(measure, center) -> bool:
-    """Atoms at the center, plus a density radial about it."""
-    return all(np.allclose(p, center) for p, _ in measure.atoms) and \
-        (measure.density is None or measure.density.is_radial_about(center))
-
-
 def _radial_profile(solution: Solution):
-    """(ball, profile radii -> u) for a Laplacian solution on a ball or interval
-    (the 1d ball) whose measure is radial about the center: atoms at the
-    center, plus a radial density."""
-    _check_laplacian(solution, "the reducing family")
-    ball = solution.dom.as_ball()
-    center = np.asarray(ball.center)
-    if not _is_radial(solution.measure, center):
-        raise SupportError("radial MC machinery needs a measure radial about the "
-                           "center: atoms at the center and a radial density")
+    """(ball, profile radii -> u): the one support rule of the three Brownian
+    estimators.  It serves a closed-form Laplacian solution on a ball or
+    interval (the 1d ball) whose measure is radial about the center (atoms
+    at the center, a radial density) and nonnegative, where u >= 0 is
+    radial and nonincreasing in r = |x - c|, so {u > k} is a ball and the
+    exit and hit laws are exact; SupportError naming that rule otherwise."""
+    mu, dom = solution.measure, solution.dom
+    ball = None if dom.kind == "rectangle" else dom.as_ball()
+    center = None if ball is None else np.asarray(ball.center)
+    if not (solution.op.kind == "laplacian" and solution.closed and ball is not None
+            and all(np.allclose(p, center) and w >= 0.0 for p, w in mu.atoms)
+            and (mu.density is None or (mu.density.is_radial_about(center)
+                                        and mu.density.value >= 0.0))):
+        raise SupportError(
+            "the Brownian estimators draw the exit and the path supremum exactly only "
+            "for a closed-form laplacian solution on a ball or interval whose measure "
+            "is radial (atoms at the center, a radial density) and nonnegative, not a "
+            f"{'closed-form' if solution.closed else 'grid'} solution of the "
+            f"{solution.op.kind} operator on this {dom.kind}")
     axis = np.eye(ball.dim)[0]
     return ball, lambda r: solution.evaluate(center + np.outer(r, axis))
 
@@ -126,7 +125,9 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
     B(x, rho) from its centre (Blumenthal, Getoor & Ray 1961), the law of
     ``kernels.poisson_kernel``.  The first point outside D is therefore
     X_{tau_D} exactly.  In 1-d a jump toward the nearer edge always exits.
-    ``seed`` is an int or a Generator to draw from.
+    ``seed`` is an int or a Generator to draw from.  ``n_samples`` repeats
+    a single start that many times; with more than one start it raises
+    SupportError.
 
     For small alpha a Beta draw can underflow to T = 0, whose jump is
     infinite (alpha = 0.01 gives hundreds in 20,000 walkers from 0.5 on
@@ -148,10 +149,13 @@ def stable_exit(dom: Domain, x, alpha: float, dt: Optional[float] = None,
     if dom.mask is not None:
         raise SupportError("stable_exit does not support a masked rectangle: its "
                            "distance to the boundary ignores the mask")
-    rng = np.random.default_rng(seed)
     cur = np.array(x, dtype=float, ndmin=2)
-    if n_samples is not None and cur.shape[0] == 1:
+    if n_samples is not None:
+        if cur.shape[0] != 1:
+            raise SupportError(f"n_samples={n_samples} repeats one start, but "
+                               f"{cur.shape[0]} starts were given")
         cur = np.repeat(cur, n_samples, axis=0)
+    rng = np.random.default_rng(seed)
     if not np.all(dom.contains(cur)):
         raise SupportError("stable walk starts must be interior")
     d = cur.shape[1]
@@ -202,8 +206,8 @@ def reducing_expectation(solution: Solution, k: float, n: float, start,
 
     The estimator's per-path values and the fraction of paths stopped before
     leaving the domain are reported; the latter decreases in k.  A start
-    that is not one interior point of the domain, or fewer than 2 samples,
-    raises before any draw.
+    that is not one interior point of the domain, fewer than 2 samples, or
+    a solution outside ``_radial_profile``'s rule raises before any draw.
     """
     _check_samples(n_samples)
     dom = solution.dom
@@ -355,24 +359,6 @@ def class_d_diagnostic(solution: Solution, family: Sequence[float],
                         limit_basis=basis, target=float(target), draws=draws)
 
 
-def _monotone_profile(solution: Solution):
-    """``_radial_profile`` of a closed-form Laplacian solution on a ball or
-    interval whose measure is radial and nonnegative (atom weights and
-    density value >= 0), where u >= 0 is radial and nonincreasing in
-    r = |x - c|; SupportError naming that rule otherwise."""
-    _check_laplacian(solution, "maximal_inequality_check")
-    mu, dom = solution.measure, solution.dom
-    if not (solution.closed and dom.kind != "rectangle"
-            and _is_radial(mu, dom.as_ball().center)
-            and all(w >= 0.0 for _, w in mu.atoms)
-            and (mu.density is None or mu.density.value >= 0.0)):
-        raise SupportError(
-            "maximal_inequality_check draws the path supremum exactly only for a "
-            "closed-form laplacian solution on a ball or interval whose measure is "
-            "radial (atoms at the center, a radial density) and nonnegative")
-    return _radial_profile(solution)
-
-
 def _smallest_radius_values(ball: Domain, profile, pts: np.ndarray, rng) -> np.ndarray:
     """u(m) for the smallest radius m = min_{t <= tau} |X_t - c| of a Brownian
     path from each row of ``pts`` to the boundary |x - c| = R: one uniform per
@@ -412,7 +398,7 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     estimate <= bound + 3 stderr.  Fewer than 2 samples raise SupportError
     before any draw.
 
-    The support is checked before any draw (``_monotone_profile``): a
+    The support is checked before any draw (``_radial_profile``): a
     closed-form Laplacian solution on a ball or interval whose measure is
     radial and nonnegative, else SupportError naming that rule.  There u is
     radial and nonincreasing in r = |x - c|, so the path supremum is u(m) at
@@ -424,7 +410,7 @@ def maximal_inequality_check(solution: Solution, d1_value: float, rho=None,
     resolution.
     """
     _check_samples(n_samples)
-    ball, profile = _monotone_profile(solution)
+    ball, profile = _radial_profile(solution)
     rng = np.random.default_rng(seed)
     pts = sample_start_points(solution.dom, rho, n_samples, rng)
     payoff = np.sqrt(_smallest_radius_values(ball, profile, pts, rng))

@@ -524,6 +524,20 @@ def test_tower_and_restriction_small(disk_dop_small):
     assert np.max(np.abs(resid[idxV])) < 1e-10
 
 
+@pytest.mark.parametrize("name, V, g", [
+    ("V", np.ones(5, dtype=bool), None), ("V", np.ones(40, dtype=bool), None),
+    ("V", np.ones((3, 3), dtype=bool), None), ("g", None, np.ones(7))])
+def test_harmonic_extension_names_a_misshapen_input(name, V, g):
+    # 15 interior nodes of a 19-node lattice: these once raised a bare
+    # broadcast ValueError (V) or an IndexError (g)
+    dop = assemble(LAP, build_grid(Domain.interval(0.0, 1.0), 1.0 / 16.0))
+    assert dop.n == 15
+    V = np.ones(dop.n, dtype=bool) if V is None else V
+    g = np.ones(dop.grid.shape) if g is None else g
+    with pytest.raises(SupportError, match=f"^{name} of shape"):
+        harmonic_extension(dop, V, g)
+
+
 def test_harmonic_extension_identity(disk_dop_small):
     # harmonic data is returned unchanged
     grid = disk_dop_small.grid

@@ -426,9 +426,10 @@ def test_reconstruct_report_keeps_refinement_traces(monkeypatch):
 
 def _dense_energy(dop, u, ex, n):
     """The lattice functional summed pair by pair: theta_n against the jump
-    weights W = diag - A off the diagonal, and the killing diag - W 1."""
-    W = np.diag(dop.diag) - dop.A.toarray()
-    kill = dop.diag - W.sum(axis=1)
+    weights W = -A off the diagonal, and the killing A 1."""
+    W = -dop.A.toarray()
+    np.fill_diagonal(W, 0.0)
+    kill = dop.A @ np.ones(dop.n)
     TH = theta_n(u[:, None], u[None, :], n)
     jump = 0.5 * np.einsum("i,ij->", ex, W * TH)
     return (jump + float(np.sum(ex * kill * theta_n(u, 0.0, n)))) \
@@ -525,8 +526,8 @@ def test_lattice_functional_exact_identity(d, op, n):
     the atom is not polar, u stays below 1 and the window at n = 2 is
     empty.  A local atom weighs 8, so that u, 4 (1 - |x|) on the interval,
     crosses both windows; there a local stencil runs at h = 2^-7, since at
-    2^-10 its diagonal of about 2 / h^2 puts the expansion's rounding at
-    1.7e-12 relative."""
+    2^-10 its weights of about 1 / h^2 put the rounding at 8.5e-13
+    relative, next to the bound."""
     from potkit.config import _coeff_presets
     dom = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball([0.0, 0.0], 1.0, 2)
     spec = {"laplacian": LAP,
@@ -541,6 +542,62 @@ def test_lattice_functional_exact_identity(d, op, n):
     exact = hd * (np.sum(deposit(mu, dop.grid) * D) + np.sum(kappa * D * (u - D - 2.0 * n))) / n
     got = _lattice_energy(dop, kappa, u, np.ones(dop.n), n)
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("op", [0.5, 1.5, "laplacian", "divergence"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_lattice_energy_matches_the_pair_sum(d, op):
+    """The regrouped sum 2v (A D) - A D^2 + kappa D (2v - D) against theta_n
+    summed pair by pair, on lattices of 255 (interval) and 193 (disk) nodes,
+    with a cutoff eta and u = 3 exp(-|x - c|^2 / 0.4) crossing each window,
+    for the fractional operator of index ``op`` and for local stencils."""
+    from potkit.config import _coeff_presets
+    dom = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball([0.0, 0.0], 1.0, 2)
+    spec = {"laplacian": LAP,
+            "divergence": OperatorSpec.divergence(*_coeff_presets()["smooth"])}.get(op)
+    dop = assemble(spec or OperatorSpec.fractional(op),
+                   build_grid(dom, 2.0**-7 if d == 1 else 2.0**-3))
+    x = dop.grid.interior_points()
+    u = 3.0 * np.exp(-np.sum((x - 0.1) ** 2, axis=1) / 0.4)
+    ex = CutoffEta((0.2,) * d, 0.3, 0.7)(x)
+    kappa = dop.apply(np.ones(dop.n))
+    # the 1-d divergence row at n = 0.4 cancels hardest: against an 80-bit
+    # pair sum the regrouped form is off by 3.3e-11 and the float64 pair
+    # sum itself by 2.8e-12
+    rel = 1e-10 if op == "divergence" else 1e-12
+    for n in (0.4, 1.0, 1.4):
+        assert np.any((u > n) & (u < 2.0 * n) & (ex > 0.0))
+        ref = _dense_energy(dop, u, ex, n)
+        assert ref > 0.0
+        assert _lattice_energy(dop, kappa, u, ex, n) == pytest.approx(ref, rel=rel, abs=0.0)
+
+
+_FLAT_DISK = Domain.ball([0.0, 0.0], 1.0, 2)
+
+
+@pytest.mark.parametrize("atoms, eta, n, exact", [
+    # u > 2n on all of eta's support, so the window misses it: the rays read
+    # 0.0, and the lattice once read -1.7e-14 ... -4.4e-12 on 5 lattices and
+    # raised ConvergenceError
+    ([([0.3, 0.0], 1.0), ([-0.3, 0.0], 8.0)], CutoffEta((0.3, 0.0), 0.2, 0.3), 0.15, 0.0),
+    # signed, so local_energy reads the lattice, and raised the same way
+    ([([0.3, 0.0], 1.0), ([-0.3, 0.0], 8.0), ([0.0, -0.6], -0.01)],
+     CutoffEta((0.3, 0.0), 0.2, 0.3), 0.15, 0.0),
+    # rays of both atoms meet the window; the trace settles slowly from
+    # 0.00231, 1,000 times below the target 1, and never stopped relative
+    # to its own value
+    ([([0.3, 0.0], 1.0), ([-0.4, 0.1], 0.5)], CutoffEta((0.3, 0.0), 0.15, 0.3), 0.1, None),
+], ids=["flat", "flat-signed", "small-positive"])
+def test_windows_reading_about_nothing_end(atoms, eta, n, exact):
+    sol = integral_solution(LAP, _FLAT_DISK, MeasureData.make(atoms=atoms, dom=_FLAT_DISK))
+    (trace,), widths, _, _ = _lattice_energies(sol, eta, [n])
+    assert len(widths) <= 3
+    if exact is None:
+        assert 0.0 < trace[-1] < 0.01
+    else:
+        assert trace == [exact] * len(trace)
+    if any(w < 0.0 for _, w in atoms):
+        assert local_energy(sol, eta, n) == 0.0
 
 
 def test_lattice_values_against_the_panel_quadrature():

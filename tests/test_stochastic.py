@@ -56,6 +56,17 @@ def test_stable_exit_law_total_variation():
     assert 0.5 * np.sum(np.abs(emp - expect)) <= 0.02
 
 
+def test_stable_exit_n_samples_needs_one_start():
+    # n_samples repeats a single start; with 3 starts it once returned 3
+    # landings and said nothing
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(SupportError, match="n_samples=5 repeats one start, but 3"):
+        stable_exit(Domain.interval(-1.0, 1.0), [[0.0], [0.2], [-0.5]], alpha=0.5,
+                    seed=rng, n_samples=5)
+    assert rng.bit_generator.state == before
+
+
 def test_stable_exit_ignores_dt():
     dom = Domain.interval(-1.0, 1.0)
     with_dt = stable_exit(dom, [0.5], alpha=0.5, dt=1e-3, seed=5, n_samples=2_000)
@@ -506,36 +517,43 @@ def test_maximal_planar_centre_atom_raises(disk_dirac_solution):
                                  n_samples=20_000, seed=99)
 
 
-# each input outside the exact draws: (solution, an interior start, whether
-# reducing and class-(D) refuse it too; they sample signed radial measures)
+# each input outside the exact draws, with an interior start.  The three
+# estimators share one rule, so each refuses every case.  Reducing once
+# sampled signed radial measures and grid solutions (20,000 samples, seed 1):
+# at k = 0.5, n = 0.1 from (0.6, 0) it read 0.02248 +- 0.00065 on the signed
+# one, where R^D|mu| = 0.72 > k stops at once at u = -0.56 and the exact
+# value is 0; at k = 1, n = 0.5 from (0.5, 0) it read 0.0 on the grid one,
+# where the closed form reads 0.0556 +- 0.0011
 REFUSED = {
-    "rectangle-grid": lambda: (_rectangle_solution(), [0.4, 1.0], True),
+    "rectangle-grid": lambda: (_rectangle_solution(), [0.4, 1.0]),
     "masked-rectangle": lambda: (grid_solution(assemble(LAP, build_grid(L_SHAPE, 2.0**-4)),
                                                MeasureData(density=Density.constant(1.0))),
-                                 [0.25, 0.25], True),
+                                 [0.25, 0.25]),
     "off-centre-atom": lambda: (integral_solution(LAP, DISK, MeasureData.make(
-        atoms=[([0.3, 0.0], 1.0)], dom=DISK)), [0.5, 0.0], True),
+        atoms=[([0.3, 0.0], 1.0)], dom=DISK)), [0.5, 0.0]),
     "negative-density": lambda: (integral_solution(LAP, DISK, MeasureData(
-        density=Density.constant(-1.0))), [0.5, 0.0], False),
-    "fractional": lambda: (_fractional_interval_atom_solution(), [0.5], True)}
+        density=Density.constant(-1.0))), [0.5, 0.0]),
+    "signed-radial": lambda: (integral_solution(LAP, DISK, MeasureData.make(
+        atoms=[([0.0, 0.0], 1.0)], density=Density.constant(-4.0), dom=DISK)), [0.6, 0.0]),
+    "grid-disk-atom": lambda: (grid_solution(assemble(LAP, build_grid(DISK, 2.0**-4)),
+                                             MeasureData.make(atoms=[([0.0, 0.0], 1.0)],
+                                                              dom=DISK)), [0.5, 0.0]),
+    "fractional": lambda: (_fractional_interval_atom_solution(), [0.5])}
 
 
 @pytest.mark.parametrize("case", list(REFUSED))
 def test_brownian_estimators_refuse_before_any_draw(case):
     # each estimator is exact or refuses: no start is drawn from rho, and no
     # exit law, before the SupportError that names the rule
-    sol, start, reducing_refuses = REFUSED[case]()
+    sol, start = REFUSED[case]()
     rho = lambda p: np.ones(len(p))
-    rule = "fractional" if case == "fractional" else "path supremum exactly"
-    estimators = [(lambda g: maximal_inequality_check(sol, d1_value=0.1, rho=rho,
-                                                      n_samples=100, seed=g), rule)]
-    if reducing_refuses:
-        estimators += [
-            (lambda g: reducing_expectation(sol, k=1.0, n=0.5, start=start,
-                                            n_samples=100, seed=g), None),
-            (lambda g: class_d_diagnostic(sol, family=[1.0, 2.0], levels=[0.5],
-                                          rho=rho, n_samples=100, seed=g), None)]
-    for estimate, match in estimators:
+    estimators = [
+        lambda g: maximal_inequality_check(sol, d1_value=0.1, rho=rho, n_samples=100, seed=g),
+        lambda g: reducing_expectation(sol, k=1.0, n=0.5, start=start, n_samples=100, seed=g),
+        lambda g: class_d_diagnostic(sol, family=[1.0, 2.0], levels=[0.5], rho=rho,
+                                     n_samples=100, seed=g)]
+    match = "fractional" if case == "fractional" else "path supremum exactly"
+    for estimate in estimators:
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
         with pytest.raises(SupportError, match=match):
