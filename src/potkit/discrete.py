@@ -10,6 +10,11 @@ union, so A is a symmetric M-matrix, the one-step kernel P = I - D^{-1} A
 is sub-stochastic exactly, and A is the section on the interior of the
 box circulant of its one offset table T, which applies and solves it
 matrix-free by FFT.
+
+Every linear solve is preconditioned conjugate gradients (``_pcg``), and
+nothing is factored: local systems by a geometric V-cycle down to the
+coarsest grid, with damped Jacobi at its bottom, small local blocks by
+Jacobi alone, and fractional ones by the box circulant's inverse.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from functools import cache, partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.fft import irfftn, rfftn
 
 from .errors import AssemblyError, ConvergenceError, GridSizeError, SupportError
@@ -30,8 +34,7 @@ from .kernels import OperatorSpec, frac_constant
 _CG_RTOL = 1e-12
 _FRACTIONAL_RTOL = 1e-14   # fractional solves: the policy iteration's residual rests on them
 _CG_MAX_ITERS = 1_000
-_COARSE_MAX = 4_000        # systems and blocks up to this many unknowns are factored directly
-_BOTTOM_MAX = 500          # V-cycle levels stop at this many unknowns
+_COARSE_MAX = 4_000        # local blocks up to this size (d >= 2) run Jacobi-PCG on their own rows
 _JACOBI_OMEGA = 0.8
 _SMOOTH_SWEEPS = 2         # damped-Jacobi sweeps before and after each coarse correction
 
@@ -128,16 +131,18 @@ class DiscreteOperator:
         restricted to c in the same way (Chan & Ng, SIAM Review 38, 1996).
         A is the section of C on the interior, so C needs no scaling.
 
-        A local system or block of at most ``_COARSE_MAX`` unknowns is
-        factored directly (SuperLU of a copy).  Everything else runs CG
-        to relative residual ``_CG_RTOL``, preconditioned by one
-        V-cycle (``_hierarchy``, down to ``_BOTTOM_MAX`` unknowns) of the
-        matrix it solves: A for a full system, and for a block the embedded
+        A local block of at most ``_COARSE_MAX`` unknowns on a lattice of
+        d >= 2 runs CG on its own rows A[c, c], preconditioned by Jacobi (a
+        V-cycle with no coarse level).  (On a 1-d lattice every block is a
+        chain, where Jacobi-CG needs about as many iterations as the chain
+        has nodes.)  Everything else runs CG preconditioned by one V-cycle
+        (``_hierarchy``, down to the coarsest grid) of the matrix it solves:
+        A for a full system, and for a larger block the embedded
         K A K + diag(1_S diag A), K = diag(1_c) and S the nodes off c, with
         the right-hand side and the start zero on S: it is SPD and block
-        diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.  No solve
-        calls BLAS, so no result depends on the size of the BLAS thread
-        pool.
+        diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.  Every local
+        solve stops at relative residual ``_CG_RTOL``.  No solve calls
+        BLAS, so no result depends on the size of the BLAS thread pool.
         """
         n = self.n
         c = np.arange(n) if on is None else np.asarray(on)
@@ -156,9 +161,10 @@ class DiscreteOperator:
             return _pcg(partial(_box_convolve, box, at, kern.symbol), rhs_flat,
                         partial(_box_convolve, box, at, kern.c_inv), _FRACTIONAL_RTOL,
                         x0=x0)[0]
-        if c.size <= _COARSE_MAX:
-            return _factor(self.A[c][:, c])(rhs_flat)
         A, b = self.A, rhs_flat
+        if on is not None and c.size <= _COARSE_MAX and self.grid.dim > 1:
+            A = A[c][:, c]
+            return _pcg(A.dot, b, partial(_vcycle, [], _JACOBI_OMEGA / A.diagonal()), x0=x0)[0]
         if on is not None:
             # K A K + diag(1_S diag A): the stored entries of A inside c and
             # on the diagonal, in A's order
@@ -175,8 +181,7 @@ class DiscreteOperator:
                 x0_c, x0 = x0, np.zeros(n)
                 x0[c] = x0_c
         levels, bottom = _hierarchy(self.grid, A)
-        x, _ = _pcg(A.dot, b, partial(_vcycle, levels, bottom), x0=x0)
-        return x[c]
+        return _pcg(A.dot, b, partial(_vcycle, levels, bottom), x0=x0)[0][c]
 
 
 def _box_convolve(box: tuple, at: np.ndarray, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -188,30 +193,40 @@ def _box_convolve(box: tuple, at: np.ndarray, symbol: np.ndarray, x: np.ndarray)
     return irfftn(rfftn(v) * symbol, s=box, axes=axes).reshape(-1)[at]
 
 
-def _factor(M: sp.spmatrix):
-    """SuperLU solver x = M^{-1} b of a sparse nonsingular M (of a copy)."""
-    return spla.factorized(M.tocsc())
-
-
 def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL,
          x0: np.ndarray | None = None) -> tuple:
     """Preconditioned conjugate gradients for the SPD system A x = b from
     x0 (default 0), with ``matvec(p)`` applying A and ``precond(r)`` the SPD
-    preconditioner, until ||r|| <= ``rtol`` ||b||, r = b - A x.  A zero b
-    returns x = 0 at 0 iterations, whatever x0.  Returns (x, iterations);
+    preconditioner, until the true residual r = b - A x has ||r|| <= ``rtol``
+    ||b||.  The recurrence's r drifts from b - A x, so once it meets the
+    bound r is recomputed; if that misses, CG restarts once from the true r,
+    which removes the drift, and a second miss is the rounding floor of
+    b - A x, where it stops.  A zero b returns x = 0 at 0 iterations,
+    whatever x0.  Returns (x, iterations, ||r|| / ||b|| of the true r);
     raises ``ConvergenceError`` after ``_CG_MAX_ITERS`` iterations.  Inner
-    products run in einsum's own loop, not BLAS, so neither x nor the
-    cost depends on the BLAS thread pool."""
-    bound = rtol * np.sqrt(np.einsum("i,i", b, b))
+    products run in einsum's own loop, not BLAS, so neither x nor the cost
+    depends on the BLAS thread pool."""
+    b_norm = np.sqrt(np.einsum("i,i", b, b))
+    bound = rtol * b_norm
     if x0 is None or not bound:
         x, r = np.zeros_like(b), b.copy()
     else:
         x = np.array(x0, dtype=float)
         r = b - matvec(x)
     p = rz_prev = None
-    for it in range(_CG_MAX_ITERS):
-        if np.sqrt(np.einsum("i,i", r, r)) <= bound:
-            return x, it
+    restarted = False
+    for it in range(_CG_MAX_ITERS + 1):
+        r_norm = np.sqrt(np.einsum("i,i", r, r))
+        if r_norm <= bound and p is not None:
+            r = b - matvec(x)
+            r_norm = np.sqrt(np.einsum("i,i", r, r))
+            if r_norm <= bound or restarted:
+                return x, it, r_norm / b_norm
+            restarted, p = True, None
+        elif r_norm <= bound:
+            return x, it, r_norm / b_norm if b_norm else 0.0
+        if it == _CG_MAX_ITERS:
+            break
         z = precond(r)
         rz = np.einsum("i,i", r, z)
         p = z if p is None else z + (rz / rz_prev) * p
@@ -225,7 +240,7 @@ def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL,
 
 
 # ---------------------------------------------------------------------------
-# geometric multigrid (CG preconditioner, direct solve at the bottom)
+# geometric multigrid (CG preconditioner, damped Jacobi at the bottom)
 # ---------------------------------------------------------------------------
 
 def _restriction(fine: Grid, coarse: Grid) -> sp.csr_matrix:
@@ -272,31 +287,32 @@ def _coarsen(grid: Grid):
 def _hierarchy(grid: Grid, A: sp.csr_matrix):
     """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
     Galerkin coarse operators P^T A P (P kept as the CSC view R.T of the
-    restriction R = P^T, from ``_coarsen``), down to at most ``_BOTTOM_MAX``
-    unknowns or the coarsest grid, and the SuperLU factorization of the
-    bottom operator.  The matrices are built per call and freed with it.
-    Only sparse local matrices get here, each symmetric bit for bit: a
-    stencil A, or the embedded matrix of a block (Kornhuber's truncated
-    coarse operators).  The product runs as M = R (M P) on the transpose M
-    of each level's matrix, so every coarse entry sums the terms of
-    ``(P.T @ A @ P).tocsr()`` in its order."""
+    restriction R = P^T, from ``_coarsen``), down to the coarsest grid or
+    the first coarse grid that is not smaller, and the damped-Jacobi weights
+    omega / diag of the bottom operator.  The matrices are built per call
+    and freed with it.  Only sparse local matrices get here, each symmetric
+    bit for bit: a stencil A, or the embedded matrix of a block (Kornhuber's
+    truncated coarse operators).  The product runs as M = R (M P) on the
+    transpose M of each level's matrix, so every coarse entry sums the
+    terms of ``(P.T @ A @ P).tocsr()`` in its order."""
     levels, M = [], A
-    while A.shape[0] > _BOTTOM_MAX and (step := _coarsen(grid)) is not None:
+    while (step := _coarsen(grid)) is not None and step[0].n_interior < A.shape[0]:
         coarse, R = step
         levels.append((A, _JACOBI_OMEGA / A.diagonal(), R.T))
         M = R @ (M @ R.T.tocsr())
         M.sort_indices()
         A = M.T.tocsr()
         grid = coarse
-    return levels, _factor(A)
+    return levels, _JACOBI_OMEGA / A.diagonal()
 
 
-def _vcycle(levels, bottom, r: np.ndarray, k: int = 0) -> np.ndarray:
+def _vcycle(levels, bottom: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray:
     """One symmetric V-cycle for A_k x = r from x = 0: damped-Jacobi
     smoothing, restriction by P^T, the coarse correction, prolongation by P,
-    and the same smoothing again."""
+    and the same smoothing again; at the bottom, one damped-Jacobi step with
+    the weights ``bottom``."""
     if k == len(levels):
-        return bottom(r)
+        return bottom * r
     A, jac, P = levels[k]
     x = jac * r
     for _ in range(_SMOOTH_SWEEPS - 1):

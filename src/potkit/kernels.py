@@ -26,7 +26,9 @@ All kernels are for ``-L`` with ``L`` the *full* generator:
 
 Green functions: interval/ball for the Laplacian (Kelvin reflection), and
 the classical radial formula for the fractional ball expressed through the
-regularized incomplete beta function.
+incomplete beta function, summed by its own series (``_incomplete_beta``).
+scipy.special serves only closed forms that no benchmark pass reads, and is
+imported inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import AssemblyError, SupportError, UnsupportedKernelError
 from .geometry import Domain
@@ -239,6 +240,52 @@ def _green_laplace_ball(dom: Domain, x, y):
     return val
 
 
+def _incomplete_beta(a: float, b: float, x) -> np.ndarray:
+    """B_x(a, b) = Int_0^x t^(a-1) (1 - t)^(b-1) dt for a, b > 0 and x in
+    [0, 1].  Up to 1/2 it is the series x^a Sum_k (1 - b)_k x^k / (k! (a + k))
+    of DLMF 8.17.7.  Above, with y = 1 - x (exact there), it is B_{1/2}(a, b)
+    plus the rest of the integral read in s = 1 - t (DLMF 8.17.4), the same
+    series in s from y to 1/2.  Its k = 0 term ((1/2)^b - y^b) / b comes
+    from expm1, and the rest at 1/2 and at y are at most 1 each, against
+    a sum above B_{1/2}(a, b) > 1/3 (a < 1, b < 3/2, as the fractional
+    Green function has them), so no digits are lost where
+    B(a, b) - B_y(b, a) would lose them to B(a, b) ~ 1/b as b -> 0."""
+    x = np.asarray(x, dtype=float)
+    high = x > 0.5
+    out = np.empty_like(x)
+    t = x[~high]
+    out[~high] = t ** a * (1.0 / a + t * _beta_tail(a, b, t))
+    y = 1.0 - x[high]
+    half = np.array([0.5])
+    with np.errstate(divide="ignore"):                    # log 0 at x = 1
+        head = -np.expm1(b * np.log(2.0 * y)) * 0.5 ** b / b
+    out[high] = (0.5 ** a * (1.0 / a + 0.5 * _beta_tail(a, b, half)) + head
+                 + 0.5 ** (b + 1.0) * _beta_tail(b, a, half) - y ** (b + 1.0) * _beta_tail(b, a, y))
+    return out
+
+
+def _beta_tail(p: float, q: float, t: np.ndarray) -> np.ndarray:
+    """Sum_{k >= 1} (1 - q)_k t^(k-1) / (k! (p + k)) for t in [0, 1/2], by
+    Horner's rule, through the first term that no longer moves the sum at
+    the largest t, where the terms fall slowest (at ratio t or less).  For
+    q < 2 its terms share one sign, so the sum is read to its own scale,
+    not to that of 1 / p, which the caller may have taken out."""
+    top = float(np.fmax.reduce(t, initial=0.0))          # NaN entries stay NaN
+    coefs, c, total, k = [], 1.0, 0.0, 0
+    while True:
+        k += 1
+        c *= (k - q) / k                                  # (1 - q)_k / k!
+        coefs.append(c / (p + k))
+        term = coefs[-1] * top ** (k - 1)
+        total += term
+        if abs(term) <= np.finfo(float).eps * abs(total):
+            break
+    out = np.full_like(t, coefs.pop())
+    for coef in reversed(coefs):
+        out = out * t + coef
+    return out
+
+
 def _green_frac_ball(op: OperatorSpec, dom: Domain, x, y):
     alpha, d = op.alpha, dom.dim
     R = dom.radius
@@ -255,14 +302,15 @@ def _green_frac_ball(op: OperatorSpec, dom: Domain, x, y):
     z = np.empty_like(dist)
     z[nd] = ((R**2 - rx2[nd]) * (R**2 - ry2[nd])) / (R**2 * dist[nd] ** 2)
     if alpha < d:
-        # Int_0^z s^(a-1) (1+s)^(-d/2) ds = B(a, b) * I_{z/(1+z)}(a, b)
-        inc = special.betainc(a_par, b_par, z[nd] / (1.0 + z[nd])) * special.beta(a_par, b_par)
+        # Int_0^z s^(a-1) (1+s)^(-d/2) ds = B_{z/(1+z)}(a, b)
+        inc = _incomplete_beta(a_par, b_par, z[nd] / (1.0 + z[nd]))
         out[nd] = kappa * dist[nd] ** (alpha - d) * inc
         out[diag] = np.inf
     else:
         # alpha >= d (d=1): hypergeometric closed form of the radial integral,
         # Int_0^z s^(a-1)(1+s)^(-d/2) ds = (z^a / a) 2F1(d/2, a; a+1; -z);
         # diverges as z -> inf (log for alpha = d), finite diagonal above
+        from scipy import special
         zs = z[nd]
         vals = (zs ** a_par / a_par) * special.hyp2f1(d / 2.0, a_par,
                                                       a_par + 1.0, -zs)
@@ -391,6 +439,7 @@ def killing_density(alpha: float, dom: Domain, x):
         if np.any(r >= 1.0):
             raise SupportError("x must be interior")
         # 1 - r^2 as (1 - r)(1 + r), which keeps its digits next to the sphere
+        from scipy import special
         val = (c * sphere_area(d) / alpha * R ** (-alpha)
                * ((1.0 - r) * (1.0 + r)) ** (-alpha)
                * special.hyp2f1(-alpha / 2.0, (d - alpha) / 2.0, d / 2.0, r * r))

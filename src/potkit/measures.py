@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatchError, SupportError
 from .geometry import Domain, Grid
@@ -68,6 +67,7 @@ class Density:
         rectangle raises SupportError."""
         if self.kind == "constant":
             return abs(self.value) * dom.volume()
+        from scipy import special
         d, s = dom.dim, self.sigma
         c = np.asarray(self.center) if self.center else np.zeros(d)
         if dom.kind == "rectangle":

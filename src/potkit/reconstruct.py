@@ -336,10 +336,11 @@ def _start_grid(dom: Domain):
     return grid
 
 
-def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: float) -> float:
-    """F_n of the flat interior values u on the lattice of the operator
-    ``dop``, ex = eta at the interior nodes and kappa = A 1 its killing (for
-    a local stencil, the leak to the boundary nodes):
+def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: float) -> tuple:
+    """(F_n, its rounding bound) of the flat interior values u on the
+    lattice of the operator ``dop``, ex = eta at the interior nodes and
+    kappa = A 1 its killing (for a local stencil, the leak to the boundary
+    nodes):
 
         F_n = (h^d / 2n) Sum_x ex [ 2v (A D) - A D^2 + kappa D (2v - D) ],
 
@@ -349,11 +350,22 @@ def _lattice_energy(dop, kappa: np.ndarray, u: np.ndarray, ex: np.ndarray, n: fl
     killing term, with the diagonal cancelled: two products with A.  An
     empty window (D = 0) reads 0.0 exactly, and so does a Laplacian row
     whose D is flat over its stencil: on a dyadic lattice its entries are
-    powers of two, so A D and A D^2 cancel there without rounding."""
+    powers of two, so A D and A D^2 cancel there without rounding.
+
+    The bound is eps times the same sum over the magnitudes of its
+    products (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3), with |A| = 2 diag - A, as A is nonpositive off its diagonal;
+    it needs no further product with A."""
     v = u - n
     D = np.clip(v, 0.0, n)
-    terms = 2.0 * v * dop.apply(D) - dop.apply(D * D) + kappa * D * (2.0 * v - D)
-    return float(np.einsum("i,i->", ex, terms)) * dop.grid.cell_volume() / (2.0 * n)
+    AD, AD2 = dop.apply(D), dop.apply(D * D)
+    kill = kappa * D * (2.0 * v - D)
+    terms = 2.0 * v * AD - AD2 + kill
+    sizes = 2.0 * np.abs(v) * (2.0 * dop.diag * D - AD) + (2.0 * dop.diag * D * D - AD2) \
+        + np.abs(kill)
+    scale = dop.grid.cell_volume() / (2.0 * n)
+    return (float(np.einsum("i,i->", ex, terms)) * scale,
+            float(np.finfo(float).eps * np.einsum("i,i->", np.abs(ex), sizes)) * scale)
 
 
 def _target(solution: Solution, eta: Callable) -> float:
@@ -365,7 +377,9 @@ def _target(solution: Solution, eta: Callable) -> float:
 def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float],
                       rel_tol: float = 0.01) -> tuple:
     """``(traces, widths, unknowns, resolvable)``: per level the value of
-    ``_lattice_energy`` on each lattice it was read on, and per lattice its
+    ``_lattice_energy`` on each lattice it was read on (0.0 within its
+    rounding bound, so a flat window reads 0 on any operator's lattice, not
+    its rounding), and per lattice its
     width and unknowns, the first from ``_start_grid`` and each next at
     half the width; per level, whether 2n is at most u at every positive
     concentrated atom's node on its last lattice, the largest node value of
@@ -404,7 +418,8 @@ def _lattice_energies(solution: Solution, eta: Callable, levels: Sequence[float]
             on_atoms = float(np.min(np.max(np.append(u, -np.inf)[corners], axis=1)))
         for i in list(open_levels):
             trace = traces[i]
-            trace.append(_lattice_energy(dop, kappa, u, ex, levels[i]))
+            value, bound = _lattice_energy(dop, kappa, u, ex, levels[i])
+            trace.append(value if abs(value) > bound else 0.0)
             atom_u[i] = on_atoms
             if len(trace) > 1 and (abs(trace[-1] - trace[-2])
                                    <= rel_tol * max(abs(trace[-1]), target)):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .discrete import DiscreteOperator
 from .errors import SupportError, UnsupportedKernelError
@@ -37,6 +36,7 @@ _SUP_SAMPLES = 20001       # sample points of the closed-form sup estimate
 def _ein(z):
     """Ein(z) = Int_0^z (1 - e^-t) dt / t = E1(z) + ln z + gamma (DLMF §6.2),
     Ein(0) = 0."""
+    from scipy import special
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(z > 0, special.exp1(z) + np.log(z) + np.euler_gamma, 0.0)
 
@@ -63,6 +63,7 @@ class DensityPotential:
 
     def _slope(self, r2):
         """M(r) / r^d at r^2 = ``r2``; v / d, its limit, at r = 0."""
+        from scipy import special
         d, v, s2 = self.d, self.density.value, self.density.sigma**2
         rd = r2 ** (d / 2.0)
         mass = v * (2.0 * s2) ** (d / 2.0) * special.gamma(d / 2.0) / 2.0 \

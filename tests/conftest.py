@@ -1,6 +1,6 @@
 import pytest
 
-from potkit import Domain, OperatorSpec, assemble, build_grid, discrete
+from potkit import Domain, OperatorSpec, assemble, build_grid
 from potkit.measures import MeasureData
 from potkit.solve import integral_solution
 
@@ -45,10 +45,3 @@ def disk_dirac_solution(disk, lap):
     mu = MeasureData.make(atoms=[([0.0, 0.0], 1.0)], dom=disk)
     return integral_solution(lap, disk, mu)
 
-
-@pytest.fixture
-def no_factor(monkeypatch):
-    """Fail on any direct factorization."""
-    def refuse(M):
-        raise AssertionError(f"factored a {M.shape} matrix")
-    monkeypatch.setattr(discrete, "_factor", refuse)

@@ -428,21 +428,38 @@ def test_cli_import_leaves_optimize_and_integrate_unloaded():
 
 def test_import_loads_only_the_timed_scipy_subpackages():
     # the set-up time of every benchmark workload includes `import potkit`:
-    # it loads scipy.linalg, scipy.sparse and scipy.special and scipy's own
-    # plumbing, and none of scipy.fft, scipy.integrate, scipy.optimize or
-    # scipy.stats
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, potkit; "
-            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.')})))")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # it loads scipy.sparse and scipy's own plumbing, and no other scipy
+    # subpackage.  After `import potkit.cli`, and after one pass of each
+    # benchmark workload (bench/workloads.py, loaded as the bench contract
+    # test loads it), none of scipy.linalg, scipy.sparse.linalg and
+    # scipy.special is loaded: no solve factors a matrix, and the one
+    # special function a pass needs, the fractional ball's incomplete beta,
+    # is potkit's own
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    workloads = os.path.join(root, "bench", "workloads.py")
+    code = "\n".join([
+        "import importlib.util, sys",
+        "import potkit",
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))",
+        "import potkit.cli",
+        "heavy = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.special')",
+        "print('cli', *[m for m in heavy if m in sys.modules])",
+        f"spec = importlib.util.spec_from_file_location('bench_workloads', {workloads!r})",
+        "module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(module)",
+        "for name in ('interval-fractional', 'disk-dirac-cg', 'disk-mixed-psor', 'mc-exit'):",
+        "    assert module.run_pass(name, module.setup(name)).ok, name",
+        "    print(name, *[m for m in heavy if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    allowed = {"linalg", "sparse", "special", "_lib", "__config__", "version",
-               "_distributor_init", "_cyutility"}
-    loaded = set(out.stdout.split())
-    assert loaded <= allowed, sorted(loaded - allowed)
-    assert {"linalg", "sparse", "special"} <= loaded
+    first, *after = out.stdout.splitlines()
+    allowed = {"sparse", "_lib", "__config__", "version", "_distributor_init", "_cyutility"}
+    loaded = set(first.split())
+    assert "sparse" in loaded and loaded <= allowed, sorted(loaded - allowed)
+    assert after == ["cli", "interval-fractional", "disk-dirac-cg", "disk-mixed-psor", "mc-exit"]
 
 
 @pytest.mark.parametrize("section,field", [("domain", "radiuss"), ("operator", "alhpa"),

@@ -8,7 +8,7 @@ from potkit import Domain, OperatorSpec, green, killing_density, poisson_kernel
 from potkit.errors import DimensionMismatchError, SupportError, UnsupportedKernelError
 from potkit.measures import MeasureData
 from potkit.solve import integral_solution
-from potkit.kernels import (ball_green_constant, frac_constant,
+from potkit.kernels import (_incomplete_beta, ball_green_constant, frac_constant,
                             frac_torsion_constant, riesz_constant, sphere_area)
 
 LAP = OperatorSpec.laplacian()
@@ -347,3 +347,30 @@ def test_ball_green_constant_consistency():
         lhs = ball_green_constant(alpha, d) * special.beta(
             alpha / 2.0, (d - alpha) / 2.0)
         assert lhs == pytest.approx(riesz_constant(alpha, d), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_incomplete_beta_matches_scipy(d):
+    """B_x(a, b) at every (a, b) = (alpha / 2, (d - alpha) / 2) the
+    fractional ball's Green function reaches, 0 < alpha < min(2, d) up to
+    1e-6 from either end, and x from 1e-300 to 1 - 1e-15, within 1e-13 of
+    scipy's beta(a, b) betainc(a, b, x), with no floating-point warning.
+    Above x = 1/2 scipy is read from the nearer end, as
+    beta(a, b) betaincc(b, a, 1 - x): its betainc(1/2, 1/2, x) is off by
+    1.1e-9 at x = 1 - 1e-15."""
+    top = min(2.0, d)
+    alphas = np.concatenate([[1e-6, 1e-3], np.linspace(0.0, top, 41)[1:-1],
+                             [top - 1e-3, top - 1e-6]])
+    x = np.concatenate([[0.0], np.geomspace(1e-300, 0.5, 300),
+                        1.0 - np.geomspace(0.5, 1e-15, 300)[1:], [1.0]])
+    for alpha in alphas:
+        a, b = alpha / 2.0, (d - alpha) / 2.0
+        ref = special.beta(a, b) * np.where(x <= 0.5, special.betainc(a, b, x),
+                                            special.betaincc(b, a, 1.0 - x))
+        got = _incomplete_beta(a, b, x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref), (d, alpha)
+    # a NaN argument reads NaN and leaves the series of the others whole
+    got = _incomplete_beta(0.25, 0.25, np.array([np.nan, 0.3, 0.9]))
+    assert np.isnan(got[0])
+    np.testing.assert_allclose(got[1:], special.beta(0.25, 0.25)
+                               * special.betainc(0.25, 0.25, [0.3, 0.9]), rtol=1e-13)
