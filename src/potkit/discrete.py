@@ -14,7 +14,10 @@ matrix-free by FFT.
 Every linear solve is preconditioned conjugate gradients (``_pcg``), and
 nothing is factored: local systems by a geometric V-cycle down to the
 coarsest grid, with damped Jacobi at its bottom, small local blocks by
-Jacobi alone, and fractional ones by the box circulant's inverse.
+Jacobi alone, and fractional ones by the box circulant's inverse.  CG, its
+products with A and its stop on the true residual run in float64; the
+V-cycle, which only has to be accurate to a few digits, runs in float32.
+Each solve leaves a ``SolveRecord`` on its operator.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ class LatticeKernel:
     c_inv: np.ndarray
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """One linear solve: its preconditioner (``vcycle``, ``jacobi`` or
+    ``circulant``), its unknowns |c|, its CG iterations and the relative
+    residual ||b - A x|| / ||b|| of the x it returned."""
+
+    method: str
+    unknowns: int
+    iterations: int
+    residual: float
+
+
 @dataclass
 class DiscreteOperator:
     """Approximation A of -L on interior nodes, with its diagonal.
@@ -70,6 +85,7 @@ class DiscreteOperator:
 
     A local operator stores its sparse ``stencil``; the fractional operator
     its ``kernel``, whose box circulant, read on the interior, is A by FFT.
+    Every ``solve`` appends its ``SolveRecord`` to ``solves``.
     """
 
     grid: Grid
@@ -77,6 +93,7 @@ class DiscreteOperator:
     stencil: sp.csr_matrix | None         # local operators only
     diag: np.ndarray                      # flat interior diagonal of A
     kernel: LatticeKernel | None = field(default=None, repr=False)
+    solves: list = field(default_factory=list, repr=False)
 
     @property
     def is_local(self) -> bool:
@@ -120,10 +137,10 @@ class DiscreteOperator:
         """Deterministic linear solve A x = rhs, local and fractional alike;
         with ``on`` (flat interior indices c, increasing and distinct), of
         the principal block A[c, c] x = rhs instead: the Dirichlet problem
-        on c with zero data off c.  Every CG solve starts from ``x0`` (on c;
-        default 0); a direct solve does not read it.  A malformed ``on``, or
-        a right-hand side or ``x0`` whose length is not |c|, raises
-        ``SupportError``.
+        on c with zero data off c.  CG starts from ``x0`` (on c; default 0).
+        A malformed ``on``, or a right-hand side or ``x0`` whose length is
+        not |c|, raises ``SupportError``.  Each solve appends its
+        ``SolveRecord`` to ``solves``.
 
         A fractional system or block runs CG (``_pcg``) to relative residual
         ``_FRACTIONAL_RTOL``, matrix-free: A[c, c] x is the box circulant C
@@ -140,7 +157,11 @@ class DiscreteOperator:
         A for a full system, and for a larger block the embedded
         K A K + diag(1_S diag A), K = diag(1_c) and S the nodes off c, with
         the right-hand side and the start zero on S: it is SPD and block
-        diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.  Every local
+        diagonal, so x is zero on S and A[c, c]^{-1} rhs on c.  The V-cycle
+        runs in float32 under the float64 CG: r is scaled to unit size by a
+        power of two and cast to float32 on entry, and z cast back and
+        unscaled on exit, here and nowhere else, while CG's products with A
+        and its stop on the true residual stay float64.  Every local
         solve stops at relative residual ``_CG_RTOL``.  No solve calls
         BLAS, so no result depends on the size of the BLAS thread pool.
         """
@@ -155,33 +176,46 @@ class DiscreteOperator:
         if x0 is not None and np.shape(x0) != (c.size,):
             raise SupportError(f"start x0 of shape {np.shape(x0)} for a "
                                f"system of {c.size} unknowns")
+        b, rtol = rhs_flat, _CG_RTOL
         if not self.is_local:
             kern = self.kernel
             box, at = kern.table.shape, kern.at[c]
-            return _pcg(partial(_box_convolve, box, at, kern.symbol), rhs_flat,
-                        partial(_box_convolve, box, at, kern.c_inv), _FRACTIONAL_RTOL,
-                        x0=x0)[0]
-        A, b = self.A, rhs_flat
-        if on is not None and c.size <= _COARSE_MAX and self.grid.dim > 1:
-            A = A[c][:, c]
-            return _pcg(A.dot, b, partial(_vcycle, [], _JACOBI_OMEGA / A.diagonal()), x0=x0)[0]
-        if on is not None:
-            # K A K + diag(1_S diag A): the stored entries of A inside c and
-            # on the diagonal, in A's order
-            inside = np.zeros(n, dtype=bool)
-            inside[c] = True
-            rows = np.repeat(np.arange(n), np.diff(A.indptr))
-            kept = (inside[rows] & inside[A.indices]) | (rows == A.indices)
-            indptr = np.zeros(kept.size + 1, dtype=A.indptr.dtype)
-            np.cumsum(kept, out=indptr[1:])
-            A = sp.csr_matrix((A.data[kept], A.indices[kept], indptr[A.indptr]), shape=A.shape)
-            b = np.zeros(n)
-            b[c] = rhs_flat
-            if x0 is not None:
-                x0_c, x0 = x0, np.zeros(n)
-                x0[c] = x0_c
-        levels, bottom = _hierarchy(self.grid, A)
-        return _pcg(A.dot, b, partial(_vcycle, levels, bottom), x0=x0)[0][c]
+            method, matvec = "circulant", partial(_box_convolve, box, at, kern.symbol)
+            precond, rtol = partial(_box_convolve, box, at, kern.c_inv), _FRACTIONAL_RTOL
+        elif on is not None and c.size <= _COARSE_MAX and self.grid.dim > 1:
+            A = self.A[c][:, c]
+            method, matvec = "jacobi", A.dot
+            precond = partial(_vcycle, [], _JACOBI_OMEGA / A.diagonal())
+        else:
+            A = self.A
+            if on is not None:
+                # K A K + diag(1_S diag A): the stored entries of A inside c and
+                # on the diagonal, in A's order
+                inside = np.zeros(n, dtype=bool)
+                inside[c] = True
+                rows = np.repeat(np.arange(n), np.diff(A.indptr))
+                kept = (inside[rows] & inside[A.indices]) | (rows == A.indices)
+                indptr = np.zeros(kept.size + 1, dtype=A.indptr.dtype)
+                np.cumsum(kept, out=indptr[1:])
+                A = sp.csr_matrix((A.data[kept], A.indices[kept], indptr[A.indptr]),
+                                  shape=A.shape)
+                b = np.zeros(n)
+                b[c] = rhs_flat
+                if x0 is not None:
+                    x0_c, x0 = x0, np.zeros(n)
+                    x0[c] = x0_c
+            levels, bottom = _hierarchy(self.grid, A)
+            method, matvec = "vcycle", A.dot
+
+            def precond(r):
+                # r scaled to unit size by a power of two, which is exact, so
+                # the float32 V-cycle neither underflows nor overflows
+                e = np.frexp(max(r.max(), -r.min()))[1]
+                z = _vcycle(levels, bottom, np.ldexp(r, -e).astype(np.float32)).astype(float)
+                return np.ldexp(z, e, out=z)
+        x, its, res = _pcg(matvec, b, precond, rtol, x0=x0)
+        self.solves.append(SolveRecord(method, c.size, its, float(res)))
+        return x if x.size == c.size else x[c]
 
 
 def _box_convolve(box: tuple, at: np.ndarray, symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -240,23 +274,23 @@ def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL,
 
 
 # ---------------------------------------------------------------------------
-# geometric multigrid (CG preconditioner, damped Jacobi at the bottom)
+# geometric multigrid in float32 (CG preconditioner, damped Jacobi at the bottom)
 # ---------------------------------------------------------------------------
 
 def _restriction(fine: Grid, coarse: Grid) -> sp.csr_matrix:
-    """R = P^T for P the tensor-product linear interpolation from the coarse
-    interior to the fine interior (coarse mesh width 2h on the same anchored
-    lattice), with zero Dirichlet values off the coarse interior: row j
-    holds the weights 2^-|s|_0 of the fine nodes at the 3^d shifts s of
-    coarse node j, whose flat indices increase in ``itertools.product``
-    order."""
+    """R = P^T in float32 for P the tensor-product linear interpolation
+    from the coarse interior to the fine interior (coarse mesh width 2h on
+    the same anchored lattice), with zero Dirichlet values off the coarse
+    interior: row j holds the weights 2^-|s|_0, exact in float32, of the
+    fine nodes at the 3^d shifts s of coarse node j, whose flat indices
+    increase in ``itertools.product`` order."""
     # fine lattice multi-index of every coarse interior node
     centre = [2 * (coarse.offset[k] + c) - fine.offset[k]
               for k, c in enumerate(np.nonzero(coarse.interior_mask))]
     shifts = list(itertools.product((-1, 0, 1), repeat=fine.dim))
     cols = np.stack([fine.interior_index[tuple(c + s for c, s in zip(centre, shift))]
                      for shift in shifts]).astype(np.int32)
-    vals = np.array([[0.5 ** np.count_nonzero(shift)] for shift in shifts])
+    vals = np.array([[0.5 ** np.count_nonzero(shift)] for shift in shifts], dtype=np.float32)
     return _slot_csr(cols, np.broadcast_to(vals, cols.shape), fine.n_interior)
 
 
@@ -285,16 +319,20 @@ def _coarsen(grid: Grid):
 
 
 def _hierarchy(grid: Grid, A: sp.csr_matrix):
-    """V-cycle levels ``(A, omega / diag(A), P)`` from the finest down, with
-    Galerkin coarse operators P^T A P (P kept as the CSC view R.T of the
-    restriction R = P^T, from ``_coarsen``), down to the coarsest grid or
-    the first coarse grid that is not smaller, and the damped-Jacobi weights
-    omega / diag of the bottom operator.  The matrices are built per call
-    and freed with it.  Only sparse local matrices get here, each symmetric
-    bit for bit: a stencil A, or the embedded matrix of a block (Kornhuber's
-    truncated coarse operators).  The product runs as M = R (M P) on the
-    transpose M of each level's matrix, so every coarse entry sums the
-    terms of ``(P.T @ A @ P).tocsr()`` in its order."""
+    """float32 V-cycle levels ``(A, omega / diag(A), P)`` from the finest
+    down, with Galerkin coarse operators P^T A P (P kept as the CSC view
+    R.T of the float32 restriction R = P^T, from ``_coarsen``), down to the
+    coarsest grid or the first coarse grid that is not smaller, and the
+    damped-Jacobi weights omega / diag of the bottom operator.  A's data is
+    cast to float32 once, sharing A's indices and indptr, and every product
+    runs in float32.  The matrices are built per call and freed with it.
+    Only sparse local matrices get here, each symmetric bit for bit: a
+    stencil A, or the embedded matrix of a block (Kornhuber's truncated
+    coarse operators).  The product runs as M = R (M P) on the transpose M
+    of each level's matrix, so every coarse entry sums the terms of
+    ``(P.T @ A32 @ P).tocsr()`` in its order; a coarse operator of a
+    divergence-form A is then symmetric to float32 rounding."""
+    A = sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
     levels, M = [], A
     while (step := _coarsen(grid)) is not None and step[0].n_interior < A.shape[0]:
         coarse, R = step
@@ -310,7 +348,9 @@ def _vcycle(levels, bottom: np.ndarray, r: np.ndarray, k: int = 0) -> np.ndarray
     """One symmetric V-cycle for A_k x = r from x = 0: damped-Jacobi
     smoothing, restriction by P^T, the coarse correction, prolongation by P,
     and the same smoothing again; at the bottom, one damped-Jacobi step with
-    the weights ``bottom``."""
+    the weights ``bottom``.  It runs in the precision of its arguments:
+    float32 for ``_hierarchy``'s levels, float64 for the Jacobi weights of
+    a small block (no levels)."""
     if k == len(levels):
         return bottom * r
     A, jac, P = levels[k]
@@ -357,10 +397,13 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
                 f"coefficient outside [{op.lam}, {op.Lam}] near node {bad}")
 
     # one slot per stencil entry in CSR column order: -e_0 .. -e_{d-1}, the
-    # node itself, +e_{d-1} .. +e_0; column -1 marks a missing neighbour
+    # node itself, +e_{d-1} .. +e_0, on the interior rows only: each slot is
+    # filled on one reused lattice buffer and gathered from it, a column of
+    # -1 marking a missing neighbour
     diag_lat = np.zeros(shape)
-    cols = np.full((2 * dim + 1,) + shape, -1, dtype=np.int32)
-    vals = np.zeros(cols.shape)
+    cols = np.empty((2 * dim + 1, grid.n_interior), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    col_lat, val_lat = np.empty(shape, dtype=np.int32), np.empty(shape)
 
     for k, lead, trail in lattice_shifts(dim):
         if coeff is None:
@@ -377,15 +420,16 @@ def _assemble_local(op: OperatorSpec, grid: Grid) -> DiscreteOperator:
         # interior-interior edges also produce the off-diagonal entries
         diag_lat[trail] += np.where(interior[trail], edge, 0.0)
         diag_lat[lead] += np.where(interior[lead], edge, 0.0)
-        cols[(2 * dim - k,) + trail] = idx[lead]
-        cols[(k,) + lead] = idx[trail]
-        vals[(2 * dim - k,) + trail] = vals[(k,) + lead] = -edge
+        for slot, at, nbr in ((2 * dim - k, trail, lead), (k, lead, trail)):
+            col_lat.fill(-1)
+            col_lat[at] = idx[nbr]
+            np.negative(edge, out=val_lat[at])
+            cols[slot], vals[slot] = col_lat[interior], val_lat[interior]
 
     diag_flat = diag_lat[interior]
-    cols[dim], vals[dim] = idx, diag_lat
-    rows = np.flatnonzero(interior)
-    A = _slot_csr(cols.reshape(len(cols), -1)[:, rows], vals.reshape(len(vals), -1)[:, rows],
-                  grid.n_interior)
+    cols[dim], vals[dim] = idx[interior], diag_flat
+    del diag_lat, col_lat, val_lat     # out of the CSR build, which holds the peak
+    A = _slot_csr(cols, vals, grid.n_interior)
     return DiscreteOperator(grid=grid, op=op, stencil=A, diag=diag_flat)
 
 

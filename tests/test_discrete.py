@@ -541,24 +541,27 @@ def test_block_solve_factors_no_large_local_matrix(monkeypatch):
     nodes) and a 7,691-node block are solved by CG with the V-cycle of
     their own 12,849-row matrix, whose bottom is the one-node coarsest
     grid; a block of at most _COARSE_MAX nodes (3,205) runs CG on its own
-    rows with Jacobi, a V-cycle with no coarse level."""
-    seen, pcg = [], discrete._pcg
+    rows with Jacobi, a V-cycle with no coarse level, and builds no
+    hierarchy.  Each solve records its method and its unknowns."""
+    seen, hierarchy = [], discrete._hierarchy
 
-    def spy(matvec, b, precond, *args, **kwargs):
-        levels, bottom = precond.args
-        seen.append((matvec.__self__.shape[0], len(levels), bottom.size))
-        return pcg(matvec, b, precond, *args, **kwargs)
-    monkeypatch.setattr(discrete, "_pcg", spy)
+    def spy(grid, A):
+        levels, bottom = hierarchy(grid, A)
+        seen.append((A.shape[0], len(levels), bottom.size))
+        return levels, bottom
+    monkeypatch.setattr(discrete, "_hierarchy", spy)
     dop = assemble(LAP, build_grid(Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-6))
     pts = dop.grid.interior_points()
     for V in (np.ones(dop.n, dtype=bool), np.random.default_rng(8).random(dop.n) < 0.6,
               np.hypot(pts[:, 0], pts[:, 1]) < 0.5):
-        del seen[:]
+        del seen[:], dop.solves[:]
         harmonic_extension(dop, V, np.ones(dop.grid.shape))
+        (record,) = dop.solves
+        assert record.unknowns == V.sum()
         if V.sum() > discrete._COARSE_MAX:
-            assert seen == [(dop.n, 6, 1)]
+            assert seen == [(dop.n, 6, 1)] and record.method == "vcycle"
         else:
-            assert seen == [(V.sum(), 0, V.sum())]
+            assert seen == [] and record.method == "jacobi"
 
 
 @pytest.fixture
@@ -683,8 +686,9 @@ def _coo_prolongation(fine, coarse):
 
 
 def _same_csr(M, ref):
-    return (M.format == "csr" and M.has_sorted_indices and np.array_equal(M.data, ref.data)
-            and np.array_equal(M.indices, ref.indices) and np.array_equal(M.indptr, ref.indptr))
+    return (M.format == "csr" and M.has_sorted_indices and M.dtype == ref.dtype
+            and np.array_equal(M.data, ref.data) and np.array_equal(M.indices, ref.indices)
+            and np.array_equal(M.indptr, ref.indptr))
 
 
 BUILDER_DOMAINS = {
@@ -700,39 +704,157 @@ BUILDER_OPS = {"laplacian": LAP,
 @pytest.mark.parametrize("op", BUILDER_OPS)
 @pytest.mark.parametrize("dom", BUILDER_DOMAINS)
 def test_csr_builders_match_coo_assembly(op, dom):
-    """The stencil built straight into CSR and the restriction R = P^T
-    have the arrays of the COO-assembled stencil and prolongation, bit for
-    bit, with sorted indices; P is kept as the CSC view R.T."""
+    """The float64 stencil built straight into CSR and the float32
+    restriction R = P^T have the arrays of the COO-assembled stencil and
+    prolongation, bit for bit, with sorted indices (the weights 2^-k of P
+    are exact in float32); P is kept as the CSC view R.T."""
     domain, h = BUILDER_DOMAINS[dom]
     grid, coarse = build_grid(domain, h), build_grid(domain, 2.0 * h)
     assert _same_csr(assemble(BUILDER_OPS[op], grid).A, _coo_stencil(BUILDER_OPS[op], grid))
-    P, R = _coo_prolongation(grid, coarse), discrete._restriction(grid, coarse)
+    P = _coo_prolongation(grid, coarse).astype(np.float32)
+    R = discrete._restriction(grid, coarse)
     assert _same_csr(R, P.T.tocsr()) and _same_csr(R.T.tocsr(), P)
 
 
 @pytest.mark.parametrize("op", BUILDER_OPS)
 @pytest.mark.parametrize("h", [2.0**-6, 2.0**-7], ids=["h=2^-6", "h=2^-7"])
 def test_vcycle_matches_reference_hierarchy(op, h):
-    """The hierarchy of the disk (6 and 7 levels above the one-node
+    """The float32 hierarchy of the disk (6 and 7 levels above the one-node
     coarsest grid, whose own coarse grid, one node again, is not smaller)
-    and its V-cycle equal, bit for bit, those of a reference built with the
-    COO prolongation and ``(P.T @ A @ P).tocsr()`` down to the same grid,
-    with the same damped-Jacobi bottom."""
+    and its V-cycle equal, bit for bit, those of a reference built from A
+    cast to float32, with the COO prolongation in float32 and
+    ``(P.T @ A32 @ P).tocsr()`` down to the same grid, with the same
+    damped-Jacobi bottom.  The finest level shares A's index arrays, every
+    level is symmetric to float32 rounding, and A stays float64."""
     grid = build_grid(Domain.ball([0.0, 0.0], 1.0, 2), h)
     A = assemble(BUILDER_OPS[op], grid).A
     levels, bottom = discrete._hierarchy(grid, A)
-    ref, fine, M = [], grid, A
+    ref, fine, M = [], grid, A.astype(np.float32)
     while (coarse := build_grid(fine.domain, 2.0 * fine.h)).n_interior < M.shape[0]:
-        P = _coo_prolongation(fine, coarse)
+        P = _coo_prolongation(fine, coarse).astype(np.float32)
         ref.append((M, discrete._JACOBI_OMEGA / M.diagonal(), P))
         M, fine = (P.T @ M @ P).tocsr(), coarse
     assert len(levels) == len(ref) == {2.0**-6: 6, 2.0**-7: 7}[h] and M.shape == (1, 1)
     for (A_k, jac, P), (A_ref, jac_ref, P_ref) in zip(levels, ref):
         assert _same_csr(A_k, A_ref) and _same_csr(P.tocsr(), P_ref)
-        assert np.array_equal(jac, jac_ref)
+        assert abs(A_k - A_k.T).max() <= 1e-6 * abs(A_k).max()
+        assert jac.dtype == np.float32 and np.array_equal(jac, jac_ref)
+    assert np.shares_memory(levels[0][0].indices, A.indices)
+    assert np.shares_memory(levels[0][0].indptr, A.indptr)
+    assert A.dtype == np.float64
+    assert bottom.dtype == np.float32
     assert np.array_equal(bottom, discrete._JACOBI_OMEGA / M.diagonal())
-    r = np.random.default_rng(4).standard_normal(A.shape[0])
-    assert np.array_equal(discrete._vcycle(levels, bottom, r), discrete._vcycle(ref, bottom, r))
+    r = np.random.default_rng(4).standard_normal(A.shape[0]).astype(np.float32)
+    z = discrete._vcycle(levels, bottom, r)
+    assert z.dtype == np.float32 and np.array_equal(z, discrete._vcycle(ref, bottom, r))
+
+
+def _float64_hierarchy(grid, A):
+    """The levels of ``discrete._hierarchy`` kept in float64 throughout: the
+    reference V-cycle the float32 one is held to."""
+    levels, M = [], A
+    while (step := discrete._coarsen(grid)) is not None and step[0].n_interior < A.shape[0]:
+        coarse, R = step
+        R = R.astype(np.float64)
+        levels.append((A, discrete._JACOBI_OMEGA / A.diagonal(), R.T))
+        M = R @ (M @ R.T.tocsr())
+        M.sort_indices()
+        A, grid = M.T.tocsr(), coarse
+    return levels, discrete._JACOBI_OMEGA / A.diagonal()
+
+
+FLOAT32_CASES = {
+    "divergence-disk-2^-8": (OperatorSpec.divergence(_smooth_coeff, lam=0.5, Lam=1.5),
+                             Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-8),
+    "laplacian-disk-2^-7": (LAP, Domain.ball([0.0, 0.0], 1.0, 2), 2.0**-7),
+    "unit-cube-2^-5": (LAP, Domain.rectangle([(0.0, 1.0)] * 3), 2.0**-5),
+    "ball3d-2^-5": (LAP, Domain.ball([0.0, 0.0, 0.0], 1.0, 3), 2.0**-5),
+    "thin-rectangle-2^-9": (LAP, Domain.rectangle([(0.0, 8.0), (0.0, 0.05)]), 2.0**-9),
+}
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["full", "70%-block"])
+@pytest.mark.parametrize("case", FLOAT32_CASES)
+def test_float32_vcycle_costs_no_iterations(monkeypatch, case, block):
+    """The float32 V-cycle under the float64 CG takes at most the
+    iterations of the same V-cycle kept in float64, on full systems and on
+    a random 70 % block (its embedded matrix), and meets _CG_RTOL on the
+    true residual, which the record carries and which is read here again
+    through A."""
+    op, dom, h = FLOAT32_CASES[case]
+    dop = assemble(op, build_grid(dom, h))
+    c = (np.flatnonzero(np.random.default_rng(8).random(dop.n) < 0.7) if block
+         else np.arange(dop.n))
+    assert c.size > discrete._COARSE_MAX
+    seen, hierarchy = [], discrete._hierarchy
+    monkeypatch.setattr(discrete, "_hierarchy",
+                        lambda grid, A: (seen.append((grid, A)), hierarchy(grid, A))[1])
+    rhs = np.random.default_rng(3).standard_normal(c.size)
+    x = dop.solve(rhs, on=c if block else None)
+    (record,) = dop.solves
+    b = np.zeros(dop.n)
+    b[c] = rhs
+    (grid, A), = seen
+    _, iterations, _ = discrete._pcg(A.dot, b,
+                                     partial(discrete._vcycle, *_float64_hierarchy(grid, A)))
+    assert (record.method, record.unknowns) == ("vcycle", c.size)
+    assert record.iterations <= iterations
+    assert record.residual <= discrete._CG_RTOL
+    true = np.linalg.norm(dop.A[c][:, c] @ x - rhs) / np.linalg.norm(rhs)
+    assert true == pytest.approx(record.residual, rel=1e-6)
+
+
+def test_green_column_records_its_solve():
+    """The h = 2^-8 disk's Green column (the ``disk-dirac-cg`` solve) is
+    one float32 V-cycle CG solve of 205,857 unknowns in 9 iterations, and
+    its record carries the true relative residual; a fractional solve
+    records the circulant."""
+    dop = assemble(LAP, build_grid(DISK, 2.0**-8))
+    discrete_green(dop, np.array([0.0, 0.0]))
+    (record,) = dop.solves
+    assert (record.method, record.unknowns, record.iterations) == ("vcycle", 205_857, 9)
+    assert record.residual <= 1e-12
+    frac = assemble(OperatorSpec.fractional(0.5), build_grid(Domain.interval(-1.0, 1.0), 2.0**-6))
+    frac.solve(np.ones(frac.n))
+    assert [(r.method, r.unknowns) for r in frac.solves] == [("circulant", frac.n)]
+    assert frac.solves[0].residual <= discrete._FRACTIONAL_RTOL
+
+
+@pytest.mark.parametrize("k", [-120, 120])
+def test_vcycle_solve_scales_by_powers_of_two(k):
+    """The float32 V-cycle sees r scaled to unit size by a power of two, so
+    a right-hand side scaled by 2^k (about 1e-36 or 1e36, where float32
+    without the scaling underflows or overflows) takes the same iterations
+    and gives the solution scaled by 2^k, bit for bit."""
+    dop = assemble(LAP, build_grid(DISK, 2.0**-6))
+    b = np.random.default_rng(3).standard_normal(dop.n)
+    x = dop.solve(b)
+    assert np.array_equal(dop.solve(np.ldexp(b, k)), np.ldexp(x, k))
+    assert dop.solves[0].iterations == dop.solves[1].iterations == 9
+
+
+def test_assembly_and_green_column_working_set():
+    """On the h = 2^-7 disk (51,429 unknowns), assembling the Laplacian
+    peaks (tracemalloc) at no more than 2.6 times the arrays it returns
+    (2.05 measured; 3.40 when every slot was filled on the whole lattice),
+    and the Green column, its coarse chain included, at no more than 160
+    bytes per unknown above the operator (153 measured with the float32
+    V-cycle; 170 with the float64 one)."""
+    grid = build_grid(DISK, 2.0**-7)
+    tracemalloc.start()
+    try:
+        dop = assemble(LAP, grid)
+        assembly_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        discrete_green(dop, np.array([0.0, 0.0]))
+        green_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    A = dop.A
+    returned = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + dop.diag.nbytes
+    assert assembly_peak <= 2.6 * returned
+    assert green_peak <= 160 * dop.n
 
 
 def test_vcycle_geometry_is_built_once_per_grid(monkeypatch):

@@ -188,6 +188,39 @@ def test_tail_disk_mixed_sweeps_are_bounded():
     assert np.all(tc.omega <= envelope_mod.omega_optimal(dop.grid))
 
 
+def test_disk_mixed_pass_records_its_solves():
+    """The ``disk-mixed-psor`` pass (tail-disk-mixed at h = 2^-7, tol 1e-9)
+    solves its Green column and its two policy blocks by V-cycle CG in 9,
+    7 and 7 iterations, each to _CG_RTOL on the true residual."""
+    from potkit.config import build_problem, build_rho, grid_widths
+    from potkit.presets import get_preset
+    cfg = get_preset("tail-disk-mixed")
+    dom, op, mu = build_problem(cfg)
+    dop = assemble(op, build_grid(dom, grid_widths(cfg)[0]))
+    tail_curve(integral_solution(op, dom, mu), dop, build_rho(cfg, dom), cfg["levels"], tol=1e-9)
+    assert [(r.method, r.iterations) for r in dop.solves] == [("vcycle", 9), ("vcycle", 7),
+                                                               ("vcycle", 7)]
+    assert dop.solves[0].unknowns == dop.n
+    assert max(r.residual for r in dop.solves) <= discrete_mod._CG_RTOL
+
+
+def test_mc_exit_d1_block_records_jacobi():
+    """The ``mc-exit`` d1 norm (mc-maximal-bounded) solves one block of
+    1,484 of the 12,849 nodes by Jacobi-PCG on its own rows in 35
+    iterations."""
+    from potkit.config import build_problem, build_rho, grid_widths
+    from potkit.presets import get_preset
+    cfg = get_preset("mc-maximal-bounded")
+    dom, op, mu = build_problem(cfg)
+    dop = assemble(op, build_grid(dom, grid_widths(cfg)[0]))
+    u_abs, _, _ = envelope_field(integral_solution(op, dom, mu), dop)
+    d1_norm(dop, u_abs, build_rho(cfg, dom)(dop.grid.interior_points()))
+    assert dop.n == 12_849
+    (record,) = dop.solves
+    assert (record.method, record.unknowns, record.iterations) == ("jacobi", 1_484, 35)
+    assert record.residual <= discrete_mod._CG_RTOL
+
+
 def test_reduite_leaves_operator_matrix_untouched():
     dop, g_flat = _relax_case("smooth-disk")
     A = dop.A
