@@ -4,7 +4,12 @@ Subcommands: solve, reduite, tail, reconstruct {local,nonlocal},
 mc {classd,reducing,maximal}, verify, constants.  Configs come from
 ``--config PATH`` (YAML) or a shipped ``--preset NAME``; outputs are CSV +
 JSON written atomically under ``--out`` (default: $POTKIT_OUT or
-./potkit_out).  Exit codes: 0 success, 2 verdict failure, 1 error.
+./potkit_out), each run also appending its wall time to ``timings.log``
+there.  Exit codes: 0 success, 2 verdict failure, 1 error.
+
+Each computation the acceptance suite judges is one config-to-result
+function that its subcommand calls too: ``tail_curves``,
+``reconstruction``, ``reducing``, ``classd`` and ``maximal_check``.
 
 ``--threads`` is accepted for interface compatibility and recorded nowhere:
 all solvers and samplers are single-threaded by construction, so outputs
@@ -24,9 +29,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (build_eta, build_grid_operator, build_lattice, build_problem,
-                     build_rho, build_solution, grid_widths, load_config,
-                     validate_config)
+from .config import (build_eta, build_grid_operator, build_lattice, build_operator,
+                     build_problem, build_rho, build_solution, grid_widths,
+                     load_config, validate_config)
 from .envelope import (d1_norm, envelope_field, reduite, reduite_start, tail_curve,
                        tail_obstacle)
 from .errors import ConfigError, PotkitError
@@ -136,9 +141,57 @@ def maximal_check(cfg: dict) -> tuple:
     return est, d1
 
 
+def reconstruction(cfg: dict):
+    """``potkit reconstruct``'s ReconstructionReport at the config's levels and
+    quadrature tolerance; criteria 5 and 6 judge it."""
+    dom, op, mu = build_problem(cfg)
+    eta = build_eta(cfg, dom)
+    sol = build_solution(cfg, dom, op, mu)
+    return reconstruct_mu_c(sol, eta, cfg.get("levels", [0.25, 0.5]),
+                            rel_tol=cfg.get("tolerances", {}).get("quad_rel", 0.01))
+
+
+def reducing(cfg: dict):
+    """``potkit mc reducing``'s McEstimate of E_start[(u - n)^+ (X_{tau_k})]
+    at the reducing time tau_k; criterion 11 judges it."""
+    dom, op, mu = build_problem(cfg)
+    return reducing_expectation(build_solution(cfg, dom, op, mu), k=cfg["k"],
+                                n=cfg["n"], start=cfg["start"],
+                                n_samples=cfg.get("samples", 10**5), seed=cfg["seed"])
+
+
+def classd(cfg: dict) -> tuple:
+    """``potkit mc classd``'s (UIDiagnostic, the solution it sampled);
+    criterion 12 judges them."""
+    dom, op, mu = build_problem(cfg)
+    sol = build_solution(cfg, dom, op, mu)
+    return class_d_diagnostic(sol, cfg["family"], cfg["levels"], rho=build_rho(cfg, dom),
+                              n_samples=cfg.get("samples", 30000),
+                              seed=cfg["seed"]), sol
+
+
+def _write(args, cfg: dict, t0: float, csv: tuple, results: dict, verdicts: dict,
+           message: str, stem: str = "", diagnostics: dict | None = None) -> None:
+    """One run's outputs under --out: <prefix><stem>.csv from ``csv`` =
+    (header, rows, comments) and <prefix><stem>.json, the run report of
+    ``results`` and ``verdicts`` plus ``diagnostics`` when given; then one
+    timings.log line, the wall time since t0 labelled by the subcommand and
+    prefix, and ``message`` on stdout unless --quiet."""
+    out, prefix = _out_dir(args), _prefix(cfg)
+    path = os.path.join(out, prefix + stem)
+    write_csv(path + ".csv", *csv)
+    report = run_report(cfg, results, verdicts)
+    if diagnostics:
+        report["diagnostics"] = diagnostics
+    write_json(path + ".json", report)
+    command = "-".join(filter(None, (args.command, getattr(args, "mode", None))))
+    log_timing(out, f"{command}:{prefix}", time.time() - t0)
+    if not args.quiet:
+        print(message)
+
+
 def cmd_solve(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
+    t0, cfg = time.time(), _load(args)
     dom, op, mu = build_problem(cfg)
     rho = build_rho(cfg, dom)
     hs = grid_widths(cfg)
@@ -156,21 +209,16 @@ def cmd_solve(args) -> int:
         "concentrated_atoms": len(sol.decomposition.concentrated.atoms),
         "closed_form": sol.closed,
     }
-    header = [f"x{k}" for k in range(dom.dim)] + ["u"]
     prefix = _prefix(cfg)
-    write_csv(os.path.join(out, f"{prefix}.csv"), header, rows,
-              comments=["integral solution u(x); u = 0 off the domain",
-                        "evaluation at a concentrated atom reports inf"])
-    write_json(os.path.join(out, f"{prefix}.json"),
-               run_report(cfg, summary, {}))
-    if not args.quiet:
-        print(f"wrote {prefix}.csv / {prefix}.json to {out}")
+    _write(args, cfg, t0, ([f"x{k}" for k in range(dom.dim)] + ["u"], rows,
+                           ["integral solution u(x); u = 0 off the domain",
+                            "evaluation at a concentrated atom reports inf"]),
+           summary, {}, f"wrote {prefix}.csv / {prefix}.json to {_out_dir(args)}")
     return 0
 
 
 def cmd_reduite(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
+    t0, cfg = time.time(), _load(args)
     dom, op, mu = build_problem(cfg)
     dop = build_grid_operator(cfg, dom, op)
     sol = build_solution(cfg, dom, op, mu, dop)
@@ -180,26 +228,19 @@ def cmd_reduite(args) -> int:
     res = reduite(dop, g, tol=cfg.get("tolerances", {}).get("reduite", 1e-10),
                   w0=reduite_start(g, field))
     rows = np.column_stack([dop.grid.interior_points(), res.envelope.interior_values()])
-    prefix = _prefix(cfg)
-    write_csv(os.path.join(out, f"{prefix}_envelope.csv"),
-              [f"x{k}" for k in range(dom.dim)] + ["envelope"], rows,
-              comments=[f"smallest excessive majorant of (|u| - {fmt(n)})^+"])
-    write_json(os.path.join(out, f"{prefix}_envelope.json"), run_report(
-        cfg, {"iterations": res.iterations, "omega": res.omega,
-              "policy_steps": res.policy_steps,
-              "residual": res.residual,
-              "continuation_nodes": int(res.continuation.sum())}, {}))
-    if not args.quiet:
-        print(f"envelope solved in {res.iterations} sweeps, "
-              f"{res.policy_steps} policy steps, residual {res.residual:.2e}")
+    _write(args, cfg, t0, ([f"x{k}" for k in range(dom.dim)] + ["envelope"], rows,
+                           [f"smallest excessive majorant of (|u| - {fmt(n)})^+"]),
+           {"iterations": res.iterations, "omega": res.omega,
+            "policy_steps": res.policy_steps, "residual": res.residual,
+            "continuation_nodes": int(res.continuation.sum())}, {},
+           f"envelope solved in {res.iterations} sweeps, "
+           f"{res.policy_steps} policy steps, residual {res.residual:.2e}",
+           stem="_envelope")
     return 0
 
 
 def cmd_tail(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
-    t0 = time.time()
-    prefix = _prefix(cfg)
+    t0, cfg = time.time(), _load(args)
     curves = tail_curves(cfg)
     results = {fmt(h): {"levels": tc.levels, "values": tc.values,
                         "sweeps": tc.sweeps, "omega": tc.omega,
@@ -208,70 +249,50 @@ def cmd_tail(args) -> int:
     last = curves[-1][1]
     rows = [(n, v, int(r)) for n, v, r in
             zip(last.levels, last.values, last.resolvable)]
-    write_csv(os.path.join(out, f"{prefix}.csv"), ["n", "T_n", "resolvable"], rows,
-              comments=["tail functional T_n = weighted mass of the envelope of "
-                        "(|u| - n)^+ (finest grid)",
-                        "resolvable: level below the obstacle one cell off the atom"])
     verdict = {"verdict": last.verdict, "limit_estimate": last.limit_estimate,
                "target": last.target}
-    write_json(os.path.join(out, f"{prefix}.json"),
-               run_report(cfg, results, verdict))
-    log_timing(out, f"tail:{prefix}", time.time() - t0)
-    if not args.quiet:
-        print(f"tail verdict: {last.verdict} (limit {last.limit_estimate:.6g}, "
-              f"target {last.target:.6g})")
+    _write(args, cfg, t0, (["n", "T_n", "resolvable"], rows,
+                           ["tail functional T_n = weighted mass of the envelope of "
+                            "(|u| - n)^+ (finest grid)",
+                            "resolvable: level below the obstacle one cell off the atom"]),
+           results, verdict, f"tail verdict: {last.verdict} (limit "
+           f"{last.limit_estimate:.6g}, target {last.target:.6g})")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
-    dom, op, mu = build_problem(cfg)
-    if args.mode == "local" and not op.is_local:
+    t0, cfg = time.time(), _load(args)
+    local = build_operator(cfg).is_local
+    if args.mode == "local" and not local:
         raise PotkitError("local reconstruction needs a local operator")
-    if args.mode == "nonlocal" and op.is_local:
+    if args.mode == "nonlocal" and local:
         raise PotkitError("nonlocal reconstruction needs the fractional operator")
-    eta = build_eta(cfg, dom)
-    sol = build_solution(cfg, dom, op, mu)
-    levels = cfg.get("levels", [0.25, 0.5])
-    rep = reconstruct_mu_c(sol, eta, levels,
-                           rel_tol=cfg.get("tolerances", {}).get("quad_rel", 0.01))
+    rep = reconstruction(cfg)
     rows = [(n, v, rep.target, e) for n, v, e in
             zip(rep.levels, rep.values, rep.rel_errors)]
-    prefix = _prefix(cfg)
-    write_csv(os.path.join(out, f"{prefix}.csv"),
-              ["n", "value", "target", "rel_error"], rows,
-              comments=[f"{rep.kind} window-energy reconstruction of the "
-                        "positive concentrated mass"])
-    verdict = {"fitted_prefactor": rep.fitted_prefactor,
-               "prefactor_flagged": rep.prefactor_flagged}
-    report = run_report(cfg, {"levels": rep.levels, "values": rep.values,
-                              "target": rep.target}, verdict)
-    if rep.widths:
-        # np.bool_ entries, which _jsonify writes as JSON booleans
-        report["diagnostics"] = {"widths": rep.widths, "unknowns": rep.unknowns,
-                                 "resolvable": list(rep.resolvable)}
-    write_json(os.path.join(out, f"{prefix}.json"), report)
-    if not args.quiet:
-        print(f"{rep.kind} reconstruction: values "
-              f"{np.round(rep.values, 4).tolist()} target {rep.target:.4g} "
-              f"prefactor {rep.fitted_prefactor:.4f}")
-    if rep.prefactor_flagged and not args.quiet:
-        print("WARNING: fitted prefactor deviates from 1 by more than 10%; "
-              "this is a finding, not a normalization")
+    message = (f"{rep.kind} reconstruction: values {np.round(rep.values, 4).tolist()} "
+               f"target {rep.target:.4g} prefactor {rep.fitted_prefactor:.4f}")
+    if rep.prefactor_flagged:
+        message += ("\nWARNING: fitted prefactor deviates from 1 by more than 10%; "
+                    "this is a finding, not a normalization")
+    # the lattices read, if any; np.bool_ entries, which _jsonify writes as booleans
+    lattices = {"widths": rep.widths, "unknowns": rep.unknowns,
+                "resolvable": list(rep.resolvable)} if rep.widths else None
+    _write(args, cfg, t0, (["n", "value", "target", "rel_error"], rows,
+                           [f"{rep.kind} window-energy reconstruction of the "
+                            "positive concentrated mass"]),
+           {"levels": rep.levels, "values": rep.values, "target": rep.target},
+           {"fitted_prefactor": rep.fitted_prefactor,
+            "prefactor_flagged": rep.prefactor_flagged}, message, diagnostics=lattices)
     return 0
 
 
 def cmd_mc(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args)
+    t0, cfg = time.time(), _load(args)
     needed = {"reducing": ("k", "n", "start"), "classd": ("family", "levels")}
     for key in ("seed",) + needed.get(args.mode, ()):
         if key not in cfg:
             raise ConfigError(f"config field '{key}': required for mc {args.mode}")
-    prefix = _prefix(cfg)
-    t0 = time.time()
-
     if args.mode == "maximal":
         est, d1 = maximal_check(cfg)
         rows = [(0.5, est.value, est.stderr)]
@@ -279,46 +300,24 @@ def cmd_mc(args) -> int:
                    "margin": est.extra["margin"], "d1_norm": d1}
         results = {"estimate": est.value, "stderr": est.stderr,
                    "draws": est.extra["draws"]}
-    else:
-        dom, op, mu = build_problem(cfg)
-        sol = build_solution(cfg, dom, op, mu)
-        rho = build_rho(cfg, dom)
-
-    if args.mode == "reducing":
-        est = reducing_expectation(sol, k=cfg["k"], n=cfg["n"],
-                                   start=cfg["start"],
-                                   n_samples=cfg.get("samples", 10**5),
-                                   seed=cfg["seed"])
+    elif args.mode == "reducing":
+        est = reducing(cfg)
         rows = [(cfg["n"], est.value, est.stderr)]
-        verdict = {"frac_stopped_before_exit":
-                   est.extra["frac_stopped_before_exit"]}
+        verdict = {"frac_stopped_before_exit": est.extra["frac_stopped_before_exit"]}
         results = {"k": cfg["k"], "n": cfg["n"], "estimate": est.value,
                    "stderr": est.stderr, "draws": est.extra["draws"]}
-    elif args.mode == "classd":
-        diag = class_d_diagnostic(sol, cfg["family"], cfg["levels"], rho=rho,
-                                  n_samples=cfg.get("samples", 30000),
-                                  seed=cfg["seed"])
-        rows = [(n, e, s) for n, e, s in
-                zip(diag.levels, diag.estimates, diag.stderrs)]
-        verdict = {"verdict": diag.verdict,
-                   "limit_estimate": diag.limit_estimate,
-                   "limit_stderr": diag.limit_stderr,
-                   "limit_basis": diag.limit_basis}
+    else:
+        diag, _ = classd(cfg)
+        rows = list(zip(diag.levels, diag.estimates, diag.stderrs))
+        verdict = {"verdict": diag.verdict, "limit_estimate": diag.limit_estimate,
+                   "limit_stderr": diag.limit_stderr, "limit_basis": diag.limit_basis}
         results = {"levels": diag.levels, "estimates": diag.estimates,
                    "stderrs": diag.stderrs, "family": diag.family,
                    "table": diag.table, "draws": diag.draws}
-
-    write_csv(os.path.join(out, f"{prefix}.csv"),
-              ["level", "estimate", "stderr"], rows,
-              comments=[f"mc {args.mode}; seed {cfg['seed']}"])
-    write_json(os.path.join(out, f"{prefix}.json"),
-               run_report(cfg, results, verdict))
-    log_timing(out, f"mc-{args.mode}:{prefix}", time.time() - t0)
-    if not args.quiet:
-        print(f"mc {args.mode}: {verdict}")
-    if args.mode == "maximal" and not est.extra["passed"]:
-        return 2
-    return 0
+    _write(args, cfg, t0, (["level", "estimate", "stderr"], rows,
+                           [f"mc {args.mode}; seed {cfg['seed']}"]),
+           results, verdict, f"mc {args.mode}: {verdict}")
+    return 2 if args.mode == "maximal" and not verdict["passed"] else 0
 
 
 def cmd_verify(args) -> int:

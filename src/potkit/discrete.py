@@ -263,11 +263,18 @@ def _pcg(matvec, b: np.ndarray, precond, rtol: float = _CG_RTOL,
             break
         z = precond(r)
         rz = np.einsum("i,i", r, z)
-        p = z if p is None else z + (rz / rz_prev) * p
+        if p is None:
+            p = z
+        else:
+            # in place, so no further vector is live: z + beta p, bit for bit
+            p *= rz / rz_prev
+            p += z
+        del z
         q = matvec(p)
         alpha = rz / np.einsum("i,i", p, q)
         x += alpha * p
         r -= alpha * q
+        del q
         rz_prev = rz
     raise ConvergenceError(f"CG did not reach relative residual {rtol:g} "
                            f"within {_CG_MAX_ITERS} iterations")

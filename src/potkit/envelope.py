@@ -130,15 +130,6 @@ def _colour_rows(grid: Grid) -> tuple:
     return np.argsort(odd, kind="stable"), int(np.count_nonzero(~odd))
 
 
-class _Sweeps(int):
-    """A sweep count that carries the relaxation ``omega`` of its last sweep."""
-
-    def __new__(cls, sweeps: int, omega: float):
-        self = super().__new__(cls, sweeps)
-        self.omega = omega
-        return self
-
-
 def _scaled_rows(rows: list, omega: float) -> list:
     """Each colour's (rows of A, their diagonal) as CSR rows scaled by
     omega / diag."""
@@ -148,12 +139,12 @@ def _scaled_rows(rows: list, omega: float) -> list:
 
 
 def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
-           omega: float, tol: float) -> int:
+           omega: float, tol: float) -> tuple:
     """Projected red-black SOR w <- max(g, w - omega D^{-1} A w) on flat
     interior vectors of a local operator, in place, from the relaxation
     ``omega``: the red and black rows in turn, with the update tested every
-    8 sweeps.  Returns the sweep count, an int whose ``omega`` is the
-    relaxation of the last sweep.
+    8 sweeps.  Returns (sweeps, omega): the sweep count and the relaxation
+    of the last sweep.
 
     The relaxation rises towards Young's optimum of the rows it iterates
     on (adaptive SOR; Hageman & Young, *Applied Iterative Methods*, 1981,
@@ -203,7 +194,7 @@ def _relax(dop: DiscreteOperator, g: np.ndarray, w: np.ndarray,
             continue
         if update < tol:
             w[order] = wp
-            return _Sweeps(sweep, float(omega))
+            return sweep, float(omega)
         mu = None
         if d_prev is not None and update < d_prev:
             lam = (update / d_prev) ** 0.125
@@ -296,8 +287,7 @@ def reduite(dop: DiscreteOperator, g, tol: float = 1e-10,
     # an exact start on or above g is the envelope: keep its defect
     exact = residual <= tol and bool(np.all(w_flat >= g_flat))
     if residual > tol and dop.is_local:
-        sweeps = _relax(dop, g_flat, w_flat, _omega_start(grid), _WARM_TOL)
-        omega = sweeps.omega
+        sweeps, omega = _relax(dop, g_flat, w_flat, _omega_start(grid), _WARM_TOL)
         defect, residual = _complementarity(dop, w_flat, g_flat)
     if residual > tol:
         w_flat, steps = _policy_iteration(dop, g_flat, w_flat, defect, tol)

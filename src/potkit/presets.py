@@ -185,13 +185,14 @@ PRESETS = {
     },
 }
 
-STOCHASTIC_PRESETS = [
-    "mc-reducing-disk",
-    "mc-classd-bounded",
-    "mc-classd-dirac",
-    "mc-maximal-bounded",
-    "mc-maximal-interval-dirac",
-]
+# the seeded presets, each with the ``potkit mc`` mode that runs it
+STOCHASTIC_PRESETS = {
+    "mc-reducing-disk": "reducing",
+    "mc-classd-bounded": "classd",
+    "mc-classd-dirac": "classd",
+    "mc-maximal-bounded": "maximal",
+    "mc-maximal-interval-dirac": "maximal",
+}
 
 
 def get_preset(name: str) -> dict:

@@ -1,10 +1,16 @@
 """Bundled verification suite: one check per acceptance scenario.
 
-Each check runs the CLI's computations on the shipped presets: the config
-driver, and the CLI's own ``tail_curves`` (criteria 2-4) and
-``maximal_check`` (criterion 13).  It returns a CriterionResult; the CLI
-``verify`` subcommand and the acceptance test module both consume these,
-and a failing check exits the CLI with status 2.
+Each check runs the CLI's computations on the shipped presets.  The
+scientific claims are judged on the very functions the subcommands call:
+``cli.tail_curves`` (``potkit tail``) for criteria 2-4,
+``cli.reconstruction`` (``potkit reconstruct``) for criteria 5 and 6,
+``cli.reducing`` and ``cli.classd`` (``potkit mc reducing|classd``) for
+criteria 11 and 12, and ``cli.maximal_check`` (``potkit mc maximal``) for
+criterion 13; criterion 14 runs ``potkit mc`` itself.  Criteria 1 and 7-10
+check the kernels, window identities, grid algebra and envelope oracle
+directly.  Each returns a CriterionResult; the CLI ``verify`` subcommand
+and the acceptance test module both consume these, and a failing check
+exits the CLI with status 2.
 """
 
 from __future__ import annotations
@@ -18,16 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cli
-from .config import (build_eta, build_grid_operator, build_problem, build_rho,
-                     build_solution, grid_widths)
+from .config import build_domain, build_grid_operator, build_operator, grid_widths
 from .discrete import assemble, discrete_green
 from .envelope import harmonic_extension, reduite
 from .geometry import Domain, GridField, build_grid
 from .kernels import OperatorSpec, green
 from .presets import STOCHASTIC_PRESETS, get_preset
-from .reconstruct import (kink_integral, local_energy, reconstruct_mu_c, sigma,
-                          theta_n)
-from .stochastic import class_d_diagnostic, reducing_expectation
+from .reconstruct import kink_integral, sigma, theta_n
 
 QUARTER_PI_INV = 1.0 / (4.0 * math.pi)      # <R^D rho, delta_0> on the unit disk
 REDUCING_EXACT = 3.0 * math.log(2.0) / (8.0 * math.pi)
@@ -46,18 +49,11 @@ class CriterionResult:
         return f"[{tag}] criterion {self.cid:2d} ({self.name}): {self.details}"
 
 
-def _preset_solution(name: str) -> tuple:
-    """(config, domain, u) of a shipped preset."""
-    cfg = get_preset(name)
-    dom, op, mu = build_problem(cfg)
-    return cfg, dom, build_solution(cfg, dom, op, mu)
-
-
 def criterion_01() -> CriterionResult:
     """Discrete Green vs closed form on the interval; error and order."""
     t0 = time.time()
     cfg = get_preset("kernel-interval-order")
-    dom, op, _ = build_problem(cfg)
+    dom, op = build_domain(cfg), build_operator(cfg)
     exact = green(op, dom, 0.25, 0.5)
     errs = []
     for h in grid_widths(cfg):
@@ -127,9 +123,8 @@ def criterion_04() -> CriterionResult:
 def criterion_05() -> CriterionResult:
     """Local window energy of the disk Dirac equals 1 within 1%."""
     t0 = time.time()
-    cfg, dom, sol = _preset_solution("reconstruct-local-disk-dirac")
-    eta = build_eta(cfg, dom)
-    val = local_energy(sol, eta, 0.25)
+    rep = cli.reconstruction(get_preset("reconstruct-local-disk-dirac"))
+    [val] = rep.values[rep.levels == 0.25]
     dt = time.time() - t0
     passed = bool(abs(val - 1.0) <= 0.01 and dt < 10.0)
     return CriterionResult(5, "local reconstruction", passed,
@@ -139,10 +134,7 @@ def criterion_05() -> CriterionResult:
 def criterion_06() -> CriterionResult:
     """Nonlocal window energy converges to the atom mass within 0.15."""
     t0 = time.time()
-    cfg, dom, sol = _preset_solution("reconstruct-nonlocal-interval")
-    eta = build_eta(cfg, dom)
-    rep = reconstruct_mu_c(sol, eta, cfg["levels"],
-                           rel_tol=cfg["tolerances"]["quad_rel"])
+    rep = cli.reconstruction(get_preset("reconstruct-nonlocal-interval"))
     val, trace = rep.values[-1], rep.traces[-1]      # the top level
     dt = time.time() - t0
     trace_ok = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= 0.01 * abs(trace[-1])
@@ -206,7 +198,7 @@ def criterion_09() -> CriterionResult:
     """Projection algebra: restriction and nesting identities on a disk grid."""
     t0 = time.time()
     cfg = get_preset("grid-identities")
-    dom, op, _ = build_problem(cfg)
+    dom, op = build_domain(cfg), build_operator(cfg)
     dop = build_grid_operator(cfg, dom, op)
     grid = dop.grid
     rng = np.random.default_rng(cfg["seed"])
@@ -267,9 +259,7 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Stopped expectation along the reducing family, disk Dirac benchmark."""
     t0 = time.time()
-    cfg, dom, sol = _preset_solution("mc-reducing-disk")
-    est = reducing_expectation(sol, k=cfg["k"], n=cfg["n"], start=cfg["start"],
-                               n_samples=cfg["samples"], seed=cfg["seed"])
+    est = cli.reducing(get_preset("mc-reducing-disk"))
     dt = time.time() - t0
     dev = abs(est.value - REDUCING_EXACT)
     passed = bool(dev <= 3.0 * est.stderr and est.stderr < 0.002 and dt < 30.0)
@@ -283,21 +273,14 @@ def criterion_12() -> CriterionResult:
     """Class-(D) verdicts for the bounded and Dirac presets."""
     t0 = time.time()
     details = []
-    cfgb, domb, solb = _preset_solution("mc-classd-bounded")
-    diagb = class_d_diagnostic(solb, cfgb["family"], cfgb["levels"],
-                               rho=build_rho(cfgb, domb),
-                               n_samples=cfgb["samples"], seed=cfgb["seed"])
+    diagb, solb = cli.classd(get_preset("mc-classd-bounded"))
     sup = solb.max_interior()
     above = diagb.levels > sup
     zeros = bool(np.all(diagb.estimates[above] == 0.0)) if above.any() else False
     ok_b = diagb.verdict == "class-D" and zeros
     details.append(f"bounded: verdict={diagb.verdict}, exact zeros above sup={zeros}")
 
-    cfgd, domd, sold = _preset_solution("mc-classd-dirac")
-    diagd = class_d_diagnostic(sold, cfgd["family"], cfgd["levels"],
-                               rho=build_rho(cfgd, domd),
-                               n_samples=cfgd["samples"], seed=cfgd["seed"],
-                               target=QUARTER_PI_INV)
+    diagd, _ = cli.classd(get_preset("mc-classd-dirac"))
     dev = abs(diagd.limit_estimate - QUARTER_PI_INV)
     ok_d = diagd.verdict == "not-class-D" and dev <= 3.0 * diagd.limit_stderr
     details.append(f"dirac: verdict={diagd.verdict}, plateau "
@@ -323,17 +306,14 @@ def criterion_13() -> CriterionResult:
 
 def criterion_14() -> CriterionResult:
     """Determinism: byte-identical outputs across reruns and thread settings."""
-    from .cli import main as cli_main
     t0 = time.time()
     mism = []
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in STOCHASTIC_PRESETS:
+        for preset, mode in STOCHASTIC_PRESETS.items():
             outs = []
             for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
                 od = os.path.join(tmp, f"{preset}-{tag}")
-                sub = ("reducing" if "reducing" in preset
-                       else "classd" if "classd" in preset else "maximal")
-                rc = cli_main(["mc", sub, "--preset", preset, "--out", od,
+                rc = cli.main(["mc", mode, "--preset", preset, "--out", od,
                                "--threads", threads, "--quiet"])
                 if rc != 0:
                     mism.append(f"{preset}: exit {rc}")

@@ -636,8 +636,82 @@ def test_maximal_criterion_judges_the_cli_maximal_check(monkeypatch):
                                 "(margin -0.3750)") == 2
 
 
+def _canned_report(levels, values, prefactor):
+    """A ReconstructionReport no solution computes, each level read on two
+    lattices that agree."""
+    from potkit.reconstruct import ReconstructionReport
+    values = np.asarray(values, dtype=float)
+    return ReconstructionReport(
+        levels=np.asarray(levels, dtype=float), values=values, target=1.0,
+        rel_errors=values - 1.0, fitted_prefactor=prefactor,
+        prefactor_flagged=abs(prefactor - 1.0) > 0.1, kind="canned",
+        traces=[[v, v] for v in values], resolvable=np.ones(values.size, dtype=bool),
+        widths=[], unknowns=[])
+
+
+def _canned_diagnostic(levels, estimates, verdict, limit, limit_stderr):
+    """A UIDiagnostic no walk computes."""
+    from potkit.stochastic import UIDiagnostic
+    estimates = np.asarray(estimates, dtype=float)
+    return UIDiagnostic(levels=np.asarray(levels, dtype=float), estimates=estimates,
+                        stderrs=np.zeros(estimates.size), family=np.ones(1),
+                        table=estimates[:, None], verdict=verdict, limit_estimate=limit,
+                        limit_stderr=limit_stderr, limit_basis="canned", target=0.0,
+                        draws=0)
+
+
+def _canned_results():
+    """{preset: a result no computation gives} for the presets of criteria 5,
+    6, 11 and 12, in their ``cli`` functions' return shapes."""
+    from types import SimpleNamespace
+
+    from potkit.stochastic import McEstimate
+    return {
+        "reconstruct-local-disk-dirac": _canned_report([0.125, 0.25, 0.5],
+                                                       [0.5, 1.004, 2.0], 1.0),
+        "reconstruct-nonlocal-interval": _canned_report([1.0, 2.0, 4.0],
+                                                        [0.5, 0.8, 0.9], 1.2),
+        "mc-reducing-disk": McEstimate(value=0.083, stderr=0.001, n_samples=2, extra={}),
+        "mc-classd-bounded": (_canned_diagnostic([0.1, 0.3, 0.5], [0.01, 0.0, 0.0],
+                                                 "class-D", 0.0, 0.0),
+                              SimpleNamespace(max_interior=lambda: 0.25)),
+        "mc-classd-dirac": (_canned_diagnostic([0.125], [0.1], "canned", 0.08, 0.001),
+                            None),
+    }
+
+
+@pytest.mark.parametrize("cid,name,presets,shown,passed", [
+    (5, "reconstruction", ["reconstruct-local-disk-dirac"],
+     "value 1.004000 (target 1)", True),
+    (6, "reconstruction", ["reconstruct-nonlocal-interval"],
+     "values [0.5, 0.8, 0.9], top level 0.9000, fitted prefactor 1.2000 (flagged=True)",
+     False),
+    (11, "reducing", ["mc-reducing-disk"],
+     "estimate 0.08300 +- 0.00100, exact 0.08274 (0.26 sigma)", True),
+    (12, "classd", ["mc-classd-bounded", "mc-classd-dirac"],
+     "bounded: verdict=class-D, exact zeros above sup=True; dirac: verdict=canned, "
+     "plateau 0.08000 +- 0.00100 vs 0.07958 (0.42 sigma)", False),
+], ids=["criterion_05", "criterion_06", "criterion_11", "criterion_12"])
+def test_criteria_judge_the_cli_results(monkeypatch, cid, name, presets, shown, passed):
+    """Criteria 5, 6, 11 and 12 take every number they judge from
+    ``cli.reconstruction``, ``cli.reducing`` and ``cli.classd`` on their
+    presets, in order."""
+    from potkit.verify import ALL_CRITERIA
+    results, seen = _canned_results(), []
+
+    def canned(cfg):
+        seen.append(cfg["name"])
+        return results[cfg["name"]]
+
+    monkeypatch.setattr(cli_mod, name, canned)
+    result = ALL_CRITERIA[cid]()
+    assert seen == presets
+    assert result.passed is passed and shown in result.details
+
+
 def test_tail_curves_are_the_tail_subcommand_values(tmp_path):
-    """``cli.tail_curves`` gives ``potkit tail``'s JSON values bit for bit."""
+    """``cli.tail_curves`` and ``cli.reconstruction`` give ``potkit tail``'s
+    and ``potkit reconstruct nonlocal``'s JSON values bit for bit."""
     out = str(tmp_path / "out")
     assert main(["tail", "--preset", "tail-disk-mixed", "--out", out, "--quiet"]) == 0
     rep = json.loads(read(os.path.join(out, "tail_disk_mixed.json")))
@@ -646,6 +720,31 @@ def test_tail_curves_are_the_tail_subcommand_values(tmp_path):
     for (h, tc), (key, block) in zip(curves, rep["results"].items()):
         assert h == float(key)
         assert tc.values.tolist() == block["values"]
+    preset = "reconstruct-nonlocal-interval"
+    assert main(["reconstruct", "nonlocal", "--preset", preset, "--out", out,
+                 "--quiet"]) == 0
+    rep = json.loads(read(os.path.join(out, "reconstruct_nonlocal_interval.json")))
+    assert cli_mod.reconstruction(get_preset(preset)).values.tolist() == \
+        rep["results"]["values"]
+
+
+@pytest.mark.parametrize("command,preset,label", [
+    ("solve", "kernel-interval-order", "solve:kernel_interval_order"),
+    ("reduite", "reduite-oracle", "reduite:reduite_oracle"),
+    ("tail", "tail-interval-dirac", "tail:tail_interval_dirac"),
+    ("reconstruct local", "reconstruct-local-disk-dirac",
+     "reconstruct-local:reconstruct_local_disk_dirac"),
+    ("mc reducing", "mc-reducing-disk", "mc-reducing:mc_reducing_disk"),
+], ids=["solve", "reduite", "tail", "reconstruct-local", "mc-reducing"])
+def test_each_report_command_logs_its_own_timing(tmp_path, command, preset, label):
+    """Every report command appends exactly one timings.log line, labelled
+    by its subcommand and output prefix."""
+    out = tmp_path / "out"
+    assert main(command.split() + ["--preset", preset, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "timings.log").read_text().splitlines()
+    assert len(lines) == 1
+    head, seconds = lines[0].rsplit(": ", 1)
+    assert head == label and seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
